@@ -12,12 +12,9 @@ byte-identical files.
 from __future__ import annotations
 
 import json
-from fractions import Fraction
 
 from .errors import SpecParseError
 from .exact import (
-    UniPoly,
-    parse_bipoly,
     parse_rational,
     parse_unipoly,
     render_bipoly,
@@ -26,7 +23,7 @@ from .exact import (
 )
 from .factor import EDF_SEED, is_irreducible_Q
 from .numfield import NumberField
-from .perm import AbstractGroup, PermGroup, parse_cycles, render_cycles
+from .perm import AbstractGroup, PermGroup, parse_cycles
 
 FORMAT_NAME = "autrealize-certificate"
 FORMAT_VERSION = 1
@@ -34,10 +31,6 @@ FORMAT_VERSION = 1
 
 def _render_coords(e):
     return [render_rational(c) for c in e.coords]
-
-
-def _render_nf_unipoly(p):
-    return [_render_coords(c) for c in p.coeffs]
 
 
 def certificate_to_json(cert) -> dict:

@@ -17,7 +17,7 @@ import sys
 
 from .certs import dumps_canonical, certificate_to_json, emit_certificate, validate_certificate
 from .errors import BudgetExhaustedError, CapExceededError, SpecParseError
-from .perm import PermGroup, Permutation, parse_cycles, render_cycles
+from .perm import PermGroup, parse_cycles, render_cycles
 from .pipeline import run as pipeline_run
 
 EXIT_OK = 0

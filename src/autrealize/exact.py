@@ -90,10 +90,6 @@ class UniPoly:
         return cls((c,), var, field)
 
     @classmethod
-    def monomial(cls, c, k, var="X", field=None):
-        return cls((0,) * k + (c,), var, field)
-
-    @classmethod
     def gen(cls, var="X", field=None):
         return cls((0, 1), var, field)
 
@@ -717,15 +713,6 @@ class BiPoly:
             x0 if self.field is None else _coerce(self.field, x0)
         )
 
-    def deriv_X(self):
-        return BiPoly(
-            [
-                [j * row[j] for j in range(1, len(row))]
-                for row in self.rows
-            ],
-            self.field,
-        )
-
     def coeff_X(self, j):
         """Coefficient of X^j as a UniPoly in T."""
         return UniPoly(
@@ -734,23 +721,6 @@ class BiPoly:
 
     def lc_X(self):
         return self.coeff_X(self.deg_X)
-
-    def as_unipoly_in_X(self):
-        """Valid only when the polynomial is constant in T."""
-        if self.deg_T > 0:
-            raise ValueError("not constant in T")
-        return UniPoly(
-            list(self.rows[0]) if self.rows else (), "X", self.field
-        )
-
-    @classmethod
-    def from_unipoly_in_X(cls, f: UniPoly):
-        return cls([list(f.coeffs)], f.field)
-
-
-def bipoly_specialize(f: BiPoly, t0) -> UniPoly:
-    """T -> t0 substitution (coefficientwise, exact)."""
-    return f.specialize(t0)
 
 
 def discriminant_in_X(f):

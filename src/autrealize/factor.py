@@ -3,7 +3,13 @@
 The engine is classical Zassenhaus: squarefree decomposition (Yun),
 factorization modulo a prime (distinct-degree + equal-degree splitting with
 a fixed-seed PRNG), multifactor Hensel lifting to a Mignotte-style bound,
-and subset recombination with trial division.
+and subset recombination with trial division.  Each step has one
+implementation shared by complete factorization (``factor_over_Q``) and
+the targeted degree search (``find_rational_factors_of_degree``): both
+walk the primes of ``_good_primes``, and both test and peel off candidate
+factors with ``_trial_divide``.
+``yun_squarefree_decomposition`` works over any exact field and is also
+the squarefree decomposition used over number fields.
 
 All integer polynomials below are dense ascending coefficient lists.
 Chosen primes and lift exponents are logged and recorded in the audit
@@ -17,10 +23,10 @@ import logging
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, count
 from math import ceil, gcd, isqrt, log
 
-from .errors import CapExceededError
+from .errors import CapExceededError, VerificationError
 from .exact import UniPoly, poly_divrem, poly_gcd
 
 logger = logging.getLogger(__name__)
@@ -154,16 +160,6 @@ def _gtrim(a):
     while a and a[-1] == 0:
         a.pop()
     return a
-
-
-def _gadd(a, b, p):
-    n = max(len(a), len(b))
-    return _gtrim(
-        [
-            ((a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0)) % p
-            for i in range(n)
-        ]
-    )
 
 
 def _gsub(a, b, p):
@@ -378,7 +374,8 @@ def _hensel_lift(p, f, factors, l):
         h = _gmul(h, [c % p for c in fi], p)
 
     s, t, one = _ggcdex(g, h, p)
-    assert one == [1], "factors not coprime mod p"
+    if one != [1]:
+        raise VerificationError(f"modular factors are not coprime mod {p}")
 
     g = _itrunc(g, p)
     h = _itrunc(h, p)
@@ -400,28 +397,48 @@ def _mignotte_bound(f):
     return (isqrt(n + 1) + 1) * 2**n * a * b
 
 
-def _select_prime(f, max_candidates=8, good_enough=6):
-    """Pick a prime p >= 5 with p coprime to lc(f) and f squarefree mod p.
+#: Consecutive unusable primes after which the input is checked for a
+#: repeated factor (no prime can then ever be usable).
+BAD_PRIME_RUN = 64
 
-    Among the first few valid primes, the one producing the fewest modular
-    factors is chosen (ties broken towards smaller p); at desk scale this
-    keeps subset recombination tractable.
+
+def _good_primes(f):
+    """Yield (p, f mod p made monic) for the primes p = 5, 7, 11, ... that
+    do not divide lc(f) and keep f squarefree mod p.
+
+    A squarefree f has only finitely many unusable primes; after
+    BAD_PRIME_RUN consecutive ones, f is checked exactly and a ValueError
+    is raised if it has a repeated factor.
+    """
+    bad = 0
+    for p in count(5, 2):
+        if not _is_prime(p):
+            continue
+        fp = _gmonic([c % p for c in f], p) if f[-1] % p else None
+        if fp and _gsqf_p(fp, p):
+            bad = 0
+            yield p, fp
+            continue
+        bad += 1
+        if bad == BAD_PRIME_RUN:
+            F = UniPoly([Fraction(c) for c in f])
+            if poly_gcd(F, F.derivative()).degree > 0:
+                raise ValueError("expects a squarefree polynomial")
+
+
+def _select_prime(f, max_candidates=8, good_enough=6):
+    """Pick a usable prime p (see _good_primes) for f.
+
+    Among the first few usable primes, the one producing the fewest
+    modular factors is chosen (ties broken towards smaller p); at desk
+    scale this keeps subset recombination tractable.
     """
     candidates = []
-    p = 5
-    while True:
-        if _is_prime(p) and f[-1] % p != 0:
-            fp = _gmonic([c % p for c in f], p)
-            if _deg(fp) == _deg(f) and _gsqf_p(fp, p):
-                factors = _gfactor_sqf(fp, p)
-                candidates.append((len(factors), p, factors))
-                if len(factors) <= good_enough or len(candidates) >= max_candidates:
-                    if len(factors) <= good_enough:
-                        break
-                    break
-        p += 2 if p > 5 else 2
-        if p % 2 == 0:
-            p += 1
+    for p, fp in _good_primes(f):
+        factors = _gfactor_sqf(fp, p)
+        candidates.append((len(factors), p, factors))
+        if len(factors) <= good_enough or len(candidates) >= max_candidates:
+            break
     candidates.sort(key=lambda c: (c[0], c[1]))
     _, best_p, best_factors = candidates[0]
     logger.debug("factor mod p: chose p=%d with %d modular factors", best_p, len(best_factors))
@@ -447,6 +464,32 @@ def _subsets_with_degree_sum(degrees, indices, target):
                 yield combo
 
 
+def _trial_divide(f, lifted, combo, pl):
+    """Test whether the lifted factors in ``combo`` (times lc(f)) give a
+    true factor of f; returns (factor, cofactor) as primitive integer
+    polynomials, or None."""
+    b = f[-1]
+    # cheap test: symmetric product of constant terms must divide b * f[0]
+    q = b
+    for i in combo:
+        q = q * lifted[i][0] % pl
+    if q > pl // 2:
+        q -= pl
+    if q and (b * f[0]) % q != 0:
+        return None
+    G = [b]
+    for i in combo:
+        G = _imul(G, lifted[i])
+    G = _itrunc(G, pl)
+    _, G = _iprimitive(G)
+    if not G:
+        return None
+    quot = _idivides(G, f)
+    if quot is None:
+        return None
+    return G, _iprimitive(_clear_to_int(quot))[1]
+
+
 def _zassenhaus(f):
     """Factor a primitive squarefree integer polynomial with lc > 0."""
     n = _deg(f)
@@ -463,44 +506,16 @@ def _zassenhaus(f):
 
     remaining = list(range(len(lifted)))
     factors = []
-    b = f[-1]
-    fc = f[0]
     size = 1
     while 2 * size <= len(remaining):
-        found = False
         for combo in combinations(remaining, size):
-            # cheap test: symmetric product of constant terms must divide
-            # b * f[0]
-            q = b
-            for i in combo:
-                q = q * lifted[i][0] % pl
-            if q > pl // 2:
-                q -= pl
-            if q and (b * fc) % q != 0:
-                continue
-            G = [b]
-            for i in combo:
-                G = _imul(G, lifted[i])
-            G = _itrunc(G, pl)
-            _, G = _iprimitive(G)
-            if not G:
-                continue
-            quot = _idivides(G, f)
-            if quot is None:
-                continue
-            # exact divisor found over Q; peel it off
-            factors.append(G)
-            den = 1
-            for c in quot.coeffs:
-                den = den * c.denominator // gcd(den, c.denominator)
-            f = [int(c * den) for c in quot.coeffs]
-            _, f = _iprimitive(f)
-            b = f[-1]
-            fc = f[0]
-            remaining = [i for i in remaining if i not in combo]
-            found = True
-            break
-        if not found:
+            hit = _trial_divide(f, lifted, combo, pl)
+            if hit is not None:
+                G, f = hit
+                factors.append(G)
+                remaining = [i for i in remaining if i not in combo]
+                break
+        else:
             size += 1
     factors.append(f)
     return [g for g in factors if _deg(g) > 0]
@@ -527,23 +542,14 @@ def _find_monic_factors_of_degree(f, target):
     # degree `target` reduces mod every good prime to a sub-multiset of the
     # modular factor degrees summing to `target`.
     candidates = []
-    p = 5
-    tried = 0
-    while tried < 10:
-        if _is_prime(p) and f[-1] % p != 0:
-            fp = _gmonic([c % p for c in f], p)
-            if _deg(fp) == _deg(f) and _gsqf_p(fp, p):
-                tried += 1
-                factors = _gfactor_sqf(fp, p)
-                degs = [_deg(g) for g in factors]
-                feasible = _degree_sum_feasible(degs, target)
-                if not feasible:
-                    _record("prime_infeasible", p)
-                    return []
-                candidates.append((len(factors), p, factors))
-                if len(factors) <= 6:
-                    break
-        p += 2
+    for p, fp in _good_primes(f):
+        factors = _gfactor_sqf(fp, p)
+        if not _degree_sum_feasible([_deg(g) for g in factors], target):
+            _record("prime_infeasible", p)
+            return []
+        candidates.append((len(factors), p, factors))
+        if len(factors) <= 6 or len(candidates) >= 10:
+            break
     candidates.sort(key=lambda c: (c[0], c[1]))
     _, best_p, modular = candidates[0]
     _record("prime", best_p)
@@ -551,38 +557,16 @@ def _find_monic_factors_of_degree(f, target):
 
     remaining = list(range(len(lifted)))
     degrees = {i: _deg(lifted[i]) for i in remaining}
-    b = f[-1]
-    fc = f[0]
     out = []
     progress = True
     while progress:
         progress = False
         for combo in _subsets_with_degree_sum(degrees, remaining, target):
-            q = b
-            for i in combo:
-                q = q * lifted[i][0] % pl
-            if q > pl // 2:
-                q -= pl
-            if q and (b * fc) % q != 0:
+            hit = _trial_divide(f, lifted, combo, pl)
+            if hit is None or _deg(hit[0]) != target:
                 continue
-            G = [b]
-            for i in combo:
-                G = _imul(G, lifted[i])
-            G = _itrunc(G, pl)
-            _, G = _iprimitive(G)
-            if not G or _deg(G) != target:
-                continue
-            quot = _idivides(G, f)
-            if quot is None:
-                continue
+            G, f = hit
             out.append(UniPoly([Fraction(c) for c in G]).monic())
-            den = 1
-            for c in quot.coeffs:
-                den = den * c.denominator // gcd(den, c.denominator)
-            f = [int(c * den) for c in quot.coeffs]
-            _, f = _iprimitive(f)
-            b = f[-1]
-            fc = f[0]
             remaining = [i for i in remaining if i not in combo]
             if _deg(f) == target:
                 out.append(UniPoly([Fraction(c) for c in f]).monic())
@@ -625,7 +609,8 @@ class Factorization:
 
 
 def yun_squarefree_decomposition(f: UniPoly):
-    """Yun's algorithm: returns list of (monic squarefree g_i, multiplicity i)."""
+    """Yun's algorithm over any exact field of characteristic 0 (Q or a
+    number field): returns list of (monic squarefree g_i, multiplicity i)."""
     f = f.monic()
     out = []
     d = f.derivative()
@@ -635,14 +620,15 @@ def yun_squarefree_decomposition(f: UniPoly):
     i = 1
     while b.degree >= 1:
         z = c - b.derivative()
-        g = poly_gcd(b, z) if not z.is_zero else b.monic()
+        if z.is_zero:
+            out.append((b.monic(), i))
+            break
+        g = poly_gcd(b, z)
         if g.degree >= 1:
             out.append((g, i))
         b = poly_divrem(b, g)[0]
-        c = poly_divrem(z, g)[0] if not z.is_zero else UniPoly.zero(f.var)
+        c = poly_divrem(z, g)[0]
         i += 1
-        if z.is_zero:
-            break
     return out
 
 
@@ -719,7 +705,8 @@ def squarefree_part(f: UniPoly) -> UniPoly:
 
 def find_rational_factors_of_degree(f: UniPoly, target: int):
     """Monic irreducible degree-``target`` factors of a squarefree rational
-    polynomial; complete.  Used for targeted norm-factor searches."""
+    polynomial; complete.  Used for targeted norm-factor searches.  Raises
+    ValueError when the prime search shows the input is not squarefree."""
     if f.field is not None:
         raise ValueError("expects rational coefficients")
     fi = _clear_to_int(f)

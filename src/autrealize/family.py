@@ -11,7 +11,7 @@ cubic picks up a multiple root) are computed exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import SpecParseError, VerificationError

@@ -7,9 +7,13 @@ element as soon as they appear.
 
 Factoring over a field uses Trager's method: shift by a multiple of the
 generator until the resultant norm is squarefree, factor the norm over Q,
-pull factors back by gcd.  Norms themselves are computed by evaluating
-element norms at rational sample points and interpolating, which keeps
-all resultant work univariate over Z.
+pull factors back by gcd.  Every norm -- Trager norms, characteristic
+polynomials, primitive elements of extensions, and the pipeline's q(T, X)
+-- comes from the one helper :func:`shifted_norm`, which evaluates element
+norms at rational sample points and interpolates, keeping all resultant
+work univariate over Z.  Squarefree decomposition is
+``factor.yun_squarefree_decomposition`` (it works over any field), and
+images of a generator in a larger field come from :func:`embed_generator`.
 """
 
 from __future__ import annotations
@@ -32,6 +36,7 @@ from .factor import (
     find_rational_factors_of_degree,
     is_irreducible_Q,
     squarefree_part,
+    yun_squarefree_decomposition,
 )
 from .perm import AbstractGroup, PermGroup, Permutation
 
@@ -158,11 +163,6 @@ class NfElement:
     def is_rational(self):
         return all(not c for c in self.coords[1:])
 
-    def as_rational(self) -> Fraction:
-        if not self.is_rational:
-            raise ValueError("element is not rational")
-        return self.coords[0]
-
     def __bool__(self):
         return any(self.coords)
 
@@ -270,16 +270,9 @@ class NfElement:
 
 def charpoly(a: NfElement, var="X") -> UniPoly:
     """Characteristic polynomial of a over Q: prod over embeddings of
-    (X - sigma(a)), degree = field degree.  By norm interpolation."""
+    (X - sigma(a)), degree = field degree; the norm of X - a."""
     K = a.owner
-    d = K.degree
-    points, values = [], []
-    w = 0
-    for w in range(d + 1):
-        wq = Fraction(w)
-        points.append(wq)
-        values.append(K.norm(K.from_rational(wq) - a))
-    return interpolate(points, values, var)
+    return shifted_norm(UniPoly([-a, K.one()], var, K), K, 0)[1]
 
 
 def minpoly(a: NfElement, var="X") -> UniPoly:
@@ -293,7 +286,19 @@ def minpoly(a: NfElement, var="X") -> UniPoly:
     return squarefree_part(charpoly(a, var)).with_var(var)
 
 
-# -- Trager factorization ---------------------------------------------------
+# -- norms and Trager factorization ----------------------------------------
+
+
+def shifted_norm(f: UniPoly, K: NumberField, s):
+    """(g, N) with g = f(X - s*theta) over K and N = Norm_{K/Q}(g) over Q.
+
+    N has degree [K:Q] * deg f; it is interpolated through the element
+    norms of g at X = 0, 1, ..., deg N.
+    """
+    g = f.compose(UniPoly([K.gen() * (-s), K.one()], f.var, K)) if s else f
+    points = [Fraction(x) for x in range(K.degree * f.degree + 1)]
+    values = [K.norm(g.eval(K.from_rational(x))) for x in points]
+    return g, interpolate(points, values, f.var)
 
 
 def _sqf_norm(f: UniPoly, K: NumberField):
@@ -302,27 +307,11 @@ def _sqf_norm(f: UniPoly, K: NumberField):
     Returns (s, shifted f over K, N over Q).  f must be monic squarefree
     over K.
     """
-    theta = K.gen()
-    d = K.degree
     for s in shift_sequence():
-        inner = UniPoly([theta * (-s), K.one()], f.var, K)
-        g = f.compose(inner) if s else f
-        # norm by evaluation at rational points + interpolation
-        n_deg = d * f.degree
-        points, values = [], []
-        for x0 in range(n_deg + 1):
-            xq = Fraction(x0)
-            val = g.eval(K.from_rational(xq))
-            values.append(K.norm(val))
-            points.append(xq)
-        N = interpolate(points, values, f.var)
+        g, N = shifted_norm(f, K, s)
         if poly_gcd(N, N.derivative()).degree == 0:
             return s, g, N
     raise VerificationError("unreachable: no squarefree-norm shift found")
-
-
-def _is_zero_poly_over(f, K):
-    return f.is_zero
 
 
 def factor_over_nf(f: UniPoly, K: NumberField) -> Factorization:
@@ -347,7 +336,7 @@ def factor_over_nf(f: UniPoly, K: NumberField) -> Factorization:
     if f.degree == 0:
         return Factorization(unit, ())
     pairs = []
-    for g, mult in _squarefree_decompose(f.monic()):
+    for g, mult in yun_squarefree_decomposition(f):
         if g.degree == 1:
             pairs.append((g, mult))
             continue
@@ -370,28 +359,6 @@ def factor_over_nf(f: UniPoly, K: NumberField) -> Factorization:
             raise VerificationError("Trager pullback did not exhaust the input")
     pairs.sort(key=lambda p: (p[0].degree, tuple(c.sort_key() for c in p[0].coeffs)))
     return Factorization(unit, tuple(pairs))
-
-
-def _squarefree_decompose(f: UniPoly):
-    """Yun's decomposition over any exact field (char 0)."""
-    out = []
-    d = f.derivative()
-    a = poly_gcd(f, d)
-    b = poly_divrem(f, a)[0]
-    c = poly_divrem(d, a)[0]
-    i = 1
-    while b.degree >= 1:
-        z = c - b.derivative()
-        if z.is_zero:
-            out.append((b.monic(), i))
-            break
-        g = poly_gcd(b, z)
-        if g.degree >= 1:
-            out.append((g, i))
-        b = poly_divrem(b, g)[0]
-        c = poly_divrem(z, g)[0]
-        i += 1
-    return out
 
 
 def roots_in_field(f: UniPoly, K: NumberField):
@@ -419,24 +386,19 @@ def roots_in_field(f: UniPoly, K: NumberField):
             if g.degree == 1
         ]
         return sorted(out, key=NfElement.sort_key)
-    g = f.monic()
-    sqf = poly_gcd(g, g.derivative())
-    if sqf.degree >= 1:
-        g = poly_divrem(g, sqf)[0]
+    part = squarefree_part(f)
+    if part.degree == 1:
+        return [-part.coeffs[0]]
+    s, shifted, N = _sqf_norm(part, K)
+    theta = K.gen()
     roots = []
-    for part, _ in _squarefree_decompose(g):
-        if part.degree == 1:
-            roots.append(-part.coeffs[0] / part.coeffs[1])
-            continue
-        s, shifted, N = _sqf_norm(part, K)
-        theta = K.gen()
-        for Ni in find_rational_factors_of_degree(N, d):
-            Gi = poly_gcd(shifted, Ni.to_field(K).with_var(shifted.var))
-            if Gi.degree == 1:
-                rho = -Gi.coeffs[0] / Gi.coeffs[1] - theta * s
-                if part.eval(rho):
-                    raise VerificationError("pullback root fails to annihilate")
-                roots.append(rho)
+    for Ni in find_rational_factors_of_degree(N, d):
+        Gi = poly_gcd(shifted, Ni.to_field(K).with_var(shifted.var))
+        if Gi.degree == 1:
+            rho = -Gi.coeffs[0] / Gi.coeffs[1] - theta * s
+            if part.eval(rho):
+                raise VerificationError("pullback root fails to annihilate")
+            roots.append(rho)
     return sorted(set(roots), key=NfElement.sort_key)
 
 
@@ -518,59 +480,41 @@ def extend_field(K: NumberField, h: UniPoly):
     for c in shift_sequence():
         if c == 0:
             continue
-        s, shifted, N = _sqf_norm_with_shift(h, K, c)
-        if N is None:
+        _, N = shifted_norm(h, K, c)
+        if poly_gcd(N, N.derivative()).degree != 0:
             continue
         K2 = NumberField(N.with_var("Z"), trusted=True)
-        theta2 = _embed_generator(K, h, K2, c)
+        theta2 = embed_generator(K, h, K2, c)
         beta = K2.gen() - theta2 * c
         return K2, theta2, beta
     raise VerificationError("unreachable: primitive-element search failed")
 
 
-def _sqf_norm_with_shift(f, K, s):
-    """Norm of f(X - s*theta) if squarefree, else (s, None, None)."""
-    theta = K.gen()
-    inner = UniPoly([theta * (-s), K.one()], f.var, K)
-    g = f.compose(inner) if s else f
-    n_deg = K.degree * f.degree
-    points, values = [], []
-    for x0 in range(n_deg + 1):
-        xq = Fraction(x0)
-        values.append(K.norm(g.eval(K.from_rational(xq))))
-        points.append(xq)
-    N = interpolate(points, values, f.var)
-    if poly_gcd(N, N.derivative()).degree == 0:
-        return s, g, N
-    return s, None, None
-
-
-def _embed_generator(K, h, K2, c):
-    """Image of K's generator theta in K2 = Q[Z]/(Norm(h(X - c*theta))).
+def embed_generator(K, h, K2, c):
+    """Image of K's generator theta in K2, where K2's generator z is
+    beta + c*theta for a root beta of h (a polynomial over K).
 
     theta2 is the unique common root in K2 of K's modulus and of
-    H(W) = sum_i coords(h_i)(W) * (z - c*W)^i, where z is K2's generator:
-    the gcd of the two is linear.
+    H(W) = sum_i coords(h_i)(W) * (z - c*W)^i: the gcd of the two is
+    linear.
     """
-    z = K2.gen()
-    W = UniPoly.gen("W", K2)
+    if K.degree == 1:
+        return K2.from_rational(K.gen().coords[0])
     gK2 = K.modulus.with_var("W").to_field(K2)
     acc = UniPoly.zero("W", K2)
-    lin = UniPoly([z, K2.from_rational(-c)], "W", K2)  # z - c*W
+    lin = UniPoly([K2.gen(), K2.from_rational(-c)], "W", K2)  # z - c*W
     power = UniPoly.one("W", K2)
-    for i, hi in enumerate(h.coeffs):
+    for hi in h.coeffs:
         ci = hi.to_poly().with_var("W").to_field(K2)
         acc = acc + ci * power
         power = power * lin
     g = poly_gcd(gK2, acc)
     if g.degree != 1:
         raise VerificationError("generator embedding gcd is not linear")
-    return -g.coeffs[0] / g.coeffs[1]
-
-
-def primitive_element(K: NumberField, h: UniPoly):
-    """Compositum helper; see extend_field."""
-    return extend_field(K, h)
+    theta2 = -g.coeffs[0] / g.coeffs[1]
+    if K.modulus.eval(theta2):
+        raise VerificationError("embedded generator is not a root of the modulus")
+    return theta2
 
 
 # -- splitting fields -------------------------------------------------------

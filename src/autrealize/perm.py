@@ -8,7 +8,6 @@ scales this package targets: degree at most 12, order at most 10**6.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations as iter_permutations
 
 from .errors import CapExceededError, SpecParseError, VerificationError
 

@@ -33,7 +33,7 @@ from .errors import (
     SpecParseError,
     VerificationError,
 )
-from .exact import BiPoly, UniPoly, discriminant, interpolate, poly_gcd
+from .exact import BiPoly, UniPoly, discriminant, interpolate
 from .factor import _record, factor_over_Q
 from .family import BadSet, FamilyMember, S3Certificate, bad_set, build_member, certify_s3
 from .numfield import (
@@ -41,9 +41,11 @@ from .numfield import (
     NfElement,
     NumberField,
     SplittingField,
+    embed_generator,
     fixed_field,
     roots_in_field,
     shift_sequence,
+    shifted_norm,
     splitting_field,
 )
 from .perm import AbstractGroup, PermGroup, are_isomorphic
@@ -126,51 +128,29 @@ class PipelineState:
     bad: BadSet
 
 
-def build_E_minpoly(L: SplittingField, y: NfElement):
+def build_E_minpoly(L: SplittingField, member: FamilyMember):
     """Minimal polynomial q(T, X) over Q(T) of z = x + c*theta.
 
-    q is the norm from L(T) down to Q(T) of X^3 + (T-y)(X+1) shifted by
-    c*theta, computed by exact evaluation at rational (t, x) grid points
-    and two-stage interpolation.  The first shift c making q squarefree
-    as a polynomial in X over Q(T) wins; squarefreeness makes q
-    irreducible (the norm of an irreducible polynomial is a power of an
+    q is the norm from L(T) down to Q(T) of the member's cubic
+    X^3 + (T-y)(X+1) shifted by c*theta: for each rational t its
+    specialization is the norm of the cubic at T = t, and each
+    X-coefficient is interpolated across t.  The first shift c making q
+    squarefree as a polynomial in X over Q(T) wins; squarefreeness makes
+    q irreducible (the norm of an irreducible polynomial is a power of an
     irreducible one).  Returns (c, q).
     """
     K = L.field
     N = K.degree
-    member_poly_spec = None  # cached specializations per t
-
     if N == 1:
         root0 = K.gen().coords[0]
-        yq = y.to_poly().eval(root0)
-        q = BiPoly.from_terms(
-            [
-                (0, 3, Fraction(1)),
-                (1, 1, Fraction(1)),
-                (0, 1, -yq),
-                (1, 0, Fraction(1)),
-                (0, 0, -yq),
-            ]
-        )
-        return 0, q
-    theta = K.gen()
-    member = _cubic_over(K, y)
+        rows = [[e.to_poly().eval(root0) for e in row] for row in member.poly.rows]
+        return 0, BiPoly(rows)
     deg_t, deg_x = N, 3 * N
+    t_points = [Fraction(t) for t in range(deg_t + 1)]
     for c in shift_sequence():
         if c == 0:
             continue
-        cols = []
-        t_points = [Fraction(t) for t in range(deg_t + 1)]
-        x_points = [Fraction(x) for x in range(deg_x + 1)]
-        ok = True
-        rows_by_t = []
-        for tq in t_points:
-            spec = member.specialize(tq)  # cubic in X over K
-            values = []
-            for xq in x_points:
-                e = spec.eval(K.from_rational(xq) - theta * c)
-                values.append(K.norm(e))
-            rows_by_t.append(interpolate(x_points, values, "X"))
+        rows_by_t = [shifted_norm(member.poly.specialize(tq), K, c)[1] for tq in t_points]
         # interpolate each X-coefficient across t
         rows = []
         for j in range(deg_x + 1):
@@ -198,14 +178,6 @@ def build_E_minpoly(L: SplittingField, y: NfElement):
     raise VerificationError("unreachable: no primitive shift found")
 
 
-def _cubic_over(K, y):
-    one = K.one()
-    return BiPoly.from_terms(
-        [(0, 3, one), (1, 1, one), (0, 1, -y), (1, 0, one), (0, 0, -y)],
-        K,
-    )
-
-
 @dataclass
 class SpecializationRecord:
     t0: Fraction
@@ -229,7 +201,7 @@ def build_state(G: PermGroup, n: int, max_splitting_degree=24) -> PipelineState:
         )
     member = build_member(L.field, y)
     s3_cert = certify_s3(member)
-    c, q = build_E_minpoly(L, y)
+    c, q = build_E_minpoly(L, member)
     if q.deg_X != 3 * L.degree:
         raise VerificationError("q has the wrong X-degree")
     bad = bad_set(q)
@@ -253,17 +225,16 @@ def specialize_and_verify(state: PipelineState, t0) -> SpecializationRecord:
     """Verify one candidate specialization exactly; never trusts the
     existence theorem for any individual t0."""
     t0 = Fraction(t0)
-    if state.bad.contains_rational(t0):
-        return SpecializationRecord(t0, "rejected", "bad set: multiple root")
     q0 = state.q.specialize(t0)
-    if q0.degree != state.q.deg_X or discriminant(q0) == 0:
+    # q is monic in X, so disc(q0) is the X-discriminant of q at t0 and
+    # vanishes exactly on the rational points of the bad set
+    if discriminant(q0) == 0:
         return SpecializationRecord(t0, "rejected", "bad set: multiple root")
     if not factor_over_Q(q0).is_irreducible:
         return SpecializationRecord(t0, "rejected", "q(t0, X) reducible over Q")
     E = NumberField(q0.with_var("Z"), trusted=True)
-    z0 = E.gen()
     L, c = state.L, state.c
-    theta0 = _embed_theta(state, E, t0)
+    theta0 = embed_generator(L.field, state.member.poly.specialize(t0), E, c)
     # enumerate automorphisms through the tower: q(t0, X) factors over L
     # as the product of the conjugate cubics shifted by c*sigma(theta),
     # so its roots in E are exactly xi + c*sigma(theta)-image with xi a
@@ -299,31 +270,6 @@ def specialize_and_verify(state: PipelineState, t0) -> SpecializationRecord:
     return SpecializationRecord(
         t0, "accepted", None, q0, E, theta0, aut, witness
     )
-
-
-def _embed_theta(state: PipelineState, E: NumberField, t0: Fraction) -> NfElement:
-    """Image of L's generator theta inside E_t0 = Q[Z]/(q(t0, Z)).
-
-    theta0 is the unique common root of L's modulus and of the relation
-    cubic (z0 - cW)^3 + (t0 - y(W))((z0 - cW) + 1): the gcd over E is
-    linear.
-    """
-    L, c = state.L, state.c
-    if L.degree == 1:
-        return E.zero()
-    z0 = E.gen()
-    glE = L.field.modulus.with_var("W").to_field(E)
-    yW = state.y.to_poly().with_var("W").to_field(E)
-    lin = UniPoly([z0, E.from_rational(-c)], "W", E)  # z0 - c*W
-    t0E = UniPoly.constant(E.from_rational(t0), "W", E)
-    H = lin * lin * lin + (t0E - yW) * (lin + E.one())
-    g = poly_gcd(glE, H)
-    if g.degree != 1:
-        raise VerificationError("generator embedding gcd is not linear")
-    theta0 = -g.coeffs[0] / g.coeffs[1]
-    if L.field.modulus.eval(theta0):
-        raise VerificationError("embedded generator is not a root of the modulus")
-    return theta0
 
 
 # -- field distinctness -----------------------------------------------------

@@ -6,6 +6,7 @@ level so the determinism check can compare a second, fresh run against
 the first without redoing the earlier tests' work.
 """
 
+import hashlib
 import math
 import random
 import time
@@ -214,6 +215,29 @@ class TestFactorizationOracles:
                 acc = acc * g**m
             assert acc == f
         assert time.monotonic() - start < 120
+
+
+#: sha256 of each cached certificate text, with the run parameters; a
+#: change of the certificate format updates these on purpose.
+PINNED = {
+    "C1": (dict(count=3, t_max=10, distinct="exact"),
+           "3d5cdf4355f3a09e362ad49504b3953a8237bb71f53e61918f10234e94d06d28"),
+    "C2": (dict(count=2, t_max=200, distinct="auto"),
+           "75382ed143422eedb3aa40736885fcf3da8894229708d5d954119dcd8e919e08"),
+    "S3": (dict(count=1, t_max=200, distinct="auto"),
+           "7a7e043266ffb1251f3019b40c5331757ec7af7e79707e2276458daf0dd9e915"),
+    "C3": (dict(count=1, t_max=200, distinct="auto"),
+           "e5579fdf8f7c37fa30483272e057789c48efd2b181b2f17b1be4c8820bdd3bcc"),
+}
+
+
+class TestPinnedCertificates:
+    @pytest.mark.parametrize("key", sorted(PINNED))
+    def test_sha256(self, key):
+        params, digest = PINNED[key]
+        _, _, text, kw = timed_run(key, **params)
+        assert kw == params
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 class TestDeterminism:

@@ -3,9 +3,10 @@ from fractions import Fraction as F
 
 import pytest
 
-from autrealize.errors import CapExceededError
+from autrealize.errors import CapExceededError, VerificationError
 from autrealize.exact import UniPoly, discriminant, poly_gcd
 from autrealize.factor import (
+    _hensel_lift,
     audit_trail,
     factor_over_Q,
     find_rational_factors_of_degree,
@@ -143,8 +144,20 @@ class TestTargetedSearch:
         assert any(e == "prime" for e, _ in events)
         assert any(e == "lift_exponent" for e, _ in events)
 
+    def test_non_squarefree_input_rejected(self):
+        # no prime makes a repeated factor squarefree mod p
+        with pytest.raises(ValueError):
+            find_rational_factors_of_degree((X**2 + 1) ** 2 * (X**3 - 2), 3)
+
     def test_determinism(self):
         f = (X**3 - X - 1) * (X**4 + 1) * (X - 2)
         a = [(g.coeffs, m) for g, m in factor_over_Q(f).factors]
         b = [(g.coeffs, m) for g, m in factor_over_Q(f).factors]
         assert a == b
+
+
+class TestHenselLift:
+    def test_non_coprime_factors_rejected(self):
+        # X^2 = X * X mod 5: the two modular factors share the root 0
+        with pytest.raises(VerificationError):
+            _hensel_lift(5, [0, 0, 1], [[0, 1], [0, 1]], 2)

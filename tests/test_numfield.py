@@ -103,6 +103,15 @@ class TestMinpoly:
                 assert not p.eval(a)
                 assert K.degree % p.degree == 0
                 assert charpoly(a).degree == K.degree
+        # known answer in Q(sqrt 2): a = 3 - 2 sqrt 2 and its conjugate
+        # a' = 3 + 2 sqrt 2 give (X - a)(X - a') = X^2 - 6X + 1
+        K = NumberField(Zpoly(-2, 0, 1))
+        a = K.element([3, -2])
+        conj = K.element([3, 2])
+        by_hand = UniPoly([-a, K.one()], "X", K) * UniPoly([-conj, K.one()], "X", K)
+        assert all(c.is_rational for c in by_hand.coeffs)
+        assert charpoly(a) == UniPoly([c.coords[0] for c in by_hand.coeffs], "X")
+        assert charpoly(a) == X**2 - 6 * X + 1
 
 
 class TestFactorOverNf:

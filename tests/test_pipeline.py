@@ -3,6 +3,7 @@ from fractions import Fraction as F
 import pytest
 
 from autrealize.errors import BudgetExhaustedError, CapExceededError, SpecParseError
+from autrealize.family import build_member
 from autrealize.pipeline import (
     build_E_minpoly,
     build_state,
@@ -84,8 +85,7 @@ class TestComputeY:
 class TestBuildEMinpoly:
     def test_n1_degree_3(self):
         L = realize_sn(1)
-        y = L.field.zero()
-        c, q = build_E_minpoly(L, y)
+        c, q = build_E_minpoly(L, build_member(L.field, 0))
         assert c == 0 and q.deg_X == 3
         # q = X^3 + T X + T
         q0 = q.specialize(F(1))
