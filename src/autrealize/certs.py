@@ -15,6 +15,7 @@ import json
 
 from .errors import SpecParseError
 from .exact import (
+    parse_bipoly,
     parse_rational,
     parse_unipoly,
     render_bipoly,
@@ -94,9 +95,6 @@ def certificate_to_json(cert) -> dict:
             "y_minpoly": render_unipoly(state.y_minpoly),
             "primitive_shift": state.c,
             "q": render_bipoly(state.q),
-            "bad_set_rational": [
-                render_rational(t) for t in state.bad.rational_points
-            ],
             "family": {
                 "square_class_degree": state.s3_cert.square_class_degree,
                 "irreducibility_transcript": [
@@ -159,11 +157,12 @@ def _load(path):
 def validate_certificate(path, deep=False) -> ValidationReport:
     """Re-check a certificate file.
 
-    Shallow checks: schema, group closure, irreducibility of each
-    defining polynomial, automorphism images are roots, table recomputes
-    from the images and is a group law, witness is an isomorphism onto
-    G, distinctness entries cover all accepted pairs.  With ``deep``,
-    the whole pipeline is re-run and compared.
+    Shallow checks: schema, group closure, each defining polynomial is
+    the certificate's q specialized at its t0 and is irreducible,
+    automorphism images are roots, table recomputes from the images and
+    is a group law, witness is an isomorphism onto G, distinctness
+    entries cover all accepted pairs.  With ``deep``, the whole pipeline
+    is re-run and compared.
     """
     report = ValidationReport()
     data = _load(path)
@@ -195,6 +194,12 @@ def validate_certificate(path, deep=False) -> ValidationReport:
         return report
     G_abstract = G.to_abstract()[0]
 
+    try:
+        q = parse_bipoly(data["pipeline"]["q"])
+    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+        report.add("pipeline q well-formed", False, str(exc))
+        return report
+
     accepted = []
     for k, spec in enumerate(data["specializations"]):
         label = f"specialization t0={spec.get('t0')}"
@@ -203,6 +208,10 @@ def validate_certificate(path, deep=False) -> ValidationReport:
             continue
         try:
             q0 = parse_unipoly(spec["defining_polynomial"], "X")
+            report.add(
+                f"{label} is q(t0, X)",
+                q.specialize(parse_rational(spec["t0"])) == q0,
+            )
             report.add(
                 f"{label} irreducible",
                 is_irreducible_Q(q0),

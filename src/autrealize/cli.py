@@ -95,10 +95,7 @@ def build_parser():
     )
     p_realize.add_argument("--count", type=int, default=2)
     p_realize.add_argument("--t-max", type=int, default=200)
-    p_realize.add_argument(
-        "--distinct", choices=("exact", "auto", "assumed"), default="auto"
-    )
-    p_realize.add_argument("--max-splitting-degree", type=int, default=24)
+    p_realize.add_argument("--distinct", choices=("exact", "auto"), default="auto")
     p_realize.add_argument("--out", default=None, help="certificate path")
 
     p_validate = sub.add_parser("validate", help="re-check a certificate")
@@ -129,7 +126,6 @@ def _cmd_realize(args):
         count=args.count,
         t_max=args.t_max,
         distinct=args.distinct,
-        max_splitting_degree=args.max_splitting_degree,
         group_generators=gen_strings,
         group_name=name,
     )

@@ -5,8 +5,9 @@ and members with different y generate different cubic extensions of
 K(T).  Both facts are certified here by finite, replayable transcripts:
 a candidate-root refutation plus a discriminant parity argument for the
 S3 claim, and a divisor-shape refutation in the polynomial ring K[x1]
-for distinctness.  Specialization bad sets (parameter values where the
-cubic picks up a multiple root) are computed exactly.
+for distinctness.  The bad set of a specialization (parameter values t0
+where q(t0, X) picks up a multiple root) is decided exactly, one t0 at a
+time.
 """
 
 from __future__ import annotations
@@ -15,8 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import SpecParseError, VerificationError
-from .exact import BiPoly, UniPoly, discriminant_in_X, poly_gcd
-from .factor import factor_over_Q
+from .exact import BiPoly, UniPoly, discriminant, discriminant_in_X, poly_gcd
 from .numfield import NfElement, NumberField, factor_over_nf, roots_in_field
 
 
@@ -256,36 +256,11 @@ def t_identity_residual(K: NumberField, y1) -> UniPoly:
     return x**3 * x_plus_1 + (t_num - y1 * x_plus_1) * x_plus_1
 
 
-@dataclass(frozen=True)
-class BadSet:
-    """Parameter values where the cubic layer acquires a multiple root.
+def bad_set(q: BiPoly, t0) -> bool:
+    """Whether t0 lies in the bad specialization set of q, i.e. q(t0, X)
+    has a multiple root.
 
-    ``factors`` are the irreducible factors of the X-discriminant (in T)
-    with multiplicities; ``rational_points`` are its rational roots — the
-    only members the specialization search ever needs to dodge.
+    q must be monic in X, so that q(t0, X) keeps its X-degree and its
+    discriminant is the X-discriminant of q evaluated at t0.
     """
-
-    disc: UniPoly
-    factors: tuple
-    rational_points: tuple
-
-    def contains_rational(self, t0) -> bool:
-        return Fraction(t0) in self.rational_points
-
-
-def bad_set(q: BiPoly) -> BadSet:
-    """Bad specialization set of a bivariate polynomial over Q."""
-    if q.field is not None:
-        raise ValueError("bad_set expects rational coefficients")
-    if q.deg_X < 2:
-        raise ValueError("needs X-degree >= 2")
-    disc = discriminant_in_X(q)
-    if disc.is_zero:
-        raise VerificationError(
-            "discriminant vanishes identically: polynomial not separable over Q(T)"
-        )
-    fac = factor_over_Q(disc)
-    rational = sorted(
-        -g.coeffs[0] / g.coeffs[1] for g, _ in fac.factors if g.degree == 1
-    )
-    return BadSet(disc, fac.factors, tuple(rational))
+    return discriminant(q.specialize(Fraction(t0))) == 0

@@ -8,9 +8,10 @@ Given G as a subgroup of S_n, the pipeline:
 3. forms the cubic family member with parameter y and the minimal
    polynomial q(T, X) over Q(T) of z = x + c*theta (theta the generator
    of L), computed as a resultant norm by interpolation,
-4. specializes T to rational t0 outside the bad set and verifies,
-   exactly, that the field Q[X]/(q(t0, X)) has automorphism group
-   isomorphic to G, with an explicit isomorphism witness,
+4. specializes T to rational t0, rejects t0 in the bad set (q(t0, X)
+   has a multiple root, decided per t0 by ``family.bad_set``), and
+   verifies, exactly, that the field Q[X]/(q(t0, X)) has automorphism
+   group isomorphic to G, with an explicit isomorphism witness,
 5. repeats until the requested number of pairwise-distinct verified
    fields is collected, and assembles a certificate.
 
@@ -33,9 +34,9 @@ from .errors import (
     SpecParseError,
     VerificationError,
 )
-from .exact import BiPoly, UniPoly, discriminant, interpolate
+from .exact import BiPoly, UniPoly, interpolate
 from .factor import _record, factor_over_Q
-from .family import BadSet, FamilyMember, S3Certificate, bad_set, build_member, certify_s3
+from .family import FamilyMember, S3Certificate, bad_set, build_member, certify_s3
 from .numfield import (
     AutomorphismTable,
     NfElement,
@@ -55,7 +56,7 @@ logger = logging.getLogger(__name__)
 SN_CAP = 4
 
 
-def realize_sn(n: int, max_degree=24) -> SplittingField:
+def realize_sn(n: int) -> SplittingField:
     """Splitting field of X^n - X - 1 with full Galois group S_n.
 
     For n = 1 the polynomial degenerates, so X - 1 stands in: L = Q with
@@ -68,16 +69,12 @@ def realize_sn(n: int, max_degree=24) -> SplittingField:
     fact = 1
     for k in range(2, n + 1):
         fact *= k
-    if fact > max_degree:
-        raise CapExceededError(
-            f"splitting field degree {fact} exceeds the cap {max_degree}"
-        )
     if n == 1:
         f = UniPoly([Fraction(-1), Fraction(1)], "X")
     else:
         coeffs = [Fraction(-1), Fraction(-1)] + [Fraction(0)] * (n - 2) + [Fraction(1)]
         f = UniPoly(coeffs, "X")
-    L = splitting_field(f, max_degree=max_degree)
+    L = splitting_field(f)
     if L.galois.order != fact:
         raise VerificationError(
             f"Galois group of X^{n} - X - 1 has order {L.galois.order}, "
@@ -125,7 +122,6 @@ class PipelineState:
     s3_cert: S3Certificate
     c: int
     q: BiPoly
-    bad: BadSet
 
 
 def build_E_minpoly(L: SplittingField, member: FamilyMember):
@@ -164,14 +160,8 @@ def build_E_minpoly(L: SplittingField, member: FamilyMember):
         )
         if q.deg_X != deg_x or q.lc_X().degree != 0 or q.coeff(0, deg_x) != 1:
             raise VerificationError("norm is not monic of the expected degree")
-        # squarefree over Q(T): some specialization has nonzero discriminant
-        found = False
-        for t in range(6 * deg_x * deg_x + 2):
-            q_t = q.specialize(Fraction(t))
-            if q_t.degree == deg_x and discriminant(q_t) != 0:
-                found = True
-                break
-        if found:
+        # squarefree over Q(T): some specialization has no multiple root
+        if any(not bad_set(q, t) for t in range(6 * deg_x * deg_x + 2)):
             _record("primitive_shift", c)
             return c, q
         logger.debug("shift c=%d gives a non-squarefree norm; trying next", c)
@@ -190,8 +180,8 @@ class SpecializationRecord:
     witness: tuple | None = None
 
 
-def build_state(G: PermGroup, n: int, max_splitting_degree=24) -> PipelineState:
-    L = realize_sn(n, max_degree=max_splitting_degree)
+def build_state(G: PermGroup, n: int) -> PipelineState:
+    L = realize_sn(n)
     Gp = subgroup_preimage(L, G)
     y, y_min = compute_y(L, Gp)
     expected = L.degree // Gp.order
@@ -204,7 +194,6 @@ def build_state(G: PermGroup, n: int, max_splitting_degree=24) -> PipelineState:
     c, q = build_E_minpoly(L, member)
     if q.deg_X != 3 * L.degree:
         raise VerificationError("q has the wrong X-degree")
-    bad = bad_set(q)
     return PipelineState(
         n=n,
         G=G,
@@ -217,7 +206,6 @@ def build_state(G: PermGroup, n: int, max_splitting_degree=24) -> PipelineState:
         s3_cert=s3_cert,
         c=c,
         q=q,
-        bad=bad,
     )
 
 
@@ -225,11 +213,9 @@ def specialize_and_verify(state: PipelineState, t0) -> SpecializationRecord:
     """Verify one candidate specialization exactly; never trusts the
     existence theorem for any individual t0."""
     t0 = Fraction(t0)
-    q0 = state.q.specialize(t0)
-    # q is monic in X, so disc(q0) is the X-discriminant of q at t0 and
-    # vanishes exactly on the rational points of the bad set
-    if discriminant(q0) == 0:
+    if bad_set(state.q, t0):
         return SpecializationRecord(t0, "rejected", "bad set: multiple root")
+    q0 = state.q.specialize(t0)
     if not factor_over_Q(q0).is_irreducible:
         return SpecializationRecord(t0, "rejected", "q(t0, X) reducible over Q")
     E = NumberField(q0.with_var("Z"), trusted=True)
@@ -320,18 +306,17 @@ def run(
     count: int = 2,
     t_max: int = 200,
     distinct: str = "auto",
-    max_splitting_degree: int = 24,
     group_generators=(),
     group_name=None,
 ) -> RealizationCertificate:
     if count < 1:
         raise SpecParseError(f"count must be >= 1, got {count}")
-    if distinct not in ("exact", "auto", "assumed"):
+    if distinct not in ("exact", "auto"):
         raise SpecParseError(f"unknown distinctness mode {distinct!r}")
     from .factor import audit_trail
 
     with audit_trail() as audit:
-        state = build_state(G, n, max_splitting_degree=max_splitting_degree)
+        state = build_state(G, n)
         use_exact = distinct == "exact" or (
             distinct == "auto" and state.q.deg_X <= EXACT_DISTINCTNESS_DEGREE
         )

@@ -108,6 +108,32 @@ class TestValidateCommand:
         out = capsys.readouterr().out
         assert "certificate INVALID" in out and "[FAIL]" in out
 
+    def test_forged_q(self, cert_path, tmp_path, capsys):
+        data = json.loads(cert_path.read_text())
+        # q = X^3 + TX + T; make its T coefficient 2, so q(t0, X) no longer
+        # equals any accepted defining polynomial
+        assert data["pipeline"]["q"][1][0] == "1"
+        data["pipeline"]["q"][1][0] = "2"
+        bad = tmp_path / "forged_q.json"
+        bad.write_text(json.dumps(data))
+        assert main(["validate", str(bad)]) == EXIT_PARSE
+        assert "[FAIL] specialization t0=1 is q(t0, X)" in capsys.readouterr().out
+
+    def test_malformed_q(self, cert_path, tmp_path, capsys):
+        data = json.loads(cert_path.read_text())
+        data["pipeline"]["q"][0][0] = "1/0"
+        bad = tmp_path / "malformed_q.json"
+        bad.write_text(json.dumps(data))
+        assert main(["validate", str(bad)]) == EXIT_PARSE
+        assert "[FAIL] pipeline q well-formed" in capsys.readouterr().out
+
+    def test_legacy_bad_set_key(self, cert_path, tmp_path, capsys):
+        data = json.loads(cert_path.read_text())
+        data["pipeline"]["bad_set_rational"] = ["-27/4", "0"]
+        legacy = tmp_path / "legacy.json"
+        legacy.write_text(json.dumps(data))
+        assert main(["validate", str(legacy)]) == EXIT_OK
+
     def test_wrong_format(self, tmp_path, capsys):
         bad = tmp_path / "junk.json"
         bad.write_text('{"format": "something-else"}')

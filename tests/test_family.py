@@ -3,7 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from autrealize.errors import SpecParseError, VerificationError
+from autrealize.errors import SpecParseError
 from autrealize.exact import BiPoly, UniPoly, discriminant_in_X
 from autrealize.family import (
     FamilyMember,
@@ -126,42 +126,48 @@ class TestCertifyDistinct:
                 certify_distinct(K, y, y)
 
 
+def bad_points(q, candidates):
+    return [t0 for t0 in candidates if bad_set(q, t0)]
+
+
 class TestBadSet:
     def test_family_at_zero(self):
         q = BiPoly.from_terms([(0, 3, F(1)), (1, 1, F(1)), (1, 0, F(1))])
-        bs = bad_set(q)
-        assert bs.rational_points == (F(-27, 4), F(0))
-        assert bs.contains_rational(0)
-        assert bs.contains_rational(F(-27, 4))
-        assert not bs.contains_rational(1)
+        candidates = [F(-27, 4)] + [F(t) for t in range(-10, 11)]
+        assert bad_points(q, candidates) == [F(-27, 4), F(0)]
 
     def test_double_root_at_zero(self):
         q = BiPoly.from_terms([(0, 2, F(1)), (1, 0, F(-1))])  # X^2 - T
-        assert bad_set(q).rational_points == (F(0),)
+        assert bad_points(q, [F(t) for t in range(-10, 11)]) == [F(0)]
 
     def test_family_at_one(self):
         q = BiPoly.from_terms(
             [(0, 3, F(1)), (1, 1, F(1)), (0, 1, F(-1)), (1, 0, F(1)), (0, 0, F(-1))]
         )
-        assert bad_set(q).rational_points == (F(-23, 4), F(1))
+        candidates = [F(-23, 4)] + [F(t) for t in range(-10, 11)]
+        assert bad_points(q, candidates) == [F(-23, 4), F(1)]
 
     def test_specializations_outside_bad_set_squarefree(self):
-        from autrealize.exact import discriminant
+        from autrealize.exact import discriminant, poly_gcd
 
         q = BiPoly.from_terms([(0, 3, F(1)), (1, 1, F(1)), (1, 0, F(1))])
-        bs = bad_set(q)
+        disc_T = discriminant_in_X(q)
         for t in range(-10, 11):
             t0 = F(t)
             spec = q.specialize(t0)
-            if bs.contains_rational(t0):
+            squarefree = poly_gcd(spec, spec.derivative()).degree == 0
+            if bad_set(q, t0):
                 assert discriminant(spec) == 0
+                assert disc_T.eval(t0) == 0
+                assert not squarefree
             else:
                 assert discriminant(spec) != 0
+                assert disc_T.eval(t0) != 0
+                assert squarefree
 
     def test_non_separable_rejected(self):
-        q = BiPoly.from_terms([(0, 2, F(1))])  # X^2, disc identically 0
-        with pytest.raises(VerificationError):
-            bad_set(q)
+        q = BiPoly.from_terms([(0, 2, F(1))])  # X^2: disc vanishes identically
+        assert all(bad_set(q, F(t)) for t in range(-3, 4))
 
 
 class TestTIdentity:

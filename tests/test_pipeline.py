@@ -46,8 +46,6 @@ class TestRealizeSn:
             realize_sn(0)
         with pytest.raises(CapExceededError):
             realize_sn(5)
-        with pytest.raises(CapExceededError):
-            realize_sn(4, max_degree=12)
 
 
 class TestSubgroupPreimage:
@@ -142,8 +140,9 @@ class TestRun:
     def test_count_validation(self):
         with pytest.raises(SpecParseError):
             run(PermGroup([], degree=1), 1, count=0)
-        with pytest.raises(SpecParseError):
-            run(PermGroup([], degree=1), 1, distinct="bogus")
+        for mode in ("bogus", "assumed"):
+            with pytest.raises(SpecParseError):
+                run(PermGroup([], degree=1), 1, distinct=mode)
 
     def test_s2_run(self):
         cert = run(PermGroup.symmetric(2), 2, count=2, t_max=20)
