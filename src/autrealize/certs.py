@@ -252,10 +252,10 @@ def validate_certificate(path, deep=False) -> ValidationReport:
                             wit_ok = False
             report.add(f"{label} witness is an isomorphism", wit_ok)
             accepted.append(spec)
-        except (KeyError, ValueError, SpecParseError) as exc:
+        except (KeyError, ValueError, ZeroDivisionError, SpecParseError) as exc:
             report.add(f"{label} well-formed", False, str(exc))
 
-    pairs = {tuple(d["pair"]) for d in data["distinctness"]}
+    pairs = {tuple(d.get("pair", ())) for d in data["distinctness"]}
     want = {
         (i, j)
         for i in range(len(accepted))
@@ -267,7 +267,7 @@ def validate_certificate(path, deep=False) -> ValidationReport:
         f"{len(pairs)} entries for {len(accepted)} accepted fields",
     )
     modes_ok = all(
-        d["mode"] in ("exact", "guaranteed")
+        d.get("mode") in ("exact", "guaranteed")
         and ("cite" in d if d["mode"] == "guaranteed" else "detail" in d)
         for d in data["distinctness"]
     )

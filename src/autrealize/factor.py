@@ -24,10 +24,23 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, count
-from math import ceil, gcd, isqrt, log
+from math import ceil, isqrt, log
 
 from .errors import CapExceededError, VerificationError
-from .exact import UniPoly, poly_divrem, poly_gcd
+from .exact import (
+    UniPoly,
+    _gdivrem,
+    _ggcd,
+    _gmonic,
+    _gtrim,
+    _idivides,
+    _int_clear,
+    _int_content,
+    _is_prime,
+    is_squarefree,
+    poly_divrem,
+    poly_gcd,
+)
 
 logger = logging.getLogger(__name__)
 
@@ -109,15 +122,8 @@ def _itrunc(a, m):
     return _trim(out)
 
 
-def _icontent(a):
-    g = 0
-    for c in a:
-        g = gcd(g, abs(c))
-    return g
-
-
 def _iprimitive(a):
-    c = _icontent(a)
+    c = _int_content(a)
     if c == 0:
         return 0, []
     return c, [x // c for x in a]
@@ -143,23 +149,7 @@ def _idivrem_monic(a, b):
     return _trim(q), _trim(a[: db])
 
 
-def _idivides(b, a):
-    """True (with quotient) iff b divides a over Q for integer polys."""
-    fa = UniPoly([Fraction(c) for c in a])
-    fb = UniPoly([Fraction(c) for c in b])
-    q, r = poly_divrem(fa, fb)
-    if not r.is_zero:
-        return None
-    return q
-
-
 # -- GF(p) polynomial helpers (ascending lists of ints in [0, p)) -----------
-
-
-def _gtrim(a):
-    while a and a[-1] == 0:
-        a.pop()
-    return a
 
 
 def _gsub(a, b, p):
@@ -186,36 +176,6 @@ def _gmul(a, b, p):
 def _gmul_ground(a, c, p):
     c %= p
     return _gtrim([(x * c) % p for x in a])
-
-
-def _gdivrem(a, b, p):
-    if not b:
-        raise ZeroDivisionError
-    a = [c % p for c in a]
-    db = _deg(b)
-    inv = pow(b[-1], -1, p)
-    q = [0] * max(len(a) - db, 0)
-    for k in range(len(a) - db - 1, -1, -1):
-        c = a[k + db] % p
-        if c:
-            qc = (c * inv) % p
-            q[k] = qc
-            for j in range(db + 1):
-                a[k + j] = (a[k + j] - qc * b[j]) % p
-    return _gtrim(q), _gtrim(a[: db])
-
-
-def _gmonic(a, p):
-    if not a:
-        return []
-    inv = pow(a[-1], -1, p)
-    return [(c * inv) % p for c in a]
-
-
-def _ggcd(a, b, p):
-    while b:
-        a, b = b, _gdivrem(a, b, p)[1]
-    return _gmonic(a, p)
 
 
 def _ggcdex(a, b, p):
@@ -304,29 +264,6 @@ def _gfactor_sqf(f, p, seed=EDF_SEED):
         out.extend(_gedf(g, k, p, rng))
     out.sort(key=lambda h: (len(h), h))
     return out
-
-
-def _is_prime(n):
-    if n < 2:
-        return False
-    for q in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        if n % q == 0:
-            return n == q
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
 
 
 # -- Hensel lifting ---------------------------------------------------------
@@ -421,8 +358,7 @@ def _good_primes(f):
             continue
         bad += 1
         if bad == BAD_PRIME_RUN:
-            F = UniPoly([Fraction(c) for c in f])
-            if poly_gcd(F, F.derivative()).degree > 0:
+            if not is_squarefree(UniPoly([Fraction(c) for c in f])):
                 raise ValueError("expects a squarefree polynomial")
 
 
@@ -466,8 +402,8 @@ def _subsets_with_degree_sum(degrees, indices, target):
 
 def _trial_divide(f, lifted, combo, pl):
     """Test whether the lifted factors in ``combo`` (times lc(f)) give a
-    true factor of f; returns (factor, cofactor) as primitive integer
-    polynomials, or None."""
+    true factor of the primitive f; returns (factor, cofactor) as primitive
+    integer polynomials, or None."""
     b = f[-1]
     # cheap test: symmetric product of constant terms must divide b * f[0]
     q = b
@@ -487,7 +423,7 @@ def _trial_divide(f, lifted, combo, pl):
     quot = _idivides(G, f)
     if quot is None:
         return None
-    return G, _iprimitive(_clear_to_int(quot))[1]
+    return G, quot
 
 
 def _zassenhaus(f):
@@ -632,13 +568,6 @@ def yun_squarefree_decomposition(f: UniPoly):
     return out
 
 
-def _clear_to_int(f: UniPoly):
-    den = 1
-    for c in f.coeffs:
-        den = den * c.denominator // gcd(den, c.denominator)
-    return [int(c * den) for c in f.coeffs]
-
-
 def factor_over_Q(f: UniPoly) -> Factorization:
     """Complete factorization of a nonzero rational polynomial."""
     if f.field is not None:
@@ -650,7 +579,7 @@ def factor_over_Q(f: UniPoly) -> Factorization:
         return Factorization(unit, ())
     pairs = []
     for g, mult in yun_squarefree_decomposition(f):
-        fi = _clear_to_int(g)
+        fi = _int_clear(g)[0]
         _, fi = _iprimitive(fi)
         if fi[-1] < 0:
             fi = [-c for c in fi]
@@ -668,7 +597,7 @@ def is_irreducible_Q(f: UniPoly) -> bool:
     if f.degree == 1:
         return True
     # fast negative path: small rational roots (divisor scan kept cheap)
-    fi = _clear_to_int(f)
+    fi = _int_clear(f)[0]
     _, fi = _iprimitive(fi)
     if fi[0] == 0:
         return False
@@ -709,7 +638,7 @@ def find_rational_factors_of_degree(f: UniPoly, target: int):
     ValueError when the prime search shows the input is not squarefree."""
     if f.field is not None:
         raise ValueError("expects rational coefficients")
-    fi = _clear_to_int(f)
+    fi = _int_clear(f)[0]
     _, fi = _iprimitive(fi)
     if fi[-1] < 0:
         fi = [-c for c in fi]

@@ -25,6 +25,7 @@ from .errors import CapExceededError, VerificationError
 from .exact import (
     UniPoly,
     interpolate,
+    is_squarefree,
     poly_divrem,
     poly_gcd,
     poly_gcdex,
@@ -309,7 +310,7 @@ def _sqf_norm(f: UniPoly, K: NumberField):
     """
     for s in shift_sequence():
         g, N = shifted_norm(f, K, s)
-        if poly_gcd(N, N.derivative()).degree == 0:
+        if is_squarefree(N):
             return s, g, N
     raise VerificationError("unreachable: no squarefree-norm shift found")
 
@@ -481,7 +482,7 @@ def extend_field(K: NumberField, h: UniPoly):
         if c == 0:
             continue
         _, N = shifted_norm(h, K, c)
-        if poly_gcd(N, N.derivative()).degree != 0:
+        if not is_squarefree(N):
             continue
         K2 = NumberField(N.with_var("Z"), trusted=True)
         theta2 = embed_generator(K, h, K2, c)
@@ -555,7 +556,7 @@ def splitting_field(f: UniPoly, max_degree=SPLITTING_DEGREE_CAP) -> SplittingFie
         raise ValueError("expects a rational polynomial")
     if f.degree < 1:
         raise ValueError("needs degree >= 1")
-    if poly_gcd(f, f.derivative()).degree != 0:
+    if not is_squarefree(f):
         raise ValueError("expects a squarefree polynomial")
     K = NumberField.rationals()
     work = f.monic().map_coeffs(K.from_rational, field=K)

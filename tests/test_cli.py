@@ -127,6 +127,28 @@ class TestValidateCommand:
         assert main(["validate", str(bad)]) == EXIT_PARSE
         assert "[FAIL] pipeline q well-formed" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("field", ["t0", "defining_polynomial"])
+    def test_zero_denominator(self, cert_path, tmp_path, capsys, field):
+        data = json.loads(cert_path.read_text())
+        spec = next(s for s in data["specializations"] if s["status"] == "accepted")
+        if field == "t0":
+            spec["t0"] = "1/0"
+        else:
+            spec["defining_polynomial"][0] = "1/0"
+        bad = tmp_path / "zero_denominator.json"
+        bad.write_text(json.dumps(data))
+        assert main(["validate", str(bad)]) == EXIT_PARSE
+        assert "well-formed" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("key", ["mode", "pair"])
+    def test_distinctness_entry_missing_key(self, cert_path, tmp_path, capsys, key):
+        data = json.loads(cert_path.read_text())
+        del data["distinctness"][0][key]
+        bad = tmp_path / "distinctness.json"
+        bad.write_text(json.dumps(data))
+        assert main(["validate", str(bad)]) == EXIT_PARSE
+        assert "[FAIL] distinctness" in capsys.readouterr().out
+
     def test_legacy_bad_set_key(self, cert_path, tmp_path, capsys):
         data = json.loads(cert_path.read_text())
         data["pipeline"]["bad_set_rational"] = ["-27/4", "0"]

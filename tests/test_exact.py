@@ -6,9 +6,12 @@ import pytest
 from autrealize.exact import (
     BiPoly,
     UniPoly,
+    _gcd_primes,
+    _ggcd,
     discriminant,
     discriminant_in_X,
     interpolate,
+    is_squarefree,
     parse_bipoly,
     parse_rational,
     parse_unipoly,
@@ -89,6 +92,67 @@ class TestGcd:
             s, t, h = poly_gcdex(f, g)
             assert s * f + t * g == h
             assert h == poly_gcd(f, g)
+
+    def test_planted_common_factors(self):
+        # coefficients up to 2**80 need several CRT primes, so wrong
+        # candidates come up and must fail the exact division check
+        rng = random.Random(3)
+
+        def big_poly(deg):
+            cs = [F(rng.randint(-2**80, 2**80)) for _ in range(deg)]
+            return UniPoly(cs + [F(rng.choice([-1, 1]) * rng.randint(1, 2**80))])
+
+        for _ in range(30):
+            c = big_poly(rng.randrange(0, 6))
+            f = c * big_poly(rng.randrange(0, 7))
+            g = c * big_poly(rng.randrange(0, 7))
+            h = poly_gcd(f, g)
+            assert h.is_monic()
+            (a, ra), (b, rb) = poly_divrem(f, h), poly_divrem(g, h)
+            assert ra.is_zero and rb.is_zero
+            assert resultant(a, b) != 0
+            assert h.degree >= c.degree
+
+    def test_unlucky_primes(self):
+        # resultant(X, X + p) = p: mod p the cofactors share the root 0, so
+        # the image there has degree 3, not 2.  An unlucky first prime is
+        # replaced; an unlucky second one is dropped (3**70 needs more than
+        # one prime, so the first candidate fails the exact check).
+        gen = _gcd_primes()
+        primes = [next(gen), next(gen)]
+        for p, c in zip(primes, (X**2 + C(1), X**2 + C(3**70))):
+            f, g = c * X, c * (X + C(p))
+            assert abs(resultant(X, X + C(p))) == p
+            image = _ggcd([int(v) % p for v in f.coeffs], [int(v) % p for v in g.coeffs], p)
+            assert len(image) - 1 == 3
+            assert poly_gcd(f, g) == c
+
+    def test_special_inputs(self):
+        zero = UniPoly.zero("X")
+        assert poly_gcd(zero, C(5)) == ONE
+        assert poly_gcd(C(-3), X**2 + C(1)) == ONE
+        assert poly_gcd(C(F(2, 3)), C(7)) == ONE
+        # non-monic, negative leading coefficients
+        f = C(-6) * (X - C(2)) * (X + C(1)) ** 2
+        g = C(4) * (X + C(1)) * (X**2 + C(3))
+        assert poly_gcd(f, g) == X + C(1)
+        assert poly_gcd(-f, -g) == X + C(1)
+        assert poly_gcd(f, f.derivative()) == X + C(1)
+        # rational coefficients
+        r = X - C(F(1, 2))
+        f = r * (C(F(3, 7)) * X**2 + C(F(5, 11)))
+        g = r * (C(F(-4, 5)) * X + C(F(2, 9)))
+        assert poly_gcd(f, g) == r
+        assert poly_gcd(zero, f) == f.monic()
+        # a prime dividing a leading coefficient is skipped
+        p = next(_gcd_primes())
+        f = (C(p) * X + C(1)) * (X + C(2))
+        assert poly_gcd(f, (X + C(2)) * (X - C(3))) == X + C(2)
+
+    def test_is_squarefree(self):
+        assert is_squarefree(X**3 + X + C(1))
+        assert is_squarefree(C(7))
+        assert not is_squarefree((X - C(1)) ** 2 * (X + C(2)))
 
 
 class TestResultant:
