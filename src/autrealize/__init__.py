@@ -8,9 +8,9 @@ from .errors import (
     SpecParseError,
     VerificationError,
 )
-from .exact import BiPoly, Rational, UniPoly
+from .exact import BiPoly, UniPoly
 from .factor import Factorization, factor_over_Q, is_irreducible_Q, squarefree_part
-from .family import build_member, certify_distinct, certify_s3, bad_set
+from .family import build_member, certify_s3, bad_set
 from .numfield import (
     NfElement,
     NumberField,

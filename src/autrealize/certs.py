@@ -23,7 +23,7 @@ from .exact import (
     render_unipoly,
 )
 from .factor import EDF_SEED, is_irreducible_Q
-from .numfield import NumberField
+from .numfield import NumberField, composition_table
 from .perm import AbstractGroup, PermGroup, parse_cycles
 
 FORMAT_NAME = "autrealize-certificate"
@@ -154,6 +154,19 @@ def _load(path):
         raise SpecParseError(f"cannot read certificate: {exc}") from exc
 
 
+#: What a malformed field of a certificate raises while it is parsed or
+#: checked; the validator reports these as failed checks.
+_MALFORMED = (KeyError, SpecParseError, TypeError, ValueError, ZeroDivisionError)
+
+
+def _pair(entry):
+    """The (i, j) of a distinctness entry, or None if it has none."""
+    pair = entry.get("pair") if isinstance(entry, dict) else None
+    if isinstance(pair, list) and all(isinstance(i, int) for i in pair):
+        return tuple(pair)
+    return None
+
+
 def validate_certificate(path, deep=False) -> ValidationReport:
     """Re-check a certificate file.
 
@@ -171,10 +184,9 @@ def validate_certificate(path, deep=False) -> ValidationReport:
         isinstance(data, dict)
         and data.get("format") == FORMAT_NAME
         and data.get("version") == FORMAT_VERSION
-        and all(
-            k in data
-            for k in ("group", "pipeline", "specializations", "distinctness")
-        )
+        and all(k in data for k in ("group", "pipeline"))
+        and isinstance(data.get("specializations"), list)
+        and isinstance(data.get("distinctness"), list)
     )
     report.add("schema", schema_ok)
     if not schema_ok:
@@ -196,12 +208,15 @@ def validate_certificate(path, deep=False) -> ValidationReport:
 
     try:
         q = parse_bipoly(data["pipeline"]["q"])
-    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+    except _MALFORMED as exc:
         report.add("pipeline q well-formed", False, str(exc))
         return report
 
     accepted = []
-    for k, spec in enumerate(data["specializations"]):
+    for spec in data["specializations"]:
+        if not isinstance(spec, dict):
+            report.add("specialization entry is an object", False, repr(spec))
+            continue
         label = f"specialization t0={spec.get('t0')}"
         if spec.get("status") != "accepted":
             report.add(f"{label} rejected entry", "reason" in spec)
@@ -223,15 +238,10 @@ def validate_certificate(path, deep=False) -> ValidationReport:
             ]
             roots_ok = all(not E.modulus.eval(m) for m in images)
             report.add(f"{label} images are roots", roots_ok)
-            index = {m.coords: i for i, m in enumerate(images)}
             table = spec["automorphisms"]["table"]
-            recomputed = True
-            for a_i, a in enumerate(images):
-                for b_i, b in enumerate(images):
-                    c = b.to_poly().eval(a)
-                    if index.get(c.coords) != table[a_i][b_i]:
-                        recomputed = False
-            report.add(f"{label} table recomputes", recomputed)
+            report.add(
+                f"{label} table recomputes", composition_table(images) == table
+            )
             try:
                 aut_group = AbstractGroup(table)
                 report.add(f"{label} table is a group", True)
@@ -252,10 +262,10 @@ def validate_certificate(path, deep=False) -> ValidationReport:
                             wit_ok = False
             report.add(f"{label} witness is an isomorphism", wit_ok)
             accepted.append(spec)
-        except (KeyError, ValueError, ZeroDivisionError, SpecParseError) as exc:
+        except _MALFORMED as exc:
             report.add(f"{label} well-formed", False, str(exc))
 
-    pairs = {tuple(d.get("pair", ())) for d in data["distinctness"]}
+    pairs = {_pair(d) for d in data["distinctness"]}
     want = {
         (i, j)
         for i in range(len(accepted))
@@ -267,7 +277,8 @@ def validate_certificate(path, deep=False) -> ValidationReport:
         f"{len(pairs)} entries for {len(accepted)} accepted fields",
     )
     modes_ok = all(
-        d.get("mode") in ("exact", "guaranteed")
+        isinstance(d, dict)
+        and d.get("mode") in ("exact", "guaranteed")
         and ("cite" in d if d["mode"] == "guaranteed" else "detail" in d)
         for d in data["distinctness"]
     )
@@ -291,15 +302,22 @@ def _deep_validate(data, G, report):
         render_bipoly(state.q) == data["pipeline"]["q"],
     )
     for spec in data["specializations"]:
-        t0 = parse_rational(spec["t0"])
+        if not isinstance(spec, dict):
+            continue  # already failed by the shallow checks
+        label = f"deep: t0={spec.get('t0')}"
+        try:
+            t0 = parse_rational(spec["t0"])
+        except _MALFORMED as exc:
+            report.add(f"{label} well-formed", False, str(exc))
+            continue
         rec = specialize_and_verify(state, t0)
-        label = f"deep: t0={spec['t0']}"
-        if spec["status"] == "accepted":
+        if spec.get("status") == "accepted":
+            autos = spec.get("automorphisms")
             ok = (
                 rec.status == "accepted"
-                and render_unipoly(rec.q0) == spec["defining_polynomial"]
-                and [list(r) for r in rec.aut.group.table]
-                == spec["automorphisms"]["table"]
+                and render_unipoly(rec.q0) == spec.get("defining_polynomial")
+                and isinstance(autos, dict)
+                and [list(r) for r in rec.aut.group.table] == autos.get("table")
             )
             report.add(f"{label} re-verifies", ok, rec.reason or "")
         else:

@@ -3,9 +3,10 @@
 Coefficients live in an exact field: the rationals (represented by
 ``fractions.Fraction``) or a number field (``autrealize.numfield.NumberField``,
 whose elements implement the same arithmetic protocol).  Polynomials are
-dense.  ``UniPoly`` is univariate with an ascending coefficient list;
-``BiPoly`` is bivariate in (T, X) with a coefficient matrix indexed by
-(power of T, power of X).
+dense.  ``UniPoly`` is univariate with an ascending coefficient list and
+carries the ring arithmetic; ``BiPoly`` is bivariate in (T, X) with a
+coefficient matrix indexed by (power of T, power of X), and is only
+built, compared, specialized at T = t0 and rendered.
 
 Everything here is immutable and pure; no floating point anywhere.
 """
@@ -14,8 +15,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd as _igcd
-
-Rational = Fraction
 
 _QZERO = Fraction(0)
 _QONE = Fraction(1)
@@ -203,9 +202,6 @@ class UniPoly:
             k >>= 1
         return result
 
-    def scale(self, c):
-        return self * c
-
     def monic(self):
         if self.is_zero:
             raise ValueError("cannot normalize the zero polynomial")
@@ -310,6 +306,7 @@ def is_squarefree(f: UniPoly) -> bool:
 
 
 def _gtrim(a):
+    """Drop trailing zeros in place; also used on integer polynomials."""
     while a and a[-1] == 0:
         a.pop()
     return a
@@ -725,10 +722,6 @@ class BiPoly:
         self.field = field
 
     @classmethod
-    def zero(cls, field=None):
-        return cls((), field)
-
-    @classmethod
     def from_terms(cls, terms, field=None):
         """terms: iterable of (i, j, coeff) for T^i X^j."""
         terms = list(terms)
@@ -782,66 +775,6 @@ class BiPoly:
                     terms.append(f"({c})*T^{i}*X^{j}")
         return " + ".join(terms) if terms else "0"
 
-    def __add__(self, other):
-        if not isinstance(other, BiPoly):
-            return NotImplemented
-        nr = max(len(self.rows), len(other.rows))
-        nc = max(
-            max((len(r) for r in self.rows), default=0),
-            max((len(r) for r in other.rows), default=0),
-        )
-        return BiPoly(
-            [
-                [self.coeff(i, j) + other.coeff(i, j) for j in range(nc)]
-                for i in range(nr)
-            ],
-            self.field,
-        )
-
-    def __neg__(self):
-        return BiPoly([[-c for c in row] for row in self.rows], self.field)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other):
-        if not isinstance(other, BiPoly):
-            c = _coerce(self.field, other)
-            return BiPoly(
-                [[a * c for a in row] for row in self.rows], self.field
-            )
-        if self.is_zero or other.is_zero:
-            return BiPoly.zero(self.field)
-        zero = _fzero(self.field)
-        nr = len(self.rows) + len(other.rows) - 1
-        nc = (
-            max(len(r) for r in self.rows)
-            + max(len(r) for r in other.rows)
-            - 1
-        )
-        out = [[zero] * nc for _ in range(nr)]
-        for i, row in enumerate(self.rows):
-            for j, a in enumerate(row):
-                if not a:
-                    continue
-                for k, orow in enumerate(other.rows):
-                    for m, b in enumerate(orow):
-                        if b:
-                            out[i + k][j + m] = out[i + k][j + m] + a * b
-        return BiPoly(out, self.field)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, k):
-        result = BiPoly.from_terms([(0, 0, _fone(self.field))], self.field)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base if k > 1 else base
-            k >>= 1
-        return result
-
     def specialize(self, t0):
         """Substitute T -> t0; returns a UniPoly in X.
 
@@ -859,11 +792,6 @@ class BiPoly:
                 acc = acc * t0 + c
             out.append(acc)
         return UniPoly(out, "X", self.field)
-
-    def eval(self, t0, x0):
-        return self.specialize(t0).eval(
-            x0 if self.field is None else _coerce(self.field, x0)
-        )
 
     def coeff_X(self, j):
         """Coefficient of X^j as a UniPoly in T."""

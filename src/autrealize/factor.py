@@ -33,6 +33,7 @@ from .exact import (
     _ggcd,
     _gmonic,
     _gtrim,
+    _ideg,
     _idivides,
     _int_clear,
     _int_content,
@@ -75,16 +76,6 @@ def _record(event, value):
 # -- integer polynomial helpers (ascending lists) --------------------------
 
 
-def _trim(a):
-    while a and a[-1] == 0:
-        a.pop()
-    return a
-
-
-def _deg(a):
-    return len(a) - 1
-
-
 def _imul(a, b):
     if not a or not b:
         return []
@@ -98,14 +89,14 @@ def _imul(a, b):
 
 def _iadd(a, b):
     n = max(len(a), len(b))
-    return _trim(
+    return _gtrim(
         [(a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0) for i in range(n)]
     )
 
 
 def _isub(a, b):
     n = max(len(a), len(b))
-    return _trim(
+    return _gtrim(
         [(a[i] if i < len(a) else 0) - (b[i] if i < len(b) else 0) for i in range(n)]
     )
 
@@ -119,7 +110,7 @@ def _itrunc(a, m):
         if c > half:
             c -= m
         out.append(c)
-    return _trim(out)
+    return _gtrim(out)
 
 
 def _iprimitive(a):
@@ -136,7 +127,7 @@ def _imax_norm(a):
 def _idivrem_monic(a, b):
     """Division by a monic divisor, exact over Z."""
     a = list(a)
-    db = _deg(b)
+    db = _ideg(b)
     if db < 0:
         raise ZeroDivisionError
     q = [0] * max(len(a) - db, 0)
@@ -146,7 +137,7 @@ def _idivrem_monic(a, b):
             q[k] = c
             for j in range(db + 1):
                 a[k + j] -= c * b[j]
-    return _trim(q), _trim(a[: db])
+    return _gtrim(q), _gtrim(a[: db])
 
 
 # -- GF(p) polynomial helpers (ascending lists of ints in [0, p)) -----------
@@ -214,7 +205,7 @@ def _gpow_mod(a, e, f, p):
 
 
 def _gsqf_p(a, p):
-    return _deg(_ggcd(a, _gderiv(a, p), p)) == 0
+    return _ideg(_ggcd(a, _gderiv(a, p), p)) == 0
 
 
 def _gddf(f, p):
@@ -223,36 +214,36 @@ def _gddf(f, p):
     h = [0, 1]
     k = 1
     f = list(f)
-    while _deg(f) >= 2 * k:
+    while _ideg(f) >= 2 * k:
         h = _gpow_mod(h, p, f, p)
         g = _ggcd(_gsub(h, [0, 1], p), f, p)
-        if _deg(g) > 0:
+        if _ideg(g) > 0:
             out.append((g, k))
             f = _gdivrem(f, g, p)[0]
             h = _gdivrem(h, f, p)[1]
         k += 1
-    if _deg(f) > 0:
-        out.append((f, _deg(f)))
+    if _ideg(f) > 0:
+        out.append((f, _ideg(f)))
     return out
 
 
 def _gedf(f, k, p, rng):
     """Equal-degree splitting (Cantor-Zassenhaus) for odd p."""
-    n = _deg(f)
+    n = _ideg(f)
     if n == k:
         return [f]
     exponent = (p**k - 1) // 2
     while True:
         a = [rng.randrange(p) for _ in range(n)]
         a = _gtrim(a)
-        if _deg(a) < 1:
+        if _ideg(a) < 1:
             continue
         g = _ggcd(a, f, p)
-        if 0 < _deg(g) < n:
+        if 0 < _ideg(g) < n:
             return _gedf(g, k, p, rng) + _gedf(_gdivrem(f, g, p)[0], k, p, rng)
         b = _gpow_mod(a, exponent, f, p)
         g = _ggcd(_gsub(b, [1], p), f, p)
-        if 0 < _deg(g) < n:
+        if 0 < _ideg(g) < n:
             return _gedf(g, k, p, rng) + _gedf(_gdivrem(f, g, p)[0], k, p, rng)
 
 
@@ -328,7 +319,7 @@ def _hensel_lift(p, f, factors, l):
 
 
 def _mignotte_bound(f):
-    n = _deg(f)
+    n = _ideg(f)
     a = _imax_norm(f)
     b = abs(f[-1])
     return (isqrt(n + 1) + 1) * 2**n * a * b
@@ -428,7 +419,7 @@ def _trial_divide(f, lifted, combo, pl):
 
 def _zassenhaus(f):
     """Factor a primitive squarefree integer polynomial with lc > 0."""
-    n = _deg(f)
+    n = _ideg(f)
     if n <= 0:
         return []
     if n == 1:
@@ -454,7 +445,7 @@ def _zassenhaus(f):
         else:
             size += 1
     factors.append(f)
-    return [g for g in factors if _deg(g) > 0]
+    return [g for g in factors if _ideg(g) > 0]
 
 
 def _find_monic_factors_of_degree(f, target):
@@ -465,7 +456,7 @@ def _find_monic_factors_of_degree(f, target):
     unique subset of the Hensel-lifted modular factors).  Returns UniPoly
     factors over Q, monic.
     """
-    n = _deg(f)
+    n = _ideg(f)
     if n < target:
         return []
     if n == target:
@@ -480,7 +471,7 @@ def _find_monic_factors_of_degree(f, target):
     candidates = []
     for p, fp in _good_primes(f):
         factors = _gfactor_sqf(fp, p)
-        if not _degree_sum_feasible([_deg(g) for g in factors], target):
+        if not _degree_sum_feasible([_ideg(g) for g in factors], target):
             _record("prime_infeasible", p)
             return []
         candidates.append((len(factors), p, factors))
@@ -492,19 +483,19 @@ def _find_monic_factors_of_degree(f, target):
     lifted, pl = _lift_factors(f, best_p, modular)
 
     remaining = list(range(len(lifted)))
-    degrees = {i: _deg(lifted[i]) for i in remaining}
+    degrees = {i: _ideg(lifted[i]) for i in remaining}
     out = []
     progress = True
     while progress:
         progress = False
         for combo in _subsets_with_degree_sum(degrees, remaining, target):
             hit = _trial_divide(f, lifted, combo, pl)
-            if hit is None or _deg(hit[0]) != target:
+            if hit is None or _ideg(hit[0]) != target:
                 continue
             G, f = hit
             out.append(UniPoly([Fraction(c) for c in G]).monic())
             remaining = [i for i in remaining if i not in combo]
-            if _deg(f) == target:
+            if _ideg(f) == target:
                 out.append(UniPoly([Fraction(c) for c in f]).monic())
                 remaining = []
             progress = bool(remaining)

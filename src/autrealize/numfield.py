@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import logging
 from fractions import Fraction
+from itertools import chain
 
 from .errors import CapExceededError, VerificationError
 from .exact import (
@@ -45,9 +46,8 @@ logger = logging.getLogger(__name__)
 
 SPLITTING_DEGREE_CAP = 24
 
-#: deterministic shift sequence 0, 1, -1, 2, -2, ...
+#: deterministic shift sequence 1, -1, 2, -2, ...
 def shift_sequence():
-    yield 0
     k = 1
     while True:
         yield k
@@ -306,9 +306,14 @@ def _sqf_norm(f: UniPoly, K: NumberField):
     """Find shift s with N(X) = Norm(f(X - s*theta)) squarefree.
 
     Returns (s, shifted f over K, N over Q).  f must be monic squarefree
-    over K.
+    over K, and [K:Q] >= 2.  s = 0 is tried first only when some
+    coefficient of f is irrational: for rational f the norm at s = 0 is
+    f^[K:Q], never squarefree.
     """
-    for s in shift_sequence():
+    shifts = shift_sequence()
+    if not all(c.is_rational for c in f.coeffs):
+        shifts = chain((0,), shifts)
+    for s in shifts:
         g, N = shifted_norm(f, K, s)
         if is_squarefree(N):
             return s, g, N
@@ -425,15 +430,9 @@ class AutomorphismTable:
         for m in self.maps:
             if K.modulus.eval(m):
                 raise VerificationError("automorphism image is not a root")
-        index = {m.coords: i for i, m in enumerate(self.maps)}
-        table = []
-        for a in self.maps:
-            row = []
-            for b in self.maps:
-                # (sigma_a . sigma_b)(Z) = sigma_a(b(Z)) = coords_b(a)
-                c = b.to_poly().eval(a)
-                row.append(index[c.coords])
-            table.append(row)
+        table = composition_table(self.maps)
+        if any(None in row for row in table):
+            raise VerificationError("composite of two automorphisms is not listed")
         self.group = AbstractGroup(table)
 
     @property
@@ -445,11 +444,19 @@ class AutomorphismTable:
         return e.to_poly().eval(self.maps[i])
 
 
-def automorphisms(K: NumberField, roots=None) -> AutomorphismTable:
+def composition_table(maps):
+    """table[a][b] = index in maps of the composite sigma_a . sigma_b, or
+    None where it is not listed; maps are generator images.
+
+    (sigma_a . sigma_b)(Z) = sigma_a(b(Z)) = coords_b evaluated at a.
+    """
+    index = {m.coords: i for i, m in enumerate(maps)}
+    return [[index.get(b.to_poly().eval(a).coords) for b in maps] for a in maps]
+
+
+def automorphisms(K: NumberField) -> AutomorphismTable:
     """Automorphism table of K/Q; one map per root of the modulus in K."""
-    if roots is None:
-        roots = roots_in_field(K.modulus, K)
-    return AutomorphismTable(K, roots)
+    return AutomorphismTable(K, roots_in_field(K.modulus, K))
 
 
 # -- field extension / primitive elements -----------------------------------
@@ -479,8 +486,6 @@ def extend_field(K: NumberField, h: UniPoly):
     # irreducible whenever squarefree (norm of an irreducible is a power
     # of an irreducible)
     for c in shift_sequence():
-        if c == 0:
-            continue
         _, N = shifted_norm(h, K, c)
         if not is_squarefree(N):
             continue
@@ -544,9 +549,6 @@ class SplittingField:
 
     def aut_index_for_perm(self, perm: Permutation) -> int:
         return self._aut_of_perm[perm]
-
-    def apply_perm(self, perm, e: NfElement) -> NfElement:
-        return self.autos.apply(self._aut_of_perm[perm], e)
 
 
 def splitting_field(f: UniPoly, max_degree=SPLITTING_DEGREE_CAP) -> SplittingField:

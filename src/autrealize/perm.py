@@ -238,9 +238,6 @@ class PermGroup:
     def __iter__(self):
         return iter(sorted(self.elements))
 
-    def __le__(self, other):
-        return self.degree == other.degree and self.elements <= other.elements
-
     def __eq__(self, other):
         return (
             isinstance(other, PermGroup)
@@ -253,16 +250,6 @@ class PermGroup:
 
     def __repr__(self):
         return f"PermGroup(order={self.order}, degree={self.degree})"
-
-    def subgroup(self, predicate):
-        """Subgroup of elements satisfying the predicate; must be closed."""
-        sub = [g for g in self.elements if predicate(g)]
-        group = PermGroup.from_elements(sub, self.degree)
-        for a in sub:
-            for b in sub:
-                if a * b not in group.elements:
-                    raise VerificationError("predicate does not define a subgroup")
-        return group
 
     def is_normal_in(self, other):
         return all(

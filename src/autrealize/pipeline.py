@@ -144,8 +144,6 @@ def build_E_minpoly(L: SplittingField, member: FamilyMember):
     deg_t, deg_x = N, 3 * N
     t_points = [Fraction(t) for t in range(deg_t + 1)]
     for c in shift_sequence():
-        if c == 0:
-            continue
         rows_by_t = [shifted_norm(member.poly.specialize(tq), K, c)[1] for tq in t_points]
         # interpolate each X-coefficient across t
         rows = []

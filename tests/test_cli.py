@@ -127,27 +127,74 @@ class TestValidateCommand:
         assert main(["validate", str(bad)]) == EXIT_PARSE
         assert "[FAIL] pipeline q well-formed" in capsys.readouterr().out
 
-    @pytest.mark.parametrize("field", ["t0", "defining_polynomial"])
+    # each malformed accepted specialization, and the check that fails on it
+    MALFORMED_SPECS = {
+        "t0": "well-formed",
+        "defining_polynomial": "well-formed",
+        "table_row_removed": "table recomputes",
+        "table_short_row": "table recomputes",
+        "extra_generator_image": "table recomputes",
+        "witness_not_a_list": "well-formed",
+        "t0_not_a_string": "well-formed",
+        "not_an_object": "specialization entry is an object",
+    }
+
+    @pytest.mark.parametrize("field", list(MALFORMED_SPECS))
     def test_zero_denominator(self, cert_path, tmp_path, capsys, field):
         data = json.loads(cert_path.read_text())
-        spec = next(s for s in data["specializations"] if s["status"] == "accepted")
+        specs = data["specializations"]
+        k, spec = next(
+            (k, s) for k, s in enumerate(specs) if s["status"] == "accepted"
+        )
+        autos = spec["automorphisms"]
         if field == "t0":
             spec["t0"] = "1/0"
-        else:
+        elif field == "defining_polynomial":
             spec["defining_polynomial"][0] = "1/0"
-        bad = tmp_path / "zero_denominator.json"
+        elif field == "table_row_removed":
+            autos["table"].pop()
+        elif field == "table_short_row":
+            autos["table"][-1].pop()
+        elif field == "extra_generator_image":
+            autos["generator_images"].append(autos["generator_images"][0])
+        elif field == "witness_not_a_list":
+            spec["witness"] = 5
+        elif field == "t0_not_a_string":
+            spec["t0"] = [1]
+        else:
+            specs[k] = 5
+        bad = tmp_path / "malformed_spec.json"
         bad.write_text(json.dumps(data))
         assert main(["validate", str(bad)]) == EXIT_PARSE
-        assert "well-formed" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert self.MALFORMED_SPECS[field] in out
+        assert "certificate INVALID" in out
 
-    @pytest.mark.parametrize("key", ["mode", "pair"])
+    @pytest.mark.parametrize("key", ["mode", "pair", "not_an_object"])
     def test_distinctness_entry_missing_key(self, cert_path, tmp_path, capsys, key):
         data = json.loads(cert_path.read_text())
-        del data["distinctness"][0][key]
+        if key == "not_an_object":
+            data["distinctness"][0] = 5
+        else:
+            del data["distinctness"][0][key]
         bad = tmp_path / "distinctness.json"
         bad.write_text(json.dumps(data))
         assert main(["validate", str(bad)]) == EXIT_PARSE
         assert "[FAIL] distinctness" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("t0", ["1/0", None])
+    def test_deep_malformed_t0(self, cert_path, tmp_path, capsys, t0):
+        data = json.loads(cert_path.read_text())
+        spec = data["specializations"][0]
+        assert spec["status"] == "rejected"  # shallow checks only its reason
+        if t0 is None:
+            del spec["t0"]
+        else:
+            spec["t0"] = t0
+        bad = tmp_path / "deep_t0.json"
+        bad.write_text(json.dumps(data))
+        assert main(["validate", str(bad), "--deep"]) == EXIT_PARSE
+        assert f"[FAIL] deep: t0={t0} well-formed" in capsys.readouterr().out
 
     def test_legacy_bad_set_key(self, cert_path, tmp_path, capsys):
         data = json.loads(cert_path.read_text())

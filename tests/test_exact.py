@@ -261,24 +261,6 @@ class TestSpecialize:
         f = BiPoly.from_terms([(0, 2, F(1)), (0, 0, F(-3))])
         assert f.specialize(17) == X**2 - 3
 
-    def test_commutes_with_product(self):
-        rng = random.Random(8)
-        for _ in range(20):
-            f = BiPoly.from_terms(
-                [
-                    (rng.randrange(3), rng.randrange(3), F(rng.randrange(-5, 6)))
-                    for _ in range(5)
-                ]
-            )
-            g = BiPoly.from_terms(
-                [
-                    (rng.randrange(3), rng.randrange(3), F(rng.randrange(-5, 6)))
-                    for _ in range(5)
-                ]
-            )
-            t0 = F(rng.randrange(-4, 5))
-            assert (f * g).specialize(t0) == f.specialize(t0) * g.specialize(t0)
-
 
 class TestInterpolate:
     def test_round_trip(self):
