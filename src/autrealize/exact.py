@@ -285,7 +285,8 @@ def poly_divrem(f: UniPoly, g: UniPoly):
 
 def poly_gcd(f: UniPoly, g: UniPoly) -> UniPoly:
     """Monic gcd: Brown's modular algorithm over Q (see ``_gcd_q``), the
-    Euclidean algorithm over a number field."""
+    Euclidean algorithm over a number field.  Euclid makes each remainder
+    monic, so no leading coefficient is inverted twice."""
     if f.is_zero and g.is_zero:
         raise ValueError("gcd of two zero polynomials")
     f._check_compat(g)
@@ -293,6 +294,7 @@ def poly_gcd(f: UniPoly, g: UniPoly) -> UniPoly:
         return _gcd_q(f, g)
     a, b = f, g
     while not b.is_zero:
+        b = b.monic()
         a, b = b, poly_divrem(a, b)[1]
     return a.monic()
 
@@ -446,26 +448,6 @@ def _gcd_q(f: UniPoly, g: UniPoly) -> UniPoly:
             return UniPoly([Fraction(c, lc) for c in C], f.var)
 
 
-def poly_gcdex(f: UniPoly, g: UniPoly):
-    """Extended gcd: returns (s, t, h) with s*f + t*g = h, h monic gcd."""
-    if f.is_zero and g.is_zero:
-        raise ValueError("gcd of two zero polynomials")
-    var, field = f.var, f.field
-    one = UniPoly.one(var, field)
-    zero = UniPoly.zero(var, field)
-    a, b = f, g
-    sa, sb = one, zero
-    ta, tb = zero, one
-    while not b.is_zero:
-        q, r = poly_divrem(a, b)
-        a, b = b, r
-        sa, sb = sb, sa - q * sb
-        ta, tb = tb, ta - q * tb
-    lc = a.lc()
-    inv = (1 / lc) if field is None else lc.inverse()
-    return sa * inv, ta * inv, a * inv
-
-
 # -- resultants -----------------------------------------------------------
 #
 # Convention used throughout (matching the documented contract): for
@@ -606,61 +588,6 @@ def resultant_std(f: UniPoly, g: UniPoly):
 def resultant(f: UniPoly, g: UniPoly):
     """Resultant in the documented convention (see module comment)."""
     return resultant_std(g, f)
-
-
-def sylvester_resultant(f: UniPoly, g: UniPoly):
-    """Naive Sylvester-determinant resultant, used only for cross-checks.
-
-    Same convention as :func:`resultant`.
-    """
-    if f.is_zero or g.is_zero:
-        raise ValueError("resultant of the zero polynomial")
-    f._check_compat(g)
-    m, n = f.degree, g.degree
-    if m == 0:
-        return f.coeffs[0] ** n
-    if n == 0:
-        return g.coeffs[0] ** m
-    field = f.field
-    size = m + n
-    fa = list(reversed(f.coeffs))
-    ga = list(reversed(g.coeffs))
-    rows = []
-    for i in range(m):
-        row = [_fzero(field)] * size
-        for j, c in enumerate(ga):
-            row[i + j] = c
-        rows.append(row)
-    for i in range(n):
-        row = [_fzero(field)] * size
-        for j, c in enumerate(fa):
-            row[i + j] = c
-        rows.append(row)
-    # Gaussian elimination with exact division; determinant of the
-    # Sylvester matrix of (g, f) equals resultant(f, g) in our convention.
-    det = _fone(field)
-    sign = 1
-    for col in range(size):
-        piv = None
-        for r in range(col, size):
-            if rows[r][col]:
-                piv = r
-                break
-        if piv is None:
-            return _fzero(field)
-        if piv != col:
-            rows[col], rows[piv] = rows[piv], rows[col]
-            sign = -sign
-        pv = rows[col][col]
-        det = det * pv
-        inv = (1 / pv) if field is None else pv.inverse()
-        for r in range(col + 1, size):
-            if rows[r][col]:
-                factor = rows[r][col] * inv
-                rows[r] = [
-                    rows[r][k] - factor * rows[col][k] for k in range(size)
-                ]
-    return det if sign == 1 else -det
 
 
 def discriminant(f: UniPoly):

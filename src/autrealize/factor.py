@@ -520,12 +520,6 @@ class Factorization:
     unit: Fraction
     factors: tuple  # of (UniPoly, int)
 
-    def expand(self) -> UniPoly:
-        acc = UniPoly.constant(self.unit)
-        for g, k in self.factors:
-            acc = acc * g**k
-        return acc
-
     @property
     def is_irreducible(self):
         return (

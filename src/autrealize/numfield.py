@@ -1,7 +1,13 @@
 """Number fields as explicit Q-algebras.
 
-A field is Q[Z]/(g) for a monic irreducible g; elements are residue
-polynomials with rational coordinates.  Everything downstream needs only
+A field is Q[Z]/(g) for a monic irreducible g with rational
+coefficients; an element is a residue polynomial stored as an integer
+coordinate vector over one positive denominator, in lowest terms.  The
+field keeps the reductions of Z^d, ..., Z^(2d-2) mod g as integer rows
+over one common denominator, so a product is an integer convolution, a
+row reduction and one gcd normalisation.  An inverse solves the integer
+linear system of multiplication by the element fraction-free (Bareiss)
+and is checked by one exact product.  Everything downstream needs only
 this single flattened shape: towers are collapsed to one primitive
 element as soon as they appear.
 
@@ -21,6 +27,7 @@ from __future__ import annotations
 import logging
 from fractions import Fraction
 from itertools import chain
+from math import gcd, lcm
 
 from .errors import CapExceededError, VerificationError
 from .exact import (
@@ -29,7 +36,6 @@ from .exact import (
     is_squarefree,
     poly_divrem,
     poly_gcd,
-    poly_gcdex,
     resultant_std,
 )
 from .factor import (
@@ -69,18 +75,17 @@ class NumberField:
             raise ValueError(f"modulus is reducible: {modulus!r}")
         self.modulus = modulus.with_var("Z")
         self.modulus_coeffs = self.modulus.coeffs
-        self.degree = modulus.degree
-        d = self.degree
-        # rows[k] = coordinates of Z**(d+k) reduced mod g, for products
-        rows = []
-        cur = [-c for c in self.modulus.coeffs[:-1]]
-        rows.append(tuple(cur))
+        self._hash = hash(self.modulus_coeffs)
+        self.degree = d = modulus.degree
+        # Z**(d+k) = rows[k] / row_den mod g, as integer rows over one
+        # common denominator (1 when g is integral)
+        rows = [[-c for c in self.modulus_coeffs[:-1]]]
         for _ in range(d - 2):
-            cur = [Fraction(0)] + cur
-            lead = cur.pop()
-            cur = [cur[i] + lead * rows[0][i] for i in range(d)]
-            rows.append(tuple(cur))
-        self._red_rows = rows
+            prev = rows[-1]
+            rows.append([prev[-1] * r + s for r, s in zip(rows[0], [0] + prev[:-1])])
+        den = lcm(*(c.denominator for row in rows for c in row))
+        self._rows = [[int(c * den) for c in row] for row in rows]
+        self._row_den = den
 
     @classmethod
     def rationals(cls):
@@ -97,7 +102,7 @@ class NumberField:
         )
 
     def __hash__(self):
-        return hash(self.modulus_coeffs)
+        return self._hash
 
     # -- element constructors -------------------------------------------
 
@@ -106,36 +111,49 @@ class NumberField:
         if len(coords) > self.degree:
             rem = poly_divrem(UniPoly(coords, "Z"), self.modulus)[1]
             coords = list(rem.coeffs)
-        while len(coords) < self.degree:
-            coords.append(Fraction(0))
-        while len(coords) > self.degree:
-            if coords[-1]:
-                raise ValueError("coordinates exceed field degree")
-            coords.pop()
-        return NfElement(self, tuple(coords))
+        den = lcm(*(c.denominator for c in coords))
+        num = [c.numerator * (den // c.denominator) for c in coords]
+        return self._make(num + [0] * (self.degree - len(num)), den)
 
     def zero(self):
-        return self.element(())
+        return NfElement(self, (0,) * self.degree, 1)
 
     def one(self):
-        return self.element((1,))
+        return self.from_rational(1)
 
     def gen(self):
         return self.element((0, 1))
 
     def from_rational(self, c):
-        return self.element((Fraction(c),))
+        c = Fraction(c)
+        return NfElement(
+            self, (c.numerator,) + (0,) * (self.degree - 1), c.denominator
+        )
 
-    def _reduce(self, coords):
-        """Reduce a coordinate list of length <= 2d-1 mod the modulus."""
+    def _make(self, num, den):
+        """The element num/den in lowest terms (den > 0 on input)."""
+        g = gcd(den, *num)
+        if g != 1:
+            num = [c // g for c in num]
+            den //= g
+        return NfElement(self, tuple(num), den)
+
+    def _mul(self, a, b):
+        """Integer vector p with a * b = p / row_den, for integer
+        coordinate vectors a and b: schoolbook product, then each Z**(d+k)
+        replaced by its reduction row."""
         d = self.degree
-        out = list(coords[:d]) + [Fraction(0)] * (d - len(coords[:d]))
-        for k, c in enumerate(coords[d:]):
+        prod = [0] * (2 * d - 1)
+        for i, x in enumerate(a):
+            if x:
+                prod[i : i + d] = [p + x * y for p, y in zip(prod[i : i + d], b)]
+        out = prod[:d]
+        if self._row_den != 1:
+            out = [self._row_den * c for c in out]
+        for c, row in zip(prod[d:], self._rows):
             if c:
-                row = self._red_rows[k]
-                for i in range(d):
-                    out[i] += c * row[i]
-        return tuple(out)
+                out = [o + c * r for o, r in zip(out, row)]
+        return out
 
     def norm(self, e: "NfElement") -> Fraction:
         """Product of e over all embeddings; the resultant of the modulus
@@ -149,36 +167,54 @@ class NumberField:
 
 
 class NfElement:
-    """An element of a NumberField, as a coordinate tuple in 1, Z, Z^2, ..."""
+    """An element num/den of a NumberField, in the basis 1, Z, Z^2, ...
 
-    __slots__ = ("owner", "coords")
+    ``num`` is a tuple of integers and ``den`` a positive integer sharing
+    no factor with all of them, so each element has one representation
+    (zero has den 1) and ``==``/``hash`` compare it directly.  ``coords``
+    gives the same element as a tuple of Fractions.  Arithmetic is on
+    integers with one gcd normalisation per result; the inverse solves
+    the integer linear system of multiplication by the element
+    fraction-free (Bareiss) and is checked by one exact product.
+    """
 
-    def __init__(self, owner, coords):
+    __slots__ = ("owner", "num", "den")
+
+    def __init__(self, owner, num, den):
         self.owner = owner
-        self.coords = coords
+        self.num = num
+        self.den = den
+
+    @property
+    def coords(self):
+        return tuple(Fraction(c, self.den) for c in self.num)
 
     def to_poly(self) -> UniPoly:
         return UniPoly(self.coords, "Z")
 
     @property
     def is_rational(self):
-        return all(not c for c in self.coords[1:])
+        return not any(self.num[1:])
 
     def __bool__(self):
-        return any(self.coords)
+        return any(self.num)
 
     def __eq__(self, other):
         if isinstance(other, NfElement):
             return (
-                self.owner.modulus_coeffs == other.owner.modulus_coeffs
-                and self.coords == other.coords
+                self.num == other.num
+                and self.den == other.den
+                and (
+                    self.owner is other.owner
+                    or self.owner.modulus_coeffs == other.owner.modulus_coeffs
+                )
             )
         if isinstance(other, (int, Fraction)):
-            return self.is_rational and self.coords[0] == other
+            return self.is_rational and Fraction(self.num[0], self.den) == other
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.owner.modulus_coeffs, self.coords))
+        return hash((self.owner._hash, self.num, self.den))
 
     def sort_key(self):
         return self.coords
@@ -190,7 +226,10 @@ class NfElement:
         if isinstance(other, (int, Fraction)):
             return self.owner.from_rational(other)
         if isinstance(other, NfElement):
-            if other.owner.modulus_coeffs != self.owner.modulus_coeffs:
+            if (
+                other.owner is not self.owner
+                and other.owner.modulus_coeffs != self.owner.modulus_coeffs
+            ):
                 raise ValueError("elements of different fields")
             return other
         return None
@@ -199,15 +238,18 @@ class NfElement:
         other = self._lift(other)
         if other is None:
             return NotImplemented
-        return NfElement(
-            self.owner,
-            tuple(a + b for a, b in zip(self.coords, other.coords)),
-        )
+        da, db = self.den, other.den
+        if da == db:
+            num = [x + y for x, y in zip(self.num, other.num)]
+        else:
+            num = [x * db + y * da for x, y in zip(self.num, other.num)]
+            da *= db
+        return self.owner._make(num, da)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return NfElement(self.owner, tuple(-a for a in self.coords))
+        return NfElement(self.owner, tuple(-x for x in self.num), self.den)
 
     def __sub__(self, other):
         other = self._lift(other)
@@ -220,29 +262,45 @@ class NfElement:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            return NfElement(self.owner, tuple(a * other for a in self.coords))
+            other = Fraction(other)
+            return self.owner._make(
+                [x * other.numerator for x in self.num],
+                self.den * other.denominator,
+            )
         other = self._lift(other)
         if other is None:
             return NotImplemented
-        a, b = self.coords, other.coords
-        d = len(a)
-        prod = [Fraction(0)] * (2 * d - 1)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b):
-                    if y:
-                        prod[i + j] += x * y
-        return NfElement(self.owner, self.owner._reduce(prod))
+        K = self.owner
+        den = self.den * other.den * K._row_den
+        return K._make(K._mul(self.num, other.num), den)
 
     __rmul__ = __mul__
 
     def inverse(self):
+        """1 / self: x with M x = e_0, where column j of the integer
+        matrix M is num * Z^j times row_den^j, solved fraction-free;
+        raises VerificationError when M is singular (a zero divisor, so
+        the modulus is reducible) or the exact check fails."""
         if not self:
             raise ZeroDivisionError("inverse of zero")
-        s, _, h = poly_gcdex(self.to_poly(), self.owner.modulus)
-        if h.degree != 0:
+        K = self.owner
+        d = K.degree
+        cols = [list(self.num)]
+        for _ in range(d - 1):
+            cols.append(K._mul((0, 1), cols[-1]))  # times Z
+        solved = _solve_fraction_free(
+            [list(row) for row in zip(*cols)], [1] + [0] * (d - 1)
+        )
+        if solved is None:
             raise VerificationError("modulus is not irreducible")
-        return self.owner.element(s.coeffs)
+        det, y = solved
+        if det < 0:
+            det, y = -det, [-c for c in y]
+        q = K._row_den
+        inv = K._make([self.den * q**j * c for j, c in enumerate(y)], det)
+        if self * inv != K.one():
+            raise VerificationError("inverse fails its exact check")
+        return inv
 
     def __truediv__(self, other):
         other = self._lift(other)
@@ -264,6 +322,41 @@ class NfElement:
             base = base * base if k > 1 else base
             k >>= 1
         return result
+
+
+def _solve_fraction_free(A, b):
+    """(D, Y) with A (Y / D) = b for a nonsingular square integer matrix
+    A, or None when A is singular.
+
+    Bareiss elimination (Math. Comp. 22, 1968) keeps every entry an
+    integer minor, so each division is exact; D = +-det A, and Y = D * x
+    is integral by Cramer's rule, so back substitution divides exactly too.
+    """
+    n = len(A)
+    M = [row + [c] for row, c in zip(A, b)]
+    prev = 1
+    for k in range(n):
+        if not M[k][k]:
+            swap = next((r for r in range(k + 1, n) if M[r][k]), None)
+            if swap is None:
+                return None
+            M[k], M[swap] = M[swap], M[k]
+        rowk = M[k]
+        pk = rowk[k]
+        for i in range(k + 1, n):
+            rowi = M[i]
+            f = rowi[k]
+            M[i] = [0] * (k + 1) + [
+                (pk * rowi[j] - f * rowk[j]) // prev for j in range(k + 1, n + 1)
+            ]
+        prev = pk
+    D = prev
+    Y = [0] * n
+    for i in range(n - 1, -1, -1):
+        row = M[i]
+        acc = D * row[n] - sum(row[j] * Y[j] for j in range(i + 1, n))
+        Y[i] = acc // row[i]
+    return D, Y
 
 
 # -- minimal polynomials ----------------------------------------------------
@@ -450,8 +543,9 @@ def composition_table(maps):
 
     (sigma_a . sigma_b)(Z) = sigma_a(b(Z)) = coords_b evaluated at a.
     """
-    index = {m.coords: i for i, m in enumerate(maps)}
-    return [[index.get(b.to_poly().eval(a).coords) for b in maps] for a in maps]
+    index = {(m.num, m.den): i for i, m in enumerate(maps)}
+    rows = ([b.to_poly().eval(a) for b in maps] for a in maps)
+    return [[index.get((m.num, m.den)) for m in row] for row in rows]
 
 
 def automorphisms(K: NumberField) -> AutomorphismTable:

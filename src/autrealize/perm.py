@@ -251,13 +251,6 @@ class PermGroup:
     def __repr__(self):
         return f"PermGroup(order={self.order}, degree={self.degree})"
 
-    def is_normal_in(self, other):
-        return all(
-            g * h * g.inverse() in self.elements
-            for g in other.elements
-            for h in self.elements
-        )
-
     def to_abstract(self):
         """Composition-table presentation with lexicographically sorted
         elements; index 0 is the identity."""
@@ -265,41 +258,6 @@ class PermGroup:
         idx = {g: i for i, g in enumerate(elems)}
         table = [[idx[a * b] for b in elems] for a in elems]
         return AbstractGroup(table), elems
-
-
-def normalizer(ambient, sub):
-    """N_ambient(sub) by direct scan."""
-    if not sub.elements <= ambient.elements:
-        raise ValueError("sub must be contained in ambient")
-    keep = [
-        g
-        for g in ambient.elements
-        if all(g * h * g.inverse() in sub.elements for h in sub.generators or [Permutation.identity(sub.degree)])
-        and all(g * h * g.inverse() in sub.elements for h in sub.elements)
-    ]
-    return PermGroup.from_elements(keep, ambient.degree)
-
-
-def quotient(group, normal):
-    """Quotient group as an AbstractGroup plus lex-minimal coset
-    representatives.  Raises unless ``normal`` is normal in ``group``."""
-    if not normal.elements <= group.elements:
-        raise ValueError("normal must be contained in group")
-    if not normal.is_normal_in(group):
-        raise VerificationError("subgroup is not normal; quotient undefined")
-    cosets = {}
-    for g in sorted(group.elements):
-        key = frozenset(g * h for h in normal.elements)
-        if key not in cosets:
-            cosets[key] = g  # first in lex order is the minimal representative
-    reps = sorted(cosets.values())
-    rep_of = {}
-    for key, rep in cosets.items():
-        for member in key:
-            rep_of[member] = rep
-    idx = {rep: i for i, rep in enumerate(reps)}
-    table = [[idx[rep_of[a * b]] for b in reps] for a in reps]
-    return AbstractGroup(table), reps
 
 
 @dataclass(frozen=True)
@@ -319,6 +277,8 @@ class AbstractGroup:
 
     def _verify(self):
         n = len(self.table)
+        if not n:
+            raise VerificationError("composition table is empty")
         idx = set(range(n))
         for row in self.table:
             if len(row) != n or set(row) != idx:
@@ -476,13 +436,3 @@ def are_isomorphic(g1, g2):
     if mapping is None:
         return False, None
     return True, mapping
-
-
-def aut_group_via_quotient(ambient, sub):
-    """N_ambient(sub) / sub as an abstract group with coset reps.
-
-    This is the group-theoretic side of the main automorphism-group
-    identity; callers compare it against the field-side computation.
-    """
-    norm = normalizer(ambient, sub)
-    return quotient(norm, sub)

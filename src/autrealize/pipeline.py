@@ -227,7 +227,7 @@ def specialize_and_verify(state: PipelineState, t0) -> SpecializationRecord:
     images = []
     for j in range(L.autos.order):
         y_img = L.autos.apply(j, state.y).to_poly().eval(theta0)
-        key = y_img.coords
+        key = (y_img.num, y_img.den)
         if key not in cubic_roots:
             a = E.from_rational(t0) - y_img
             cubic = UniPoly([a, a, E.zero(), E.one()], "X", E)

@@ -26,8 +26,9 @@ from autrealize.numfield import (
     fixed_field,
     splitting_field,
 )
-from autrealize.perm import PermGroup, are_isomorphic, aut_group_via_quotient, parse_cycles
+from autrealize.perm import PermGroup, are_isomorphic, parse_cycles
 from autrealize.pipeline import run as pipeline_run
+from reference import aut_group_via_quotient, expand
 
 X = UniPoly.gen("X")
 
@@ -98,7 +99,7 @@ class TestC2Realization:
 class TestC3Realization:
     def test_degree_18_field_with_c3(self):
         cert, elapsed, _, _ = timed_run("C3", count=1)
-        assert elapsed < 600
+        assert elapsed < 60
         # y generates the quadratic resolvent field: disc in -23 * (Q*)^2
         assert cert.state.y_minpoly.degree == 2
         d = discriminant(cert.state.y_minpoly)
@@ -115,7 +116,7 @@ class TestC3Realization:
 class TestS3Realization:
     def test_degree_18_field_with_s3(self):
         cert, elapsed, _, _ = timed_run("S3", count=1)
-        assert elapsed < 600
+        assert elapsed < 60
         assert len(cert.accepted) == 1
         rec = cert.accepted[0]
         assert rec.q0.degree == 18
@@ -178,7 +179,7 @@ class TestFactorizationOracles:
             for p in parts:
                 prod = prod * p
             fac = factor_over_Q(prod)
-            assert fac.expand() == prod
+            assert expand(fac) == prod
             got = []
             for g, m in fac.factors:
                 got.extend([g.coeffs] * m)

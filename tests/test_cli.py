@@ -108,6 +108,16 @@ class TestValidateCommand:
         out = capsys.readouterr().out
         assert "certificate INVALID" in out and "[FAIL]" in out
 
+    def test_empty_table(self, cert_path, tmp_path, capsys):
+        data = json.loads(cert_path.read_text())
+        spec = next(s for s in data["specializations"] if s["status"] == "accepted")
+        spec["automorphisms"]["table"] = []
+        bad = tmp_path / "empty_table.json"
+        bad.write_text(json.dumps(data))
+        assert main(["validate", str(bad)]) == EXIT_PARSE
+        out = capsys.readouterr().out
+        assert f"[FAIL] specialization t0={spec['t0']} table is a group" in out
+
     def test_forged_q(self, cert_path, tmp_path, capsys):
         data = json.loads(cert_path.read_text())
         # q = X^3 + TX + T; make its T coefficient 2, so q(t0, X) no longer

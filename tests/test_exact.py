@@ -17,14 +17,13 @@ from autrealize.exact import (
     parse_unipoly,
     poly_divrem,
     poly_gcd,
-    poly_gcdex,
     render_bipoly,
     render_rational,
     render_unipoly,
     resultant,
-    sylvester_resultant,
 )
 from autrealize.numfield import NumberField
+from reference import poly_gcdex, sylvester_resultant
 
 X = UniPoly.gen("X")
 ONE = UniPoly.one("X")

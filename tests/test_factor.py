@@ -13,6 +13,7 @@ from autrealize.factor import (
     is_irreducible_Q,
     squarefree_part,
 )
+from reference import expand
 
 X = UniPoly.gen("X")
 ONE = UniPoly.one("X")
@@ -55,7 +56,7 @@ class TestFactorOverQ:
         f = C(6) * (X - 1) ** 3 * (X**2 + 1) ** 2
         fac = factor_over_Q(f)
         assert fac.unit == F(6)
-        assert fac.expand() == f
+        assert expand(fac) == f
 
     def test_round_trips(self):
         rng = random.Random(11)
@@ -66,7 +67,7 @@ class TestFactorOverQ:
             for p in parts:
                 prod = prod * p
             fac = factor_over_Q(prod)
-            assert fac.expand() == prod
+            assert expand(fac) == prod
             expected = sorted(p.coeffs for p in parts)
             got = []
             for g, m in fac.factors:

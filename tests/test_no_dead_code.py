@@ -16,9 +16,6 @@ PACKAGE = Path(__file__).resolve().parent.parent / "src" / "autrealize"
 
 #: qualified name -> why it stays although no package code uses it
 ALLOWED = {
-    "sylvester_resultant": "reference resultant the fast resultant is tested against",
-    "aut_group_via_quotient": "group side of the Aut(E) = N(H)/H cross-check in the tests",
-    "Factorization.expand": "tests multiply factorizations back to their input",
     "PermGroup.symmetric": "public constructor; the tests build S_n with it",
     "PermGroup.alternating": "public constructor; the tests build A_n with it",
     "PermGroup.cyclic": "public constructor; the tests build C_n with it",

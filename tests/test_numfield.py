@@ -1,10 +1,11 @@
 import random
 from fractions import Fraction as F
+from math import gcd
 
 import pytest
 
-from autrealize.errors import CapExceededError
-from autrealize.exact import UniPoly
+from autrealize.errors import CapExceededError, VerificationError
+from autrealize.exact import UniPoly, poly_divrem
 from autrealize.numfield import (
     NumberField,
     automorphisms,
@@ -16,7 +17,8 @@ from autrealize.numfield import (
     roots_in_field,
     splitting_field,
 )
-from autrealize.perm import PermGroup, are_isomorphic, aut_group_via_quotient, parse_cycles
+from autrealize.perm import PermGroup, are_isomorphic, parse_cycles
+from reference import aut_group_via_quotient, euclid_inverse
 
 X = UniPoly.gen("X")
 
@@ -77,6 +79,91 @@ class TestArithmetic:
     def test_reducible_modulus_rejected(self):
         with pytest.raises(ValueError):
             NumberField(Zpoly(-1, 0, 1))  # (Z-1)(Z+1)
+
+
+class TestIntegerKernel:
+    """Elements are integer vectors over one denominator; every operation
+    must agree with Fraction arithmetic on the coordinates."""
+
+    MODULI = {
+        "sqrt2": (-2, 0, 1),
+        "golden": (-1, -1, 1),
+        "rational_coefficients": (F(-1, 3), F(-1, 2), 0, 1),  # Z^3 - Z/2 - 1/3
+    }
+
+    @pytest.fixture(params=list(MODULI))
+    def field(self, request):
+        return NumberField(Zpoly(*self.MODULI[request.param]))
+
+    @staticmethod
+    def sample(K, seed, count=40):
+        rng = random.Random(seed)
+        out = []
+        for _ in range(count):
+            coords = [
+                F(rng.randrange(-30, 31), rng.randrange(1, 13))
+                if rng.random() < 0.8
+                else 0
+                for _ in range(K.degree)
+            ]
+            out.append(K.element(coords))
+        return out
+
+    def test_products_match_schoolbook(self, field):
+        elems = self.sample(field, 61)
+        for a, b in zip(elems, elems[1:]):
+            reduced = poly_divrem(a.to_poly() * b.to_poly(), field.modulus)[1]
+            assert (a * b).to_poly() == reduced
+            assert (a + b).to_poly() == a.to_poly() + b.to_poly()
+            assert (a * F(-7, 4)).to_poly() == a.to_poly() * F(-7, 4)
+
+    def test_inverses_match_euclid(self, field):
+        for a in self.sample(field, 62):
+            if a:
+                inv = a.inverse()
+                assert inv == euclid_inverse(a)
+                assert a * inv == field.one()
+
+    def test_lowest_terms(self, field):
+        elems = self.sample(field, 63)
+        derived = [a * b for a, b in zip(elems, elems[1:])]
+        derived += [a - a for a in elems[:3]] + [a.inverse() for a in elems if a]
+        for e in elems + derived:
+            assert e.den > 0
+            assert gcd(e.den, *e.num) == 1
+            assert len(e.num) == field.degree
+            if not e:
+                assert e.den == 1
+
+    def test_eq_and_hash_follow_coords(self, field):
+        elems = self.sample(field, 64, count=12)
+        # the same values reached by other routes
+        again = [field.element(a.coords) for a in elems]
+        again += [(a + b) - b for a, b in zip(elems, elems[1:])]
+        for x in elems + again:
+            for y in elems:
+                assert (x == y) == (x.coords == y.coords)
+                if x == y:
+                    assert hash(x) == hash(y)
+
+    def test_sort_key_is_fraction_order(self, field):
+        elems = self.sample(field, 65)
+        by_key = sorted(elems, key=lambda e: e.sort_key())
+        by_fractions = sorted(elems, key=lambda e: tuple(F(c, e.den) for c in e.num))
+        assert [e.coords for e in by_key] == [e.coords for e in by_fractions]
+
+    def test_zero_has_no_inverse(self, field):
+        with pytest.raises(ZeroDivisionError):
+            field.zero().inverse()
+        with pytest.raises(ZeroDivisionError):
+            (field.gen() - field.gen()).inverse()
+
+    def test_zero_divisor_of_reducible_modulus(self):
+        K = NumberField(Zpoly(-1, 0, 1), trusted=True)  # (Z - 1)(Z + 1)
+        with pytest.raises(VerificationError, match="not irreducible"):
+            (K.gen() - 1).inverse()
+        # a unit of the same ring still inverts
+        assert K.gen().inverse() == K.gen()
 
 
 class TestMinpoly:

