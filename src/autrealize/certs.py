@@ -15,6 +15,7 @@ import json
 
 from .errors import SpecParseError
 from .exact import (
+    _is_prime,
     parse_bipoly,
     parse_rational,
     parse_unipoly,
@@ -22,12 +23,12 @@ from .exact import (
     render_rational,
     render_unipoly,
 )
-from .factor import EDF_SEED, is_irreducible_Q
+from .factor import EDF_SEED, frobenius_pattern, is_irreducible_Q
 from .numfield import NumberField, composition_table
 from .perm import AbstractGroup, PermGroup, parse_cycles
 
 FORMAT_NAME = "autrealize-certificate"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 
 def _render_coords(e):
@@ -68,14 +69,6 @@ def certificate_to_json(cert) -> dict:
                     "reason": reason,
                 }
             )
-    distinctness = []
-    for i, j, mode, detail in cert.distinctness:
-        entry = {"pair": [i, j], "mode": mode}
-        if mode == "guaranteed":
-            entry["cite"] = detail
-        else:
-            entry["detail"] = detail
-        distinctness.append(entry)
     return {
         "format": FORMAT_NAME,
         "version": FORMAT_VERSION,
@@ -103,7 +96,9 @@ def certificate_to_json(cert) -> dict:
             },
         },
         "specializations": specs,
-        "distinctness": distinctness,
+        "distinctness": [
+            {"pair": [i, j], "prime": p} for i, j, p in cert.distinctness
+        ],
         "metadata": {
             "audit": audit,
             "edf_seed": hex(EDF_SEED),
@@ -167,14 +162,28 @@ def _pair(entry):
     return None
 
 
+#: The fixed Miller-Rabin bases of ``_is_prime`` prove primality below this.
+_PRIME_PROOF_BOUND = 2**64
+
+
+def _separates(p, f, g):
+    """True iff p is a prime, 5 <= p < _PRIME_PROOF_BOUND, at which the
+    Frobenius patterns of f and g both exist and differ."""
+    if not (isinstance(p, int) and 5 <= p < _PRIME_PROOF_BOUND and _is_prime(p)):
+        return False
+    a, b = frobenius_pattern(f, p), frobenius_pattern(g, p)
+    return a is not None and b is not None and a != b
+
+
 def validate_certificate(path, deep=False) -> ValidationReport:
     """Re-check a certificate file.
 
     Shallow checks: schema, group closure, each defining polynomial is
     the certificate's q specialized at its t0 and is irreducible,
     automorphism images are roots, table recomputes from the images and
-    is a group law, witness is an isomorphism onto G, distinctness
-    entries cover all accepted pairs.  With ``deep``, the whole pipeline
+    is a group law, witness is an isomorphism onto G, and each pair of
+    accepted fields has exactly one distinctness entry whose prime
+    separates their Frobenius patterns.  With ``deep``, the whole pipeline
     is re-run and compared.
     """
     report = ValidationReport()
@@ -261,11 +270,11 @@ def validate_certificate(path, deep=False) -> ValidationReport:
                         ):
                             wit_ok = False
             report.add(f"{label} witness is an isomorphism", wit_ok)
-            accepted.append(spec)
+            accepted.append(q0)
         except _MALFORMED as exc:
             report.add(f"{label} well-formed", False, str(exc))
 
-    pairs = {_pair(d) for d in data["distinctness"]}
+    pairs = [_pair(d) for d in data["distinctness"]]
     want = {
         (i, j)
         for i in range(len(accepted))
@@ -273,16 +282,18 @@ def validate_certificate(path, deep=False) -> ValidationReport:
     }
     report.add(
         "distinctness covers all pairs",
-        pairs == want,
+        len(pairs) == len(want) and set(pairs) == want,
         f"{len(pairs)} entries for {len(accepted)} accepted fields",
     )
-    modes_ok = all(
-        isinstance(d, dict)
-        and d.get("mode") in ("exact", "guaranteed")
-        and ("cite" in d if d["mode"] == "guaranteed" else "detail" in d)
-        for d in data["distinctness"]
-    )
-    report.add("distinctness modes labeled", modes_ok)
+    for d, pair in zip(data["distinctness"], pairs):
+        if pair in want:
+            p = d.get("prime")
+            i, j = pair
+            report.add(
+                f"distinctness {list(pair)} separated",
+                _separates(p, accepted[i], accepted[j]),
+                f"p = {p!r}",
+            )
 
     if deep:
         _deep_validate(data, G, report)

@@ -25,38 +25,27 @@ EXIT_PARSE = 2
 EXIT_BUDGET = 3
 EXIT_CAP = 4
 
-NAMED_GROUPS = ("S", "C", "A", "V4")
-
 
 def expand_named(name: str):
-    """Canonical (n, generator strings) for S_k, C_k, A_k, V4."""
+    """(group, canonical generator strings) for S_k, C_k, A_k, V4."""
     name = name.strip()
     if name.upper() == "V4":
-        return 4, ["(1 2)(3 4)", "(1 3)(2 4)"]
-    if len(name) >= 2 and name[0].upper() in ("S", "C", "A"):
-        try:
-            k = int(name[1:])
-        except ValueError:
-            raise SpecParseError(f"unknown named group {name!r}") from None
-        if k < 1:
-            raise SpecParseError(f"named group index must be >= 1: {name!r}")
-        kind = name[0].upper()
-        if kind == "C":
-            if k == 1:
-                return 1, ["()"]
-            return k, ["(" + " ".join(str(i) for i in range(1, k + 1)) + ")"]
-        if kind == "S":
-            if k == 1:
-                return 1, ["()"]
-            gens = ["(1 2)"]
-            if k >= 3:
-                gens.append("(" + " ".join(str(i) for i in range(1, k + 1)) + ")")
-            return k, gens
-        if kind == "A":
-            if k <= 2:
-                return max(k, 1), ["()"]
-            return k, [f"({i} {i + 1} {i + 2})" for i in range(1, k - 1)]
-    raise SpecParseError(f"unknown named group {name!r}")
+        return parse_group_spec(4, "(1 2)(3 4);(1 3)(2 4)")
+    build = {
+        "S": PermGroup.symmetric,
+        "C": PermGroup.cyclic,
+        "A": PermGroup.alternating,
+    }.get(name[:1].upper())
+    if build is None:
+        raise SpecParseError(f"unknown named group {name!r}")
+    try:
+        k = int(name[1:])
+    except ValueError:
+        raise SpecParseError(f"unknown named group {name!r}") from None
+    if k < 1:
+        raise SpecParseError(f"named group index must be >= 1: {name!r}")
+    G = build(k)
+    return G, [render_cycles(g) for g in G.generators] or ["()"]
 
 
 def parse_group_spec(n, gens_text):
@@ -84,7 +73,7 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_realize = sub.add_parser("realize", help="compute verified realizations")
-    p_realize.add_argument("--n", type=int, default=None, help="degree of S_n")
+    p_realize.add_argument("--n", type=int, default=None, help="degree of S_n (n <= 3)")
     p_realize.add_argument(
         "--named", default=None, help="named group: S_k, C_k, A_k, V4"
     )
@@ -95,7 +84,6 @@ def build_parser():
     )
     p_realize.add_argument("--count", type=int, default=2)
     p_realize.add_argument("--t-max", type=int, default=200)
-    p_realize.add_argument("--distinct", choices=("exact", "auto"), default="auto")
     p_realize.add_argument("--out", default=None, help="certificate path")
 
     p_validate = sub.add_parser("validate", help="re-check a certificate")
@@ -108,24 +96,20 @@ def build_parser():
 
 def _cmd_realize(args):
     if args.named is not None:
-        n, gen_strings = expand_named(args.named)
-        if args.n is not None and args.n != n:
+        G, gen_strings = expand_named(args.named)
+        if args.n is not None and args.n != G.degree:
             raise SpecParseError(
-                f"--n {args.n} conflicts with --named {args.named} (n = {n})"
+                f"--n {args.n} conflicts with --named {args.named} (n = {G.degree})"
             )
-        gens = [parse_cycles(s, n) for s in gen_strings]
-        G = PermGroup(gens, degree=n)
         name = args.named
     else:
         G, gen_strings = parse_group_spec(args.n, args.gens)
-        n = args.n
         name = None
     cert = pipeline_run(
         G,
-        n,
+        G.degree,
         count=args.count,
         t_max=args.t_max,
-        distinct=args.distinct,
         group_generators=gen_strings,
         group_name=name,
     )

@@ -247,6 +247,24 @@ def _gedf(f, k, p, rng):
             return _gedf(g, k, p, rng) + _gedf(_gdivrem(f, g, p)[0], k, p, rng)
 
 
+def frobenius_pattern(f: UniPoly, p):
+    """Sorted degrees of the irreducible factors of F mod p, with F the
+    primitive integer multiple of the rational polynomial f, or None when
+    p divides lc(F) or F is not squarefree mod p.
+
+    For irreducible f and a prime p where the pattern exists, these are
+    the residue degrees of the primes above p in Q[X]/(F) (Dedekind-Kummer),
+    so two fields whose patterns differ at one p are not isomorphic.
+    """
+    _, F = _iprimitive(_int_clear(f)[0])
+    if F[-1] % p == 0:
+        return None
+    fp = _gmonic([c % p for c in F], p)
+    if not _gsqf_p(fp, p):
+        return None
+    return tuple(sorted(k for g, k in _gddf(fp, p) for _ in range(_ideg(g) // k)))
+
+
 def _gfactor_sqf(f, p, seed=EDF_SEED):
     """Factor monic squarefree f mod p into monic irreducibles."""
     rng = random.Random(seed)

@@ -399,9 +399,9 @@ def _sqf_norm(f: UniPoly, K: NumberField):
     """Find shift s with N(X) = Norm(f(X - s*theta)) squarefree.
 
     Returns (s, shifted f over K, N over Q).  f must be monic squarefree
-    over K, and [K:Q] >= 2.  s = 0 is tried first only when some
-    coefficient of f is irrational: for rational f the norm at s = 0 is
-    f^[K:Q], never squarefree.
+    over K.  s = 0 is tried first only when some coefficient of f is
+    irrational: for rational f the norm at s = 0 is f^[K:Q], never
+    squarefree when [K:Q] >= 2.
     """
     shifts = shift_sequence()
     if not all(c.is_rational for c in f.coeffs):
@@ -419,18 +419,6 @@ def factor_over_nf(f: UniPoly, K: NumberField) -> Factorization:
         raise ValueError("cannot factor the zero polynomial")
     if f.field is None:
         f = f.map_coeffs(K.from_rational, field=K)
-    if K.degree == 1:
-        # the field is Q in disguise; delegate
-        root = K.gen().coords[0]
-        fq = f.map_coeffs(lambda c: c.to_poly().eval(root))
-        fac = factor_over_Q(fq)
-        return Factorization(
-            fac.unit,
-            tuple(
-                (g.map_coeffs(K.from_rational, field=K, var=f.var), m)
-                for g, m in fac.factors
-            ),
-        )
     unit = f.lc()
     if f.degree == 0:
         return Factorization(unit, ())
@@ -475,16 +463,6 @@ def roots_in_field(f: UniPoly, K: NumberField):
     if f.degree < 1:
         return []
     d = K.degree
-    if d == 1:
-        root0 = K.gen().coords[0]
-        fq = f.map_coeffs(lambda c: c.to_poly().eval(root0))
-        fq = squarefree_part(fq)
-        out = [
-            K.from_rational(-g.coeffs[0])
-            for g, _ in factor_over_Q(fq).factors
-            if g.degree == 1
-        ]
-        return sorted(out, key=NfElement.sort_key)
     part = squarefree_part(f)
     if part.degree == 1:
         return [-part.coeffs[0]]
@@ -571,11 +549,6 @@ def extend_field(K: NumberField, h: UniPoly):
         h = h.monic()
     if h.degree == 1:
         return K, K.gen(), -h.coeffs[0]
-    if K.degree == 1:
-        root0 = K.gen().coords[0]
-        hq = h.map_coeffs(lambda c: c.to_poly().eval(root0))
-        K2 = NumberField(hq.with_var("Z"), trusted=True)
-        return K2, K2.from_rational(root0), K2.gen()
     # z = beta + c*theta; minimal polynomial = Norm(h(X - c*theta)),
     # irreducible whenever squarefree (norm of an irreducible is a power
     # of an irreducible)
@@ -598,8 +571,6 @@ def embed_generator(K, h, K2, c):
     H(W) = sum_i coords(h_i)(W) * (z - c*W)^i: the gcd of the two is
     linear.
     """
-    if K.degree == 1:
-        return K2.from_rational(K.gen().coords[0])
     gK2 = K.modulus.with_var("W").to_field(K2)
     acc = UniPoly.zero("W", K2)
     lin = UniPoly([K2.gen(), K2.from_rational(-c)], "W", K2)  # z - c*W

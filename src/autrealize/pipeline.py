@@ -12,8 +12,11 @@ Given G as a subgroup of S_n, the pipeline:
    has a multiple root, decided per t0 by ``family.bad_set``), and
    verifies, exactly, that the field Q[X]/(q(t0, X)) has automorphism
    group isomorphic to G, with an explicit isomorphism witness,
-5. repeats until the requested number of pairwise-distinct verified
-   fields is collected, and assembles a certificate.
+5. repeats until the requested number of verified fields is collected,
+   keeping a field only if, against each field kept before it, some prime
+   p >= 5 has different Frobenius patterns in the two (which proves them
+   non-isomorphic), and assembles a certificate recording one such prime
+   per pair.
 
 Verification at each t0 walks the tower instead of factoring q(t0, X)
 over the big field: automorphisms are enumerated as pairs (sigma, root)
@@ -34,8 +37,8 @@ from .errors import (
     SpecParseError,
     VerificationError,
 )
-from .exact import BiPoly, UniPoly, interpolate
-from .factor import _record, factor_over_Q
+from .exact import BiPoly, UniPoly, _is_prime, interpolate
+from .factor import _record, factor_over_Q, frobenius_pattern
 from .family import FamilyMember, S3Certificate, bad_set, build_member, certify_s3
 from .numfield import (
     AutomorphismTable,
@@ -53,7 +56,7 @@ from .perm import AbstractGroup, PermGroup, are_isomorphic
 
 logger = logging.getLogger(__name__)
 
-SN_CAP = 4
+SN_CAP = 3
 
 
 def realize_sn(n: int) -> SplittingField:
@@ -65,7 +68,9 @@ def realize_sn(n: int) -> SplittingField:
     if n < 1:
         raise SpecParseError(f"n must be >= 1, got {n}")
     if n > SN_CAP:
-        raise CapExceededError(f"n = {n} exceeds the supported cap {SN_CAP}")
+        raise CapExceededError(
+            f"n = {n} is not supported yet: the S_n route stops at n = {SN_CAP}"
+        )
     fact = 1
     for k in range(2, n + 1):
         fact *= k
@@ -259,17 +264,27 @@ def specialize_and_verify(state: PipelineState, t0) -> SpecializationRecord:
 # -- field distinctness -----------------------------------------------------
 
 
-def fields_distinct_exact(a: SpecializationRecord, b: SpecializationRecord) -> bool:
-    """Exact distinctness: neither defining polynomial has a root in the
-    other field.  Both directions checked."""
-    if roots_in_field(b.q0, a.field):
-        return False
-    if roots_in_field(a.q0, b.field):
-        return False
-    return True
+#: Primes usable for both fields that are tried before a pair is given up
+#: as inseparable (arithmetically equivalent fields share every pattern).
+DISTINCTNESS_PRIMES = 100
 
 
-EXACT_DISTINCTNESS_DEGREE = 6
+def fields_distinct_exact(a: SpecializationRecord, b: SpecializationRecord):
+    """A prime p >= 5 at which the Frobenius patterns of a.q0 and b.q0
+    exist and differ, proving the two fields non-isomorphic; None once
+    DISTINCTNESS_PRIMES primes usable for both have failed."""
+    usable, p = 0, 3
+    while usable < DISTINCTNESS_PRIMES:
+        p += 2
+        if not _is_prime(p):
+            continue
+        pa, pb = frobenius_pattern(a.q0, p), frobenius_pattern(b.q0, p)
+        if pa is None or pb is None:
+            continue
+        if pa != pb:
+            return p
+        usable += 1
+    return None
 
 
 @dataclass
@@ -281,7 +296,7 @@ class RealizationCertificate:
     state: PipelineState
     accepted: tuple  # of SpecializationRecord
     transcript: tuple  # of (t0, status, reason)
-    distinctness: tuple  # of (i, j, mode, detail)
+    distinctness: tuple  # of (i, j, separating prime)
     audit: tuple  # of (event, value)
 
 
@@ -303,36 +318,35 @@ def run(
     n: int,
     count: int = 2,
     t_max: int = 200,
-    distinct: str = "auto",
     group_generators=(),
     group_name=None,
 ) -> RealizationCertificate:
     if count < 1:
         raise SpecParseError(f"count must be >= 1, got {count}")
-    if distinct not in ("exact", "auto"):
-        raise SpecParseError(f"unknown distinctness mode {distinct!r}")
     from .factor import audit_trail
 
     with audit_trail() as audit:
         state = build_state(G, n)
-        use_exact = distinct == "exact" or (
-            distinct == "auto" and state.q.deg_X <= EXACT_DISTINCTNESS_DEGREE
-        )
         accepted = []
         transcript = []
+        distinctness = []
         for t0 in t0_sequence(t_max):
             rec = specialize_and_verify(state, t0)
-            if rec.status == "accepted" and use_exact:
-                clash = next(
-                    (p for p in accepted if not fields_distinct_exact(p, rec)),
-                    None,
-                )
-                if clash is not None:
-                    rec = SpecializationRecord(
-                        t0,
-                        "rejected",
-                        f"field coincides with the one accepted at t0 = {clash.t0}",
-                    )
+            if rec.status == "accepted":
+                primes = []
+                for prev in accepted:
+                    p = fields_distinct_exact(prev, rec)
+                    if p is None:
+                        rec = SpecializationRecord(
+                            t0,
+                            "rejected",
+                            f"no prime separates it from the field at t0 = {prev.t0}",
+                        )
+                        break
+                    primes.append(p)
+                else:
+                    j = len(accepted)
+                    distinctness += [(i, j, p) for i, p in enumerate(primes)]
             transcript.append((rec.t0, rec.status, rec.reason))
             if rec.status == "accepted":
                 accepted.append(rec)
@@ -344,18 +358,6 @@ def run(
                 f"height {t_max}",
                 transcript=transcript,
             )
-        distinctness = []
-        for i in range(len(accepted)):
-            for j in range(i + 1, len(accepted)):
-                if use_exact:
-                    # already verified pairwise during collection
-                    distinctness.append(
-                        (i, j, "exact", "no shared root of defining polynomials")
-                    )
-                else:
-                    distinctness.append(
-                        (i, j, "guaranteed", "condition (eq)")
-                    )
     return RealizationCertificate(
         group_n=n,
         group_generators=tuple(group_generators),
@@ -364,6 +366,6 @@ def run(
         state=state,
         accepted=tuple(accepted),
         transcript=tuple(transcript),
-        distinctness=tuple(distinctness),
+        distinctness=tuple(sorted(distinctness)),
         audit=tuple(audit),
     )

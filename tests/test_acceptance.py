@@ -27,7 +27,7 @@ from autrealize.numfield import (
     splitting_field,
 )
 from autrealize.perm import PermGroup, are_isomorphic, parse_cycles
-from autrealize.pipeline import run as pipeline_run
+from autrealize.pipeline import fields_distinct_exact, run as pipeline_run
 from reference import aut_group_via_quotient, expand
 
 X = UniPoly.gen("X")
@@ -35,25 +35,29 @@ X = UniPoly.gen("X")
 _runs = {}
 
 
-def timed_run(key, *, count, t_max=200, distinct="auto"):
+def timed_run(key, *, count, t_max=200):
     """First pipeline run for a named group, cached with its timing."""
     if key not in _runs:
-        n, gen_strings = expand_named(key)
-        G = PermGroup([parse_cycles(s, n) for s in gen_strings], degree=n)
+        G, gen_strings = expand_named(key)
         start = time.monotonic()
         cert = pipeline_run(
             G,
-            n,
+            G.degree,
             count=count,
             t_max=t_max,
-            distinct=distinct,
             group_generators=gen_strings,
             group_name=key,
         )
         elapsed = time.monotonic() - start
         text = dumps_canonical(certificate_to_json(cert))
-        _runs[key] = (cert, elapsed, text, dict(count=count, t_max=t_max, distinct=distinct))
+        _runs[key] = (cert, elapsed, text, dict(count=count, t_max=t_max))
     return _runs[key]
+
+
+def assert_separated(cert):
+    """Each distinctness prime is the first one separating its pair."""
+    for i, j, p in cert.distinctness:
+        assert p == fields_distinct_exact(cert.accepted[i], cert.accepted[j])
 
 
 def is_rational_square(r):
@@ -68,7 +72,7 @@ def is_rational_square(r):
 
 class TestTrivialGroupRealization:
     def test_three_cubic_fields(self):
-        cert, elapsed, _, _ = timed_run("C1", count=3, t_max=10, distinct="exact")
+        cert, elapsed, _, _ = timed_run("C1", count=3, t_max=10)
         assert elapsed < 10
         assert len(cert.accepted) == 3
         # t0 = 0 is in the bad set {0, -27/4}; the first good integers follow
@@ -78,8 +82,8 @@ class TestTrivialGroupRealization:
             t0 = rec.t0
             assert rec.q0 == X**3 + X * t0 + UniPoly.constant(t0, "X")
             assert rec.aut.order == 1
-        assert len(cert.distinctness) == 3
-        assert all(mode == "exact" for _, _, mode, _ in cert.distinctness)
+        assert [(i, j) for i, j, _ in cert.distinctness] == [(0, 1), (0, 2), (1, 2)]
+        assert_separated(cert)
 
 
 class TestC2Realization:
@@ -93,7 +97,8 @@ class TestC2Realization:
             assert rec.aut.order == 2
             ok, witness = are_isomorphic(rec.aut.group, c2)
             assert ok and rec.witness is not None
-        assert all(mode == "exact" for _, _, mode, _ in cert.distinctness)
+        assert [(i, j) for i, j, _ in cert.distinctness] == [(0, 1)]
+        assert_separated(cert)
 
 
 class TestC3Realization:
@@ -208,14 +213,14 @@ class TestFactorizationOracles:
 #: sha256 of each cached certificate text, with the run parameters; a
 #: change of the certificate format updates these on purpose.
 PINNED = {
-    "C1": (dict(count=3, t_max=10, distinct="exact"),
-           "f8215252dd8d1b23f082a07d67ff3c20fc466bc12cb51c8889a82dd88c02dcfa"),
-    "C2": (dict(count=2, t_max=200, distinct="auto"),
-           "931ed61fce6fb94d814a88bdede2ff3144f0e1c6ee77e453ad519d132f69ee44"),
-    "S3": (dict(count=1, t_max=200, distinct="auto"),
-           "bc7cf8d04092d32f566d1c4605f8c325bd4d66f4c947194691c9bf1e815c5b3c"),
-    "C3": (dict(count=1, t_max=200, distinct="auto"),
-           "dfe23b24d6f30a3a905a6b78a60b11387f621792ca2183334e291527ec4cf2b9"),
+    "C1": (dict(count=3, t_max=10),
+           "b62422d2a525af9cf321cba815baebf53b9c2646acd4dc2a5a6713913783941e"),
+    "C2": (dict(count=2, t_max=200),
+           "cb6afe918dc42a26e95c6bff28f78d4fe8b5ab5fa5d0829be19a8a3351fe9f1a"),
+    "S3": (dict(count=1, t_max=200),
+           "4502e5a76535915b77db8e95c286e7b9fe62042034b45130f1b27727c9ac1a13"),
+    "C3": (dict(count=1, t_max=200),
+           "488bb771f20e0c41ca02f2bf4e82d42c680b8ab6d0e67695be93bc182878afc3"),
 }
 
 
@@ -232,14 +237,12 @@ class TestDeterminism:
     def test_reruns_byte_identical(self):
         for key in ("C1", "C2", "C3", "S3"):
             cert1, _, text1, kw = timed_run(key, count=1)  # cached params win
-            n, gen_strings = expand_named(key)
-            G = PermGroup([parse_cycles(s, n) for s in gen_strings], degree=n)
+            G, gen_strings = expand_named(key)
             cert2 = pipeline_run(
                 G,
-                n,
+                G.degree,
                 count=kw["count"],
                 t_max=kw["t_max"],
-                distinct=kw["distinct"],
                 group_generators=gen_strings,
                 group_name=key,
             )

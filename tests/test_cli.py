@@ -12,24 +12,33 @@ from autrealize.cli import (
     parse_group_spec,
 )
 from autrealize.errors import SpecParseError
+from autrealize.perm import PermGroup, parse_cycles
+
+
+def named(name):
+    """(degree, generator strings) of a named group; the strings must
+    generate it."""
+    G, gens = expand_named(name)
+    assert PermGroup([parse_cycles(g, G.degree) for g in gens], degree=G.degree) == G
+    return G.degree, gens
 
 
 class TestExpandNamed:
     def test_symmetric(self):
-        assert expand_named("S3") == (3, ["(1 2)", "(1 2 3)"])
-        assert expand_named("S2") == (2, ["(1 2)"])
-        assert expand_named("S1") == (1, ["()"])
+        assert named("S3") == (3, ["(1 2)", "(1 2 3)"])
+        assert named("S2") == (2, ["(1 2)"])
+        assert named("S1") == (1, ["()"])
 
     def test_cyclic(self):
-        assert expand_named("C4") == (4, ["(1 2 3 4)"])
-        assert expand_named("C1") == (1, ["()"])
+        assert named("C4") == (4, ["(1 2 3 4)"])
+        assert named("C1") == (1, ["()"])
 
     def test_alternating(self):
-        assert expand_named("A4") == (4, ["(1 2 3)", "(2 3 4)"])
-        assert expand_named("A3") == (3, ["(1 2 3)"])
+        assert named("A4") == (4, ["(1 2 3)", "(2 3 4)"])
+        assert named("A3") == (3, ["(1 2 3)"])
 
     def test_v4(self):
-        assert expand_named("V4") == (4, ["(1 2)(3 4)", "(1 3)(2 4)"])
+        assert named("V4") == (4, ["(1 2)(3 4)", "(1 3)(2 4)"])
 
     def test_unknown(self):
         for bad in ("D4", "S", "Sx", "S0"):
@@ -73,6 +82,10 @@ class TestRealizeCommand:
     def test_cap(self, capsys):
         assert main(["realize", "--named", "S5"]) == EXIT_CAP
 
+    def test_n4_refused_up_front(self, capsys):
+        assert main(["realize", "--named", "V4"]) == EXIT_CAP
+        assert "n = 4 is not supported yet" in capsys.readouterr().err
+
     def test_budget(self, capsys):
         code = main(["realize", "--n", "1", "--gens", "()", "--count", "50",
                      "--t-max", "2"])
@@ -95,6 +108,7 @@ class TestValidateCommand:
         out = capsys.readouterr().out
         assert "certificate valid" in out
         assert "[FAIL]" not in out
+        assert "[PASS] distinctness [0, 1] separated: p = 5" in out
 
     def test_tampered_table(self, cert_path, tmp_path, capsys):
         data = json.loads(cert_path.read_text())
@@ -180,7 +194,52 @@ class TestValidateCommand:
         assert self.MALFORMED_SPECS[field] in out
         assert "certificate INVALID" in out
 
-    @pytest.mark.parametrize("key", ["mode", "pair", "not_an_object"])
+    # forged primes for the fields at t0 = 1 and -1, X^3 + X + 1 and
+    # X^3 - X - 1, whose Frobenius patterns differ at p = 5
+    FORGED_PRIMES = {
+        "patterns_agree": 11,  # both are a linear times a quadratic mod 11
+        "composite": 35,
+        "at_least_2_64": 2**64 + 51,  # prime, and the patterns differ there
+        "first_not_squarefree": 31,  # divides disc(X^3 + X + 1) = -31
+        "second_not_squarefree": 23,  # divides disc(X^3 - X - 1) = -23
+        "below_5": 3,
+        "not_an_int": "5",
+    }
+
+    @pytest.mark.parametrize("forgery", list(FORGED_PRIMES))
+    def test_forged_distinctness_prime(self, cert_path, tmp_path, capsys, forgery):
+        data = json.loads(cert_path.read_text())
+        assert data["distinctness"] == [{"pair": [0, 1], "prime": 5}]
+        data["distinctness"][0]["prime"] = self.FORGED_PRIMES[forgery]
+        bad = tmp_path / "forged_prime.json"
+        bad.write_text(json.dumps(data))
+        assert main(["validate", str(bad)]) == EXIT_PARSE
+        assert "[FAIL] distinctness [0, 1] separated" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("forgery", ["missing", "duplicate", "reversed"])
+    def test_forged_distinctness_pairs(self, cert_path, tmp_path, capsys, forgery):
+        data = json.loads(cert_path.read_text())
+        entries = data["distinctness"]
+        if forgery == "missing":
+            entries.clear()
+        elif forgery == "duplicate":
+            entries.append(dict(entries[0]))
+        else:
+            entries[0]["pair"].reverse()
+        bad = tmp_path / "forged_pairs.json"
+        bad.write_text(json.dumps(data))
+        assert main(["validate", str(bad)]) == EXIT_PARSE
+        assert "[FAIL] distinctness covers all pairs" in capsys.readouterr().out
+
+    def test_version_1(self, cert_path, tmp_path, capsys):
+        data = json.loads(cert_path.read_text())
+        data["version"] = 1
+        old = tmp_path / "version_1.json"
+        old.write_text(json.dumps(data))
+        assert main(["validate", str(old)]) == EXIT_PARSE
+        assert "[FAIL] schema" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("key", ["prime", "pair", "not_an_object"])
     def test_distinctness_entry_missing_key(self, cert_path, tmp_path, capsys, key):
         data = json.loads(cert_path.read_text())
         if key == "not_an_object":

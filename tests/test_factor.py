@@ -6,10 +6,12 @@ import pytest
 from autrealize.errors import CapExceededError, VerificationError
 from autrealize.exact import UniPoly, discriminant, poly_gcd
 from autrealize.factor import (
+    _gfactor_sqf,
     _hensel_lift,
     audit_trail,
     factor_over_Q,
     find_rational_factors_of_degree,
+    frobenius_pattern,
     is_irreducible_Q,
     squarefree_part,
 )
@@ -30,6 +32,33 @@ def rand_irreducible(rng, max_deg=4, bound=9):
         f = UniPoly(coeffs, "X")
         if is_irreducible_Q(f):
             return f
+
+
+class TestFrobeniusPattern:
+    def test_gaussian_integers(self):
+        assert frobenius_pattern(X**2 + 1, 5) == (1, 1)
+        assert frobenius_pattern(X**2 + 1, 7) == (2,)
+
+    def test_unusable_primes(self):
+        # F = 5X^3 + X + 1: p = 5 divides its leading coefficient
+        f = X**3 + X * F(1, 5) + C(F(1, 5))
+        assert frobenius_pattern(f, 5) is None
+        assert frobenius_pattern(f, 7) is not None
+        # disc(X^3 + X + 1) = -31: a repeated factor mod 31
+        assert frobenius_pattern(X**3 + X + 1, 31) is None
+
+    def test_matches_complete_factorization_mod_p(self):
+        rng = random.Random(83)
+        for _ in range(30):
+            f = rand_irreducible(rng, max_deg=8)
+            fi = [int(c) for c in f.coeffs]
+            for p in (5, 7, 11, 13, 101):
+                got = frobenius_pattern(f, p)
+                fp = [c % p for c in fi]
+                if not discriminant(f) % p:
+                    assert got is None
+                else:
+                    assert got == tuple(sorted(len(g) - 1 for g in _gfactor_sqf(fp, p)))
 
 
 class TestFactorOverQ:

@@ -15,11 +15,7 @@ from pathlib import Path
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "autrealize"
 
 #: qualified name -> why it stays although no package code uses it
-ALLOWED = {
-    "PermGroup.symmetric": "public constructor; the tests build S_n with it",
-    "PermGroup.alternating": "public constructor; the tests build A_n with it",
-    "PermGroup.cyclic": "public constructor; the tests build C_n with it",
-}
+ALLOWED = {}
 
 
 def _definitions(tree):

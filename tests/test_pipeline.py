@@ -2,6 +2,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from autrealize import pipeline
 from autrealize.errors import BudgetExhaustedError, CapExceededError, SpecParseError
 from autrealize.family import build_member
 from autrealize.pipeline import (
@@ -44,8 +45,9 @@ class TestRealizeSn:
     def test_caps(self):
         with pytest.raises(SpecParseError):
             realize_sn(0)
-        with pytest.raises(CapExceededError):
-            realize_sn(5)
+        for n in (4, 5):
+            with pytest.raises(CapExceededError):
+                realize_sn(n)
 
 
 class TestSubgroupPreimage:
@@ -124,11 +126,12 @@ class TestSpecializeAndVerify:
 
 class TestRun:
     def test_trivial_two_fields(self):
-        cert = run(PermGroup([], degree=1), 1, count=2, t_max=10, distinct="exact")
+        cert = run(PermGroup([], degree=1), 1, count=2, t_max=10)
         assert len(cert.accepted) == 2
         assert cert.accepted[0].t0 != cert.accepted[1].t0
-        assert fields_distinct_exact(*cert.accepted)
-        assert all(mode == "exact" for _, _, mode, _ in cert.distinctness)
+        # X^3 + X + 1 is irreducible mod 5, X^3 - X - 1 has a root there
+        assert cert.distinctness == ((0, 1, 5),)
+        assert fields_distinct_exact(*cert.accepted) == 5
         # the transcript starts at t0 = 0, which is in the bad set
         assert cert.transcript[0][0] == 0 and cert.transcript[0][1] == "rejected"
 
@@ -140,9 +143,19 @@ class TestRun:
     def test_count_validation(self):
         with pytest.raises(SpecParseError):
             run(PermGroup([], degree=1), 1, count=0)
-        for mode in ("bogus", "assumed"):
-            with pytest.raises(SpecParseError):
-                run(PermGroup([], degree=1), 1, distinct=mode)
+
+    def test_field_never_separated_from_itself(self, state_trivial):
+        rec = specialize_and_verify(state_trivial, 1)
+        assert rec.status == "accepted"
+        assert fields_distinct_exact(rec, rec) is None
+
+    def test_no_separating_prime_rejects(self, monkeypatch):
+        monkeypatch.setattr(pipeline, "DISTINCTNESS_PRIMES", 0)
+        with pytest.raises(BudgetExhaustedError) as ei:
+            run(PermGroup([], degree=1), 1, count=2, t_max=1)
+        assert ei.value.transcript[2] == (
+            F(-1), "rejected", "no prime separates it from the field at t0 = 1"
+        )
 
     def test_s2_run(self):
         cert = run(PermGroup.symmetric(2), 2, count=2, t_max=20)
