@@ -10,7 +10,7 @@ from .errors import (
 )
 from .exact import BiPoly, UniPoly
 from .factor import Factorization, factor_over_Q, is_irreducible_Q, squarefree_part
-from .family import build_member, certify_s3, bad_set
+from .family import FAMILY, bad_set, certify_s3, cubic
 from .numfield import (
     NfElement,
     NumberField,

@@ -18,7 +18,7 @@ import sys
 from .certs import dumps_canonical, certificate_to_json, emit_certificate, validate_certificate
 from .errors import BudgetExhaustedError, CapExceededError, SpecParseError
 from .perm import PermGroup, parse_cycles, render_cycles
-from .pipeline import run as pipeline_run
+from .pipeline import check_sn_cap, run as pipeline_run
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -26,11 +26,12 @@ EXIT_BUDGET = 3
 EXIT_CAP = 4
 
 
-def expand_named(name: str):
-    """(group, canonical generator strings) for S_k, C_k, A_k, V4."""
+def _parse_named(name: str):
+    """(constructor, degree) of S_k, C_k, A_k or V4, read from the name
+    alone; the constructor takes the degree."""
     name = name.strip()
     if name.upper() == "V4":
-        return parse_group_spec(4, "(1 2)(3 4);(1 3)(2 4)")
+        return lambda n: parse_group_spec(n, "(1 2)(3 4);(1 3)(2 4)")[0], 4
     build = {
         "S": PermGroup.symmetric,
         "C": PermGroup.cyclic,
@@ -44,6 +45,12 @@ def expand_named(name: str):
         raise SpecParseError(f"unknown named group {name!r}") from None
     if k < 1:
         raise SpecParseError(f"named group index must be >= 1: {name!r}")
+    return build, k
+
+
+def expand_named(name: str):
+    """(group, canonical generator strings) for S_k, C_k, A_k, V4."""
+    build, k = _parse_named(name)
     G = build(k)
     return G, [render_cycles(g) for g in G.generators] or ["()"]
 
@@ -95,14 +102,20 @@ def build_parser():
 
 
 def _cmd_realize(args):
+    # the degree is checked against the cap before the group is built:
+    # closing a large group costs seconds and would be refused anyway
     if args.named is not None:
-        G, gen_strings = expand_named(args.named)
-        if args.n is not None and args.n != G.degree:
+        degree = _parse_named(args.named)[1]
+        if args.n is not None and args.n != degree:
             raise SpecParseError(
-                f"--n {args.n} conflicts with --named {args.named} (n = {G.degree})"
+                f"--n {args.n} conflicts with --named {args.named} (n = {degree})"
             )
+        check_sn_cap(degree)
+        G, gen_strings = expand_named(args.named)
         name = args.named
     else:
+        if args.n is not None:
+            check_sn_cap(args.n)
         G, gen_strings = parse_group_spec(args.n, args.gens)
         name = None
     cert = pipeline_run(

@@ -1,12 +1,13 @@
 """Exact rational and polynomial arithmetic.
 
-Coefficients live in an exact field: the rationals (represented by
-``fractions.Fraction``) or a number field (``autrealize.numfield.NumberField``,
-whose elements implement the same arithmetic protocol).  Polynomials are
-dense.  ``UniPoly`` is univariate with an ascending coefficient list and
-carries the ring arithmetic; ``BiPoly`` is bivariate in (T, X) with a
-coefficient matrix indexed by (power of T, power of X), and is only
-built, compared, specialized at T = t0 and rendered.
+Polynomials are dense.  ``UniPoly`` is univariate with an ascending
+coefficient list and carries the ring arithmetic; its coefficients live
+in an exact field: the rationals (represented by ``fractions.Fraction``)
+or a number field (``autrealize.numfield.NumberField``, whose elements
+implement the same arithmetic protocol).  Resultants, discriminants,
+interpolation and ``BiPoly`` are over Q only.  ``BiPoly`` is bivariate in
+(T, X) with a coefficient matrix indexed by (power of T, power of X), and
+is only built, compared, specialized at rational T = t0 and rendered.
 
 Everything here is immutable and pure; no floating point anywhere.
 """
@@ -450,14 +451,13 @@ def _gcd_q(f: UniPoly, g: UniPoly) -> UniPoly:
 
 # -- resultants -----------------------------------------------------------
 #
-# Convention used throughout (matching the documented contract): for
-# nonzero f, g of degrees m, n,
+# One convention, over Q only: for nonzero f, g of degrees m, n,
 #
-#   resultant(f, g) = lc(g)^m * prod_{g(b)=0} f(b)
-#                   = (-1)^(m*n) * lc(f)^n * prod_{f(a)=0} g(a).
+#   resultant_std(f, g) = lc(f)^n * prod_{f(a)=0} g(a)
+#                       = (-1)^(m*n) * lc(g)^m * prod_{g(b)=0} f(b).
 #
-# In particular resultant(f, g) with g monic equals the product of f over
-# the roots of g, which is how field norms are computed elsewhere.
+# In particular resultant_std(f, g) with f monic equals the product of g
+# over the roots of f, which is how field norms are computed elsewhere.
 
 
 def _int_clear(f: UniPoly):
@@ -554,86 +554,51 @@ def _res_std_q(f: UniPoly, g: UniPoly) -> Fraction:
     return Fraction(r, da**g.degree * db**f.degree)
 
 
-def _res_std_field(f: UniPoly, g: UniPoly):
-    """Standard resultant over an arbitrary exact field, by Euclid."""
-    field = f.field
-    one = _fone(field)
-    acc = one
-    sign = 1
-    a, b = f, g
-    while b.degree > 0:
-        r = poly_divrem(a, b)[1]
-        if r.is_zero:
-            return _fzero(field)
-        if a.degree % 2 == 1 and b.degree % 2 == 1:
-            sign = -sign
-        acc = acc * b.lc() ** (a.degree - r.degree)
-        a, b = b, r
-    if b.is_zero:
-        raise ValueError("resultant of the zero polynomial")
-    acc = acc * b.coeffs[0] ** a.degree
-    return acc * sign if sign == 1 else -acc
-
-
-def resultant_std(f: UniPoly, g: UniPoly):
-    """lc(f)^deg(g) * prod of g over the roots of f (standard convention)."""
+def resultant_std(f: UniPoly, g: UniPoly) -> Fraction:
+    """lc(f)^deg(g) * prod of g over the roots of f, for rational f, g."""
     if f.is_zero or g.is_zero:
         raise ValueError("resultant of the zero polynomial")
     f._check_compat(g)
-    if f.field is None:
-        return _res_std_q(f, g)
-    return _res_std_field(f, g)
+    if f.field is not None:
+        raise ValueError("resultants are defined over Q")
+    return _res_std_q(f, g)
 
 
-def resultant(f: UniPoly, g: UniPoly):
-    """Resultant in the documented convention (see module comment)."""
-    return resultant_std(g, f)
-
-
-def discriminant(f: UniPoly):
-    """disc(f) = (-1)^(d(d-1)/2) * Res(f, f') / lc(f) for univariate f."""
+def discriminant(f: UniPoly) -> Fraction:
+    """disc(f) = (-1)^(d(d-1)/2) * Res(f, f') / lc(f) for rational f."""
     d = f.degree
     if d < 1:
         raise ValueError("discriminant needs degree >= 1")
-    if d == 1:
-        return _fone(f.field)
-    r = resultant(f, f.derivative())
-    lc = f.lc()
-    inv = (1 / lc) if f.field is None else lc.inverse()
-    val = r * inv
+    val = resultant_std(f, f.derivative()) / f.lc()
     return -val if (d * (d - 1) // 2) % 2 == 1 else val
 
 
-def interpolate(points, values, var="X", field=None):
-    """Exact Newton interpolation through (points[i], values[i]).
-
-    Points are rationals; values live in the coefficient field.
-    """
+def interpolate(points, values, var="X"):
+    """Exact Newton interpolation over Q through (points[i], values[i])."""
     n = len(points)
     if n != len(values):
         raise ValueError("points/values length mismatch")
-    table = [_coerce(field, v) for v in values]
+    table = [_coerce(None, v) for v in values]
     pts = [Fraction(p) for p in points]
     for j in range(1, n):
         for i in range(n - 1, j - 1, -1):
             table[i] = (table[i] - table[i - 1]) * (
                 1 / (pts[i] - pts[i - j])
             )
-    acc = UniPoly.zero(var, field)
+    acc = UniPoly.zero(var)
     for i in range(n - 1, -1, -1):
-        acc = acc * UniPoly([-pts[i], 1], var, field) + UniPoly.constant(
-            table[i], var, field
-        )
+        acc = acc * UniPoly([-pts[i], 1], var) + UniPoly.constant(table[i], var)
     return acc
 
 
 class BiPoly:
-    """Dense bivariate polynomial in (T, X): rows[i][j] = coeff of T^i X^j."""
+    """Dense bivariate polynomial in (T, X) over Q: rows[i][j] = coeff of
+    T^i X^j."""
 
-    __slots__ = ("rows", "field")
+    __slots__ = ("rows",)
 
-    def __init__(self, rows, field=None):
-        mat = [[_coerce(field, c) for c in row] for row in rows]
+    def __init__(self, rows):
+        mat = [[_coerce(None, c) for c in row] for row in rows]
         # trim trailing zero columns, then trailing zero rows
         width = 0
         for row in mat:
@@ -641,25 +606,23 @@ class BiPoly:
             while w and not row[w - 1]:
                 w -= 1
             width = max(width, w)
-        zero = _fzero(field)
-        mat = [row[:width] + [zero] * (width - len(row[:width])) for row in mat]
+        mat = [row[:width] + [_QZERO] * (width - len(row[:width])) for row in mat]
         while mat and all(not c for c in mat[-1]):
             mat.pop()
         self.rows = tuple(tuple(r) for r in mat)
-        self.field = field
 
     @classmethod
-    def from_terms(cls, terms, field=None):
+    def from_terms(cls, terms):
         """terms: iterable of (i, j, coeff) for T^i X^j."""
         terms = list(terms)
         if not terms:
-            return cls((), field)
+            return cls(())
         nr = max(t[0] for t in terms) + 1
         nc = max(t[1] for t in terms) + 1
-        rows = [[_fzero(field)] * nc for _ in range(nr)]
+        rows = [[_QZERO] * nc for _ in range(nr)]
         for i, j, c in terms:
-            rows[i][j] = rows[i][j] + _coerce(field, c)
-        return cls(rows, field)
+            rows[i][j] = rows[i][j] + _coerce(None, c)
+        return cls(rows)
 
     @property
     def is_zero(self):
@@ -684,7 +647,7 @@ class BiPoly:
     def coeff(self, i, j):
         if 0 <= i < len(self.rows) and 0 <= j < len(self.rows[i]):
             return self.rows[i][j]
-        return _fzero(self.field)
+        return _QZERO
 
     def __eq__(self, other):
         if not isinstance(other, BiPoly):
@@ -703,13 +666,9 @@ class BiPoly:
         return " + ".join(terms) if terms else "0"
 
     def specialize(self, t0):
-        """Substitute T -> t0; returns a UniPoly in X.
-
-        ``t0`` may be rational or an element of the coefficient field.
-        """
+        """Substitute T -> t0 (rational); returns a UniPoly in X."""
         nc = max((len(r) for r in self.rows), default=0)
-        if self.field is None and isinstance(t0, int):
-            t0 = Fraction(t0)
+        t0 = Fraction(t0)
         out = []
         for j in range(nc):
             col = [self.coeff(i, j) for i in range(len(self.rows))]
@@ -718,46 +677,38 @@ class BiPoly:
             for c in reversed(col[:-1]):
                 acc = acc * t0 + c
             out.append(acc)
-        return UniPoly(out, "X", self.field)
+        return UniPoly(out, "X")
 
     def coeff_X(self, j):
         """Coefficient of X^j as a UniPoly in T."""
-        return UniPoly(
-            [self.coeff(i, j) for i in range(len(self.rows))], "T", self.field
-        )
+        return UniPoly([self.coeff(i, j) for i in range(len(self.rows))], "T")
 
     def lc_X(self):
         return self.coeff_X(self.deg_X)
 
 
-def discriminant_in_X(f):
-    """Discriminant with respect to X.
+def discriminant_in_X(f: BiPoly) -> UniPoly:
+    """Discriminant of f with respect to X, as a UniPoly in T.
 
-    For a UniPoly this is :func:`discriminant`.  For a BiPoly the result
-    is a UniPoly in T, computed by exact evaluation / interpolation at
-    rational sample points where the X-leading coefficient survives.
+    Computed by exact evaluation / interpolation at rational sample
+    points where the X-leading coefficient survives.
     """
-    if isinstance(f, UniPoly):
-        return discriminant(f)
     d = f.deg_X
     if d < 1:
         raise ValueError("discriminant needs X-degree >= 1")
     if d == 1:
-        return UniPoly.one("T", f.field)
+        return UniPoly.one("T")
     lc = f.lc_X()
     bound = (2 * d - 1) * max(f.deg_T, 0)
     points, values = [], []
     t = 0
     while len(points) <= bound:
         tq = Fraction(t)
-        if not lc.eval(tq if f.field is None else tq):
-            t += 1
-            continue
-        ft = f.specialize(tq)
-        points.append(tq)
-        values.append(discriminant(ft))
         t += 1
-    return interpolate(points, values, "T", f.field)
+        if lc.eval(tq):
+            points.append(tq)
+            values.append(discriminant(f.specialize(tq)))
+    return interpolate(points, values, "T")
 
 
 def render_unipoly(f: UniPoly):
@@ -769,8 +720,6 @@ def render_unipoly(f: UniPoly):
 
 def render_bipoly(f: BiPoly):
     """Array of arrays; outer index = power of T."""
-    if f.field is not None:
-        raise ValueError("text rendering is defined over Q")
     return [[render_rational(c) for c in row] for row in f.rows]
 
 

@@ -597,32 +597,7 @@ def is_irreducible_Q(f: UniPoly) -> bool:
     """True iff f is irreducible over Q (degree >= 1 required)."""
     if f.degree < 1:
         raise ValueError("irreducibility is undefined for constants")
-    if f.degree == 1:
-        return True
-    # fast negative path: small rational roots (divisor scan kept cheap)
-    fi = _int_clear(f)[0]
-    _, fi = _iprimitive(fi)
-    if fi[0] == 0:
-        return False
-    if abs(fi[0]) <= 10**6 and abs(fi[-1]) <= 10**6:
-        for num in _divisors(abs(fi[0])):
-            for den in _divisors(abs(fi[-1])):
-                for r in (Fraction(num, den), Fraction(-num, den)):
-                    if not f.eval(r):
-                        return False
     return factor_over_Q(f).is_irreducible
-
-
-def _divisors(n):
-    out = []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            if d != n // d:
-                out.append(n // d)
-        d += 1
-    return sorted(out)
 
 
 def squarefree_part(f: UniPoly) -> UniPoly:

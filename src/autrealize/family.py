@@ -1,66 +1,52 @@
-"""The parametric cubic X^3 + (T - y)X + (T - y) over a number field K.
+"""The cubic family X^3 + aX + a and its S3 certificate.
 
-For every y this cubic is irreducible over K(T) with Galois group S3.
-``certify_s3`` checks this for the pipeline's member: a candidate-root
-refutation for irreducibility, recorded as a transcript in the
-certificate, plus the discriminant identity and a parity argument for
-the group.  The bad set of a specialization (parameter values t0 where
-q(t0, X) picks up a multiple root) is decided exactly, one t0 at a time.
+The pipeline's cubic over K(T), for K the fixed field of G' and y in K,
+is X^3 + (T - y)X + (T - y), i.e. ``cubic(T - y)``.  Its S3 property is a
+fact about X^3 + aX + a over K(a): the substitution a -> T - y is a ring
+isomorphism K[a, X] -> K[T, X] fixing X, so it carries irreducibility,
+the discriminant and its square class to every y.  Neither depends on K:
+the candidate-root refutation never uses the coefficients, and the
+discriminant -a^2 (4a + 27) has rational coefficients.  So
+``certify_s3`` checks the family once, over Q[a] (``FAMILY``, with a
+written as T): a candidate-root refutation for irreducibility, recorded
+as a transcript in the certificate, plus the discriminant identity and a
+parity argument for the group.  The bad set of a specialization
+(parameter values t0 where q(t0, X) picks up a multiple root) is decided
+exactly, one t0 at a time.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import VerificationError
 from .exact import BiPoly, UniPoly, discriminant_in_X, is_squarefree
-from .numfield import NfElement, NumberField
 
 
-@dataclass(frozen=True)
-class FamilyMember:
-    """One member of the family: base field, parameter y, and the cubic."""
-
-    base: NumberField
-    y: NfElement
-    poly: BiPoly
-
-    def __post_init__(self):
-        expected = _family_poly(self.base, self.y)
-        if self.poly != expected:
-            raise ValueError("polynomial is not X^3 + (T - y)X + (T - y)")
+def cubic(a) -> UniPoly:
+    """X^3 + aX + a over a's field (Q for a rational a)."""
+    return UniPoly([a, a, 0, 1], "X", getattr(a, "owner", None))
 
 
-def _family_poly(K, y):
-    one = K.one()
-    return BiPoly.from_terms(
-        [(0, 3, one), (1, 1, one), (0, 1, -y), (1, 0, one), (0, 0, -y)],
-        K,
-    )
-
-
-def build_member(K: NumberField, y) -> FamilyMember:
-    if isinstance(y, (int, Fraction)):
-        y = K.from_rational(y)
-    return FamilyMember(K, y, _family_poly(K, y))
+#: X^3 + TX + T over Q: the family with the parameter a written as T.
+FAMILY = BiPoly.from_terms([(0, 3, 1), (1, 1, 1), (1, 0, 1)])
 
 
 @dataclass(frozen=True)
 class S3Certificate:
-    """Evidence that a member is irreducible over K(T) with group S3."""
+    """Evidence that the family is irreducible over K(T) with group S3."""
 
     irreducibility: tuple  # transcript lines (label, detail)
     square_class_degree: int  # T-degree of disc with its square factor removed
 
 
-def certify_s3(m: FamilyMember) -> S3Certificate:
-    """Certify irreducibility over K(T) and Galois group S3.
+def certify_s3() -> S3Certificate:
+    """Certify irreducibility over K(T) and Galois group S3 for every y
+    and K (see the module docstring for the substitution argument).
 
     A failure here is an implementation bug, not an input condition, so
     any mismatch aborts with VerificationError.
     """
-    K, y = m.base, m.y
     transcript = []
     # Irreducibility: the cubic is monic in X over K[T], so a root in
     # K(T) would lie in K[T] and divide the constant term (T - y).  Two
@@ -86,15 +72,13 @@ def certify_s3(m: FamilyMember) -> S3Certificate:
             "reduces to the constant case",
         )
     )
-    # Discriminant: must equal -(T-y)^2 (4(T-y) + 27) identically.
-    disc = discriminant_in_X(m.poly)
-    s = UniPoly([-y, K.one()], "T", K)  # T - y
-    expected = -(s * s) * (s * 4 + 27)
-    if disc != expected:
+    # Discriminant: must equal -a^2 (4a + 27) identically.
+    a = UniPoly.gen("T")
+    if discriminant_in_X(FAMILY) != -(a * a) * (a * 4 + 27):
         raise VerificationError("discriminant identity failed for the family")
-    # Square class: -(4(T-y) + 27), odd degree 1 in T, hence a nonsquare
-    # in K(T); the Galois group is S3 rather than A3.
-    square_class = -(s * 4 + 27)
+    # Square class: -(4a + 27), odd degree 1 in a, hence a nonsquare in
+    # K(a); the Galois group is S3 rather than A3.
+    square_class = -(a * 4 + 27)
     if square_class.degree % 2 != 1:
         raise VerificationError("square class unexpectedly has even degree")
     return S3Certificate(tuple(transcript), square_class.degree)
@@ -108,4 +92,4 @@ def bad_set(q: BiPoly, t0) -> bool:
     the answer is the same as whether the X-discriminant of q vanishes
     at t0.
     """
-    return not is_squarefree(q.specialize(Fraction(t0)))
+    return not is_squarefree(q.specialize(t0))

@@ -540,8 +540,8 @@ def extend_field(K: NumberField, h: UniPoly):
 
     Returns (K2, theta_image, beta) where theta_image is the image of
     K's generator inside K2 and beta is a root of (the coefficient-mapped)
-    h in K2.  The new generator is beta + c*theta for the first shift c
-    that makes the norm squarefree.
+    h in K2.  The new generator is beta + c*theta for the shift c that
+    :func:`_sqf_norm` finds.
     """
     if h.field is None:
         h = h.map_coeffs(K.from_rational, field=K)
@@ -552,15 +552,10 @@ def extend_field(K: NumberField, h: UniPoly):
     # z = beta + c*theta; minimal polynomial = Norm(h(X - c*theta)),
     # irreducible whenever squarefree (norm of an irreducible is a power
     # of an irreducible)
-    for c in shift_sequence():
-        _, N = shifted_norm(h, K, c)
-        if not is_squarefree(N):
-            continue
-        K2 = NumberField(N.with_var("Z"), trusted=True)
-        theta2 = embed_generator(K, h, K2, c)
-        beta = K2.gen() - theta2 * c
-        return K2, theta2, beta
-    raise VerificationError("unreachable: primitive-element search failed")
+    c, _, N = _sqf_norm(h, K)
+    K2 = NumberField(N.with_var("Z"), trusted=True)
+    theta2 = embed_generator(K, h, K2, c)
+    return K2, theta2, K2.gen() - theta2 * c
 
 
 def embed_generator(K, h, K2, c):

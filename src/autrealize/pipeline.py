@@ -5,9 +5,11 @@ Given G as a subgroup of S_n, the pipeline:
 1. builds the splitting field L of X^n - X - 1 (Galois group S_n),
 2. pulls G back to G' inside Gal(L/Q) and computes a generator y of the
    fixed field of G',
-3. forms the cubic family member with parameter y and the minimal
-   polynomial q(T, X) over Q(T) of z = x + c*theta (theta the generator
-   of L), computed as a resultant norm by interpolation,
+3. takes the cubic X^3 + (T - y)X + (T - y) over L(T), whose group S3
+   ``family.certify_s3`` proves once for X^3 + aX + a over Q(a), and
+   forms the minimal polynomial q(T, X) over Q(T) of z = x + c*theta
+   (x a root of the cubic, theta the generator of L), computed as a
+   resultant norm by interpolation,
 4. specializes T to rational t0, rejects t0 in the bad set (q(t0, X)
    has a multiple root, decided per t0 by ``family.bad_set``), and
    verifies, exactly, that the field Q[X]/(q(t0, X)) has automorphism
@@ -38,8 +40,8 @@ from .errors import (
     VerificationError,
 )
 from .exact import BiPoly, UniPoly, _is_prime, interpolate
-from .factor import _record, factor_over_Q, frobenius_pattern
-from .family import FamilyMember, S3Certificate, bad_set, build_member, certify_s3
+from .factor import _record, frobenius_pattern, is_irreducible_Q
+from .family import S3Certificate, bad_set, certify_s3, cubic
 from .numfield import (
     AutomorphismTable,
     NfElement,
@@ -59,6 +61,14 @@ logger = logging.getLogger(__name__)
 SN_CAP = 3
 
 
+def check_sn_cap(n: int):
+    """Refuse a degree above SN_CAP before any work is done for it."""
+    if n > SN_CAP:
+        raise CapExceededError(
+            f"n = {n} is not supported yet: the S_n route stops at n = {SN_CAP}"
+        )
+
+
 def realize_sn(n: int) -> SplittingField:
     """Splitting field of X^n - X - 1 with full Galois group S_n.
 
@@ -67,10 +77,7 @@ def realize_sn(n: int) -> SplittingField:
     """
     if n < 1:
         raise SpecParseError(f"n must be >= 1, got {n}")
-    if n > SN_CAP:
-        raise CapExceededError(
-            f"n = {n} is not supported yet: the S_n route stops at n = {SN_CAP}"
-        )
+    check_sn_cap(n)
     fact = 1
     for k in range(2, n + 1):
         fact *= k
@@ -123,33 +130,35 @@ class PipelineState:
     Gp: PermGroup
     y: NfElement
     y_minpoly: UniPoly
-    member: FamilyMember
     s3_cert: S3Certificate
     c: int
     q: BiPoly
 
 
-def build_E_minpoly(L: SplittingField, member: FamilyMember):
+def build_E_minpoly(L: SplittingField, y: NfElement):
     """Minimal polynomial q(T, X) over Q(T) of z = x + c*theta.
 
-    q is the norm from L(T) down to Q(T) of the member's cubic
-    X^3 + (T-y)(X+1) shifted by c*theta: for each rational t its
-    specialization is the norm of the cubic at T = t, and each
-    X-coefficient is interpolated across t.  The first shift c making q
-    squarefree as a polynomial in X over Q(T) wins; squarefreeness makes
-    q irreducible (the norm of an irreducible polynomial is a power of an
-    irreducible one).  Returns (c, q).
+    q is the norm from L(T) down to Q(T) of the cubic X^3 + (T-y)(X+1)
+    shifted by c*theta: for each rational t its specialization is the
+    norm of ``cubic(t - y)``, and each X-coefficient is interpolated
+    across t.  The first shift c making q squarefree as a polynomial in X
+    over Q(T) wins; squarefreeness makes q irreducible (the norm of an
+    irreducible polynomial is a power of an irreducible one).  For L = Q
+    the norm is the cubic itself, and c = 0.  Returns (c, q).
     """
     K = L.field
     N = K.degree
     if N == 1:
-        root0 = K.gen().coords[0]
-        rows = [[e.to_poly().eval(root0) for e in row] for row in member.poly.rows]
-        return 0, BiPoly(rows)
+        y0 = y.coords[0]
+        return 0, BiPoly.from_terms(
+            [(0, 3, 1), (1, 1, 1), (0, 1, -y0), (1, 0, 1), (0, 0, -y0)]
+        )
     deg_t, deg_x = N, 3 * N
     t_points = [Fraction(t) for t in range(deg_t + 1)]
     for c in shift_sequence():
-        rows_by_t = [shifted_norm(member.poly.specialize(tq), K, c)[1] for tq in t_points]
+        rows_by_t = [
+            shifted_norm(cubic(K.from_rational(t) - y), K, c)[1] for t in t_points
+        ]
         # interpolate each X-coefficient across t
         rows = []
         for j in range(deg_x + 1):
@@ -192,9 +201,8 @@ def build_state(G: PermGroup, n: int) -> PipelineState:
         raise VerificationError(
             f"fixed-field generator degree {y_min.degree}, expected {expected}"
         )
-    member = build_member(L.field, y)
-    s3_cert = certify_s3(member)
-    c, q = build_E_minpoly(L, member)
+    s3_cert = certify_s3()
+    c, q = build_E_minpoly(L, y)
     if q.deg_X != 3 * L.degree:
         raise VerificationError("q has the wrong X-degree")
     return PipelineState(
@@ -205,7 +213,6 @@ def build_state(G: PermGroup, n: int) -> PipelineState:
         Gp=Gp,
         y=y,
         y_minpoly=y_min,
-        member=member,
         s3_cert=s3_cert,
         c=c,
         q=q,
@@ -219,11 +226,12 @@ def specialize_and_verify(state: PipelineState, t0) -> SpecializationRecord:
     if bad_set(state.q, t0):
         return SpecializationRecord(t0, "rejected", "bad set: multiple root")
     q0 = state.q.specialize(t0)
-    if not factor_over_Q(q0).is_irreducible:
+    if not is_irreducible_Q(q0):
         return SpecializationRecord(t0, "rejected", "q(t0, X) reducible over Q")
     E = NumberField(q0.with_var("Z"), trusted=True)
     L, c = state.L, state.c
-    theta0 = embed_generator(L.field, state.member.poly.specialize(t0), E, c)
+    cubic0 = cubic(L.field.from_rational(t0) - state.y)
+    theta0 = embed_generator(L.field, cubic0, E, c)
     # enumerate automorphisms through the tower: q(t0, X) factors over L
     # as the product of the conjugate cubics shifted by c*sigma(theta),
     # so its roots in E are exactly xi + c*sigma(theta)-image with xi a
@@ -234,9 +242,7 @@ def specialize_and_verify(state: PipelineState, t0) -> SpecializationRecord:
         y_img = L.autos.apply(j, state.y).to_poly().eval(theta0)
         key = (y_img.num, y_img.den)
         if key not in cubic_roots:
-            a = E.from_rational(t0) - y_img
-            cubic = UniPoly([a, a, E.zero(), E.one()], "X", E)
-            cubic_roots[key] = roots_in_field(cubic, E)
+            cubic_roots[key] = roots_in_field(cubic(E.from_rational(t0) - y_img), E)
         theta0_j = L.autos.maps[j].to_poly().eval(theta0)
         for xi in cubic_roots[key]:
             w = xi + theta0_j * c

@@ -56,8 +56,8 @@ def euclid_inverse(a):
 
 
 def sylvester_resultant(f: UniPoly, g: UniPoly):
-    """Sylvester-determinant resultant, in the convention of
-    ``exact.resultant``: lc(g)^deg f * prod of f over the roots of g."""
+    """Sylvester-determinant resultant lc(g)^deg f * prod of f over the
+    roots of g, i.e. ``exact.resultant_std(g, f)``; works over any field."""
     if f.is_zero or g.is_zero:
         raise ValueError("resultant of the zero polynomial")
     f._check_compat(g)
@@ -82,7 +82,7 @@ def sylvester_resultant(f: UniPoly, g: UniPoly):
             row[i + j] = c
         rows.append(row)
     # Gaussian elimination; the determinant of the Sylvester matrix of
-    # (g, f) is resultant(f, g) in this convention
+    # (g, f) is resultant_std(g, f)
     det = _one(field)
     sign = 1
     for col in range(size):

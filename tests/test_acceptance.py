@@ -18,7 +18,7 @@ from autrealize.certs import certificate_to_json, dumps_canonical
 from autrealize.cli import expand_named
 from autrealize.exact import UniPoly, discriminant
 from autrealize.factor import factor_over_Q, is_irreducible_Q
-from autrealize.family import build_member, certify_s3
+from autrealize.family import FAMILY, certify_s3, cubic
 from autrealize.numfield import (
     NumberField,
     automorphisms,
@@ -157,11 +157,15 @@ class TestFamilyPropertySuite:
             NumberField(UniPoly([F(-1), F(-1), F(1)], "Z"), trusted=True),
             NumberField(UniPoly([F(-2), F(0), F(0), F(1)], "Z"), trusted=True),
         ]
+        # certify_s3 raises VerificationError when any check fails
+        assert certify_s3().square_class_degree == 1
         for trial in range(20):
             K = fields[trial % len(fields)]
             y = K.element([rng.randrange(-6, 7) for _ in range(K.degree)])
-            # certify_s3 raises VerificationError when any check fails
-            assert certify_s3(build_member(K, y)).square_class_degree == 1
+            a = K.from_rational(F(rng.randrange(-20, 21))) - y
+            # the cubic the pipeline uses is FAMILY at T = a
+            image = [FAMILY.coeff_X(j).eval(a) for j in range(FAMILY.deg_X + 1)]
+            assert cubic(a) == UniPoly(image, "X", K)
         assert time.monotonic() - start < 60
 
 

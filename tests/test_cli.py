@@ -86,6 +86,22 @@ class TestRealizeCommand:
         assert main(["realize", "--named", "V4"]) == EXIT_CAP
         assert "n = 4 is not supported yet" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--named", "S9"],
+            ["--named", "A9"],
+            ["--n", "9", "--gens", "(1 2 3 4 5 6 7 8 9);(1 2)"],
+        ],
+    )
+    def test_large_degree_refused_before_closure(self, capsys, monkeypatch, argv):
+        def refuse(self):
+            raise AssertionError("group closed before the degree cap check")
+
+        monkeypatch.setattr(PermGroup, "_close", refuse)
+        assert main(["realize", *argv]) == EXIT_CAP
+        assert "n = 9 is not supported yet" in capsys.readouterr().err
+
     def test_budget(self, capsys):
         code = main(["realize", "--n", "1", "--gens", "()", "--count", "50",
                      "--t-max", "2"])

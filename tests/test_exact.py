@@ -20,7 +20,7 @@ from autrealize.exact import (
     render_bipoly,
     render_rational,
     render_unipoly,
-    resultant,
+    resultant_std,
 )
 from autrealize.numfield import NumberField
 from reference import poly_gcdex, sylvester_resultant
@@ -109,11 +109,11 @@ class TestGcd:
             assert h.is_monic()
             (a, ra), (b, rb) = poly_divrem(f, h), poly_divrem(g, h)
             assert ra.is_zero and rb.is_zero
-            assert resultant(a, b) != 0
+            assert resultant_std(b, a) != 0
             assert h.degree >= c.degree
 
     def test_unlucky_primes(self):
-        # resultant(X, X + p) = p: mod p the cofactors share the root 0, so
+        # resultant_std(X + p, X) = p: mod p the cofactors share the root 0, so
         # the image there has degree 3, not 2.  An unlucky first prime is
         # replaced; an unlucky second one is dropped (3**70 needs more than
         # one prime, so the first candidate fails the exact check).
@@ -121,7 +121,7 @@ class TestGcd:
         primes = [next(gen), next(gen)]
         for p, c in zip(primes, (X**2 + C(1), X**2 + C(3**70))):
             f, g = c * X, c * (X + C(p))
-            assert abs(resultant(X, X + C(p))) == p
+            assert abs(resultant_std(X + C(p), X)) == p
             image = _ggcd([int(v) % p for v in f.coeffs], [int(v) % p for v in g.coeffs], p)
             assert len(image) - 1 == 3
             assert poly_gcd(f, g) == c
@@ -156,28 +156,28 @@ class TestGcd:
 
 class TestResultant:
     def test_eval_at_root(self):
-        assert resultant(X**2 - 3, X + 1) == F(-2)
+        assert resultant_std(X + 1, X**2 - 3) == F(-2)
 
     def test_linear_case(self):
-        # Res(X - a, X - b) = b - a
-        assert resultant(X - C(2), X - C(5)) == F(3)
+        # Res(X - b, X - a) = b - a
+        assert resultant_std(X - C(5), X - C(2)) == F(3)
 
     def test_symmetry_law(self):
         rng = random.Random(3)
         for _ in range(40):
             f, g = rand_poly(rng, 4), rand_poly(rng, 4)
             sign = -1 if (f.degree * g.degree) % 2 else 1
-            assert resultant(f, g) == sign * resultant(g, f)
+            assert resultant_std(g, f) == sign * resultant_std(f, g)
 
     def test_zero_input(self):
         with pytest.raises(ValueError):
-            resultant(UniPoly.zero("X"), X)
+            resultant_std(X, UniPoly.zero("X"))
 
     def test_matches_sylvester(self):
         rng = random.Random(4)
         for _ in range(60):
             f, g = rand_poly(rng, 5), rand_poly(rng, 5)
-            assert resultant(f, g) == sylvester_resultant(f, g)
+            assert resultant_std(g, f) == sylvester_resultant(f, g)
 
     def test_vanishes_iff_common_root(self):
         rng = random.Random(5)
@@ -187,17 +187,20 @@ class TestResultant:
             if f.degree < 1 or g.degree < 1:
                 continue
             shared = poly_gcd(f, g).degree >= 1
-            assert (resultant(f, g) == 0) == shared
+            assert (resultant_std(g, f) == 0) == shared
             checked += 1
 
-    def test_over_number_field(self):
+    def test_number_field_rejected(self):
+        # resultants and discriminants are over Q only
         K = NumberField(UniPoly([F(-2), F(0), F(1)], "Z"))
         XK = UniPoly.gen("X", K)
-        f = XK * XK - K.from_rational(2)  # (X - s2)(X + s2)
-        g = XK - K.gen()
-        assert resultant(f, g) == K.zero()
-        g2 = XK - K.one()
-        assert resultant(f, g2) == K.from_rational(-1)
+        f = XK * XK - K.from_rational(2)
+        with pytest.raises(ValueError):
+            resultant_std(f, XK - K.gen())
+        with pytest.raises(ValueError):
+            discriminant(f)
+        with pytest.raises(ValueError):
+            discriminant(XK - K.gen())
 
 
 class TestDiscriminant:
@@ -214,6 +217,7 @@ class TestDiscriminant:
     def test_degree_zero_rejected(self):
         with pytest.raises(ValueError):
             discriminant(ONE)
+        assert discriminant(X * 3 + 1) == 1
 
     def test_squarefree_iff_nonzero_disc(self):
         rng = random.Random(6)
@@ -225,25 +229,28 @@ class TestDiscriminant:
             assert (discriminant(f) != 0) == sqf
 
     def test_family_identity_over_number_fields(self):
-        # disc_X of X^3 + (T-y)X + (T-y) is -(T-y)^2 (4(T-y) + 27)
+        # disc_X of X^3 + (T-y)X + (T-y) is -(T-y)^2 (4(T-y) + 27): the
+        # rational discriminant of the family, shifted by T -> T - y, must
+        # match the Sylvester determinant of each specialization over K
         rng = random.Random(7)
         moduli = [
             UniPoly([F(-1), F(1)], "Z"),
             UniPoly([F(-1), F(-1), F(1)], "Z"),
             UniPoly([F(-2), F(0), F(0), F(1)], "Z"),
         ]
-        done = 0
-        while done < 20:
+        family = BiPoly.from_terms([(0, 3, F(1)), (1, 1, F(1)), (1, 0, F(1))])
+        d = discriminant_in_X(family)
+        for done in range(20):
             K = NumberField(moduli[done % 3], trusted=True)
             y = K.element([rng.randrange(-5, 6) for _ in range(K.degree)])
             one = K.one()
-            f = BiPoly.from_terms(
-                [(0, 3, one), (1, 1, one), (0, 1, -y), (1, 0, one), (0, 0, -y)],
-                K,
-            )
             s = UniPoly([-y, one], "T", K)
-            assert discriminant_in_X(f) == -(s * s) * (s * 4 + 27)
-            done += 1
+            shifted = d.to_field(K).compose(s)
+            assert shifted == -(s * s) * (s * 4 + 27)
+            t = K.from_rational(F(rng.randrange(-20, 21), rng.randrange(1, 5)))
+            a = t - y
+            f = UniPoly([a, a, K.zero(), one], "X", K)
+            assert -sylvester_resultant(f.derivative(), f) == shifted.eval(t)
 
 
 class TestSpecialize:

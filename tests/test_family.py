@@ -4,8 +4,12 @@ from fractions import Fraction as F
 import pytest
 
 from autrealize.exact import BiPoly, UniPoly, discriminant_in_X
-from autrealize.family import FamilyMember, bad_set, build_member, certify_s3
+from autrealize.family import FAMILY, bad_set, certify_s3, cubic
 from autrealize.numfield import NumberField
+from reference import sylvester_resultant
+
+X = UniPoly.gen("X")
+T = UniPoly.gen("T")
 
 
 def Zpoly(*coeffs):
@@ -13,77 +17,78 @@ def Zpoly(*coeffs):
 
 
 @pytest.fixture(scope="module")
-def QQ():
-    return NumberField.rationals()
-
-
-@pytest.fixture(scope="module")
 def fields():
     return [
-        NumberField.rationals(),
+        NumberField(Zpoly(-1, 1), trusted=True),
         NumberField(Zpoly(-1, -1, 1), trusted=True),
         NumberField(Zpoly(-2, 0, 0, 1), trusted=True),
     ]
 
 
-class TestBuildMember:
-    def test_y_zero(self, QQ):
-        m = build_member(QQ, 0)
-        one = QQ.one()
-        assert m.poly == BiPoly.from_terms(
-            [(0, 3, one), (1, 1, one), (1, 0, one)], QQ
-        )
-
-    def test_y_one(self, QQ):
-        m = build_member(QQ, 1)
-        assert m.poly.coeff(0, 1) == -QQ.one()
-        assert m.poly.coeff(1, 1) == QQ.one()
-        assert m.poly.coeff(0, 0) == -QQ.one()
+class TestCubic:
+    def test_rational(self):
+        assert cubic(F(2)) == X**3 + X * 2 + 2
+        assert cubic(0) == X**3
+        assert cubic(F(-1, 3)).field is None
 
     def test_number_field_coefficients(self):
         K = NumberField(Zpoly(23, 0, 1), trusted=True)
-        m = build_member(K, K.gen())
-        assert m.poly.coeff(0, 1) == -K.gen()
+        f = cubic(K.gen())
+        assert f.field is K
+        assert f.coeffs == (K.gen(), K.gen(), K.zero(), K.one())
 
-    def test_wrong_poly_rejected(self, QQ):
-        good = build_member(QQ, 0)
-        with pytest.raises(ValueError):
-            FamilyMember(QQ, QQ.one(), good.poly)
+
+class TestBuildMember:
+    # the pipeline's member at y is cubic(t - y) at each rational t, i.e.
+    # the bivariate X^3 + (T - y)X + (T - y) specialized at T = t
+    def test_y_zero(self):
+        assert FAMILY == BiPoly.from_terms([(0, 3, 1), (1, 1, 1), (1, 0, 1)])
+        for t in range(-5, 6):
+            assert cubic(F(t) - 0) == FAMILY.specialize(t)
+
+    def test_y_one(self):
+        q = BiPoly.from_terms(
+            [(0, 3, 1), (1, 1, 1), (0, 1, -1), (1, 0, 1), (0, 0, -1)]
+        )
+        assert q.coeff(0, 1) == -1
+        assert q.coeff(1, 1) == 1
+        assert q.coeff(0, 0) == -1
+        for t in range(-5, 6):
+            assert cubic(F(t) - 1) == q.specialize(t)
 
 
 class TestCertifyS3:
-    def test_y_zero(self, QQ):
-        m = build_member(QQ, 0)
-        cert = certify_s3(m)
-        # disc = -T^2 (4T + 27)
-        T = UniPoly.gen("T", QQ)
-        assert discriminant_in_X(m.poly) == -(T * T) * (T * 4 + 27)
+    def test_y_zero(self):
+        # at y = 0 the pipeline's cubic over K(T) is FAMILY itself
+        cert = certify_s3()
+        assert discriminant_in_X(FAMILY) == -(T * T) * (T * 4 + 27)
         assert cert.square_class_degree == 1
         assert [label for label, _ in cert.irreducibility] == [
             "constant-root",
             "linear-root",
         ]
 
-    def test_y_one(self, QQ):
-        m = build_member(QQ, 1)
-        cert = certify_s3(m)
-        s = UniPoly([-QQ.one(), QQ.one()], "T", QQ)
-        assert discriminant_in_X(m.poly) == -(s * s) * (s * 4 + 27)
-        assert cert.square_class_degree == 1
+    def test_y_one(self):
+        # the substitution a -> T - 1 carries the certified discriminant
+        q = BiPoly.from_terms(
+            [(0, 3, 1), (1, 1, 1), (0, 1, -1), (1, 0, 1), (0, 0, -1)]
+        )
+        s = T - 1
+        assert discriminant_in_X(q) == -(s * s) * (s * 4 + 27)
+        assert discriminant_in_X(q) == discriminant_in_X(FAMILY).compose(s)
 
     def test_random_y_over_small_fields(self, fields):
+        # independent of exact.discriminant: for a monic cubic f the
+        # Sylvester determinant gives disc(f) = -Res(f, f')
         rng = random.Random(31)
-        done = 0
-        while done < 20:
+        for done in range(21):
             K = fields[done % len(fields)]
             y = K.element([rng.randrange(-6, 7) for _ in range(K.degree)])
-            m = build_member(K, y)
-            cert = certify_s3(m)
-            # independent recomputation through the generic discriminant
-            s = UniPoly([-y, K.one()], "T", K)
-            assert discriminant_in_X(m.poly) == -(s * s) * (s * 4 + 27)
-            assert cert.square_class_degree == 1
-            done += 1
+            t = F(rng.randrange(-20, 21), rng.randrange(1, 5))
+            a = K.from_rational(t) - y
+            f = cubic(a)
+            disc = -sylvester_resultant(f.derivative(), f)
+            assert disc == -(a * a) * (a * 4 + 27)
 
 
 def bad_points(q, candidates):

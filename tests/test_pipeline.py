@@ -4,7 +4,6 @@ import pytest
 
 from autrealize import pipeline
 from autrealize.errors import BudgetExhaustedError, CapExceededError, SpecParseError
-from autrealize.family import build_member
 from autrealize.pipeline import (
     build_E_minpoly,
     build_state,
@@ -85,7 +84,7 @@ class TestComputeY:
 class TestBuildEMinpoly:
     def test_n1_degree_3(self):
         L = realize_sn(1)
-        c, q = build_E_minpoly(L, build_member(L.field, 0))
+        c, q = build_E_minpoly(L, L.field.zero())
         assert c == 0 and q.deg_X == 3
         # q = X^3 + T X + T
         q0 = q.specialize(F(1))
