@@ -5,9 +5,11 @@ coefficient list and carries the ring arithmetic; its coefficients live
 in an exact field: the rationals (represented by ``fractions.Fraction``)
 or a number field (``autrealize.numfield.NumberField``, whose elements
 implement the same arithmetic protocol).  Resultants, discriminants,
-interpolation and ``BiPoly`` are over Q only.  ``BiPoly`` is bivariate in
-(T, X) with a coefficient matrix indexed by (power of T, power of X), and
-is only built, compared, specialized at rational T = t0 and rendered.
+interpolation and ``BiPoly`` are over Q only; interpolation takes its
+values at 0, 1, ..., n and runs over Z, dividing once at the end.
+``BiPoly`` is bivariate in (T, X) with a coefficient matrix indexed by
+(power of T, power of X), and is only built, compared, specialized at
+rational T = t0 and rendered.
 
 Everything here is immutable and pure; no floating point anywhere.
 """
@@ -574,21 +576,37 @@ def discriminant(f: UniPoly) -> Fraction:
 
 
 def interpolate(points, values, var="X"):
-    """Exact Newton interpolation over Q through (points[i], values[i])."""
-    n = len(points)
-    if n != len(values):
+    """The polynomial of degree <= n over Q through (i, values[i]) for the
+    points i = 0, 1, ..., n, which must be given in that order.
+
+    Over Z: with D a common denominator of the values, the forward
+    differences of D*values[i] are integers, and Newton's forward formula
+    sum_k Delta^k(0) * x(x-1)...(x-k+1) / k! times n! has the integer
+    coefficients n!/k! * Delta^k(0).  Horner in that falling-factorial
+    basis gives n! * D times the answer, and one division ends.
+    """
+    n = len(points) - 1
+    if len(values) != n + 1:
         raise ValueError("points/values length mismatch")
-    table = [_coerce(None, v) for v in values]
-    pts = [Fraction(p) for p in points]
-    for j in range(1, n):
-        for i in range(n - 1, j - 1, -1):
-            table[i] = (table[i] - table[i - 1]) * (
-                1 / (pts[i] - pts[i - j])
-            )
-    acc = UniPoly.zero(var)
-    for i in range(n - 1, -1, -1):
-        acc = acc * UniPoly([-pts[i], 1], var) + UniPoly.constant(table[i], var)
-    return acc
+    if list(points) != list(range(n + 1)):
+        raise ValueError("interpolation points must be 0, 1, ..., n")
+    values = [_coerce(None, v) for v in values]
+    den = 1
+    for v in values:
+        den = den * v.denominator // _igcd(den, v.denominator)
+    diffs = [v.numerator * (den // v.denominator) for v in values]
+    for k in range(1, n + 1):  # diffs[k] becomes Delta^k(0)
+        for i in range(n, k - 1, -1):
+            diffs[i] -= diffs[i - 1]
+    acc, scale = [], 1
+    for k in range(n, -1, -1):
+        # acc <- acc * (x - k) + n!/k! * Delta^k(0)
+        acc = [0] + acc
+        for i in range(n - k):
+            acc[i] -= k * acc[i + 1]
+        acc[0] += scale * diffs[k]
+        scale *= max(k, 1)
+    return UniPoly([Fraction(c, scale * den) for c in acc], var)
 
 
 class BiPoly:
@@ -690,24 +708,19 @@ class BiPoly:
 def discriminant_in_X(f: BiPoly) -> UniPoly:
     """Discriminant of f with respect to X, as a UniPoly in T.
 
-    Computed by exact evaluation / interpolation at rational sample
-    points where the X-leading coefficient survives.
+    f must have a constant X-leading coefficient, so every specialization
+    keeps its X-degree: the discriminant is evaluated at T = 0, 1, ...
+    and interpolated.
     """
     d = f.deg_X
     if d < 1:
         raise ValueError("discriminant needs X-degree >= 1")
+    if f.lc_X().degree != 0:
+        raise ValueError("discriminant_in_X expects a constant X-leading coefficient")
     if d == 1:
         return UniPoly.one("T")
-    lc = f.lc_X()
-    bound = (2 * d - 1) * max(f.deg_T, 0)
-    points, values = [], []
-    t = 0
-    while len(points) <= bound:
-        tq = Fraction(t)
-        t += 1
-        if lc.eval(tq):
-            points.append(tq)
-            values.append(discriminant(f.specialize(tq)))
+    points = range((2 * d - 1) * max(f.deg_T, 0) + 1)
+    values = [discriminant(f.specialize(t)) for t in points]
     return interpolate(points, values, "T")
 
 

@@ -6,8 +6,11 @@ a fixed-seed PRNG), multifactor Hensel lifting to a Mignotte-style bound,
 and subset recombination with trial division.  Each step has one
 implementation shared by complete factorization (``factor_over_Q``) and
 the targeted degree search (``find_rational_factors_of_degree``): both
-walk the primes of ``_good_primes``, and both test and peel off candidate
-factors with ``_trial_divide``.
+choose their prime with ``_choose_prime``, and both test and peel off
+candidate factors with ``_trial_divide``.  The prime is chosen by the
+factor degrees that the distinct-degree factorization gives (von zur
+Gathen-Gerhard, Modern Computer Algebra, ch. 14); equal-degree splitting
+runs on the chosen prime only.
 ``yun_squarefree_decomposition`` works over any exact field and is also
 the squarefree decomposition used over number fields.
 
@@ -247,6 +250,12 @@ def _gedf(f, k, p, rng):
             return _gedf(g, k, p, rng) + _gedf(_gdivrem(f, g, p)[0], k, p, rng)
 
 
+def _ddf_degrees(ddf):
+    """Sorted degrees of the irreducible factors that a distinct-degree
+    factorization describes: each (g, k) holds deg(g)/k factors of degree k."""
+    return tuple(sorted(k for g, k in ddf for _ in range(_ideg(g) // k)))
+
+
 def frobenius_pattern(f: UniPoly, p):
     """Sorted degrees of the irreducible factors of F mod p, with F the
     primitive integer multiple of the rational polynomial f, or None when
@@ -262,7 +271,7 @@ def frobenius_pattern(f: UniPoly, p):
     fp = _gmonic([c % p for c in F], p)
     if not _gsqf_p(fp, p):
         return None
-    return tuple(sorted(k for g, k in _gddf(fp, p) for _ in range(_ideg(g) // k)))
+    return _ddf_degrees(_gddf(fp, p))
 
 
 def _gfactor_sqf(f, p, seed=EDF_SEED):
@@ -371,24 +380,33 @@ def _good_primes(f):
                 raise ValueError("expects a squarefree polynomial")
 
 
-def _select_prime(f, max_candidates=8, good_enough=6):
-    """Pick a usable prime p (see _good_primes) for f.
+def _choose_prime(f, max_candidates, target=None):
+    """Pick a usable prime p (see _good_primes) for f and factor f mod p.
 
-    Among the first few usable primes, the one producing the fewest
-    modular factors is chosen (ties broken towards smaller p); at desk
-    scale this keeps subset recombination tractable.
+    Among the first few usable primes, the one with the fewest modular
+    factors is chosen (ties broken towards smaller p); at desk scale this
+    keeps subset recombination tractable.  The search stops after
+    ``max_candidates`` primes or at the first with at most 6 factors.
+    Candidates are ranked by their distinct-degree factorization alone,
+    which gives the factor degrees; only the chosen prime is split into
+    irreducibles.  With a ``target`` degree, a prime whose factor degrees
+    have no sub-multiset summing to it proves that f has no rational
+    factor of that degree, and None is returned.  Returns (p, the monic
+    factors of f mod p).
     """
     candidates = []
     for p, fp in _good_primes(f):
-        factors = _gfactor_sqf(fp, p)
-        candidates.append((len(factors), p, factors))
-        if len(factors) <= good_enough or len(candidates) >= max_candidates:
+        degrees = _ddf_degrees(_gddf(fp, p))
+        if target is not None and not _degree_sum_feasible(degrees, target):
+            _record("prime_infeasible", p)
+            return None
+        candidates.append((len(degrees), p, fp))
+        if len(degrees) <= 6 or len(candidates) >= max_candidates:
             break
-    candidates.sort(key=lambda c: (c[0], c[1]))
-    _, best_p, best_factors = candidates[0]
-    logger.debug("factor mod p: chose p=%d with %d modular factors", best_p, len(best_factors))
-    _record("prime", best_p)
-    return best_p, best_factors
+    count, p, fp = min(candidates, key=lambda c: c[:2])
+    logger.debug("factor mod p: chose p=%d with %d modular factors", p, count)
+    _record("prime", p)
+    return p, _gfactor_sqf(fp, p)
 
 
 def _lift_factors(f, p, modular):
@@ -446,7 +464,7 @@ def _zassenhaus(f):
         raise CapExceededError(
             f"degree {n} exceeds the factorization cap {DEGREE_CAP}"
         )
-    p, modular = _select_prime(f)
+    p, modular = _choose_prime(f, max_candidates=8)
     lifted, pl = _lift_factors(f, p, modular)
 
     remaining = list(range(len(lifted)))
@@ -483,22 +501,10 @@ def _find_monic_factors_of_degree(f, target):
         raise CapExceededError(
             f"degree {n} exceeds the factorization cap {DEGREE_CAP}"
         )
-    # degree-multiset feasibility over several primes: a rational factor of
-    # degree `target` reduces mod every good prime to a sub-multiset of the
-    # modular factor degrees summing to `target`.
-    candidates = []
-    for p, fp in _good_primes(f):
-        factors = _gfactor_sqf(fp, p)
-        if not _degree_sum_feasible([_ideg(g) for g in factors], target):
-            _record("prime_infeasible", p)
-            return []
-        candidates.append((len(factors), p, factors))
-        if len(factors) <= 6 or len(candidates) >= 10:
-            break
-    candidates.sort(key=lambda c: (c[0], c[1]))
-    _, best_p, modular = candidates[0]
-    _record("prime", best_p)
-    lifted, pl = _lift_factors(f, best_p, modular)
+    chosen = _choose_prime(f, max_candidates=10, target=target)
+    if chosen is None:
+        return []
+    lifted, pl = _lift_factors(f, *chosen)
 
     remaining = list(range(len(lifted)))
     degrees = {i: _ideg(lifted[i]) for i in remaining}

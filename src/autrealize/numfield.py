@@ -16,8 +16,8 @@ generator until the resultant norm is squarefree, factor the norm over Q,
 pull factors back by gcd.  Every norm -- Trager norms, characteristic
 polynomials, primitive elements of extensions, and the pipeline's q(T, X)
 -- comes from the one helper :func:`shifted_norm`, which evaluates element
-norms at rational sample points and interpolates, keeping all resultant
-work univariate over Z.  Squarefree decomposition is
+norms at the sample points 0, 1, ..., n and interpolates over Z, keeping
+all resultant work univariate.  Squarefree decomposition is
 ``factor.yun_squarefree_decomposition`` (it works over any field), and
 images of a generator in a larger field come from :func:`embed_generator`.
 """

@@ -329,6 +329,8 @@ def run(
 ) -> RealizationCertificate:
     if count < 1:
         raise SpecParseError(f"count must be >= 1, got {count}")
+    if t_max < 0:
+        raise SpecParseError(f"t-max must be >= 0, got {t_max}")
     from .factor import audit_trail
 
     with audit_trail() as audit:

@@ -3,12 +3,15 @@
 Each is the plain textbook version of something the package computes
 another way, kept here because only tests use it: the extended Euclidean
 algorithm (and the number-field inverse it gives), the Sylvester-matrix
-resultant, normalizers, normality and quotient groups by direct scan, and the
-product of a factorization.
+resultant, Newton interpolation over Fractions, the Zassenhaus prime
+choice by complete factorization mod every candidate, normalizers,
+normality and quotient groups by direct scan, and the product of a
+factorization.
 """
 
 from fractions import Fraction
 
+from autrealize import factor
 from autrealize.errors import VerificationError
 from autrealize.exact import UniPoly, poly_divrem
 from autrealize.perm import AbstractGroup, PermGroup, Permutation
@@ -100,6 +103,42 @@ def sylvester_resultant(f: UniPoly, g: UniPoly):
                 factor = rows[r][col] * inv
                 rows[r] = [rows[r][k] - factor * rows[col][k] for k in range(size)]
     return det if sign == 1 else -det
+
+
+def newton_interpolate(points, values, var="X"):
+    """Newton's divided differences over Fractions through
+    (points[i], values[i]), for any distinct rational points."""
+    n = len(points)
+    table = [Fraction(v) for v in values]
+    pts = [Fraction(p) for p in points]
+    for j in range(1, n):
+        for i in range(n - 1, j - 1, -1):
+            table[i] = (table[i] - table[i - 1]) / (pts[i] - pts[i - j])
+    acc = UniPoly.zero(var)
+    for i in range(n - 1, -1, -1):
+        acc = acc * UniPoly([-pts[i], 1], var) + UniPoly.constant(table[i], var)
+    return acc
+
+
+def choose_prime_by_factoring(f, max_candidates, target=None):
+    """The Zassenhaus prime choice with every candidate prime factored
+    completely: the fewest modular factors win, ties towards smaller p,
+    with the same stopping rule, infeasibility test and audit events as
+    ``factor._choose_prime``."""
+    candidates = []
+    for p, fp in factor._good_primes(f):
+        factors = factor._gfactor_sqf(fp, p)
+        degrees = [len(g) - 1 for g in factors]
+        if target is not None and not factor._degree_sum_feasible(degrees, target):
+            factor._record("prime_infeasible", p)
+            return None
+        candidates.append((len(factors), p, factors))
+        if len(factors) <= 6 or len(candidates) >= max_candidates:
+            break
+    candidates.sort(key=lambda c: (c[0], c[1]))
+    _, p, factors = candidates[0]
+    factor._record("prime", p)
+    return p, factors
 
 
 def normalizer(ambient, sub):

@@ -11,6 +11,7 @@ from autrealize.cli import (
     main,
     parse_group_spec,
 )
+from autrealize import pipeline
 from autrealize.errors import SpecParseError
 from autrealize.perm import PermGroup, parse_cycles
 
@@ -101,6 +102,15 @@ class TestRealizeCommand:
         monkeypatch.setattr(PermGroup, "_close", refuse)
         assert main(["realize", *argv]) == EXIT_CAP
         assert "n = 9 is not supported yet" in capsys.readouterr().err
+
+    def test_negative_t_max_refused_up_front(self, capsys, monkeypatch):
+        def refuse(*_):
+            raise AssertionError("pipeline state built for a negative t-max")
+
+        monkeypatch.setattr(pipeline, "build_state", refuse)
+        code = main(["realize", "--named", "C2", "--count", "1", "--t-max", "-3"])
+        assert code == EXIT_PARSE
+        assert "t-max must be >= 0" in capsys.readouterr().err
 
     def test_budget(self, capsys):
         code = main(["realize", "--n", "1", "--gens", "()", "--count", "50",

@@ -23,7 +23,7 @@ from autrealize.exact import (
     resultant_std,
 )
 from autrealize.numfield import NumberField
-from reference import poly_gcdex, sylvester_resultant
+from reference import newton_interpolate, poly_gcdex, sylvester_resultant
 
 X = UniPoly.gen("X")
 ONE = UniPoly.one("X")
@@ -214,6 +214,18 @@ class TestDiscriminant:
         T = UniPoly.gen("T")
         assert d == -(T**3) * 4 - (T**2) * 27
 
+    def test_bivariate_constant_leading_coefficient(self):
+        # 2X^2 + TX + T: T^2 - 8T
+        f = BiPoly.from_terms([(0, 2, F(2)), (1, 1, F(1)), (1, 0, F(1))])
+        T = UniPoly.gen("T")
+        assert discriminant_in_X(f) == T * T - T * 8
+
+    def test_bivariate_not_monic_in_x_rejected(self):
+        # T X^2 + X + 1 loses its X-degree at T = 0
+        for terms in ([(1, 2, F(1)), (0, 1, F(1)), (0, 0, F(1))], [(1, 1, F(1)), (0, 0, F(1))]):
+            with pytest.raises(ValueError):
+                discriminant_in_X(BiPoly.from_terms(terms))
+
     def test_degree_zero_rejected(self):
         with pytest.raises(ValueError):
             discriminant(ONE)
@@ -276,6 +288,25 @@ class TestInterpolate:
             pts = [F(i) for i in range(f.degree + 1)]
             vals = [f.eval(p) for p in pts]
             assert interpolate(pts, vals, "X") == f
+
+    def test_matches_newton_over_fractions(self):
+        rng = random.Random(17)
+        for n in (1, 2, 3, 19, 54, 109):
+            vals = [
+                F(rng.randrange(-(2**1100), 2**1100), rng.randrange(1, 1000))
+                for _ in range(n + 1)
+            ]
+            vals[rng.randrange(n + 1)] = F(-(2**1001) - 1, 3)
+            assert interpolate(range(n + 1), vals, "T") == newton_interpolate(
+                range(n + 1), vals, "T"
+            )
+
+    def test_points_must_be_zero_to_n(self):
+        for pts in ([F(1), F(2)], [F(0), F(2)], [F(1), F(0)], [F(0), F(1, 2)]):
+            with pytest.raises(ValueError):
+                interpolate(pts, [F(1), F(2)])
+        with pytest.raises(ValueError):
+            interpolate([F(0), F(1)], [F(1)])
 
 
 class TestRendering:

@@ -1,11 +1,14 @@
 import random
+from functools import reduce
 from fractions import Fraction as F
 
 import pytest
 
+from autrealize import factor
 from autrealize.errors import CapExceededError, VerificationError
-from autrealize.exact import UniPoly, discriminant, poly_gcd
+from autrealize.exact import UniPoly, discriminant, is_squarefree, poly_gcd
 from autrealize.factor import (
+    _choose_prime,
     _gfactor_sqf,
     _hensel_lift,
     audit_trail,
@@ -15,7 +18,7 @@ from autrealize.factor import (
     is_irreducible_Q,
     squarefree_part,
 )
-from reference import expand
+from reference import choose_prime_by_factoring, expand
 
 X = UniPoly.gen("X")
 ONE = UniPoly.one("X")
@@ -184,6 +187,71 @@ class TestTargetedSearch:
         a = [(g.coeffs, m) for g, m in factor_over_Q(f).factors]
         b = [(g.coeffs, m) for g, m in factor_over_Q(f).factors]
         assert a == b
+
+
+def rand_squarefree_int(rng, degree):
+    """A primitive squarefree integer polynomial of the given degree, the
+    product of random factors of degree <= 12."""
+    while True:
+        f = [1]
+        while len(f) - 1 < degree:
+            d = min(rng.randrange(1, 13), degree - (len(f) - 1))
+            g = [rng.randrange(-9, 10) for _ in range(d)] + [rng.randrange(1, 4)]
+            f = factor._imul(f, g)
+        _, f = factor._iprimitive(f)
+        if is_squarefree(UniPoly([F(c) for c in f])):
+            return f
+
+
+class TestPrimeChoice:
+    """The prime chosen from distinct-degree patterns is the one complete
+    factorization mod every candidate chose, with the same modular
+    factors and audit events."""
+
+    #: (X^4 + 1, 1): infeasible at the first usable prime, 5;
+    #: (X^2 - 2)(X^2 - 13)(X^2 - 14)(X^2 - 15), 1: 17 gives 8 factors,
+    #: then 19 has no root
+    INFEASIBLE = (
+        ([1, 0, 0, 0, 1], 1, 5),
+        (reduce(factor._imul, ([-a, 0, 1] for a in (2, 13, 14, 15))), 1, 19),
+    )
+
+    @pytest.fixture
+    def primes_split(self, monkeypatch):
+        """The primes at which ``factor._gfactor_sqf`` runs, in order."""
+        split = factor._gfactor_sqf
+        primes = []
+        monkeypatch.setattr(
+            factor, "_gfactor_sqf", lambda fp, p: primes.append(p) or split(fp, p)
+        )
+        return primes
+
+    @staticmethod
+    def choose(choice, f, target):
+        max_candidates = 8 if target is None else 10
+        with audit_trail() as events:
+            got = choice(f, max_candidates, target=target)
+        return got, events
+
+    def test_same_choice_as_complete_factorization(self, primes_split):
+        rng = random.Random(29)
+        cases = [rand_squarefree_int(rng, d) for d in (3, 54)]
+        cases += [rand_squarefree_int(rng, rng.randrange(4, 54)) for _ in range(8)]
+        for f in cases:
+            for target in (None, rng.randrange(1, len(f) - 1)):
+                primes_split.clear()
+                got, events = self.choose(_choose_prime, f, target)
+                # equal-degree splitting runs on the chosen prime only
+                assert primes_split == ([got[0]] if got else [])
+                assert (got, events) == self.choose(choose_prime_by_factoring, f, target)
+
+    def test_infeasible_prime(self, primes_split):
+        for f, target, p in self.INFEASIBLE:
+            expected = (None, [("prime_infeasible", p)])
+            primes_split.clear()
+            assert self.choose(_choose_prime, f, target) == expected
+            assert primes_split == []
+            assert self.choose(choose_prime_by_factoring, f, target) == expected
 
 
 class TestHenselLift:

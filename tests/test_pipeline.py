@@ -143,6 +143,14 @@ class TestRun:
         with pytest.raises(SpecParseError):
             run(PermGroup([], degree=1), 1, count=0)
 
+    def test_negative_t_max_refused_before_build(self, monkeypatch):
+        def refuse(*_):
+            raise AssertionError("pipeline state built for a negative t-max")
+
+        monkeypatch.setattr(pipeline, "build_state", refuse)
+        with pytest.raises(SpecParseError, match="t-max must be >= 0"):
+            run(PermGroup.symmetric(2), 2, count=1, t_max=-3)
+
     def test_field_never_separated_from_itself(self, state_trivial):
         rec = specialize_and_verify(state_trivial, 1)
         assert rec.status == "accepted"
