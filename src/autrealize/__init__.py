@@ -15,7 +15,6 @@ from .numfield import (
     NfElement,
     NumberField,
     SplittingField,
-    automorphisms,
     factor_over_nf,
     fixed_field,
     minpoly,

@@ -83,7 +83,7 @@ def certificate_to_json(cert) -> dict:
             "splitting_polynomial": render_unipoly(state.L.poly),
             "field_modulus": render_unipoly(state.L.field.modulus),
             "galois_order": state.L.galois.order,
-            "g_prime_order": state.Gp.order,
+            "g_prime_order": state.G.order,
             "y": _render_coords(state.y),
             "y_minpoly": render_unipoly(state.y_minpoly),
             "primitive_shift": state.c,

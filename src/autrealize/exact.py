@@ -643,10 +643,6 @@ class BiPoly:
         return cls(rows)
 
     @property
-    def is_zero(self):
-        return not self.rows
-
-    @property
     def deg_T(self):
         return len(self.rows) - 1
 

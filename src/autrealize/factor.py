@@ -274,11 +274,12 @@ def frobenius_pattern(f: UniPoly, p):
     return _ddf_degrees(_gddf(fp, p))
 
 
-def _gfactor_sqf(f, p, seed=EDF_SEED):
-    """Factor monic squarefree f mod p into monic irreducibles."""
+def _gfactor_sqf(ddf, p, seed=EDF_SEED):
+    """Monic irreducible factors mod p of a monic squarefree polynomial,
+    split from its distinct-degree factorization ``ddf`` (from _gddf)."""
     rng = random.Random(seed)
     out = []
-    for g, k in _gddf(_gmonic(f, p), p):
+    for g, k in ddf:
         out.extend(_gedf(g, k, p, rng))
     out.sort(key=lambda h: (len(h), h))
     return out
@@ -396,17 +397,18 @@ def _choose_prime(f, max_candidates, target=None):
     """
     candidates = []
     for p, fp in _good_primes(f):
-        degrees = _ddf_degrees(_gddf(fp, p))
+        ddf = _gddf(fp, p)
+        degrees = _ddf_degrees(ddf)
         if target is not None and not _degree_sum_feasible(degrees, target):
             _record("prime_infeasible", p)
             return None
-        candidates.append((len(degrees), p, fp))
+        candidates.append((len(degrees), p, ddf))
         if len(degrees) <= 6 or len(candidates) >= max_candidates:
             break
-    count, p, fp = min(candidates, key=lambda c: c[:2])
+    count, p, ddf = min(candidates, key=lambda c: c[:2])
     logger.debug("factor mod p: chose p=%d with %d modular factors", p, count)
     _record("prime", p)
-    return p, _gfactor_sqf(fp, p)
+    return p, _gfactor_sqf(ddf, p)
 
 
 def _lift_factors(f, p, modular):

@@ -13,20 +13,24 @@ element as soon as they appear.
 
 Factoring over a field uses Trager's method: shift by a multiple of the
 generator until the resultant norm is squarefree, factor the norm over Q,
-pull factors back by gcd.  Every norm -- Trager norms, characteristic
-polynomials, primitive elements of extensions, and the pipeline's q(T, X)
--- comes from the one helper :func:`shifted_norm`, which evaluates element
-norms at the sample points 0, 1, ..., n and interpolates over Z, keeping
-all resultant work univariate.  Squarefree decomposition is
-``factor.yun_squarefree_decomposition`` (it works over any field), and
-images of a generator in a larger field come from :func:`embed_generator`.
+pull factors back by gcd (one helper for complete factorization and
+the root search).  Every norm -- Trager norms, characteristic
+polynomials, primitive elements of extensions, and the pipeline's
+q(T, X) -- comes from the one helper :func:`shifted_norm`, which
+evaluates element norms at the sample points 0, 1, ..., n and
+interpolates over Z, keeping all resultant work univariate.  Squarefree
+decomposition is ``factor.yun_squarefree_decomposition`` (it works over
+any field).  A splitting field is a tower that keeps what it knows: the
+image of a generator in the next field is one exact linear solve
+(:func:`embed_generator`), and the automorphisms permute the roots in
+the generator, an integer combination of them.
 """
 
 from __future__ import annotations
 
 import logging
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, permutations
 from math import gcd, lcm
 
 from .errors import CapExceededError, VerificationError
@@ -294,8 +298,6 @@ class NfElement:
         if solved is None:
             raise VerificationError("modulus is not irreducible")
         det, y = solved
-        if det < 0:
-            det, y = -det, [-c for c in y]
         q = K._row_den
         inv = K._make([self.den * q**j * c for j, c in enumerate(y)], det)
         if self * inv != K.one():
@@ -329,7 +331,7 @@ def _solve_fraction_free(A, b):
     A, or None when A is singular.
 
     Bareiss elimination (Math. Comp. 22, 1968) keeps every entry an
-    integer minor, so each division is exact; D = +-det A, and Y = D * x
+    integer minor, so each division is exact; D = |det A|, and Y = D * x
     is integral by Cramer's rule, so back substitution divides exactly too.
     """
     n = len(A)
@@ -356,6 +358,8 @@ def _solve_fraction_free(A, b):
         row = M[i]
         acc = D * row[n] - sum(row[j] * Y[j] for j in range(i + 1, n))
         Y[i] = acc // row[i]
+    if D < 0:
+        D, Y = -D, [-y for y in Y]
     return D, Y
 
 
@@ -413,6 +417,19 @@ def _sqf_norm(f: UniPoly, K: NumberField):
     raise VerificationError("unreachable: no squarefree-norm shift found")
 
 
+def _trager_pullback(f: UniPoly, K: NumberField, norm_factors):
+    """Monic factors of f (monic squarefree over K), one for each rational
+    factor N_i that norm_factors lists of the squarefree Trager norm N of
+    f(X - s*theta): gcd(f(X - s*theta), N_i) shifted back by s*theta."""
+    s, shifted, N = _sqf_norm(f, K)
+    back = UniPoly([K.gen() * s, K.one()], f.var, K)
+    out = []
+    for Ni in norm_factors(N):
+        Gi = poly_gcd(shifted, Ni.to_field(K).with_var(f.var))
+        out.append(Gi.compose(back) if s else Gi)
+    return out
+
+
 def factor_over_nf(f: UniPoly, K: NumberField) -> Factorization:
     """Complete factorization over K into monic irreducibles (Trager)."""
     if f.is_zero:
@@ -427,23 +444,12 @@ def factor_over_nf(f: UniPoly, K: NumberField) -> Factorization:
         if g.degree == 1:
             pairs.append((g, mult))
             continue
-        s, shifted, N = _sqf_norm(g, K)
-        theta = K.gen()
-        rem = shifted
-        for Ni, _ in factor_over_Q(N).factors:
-            if rem.degree <= 0:
-                break
-            Gi = poly_gcd(rem, Ni.to_field(K).with_var(rem.var))
-            if Gi.degree >= 1:
-                back = (
-                    Gi.compose(UniPoly([theta * s, K.one()], g.var, K))
-                    if s
-                    else Gi.with_var(g.var)
-                )
-                pairs.append((back.monic(), mult))
-                rem = poly_divrem(rem, Gi)[0]
-        if rem.degree > 0:
+        found = _trager_pullback(
+            g, K, lambda N: [Ni for Ni, _ in factor_over_Q(N).factors]
+        )
+        if sum(G.degree for G in found) != g.degree:
             raise VerificationError("Trager pullback did not exhaust the input")
+        pairs += [(G, mult) for G in found]
     pairs.sort(key=lambda p: (p[0].degree, tuple(c.sort_key() for c in p[0].coeffs)))
     return Factorization(unit, tuple(pairs))
 
@@ -452,8 +458,8 @@ def roots_in_field(f: UniPoly, K: NumberField):
     """All roots of f lying in K, sorted by coordinates.
 
     Implemented as a targeted search: a root of f in K corresponds to an
-    irreducible degree-[K:Q] factor of the squarefree Trager norm whose
-    gcd with f over K is linear, so only norm factors of that one degree
+    irreducible degree-[K:Q] factor of the squarefree Trager norm (whose
+    gcd with f over K is linear), so only norm factors of that one degree
     are ever assembled.
     """
     if f.is_zero:
@@ -462,21 +468,16 @@ def roots_in_field(f: UniPoly, K: NumberField):
         f = f.map_coeffs(K.from_rational, field=K)
     if f.degree < 1:
         return []
-    d = K.degree
     part = squarefree_part(f)
-    if part.degree == 1:
-        return [-part.coeffs[0]]
-    s, shifted, N = _sqf_norm(part, K)
-    theta = K.gen()
     roots = []
-    for Ni in find_rational_factors_of_degree(N, d):
-        Gi = poly_gcd(shifted, Ni.to_field(K).with_var(shifted.var))
-        if Gi.degree == 1:
-            rho = -Gi.coeffs[0] / Gi.coeffs[1] - theta * s
-            if part.eval(rho):
-                raise VerificationError("pullback root fails to annihilate")
-            roots.append(rho)
-    return sorted(set(roots), key=NfElement.sort_key)
+    for G in _trager_pullback(
+        part, K, lambda N: find_rational_factors_of_degree(N, K.degree)
+    ):
+        rho = -G.coeffs[0]
+        if G.degree != 1 or part.eval(rho):
+            raise VerificationError("pullback is not a root of f")
+        roots.append(rho)
+    return sorted(roots, key=NfElement.sort_key)
 
 
 # -- automorphisms ----------------------------------------------------------
@@ -492,12 +493,10 @@ class AutomorphismTable:
     def __init__(self, K: NumberField, maps):
         self.field = K
         gen = K.gen()
-        maps = sorted(maps, key=NfElement.sort_key)
-        ident = maps.index(gen)
-        maps[0], maps[ident] = maps[ident], maps[0]
-        # keep the non-identity block deterministic after the swap
-        maps = [maps[0]] + sorted(maps[1:], key=NfElement.sort_key)
-        self.maps = tuple(maps)
+        if gen not in maps:
+            raise VerificationError("the identity is not among the maps")
+        rest = sorted((m for m in maps if m != gen), key=NfElement.sort_key)
+        self.maps = (gen, *rest)
         for m in self.maps:
             if K.modulus.eval(m):
                 raise VerificationError("automorphism image is not a root")
@@ -526,60 +525,64 @@ def composition_table(maps):
     return [[index.get((m.num, m.den)) for m in row] for row in rows]
 
 
-def automorphisms(K: NumberField) -> AutomorphismTable:
-    """Automorphism table of K/Q; one map per root of the modulus in K."""
-    return AutomorphismTable(K, roots_in_field(K.modulus, K))
-
-
 # -- field extension / primitive elements -----------------------------------
 
 
 def extend_field(K: NumberField, h: UniPoly):
-    """Adjoin a root of h (monic irreducible over K); flatten to one
-    primitive element.
+    """Adjoin a root of h (monic irreducible of degree >= 2 over K);
+    flatten to one primitive element.
 
-    Returns (K2, theta_image, beta) where theta_image is the image of
-    K's generator inside K2 and beta is a root of (the coefficient-mapped)
-    h in K2.  The new generator is beta + c*theta for the shift c that
-    :func:`_sqf_norm` finds.
+    Returns (K2, theta_image, beta, c): K2's generator is beta + c*theta
+    for the shift c that :func:`_sqf_norm` finds, theta_image is the image
+    of K's generator theta in K2, and beta is a root of (the
+    coefficient-mapped) h in K2.
     """
     if h.field is None:
         h = h.map_coeffs(K.from_rational, field=K)
-    if not h.is_monic():
-        h = h.monic()
-    if h.degree == 1:
-        return K, K.gen(), -h.coeffs[0]
     # z = beta + c*theta; minimal polynomial = Norm(h(X - c*theta)),
     # irreducible whenever squarefree (norm of an irreducible is a power
     # of an irreducible)
     c, _, N = _sqf_norm(h, K)
     K2 = NumberField(N.with_var("Z"), trusted=True)
     theta2 = embed_generator(K, h, K2, c)
-    return K2, theta2, K2.gen() - theta2 * c
+    return K2, theta2, K2.gen() - theta2 * c, c
 
 
 def embed_generator(K, h, K2, c):
-    """Image of K's generator theta in K2, where K2's generator z is
-    beta + c*theta for a root beta of h (a polynomial over K).
+    """Image theta2 in K2 of K's generator theta, where K2's generator z
+    is beta + c*theta for a root beta of h (monic over K).
 
-    theta2 is the unique common root in K2 of K's modulus and of
-    H(W) = sum_i coords(h_i)(W) * (z - c*W)^i: the gcd of the two is
-    linear.
+    In the tower K(beta), with basis theta^i beta^j, the powers z^0, ...,
+    z^(D-1) are a basis too, so theta = sum a_k z^k for one rational
+    vector a, found by one fraction-free D x D solve; theta2 is then
+    sum a_k Z^k.  Checked exactly: theta2 is a root of K's modulus, and h,
+    with its coefficients mapped through theta2, vanishes at Z - c*theta2.
     """
-    gK2 = K.modulus.with_var("W").to_field(K2)
-    acc = UniPoly.zero("W", K2)
-    lin = UniPoly([K2.gen(), K2.from_rational(-c)], "W", K2)  # z - c*W
-    power = UniPoly.one("W", K2)
-    for hi in h.coeffs:
-        ci = hi.to_poly().with_var("W").to_field(K2)
-        acc = acc + ci * power
-        power = power * lin
-    g = poly_gcd(gK2, acc)
-    if g.degree != 1:
-        raise VerificationError("generator embedding gcd is not linear")
-    theta2 = -g.coeffs[0] / g.coeffs[1]
+    D = K2.degree
+    low = [-e for e in h.coeffs[:-1]]  # beta^m = sum_j low[j] beta^j
+    step = K.gen() * c
+    power = [K.one()] + [K.zero()] * (h.degree - 1)  # z^k over the beta^j
+    cols, dens = [], []
+    for _ in range(D):
+        den = lcm(*(e.den for e in power))
+        cols.append([x * (den // e.den) for e in power for x in e.num])
+        dens.append(den)
+        top = power[-1]
+        power = [
+            step * e + prev + top * l
+            for e, prev, l in zip(power, [K.zero()] + power[:-1], low)
+        ]
+    theta = list(K.gen().num) + [0] * (D - K.degree)
+    solved = _solve_fraction_free([list(row) for row in zip(*cols)], theta)
+    if solved is None:
+        raise VerificationError("powers of the new generator are not a basis")
+    det, y = solved
+    theta2 = K2._make([d * v for d, v in zip(dens, y)], det)
     if K.modulus.eval(theta2):
         raise VerificationError("embedded generator is not a root of the modulus")
+    h2 = h.map_coeffs(lambda e: e.to_poly().eval(theta2), field=K2)
+    if h2.eval(K2.gen() - theta2 * c):
+        raise VerificationError("embedded root does not annihilate h")
     return theta2
 
 
@@ -613,7 +616,14 @@ class SplittingField:
 
 def splitting_field(f: UniPoly, max_degree=SPLITTING_DEGREE_CAP) -> SplittingField:
     """Splitting field of a squarefree rational polynomial, with the
-    Galois group as permutations of the sorted root list."""
+    Galois group as permutations of the sorted root list.
+
+    Each step of the tower adjoins a root beta of the smallest nonlinear
+    factor left, with generator beta + c*z for the old generator z, so the
+    generator is an integer combination sum k_i r_i of roots; its images
+    are the values sum k_i r_pi(i), over all permutations pi of the roots,
+    at which the modulus vanishes.
+    """
     if f.field is not None:
         raise ValueError("expects a rational polynomial")
     if f.degree < 1:
@@ -622,29 +632,26 @@ def splitting_field(f: UniPoly, max_degree=SPLITTING_DEGREE_CAP) -> SplittingFie
         raise ValueError("expects a squarefree polynomial")
     K = NumberField.rationals()
     work = f.monic().map_coeffs(K.from_rational, field=K)
-    roots: list = []
+    adjoined, weights = [], []  # the generator is sum weights[i] * adjoined[i]
     while True:
-        nonlinear = None
-        fresh_roots = []
-        for g, _ in factor_over_nf(work, K).factors:
-            if g.degree == 1:
-                fresh_roots.append(-g.coeffs[0] / g.coeffs[1])
-            elif nonlinear is None or g.degree < nonlinear.degree:
-                nonlinear = g
-        if nonlinear is None:
-            roots = fresh_roots
+        factors = [g for g, _ in factor_over_nf(work, K).factors]
+        nonlinear = [g for g in factors if g.degree > 1]
+        if not nonlinear:
             break
-        new_deg = K.degree * nonlinear.degree
+        h = min(nonlinear, key=lambda g: g.degree)
+        new_deg = K.degree * h.degree
         if new_deg > max_degree:
             raise CapExceededError(
                 f"splitting field degree would reach {new_deg}, "
                 f"exceeding the cap {max_degree}"
             )
-        K2, theta2, beta = extend_field(K, nonlinear)
+        K2, theta2, beta, c = extend_field(K, h)
         remap = lambda e: e.to_poly().eval(theta2)  # noqa: E731
         work = work.map_coeffs(remap, field=K2)
+        adjoined = [remap(r) for r in adjoined] + [beta]
+        weights = [c * k for k in weights] + [1]
         K = K2
-    roots.sort(key=NfElement.sort_key)
+    roots = sorted((-g.coeffs[0] for g in factors), key=NfElement.sort_key)
     # reconstruct f from the roots as a sanity check
     acc = UniPoly.one(f.var, K)
     for r in roots:
@@ -652,17 +659,22 @@ def splitting_field(f: UniPoly, max_degree=SPLITTING_DEGREE_CAP) -> SplittingFie
     target = f.monic().map_coeffs(K.from_rational, field=K)
     if acc != target:
         raise VerificationError("root product does not reconstruct the input")
-    autos = automorphisms(K)
+    # each value at which the modulus vanishes is a conjugate of the
+    # generator, and there must be [K:Q] of them
+    images = {
+        sum((roots[i] * k for i, k in zip(img, weights)), K.zero())
+        for img in permutations(range(len(roots)), len(adjoined))
+    }
+    autos = AutomorphismTable(K, [w for w in images if not K.modulus.eval(w)])
     if autos.order != K.degree:
         raise VerificationError(
             "splitting field is not Galois: automorphism count "
             f"{autos.order} != degree {K.degree}"
         )
-    index_of = {r.coords: i + 1 for i, r in enumerate(roots)}
-    perms = []
-    for i in range(autos.order):
-        images = [index_of[autos.apply(i, r).coords] for r in roots]
-        perms.append(Permutation(images))
+    perms = [
+        Permutation(roots.index(autos.apply(i, r)) + 1 for r in roots)
+        for i in range(autos.order)
+    ]
     return SplittingField(K, f.monic(), roots, autos, perms)
 
 

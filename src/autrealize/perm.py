@@ -60,12 +60,6 @@ class Permutation:
             raise ValueError("degree mismatch")
         return Permutation(self.images[b - 1] for b in other.images)
 
-    def inverse(self):
-        inv = [0] * self.degree
-        for i, b in enumerate(self.images):
-            inv[b - 1] = i + 1
-        return Permutation(inv)
-
     def cycles(self):
         """Nontrivial cycles, each rotated to start at its minimum, sorted."""
         seen = set()
@@ -84,11 +78,6 @@ class Permutation:
                 out.append(tuple(cyc))
         out.sort()
         return out
-
-    def order(self):
-        from math import lcm
-
-        return lcm(1, *(len(c) for c in self.cycles()))
 
     @property
     def is_identity(self):
@@ -297,15 +286,6 @@ class AbstractGroup:
                         != self.table[i][self.table[j][k]]
                     ):
                         raise VerificationError("composition table not associative")
-        inv = [None] * n
-        for i in range(n):
-            for j in range(n):
-                if self.table[i][j] == 0:
-                    inv[i] = j
-                    break
-            if inv[i] is None:
-                raise VerificationError("missing inverse in composition table")
-        object.__setattr__(self, "_inverse", tuple(inv))
 
     @property
     def order(self):
@@ -313,9 +293,6 @@ class AbstractGroup:
 
     def mul(self, i, j):
         return self.table[i][j]
-
-    def inverse(self, i):
-        return self._inverse[i]
 
     def element_order(self, i):
         k, acc = 1, i

@@ -3,8 +3,8 @@
 Given G as a subgroup of S_n, the pipeline:
 
 1. builds the splitting field L of X^n - X - 1 (Galois group S_n),
-2. pulls G back to G' inside Gal(L/Q) and computes a generator y of the
-   fixed field of G',
+2. computes a generator y of the fixed field of G: ``realize_sn`` proves
+   that Gal(L/Q) is all of S_n, so G is its own preimage there,
 3. takes the cubic X^3 + (T - y)X + (T - y) over L(T), whose group S3
    ``family.certify_s3`` proves once for X^3 + aX + a over Q(a), and
    forms the minimal polynomial q(T, X) over Q(T) of z = x + c*theta
@@ -32,6 +32,7 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass
 from fractions import Fraction
+from math import factorial
 
 from .errors import (
     BudgetExhaustedError,
@@ -78,47 +79,29 @@ def realize_sn(n: int) -> SplittingField:
     if n < 1:
         raise SpecParseError(f"n must be >= 1, got {n}")
     check_sn_cap(n)
-    fact = 1
-    for k in range(2, n + 1):
-        fact *= k
     if n == 1:
         f = UniPoly([Fraction(-1), Fraction(1)], "X")
     else:
         coeffs = [Fraction(-1), Fraction(-1)] + [Fraction(0)] * (n - 2) + [Fraction(1)]
         f = UniPoly(coeffs, "X")
     L = splitting_field(f)
-    if L.galois.order != fact:
+    if L.galois.order != factorial(n):
         raise VerificationError(
             f"Galois group of X^{n} - X - 1 has order {L.galois.order}, "
-            f"expected {fact}"
+            f"expected {factorial(n)}"
         )
     return L
 
 
-def subgroup_preimage(L: SplittingField, G: PermGroup) -> PermGroup:
-    """G' inside Gal(L/Q): the Galois elements whose root permutation
-    lies in G."""
-    if G.degree != len(L.roots):
-        raise SpecParseError(
-            f"group degree {G.degree} does not match the {len(L.roots)} roots"
-        )
-    members = [p for p in L.galois.elements if p in G.elements]
-    Gp = PermGroup.from_elements(members, G.degree)
-    if Gp.order != G.order:
-        raise VerificationError("preimage order mismatch: Galois group not full")
-    return Gp
+def compute_y(L: SplittingField, G: PermGroup):
+    """Generator y of the fixed field of G and its minimal polynomial.
 
-
-def compute_y(L: SplittingField, Gp: PermGroup):
-    """Generator y of the fixed field of G' and its minimal polynomial.
-
-    When G' is the full Galois group the fixed field is Q and y = 0 is
+    When G is the full Galois group the fixed field is Q and y = 0 is
     the canonical choice (smallest certificate).
     """
-    if Gp.order == L.galois.order:
-        y = L.field.zero()
-        return y, UniPoly.gen("X")
-    return fixed_field(L, Gp)
+    if G.order == L.galois.order:
+        return L.field.zero(), UniPoly.gen("X")
+    return fixed_field(L, G)
 
 
 @dataclass
@@ -127,7 +110,6 @@ class PipelineState:
     G: PermGroup
     G_abstract: AbstractGroup
     L: SplittingField
-    Gp: PermGroup
     y: NfElement
     y_minpoly: UniPoly
     s3_cert: S3Certificate
@@ -193,10 +175,11 @@ class SpecializationRecord:
 
 
 def build_state(G: PermGroup, n: int) -> PipelineState:
+    if G.degree != n:
+        raise SpecParseError(f"group degree {G.degree} does not match the {n} roots")
     L = realize_sn(n)
-    Gp = subgroup_preimage(L, G)
-    y, y_min = compute_y(L, Gp)
-    expected = L.degree // Gp.order
+    y, y_min = compute_y(L, G)
+    expected = L.degree // G.order
     if y_min.degree != expected:
         raise VerificationError(
             f"fixed-field generator degree {y_min.degree}, expected {expected}"
@@ -210,7 +193,6 @@ def build_state(G: PermGroup, n: int) -> PipelineState:
         G=G,
         G_abstract=G.to_abstract()[0],
         L=L,
-        Gp=Gp,
         y=y,
         y_minpoly=y_min,
         s3_cert=s3_cert,

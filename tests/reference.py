@@ -4,16 +4,19 @@ Each is the plain textbook version of something the package computes
 another way, kept here because only tests use it: the extended Euclidean
 algorithm (and the number-field inverse it gives), the Sylvester-matrix
 resultant, Newton interpolation over Fractions, the Zassenhaus prime
-choice by complete factorization mod every candidate, normalizers,
-normality and quotient groups by direct scan, and the product of a
-factorization.
+choice by complete factorization mod every candidate, a field's
+automorphisms as the roots of its modulus in it, a generator's image in
+a larger field by a gcd over that field, the inverse of a permutation,
+normalizers, normality and quotient groups by direct scan, and the
+product of a factorization.
 """
 
 from fractions import Fraction
 
 from autrealize import factor
 from autrealize.errors import VerificationError
-from autrealize.exact import UniPoly, poly_divrem
+from autrealize.exact import UniPoly, poly_divrem, poly_gcd
+from autrealize.numfield import AutomorphismTable, roots_in_field
 from autrealize.perm import AbstractGroup, PermGroup, Permutation
 
 
@@ -127,7 +130,7 @@ def choose_prime_by_factoring(f, max_candidates, target=None):
     ``factor._choose_prime``."""
     candidates = []
     for p, fp in factor._good_primes(f):
-        factors = factor._gfactor_sqf(fp, p)
+        factors = factor._gfactor_sqf(factor._gddf(fp, p), p)
         degrees = [len(g) - 1 for g in factors]
         if target is not None and not factor._degree_sum_feasible(degrees, target):
             factor._record("prime_infeasible", p)
@@ -141,6 +144,38 @@ def choose_prime_by_factoring(f, max_candidates, target=None):
     return p, factors
 
 
+def automorphisms(K) -> AutomorphismTable:
+    """Automorphism table of K/Q; one map per root of the modulus in K,
+    found by a Trager factorization over K itself."""
+    return AutomorphismTable(K, roots_in_field(K.modulus, K))
+
+
+def embed_generator_by_gcd(K, h, K2, c):
+    """Image in K2 of K's generator theta, where K2's generator z is
+    beta + c*theta for a root beta of h (a polynomial over K): the unique
+    common root in K2 of K's modulus and of
+    H(W) = sum_i coords(h_i)(W) * (z - c*W)^i, read off their linear gcd."""
+    gK2 = K.modulus.with_var("W").to_field(K2)
+    acc = UniPoly.zero("W", K2)
+    lin = UniPoly([K2.gen(), K2.from_rational(-c)], "W", K2)  # z - c*W
+    power = UniPoly.one("W", K2)
+    for hi in h.coeffs:
+        acc = acc + hi.to_poly().with_var("W").to_field(K2) * power
+        power = power * lin
+    g = poly_gcd(gK2, acc)
+    if g.degree != 1:
+        raise VerificationError("generator embedding gcd is not linear")
+    return -g.coeffs[0] / g.coeffs[1]
+
+
+def inverse(g: Permutation) -> Permutation:
+    """The permutation undoing g."""
+    inv = [0] * g.degree
+    for i, b in enumerate(g.images):
+        inv[b - 1] = i + 1
+    return Permutation(inv)
+
+
 def normalizer(ambient, sub):
     """N_ambient(sub) by direct scan."""
     if not sub.elements <= ambient.elements:
@@ -149,10 +184,10 @@ def normalizer(ambient, sub):
         g
         for g in ambient.elements
         if all(
-            g * h * g.inverse() in sub.elements
+            g * h * inverse(g) in sub.elements
             for h in sub.generators or [Permutation.identity(sub.degree)]
         )
-        and all(g * h * g.inverse() in sub.elements for h in sub.elements)
+        and all(g * h * inverse(g) in sub.elements for h in sub.elements)
     ]
     return PermGroup.from_elements(keep, ambient.degree)
 
@@ -163,7 +198,7 @@ def quotient(group, normal):
     if not normal.elements <= group.elements:
         raise ValueError("normal must be contained in group")
     if not all(
-        g * h * g.inverse() in normal.elements
+        g * h * inverse(g) in normal.elements
         for g in group.elements
         for h in normal.elements
     ):

@@ -21,14 +21,13 @@ from autrealize.factor import factor_over_Q, is_irreducible_Q
 from autrealize.family import FAMILY, certify_s3, cubic
 from autrealize.numfield import (
     NumberField,
-    automorphisms,
     factor_over_nf,
     fixed_field,
     splitting_field,
 )
 from autrealize.perm import PermGroup, are_isomorphic, parse_cycles
 from autrealize.pipeline import fields_distinct_exact, run as pipeline_run
-from reference import aut_group_via_quotient, expand
+from reference import aut_group_via_quotient, automorphisms, expand
 
 X = UniPoly.gen("X")
 
@@ -215,16 +214,17 @@ class TestFactorizationOracles:
 
 
 #: sha256 of each cached certificate text, with the run parameters; a
-#: change of the certificate format updates these on purpose.
+#: change of the certificate format, or of the factorizations that
+#: metadata.audit records, updates these on purpose.
 PINNED = {
     "C1": (dict(count=3, t_max=10),
            "b62422d2a525af9cf321cba815baebf53b9c2646acd4dc2a5a6713913783941e"),
     "C2": (dict(count=2, t_max=200),
-           "cb6afe918dc42a26e95c6bff28f78d4fe8b5ab5fa5d0829be19a8a3351fe9f1a"),
+           "33e138f89d4a6bd53d6f2ead42ed77b691dda2613b8c59b9169c7c670e9e7080"),
     "S3": (dict(count=1, t_max=200),
-           "4502e5a76535915b77db8e95c286e7b9fe62042034b45130f1b27727c9ac1a13"),
+           "acdf3300f8fbc6a0f9701f17e0e5d95b1ae8214144e8fb133751fe8c479c430b"),
     "C3": (dict(count=1, t_max=200),
-           "488bb771f20e0c41ca02f2bf4e82d42c680b8ab6d0e67695be93bc182878afc3"),
+           "1f4b9c28e3ecb7af5fa96b0246fa1c7f5f30620d4200fcdd2734f6abe45e22f3"),
 }
 
 

@@ -9,6 +9,7 @@ from autrealize.errors import CapExceededError, VerificationError
 from autrealize.exact import UniPoly, discriminant, is_squarefree, poly_gcd
 from autrealize.factor import (
     _choose_prime,
+    _gddf,
     _gfactor_sqf,
     _hensel_lift,
     audit_trail,
@@ -57,11 +58,12 @@ class TestFrobeniusPattern:
             fi = [int(c) for c in f.coeffs]
             for p in (5, 7, 11, 13, 101):
                 got = frobenius_pattern(f, p)
-                fp = [c % p for c in fi]
+                fp = factor._gmonic([c % p for c in fi], p)
                 if not discriminant(f) % p:
                     assert got is None
                 else:
-                    assert got == tuple(sorted(len(g) - 1 for g in _gfactor_sqf(fp, p)))
+                    split = _gfactor_sqf(_gddf(fp, p), p)
+                    assert got == tuple(sorted(len(g) - 1 for g in split))
 
 
 class TestFactorOverQ:
@@ -222,7 +224,17 @@ class TestPrimeChoice:
         split = factor._gfactor_sqf
         primes = []
         monkeypatch.setattr(
-            factor, "_gfactor_sqf", lambda fp, p: primes.append(p) or split(fp, p)
+            factor, "_gfactor_sqf", lambda ddf, p: primes.append(p) or split(ddf, p)
+        )
+        return primes
+
+    @pytest.fixture
+    def primes_ddf(self, monkeypatch):
+        """The primes at which ``factor._gddf`` runs, in order."""
+        ddf = factor._gddf
+        primes = []
+        monkeypatch.setattr(
+            factor, "_gddf", lambda fp, p: primes.append(p) or ddf(fp, p)
         )
         return primes
 
@@ -244,6 +256,16 @@ class TestPrimeChoice:
                 # equal-degree splitting runs on the chosen prime only
                 assert primes_split == ([got[0]] if got else [])
                 assert (got, events) == self.choose(choose_prime_by_factoring, f, target)
+
+    def test_one_ddf_per_candidate_prime(self, primes_ddf):
+        """The chosen prime is split from the distinct-degree factorization
+        that ranked it, not from a second one."""
+        rng = random.Random(31)
+        for f in [rand_squarefree_int(rng, rng.randrange(4, 40)) for _ in range(6)]:
+            primes_ddf.clear()
+            p, _ = _choose_prime(f, 8)
+            assert p in primes_ddf
+            assert len(primes_ddf) == len(set(primes_ddf))
 
     def test_infeasible_prime(self, primes_split):
         for f, target, p in self.INFEASIBLE:

@@ -5,8 +5,12 @@ Every module-level function and class, and every method, defined in
 somewhere in those modules outside its own body: as a name, as an
 attribute, or as an imported name.  Names are matched by their bare
 identifier, so ``K.zero()`` counts as a use of every method called
-``zero``.  Dunder methods are exempt.  Definitions that only tests reach
-on purpose are listed in ``ALLOWED`` with the reason they stay.
+``zero``.  This test therefore cannot see a dead method that shares its
+name with a used method or attribute of another class (an unused
+``Permutation.order`` beside the used ``PermGroup.order``); such methods
+need a reader's eye.  Dunder methods are exempt.  Definitions that only
+tests reach on purpose are listed in ``ALLOWED`` with the reason they
+stay.
 """
 
 import ast

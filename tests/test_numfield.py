@@ -8,7 +8,6 @@ from autrealize.errors import CapExceededError, VerificationError
 from autrealize.exact import UniPoly, poly_divrem
 from autrealize.numfield import (
     NumberField,
-    automorphisms,
     charpoly,
     extend_field,
     factor_over_nf,
@@ -18,7 +17,12 @@ from autrealize.numfield import (
     splitting_field,
 )
 from autrealize.perm import PermGroup, are_isomorphic, parse_cycles
-from reference import aut_group_via_quotient, euclid_inverse
+from reference import (
+    aut_group_via_quotient,
+    automorphisms,
+    embed_generator_by_gcd,
+    euclid_inverse,
+)
 
 X = UniPoly.gen("X")
 
@@ -175,7 +179,7 @@ class TestMinpoly:
 
     def test_sqrt2_plus_sqrt3(self):
         K2 = NumberField(Zpoly(-2, 0, 1))
-        K, _, beta = extend_field(K2, UniPoly([F(-3), F(0), F(1)], "X"))
+        K, _, beta, _ = extend_field(K2, UniPoly([F(-3), F(0), F(1)], "X"))
         assert K.degree == 4
         z = K.gen()
         assert minpoly(z) == UniPoly([F(1), F(0), F(-10), F(0), F(1)], "X")
@@ -259,6 +263,8 @@ class TestRootsInField:
 
 
 class TestAutomorphisms:
+    """The reference table: one map per root of the modulus in the field."""
+
     def test_golden_order_two(self, golden):
         table = automorphisms(golden)
         assert table.order == 2
@@ -294,7 +300,62 @@ class TestAutomorphisms:
                 assert table.apply(i, golden.from_rational(7)) == 7
 
 
+class TestEmbedGenerator:
+    """The generator's image by one linear solve in the tower is the one
+    the gcd over the larger field gives."""
+
+    def test_sqrt2_then_sqrt3(self):
+        K = NumberField(Zpoly(-2, 0, 1))
+        h = (X**2 - 3).to_field(K)
+        K2, theta2, beta, c = extend_field(K, h)
+        assert theta2 == embed_generator_by_gcd(K, h, K2, c)
+        assert theta2 * theta2 == 2 and beta * beta == 3
+
+    def test_every_step_of_the_s3_tower(self, cubic_splitting):
+        K = NumberField.rationals()
+        work = cubic_splitting.poly.to_field(K)
+        steps = 0
+        while True:
+            factors = [g for g, _ in factor_over_nf(work, K).factors]
+            nonlinear = [g for g in factors if g.degree > 1]
+            if not nonlinear:
+                break
+            K2, theta2, _, c = extend_field(K, nonlinear[0])
+            assert theta2 == embed_generator_by_gcd(K, nonlinear[0], K2, c)
+            work = work.map_coeffs(lambda e: e.to_poly().eval(theta2), field=K2)
+            K, steps = K2, steps + 1
+        assert steps == 2 and K == cubic_splitting.field
+
+
+#: polynomials whose splitting fields cover S_n, cyclic, V4 and D4 groups,
+#: one with a rational root and one already split over Q
+SPLITTING_CASES = {
+    "X^2-X-1": X**2 - X - 1,
+    "X^3-X-1": X**3 - X - 1,
+    "X^3-2": X**3 - 2,
+    "X^3+X^2-2X-1": X**3 + X**2 - 2 * X - 1,
+    "X^4+1": X**4 + 1,
+    "X^4-5X^2+6": X**4 - 5 * X**2 + 6,
+    "X^4+X^3+X^2+X+1": X**4 + X**3 + X**2 + X + 1,
+    "(X-1)(X-2)": (X - 1) * (X - 2),
+    "X^4-2": X**4 - 2,
+}
+
+
 class TestSplittingField:
+    @pytest.mark.parametrize("name", list(SPLITTING_CASES))
+    def test_galois_action_matches_reference(self, name):
+        """Permuting the roots in the tracked generator finds the same
+        automorphisms as factoring the modulus over the field, and each
+        permutation is how its map moves the roots."""
+        L = splitting_field(SPLITTING_CASES[name])
+        ref = automorphisms(L.field)
+        assert L.autos.maps == ref.maps
+        assert L.galois.order == L.degree
+        for i, perm in enumerate(L.perms):
+            moved = [L.roots.index(ref.apply(i, r)) + 1 for r in L.roots]
+            assert perm.images == tuple(moved)
+
     def test_quadratic(self):
         L = splitting_field(UniPoly([F(-1), F(-1), F(1)], "X"))
         assert L.degree == 2 and L.galois.order == 2

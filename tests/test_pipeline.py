@@ -4,6 +4,7 @@ import pytest
 
 from autrealize import pipeline
 from autrealize.errors import BudgetExhaustedError, CapExceededError, SpecParseError
+from autrealize.family import cubic
 from autrealize.pipeline import (
     build_E_minpoly,
     build_state,
@@ -12,10 +13,10 @@ from autrealize.pipeline import (
     realize_sn,
     run,
     specialize_and_verify,
-    subgroup_preimage,
     t0_sequence,
 )
 from autrealize.perm import PermGroup, are_isomorphic, parse_cycles
+from reference import embed_generator_by_gcd
 
 
 @pytest.fixture(scope="module")
@@ -49,34 +50,21 @@ class TestRealizeSn:
                 realize_sn(n)
 
 
-class TestSubgroupPreimage:
-    def test_full_group(self):
-        L = realize_sn(2)
-        Gp = subgroup_preimage(L, PermGroup.symmetric(2))
-        assert Gp.order == 2
-
-    def test_trivial_subgroup(self):
-        L = realize_sn(2)
-        Gp = subgroup_preimage(L, PermGroup([], degree=2))
-        assert Gp.order == 1
-
+class TestBuildState:
     def test_degree_mismatch(self):
-        L = realize_sn(2)
         with pytest.raises(SpecParseError):
-            subgroup_preimage(L, PermGroup.symmetric(3))
+            build_state(PermGroup.symmetric(3), 2)
 
 
 class TestComputeY:
     def test_full_group_gives_zero(self):
         L = realize_sn(2)
-        Gp = subgroup_preimage(L, PermGroup.symmetric(2))
-        y, p = compute_y(L, Gp)
+        y, p = compute_y(L, PermGroup.symmetric(2))
         assert not y and p.degree == 1
 
     def test_proper_subgroup(self):
         L = realize_sn(2)
-        Gp = subgroup_preimage(L, PermGroup([], degree=2))
-        y, p = compute_y(L, Gp)
+        y, p = compute_y(L, PermGroup([], degree=2))
         assert p.degree == 2
         assert not p.eval(y)
 
@@ -121,6 +109,22 @@ class TestSpecializeAndVerify:
                 break
         else:
             pytest.fail("no accepted specialization for S2 within height 5")
+
+
+class TestTheta0:
+    @pytest.mark.parametrize(
+        "gens, t0", [(("(1 2 3)", "(1 2)"), 1), (("(1 2 3)",), 0)], ids=["S3", "C3"]
+    )
+    def test_embedding_matches_gcd_reference(self, gens, t0):
+        """theta's image in the accepted E, from one linear solve, is the
+        one the gcd over E gives."""
+        G = PermGroup([parse_cycles(g, 3) for g in gens], degree=3)
+        state = build_state(G, 3)
+        rec = specialize_and_verify(state, t0)
+        assert rec.status == "accepted"
+        cubic0 = cubic(state.L.field.from_rational(t0) - state.y)
+        expected = embed_generator_by_gcd(state.L.field, cubic0, rec.field, state.c)
+        assert rec.theta0 == expected
 
 
 class TestRun:
