@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 
-from .errors import SpecParseError
+from .errors import SpecParseError, VerificationError
 from .exact import (
     _is_prime,
     parse_bipoly,
@@ -24,11 +24,11 @@ from .exact import (
     render_unipoly,
 )
 from .factor import EDF_SEED, frobenius_pattern, is_irreducible_Q
-from .numfield import NumberField, composition_table
+from .numfield import NumberField, table_mod_p
 from .perm import AbstractGroup, PermGroup, parse_cycles
 
 FORMAT_NAME = "autrealize-certificate"
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 
 
 def _render_coords(e):
@@ -58,6 +58,7 @@ def certificate_to_json(cert) -> dict:
                         ],
                         "table": [list(row) for row in rec.aut.group.table],
                     },
+                    "completeness_prime": rec.aut.prime,
                     "witness": list(rec.witness),
                 }
             )
@@ -151,7 +152,14 @@ def _load(path):
 
 #: What a malformed field of a certificate raises while it is parsed or
 #: checked; the validator reports these as failed checks.
-_MALFORMED = (KeyError, SpecParseError, TypeError, ValueError, ZeroDivisionError)
+_MALFORMED = (
+    KeyError,
+    SpecParseError,
+    TypeError,
+    ValueError,
+    VerificationError,
+    ZeroDivisionError,
+)
 
 
 def _pair(entry):
@@ -166,13 +174,25 @@ def _pair(entry):
 _PRIME_PROOF_BOUND = 2**64
 
 
+def _proved_prime(p):
+    """True iff p is an integer prime with 5 <= p < _PRIME_PROOF_BOUND."""
+    return isinstance(p, int) and 5 <= p < _PRIME_PROOF_BOUND and _is_prime(p)
+
+
 def _separates(p, f, g):
-    """True iff p is a prime, 5 <= p < _PRIME_PROOF_BOUND, at which the
-    Frobenius patterns of f and g both exist and differ."""
-    if not (isinstance(p, int) and 5 <= p < _PRIME_PROOF_BOUND and _is_prime(p)):
+    """True iff p is a proved prime at which the Frobenius patterns of f
+    and g both exist and differ."""
+    if not _proved_prime(p):
         return False
     a, b = frobenius_pattern(f, p), frobenius_pattern(g, p)
     return a is not None and b is not None and a != b
+
+
+def _completes(p, f, k):
+    """True iff p is a proved prime at which the Frobenius pattern of f
+    exists with exactly k ones, so Q[X]/(f) has at most k automorphisms."""
+    pattern = frobenius_pattern(f, p) if _proved_prime(p) else None
+    return pattern is not None and pattern.count(1) == k
 
 
 def validate_certificate(path, deep=False) -> ValidationReport:
@@ -180,11 +200,15 @@ def validate_certificate(path, deep=False) -> ValidationReport:
 
     Shallow checks: schema, group closure, each defining polynomial is
     the certificate's q specialized at its t0 and is irreducible,
-    automorphism images are roots, table recomputes from the images and
-    is a group law, witness is an isomorphism onto G, and each pair of
+    automorphism images are roots, the completeness prime p is prime and
+    the defining polynomial is squarefree mod p with exactly as many roots
+    mod p as there are images (so the images are all the automorphisms:
+    reduction modulo a degree-1 prime above p keeps distinct roots
+    distinct), the table recomputes modulo p from the images and is a
+    group law, the witness is an isomorphism onto G, and each pair of
     accepted fields has exactly one distinctness entry whose prime
     separates their Frobenius patterns.  With ``deep``, the whole pipeline
-    is re-run and compared.
+    is re-run and compared, completeness primes included.
     """
     report = ValidationReport()
     data = _load(path)
@@ -247,9 +271,14 @@ def validate_certificate(path, deep=False) -> ValidationReport:
             ]
             roots_ok = all(not E.modulus.eval(m) for m in images)
             report.add(f"{label} images are roots", roots_ok)
+            p = spec["completeness_prime"]
+            complete = _completes(p, q0, len(images))
+            report.add(f"{label} completeness prime", complete, f"p = {p!r}")
             table = spec["automorphisms"]["table"]
+            # the table is read mod p only once p is proved complete
             report.add(
-                f"{label} table recomputes", composition_table(images) == table
+                f"{label} table recomputes mod p",
+                complete and table_mod_p(E, images, p) == table,
             )
             try:
                 aut_group = AbstractGroup(table)
@@ -329,6 +358,7 @@ def _deep_validate(data, G, report):
                 and render_unipoly(rec.q0) == spec.get("defining_polynomial")
                 and isinstance(autos, dict)
                 and [list(r) for r in rec.aut.group.table] == autos.get("table")
+                and rec.aut.prime == spec.get("completeness_prime")
             )
             report.add(f"{label} re-verifies", ok, rec.reason or "")
         else:

@@ -3,14 +3,12 @@
 The engine is classical Zassenhaus: squarefree decomposition (Yun),
 factorization modulo a prime (distinct-degree + equal-degree splitting with
 a fixed-seed PRNG), multifactor Hensel lifting to a Mignotte-style bound,
-and subset recombination with trial division.  Each step has one
-implementation shared by complete factorization (``factor_over_Q``) and
-the targeted degree search (``find_rational_factors_of_degree``): both
-choose their prime with ``_choose_prime``, and both test and peel off
-candidate factors with ``_trial_divide``.  The prime is chosen by the
+and subset recombination with trial division.  The prime is chosen by the
 factor degrees that the distinct-degree factorization gives (von zur
 Gathen-Gerhard, Modern Computer Algebra, ch. 14); equal-degree splitting
-runs on the chosen prime only.
+runs on the chosen prime only.  The same distinct-degree factorization
+gives the Frobenius patterns that prove two fields distinct and that
+bound a field's automorphism count (``completeness_prime``).
 ``yun_squarefree_decomposition`` works over any exact field and is also
 the squarefree decomposition used over number fields.
 
@@ -256,6 +254,17 @@ def _ddf_degrees(ddf):
     return tuple(sorted(k for g, k in ddf for _ in range(_ideg(g) // k)))
 
 
+def _usable_mod_p(f: UniPoly, p):
+    """F mod p made monic, with F the primitive integer multiple of the
+    rational polynomial f, or None when p divides lc(F) or F is not
+    squarefree mod p."""
+    _, F = _iprimitive(_int_clear(f)[0])
+    if F[-1] % p == 0:
+        return None
+    fp = _gmonic([c % p for c in F], p)
+    return fp if _gsqf_p(fp, p) else None
+
+
 def frobenius_pattern(f: UniPoly, p):
     """Sorted degrees of the irreducible factors of F mod p, with F the
     primitive integer multiple of the rational polynomial f, or None when
@@ -265,13 +274,56 @@ def frobenius_pattern(f: UniPoly, p):
     the residue degrees of the primes above p in Q[X]/(F) (Dedekind-Kummer),
     so two fields whose patterns differ at one p are not isomorphic.
     """
-    _, F = _iprimitive(_int_clear(f)[0])
-    if F[-1] % p == 0:
+    fp = _usable_mod_p(f, p)
+    return None if fp is None else _ddf_degrees(_gddf(fp, p))
+
+
+def root_mod_p(f: UniPoly, p):
+    """One root mod p of f, for an odd prime p at which the Frobenius
+    pattern of f exists, or None when f has no root mod p: a linear
+    factor split (with the fixed seed) from gcd(X^p - X, f mod p)."""
+    fp = _usable_mod_p(f, p)
+    linear = next((g for g, k in _gddf(fp, p) if k == 1), None) if fp else None
+    if linear is None:
         return None
-    fp = _gmonic([c % p for c in F], p)
-    if not _gsqf_p(fp, p):
-        return None
-    return _ddf_degrees(_gddf(fp, p))
+    return -_gedf(linear, 1, p, random.Random(EDF_SEED))[0][0] % p
+
+
+def usable_patterns(fs, limit):
+    """(p, the Frobenius patterns of the polynomials fs at p) for the
+    first ``limit`` primes p >= 5 at which all of those patterns exist."""
+    found = 0
+    for p in count(5, 2):
+        if found == limit:
+            return
+        if _is_prime(p):
+            patterns = [frobenius_pattern(f, p) for f in fs]
+            if None not in patterns:
+                found += 1
+                yield p, patterns
+
+
+#: Usable primes tried before a field is given up as having no
+#: completeness prime.  By Chebotarev these primes have density 1/12 for
+#: S3 and 1/36 for C3 on the S_n route, so for C3 all 1,000 miss with
+#: probability (35/36)^1000 < 1e-12.
+COMPLETENESS_PRIMES = 1000
+
+
+def completeness_prime(f: UniPoly, k):
+    """The first prime p >= 5 at which the Frobenius pattern of the
+    irreducible f exists and has exactly k ones, or None once
+    COMPLETENESS_PRIMES usable primes have failed.
+
+    Such a p proves that E = Q[X]/(f) has at most k automorphisms: each
+    sends the generator to a root of f in E, reduction modulo a degree-1
+    prime above p sends these roots to roots of f mod p, and distinct
+    roots stay distinct because f is squarefree mod p.
+    """
+    for p, (pattern,) in usable_patterns([f], COMPLETENESS_PRIMES):
+        if pattern.count(1) == k:
+            return p
+    return None
 
 
 def _gfactor_sqf(ddf, p, seed=EDF_SEED):
@@ -381,7 +433,7 @@ def _good_primes(f):
                 raise ValueError("expects a squarefree polynomial")
 
 
-def _choose_prime(f, max_candidates, target=None):
+def _choose_prime(f, max_candidates):
     """Pick a usable prime p (see _good_primes) for f and factor f mod p.
 
     Among the first few usable primes, the one with the fewest modular
@@ -390,18 +442,12 @@ def _choose_prime(f, max_candidates, target=None):
     ``max_candidates`` primes or at the first with at most 6 factors.
     Candidates are ranked by their distinct-degree factorization alone,
     which gives the factor degrees; only the chosen prime is split into
-    irreducibles.  With a ``target`` degree, a prime whose factor degrees
-    have no sub-multiset summing to it proves that f has no rational
-    factor of that degree, and None is returned.  Returns (p, the monic
-    factors of f mod p).
+    irreducibles.  Returns (p, the monic factors of f mod p).
     """
     candidates = []
     for p, fp in _good_primes(f):
         ddf = _gddf(fp, p)
         degrees = _ddf_degrees(ddf)
-        if target is not None and not _degree_sum_feasible(degrees, target):
-            _record("prime_infeasible", p)
-            return None
         candidates.append((len(degrees), p, ddf))
         if len(degrees) <= 6 or len(candidates) >= max_candidates:
             break
@@ -409,24 +455,6 @@ def _choose_prime(f, max_candidates, target=None):
     logger.debug("factor mod p: chose p=%d with %d modular factors", p, count)
     _record("prime", p)
     return p, _gfactor_sqf(ddf, p)
-
-
-def _lift_factors(f, p, modular):
-    B = _mignotte_bound(f)
-    l = int(ceil(log(2 * B + 1, p)))
-    _record("lift_exponent", l)
-    logger.debug("Hensel lift to p**%d", l)
-    lifted = _hensel_lift(p, f, [list(m) for m in modular], l)
-    return lifted, p**l
-
-
-def _subsets_with_degree_sum(degrees, indices, target):
-    """Yield index tuples (by increasing size, lexicographic) whose degrees
-    sum to target."""
-    for size in range(1, len(indices) + 1):
-        for combo in combinations(indices, size):
-            if sum(degrees[i] for i in combo) == target:
-                yield combo
 
 
 def _trial_divide(f, lifted, combo, pl):
@@ -467,7 +495,10 @@ def _zassenhaus(f):
             f"degree {n} exceeds the factorization cap {DEGREE_CAP}"
         )
     p, modular = _choose_prime(f, max_candidates=8)
-    lifted, pl = _lift_factors(f, p, modular)
+    l = int(ceil(log(2 * _mignotte_bound(f) + 1, p)))
+    _record("lift_exponent", l)
+    logger.debug("Hensel lift to p**%d", l)
+    lifted, pl = _hensel_lift(p, f, modular, l), p**l
 
     remaining = list(range(len(lifted)))
     factors = []
@@ -484,56 +515,6 @@ def _zassenhaus(f):
             size += 1
     factors.append(f)
     return [g for g in factors if _ideg(g) > 0]
-
-
-def _find_monic_factors_of_degree(f, target):
-    """All monic irreducible rational factors of the given degree.
-
-    ``f`` is a primitive squarefree integer polynomial.  Complete: every
-    irreducible factor of degree ``target`` is found (each corresponds to a
-    unique subset of the Hensel-lifted modular factors).  Returns UniPoly
-    factors over Q, monic.
-    """
-    n = _ideg(f)
-    if n < target:
-        return []
-    if n == target:
-        return [UniPoly([Fraction(c) for c in f]).monic()]
-    if n > DEGREE_CAP:
-        raise CapExceededError(
-            f"degree {n} exceeds the factorization cap {DEGREE_CAP}"
-        )
-    chosen = _choose_prime(f, max_candidates=10, target=target)
-    if chosen is None:
-        return []
-    lifted, pl = _lift_factors(f, *chosen)
-
-    remaining = list(range(len(lifted)))
-    degrees = {i: _ideg(lifted[i]) for i in remaining}
-    out = []
-    progress = True
-    while progress:
-        progress = False
-        for combo in _subsets_with_degree_sum(degrees, remaining, target):
-            hit = _trial_divide(f, lifted, combo, pl)
-            if hit is None or _ideg(hit[0]) != target:
-                continue
-            G, f = hit
-            out.append(UniPoly([Fraction(c) for c in G]).monic())
-            remaining = [i for i in remaining if i not in combo]
-            if _ideg(f) == target:
-                out.append(UniPoly([Fraction(c) for c in f]).monic())
-                remaining = []
-            progress = bool(remaining)
-            break
-    return out
-
-
-def _degree_sum_feasible(degs, target):
-    feasible = {0}
-    for d in degs:
-        feasible |= {s + d for s in feasible if s + d <= target}
-    return target in feasible
 
 
 # -- public API over Q ------------------------------------------------------
@@ -616,16 +597,3 @@ def squarefree_part(f: UniPoly) -> UniPoly:
         return UniPoly.one(f.var, f.field)
     g = poly_gcd(f, f.derivative())
     return poly_divrem(f, g)[0].monic()
-
-
-def find_rational_factors_of_degree(f: UniPoly, target: int):
-    """Monic irreducible degree-``target`` factors of a squarefree rational
-    polynomial; complete.  Used for targeted norm-factor searches.  Raises
-    ValueError when the prime search shows the input is not squarefree."""
-    if f.field is not None:
-        raise ValueError("expects rational coefficients")
-    fi = _int_clear(f)[0]
-    _, fi = _iprimitive(fi)
-    if fi[-1] < 0:
-        fi = [-c for c in fi]
-    return _find_monic_factors_of_degree(fi, target)

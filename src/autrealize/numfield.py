@@ -13,8 +13,9 @@ element as soon as they appear.
 
 Factoring over a field uses Trager's method: shift by a multiple of the
 generator until the resultant norm is squarefree, factor the norm over Q,
-pull factors back by gcd (one helper for complete factorization and
-the root search).  Every norm -- Trager norms, characteristic
+pull factors back by gcd.  Automorphisms are never searched for: their
+images are given, and their composition table is read modulo one prime
+(:func:`table_mod_p`).  Every norm -- Trager norms, characteristic
 polynomials, primitive elements of extensions, and the pipeline's
 q(T, X) -- comes from the one helper :func:`shifted_norm`, which
 evaluates element norms at the sample points 0, 1, ..., n and
@@ -44,9 +45,10 @@ from .exact import (
 )
 from .factor import (
     Factorization,
+    completeness_prime,
     factor_over_Q,
-    find_rational_factors_of_degree,
     is_irreducible_Q,
+    root_mod_p,
     squarefree_part,
     yun_squarefree_decomposition,
 )
@@ -417,21 +419,10 @@ def _sqf_norm(f: UniPoly, K: NumberField):
     raise VerificationError("unreachable: no squarefree-norm shift found")
 
 
-def _trager_pullback(f: UniPoly, K: NumberField, norm_factors):
-    """Monic factors of f (monic squarefree over K), one for each rational
-    factor N_i that norm_factors lists of the squarefree Trager norm N of
-    f(X - s*theta): gcd(f(X - s*theta), N_i) shifted back by s*theta."""
-    s, shifted, N = _sqf_norm(f, K)
-    back = UniPoly([K.gen() * s, K.one()], f.var, K)
-    out = []
-    for Ni in norm_factors(N):
-        Gi = poly_gcd(shifted, Ni.to_field(K).with_var(f.var))
-        out.append(Gi.compose(back) if s else Gi)
-    return out
-
-
 def factor_over_nf(f: UniPoly, K: NumberField) -> Factorization:
-    """Complete factorization over K into monic irreducibles (Trager)."""
+    """Complete factorization over K into monic irreducibles (Trager):
+    each rational factor N_i of the squarefree norm N of g(X - s*theta)
+    gives the factor gcd(g(X - s*theta), N_i) shifted back by s*theta."""
     if f.is_zero:
         raise ValueError("cannot factor the zero polynomial")
     if f.field is None:
@@ -444,9 +435,12 @@ def factor_over_nf(f: UniPoly, K: NumberField) -> Factorization:
         if g.degree == 1:
             pairs.append((g, mult))
             continue
-        found = _trager_pullback(
-            g, K, lambda N: [Ni for Ni, _ in factor_over_Q(N).factors]
-        )
+        s, shifted, N = _sqf_norm(g, K)
+        back = UniPoly([K.gen() * s, K.one()], g.var, K)
+        found = []
+        for Ni, _ in factor_over_Q(N).factors:
+            Gi = poly_gcd(shifted, Ni.to_field(K).with_var(g.var))
+            found.append(Gi.compose(back) if s else Gi)
         if sum(G.degree for G in found) != g.degree:
             raise VerificationError("Trager pullback did not exhaust the input")
         pairs += [(G, mult) for G in found]
@@ -455,29 +449,12 @@ def factor_over_nf(f: UniPoly, K: NumberField) -> Factorization:
 
 
 def roots_in_field(f: UniPoly, K: NumberField):
-    """All roots of f lying in K, sorted by coordinates.
-
-    Implemented as a targeted search: a root of f in K corresponds to an
-    irreducible degree-[K:Q] factor of the squarefree Trager norm (whose
-    gcd with f over K is linear), so only norm factors of that one degree
-    are ever assembled.
-    """
-    if f.is_zero:
-        raise ValueError("zero polynomial has every element as a root")
-    if f.field is None:
-        f = f.map_coeffs(K.from_rational, field=K)
-    if f.degree < 1:
-        return []
-    part = squarefree_part(f)
-    roots = []
-    for G in _trager_pullback(
-        part, K, lambda N: find_rational_factors_of_degree(N, K.degree)
-    ):
-        rho = -G.coeffs[0]
-        if G.degree != 1 or part.eval(rho):
-            raise VerificationError("pullback is not a root of f")
-        roots.append(rho)
-    return sorted(roots, key=NfElement.sort_key)
+    """All roots of f lying in K, sorted by coordinates: the linear
+    factors of its factorization over K."""
+    return sorted(
+        (-g.coeffs[0] for g, _ in factor_over_nf(f, K).factors if g.degree == 1),
+        key=NfElement.sort_key,
+    )
 
 
 # -- automorphisms ----------------------------------------------------------
@@ -487,11 +464,13 @@ class AutomorphismTable:
     """All automorphisms of K/Q: generator images plus a composition table.
 
     maps[0] is the identity (generator fixed); table is an AbstractGroup
-    with matching indices.
+    with matching indices, read by :func:`table_mod_p` at ``prime``, a
+    prime at which K's modulus has exactly len(maps) roots.
     """
 
-    def __init__(self, K: NumberField, maps):
+    def __init__(self, K: NumberField, maps, *, prime):
         self.field = K
+        self.prime = prime
         gen = K.gen()
         if gen not in maps:
             raise VerificationError("the identity is not among the maps")
@@ -500,7 +479,7 @@ class AutomorphismTable:
         for m in self.maps:
             if K.modulus.eval(m):
                 raise VerificationError("automorphism image is not a root")
-        table = composition_table(self.maps)
+        table = table_mod_p(K, self.maps, prime)
         if any(None in row for row in table):
             raise VerificationError("composite of two automorphisms is not listed")
         self.group = AbstractGroup(table)
@@ -514,15 +493,32 @@ class AutomorphismTable:
         return e.to_poly().eval(self.maps[i])
 
 
-def composition_table(maps):
-    """table[a][b] = index in maps of the composite sigma_a . sigma_b, or
-    None where it is not listed; maps are generator images.
+def _residue(e: NfElement, r, p):
+    """e modulo the degree-1 prime (p, Z - r) of its field."""
+    if e.den % p == 0:
+        raise VerificationError(f"{p} divides the denominator of an image")
+    acc = 0
+    for c in reversed(e.num):
+        acc = (acc * r + c) % p
+    return acc * pow(e.den, -1, p) % p
 
-    (sigma_a . sigma_b)(Z) = sigma_a(b(Z)) = coords_b evaluated at a.
+
+def table_mod_p(K: NumberField, maps, p):
+    """table[a][b] = index in maps of the composite sigma_a . sigma_b, or
+    None where it is not listed; maps are all the automorphisms, as
+    generator images, and p a prime at which the modulus has len(maps)
+    roots.  (sigma_a . sigma_b)(Z) = m_b(m_a(Z)) reduces to m_b(m_a(r))
+    modulo the degree-1 prime (p, Z - r) at a root r of the modulus mod p,
+    where the residues of the maps must be distinct and p-integral.
     """
-    index = {(m.num, m.den): i for i, m in enumerate(maps)}
-    rows = ([b.to_poly().eval(a) for b in maps] for a in maps)
-    return [[index.get((m.num, m.den)) for m in row] for row in rows]
+    r = root_mod_p(K.modulus, p)
+    if r is None:
+        raise VerificationError(f"the modulus has no usable root mod {p}")
+    residues = [_residue(m, r, p) for m in maps]
+    index = {v: i for i, v in enumerate(residues)}
+    if len(index) != len(maps):
+        raise VerificationError(f"two images agree mod {p}")
+    return [[index.get(_residue(b, ra, p)) for b in maps] for ra in residues]
 
 
 # -- field extension / primitive elements -----------------------------------
@@ -622,7 +618,9 @@ def splitting_field(f: UniPoly, max_degree=SPLITTING_DEGREE_CAP) -> SplittingFie
     factor left, with generator beta + c*z for the old generator z, so the
     generator is an integer combination sum k_i r_i of roots; its images
     are the values sum k_i r_pi(i), over all permutations pi of the roots,
-    at which the modulus vanishes.
+    at which the modulus vanishes.  Once all roots but one are known, the
+    last is minus the X^(n-1) coefficient minus their sum, so the largest
+    field is never factored over.
     """
     if f.field is not None:
         raise ValueError("expects a rational polynomial")
@@ -632,9 +630,10 @@ def splitting_field(f: UniPoly, max_degree=SPLITTING_DEGREE_CAP) -> SplittingFie
         raise ValueError("expects a squarefree polynomial")
     K = NumberField.rationals()
     work = f.monic().map_coeffs(K.from_rational, field=K)
-    adjoined, weights = [], []  # the generator is sum weights[i] * adjoined[i]
+    weights = []  # the generator is sum weights[i] * (i-th adjoined root)
     while True:
         factors = [g for g, _ in factor_over_nf(work, K).factors]
+        roots = [-g.coeffs[0] for g in factors if g.degree == 1]
         nonlinear = [g for g in factors if g.degree > 1]
         if not nonlinear:
             break
@@ -648,10 +647,13 @@ def splitting_field(f: UniPoly, max_degree=SPLITTING_DEGREE_CAP) -> SplittingFie
         K2, theta2, beta, c = extend_field(K, h)
         remap = lambda e: e.to_poly().eval(theta2)  # noqa: E731
         work = work.map_coeffs(remap, field=K2)
-        adjoined = [remap(r) for r in adjoined] + [beta]
+        roots = [remap(r) for r in roots] + [beta]
         weights = [c * k for k in weights] + [1]
         K = K2
-    roots = sorted((-g.coeffs[0] for g in factors), key=NfElement.sort_key)
+        if len(roots) == f.degree - 1:
+            roots.append(-work.coeffs[-2] - sum(roots, K.zero()))
+            break
+    roots.sort(key=NfElement.sort_key)
     # reconstruct f from the roots as a sanity check
     acc = UniPoly.one(f.var, K)
     for r in roots:
@@ -660,12 +662,14 @@ def splitting_field(f: UniPoly, max_degree=SPLITTING_DEGREE_CAP) -> SplittingFie
     if acc != target:
         raise VerificationError("root product does not reconstruct the input")
     # each value at which the modulus vanishes is a conjugate of the
-    # generator, and there must be [K:Q] of them
+    # generator, and there must be [K:Q] of them, as many as the roots of
+    # the modulus modulo the prime the table is read at
     images = {
         sum((roots[i] * k for i, k in zip(img, weights)), K.zero())
-        for img in permutations(range(len(roots)), len(adjoined))
+        for img in permutations(range(len(roots)), len(weights))
     }
-    autos = AutomorphismTable(K, [w for w in images if not K.modulus.eval(w)])
+    p = completeness_prime(K.modulus, K.degree)
+    autos = AutomorphismTable(K, [w for w in images if not K.modulus.eval(w)], prime=p)
     if autos.order != K.degree:
         raise VerificationError(
             "splitting field is not Galois: automorphism count "

@@ -13,18 +13,20 @@ Given G as a subgroup of S_n, the pipeline:
 4. specializes T to rational t0, rejects t0 in the bad set (q(t0, X)
    has a multiple root, decided per t0 by ``family.bad_set``), and
    verifies, exactly, that the field Q[X]/(q(t0, X)) has automorphism
-   group isomorphic to G, with an explicit isomorphism witness,
+   group isomorphic to G, with a completeness prime and an explicit
+   isomorphism witness,
 5. repeats until the requested number of verified fields is collected,
    keeping a field only if, against each field kept before it, some prime
    p >= 5 has different Frobenius patterns in the two (which proves them
    non-isomorphic), and assembles a certificate recording one such prime
    per pair.
 
-Verification at each t0 walks the tower instead of factoring q(t0, X)
-over the big field: automorphisms are enumerated as pairs (sigma, root)
-with sigma an automorphism of L and the root drawn from a cubic, so the
-largest norms that ever reach the factorization engine have degree
-3 * [E_t0 : Q].
+Verification at each t0 searches for no automorphism: they come from G.
+E = L(x) for a root x of the cubic, and L/Q is normal, so every
+automorphism of E restricts to one of L; each sigma in G fixes y, hence
+the cubic, and extends to E by x -> x.  A completeness prime p (at which
+q(t0, X) is squarefree with exactly |G| roots mod p) proves there are no
+others, and the composition table is read modulo p.
 """
 
 from __future__ import annotations
@@ -40,8 +42,14 @@ from .errors import (
     SpecParseError,
     VerificationError,
 )
-from .exact import BiPoly, UniPoly, _is_prime, interpolate
-from .factor import _record, frobenius_pattern, is_irreducible_Q
+from .exact import BiPoly, UniPoly, interpolate
+from .factor import (
+    COMPLETENESS_PRIMES,
+    _record,
+    completeness_prime,
+    is_irreducible_Q,
+    usable_patterns,
+)
 from .family import S3Certificate, bad_set, certify_s3, cubic
 from .numfield import (
     AutomorphismTable,
@@ -50,7 +58,6 @@ from .numfield import (
     SplittingField,
     embed_generator,
     fixed_field,
-    roots_in_field,
     shift_sequence,
     shifted_norm,
     splitting_field,
@@ -210,40 +217,24 @@ def specialize_and_verify(state: PipelineState, t0) -> SpecializationRecord:
     q0 = state.q.specialize(t0)
     if not is_irreducible_Q(q0):
         return SpecializationRecord(t0, "rejected", "q(t0, X) reducible over Q")
+    p = completeness_prime(q0, state.G.order)
+    if p is None:
+        reason = f"no completeness prime in the first {COMPLETENESS_PRIMES} usable primes"
+        return SpecializationRecord(t0, "rejected", reason)
     E = NumberField(q0.with_var("Z"), trusted=True)
     L, c = state.L, state.c
     cubic0 = cubic(L.field.from_rational(t0) - state.y)
     theta0 = embed_generator(L.field, cubic0, E, c)
-    # enumerate automorphisms through the tower: q(t0, X) factors over L
-    # as the product of the conjugate cubics shifted by c*sigma(theta),
-    # so its roots in E are exactly xi + c*sigma(theta)-image with xi a
-    # root in E of the corresponding conjugate cubic.
-    cubic_roots = {}
-    images = []
-    for j in range(L.autos.order):
-        y_img = L.autos.apply(j, state.y).to_poly().eval(theta0)
-        key = (y_img.num, y_img.den)
-        if key not in cubic_roots:
-            cubic_roots[key] = roots_in_field(cubic(E.from_rational(t0) - y_img), E)
-        theta0_j = L.autos.maps[j].to_poly().eval(theta0)
-        for xi in cubic_roots[key]:
-            w = xi + theta0_j * c
-            if q0.eval(w):
-                raise VerificationError("candidate image is not a root of q(t0, X)")
-            images.append(w)
-    unique = sorted(set(images), key=NfElement.sort_key)
-    if len(unique) != state.G.order:
-        return SpecializationRecord(
-            t0,
-            "rejected",
-            f"automorphism count {len(unique)} != |G| = {state.G.order}",
-        )
-    aut = AutomorphismTable(E, unique)
+    # E's generator is x + c*theta0; sigma in G sends it to x + c*sigma(theta0)
+    x = E.gen() - theta0 * c
+    images = [
+        x + L.autos.maps[L.aut_index_for_perm(sigma)].to_poly().eval(theta0) * c
+        for sigma in state.G.elements
+    ]
+    aut = AutomorphismTable(E, images, prime=p)
     ok, witness = are_isomorphic(aut.group, state.G_abstract)
     if not ok:
-        return SpecializationRecord(
-            t0, "rejected", "automorphism group not isomorphic to G"
-        )
+        raise VerificationError("the images of G do not form a copy of G")
     return SpecializationRecord(
         t0, "accepted", None, q0, E, theta0, aut, witness
     )
@@ -261,17 +252,9 @@ def fields_distinct_exact(a: SpecializationRecord, b: SpecializationRecord):
     """A prime p >= 5 at which the Frobenius patterns of a.q0 and b.q0
     exist and differ, proving the two fields non-isomorphic; None once
     DISTINCTNESS_PRIMES primes usable for both have failed."""
-    usable, p = 0, 3
-    while usable < DISTINCTNESS_PRIMES:
-        p += 2
-        if not _is_prime(p):
-            continue
-        pa, pb = frobenius_pattern(a.q0, p), frobenius_pattern(b.q0, p)
-        if pa is None or pb is None:
-            continue
+    for p, (pa, pb) in usable_patterns([a.q0, b.q0], DISTINCTNESS_PRIMES):
         if pa != pb:
             return p
-        usable += 1
     return None
 
 

@@ -5,7 +5,8 @@ another way, kept here because only tests use it: the extended Euclidean
 algorithm (and the number-field inverse it gives), the Sylvester-matrix
 resultant, Newton interpolation over Fractions, the Zassenhaus prime
 choice by complete factorization mod every candidate, a field's
-automorphisms as the roots of its modulus in it, a generator's image in
+automorphisms as the roots of its modulus in it, their composition table
+by exact composition in the field, a generator's image in
 a larger field by a gcd over that field, the inverse of a permutation,
 normalizers, normality and quotient groups by direct scan, and the
 product of a factorization.
@@ -16,6 +17,7 @@ from fractions import Fraction
 from autrealize import factor
 from autrealize.errors import VerificationError
 from autrealize.exact import UniPoly, poly_divrem, poly_gcd
+from autrealize.factor import completeness_prime
 from autrealize.numfield import AutomorphismTable, roots_in_field
 from autrealize.perm import AbstractGroup, PermGroup, Permutation
 
@@ -123,18 +125,14 @@ def newton_interpolate(points, values, var="X"):
     return acc
 
 
-def choose_prime_by_factoring(f, max_candidates, target=None):
+def choose_prime_by_factoring(f, max_candidates):
     """The Zassenhaus prime choice with every candidate prime factored
     completely: the fewest modular factors win, ties towards smaller p,
-    with the same stopping rule, infeasibility test and audit events as
+    with the same stopping rule and audit events as
     ``factor._choose_prime``."""
     candidates = []
     for p, fp in factor._good_primes(f):
         factors = factor._gfactor_sqf(factor._gddf(fp, p), p)
-        degrees = [len(g) - 1 for g in factors]
-        if target is not None and not factor._degree_sum_feasible(degrees, target):
-            factor._record("prime_infeasible", p)
-            return None
         candidates.append((len(factors), p, factors))
         if len(factors) <= 6 or len(candidates) >= max_candidates:
             break
@@ -146,8 +144,21 @@ def choose_prime_by_factoring(f, max_candidates, target=None):
 
 def automorphisms(K) -> AutomorphismTable:
     """Automorphism table of K/Q; one map per root of the modulus in K,
-    found by a Trager factorization over K itself."""
-    return AutomorphismTable(K, roots_in_field(K.modulus, K))
+    found by a Trager factorization over K itself, with the table read at
+    the first prime where the modulus has as many roots as K has maps."""
+    maps = roots_in_field(K.modulus, K)
+    return AutomorphismTable(K, maps, prime=completeness_prime(K.modulus, len(maps)))
+
+
+def composition_table(maps):
+    """table[a][b] = index in maps of the composite sigma_a . sigma_b, or
+    None where it is not listed; maps are generator images.
+
+    (sigma_a . sigma_b)(Z) = sigma_a(b(Z)) = coords_b evaluated at a.
+    """
+    index = {(m.num, m.den): i for i, m in enumerate(maps)}
+    rows = ([b.to_poly().eval(a) for b in maps] for a in maps)
+    return [[index.get((m.num, m.den)) for m in row] for row in rows]
 
 
 def embed_generator_by_gcd(K, h, K2, c):

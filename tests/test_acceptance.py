@@ -16,8 +16,8 @@ import pytest
 
 from autrealize.certs import certificate_to_json, dumps_canonical
 from autrealize.cli import expand_named
-from autrealize.exact import UniPoly, discriminant
-from autrealize.factor import factor_over_Q, is_irreducible_Q
+from autrealize.exact import UniPoly, _is_prime, discriminant
+from autrealize.factor import factor_over_Q, frobenius_pattern, is_irreducible_Q
 from autrealize.family import FAMILY, certify_s3, cubic
 from autrealize.numfield import (
     NumberField,
@@ -27,7 +27,12 @@ from autrealize.numfield import (
 )
 from autrealize.perm import PermGroup, are_isomorphic, parse_cycles
 from autrealize.pipeline import fields_distinct_exact, run as pipeline_run
-from reference import aut_group_via_quotient, automorphisms, expand
+from reference import (
+    aut_group_via_quotient,
+    automorphisms,
+    composition_table,
+    expand,
+)
 
 X = UniPoly.gen("X")
 
@@ -59,6 +64,22 @@ def assert_separated(cert):
         assert p == fields_distinct_exact(cert.accepted[i], cert.accepted[j])
 
 
+def assert_complete(cert):
+    """Each completeness prime is the first prime p >= 5 at which the
+    Frobenius pattern of q0 exists with exactly |G| ones, and the table
+    read modulo it is the one exact composition in E gives."""
+    k = cert.group_order
+    for rec in cert.accepted:
+        p = rec.aut.prime
+        assert frobenius_pattern(rec.q0, p).count(1) == k
+        for r in filter(_is_prime, range(5, p)):
+            pattern = frobenius_pattern(rec.q0, r)
+            assert pattern is None or pattern.count(1) != k
+        assert [list(row) for row in rec.aut.group.table] == composition_table(
+            rec.aut.maps
+        )
+
+
 def is_rational_square(r):
     r = F(r)
     if r < 0:
@@ -83,6 +104,7 @@ class TestTrivialGroupRealization:
             assert rec.aut.order == 1
         assert [(i, j) for i, j, _ in cert.distinctness] == [(0, 1), (0, 2), (1, 2)]
         assert_separated(cert)
+        assert_complete(cert)
 
 
 class TestC2Realization:
@@ -98,6 +120,8 @@ class TestC2Realization:
             assert ok and rec.witness is not None
         assert [(i, j) for i, j, _ in cert.distinctness] == [(0, 1)]
         assert_separated(cert)
+        assert [rec.aut.prime for rec in cert.accepted] == [11, 11]
+        assert_complete(cert)
 
 
 class TestC3Realization:
@@ -115,6 +139,8 @@ class TestC3Realization:
         c3 = PermGroup.cyclic(3).to_abstract()[0]
         ok, _ = are_isomorphic(rec.aut.group, c3)
         assert ok
+        assert rec.aut.prime == 173
+        assert_complete(cert)
 
 
 class TestS3Realization:
@@ -128,6 +154,8 @@ class TestS3Realization:
         s3 = PermGroup.symmetric(3).to_abstract()[0]
         ok, _ = are_isomorphic(rec.aut.group, s3)
         assert ok and rec.witness is not None
+        assert rec.aut.prime == 167
+        assert_complete(cert)
 
 
 class TestFixedFieldCrossCheck:
@@ -218,13 +246,13 @@ class TestFactorizationOracles:
 #: metadata.audit records, updates these on purpose.
 PINNED = {
     "C1": (dict(count=3, t_max=10),
-           "b62422d2a525af9cf321cba815baebf53b9c2646acd4dc2a5a6713913783941e"),
+           "e83f4d3322a91faae51234f7fbc070a1c5f767a5358bb1cd6729402962fea950"),
     "C2": (dict(count=2, t_max=200),
-           "33e138f89d4a6bd53d6f2ead42ed77b691dda2613b8c59b9169c7c670e9e7080"),
+           "2b89fa1ceadd781330bc9848e1394a4efa1c798a523c6ac548cb7a7c3b466144"),
     "S3": (dict(count=1, t_max=200),
-           "acdf3300f8fbc6a0f9701f17e0e5d95b1ae8214144e8fb133751fe8c479c430b"),
+           "7502e5f0c735bcd6c92e0712a50f540ad0aeb168358a58e9e93e2e8cea5fcb1b"),
     "C3": (dict(count=1, t_max=200),
-           "1f4b9c28e3ecb7af5fa96b0246fa1c7f5f30620d4200fcdd2734f6abe45e22f3"),
+           "b173d466d1bf0bf03921d9856b6dfc5660c57b8f8722c44a8bb7c621a88006d1"),
 }
 
 

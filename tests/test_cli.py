@@ -128,6 +128,27 @@ def cert_path(tmp_path_factory):
     return path
 
 
+@pytest.fixture(scope="module")
+def c2_cert_path(tmp_path_factory):
+    path = tmp_path_factory.mktemp("certs") / "c2.json"
+    code = main(["realize", "--named", "C2", "--count", "1", "--out", str(path)])
+    assert code == EXIT_OK
+    return path
+
+
+def forge_trivial_group(data, spec):
+    """Claim the trivial group: one image, table [[0]], witness [0].  This
+    passes every check but completeness, for Aut(E) has order 2."""
+    data["group"].update(generators=["()"], order=1)
+    autos = spec["automorphisms"]
+    autos.update(generator_images=autos["generator_images"][:1], table=[[0]])
+    spec["witness"] = [0]
+
+
+def forge_prime(p):
+    return lambda data, spec: spec.update(completeness_prime=p)
+
+
 class TestValidateCommand:
     def test_valid(self, cert_path, capsys):
         assert main(["validate", str(cert_path)]) == EXIT_OK
@@ -256,6 +277,46 @@ class TestValidateCommand:
         bad.write_text(json.dumps(data))
         assert main(["validate", str(bad)]) == EXIT_PARSE
         assert "[FAIL] distinctness covers all pairs" in capsys.readouterr().out
+
+    # forgeries of the C2 field at t0 = 1, a degree-6 q0 whose Frobenius
+    # pattern has 2 ones at its completeness prime 11, and the check that
+    # fails on each
+    FORGED_COMPLETENESS = {
+        "trivial_group": (forge_trivial_group, "completeness prime"),
+        "more_roots_than_images": (forge_prime(131), "completeness prime"),  # splits
+        "not_squarefree_mod_p": (forge_prime(5), "completeness prime"),
+        # 13 divides the denominator 39 of the non-identity image
+        "divides_a_denominator": (forge_prime(13), "completeness prime"),
+        "composite": (forge_prime(121), "completeness prime"),
+        # prime, with 2 ones in the pattern, but beyond the proof bound
+        "at_least_2_64": (forge_prime(2**64 + 13), "completeness prime"),
+        "below_5": (forge_prime(3), "completeness prime"),
+        "not_an_int": (forge_prime("11"), "completeness prime"),
+        "a_float": (forge_prime(11.0), "completeness prime"),
+        "missing": (lambda data, spec: spec.pop("completeness_prime"), "well-formed"),
+        "duplicated_image": (
+            lambda data, spec: spec["automorphisms"]["generator_images"].append(
+                spec["automorphisms"]["generator_images"][1]
+            ),
+            "completeness prime",
+        ),
+        "version_2": (lambda data, spec: data.update(version=2), "schema"),
+    }
+
+    @pytest.mark.parametrize("forgery", list(FORGED_COMPLETENESS))
+    def test_forged_completeness(self, c2_cert_path, tmp_path, capsys, forgery):
+        data = json.loads(c2_cert_path.read_text())
+        spec = next(s for s in data["specializations"] if s["status"] == "accepted")
+        assert (spec["t0"], spec["completeness_prime"]) == ("1", 11)
+        forge, check = self.FORGED_COMPLETENESS[forgery]
+        forge(data, spec)
+        bad = tmp_path / "forged_completeness.json"
+        bad.write_text(json.dumps(data))
+        assert main(["validate", str(bad)]) == EXIT_PARSE
+        out = capsys.readouterr().out
+        label = "schema" if check == "schema" else f"specialization t0=1 {check}"
+        assert f"[FAIL] {label}" in out
+        assert "certificate INVALID" in out
 
     def test_version_1(self, cert_path, tmp_path, capsys):
         data = json.loads(cert_path.read_text())

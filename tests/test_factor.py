@@ -1,5 +1,4 @@
 import random
-from functools import reduce
 from fractions import Fraction as F
 
 import pytest
@@ -13,9 +12,10 @@ from autrealize.factor import (
     _gfactor_sqf,
     _hensel_lift,
     audit_trail,
+    completeness_prime,
     factor_over_Q,
-    find_rational_factors_of_degree,
     frobenius_pattern,
+    root_mod_p,
     is_irreducible_Q,
     squarefree_part,
 )
@@ -64,6 +64,28 @@ class TestFrobeniusPattern:
                 else:
                     split = _gfactor_sqf(_gddf(fp, p), p)
                     assert got == tuple(sorted(len(g) - 1 for g in split))
+
+
+class TestCompletenessPrime:
+    def test_first_prime_with_k_roots(self):
+        # X^2 + 1 splits mod p = 1 (mod 4) and is irreducible mod 3 (mod 4)
+        assert completeness_prime(X**2 + 1, 2) == 5
+        assert completeness_prime(X**2 + 1, 0) == 7
+        # a cube map is a bijection mod p = 2 (mod 3)
+        assert completeness_prime(X**3 - 2, 1) == 5
+
+    def test_none_once_the_primes_run_out(self, monkeypatch):
+        # Q(i) has two automorphisms, so X^2 + 1 never has one root mod p
+        monkeypatch.setattr(factor, "COMPLETENESS_PRIMES", 200)
+        assert completeness_prime(X**2 + 1, 1) is None
+
+    def test_root_mod_p(self):
+        f = X**2 + C(F(1, 3))  # F = 3X^2 + 1
+        for p in (7, 13, 19):
+            r = root_mod_p(f, p)
+            assert (3 * r * r + 1) % p == 0
+        assert root_mod_p(X**2 + 1, 7) is None
+        assert root_mod_p(X**2 + 1, 5) in (2, 3)
 
 
 class TestFactorOverQ:
@@ -158,31 +180,13 @@ class TestDegreeCap:
 
 
 class TestTargetedSearch:
-    def test_finds_all_of_degree(self):
-        big = (X**2 - 2) * (X**3 - X - 1) * (X**2 - 3)
-        found = find_rational_factors_of_degree(big, 2)
-        assert sorted(f.coeffs for f in found) == [
-            (F(-3), F(0), F(1)),
-            (F(-2), F(0), F(1)),
-        ]
-        assert [f.coeffs for f in find_rational_factors_of_degree(big, 3)] == [
-            (F(-1), F(-1), F(0), F(1))
-        ]
-
-    def test_none_of_degree(self):
-        big = (X**2 - 2) * (X**3 - X - 1)
-        assert find_rational_factors_of_degree(big, 4) == []
+    """Audit events and determinism of complete factorization over Q."""
 
     def test_audit_records_primes(self):
         with audit_trail() as events:
             factor_over_Q(X**4 - C(5) * X**2 + 6)
         assert any(e == "prime" for e, _ in events)
         assert any(e == "lift_exponent" for e, _ in events)
-
-    def test_non_squarefree_input_rejected(self):
-        # no prime makes a repeated factor squarefree mod p
-        with pytest.raises(ValueError):
-            find_rational_factors_of_degree((X**2 + 1) ** 2 * (X**3 - 2), 3)
 
     def test_determinism(self):
         f = (X**3 - X - 1) * (X**4 + 1) * (X - 2)
@@ -210,14 +214,6 @@ class TestPrimeChoice:
     factorization mod every candidate chose, with the same modular
     factors and audit events."""
 
-    #: (X^4 + 1, 1): infeasible at the first usable prime, 5;
-    #: (X^2 - 2)(X^2 - 13)(X^2 - 14)(X^2 - 15), 1: 17 gives 8 factors,
-    #: then 19 has no root
-    INFEASIBLE = (
-        ([1, 0, 0, 0, 1], 1, 5),
-        (reduce(factor._imul, ([-a, 0, 1] for a in (2, 13, 14, 15))), 1, 19),
-    )
-
     @pytest.fixture
     def primes_split(self, monkeypatch):
         """The primes at which ``factor._gfactor_sqf`` runs, in order."""
@@ -239,10 +235,9 @@ class TestPrimeChoice:
         return primes
 
     @staticmethod
-    def choose(choice, f, target):
-        max_candidates = 8 if target is None else 10
+    def choose(choice, f):
         with audit_trail() as events:
-            got = choice(f, max_candidates, target=target)
+            got = choice(f, 8)
         return got, events
 
     def test_same_choice_as_complete_factorization(self, primes_split):
@@ -250,12 +245,11 @@ class TestPrimeChoice:
         cases = [rand_squarefree_int(rng, d) for d in (3, 54)]
         cases += [rand_squarefree_int(rng, rng.randrange(4, 54)) for _ in range(8)]
         for f in cases:
-            for target in (None, rng.randrange(1, len(f) - 1)):
-                primes_split.clear()
-                got, events = self.choose(_choose_prime, f, target)
-                # equal-degree splitting runs on the chosen prime only
-                assert primes_split == ([got[0]] if got else [])
-                assert (got, events) == self.choose(choose_prime_by_factoring, f, target)
+            primes_split.clear()
+            got, events = self.choose(_choose_prime, f)
+            # equal-degree splitting runs on the chosen prime only
+            assert primes_split == [got[0]]
+            assert (got, events) == self.choose(choose_prime_by_factoring, f)
 
     def test_one_ddf_per_candidate_prime(self, primes_ddf):
         """The chosen prime is split from the distinct-degree factorization
@@ -266,14 +260,6 @@ class TestPrimeChoice:
             p, _ = _choose_prime(f, 8)
             assert p in primes_ddf
             assert len(primes_ddf) == len(set(primes_ddf))
-
-    def test_infeasible_prime(self, primes_split):
-        for f, target, p in self.INFEASIBLE:
-            expected = (None, [("prime_infeasible", p)])
-            primes_split.clear()
-            assert self.choose(_choose_prime, f, target) == expected
-            assert primes_split == []
-            assert self.choose(choose_prime_by_factoring, f, target) == expected
 
 
 class TestHenselLift:

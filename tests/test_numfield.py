@@ -6,6 +6,7 @@ import pytest
 
 from autrealize.errors import CapExceededError, VerificationError
 from autrealize.exact import UniPoly, poly_divrem
+from autrealize import numfield
 from autrealize.numfield import (
     NumberField,
     charpoly,
@@ -15,11 +16,13 @@ from autrealize.numfield import (
     minpoly,
     roots_in_field,
     splitting_field,
+    table_mod_p,
 )
 from autrealize.perm import PermGroup, are_isomorphic, parse_cycles
 from reference import (
     aut_group_via_quotient,
     automorphisms,
+    composition_table,
     embed_generator_by_gcd,
     euclid_inverse,
 )
@@ -299,6 +302,18 @@ class TestAutomorphisms:
                 assert table.apply(i, a * b) == table.apply(i, a) * table.apply(i, b)
                 assert table.apply(i, golden.from_rational(7)) == 7
 
+    def test_table_mod_p_refusals(self, golden):
+        maps = automorphisms(golden).maps
+        assert table_mod_p(golden, maps, 11) == composition_table(maps)
+        bad = {
+            "no usable root": (maps, 7),  # Z^2 - Z - 1 is irreducible mod 7
+            "divides the denominator": ((maps[0], golden.element([F(1, 11), 1])), 11),
+            "agree mod": ((*maps, maps[1]), 11),
+        }
+        for message, (images, p) in bad.items():
+            with pytest.raises(VerificationError, match=message):
+                table_mod_p(golden, images, p)
+
 
 class TestEmbedGenerator:
     """The generator's image by one linear solve in the tower is the one
@@ -351,10 +366,26 @@ class TestSplittingField:
         L = splitting_field(SPLITTING_CASES[name])
         ref = automorphisms(L.field)
         assert L.autos.maps == ref.maps
+        assert [list(row) for row in L.autos.group.table] == composition_table(
+            ref.maps
+        )
         assert L.galois.order == L.degree
         for i, perm in enumerate(L.perms):
             moved = [L.roots.index(ref.apply(i, r)) + 1 for r in L.roots]
             assert perm.images == tuple(moved)
+
+    @pytest.mark.parametrize("f, calls", [(X**2 - X - 1, 1), (X**3 - X - 1, 2)])
+    def test_last_root_from_the_trace(self, monkeypatch, f, calls):
+        """The tower never factors over its largest field: the last root
+        is minus the X^(n-1) coefficient minus the others."""
+        seen = []
+        factor = numfield.factor_over_nf
+        monkeypatch.setattr(
+            numfield, "factor_over_nf", lambda g, K: seen.append(K) or factor(g, K)
+        )
+        L = splitting_field(f)
+        assert len(seen) == calls
+        assert max(K.degree for K in seen) < L.degree
 
     def test_quadratic(self):
         L = splitting_field(UniPoly([F(-1), F(-1), F(1)], "X"))

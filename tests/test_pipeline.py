@@ -3,7 +3,12 @@ from fractions import Fraction as F
 import pytest
 
 from autrealize import pipeline
-from autrealize.errors import BudgetExhaustedError, CapExceededError, SpecParseError
+from autrealize.errors import (
+    BudgetExhaustedError,
+    CapExceededError,
+    SpecParseError,
+    VerificationError,
+)
 from autrealize.family import cubic
 from autrealize.pipeline import (
     build_E_minpoly,
@@ -110,6 +115,19 @@ class TestSpecializeAndVerify:
         else:
             pytest.fail("no accepted specialization for S2 within height 5")
 
+    def test_no_completeness_prime_rejected(self, state_s2, monkeypatch):
+        monkeypatch.setattr(pipeline, "completeness_prime", lambda f, k: None)
+        rec = specialize_and_verify(state_s2, 1)
+        assert (rec.status, rec.reason) == (
+            "rejected",
+            "no completeness prime in the first 1000 usable primes",
+        )
+
+    def test_images_not_a_copy_of_g_raise(self, state_s2, monkeypatch):
+        monkeypatch.setattr(pipeline, "are_isomorphic", lambda a, b: (False, None))
+        with pytest.raises(VerificationError, match="do not form a copy of G"):
+            specialize_and_verify(state_s2, 1)
+
 
 class TestTheta0:
     @pytest.mark.parametrize(
@@ -167,6 +185,10 @@ class TestRun:
         assert ei.value.transcript[2] == (
             F(-1), "rejected", "no prime separates it from the field at t0 = 1"
         )
+
+    def test_c2_completeness_primes(self):
+        cert = run(PermGroup.cyclic(2), 2, count=4)
+        assert [rec.aut.prime for rec in cert.accepted] == [11, 11, 19, 29]
 
     def test_s2_run(self):
         cert = run(PermGroup.symmetric(2), 2, count=2, t_max=20)
