@@ -15,6 +15,7 @@ import json
 
 from .errors import SpecParseError, VerificationError
 from .exact import (
+    _ideg,
     _is_prime,
     parse_bipoly,
     parse_rational,
@@ -23,7 +24,7 @@ from .exact import (
     render_rational,
     render_unipoly,
 )
-from .factor import EDF_SEED, frobenius_pattern, is_irreducible_Q
+from .factor import EDF_SEED, frobenius_pattern, is_irreducible_Q, linear_part_mod_p
 from .numfield import NumberField, table_mod_p
 from .perm import AbstractGroup, PermGroup, parse_cycles
 
@@ -189,10 +190,16 @@ def _separates(p, f, g):
 
 
 def _completes(p, f, k):
-    """True iff p is a proved prime at which the Frobenius pattern of f
-    exists with exactly k ones, so Q[X]/(f) has at most k automorphisms."""
-    pattern = frobenius_pattern(f, p) if _proved_prime(p) else None
-    return pattern is not None and pattern.count(1) == k
+    """None if p is a proved prime at which f is squarefree with exactly k
+    roots mod p, so Q[X]/(f) has at most k automorphisms; otherwise why
+    it is not."""
+    if not _proved_prime(p):
+        return "not an integer prime with 5 <= p < 2**64"
+    linear = linear_part_mod_p(f, p)
+    if linear is None:
+        return "p divides the leading coefficient or q0 is not squarefree mod p"
+    roots = _ideg(linear)
+    return None if roots == k else f"{roots} roots mod p for {k} images"
 
 
 def validate_certificate(path, deep=False) -> ValidationReport:
@@ -272,8 +279,13 @@ def validate_certificate(path, deep=False) -> ValidationReport:
             roots_ok = all(not E.modulus.eval(m) for m in images)
             report.add(f"{label} images are roots", roots_ok)
             p = spec["completeness_prime"]
-            complete = _completes(p, q0, len(images))
-            report.add(f"{label} completeness prime", complete, f"p = {p!r}")
+            why_not = _completes(p, q0, len(images))
+            complete = why_not is None
+            report.add(
+                f"{label} completeness prime",
+                complete,
+                f"p = {p!r}" + ("" if complete else f": {why_not}"),
+            )
             table = spec["automorphisms"]["table"]
             # the table is read mod p only once p is proved complete
             report.add(

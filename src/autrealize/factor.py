@@ -7,8 +7,11 @@ and subset recombination with trial division.  The prime is chosen by the
 factor degrees that the distinct-degree factorization gives (von zur
 Gathen-Gerhard, Modern Computer Algebra, ch. 14); equal-degree splitting
 runs on the chosen prime only.  The same distinct-degree factorization
-gives the Frobenius patterns that prove two fields distinct and that
-bound a field's automorphism count (``completeness_prime``).
+gives the Frobenius patterns that prove two fields distinct.  A field's
+automorphism count is bounded by its first step alone: the degree of
+gcd(X^p - X, f mod p) is the number of roots of f mod p
+(``completeness_prime``), and splitting that gcd gives one root
+(``root_mod_p``).
 ``yun_squarefree_decomposition`` works over any exact field and is also
 the squarefree decomposition used over number fields.
 
@@ -24,7 +27,7 @@ import logging
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, count
+from itertools import combinations, count, islice
 from math import ceil, isqrt, log
 
 from .errors import CapExceededError, VerificationError
@@ -195,13 +198,14 @@ def _gderiv(a, p):
 
 
 def _gpow_mod(a, e, f, p):
-    result = [1]
+    """a**e mod (f, p), left to right, so that a = X costs one shift and
+    one reduction step per set bit of e."""
     base = _gdivrem(a, f, p)[1]
-    while e:
-        if e & 1:
+    result = [1]
+    for bit in bin(e)[2:]:
+        result = _gdivrem(_gmul(result, result, p), f, p)[1]
+        if bit == "1":
             result = _gdivrem(_gmul(result, base, p), f, p)[1]
-        base = _gdivrem(_gmul(base, base, p), f, p)[1]
-        e >>= 1
     return result
 
 
@@ -254,15 +258,55 @@ def _ddf_degrees(ddf):
     return tuple(sorted(k for g, k in ddf for _ in range(_ideg(g) // k)))
 
 
-def _usable_mod_p(f: UniPoly, p):
-    """F mod p made monic, with F the primitive integer multiple of the
-    rational polynomial f, or None when p divides lc(F) or F is not
+def _linear_part(fp, p):
+    """gcd(X^p - X, fp): the product of the distinct linear factors of the
+    monic fp mod p, whose degree is the number of roots of fp mod p.  This
+    is the k = 1 step of ``_gddf``, without the steps after it."""
+    return _ggcd(_gsub(_gpow_mod([0, 1], p, fp, p), [0, 1], p), fp, p)
+
+
+def _int_form(f: UniPoly):
+    """F, the primitive integer multiple of the rational polynomial f."""
+    return _iprimitive(_int_clear(f)[0])[1]
+
+
+def _reduce_mod_p(F, p):
+    """F mod p made monic, or None when p divides lc(F) or F is not
     squarefree mod p."""
-    _, F = _iprimitive(_int_clear(f)[0])
     if F[-1] % p == 0:
         return None
     fp = _gmonic([c % p for c in F], p)
     return fp if _gsqf_p(fp, p) else None
+
+
+#: Consecutive unusable primes after which the input is checked for a
+#: repeated factor (no prime can then ever be usable).
+BAD_PRIME_RUN = 64
+
+
+def _good_primes(Fs):
+    """Yield (p, [F mod p made monic for F in Fs]) for the primes
+    p = 5, 7, 11, ... at which every integer polynomial F in Fs is usable:
+    p does not divide lc(F) and F stays squarefree mod p.
+
+    A squarefree F has only finitely many unusable primes; after
+    BAD_PRIME_RUN consecutive ones, each F is checked exactly and a
+    ValueError is raised if one has a repeated factor.
+    """
+    bad = 0
+    for p in count(5, 2):
+        if not _is_prime(p):
+            continue
+        fps = [_reduce_mod_p(F, p) for F in Fs]
+        if None not in fps:
+            bad = 0
+            yield p, fps
+            continue
+        bad += 1
+        if bad == BAD_PRIME_RUN:
+            for F in Fs:
+                if not is_squarefree(UniPoly([Fraction(c) for c in F])):
+                    raise ValueError("expects a squarefree polynomial")
 
 
 def frobenius_pattern(f: UniPoly, p):
@@ -274,54 +318,61 @@ def frobenius_pattern(f: UniPoly, p):
     the residue degrees of the primes above p in Q[X]/(F) (Dedekind-Kummer),
     so two fields whose patterns differ at one p are not isomorphic.
     """
-    fp = _usable_mod_p(f, p)
+    fp = _reduce_mod_p(_int_form(f), p)
     return None if fp is None else _ddf_degrees(_gddf(fp, p))
+
+
+def linear_part_mod_p(f: UniPoly, p):
+    """gcd(X^p - X, F mod p), the monic product of the distinct linear
+    factors of F mod p, or None when p divides lc(F) or F is not
+    squarefree mod p (F as in ``frobenius_pattern``).  Its degree is the
+    number of ones in the Frobenius pattern of f at p."""
+    fp = _reduce_mod_p(_int_form(f), p)
+    return None if fp is None else _linear_part(fp, p)
 
 
 def root_mod_p(f: UniPoly, p):
     """One root mod p of f, for an odd prime p at which the Frobenius
     pattern of f exists, or None when f has no root mod p: a linear
-    factor split (with the fixed seed) from gcd(X^p - X, f mod p)."""
-    fp = _usable_mod_p(f, p)
-    linear = next((g for g, k in _gddf(fp, p) if k == 1), None) if fp else None
-    if linear is None:
+    factor split (with the fixed seed) from ``linear_part_mod_p(f, p)``."""
+    linear = linear_part_mod_p(f, p)
+    if linear is None or _ideg(linear) == 0:
         return None
     return -_gedf(linear, 1, p, random.Random(EDF_SEED))[0][0] % p
 
 
 def usable_patterns(fs, limit):
     """(p, the Frobenius patterns of the polynomials fs at p) for the
-    first ``limit`` primes p >= 5 at which all of those patterns exist."""
-    found = 0
-    for p in count(5, 2):
-        if found == limit:
-            return
-        if _is_prime(p):
-            patterns = [frobenius_pattern(f, p) for f in fs]
-            if None not in patterns:
-                found += 1
-                yield p, patterns
+    first ``limit`` primes p >= 5 at which all of those patterns exist;
+    a ValueError if one of fs has a repeated factor."""
+    for p, fps in islice(_good_primes([_int_form(f) for f in fs]), limit):
+        yield p, [_ddf_degrees(_gddf(fp, p)) for fp in fps]
 
 
 #: Usable primes tried before a field is given up as having no
-#: completeness prime.  By Chebotarev these primes have density 1/12 for
-#: S3 and 1/36 for C3 on the S_n route, so for C3 all 1,000 miss with
-#: probability (35/36)^1000 < 1e-12.
+#: completeness prime.  By Chebotarev the primes with exactly |G| roots
+#: have density 1/12 for S3 and 1/36 for C3 on the S_n route, so for C3
+#: all 1,000 miss with probability (35/36)^1000 < 1e-12.  Each try costs
+#: one X^p mod F and one gcd, not a factorization.
 COMPLETENESS_PRIMES = 1000
 
 
 def completeness_prime(f: UniPoly, k):
-    """The first prime p >= 5 at which the Frobenius pattern of the
-    irreducible f exists and has exactly k ones, or None once
-    COMPLETENESS_PRIMES usable primes have failed.
+    """The first prime p >= 5 at which f is usable (p does not divide the
+    leading coefficient of its primitive integer multiple F, and F is
+    squarefree mod p) and F has exactly k roots mod p, or None once
+    COMPLETENESS_PRIMES usable primes have failed.  The roots are counted
+    as deg gcd(X^p - X, F mod p), the number of ones in the Frobenius
+    pattern, without factoring further; a ValueError if f has a repeated
+    factor.
 
-    Such a p proves that E = Q[X]/(f) has at most k automorphisms: each
-    sends the generator to a root of f in E, reduction modulo a degree-1
-    prime above p sends these roots to roots of f mod p, and distinct
-    roots stay distinct because f is squarefree mod p.
+    Such a p proves that E = Q[X]/(f), f irreducible, has at most k
+    automorphisms: each sends the generator to a root of f in E, reduction
+    modulo a degree-1 prime above p sends these roots to roots of f mod p,
+    and distinct roots stay distinct because f is squarefree mod p.
     """
-    for p, (pattern,) in usable_patterns([f], COMPLETENESS_PRIMES):
-        if pattern.count(1) == k:
+    for p, (fp,) in islice(_good_primes([_int_form(f)]), COMPLETENESS_PRIMES):
+        if _ideg(_linear_part(fp, p)) == k:
             return p
     return None
 
@@ -405,34 +456,6 @@ def _mignotte_bound(f):
     return (isqrt(n + 1) + 1) * 2**n * a * b
 
 
-#: Consecutive unusable primes after which the input is checked for a
-#: repeated factor (no prime can then ever be usable).
-BAD_PRIME_RUN = 64
-
-
-def _good_primes(f):
-    """Yield (p, f mod p made monic) for the primes p = 5, 7, 11, ... that
-    do not divide lc(f) and keep f squarefree mod p.
-
-    A squarefree f has only finitely many unusable primes; after
-    BAD_PRIME_RUN consecutive ones, f is checked exactly and a ValueError
-    is raised if it has a repeated factor.
-    """
-    bad = 0
-    for p in count(5, 2):
-        if not _is_prime(p):
-            continue
-        fp = _gmonic([c % p for c in f], p) if f[-1] % p else None
-        if fp and _gsqf_p(fp, p):
-            bad = 0
-            yield p, fp
-            continue
-        bad += 1
-        if bad == BAD_PRIME_RUN:
-            if not is_squarefree(UniPoly([Fraction(c) for c in f])):
-                raise ValueError("expects a squarefree polynomial")
-
-
 def _choose_prime(f, max_candidates):
     """Pick a usable prime p (see _good_primes) for f and factor f mod p.
 
@@ -445,7 +468,7 @@ def _choose_prime(f, max_candidates):
     irreducibles.  Returns (p, the monic factors of f mod p).
     """
     candidates = []
-    for p, fp in _good_primes(f):
+    for p, (fp,) in _good_primes([f]):
         ddf = _gddf(fp, p)
         degrees = _ddf_degrees(ddf)
         candidates.append((len(degrees), p, ddf))
@@ -571,8 +594,7 @@ def factor_over_Q(f: UniPoly) -> Factorization:
         return Factorization(unit, ())
     pairs = []
     for g, mult in yun_squarefree_decomposition(f):
-        fi = _int_clear(g)[0]
-        _, fi = _iprimitive(fi)
+        fi = _int_form(g)
         if fi[-1] < 0:
             fi = [-c for c in fi]
         for part in _zassenhaus(fi):

@@ -4,7 +4,8 @@ Each is the plain textbook version of something the package computes
 another way, kept here because only tests use it: the extended Euclidean
 algorithm (and the number-field inverse it gives), the Sylvester-matrix
 resultant, Newton interpolation over Fractions, the Zassenhaus prime
-choice by complete factorization mod every candidate, a field's
+choice by complete factorization mod every candidate, the completeness
+prime and a root mod p by a complete distinct-degree factorization, a field's
 automorphisms as the roots of its modulus in it, their composition table
 by exact composition in the field, a generator's image in
 a larger field by a gcd over that field, the inverse of a permutation,
@@ -12,12 +13,14 @@ normalizers, normality and quotient groups by direct scan, and the
 product of a factorization.
 """
 
+import random
 from fractions import Fraction
+from itertools import count
 
 from autrealize import factor
 from autrealize.errors import VerificationError
-from autrealize.exact import UniPoly, poly_divrem, poly_gcd
-from autrealize.factor import completeness_prime
+from autrealize.exact import UniPoly, _is_prime, poly_divrem, poly_gcd
+from autrealize.factor import completeness_prime, frobenius_pattern
 from autrealize.numfield import AutomorphismTable, roots_in_field
 from autrealize.perm import AbstractGroup, PermGroup, Permutation
 
@@ -131,7 +134,7 @@ def choose_prime_by_factoring(f, max_candidates):
     with the same stopping rule and audit events as
     ``factor._choose_prime``."""
     candidates = []
-    for p, fp in factor._good_primes(f):
+    for p, (fp,) in factor._good_primes([f]):
         factors = factor._gfactor_sqf(factor._gddf(fp, p), p)
         candidates.append((len(factors), p, factors))
         if len(factors) <= 6 or len(candidates) >= max_candidates:
@@ -140,6 +143,33 @@ def choose_prime_by_factoring(f, max_candidates):
     _, p, factors = candidates[0]
     factor._record("prime", p)
     return p, factors
+
+
+def completeness_prime_by_pattern(f, k):
+    """The first prime p >= 5 whose Frobenius pattern of f exists and has
+    exactly k ones, or None once ``factor.COMPLETENESS_PRIMES`` primes with
+    a pattern have failed: the completeness search by a complete
+    distinct-degree factorization at every prime."""
+    usable = 0
+    for p in count(5, 2):
+        if usable == factor.COMPLETENESS_PRIMES:
+            return None
+        if _is_prime(p):
+            pattern = frobenius_pattern(f, p)
+            if pattern is not None:
+                usable += 1
+                if pattern.count(1) == k:
+                    return p
+
+
+def root_mod_p_by_ddf(f, p):
+    """``factor.root_mod_p`` with the linear part taken from a complete
+    distinct-degree factorization of F mod p."""
+    fp = factor._reduce_mod_p(factor._int_form(f), p)
+    linear = next((g for g, k in factor._gddf(fp, p) if k == 1), None) if fp else None
+    if linear is None:
+        return None
+    return -factor._gedf(linear, 1, p, random.Random(factor.EDF_SEED))[0][0] % p
 
 
 def automorphisms(K) -> AutomorphismTable:

@@ -303,6 +303,16 @@ class TestValidateCommand:
         "version_2": (lambda data, spec: data.update(version=2), "schema"),
     }
 
+    # why the completeness check fails, for some of the forgeries above
+    COMPLETENESS_DETAIL = {
+        "more_roots_than_images": "p = 131: 6 roots mod p for 2 images",
+        "trivial_group": "p = 11: 2 roots mod p for 1 images",
+        "not_squarefree_mod_p": (
+            "p = 5: p divides the leading coefficient or q0 is not squarefree mod p"
+        ),
+        "composite": "p = 121: not an integer prime with 5 <= p < 2**64",
+    }
+
     @pytest.mark.parametrize("forgery", list(FORGED_COMPLETENESS))
     def test_forged_completeness(self, c2_cert_path, tmp_path, capsys, forgery):
         data = json.loads(c2_cert_path.read_text())
@@ -316,6 +326,8 @@ class TestValidateCommand:
         out = capsys.readouterr().out
         label = "schema" if check == "schema" else f"specialization t0=1 {check}"
         assert f"[FAIL] {label}" in out
+        if forgery in self.COMPLETENESS_DETAIL:
+            assert f"[FAIL] {label}: {self.COMPLETENESS_DETAIL[forgery]}\n" in out
         assert "certificate INVALID" in out
 
     def test_version_1(self, cert_path, tmp_path, capsys):

@@ -1,11 +1,12 @@
 import random
+import time
 from fractions import Fraction as F
 
 import pytest
 
 from autrealize import factor
 from autrealize.errors import CapExceededError, VerificationError
-from autrealize.exact import UniPoly, discriminant, is_squarefree, poly_gcd
+from autrealize.exact import UniPoly, _is_prime, discriminant, is_squarefree, poly_gcd
 from autrealize.factor import (
     _choose_prime,
     _gddf,
@@ -15,11 +16,20 @@ from autrealize.factor import (
     completeness_prime,
     factor_over_Q,
     frobenius_pattern,
+    linear_part_mod_p,
     root_mod_p,
     is_irreducible_Q,
     squarefree_part,
+    usable_patterns,
 )
-from reference import choose_prime_by_factoring, expand
+from autrealize.perm import PermGroup, parse_cycles
+from autrealize.pipeline import build_state
+from reference import (
+    choose_prime_by_factoring,
+    completeness_prime_by_pattern,
+    expand,
+    root_mod_p_by_ddf,
+)
 
 X = UniPoly.gen("X")
 ONE = UniPoly.one("X")
@@ -86,6 +96,114 @@ class TestCompletenessPrime:
             assert (3 * r * r + 1) % p == 0
         assert root_mod_p(X**2 + 1, 7) is None
         assert root_mod_p(X**2 + 1, 5) in (2, 3)
+
+
+    def test_repeated_factor_raises(self):
+        """No prime is usable for a polynomial with a repeated factor; the
+        search says so instead of looping."""
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="squarefree"):
+            completeness_prime((X**2 + 1) ** 2, 2)
+        with pytest.raises(ValueError, match="squarefree"):
+            next(usable_patterns([X**2 + 1, (X - 1) ** 2 * (X + 1)], 5))
+        assert time.perf_counter() - start < 1
+
+
+def rand_squarefree_int(rng, degree):
+    """A primitive squarefree integer polynomial of the given degree, the
+    product of random factors of degree <= 12."""
+    while True:
+        f = [1]
+        while len(f) - 1 < degree:
+            d = min(rng.randrange(1, 13), degree - (len(f) - 1))
+            g = [rng.randrange(-9, 10) for _ in range(d)] + [rng.randrange(1, 4)]
+            f = factor._imul(f, g)
+        _, f = factor._iprimitive(f)
+        if is_squarefree(UniPoly([F(c) for c in f])):
+            return f
+
+
+@pytest.fixture(scope="module")
+def q0s():
+    """The accepted defining polynomials with their |G| and recorded
+    completeness primes: S3 at t0 = 1 and C3 at t0 = 0."""
+    out = {}
+    for name, gens, t0, p in [
+        ("S3", ("(1 2 3)", "(1 2)"), 1, 167),
+        ("C3", ("(1 2 3)",), 0, 173),
+    ]:
+        G = PermGroup([parse_cycles(g, 3) for g in gens], degree=3)
+        out[name] = (build_state(G, 3).q.specialize(t0), G.order, p)
+    return out
+
+
+def assert_root_counts(f, primes=200):
+    """deg gcd(X^p - X, F mod p) is the number of ones in the Frobenius
+    pattern at each of the first ``primes`` usable primes."""
+    for p, (pattern,) in usable_patterns([f], primes):
+        assert len(linear_part_mod_p(f, p)) - 1 == pattern.count(1)
+
+
+class TestCompletenessByRootCount:
+    """The completeness search counts roots by one gcd per prime, and finds
+    the prime that the Frobenius-pattern definition finds."""
+
+    @pytest.mark.parametrize("name", ["S3", "C3"])
+    def test_same_prime_as_pattern_definition(self, q0s, monkeypatch, name):
+        f, order, recorded = q0s[name]
+        assert completeness_prime(f, order) == recorded
+        assert completeness_prime_by_pattern(f, order) == recorded
+        monkeypatch.setattr(factor, "COMPLETENESS_PRIMES", 40)
+        for k in (0, 1, 2):
+            assert completeness_prime(f, k) == completeness_prime_by_pattern(f, k)
+        assert_root_counts(f)
+
+    def test_random_squarefree(self, monkeypatch):
+        monkeypatch.setattr(factor, "COMPLETENESS_PRIMES", 40)
+        rng = random.Random(37)
+        for _ in range(6):
+            f = UniPoly([F(c) for c in rand_squarefree_int(rng, rng.randrange(1, 17))])
+            for k in range(4):
+                assert completeness_prime(f, k) == completeness_prime_by_pattern(f, k)
+            assert_root_counts(f)
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        """How often ``factor._gddf`` and ``factor._gpow_mod`` run."""
+        seen = {"_gddf": 0, "_gpow_mod": 0}
+        for name in seen:
+            wrapped = getattr(factor, name)
+
+            def counted(*args, name=name, wrapped=wrapped):
+                seen[name] += 1
+                return wrapped(*args)
+
+            monkeypatch.setattr(factor, name, counted)
+        return seen
+
+    @pytest.mark.parametrize("name", ["S3", "C3"])
+    def test_one_power_per_usable_prime_and_no_ddf(self, q0s, monkeypatch, calls, name):
+        f, order, recorded = q0s[name]
+        usable = [
+            p
+            for p in range(5, recorded + 1)
+            if _is_prime(p) and frobenius_pattern(f, p) is not None
+        ]
+        calls.update(_gddf=0, _gpow_mod=0)
+        assert completeness_prime(f, order) == recorded
+        assert calls == {"_gddf": 0, "_gpow_mod": len(usable)}
+        monkeypatch.setattr(factor, "COMPLETENESS_PRIMES", 30)
+        calls.update(_gddf=0, _gpow_mod=0)
+        assert completeness_prime(f, order + 1) is None
+        assert calls == {"_gddf": 0, "_gpow_mod": 30}
+
+    @pytest.mark.parametrize("name", ["S3", "C3"])
+    def test_root_mod_p_matches_ddf_reference(self, q0s, name):
+        f, _, recorded = q0s[name]
+        primes = [p for p, _ in usable_patterns([f], 30)] + [recorded]
+        for p in primes:
+            assert root_mod_p(f, p) == root_mod_p_by_ddf(f, p)
+        assert root_mod_p(f, recorded) is not None
 
 
 class TestFactorOverQ:
@@ -193,20 +311,6 @@ class TestTargetedSearch:
         a = [(g.coeffs, m) for g, m in factor_over_Q(f).factors]
         b = [(g.coeffs, m) for g, m in factor_over_Q(f).factors]
         assert a == b
-
-
-def rand_squarefree_int(rng, degree):
-    """A primitive squarefree integer polynomial of the given degree, the
-    product of random factors of degree <= 12."""
-    while True:
-        f = [1]
-        while len(f) - 1 < degree:
-            d = min(rng.randrange(1, 13), degree - (len(f) - 1))
-            g = [rng.randrange(-9, 10) for _ in range(d)] + [rng.randrange(1, 4)]
-            f = factor._imul(f, g)
-        _, f = factor._iprimitive(f)
-        if is_squarefree(UniPoly([F(c) for c in f])):
-            return f
 
 
 class TestPrimeChoice:

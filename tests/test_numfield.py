@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction as F
+from functools import cache
 from math import gcd
 
 import pytest
@@ -7,6 +8,7 @@ import pytest
 from autrealize.errors import CapExceededError, VerificationError
 from autrealize.exact import UniPoly, poly_divrem
 from autrealize import numfield
+from autrealize.factor import linear_part_mod_p, usable_patterns
 from autrealize.numfield import (
     NumberField,
     charpoly,
@@ -22,6 +24,7 @@ from autrealize.perm import PermGroup, are_isomorphic, parse_cycles
 from reference import (
     aut_group_via_quotient,
     automorphisms,
+    completeness_prime_by_pattern,
     composition_table,
     embed_generator_by_gcd,
     euclid_inverse,
@@ -357,13 +360,19 @@ SPLITTING_CASES = {
 }
 
 
+@cache
+def splitting(name):
+    """The splitting field of SPLITTING_CASES[name], built once."""
+    return splitting_field(SPLITTING_CASES[name])
+
+
 class TestSplittingField:
     @pytest.mark.parametrize("name", list(SPLITTING_CASES))
     def test_galois_action_matches_reference(self, name):
         """Permuting the roots in the tracked generator finds the same
         automorphisms as factoring the modulus over the field, and each
         permutation is how its map moves the roots."""
-        L = splitting_field(SPLITTING_CASES[name])
+        L = splitting(name)
         ref = automorphisms(L.field)
         assert L.autos.maps == ref.maps
         assert [list(row) for row in L.autos.group.table] == composition_table(
@@ -373,6 +382,17 @@ class TestSplittingField:
         for i, perm in enumerate(L.perms):
             moved = [L.roots.index(ref.apply(i, r)) + 1 for r in L.roots]
             assert perm.images == tuple(moved)
+
+    @pytest.mark.parametrize("name", list(SPLITTING_CASES))
+    def test_completeness_prime_matches_pattern_definition(self, name):
+        """The table's prime, found by counting roots, is the first prime
+        whose Frobenius pattern has [L:Q] ones, and the root count is the
+        number of ones at each of the first 200 usable primes."""
+        L = splitting(name)
+        f = L.field.modulus
+        assert L.autos.prime == completeness_prime_by_pattern(f, L.degree)
+        for p, (pattern,) in usable_patterns([f], 200):
+            assert len(linear_part_mod_p(f, p)) - 1 == pattern.count(1)
 
     @pytest.mark.parametrize("f, calls", [(X**2 - X - 1, 1), (X**3 - X - 1, 2)])
     def test_last_root_from_the_trace(self, monkeypatch, f, calls):

@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -9,6 +10,7 @@ from autrealize.errors import (
     SpecParseError,
     VerificationError,
 )
+from autrealize.exact import UniPoly
 from autrealize.family import cubic
 from autrealize.pipeline import (
     build_E_minpoly,
@@ -16,6 +18,7 @@ from autrealize.pipeline import (
     compute_y,
     fields_distinct_exact,
     realize_sn,
+    SpecializationRecord,
     run,
     specialize_and_verify,
     t0_sequence,
@@ -177,6 +180,17 @@ class TestRun:
         rec = specialize_and_verify(state_trivial, 1)
         assert rec.status == "accepted"
         assert fields_distinct_exact(rec, rec) is None
+
+    def test_repeated_factor_raises(self):
+        """No prime is usable for a q0 with a repeated factor: the search
+        raises instead of looping."""
+        X = UniPoly.gen("X")
+        a = SpecializationRecord(F(0), "accepted", q0=X**3 - X - 1)
+        b = SpecializationRecord(F(1), "accepted", q0=(X**2 + 1) ** 2)
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="squarefree"):
+            fields_distinct_exact(a, b)
+        assert time.perf_counter() - start < 1
 
     def test_no_separating_prime_rejects(self, monkeypatch):
         monkeypatch.setattr(pipeline, "DISTINCTNESS_PRIMES", 0)
