@@ -145,9 +145,9 @@ class ValidationReport:
 
 def _load(path):
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             return json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise SpecParseError(f"cannot read certificate: {exc}") from exc
 
 

@@ -16,16 +16,14 @@ gcd(X^p - X, f mod p) is the number of roots of f mod p
 the squarefree decomposition used over number fields.
 
 All integer polynomials below are dense ascending coefficient lists.
-Chosen primes and lift exponents are logged and recorded in the audit
-trail for certificate metadata.
+Chosen primes and lift exponents are recorded in the audit trail for
+certificate metadata.
 """
 
 from __future__ import annotations
 
 import contextvars
-import logging
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, count, islice
 from math import ceil, isqrt, log
@@ -46,8 +44,6 @@ from .exact import (
     poly_divrem,
     poly_gcd,
 )
-
-logger = logging.getLogger(__name__)
 
 #: Fixed seed for equal-degree splitting; runs must be reproducible.
 EDF_SEED = 0x5EED_CAFE
@@ -474,8 +470,7 @@ def _choose_prime(f, max_candidates):
         candidates.append((len(degrees), p, ddf))
         if len(degrees) <= 6 or len(candidates) >= max_candidates:
             break
-    count, p, ddf = min(candidates, key=lambda c: c[:2])
-    logger.debug("factor mod p: chose p=%d with %d modular factors", p, count)
+    _, p, ddf = min(candidates, key=lambda c: c[:2])
     _record("prime", p)
     return p, _gfactor_sqf(ddf, p)
 
@@ -520,7 +515,6 @@ def _zassenhaus(f):
     p, modular = _choose_prime(f, max_candidates=8)
     l = int(ceil(log(2 * _mignotte_bound(f) + 1, p)))
     _record("lift_exponent", l)
-    logger.debug("Hensel lift to p**%d", l)
     lifted, pl = _hensel_lift(p, f, modular, l), p**l
 
     remaining = list(range(len(lifted)))
@@ -543,12 +537,20 @@ def _zassenhaus(f):
 # -- public API over Q ------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class Factorization:
     """unit * prod(factor_i ** mult_i) == input, factors monic irreducible."""
 
-    unit: Fraction
-    factors: tuple  # of (UniPoly, int)
+    def __init__(self, unit: Fraction, factors: tuple):
+        self.unit = unit
+        self.factors = factors  # of (UniPoly, int)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.unit, self.factors) == (other.unit, other.factors)
+
+    def __hash__(self):
+        return hash((self.unit, self.factors))
 
     @property
     def is_irreducible(self):

@@ -17,8 +17,6 @@ exactly, one t0 at a time.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import VerificationError
 from .exact import BiPoly, UniPoly, discriminant_in_X, is_squarefree
 
@@ -32,12 +30,13 @@ def cubic(a) -> UniPoly:
 FAMILY = BiPoly.from_terms([(0, 3, 1), (1, 1, 1), (1, 0, 1)])
 
 
-@dataclass(frozen=True)
 class S3Certificate:
     """Evidence that the family is irreducible over K(T) with group S3."""
 
-    irreducibility: tuple  # transcript lines (label, detail)
-    square_class_degree: int  # T-degree of disc with its square factor removed
+    def __init__(self, irreducibility: tuple, square_class_degree: int):
+        self.irreducibility = irreducibility  # transcript lines (label, detail)
+        # T-degree of disc with its square factor removed
+        self.square_class_degree = square_class_degree
 
 
 def certify_s3() -> S3Certificate:

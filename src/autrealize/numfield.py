@@ -29,7 +29,6 @@ the generator, an integer combination of them.
 
 from __future__ import annotations
 
-import logging
 from fractions import Fraction
 from itertools import chain, permutations
 from math import gcd, lcm
@@ -53,8 +52,6 @@ from .factor import (
     yun_squarefree_decomposition,
 )
 from .perm import AbstractGroup, PermGroup, Permutation
-
-logger = logging.getLogger(__name__)
 
 SPLITTING_DEGREE_CAP = 24
 
@@ -618,9 +615,10 @@ def splitting_field(f: UniPoly, max_degree=SPLITTING_DEGREE_CAP) -> SplittingFie
     factor left, with generator beta + c*z for the old generator z, so the
     generator is an integer combination sum k_i r_i of roots; its images
     are the values sum k_i r_pi(i), over all permutations pi of the roots,
-    at which the modulus vanishes.  Once all roots but one are known, the
-    last is minus the X^(n-1) coefficient minus their sum, so the largest
-    field is never factored over.
+    at which the modulus vanishes, and an image given by one pi alone
+    says where its automorphism sends the adjoined roots.  Once all roots
+    but one are known, the last is minus the X^(n-1) coefficient minus
+    their sum, so the largest field is never factored over.
     """
     if f.field is not None:
         raise ValueError("expects a rational polynomial")
@@ -630,7 +628,8 @@ def splitting_field(f: UniPoly, max_degree=SPLITTING_DEGREE_CAP) -> SplittingFie
         raise ValueError("expects a squarefree polynomial")
     K = NumberField.rationals()
     work = f.monic().map_coeffs(K.from_rational, field=K)
-    weights = []  # the generator is sum weights[i] * (i-th adjoined root)
+    weights = []  # the generator is sum weights[i] * adjoined[i]
+    adjoined = []
     while True:
         factors = [g for g, _ in factor_over_nf(work, K).factors]
         roots = [-g.coeffs[0] for g in factors if g.degree == 1]
@@ -647,7 +646,9 @@ def splitting_field(f: UniPoly, max_degree=SPLITTING_DEGREE_CAP) -> SplittingFie
         K2, theta2, beta, c = extend_field(K, h)
         remap = lambda e: e.to_poly().eval(theta2)  # noqa: E731
         work = work.map_coeffs(remap, field=K2)
-        roots = [remap(r) for r in roots] + [beta]
+        moved = {r: remap(r) for r in roots}  # the adjoined roots are among them
+        adjoined = [moved[a] for a in adjoined] + [beta]
+        roots = [*moved.values(), beta]
         weights = [c * k for k in weights] + [1]
         K = K2
         if len(roots) == f.degree - 1:
@@ -664,22 +665,47 @@ def splitting_field(f: UniPoly, max_degree=SPLITTING_DEGREE_CAP) -> SplittingFie
     # each value at which the modulus vanishes is a conjugate of the
     # generator, and there must be [K:Q] of them, as many as the roots of
     # the modulus modulo the prime the table is read at
-    images = {
-        sum((roots[i] * k for i, k in zip(img, weights)), K.zero())
-        for img in permutations(range(len(roots)), len(weights))
-    }
+    injections = {}  # value -> the injections pi giving sum k_i r_pi(i)
+    for img in permutations(range(len(roots)), len(weights)):
+        w = sum((roots[i] * k for i, k in zip(img, weights)), K.zero())
+        injections.setdefault(w, []).append(img)
     p = completeness_prime(K.modulus, K.degree)
-    autos = AutomorphismTable(K, [w for w in images if not K.modulus.eval(w)], prime=p)
+    autos = AutomorphismTable(
+        K, [w for w in injections if not K.modulus.eval(w)], prime=p
+    )
     if autos.order != K.degree:
         raise VerificationError(
             "splitting field is not Galois: automorphism count "
             f"{autos.order} != degree {K.degree}"
         )
+    at = [roots.index(a) for a in adjoined]
     perms = [
-        Permutation(roots.index(autos.apply(i, r)) + 1 for r in roots)
-        for i in range(autos.order)
+        _root_permutation(autos, i, roots, at, injections[m])
+        for i, m in enumerate(autos.maps)
     ]
     return SplittingField(K, f.monic(), roots, autos, perms)
+
+
+def _root_permutation(autos, i, roots, at, injections):
+    """How the i-th automorphism sigma moves the sorted roots, where
+    roots[at[j]] is the j-th adjoined root.
+
+    sigma's own injection gives sigma's generator image, so when exactly
+    one injection gives it, that injection says where the adjoined roots
+    go.  A single root left over goes to the one free index; sigma is
+    evaluated only at the roots that neither step places.
+    """
+    images = [None] * len(roots)
+    if len(injections) == 1:
+        for j, k in zip(at, injections[0]):
+            images[j] = k
+    left = [j for j, k in enumerate(images) if k is None]
+    if len(left) == 1:
+        (images[left[0]],) = set(range(len(roots))).difference(images)
+    else:
+        for j in left:
+            images[j] = roots.index(autos.apply(i, roots[j]))
+    return Permutation(k + 1 for k in images)
 
 
 # -- fixed fields -----------------------------------------------------------

@@ -7,8 +7,6 @@ scales this package targets: degree at most 12, order at most 10**6.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import CapExceededError, SpecParseError, VerificationError
 
 MAX_DEGREE = 12
@@ -249,7 +247,6 @@ class PermGroup:
         return AbstractGroup(table), elems
 
 
-@dataclass(frozen=True)
 class AbstractGroup:
     """A finite group as a composition table over indices 0..n-1.
 
@@ -257,12 +254,17 @@ class AbstractGroup:
     identity.  The constructor verifies the full group axioms.
     """
 
-    table: tuple
-
     def __init__(self, table):
-        table = tuple(tuple(row) for row in table)
-        object.__setattr__(self, "table", table)
+        self.table = tuple(tuple(row) for row in table)
         self._verify()
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.table == other.table
+
+    def __hash__(self):
+        return hash(self.table)
 
     def _verify(self):
         n = len(self.table)

@@ -31,8 +31,6 @@ others, and the composition table is read modulo p.
 
 from __future__ import annotations
 
-import logging
-from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 
@@ -63,8 +61,6 @@ from .numfield import (
     splitting_field,
 )
 from .perm import AbstractGroup, PermGroup, are_isomorphic
-
-logger = logging.getLogger(__name__)
 
 SN_CAP = 3
 
@@ -111,17 +107,28 @@ def compute_y(L: SplittingField, G: PermGroup):
     return fixed_field(L, G)
 
 
-@dataclass
 class PipelineState:
-    n: int
-    G: PermGroup
-    G_abstract: AbstractGroup
-    L: SplittingField
-    y: NfElement
-    y_minpoly: UniPoly
-    s3_cert: S3Certificate
-    c: int
-    q: BiPoly
+    def __init__(
+        self,
+        n: int,
+        G: PermGroup,
+        G_abstract: AbstractGroup,
+        L: SplittingField,
+        y: NfElement,
+        y_minpoly: UniPoly,
+        s3_cert: S3Certificate,
+        c: int,
+        q: BiPoly,
+    ):
+        self.n = n
+        self.G = G
+        self.G_abstract = G_abstract
+        self.L = L
+        self.y = y
+        self.y_minpoly = y_minpoly
+        self.s3_cert = s3_cert
+        self.c = c
+        self.q = q
 
 
 def build_E_minpoly(L: SplittingField, y: NfElement):
@@ -165,20 +172,29 @@ def build_E_minpoly(L: SplittingField, y: NfElement):
         if any(not bad_set(q, t) for t in range(6 * deg_x * deg_x + 2)):
             _record("primitive_shift", c)
             return c, q
-        logger.debug("shift c=%d gives a non-squarefree norm; trying next", c)
     raise VerificationError("unreachable: no primitive shift found")
 
 
-@dataclass
 class SpecializationRecord:
-    t0: Fraction
-    status: str  # "accepted" or "rejected"
-    reason: str | None = None
-    q0: UniPoly | None = None
-    field: NumberField | None = None
-    theta0: NfElement | None = None
-    aut: AutomorphismTable | None = None
-    witness: tuple | None = None
+    def __init__(
+        self,
+        t0: Fraction,
+        status: str,  # "accepted" or "rejected"
+        reason: str | None = None,
+        q0: UniPoly | None = None,
+        field: NumberField | None = None,
+        theta0: NfElement | None = None,
+        aut: AutomorphismTable | None = None,
+        witness: tuple | None = None,
+    ):
+        self.t0 = t0
+        self.status = status
+        self.reason = reason
+        self.q0 = q0
+        self.field = field
+        self.theta0 = theta0
+        self.aut = aut
+        self.witness = witness
 
 
 def build_state(G: PermGroup, n: int) -> PipelineState:
@@ -258,17 +274,28 @@ def fields_distinct_exact(a: SpecializationRecord, b: SpecializationRecord):
     return None
 
 
-@dataclass
 class RealizationCertificate:
-    group_n: int
-    group_generators: tuple  # cycle-notation strings
-    group_name: str | None
-    group_order: int
-    state: PipelineState
-    accepted: tuple  # of SpecializationRecord
-    transcript: tuple  # of (t0, status, reason)
-    distinctness: tuple  # of (i, j, separating prime)
-    audit: tuple  # of (event, value)
+    def __init__(
+        self,
+        group_n: int,
+        group_generators: tuple,  # cycle-notation strings
+        group_name: str | None,
+        group_order: int,
+        state: PipelineState,
+        accepted: tuple,  # of SpecializationRecord
+        transcript: tuple,  # of (t0, status, reason)
+        distinctness: tuple,  # of (i, j, separating prime)
+        audit: tuple,  # of (event, value)
+    ):
+        self.group_n = group_n
+        self.group_generators = group_generators
+        self.group_name = group_name
+        self.group_order = group_order
+        self.state = state
+        self.accepted = accepted
+        self.transcript = transcript
+        self.distinctness = distinctness
+        self.audit = audit
 
 
 def t0_sequence(t_max: int):

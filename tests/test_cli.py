@@ -379,6 +379,14 @@ class TestValidateCommand:
     def test_unreadable(self, tmp_path, capsys):
         assert main(["validate", str(tmp_path / "missing.json")]) == EXIT_PARSE
 
+    def test_not_utf8(self, cert_path, tmp_path, capsys):
+        # UTF-16 text starts with the byte-order mark ff fe
+        bad = tmp_path / "utf16.json"
+        bad.write_bytes(cert_path.read_text().encode("utf-16"))
+        assert bad.read_bytes()[:2] == b"\xff\xfe"
+        assert main(["validate", str(bad)]) == EXIT_PARSE
+        assert "cannot read certificate" in capsys.readouterr().err
+
     def test_deep(self, cert_path, capsys):
         assert main(["validate", str(cert_path), "--deep"]) == EXIT_OK
         out = capsys.readouterr().out

@@ -232,6 +232,12 @@ class TestFactorOverQ:
         assert fac.unit == F(6)
         assert expand(fac) == f
 
+    def test_eq_and_hash_follow_the_fields(self):
+        f = C(6) * (X - 1) ** 3 * (X**2 + 1) ** 2
+        a, b = factor_over_Q(f), factor_over_Q(f)
+        assert a == b and hash(a) == hash(b)
+        assert a != factor_over_Q(f * 2)
+
     def test_round_trips(self):
         rng = random.Random(11)
         for _ in range(200):

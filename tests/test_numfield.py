@@ -407,6 +407,23 @@ class TestSplittingField:
         assert len(seen) == calls
         assert max(K.degree for K in seen) < L.degree
 
+    @pytest.mark.parametrize("f, calls", [(X**3 - X - 1, 0), (X**4 + 1, 12)])
+    def test_permutations_read_off_the_injections(self, monkeypatch, f, calls):
+        """Each adjoined root's image comes from the one injection that
+        gives its map, and a single root left over from the free index;
+        a map is evaluated only at the other roots (for X^4 + 1, at the
+        three roots besides the adjoined one, for each of its 4 maps)."""
+        seen = []
+        apply = numfield.AutomorphismTable.apply
+        monkeypatch.setattr(
+            numfield.AutomorphismTable,
+            "apply",
+            lambda self, i, e: seen.append(i) or apply(self, i, e),
+        )
+        L = splitting_field(f)
+        assert len(seen) == calls
+        assert L.galois.order == L.degree
+
     def test_quadratic(self):
         L = splitting_field(UniPoly([F(-1), F(-1), F(1)], "X"))
         assert L.degree == 2 and L.galois.order == 2

@@ -174,6 +174,12 @@ class TestAbstractGroup:
         with pytest.raises(VerificationError):
             AbstractGroup([])
 
+    def test_eq_and_hash_follow_the_table(self):
+        a = AbstractGroup([[0, 1], [1, 0]])
+        assert a == AbstractGroup(((0, 1), (1, 0)))
+        assert hash(a) == hash(AbstractGroup(((0, 1), (1, 0))))
+        assert a != PermGroup.cyclic(3).to_abstract()[0]
+
     def test_element_orders(self):
         t = PermGroup.cyclic(6).to_abstract()[0]
         assert t.order_multiset() == [1, 2, 3, 3, 6, 6]
