@@ -27,6 +27,7 @@ from .exact import (
 from .factor import EDF_SEED, frobenius_pattern, is_irreducible_Q, linear_part_mod_p
 from .numfield import NumberField, table_mod_p
 from .perm import AbstractGroup, PermGroup, parse_cycles
+from .pipeline import build_state, check_sn_cap, specialize_and_verify
 
 FORMAT_NAME = "autrealize-certificate"
 FORMAT_VERSION = 3
@@ -205,7 +206,8 @@ def _completes(p, f, k):
 def validate_certificate(path, deep=False) -> ValidationReport:
     """Re-check a certificate file.
 
-    Shallow checks: schema, group closure, each defining polynomial is
+    Shallow checks: schema, the group's degree within the S_n cap (before
+    any permutation is built), group closure, each defining polynomial is
     the certificate's q specialized at its t0 and is irreducible,
     automorphism images are roots, the completeness prime p is prime and
     the defining polynomial is squarefree mod p with exactly as many roots
@@ -234,6 +236,7 @@ def validate_certificate(path, deep=False) -> ValidationReport:
 
     try:
         n = int(data["group"]["n"])
+        check_sn_cap(n)  # before any permutation of a huge degree is built
         gens = [parse_cycles(s, n) for s in data["group"]["generators"]]
         G = PermGroup(gens, degree=n)
         report.add(
@@ -342,8 +345,6 @@ def validate_certificate(path, deep=False) -> ValidationReport:
 
 
 def _deep_validate(data, G, report):
-    from .pipeline import build_state, specialize_and_verify
-
     try:
         state = build_state(G, int(data["pipeline"]["n"]))
     except Exception as exc:

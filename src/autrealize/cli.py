@@ -106,6 +106,8 @@ def _cmd_realize(args):
     # closing a large group costs seconds and would be refused anyway
     if args.named is not None:
         degree = _parse_named(args.named)[1]
+        if args.gens is not None:
+            raise SpecParseError(f"--gens conflicts with --named {args.named}")
         if args.n is not None and args.n != degree:
             raise SpecParseError(
                 f"--n {args.n} conflicts with --named {args.named} (n = {degree})"

@@ -51,6 +51,9 @@ EDF_SEED = 0x5EED_CAFE
 #: Largest integer-polynomial degree the recombination stage accepts.
 DEGREE_CAP = 400
 
+#: Usable primes the Zassenhaus prime choice ranks, at most.
+ZASSENHAUS_PRIMES = 8
+
 _audit: contextvars.ContextVar = contextvars.ContextVar("factor_audit", default=None)
 
 
@@ -373,10 +376,11 @@ def completeness_prime(f: UniPoly, k):
     return None
 
 
-def _gfactor_sqf(ddf, p, seed=EDF_SEED):
+def _gfactor_sqf(ddf, p):
     """Monic irreducible factors mod p of a monic squarefree polynomial,
-    split from its distinct-degree factorization ``ddf`` (from _gddf)."""
-    rng = random.Random(seed)
+    split from its distinct-degree factorization ``ddf`` (from _gddf)
+    with the fixed seed."""
+    rng = random.Random(EDF_SEED)
     out = []
     for g, k in ddf:
         out.extend(_gedf(g, k, p, rng))
@@ -452,13 +456,13 @@ def _mignotte_bound(f):
     return (isqrt(n + 1) + 1) * 2**n * a * b
 
 
-def _choose_prime(f, max_candidates):
+def _choose_prime(f):
     """Pick a usable prime p (see _good_primes) for f and factor f mod p.
 
     Among the first few usable primes, the one with the fewest modular
     factors is chosen (ties broken towards smaller p); at desk scale this
     keeps subset recombination tractable.  The search stops after
-    ``max_candidates`` primes or at the first with at most 6 factors.
+    ZASSENHAUS_PRIMES primes or at the first with at most 6 factors.
     Candidates are ranked by their distinct-degree factorization alone,
     which gives the factor degrees; only the chosen prime is split into
     irreducibles.  Returns (p, the monic factors of f mod p).
@@ -468,7 +472,7 @@ def _choose_prime(f, max_candidates):
         ddf = _gddf(fp, p)
         degrees = _ddf_degrees(ddf)
         candidates.append((len(degrees), p, ddf))
-        if len(degrees) <= 6 or len(candidates) >= max_candidates:
+        if len(degrees) <= 6 or len(candidates) >= ZASSENHAUS_PRIMES:
             break
     _, p, ddf = min(candidates, key=lambda c: c[:2])
     _record("prime", p)
@@ -512,7 +516,7 @@ def _zassenhaus(f):
         raise CapExceededError(
             f"degree {n} exceeds the factorization cap {DEGREE_CAP}"
         )
-    p, modular = _choose_prime(f, max_candidates=8)
+    p, modular = _choose_prime(f)
     l = int(ceil(log(2 * _mignotte_bound(f) + 1, p)))
     _record("lift_exponent", l)
     lifted, pl = _hensel_lift(p, f, modular, l), p**l

@@ -14,7 +14,7 @@ element as soon as they appear.
 Factoring over a field uses Trager's method: shift by a multiple of the
 generator until the resultant norm is squarefree, factor the norm over Q,
 pull factors back by gcd.  Automorphisms are never searched for: their
-images are given, and their composition table is read modulo one prime
+images are given, and a table of them is read modulo one prime
 (:func:`table_mod_p`).  Every norm -- Trager norms, characteristic
 polynomials, primitive elements of extensions, and the pipeline's
 q(T, X) -- comes from the one helper :func:`shifted_norm`, which
@@ -23,8 +23,10 @@ interpolates over Z, keeping all resultant work univariate.  Squarefree
 decomposition is ``factor.yun_squarefree_decomposition`` (it works over
 any field).  A splitting field is a tower that keeps what it knows: the
 image of a generator in the next field is one exact linear solve
-(:func:`embed_generator`), and the automorphisms permute the roots in
-the generator, an integer combination of them.
+(:func:`embed_generator`), and its automorphisms are its root
+permutations: permuting the roots in the generator, an integer
+combination of them, gives [L:Q] roots of its modulus, all of Aut(L), so
+each permutation keeps its generator image and L needs no table.
 """
 
 from __future__ import annotations
@@ -44,7 +46,6 @@ from .exact import (
 )
 from .factor import (
     Factorization,
-    completeness_prime,
     factor_over_Q,
     is_irreducible_Q,
     root_mod_p,
@@ -485,10 +486,6 @@ class AutomorphismTable:
     def order(self):
         return len(self.maps)
 
-    def apply(self, i, e: NfElement) -> NfElement:
-        """Image of e under the i-th automorphism."""
-        return e.to_poly().eval(self.maps[i])
-
 
 def _residue(e: NfElement, r, p):
     """e modulo the degree-1 prime (p, Z - r) of its field."""
@@ -585,29 +582,25 @@ def embed_generator(K, h, K2, c):
 class SplittingField:
     """A splitting field with explicit roots and Galois action.
 
-    ``roots`` are sorted by coordinates; ``galois`` acts on the 1-based
-    root indices; automorphism i sends the generator to ``autos.maps[i]``
-    and corresponds to ``perms[i]``.
+    ``roots`` are sorted by coordinates; ``images`` maps each permutation
+    of the 1-based root indices to the generator's image under the
+    automorphism that moves the roots so, and ``galois`` is the group of
+    those permutations.
     """
 
-    def __init__(self, field, poly, roots, autos, perms):
+    def __init__(self, field, poly, roots, images):
         self.field = field
         self.poly = poly
         self.roots = tuple(roots)
-        self.autos = autos
-        self.perms = tuple(perms)
-        self.galois = PermGroup.from_elements(perms, len(roots))
-        self._aut_of_perm = {p: i for i, p in enumerate(perms)}
+        self.images = images
+        self.galois = PermGroup.from_elements(images, len(roots))
 
     @property
     def degree(self):
         return self.field.degree
 
-    def aut_index_for_perm(self, perm: Permutation) -> int:
-        return self._aut_of_perm[perm]
 
-
-def splitting_field(f: UniPoly, max_degree=SPLITTING_DEGREE_CAP) -> SplittingField:
+def splitting_field(f: UniPoly) -> SplittingField:
     """Splitting field of a squarefree rational polynomial, with the
     Galois group as permutations of the sorted root list.
 
@@ -618,7 +611,8 @@ def splitting_field(f: UniPoly, max_degree=SPLITTING_DEGREE_CAP) -> SplittingFie
     at which the modulus vanishes, and an image given by one pi alone
     says where its automorphism sends the adjoined roots.  Once all roots
     but one are known, the last is minus the X^(n-1) coefficient minus
-    their sum, so the largest field is never factored over.
+    their sum, so the largest field is never factored over.  A degree
+    above SPLITTING_DEGREE_CAP is refused before it is built.
     """
     if f.field is not None:
         raise ValueError("expects a rational polynomial")
@@ -638,10 +632,10 @@ def splitting_field(f: UniPoly, max_degree=SPLITTING_DEGREE_CAP) -> SplittingFie
             break
         h = min(nonlinear, key=lambda g: g.degree)
         new_deg = K.degree * h.degree
-        if new_deg > max_degree:
+        if new_deg > SPLITTING_DEGREE_CAP:
             raise CapExceededError(
                 f"splitting field degree would reach {new_deg}, "
-                f"exceeding the cap {max_degree}"
+                f"exceeding the cap {SPLITTING_DEGREE_CAP}"
             )
         K2, theta2, beta, c = extend_field(K, h)
         remap = lambda e: e.to_poly().eval(theta2)  # noqa: E731
@@ -663,37 +657,31 @@ def splitting_field(f: UniPoly, max_degree=SPLITTING_DEGREE_CAP) -> SplittingFie
     if acc != target:
         raise VerificationError("root product does not reconstruct the input")
     # each value at which the modulus vanishes is a conjugate of the
-    # generator, and there must be [K:Q] of them, as many as the roots of
-    # the modulus modulo the prime the table is read at
+    # generator; [K:Q] distinct ones in K are all of Aut(K), and make K
+    # normal, so they need no table and no second check
     injections = {}  # value -> the injections pi giving sum k_i r_pi(i)
     for img in permutations(range(len(roots)), len(weights)):
         w = sum((roots[i] * k for i, k in zip(img, weights)), K.zero())
         injections.setdefault(w, []).append(img)
-    p = completeness_prime(K.modulus, K.degree)
-    autos = AutomorphismTable(
-        K, [w for w in injections if not K.modulus.eval(w)], prime=p
-    )
-    if autos.order != K.degree:
+    maps = [w for w in injections if not K.modulus.eval(w)]
+    if len(maps) != K.degree:
         raise VerificationError(
             "splitting field is not Galois: automorphism count "
-            f"{autos.order} != degree {K.degree}"
+            f"{len(maps)} != degree {K.degree}"
         )
     at = [roots.index(a) for a in adjoined]
-    perms = [
-        _root_permutation(autos, i, roots, at, injections[m])
-        for i, m in enumerate(autos.maps)
-    ]
-    return SplittingField(K, f.monic(), roots, autos, perms)
+    images = {_root_permutation(m, roots, at, injections[m]): m for m in maps}
+    return SplittingField(K, f.monic(), roots, images)
 
 
-def _root_permutation(autos, i, roots, at, injections):
-    """How the i-th automorphism sigma moves the sorted roots, where
-    roots[at[j]] is the j-th adjoined root.
+def _root_permutation(m, roots, at, injections):
+    """How the automorphism sigma with generator image m moves the sorted
+    roots, where roots[at[j]] is the j-th adjoined root.
 
-    sigma's own injection gives sigma's generator image, so when exactly
-    one injection gives it, that injection says where the adjoined roots
-    go.  A single root left over goes to the one free index; sigma is
-    evaluated only at the roots that neither step places.
+    sigma's own injection gives m, so when exactly one injection gives
+    it, that injection says where the adjoined roots go.  A single root
+    left over goes to the one free index; roots[j] is evaluated at m only
+    for the roots that neither step places.
     """
     images = [None] * len(roots)
     if len(injections) == 1:
@@ -704,7 +692,7 @@ def _root_permutation(autos, i, roots, at, injections):
         (images[left[0]],) = set(range(len(roots))).difference(images)
     else:
         for j in left:
-            images[j] = roots.index(autos.apply(i, roots[j]))
+            images[j] = roots.index(roots[j].to_poly().eval(m))
     return Permutation(k + 1 for k in images)
 
 
@@ -724,13 +712,11 @@ def fixed_field(Lsp: SplittingField, H: PermGroup):
     d = K.degree
     target = d // H.order
     theta = K.gen()
-    aut_ids = [Lsp.aut_index_for_perm(p) for p in sorted(H.elements)]
+    maps = [Lsp.images[p] for p in sorted(H.elements)]
 
     def orbit_sum(e):
-        acc = K.zero()
-        for i in aut_ids:
-            acc = acc + Lsp.autos.apply(i, e)
-        return acc
+        h = e.to_poly()
+        return sum((h.eval(m) for m in maps), K.zero())
 
     candidates = [theta**j for j in range(1, d + 1)]
     candidates += [theta**j + theta * j for j in range(2, d + 1)]
@@ -738,8 +724,8 @@ def fixed_field(Lsp: SplittingField, H: PermGroup):
         y = orbit_sum(cand)
         p = minpoly(y)
         if p.degree == target:
-            for i in aut_ids:
-                if Lsp.autos.apply(i, y) != y:
-                    raise VerificationError("orbit sum not fixed by H")
+            h = y.to_poly()
+            if any(h.eval(m) != y for m in maps):
+                raise VerificationError("orbit sum not fixed by H")
             return y, p
     raise VerificationError("no fixed-field generator found in the search family")

@@ -185,7 +185,7 @@ class PermGroup:
         group.degree = degree
         group.elements = frozenset(elements)
         group.generators = tuple(sorted(group.elements))
-        # sanity: closure
+        # the elements are trusted to be a group; only one element's degree is checked
         sample = next(iter(group.elements))
         if sample.degree != degree:
             raise ValueError("element degree mismatch")

@@ -244,7 +244,7 @@ def specialize_and_verify(state: PipelineState, t0) -> SpecializationRecord:
     # E's generator is x + c*theta0; sigma in G sends it to x + c*sigma(theta0)
     x = E.gen() - theta0 * c
     images = [
-        x + L.autos.maps[L.aut_index_for_perm(sigma)].to_poly().eval(theta0) * c
+        x + L.images[sigma].to_poly().eval(theta0) * c
         for sigma in state.G.elements
     ]
     aut = AutomorphismTable(E, images, prime=p)

@@ -6,8 +6,9 @@ algorithm (and the number-field inverse it gives), the Sylvester-matrix
 resultant, Newton interpolation over Fractions, the Zassenhaus prime
 choice by complete factorization mod every candidate, the completeness
 prime and a root mod p by a complete distinct-degree factorization, a field's
-automorphisms as the roots of its modulus in it, their composition table
-by exact composition in the field, a generator's image in
+automorphisms as the roots of its modulus in it, the image of an element
+under one of them, their composition table by exact composition in the
+field, a generator's image in
 a larger field by a gcd over that field, the inverse of a permutation,
 normalizers, normality and quotient groups by direct scan, and the
 product of a factorization.
@@ -128,7 +129,7 @@ def newton_interpolate(points, values, var="X"):
     return acc
 
 
-def choose_prime_by_factoring(f, max_candidates):
+def choose_prime_by_factoring(f):
     """The Zassenhaus prime choice with every candidate prime factored
     completely: the fewest modular factors win, ties towards smaller p,
     with the same stopping rule and audit events as
@@ -137,7 +138,7 @@ def choose_prime_by_factoring(f, max_candidates):
     for p, (fp,) in factor._good_primes([f]):
         factors = factor._gfactor_sqf(factor._gddf(fp, p), p)
         candidates.append((len(factors), p, factors))
-        if len(factors) <= 6 or len(candidates) >= max_candidates:
+        if len(factors) <= 6 or len(candidates) >= factor.ZASSENHAUS_PRIMES:
             break
     candidates.sort(key=lambda c: (c[0], c[1]))
     _, p, factors = candidates[0]
@@ -178,6 +179,11 @@ def automorphisms(K) -> AutomorphismTable:
     the first prime where the modulus has as many roots as K has maps."""
     maps = roots_in_field(K.modulus, K)
     return AutomorphismTable(K, maps, prime=completeness_prime(K.modulus, len(maps)))
+
+
+def apply(m, e):
+    """Image of e under the automorphism sending the generator to m."""
+    return e.to_poly().eval(m)
 
 
 def composition_table(maps):

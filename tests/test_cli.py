@@ -77,6 +77,14 @@ class TestRealizeCommand:
     def test_named_conflict(self, capsys):
         assert main(["realize", "--named", "S2", "--n", "3"]) == EXIT_PARSE
 
+    def test_named_with_gens(self, capsys, monkeypatch):
+        def refuse(*_):
+            raise AssertionError("pipeline run although --gens was given")
+
+        monkeypatch.setattr(pipeline, "build_state", refuse)
+        assert main(["realize", "--named", "C2", "--gens", "()"]) == EXIT_PARSE
+        assert "--gens conflicts with --named C2" in capsys.readouterr().err
+
     def test_bad_gens(self, capsys):
         assert main(["realize", "--n", "3", "--gens", "(1 9)"]) == EXIT_PARSE
 
@@ -329,6 +337,34 @@ class TestValidateCommand:
         if forgery in self.COMPLETENESS_DETAIL:
             assert f"[FAIL] {label}: {self.COMPLETENESS_DETAIL[forgery]}\n" in out
         assert "certificate INVALID" in out
+
+    @pytest.mark.parametrize(
+        "n, generators, order",
+        [
+            (1000000, ["()"], 1),
+            (10, ["(1 2)", "(1 2 3 4 5 6 7 8 9 10)"], 3628800),
+        ],
+    )
+    def test_oversized_group_refused_before_closure(
+        self, cert_path, tmp_path, capsys, monkeypatch, n, generators, order
+    ):
+        """A claimed degree above the S_n cap fails the group check before
+        any permutation is parsed or any group closed."""
+        closed = []
+
+        def refuse(self):
+            closed.append(self.degree)
+            raise AssertionError("group closed before the degree cap check")
+
+        monkeypatch.setattr(PermGroup, "_close", refuse)
+        data = json.loads(cert_path.read_text())
+        data["group"].update(n=n, generators=generators, order=order)
+        bad = tmp_path / "oversized.json"
+        bad.write_text(json.dumps(data))
+        assert main(["validate", str(bad)]) == EXIT_PARSE
+        out = capsys.readouterr().out
+        assert f"[FAIL] group order: n = {n} is not supported yet" in out
+        assert closed == []
 
     def test_version_1(self, cert_path, tmp_path, capsys):
         data = json.loads(cert_path.read_text())

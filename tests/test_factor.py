@@ -347,7 +347,7 @@ class TestPrimeChoice:
     @staticmethod
     def choose(choice, f):
         with audit_trail() as events:
-            got = choice(f, 8)
+            got = choice(f)
         return got, events
 
     def test_same_choice_as_complete_factorization(self, primes_split):
@@ -367,7 +367,7 @@ class TestPrimeChoice:
         rng = random.Random(31)
         for f in [rand_squarefree_int(rng, rng.randrange(4, 40)) for _ in range(6)]:
             primes_ddf.clear()
-            p, _ = _choose_prime(f, 8)
+            p, _ = _choose_prime(f)
             assert p in primes_ddf
             assert len(primes_ddf) == len(set(primes_ddf))
 

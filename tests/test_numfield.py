@@ -7,8 +7,8 @@ import pytest
 
 from autrealize.errors import CapExceededError, VerificationError
 from autrealize.exact import UniPoly, poly_divrem
-from autrealize import numfield
-from autrealize.factor import linear_part_mod_p, usable_patterns
+from autrealize import factor, numfield
+from autrealize.factor import completeness_prime, linear_part_mod_p, usable_patterns
 from autrealize.numfield import (
     NumberField,
     charpoly,
@@ -20,8 +20,9 @@ from autrealize.numfield import (
     splitting_field,
     table_mod_p,
 )
-from autrealize.perm import PermGroup, are_isomorphic, parse_cycles
+from autrealize.perm import AbstractGroup, PermGroup, are_isomorphic, parse_cycles
 from reference import (
+    apply,
     aut_group_via_quotient,
     automorphisms,
     completeness_prime_by_pattern,
@@ -300,10 +301,10 @@ class TestAutomorphisms:
         for _ in range(20):
             a = golden.element([rng.randrange(-5, 6), rng.randrange(-5, 6)])
             b = golden.element([rng.randrange(-5, 6), rng.randrange(-5, 6)])
-            for i in range(table.order):
-                assert table.apply(i, a + b) == table.apply(i, a) + table.apply(i, b)
-                assert table.apply(i, a * b) == table.apply(i, a) * table.apply(i, b)
-                assert table.apply(i, golden.from_rational(7)) == 7
+            for m in table.maps:
+                assert apply(m, a + b) == apply(m, a) + apply(m, b)
+                assert apply(m, a * b) == apply(m, a) * apply(m, b)
+                assert apply(m, golden.from_rational(7)) == 7
 
     def test_table_mod_p_refusals(self, golden):
         maps = automorphisms(golden).maps
@@ -366,31 +367,71 @@ def splitting(name):
     return splitting_field(SPLITTING_CASES[name])
 
 
+def assert_homomorphism(L, gens=None):
+    """The labelling of generator images by root permutations respects
+    composition: sigma_s(sigma_t(Z)) is the image labelled s * t, for
+    every t and every s in gens (default: every element).  A generating
+    set suffices: then sigma_(s t) = sigma_s . sigma_t for s in gens, so
+    sigma_e is the identity and, along any word u in gens,
+    sigma_(u t) = sigma_u . sigma_t."""
+    for s in gens or L.images:
+        for t, mt in L.images.items():
+            assert L.images[s * t] == apply(L.images[s], mt)
+
+
+@pytest.fixture(scope="module")
+def s4_base():
+    """The splitting field of X^4 - X - 1 (degree 24, group S4), with the
+    completeness primes, tables mod p and abstract groups its
+    construction asked for, wherever the package reaches them from."""
+    seen = []
+    with pytest.MonkeyPatch.context() as mp:
+        for module in (factor, numfield):
+            for name in ("completeness_prime", "table_mod_p"):
+                orig = getattr(module, name, None)
+                if orig is not None:
+                    mp.setattr(
+                        module,
+                        name,
+                        lambda *a, orig=orig, name=name: seen.append(name) or orig(*a),
+                    )
+        init = AbstractGroup.__init__
+        mp.setattr(
+            AbstractGroup,
+            "__init__",
+            lambda self, table: seen.append("AbstractGroup") or init(self, table),
+        )
+        L = splitting_field(X**4 - X - 1)
+    return L, seen
+
+
 class TestSplittingField:
     @pytest.mark.parametrize("name", list(SPLITTING_CASES))
     def test_galois_action_matches_reference(self, name):
         """Permuting the roots in the tracked generator finds the same
-        automorphisms as factoring the modulus over the field, and each
-        permutation is how its map moves the roots."""
+        automorphisms as factoring the modulus over the field, each
+        permutation is how its map moves the roots, and the labelling is
+        a homomorphism."""
         L = splitting(name)
         ref = automorphisms(L.field)
-        assert L.autos.maps == ref.maps
-        assert [list(row) for row in L.autos.group.table] == composition_table(
-            ref.maps
-        )
-        assert L.galois.order == L.degree
-        for i, perm in enumerate(L.perms):
-            moved = [L.roots.index(ref.apply(i, r)) + 1 for r in L.roots]
+        assert set(L.images.values()) == set(ref.maps)
+        assert L.galois.order == L.degree == len(L.images)
+        for perm, m in L.images.items():
+            moved = [L.roots.index(apply(m, r)) + 1 for r in L.roots]
             assert perm.images == tuple(moved)
+        assert_homomorphism(L)
 
     @pytest.mark.parametrize("name", list(SPLITTING_CASES))
     def test_completeness_prime_matches_pattern_definition(self, name):
-        """The table's prime, found by counting roots, is the first prime
-        whose Frobenius pattern has [L:Q] ones, and the root count is the
-        number of ones at each of the first 200 usable primes."""
+        """The completeness prime of the field's modulus, found by counting
+        roots, is the first prime whose Frobenius pattern has [L:Q] ones,
+        and the root count is the number of ones at each of the first 200
+        usable primes."""
         L = splitting(name)
         f = L.field.modulus
-        assert L.autos.prime == completeness_prime_by_pattern(f, L.degree)
+        assert completeness_prime(f, L.degree) == completeness_prime_by_pattern(
+            f, L.degree
+        )
         for p, (pattern,) in usable_patterns([f], 200):
             assert len(linear_part_mod_p(f, p)) - 1 == pattern.count(1)
 
@@ -399,9 +440,11 @@ class TestSplittingField:
         """The tower never factors over its largest field: the last root
         is minus the X^(n-1) coefficient minus the others."""
         seen = []
-        factor = numfield.factor_over_nf
+        factor_over_nf = numfield.factor_over_nf
         monkeypatch.setattr(
-            numfield, "factor_over_nf", lambda g, K: seen.append(K) or factor(g, K)
+            numfield,
+            "factor_over_nf",
+            lambda g, K: seen.append(K) or factor_over_nf(g, K),
         )
         L = splitting_field(f)
         assert len(seen) == calls
@@ -411,18 +454,40 @@ class TestSplittingField:
     def test_permutations_read_off_the_injections(self, monkeypatch, f, calls):
         """Each adjoined root's image comes from the one injection that
         gives its map, and a single root left over from the free index;
-        a map is evaluated only at the other roots (for X^4 + 1, at the
-        three roots besides the adjoined one, for each of its 4 maps)."""
-        seen = []
-        apply = numfield.AutomorphismTable.apply
+        a root is evaluated at a map's image only for the other roots (for
+        X^4 + 1, at the three roots besides the adjoined one, for each of
+        its 4 maps)."""
+        seen, inside = [], []
+        evaluate = UniPoly.eval
         monkeypatch.setattr(
-            numfield.AutomorphismTable,
-            "apply",
-            lambda self, i, e: seen.append(i) or apply(self, i, e),
+            UniPoly, "eval", lambda g, x: (inside and seen.append(x)) or evaluate(g, x)
         )
+        permutation = numfield._root_permutation
+
+        def counted(*args):
+            inside.append(True)
+            try:
+                return permutation(*args)
+            finally:
+                inside.pop()
+
+        monkeypatch.setattr(numfield, "_root_permutation", counted)
         L = splitting_field(f)
         assert len(seen) == calls
         assert L.galois.order == L.degree
+
+    def test_s4_base(self, s4_base):
+        """X^4 - X - 1, the base of the S4 route: its degree-24 field has
+        Galois group S4, read off without a completeness prime, a table mod
+        p or an abstract group."""
+        L, seen = s4_base
+        assert L.degree == 24
+        assert L.galois.elements == PermGroup.symmetric(4).elements
+        assert seen == []
+
+    def test_s4_base_homomorphism(self, s4_base):
+        # a transposition and a 4-cycle generate S4
+        assert_homomorphism(s4_base[0], PermGroup.symmetric(4).generators)
 
     def test_quadratic(self):
         L = splitting_field(UniPoly([F(-1), F(-1), F(1)], "X"))
@@ -434,7 +499,7 @@ class TestSplittingField:
         assert L.galois.order == 6
         assert L.galois.elements == PermGroup.symmetric(3).elements
         # action is faithful: distinct automorphisms give distinct perms
-        assert len(set(L.perms)) == 6
+        assert len(L.images) == len(set(L.images.values())) == 6
 
     def test_already_split(self):
         L = splitting_field((X - 1) * (X - 2))
@@ -447,12 +512,14 @@ class TestSplittingField:
             acc = acc * UniPoly([-r, L.field.one()], "X", L.field)
         assert acc == L.poly.to_field(L.field)
 
-    def test_degree_cap(self):
+    def test_degree_cap(self, monkeypatch):
+        monkeypatch.setattr(numfield, "SPLITTING_DEGREE_CAP", 2)
         with pytest.raises(CapExceededError):
-            splitting_field(UniPoly([F(-2), F(0), F(0), F(1)], "X"), max_degree=2)
+            splitting_field(UniPoly([F(-2), F(0), F(0), F(1)], "X"))
+        monkeypatch.setattr(numfield, "SPLITTING_DEGREE_CAP", 3)
         with pytest.raises(CapExceededError):
             # X^3 - X - 1 needs degree 6; the quadratic step exceeds 3
-            splitting_field(UniPoly([F(-1), F(-1), F(0), F(1)], "X"), max_degree=3)
+            splitting_field(UniPoly([F(-1), F(-1), F(0), F(1)], "X"))
 
 
 class TestFixedField:
@@ -498,7 +565,7 @@ class TestFixedField:
             y, p = fixed_field(L, H)
             assert p.degree * H.order == L.degree
             for perm in H.elements:
-                assert L.autos.apply(L.aut_index_for_perm(perm), y) == y
+                assert apply(L.images[perm], y) == y
 
 
 class TestLemmaCrossCheck:
