@@ -58,7 +58,7 @@ def certificate_to_json(cert) -> dict:
                         "generator_images": [
                             _render_coords(m) for m in rec.aut.maps
                         ],
-                        "table": [list(row) for row in rec.aut.group.table],
+                        "table": [list(row) for row in rec.aut.table],
                     },
                     "completeness_prime": rec.aut.prime,
                     "witness": list(rec.witness),
@@ -115,8 +115,11 @@ def dumps_canonical(obj: dict) -> str:
 
 def emit_certificate(cert, path) -> str:
     text = dumps_canonical(certificate_to_json(cert))
-    with open(path, "w") as fh:
-        fh.write(text)
+    try:
+        with open(path, "w") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise SpecParseError(f"cannot write certificate: {exc}") from exc
     return text
 
 
@@ -164,6 +167,13 @@ _MALFORMED = (
 )
 
 
+def _json_int(value, what):
+    """value if it is a JSON integer (a bool is not one), else raise."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise SpecParseError(f"{what} is not an integer: {value!r}")
+    return value
+
+
 def _pair(entry):
     """The (i, j) of a distinctness entry, or None if it has none."""
     pair = entry.get("pair") if isinstance(entry, dict) else None
@@ -206,8 +216,9 @@ def _completes(p, f, k):
 def validate_certificate(path, deep=False) -> ValidationReport:
     """Re-check a certificate file.
 
-    Shallow checks: schema, the group's degree within the S_n cap (before
-    any permutation is built), group closure, each defining polynomial is
+    Shallow checks: schema, the group's degree an integer within the S_n
+    cap (before any permutation is built), group closure, at least one
+    accepted specialization, each defining polynomial is
     the certificate's q specialized at its t0 and is irreducible,
     automorphism images are roots, the completeness prime p is prime and
     the defining polynomial is squarefree mod p with exactly as many roots
@@ -235,7 +246,7 @@ def validate_certificate(path, deep=False) -> ValidationReport:
         return report
 
     try:
-        n = int(data["group"]["n"])
+        n = _json_int(data["group"]["n"], "group.n")
         check_sn_cap(n)  # before any permutation of a huge degree is built
         gens = [parse_cycles(s, n) for s in data["group"]["generators"]]
         G = PermGroup(gens, degree=n)
@@ -274,7 +285,7 @@ def validate_certificate(path, deep=False) -> ValidationReport:
                 f"{label} irreducible",
                 is_irreducible_Q(q0),
             )
-            E = NumberField(q0.with_var("Z"), trusted=True)
+            E = NumberField(q0.with_var("Z"))
             images = [
                 E.element([parse_rational(s) for s in coords])
                 for coords in spec["automorphisms"]["generator_images"]
@@ -318,6 +329,11 @@ def validate_certificate(path, deep=False) -> ValidationReport:
         except _MALFORMED as exc:
             report.add(f"{label} well-formed", False, str(exc))
 
+    report.add(
+        "at least one accepted specialization",
+        bool(accepted),
+        f"{len(accepted)} accepted",
+    )
     pairs = [_pair(d) for d in data["distinctness"]]
     want = {
         (i, j)
@@ -346,7 +362,7 @@ def validate_certificate(path, deep=False) -> ValidationReport:
 
 def _deep_validate(data, G, report):
     try:
-        state = build_state(G, int(data["pipeline"]["n"]))
+        state = build_state(G, _json_int(data["pipeline"]["n"], "pipeline.n"))
     except Exception as exc:
         report.add("deep: pipeline rebuild", False, str(exc))
         return
@@ -370,7 +386,7 @@ def _deep_validate(data, G, report):
                 rec.status == "accepted"
                 and render_unipoly(rec.q0) == spec.get("defining_polynomial")
                 and isinstance(autos, dict)
-                and [list(r) for r in rec.aut.group.table] == autos.get("table")
+                and [list(r) for r in rec.aut.table] == autos.get("table")
                 and rec.aut.prime == spec.get("completeness_prime")
             )
             report.add(f"{label} re-verifies", ok, rec.reason or "")

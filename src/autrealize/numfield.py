@@ -15,9 +15,10 @@ Factoring over a field uses Trager's method: shift by a multiple of the
 generator until the resultant norm is squarefree, factor the norm over Q,
 pull factors back by gcd.  Automorphisms are never searched for: their
 images are given, and a table of them is read modulo one prime
-(:func:`table_mod_p`).  Every norm -- Trager norms, characteristic
-polynomials, primitive elements of extensions, and the pipeline's
-q(T, X) -- comes from the one helper :func:`shifted_norm`, which
+(:func:`table_mod_p`); the caller proves it a group law (the pipeline
+by G's labelling of the images).  Every norm -- Trager norms,
+characteristic polynomials, primitive elements of extensions, and the
+pipeline's q(T, X) -- comes from the one helper :func:`shifted_norm`, which
 evaluates element norms at the sample points 0, 1, ..., n and
 interpolates over Z, keeping all resultant work univariate.  Squarefree
 decomposition is ``factor.yun_squarefree_decomposition`` (it works over
@@ -47,12 +48,11 @@ from .exact import (
 from .factor import (
     Factorization,
     factor_over_Q,
-    is_irreducible_Q,
     root_mod_p,
     squarefree_part,
     yun_squarefree_decomposition,
 )
-from .perm import AbstractGroup, PermGroup, Permutation
+from .perm import PermGroup, Permutation
 
 SPLITTING_DEGREE_CAP = 24
 
@@ -66,17 +66,16 @@ def shift_sequence():
 
 
 class NumberField:
-    """Q[Z]/(g) for monic irreducible g; degree 1 models Q itself."""
+    """Q[Z]/(g) for monic g that the caller has proved irreducible (by a
+    squarefree norm or ``is_irreducible_Q``); degree 1 models Q itself."""
 
-    def __init__(self, modulus: UniPoly, trusted=False):
+    def __init__(self, modulus: UniPoly):
         if modulus.field is not None:
             raise ValueError("modulus must have rational coefficients")
         if not modulus.is_monic():
             raise ValueError("modulus must be monic")
         if modulus.degree < 1:
             raise ValueError("modulus must have degree >= 1")
-        if not trusted and modulus.degree > 1 and not is_irreducible_Q(modulus):
-            raise ValueError(f"modulus is reducible: {modulus!r}")
         self.modulus = modulus.with_var("Z")
         self.modulus_coeffs = self.modulus.coeffs
         self._hash = hash(self.modulus_coeffs)
@@ -94,7 +93,7 @@ class NumberField:
     @classmethod
     def rationals(cls):
         """Degree-1 field Q[Z]/(Z), generator 0; stands in for Q."""
-        return cls(UniPoly.gen("Z"), trusted=True)
+        return cls(UniPoly.gen("Z"))
 
     def __repr__(self):
         return f"NumberField({self.modulus!r})"
@@ -461,9 +460,9 @@ def roots_in_field(f: UniPoly, K: NumberField):
 class AutomorphismTable:
     """All automorphisms of K/Q: generator images plus a composition table.
 
-    maps[0] is the identity (generator fixed); table is an AbstractGroup
-    with matching indices, read by :func:`table_mod_p` at ``prime``, a
-    prime at which K's modulus has exactly len(maps) roots.
+    maps[0] is the identity (generator fixed); table[a][b], the index of
+    sigma_a . sigma_b in maps, is read by :func:`table_mod_p` at ``prime``,
+    a prime at which K's modulus has exactly len(maps) roots.
     """
 
     def __init__(self, K: NumberField, maps, *, prime):
@@ -477,14 +476,9 @@ class AutomorphismTable:
         for m in self.maps:
             if K.modulus.eval(m):
                 raise VerificationError("automorphism image is not a root")
-        table = table_mod_p(K, self.maps, prime)
-        if any(None in row for row in table):
+        self.table = table_mod_p(K, self.maps, prime)
+        if any(None in row for row in self.table):
             raise VerificationError("composite of two automorphisms is not listed")
-        self.group = AbstractGroup(table)
-
-    @property
-    def order(self):
-        return len(self.maps)
 
 
 def _residue(e: NfElement, r, p):
@@ -533,7 +527,7 @@ def extend_field(K: NumberField, h: UniPoly):
     # irreducible whenever squarefree (norm of an irreducible is a power
     # of an irreducible)
     c, _, N = _sqf_norm(h, K)
-    K2 = NumberField(N.with_var("Z"), trusted=True)
+    K2 = NumberField(N.with_var("Z"))
     theta2 = embed_generator(K, h, K2, c)
     return K2, theta2, K2.gen() - theta2 * c, c
 

@@ -14,7 +14,7 @@ Given G as a subgroup of S_n, the pipeline:
    has a multiple root, decided per t0 by ``family.bad_set``), and
    verifies, exactly, that the field Q[X]/(q(t0, X)) has automorphism
    group isomorphic to G, with a completeness prime and an explicit
-   isomorphism witness,
+   isomorphism witness (G's own labelling of the automorphisms),
 5. repeats until the requested number of verified fields is collected,
    keeping a field only if, against each field kept before it, some prime
    p >= 5 has different Frobenius patterns in the two (which proves them
@@ -26,7 +26,9 @@ E = L(x) for a root x of the cubic, and L/Q is normal, so every
 automorphism of E restricts to one of L; each sigma in G fixes y, hence
 the cubic, and extends to E by x -> x.  A completeness prime p (at which
 q(t0, X) is squarefree with exactly |G| roots mod p) proves there are no
-others, and the composition table is read modulo p.
+others, and the composition table is read modulo p.  Nor is the
+isomorphism searched for: the witness labels each automorphism by its
+sigma, and a table that composes as G does makes that labelling one.
 """
 
 from __future__ import annotations
@@ -60,7 +62,7 @@ from .numfield import (
     shifted_norm,
     splitting_field,
 )
-from .perm import AbstractGroup, PermGroup, are_isomorphic
+from .perm import PermGroup
 
 SN_CAP = 3
 
@@ -112,7 +114,6 @@ class PipelineState:
         self,
         n: int,
         G: PermGroup,
-        G_abstract: AbstractGroup,
         L: SplittingField,
         y: NfElement,
         y_minpoly: UniPoly,
@@ -122,7 +123,6 @@ class PipelineState:
     ):
         self.n = n
         self.G = G
-        self.G_abstract = G_abstract
         self.L = L
         self.y = y
         self.y_minpoly = y_minpoly
@@ -214,7 +214,6 @@ def build_state(G: PermGroup, n: int) -> PipelineState:
     return PipelineState(
         n=n,
         G=G,
-        G_abstract=G.to_abstract()[0],
         L=L,
         y=y,
         y_minpoly=y_min,
@@ -237,19 +236,23 @@ def specialize_and_verify(state: PipelineState, t0) -> SpecializationRecord:
     if p is None:
         reason = f"no completeness prime in the first {COMPLETENESS_PRIMES} usable primes"
         return SpecializationRecord(t0, "rejected", reason)
-    E = NumberField(q0.with_var("Z"), trusted=True)
+    E = NumberField(q0.with_var("Z"))
     L, c = state.L, state.c
     cubic0 = cubic(L.field.from_rational(t0) - state.y)
     theta0 = embed_generator(L.field, cubic0, E, c)
     # E's generator is x + c*theta0; sigma in G sends it to x + c*sigma(theta0)
     x = E.gen() - theta0 * c
-    images = [
-        x + L.images[sigma].to_poly().eval(theta0) * c
-        for sigma in state.G.elements
-    ]
-    aut = AutomorphismTable(E, images, prime=p)
-    ok, witness = are_isomorphic(aut.group, state.G_abstract)
-    if not ok:
+    elems = sorted(state.G.elements)  # a witness indexes G in this order
+    label = {x + L.images[g].to_poly().eval(theta0) * c: i for i, g in enumerate(elems)}
+    if len(label) != len(elems):
+        raise VerificationError("two elements of G give the same automorphism")
+    aut = AutomorphismTable(E, list(label), prime=p)
+    witness = tuple(label[m] for m in aut.maps)
+    if any(
+        elems[witness[aut.table[a][b]]] != elems[wa] * elems[wb]
+        for a, wa in enumerate(witness)
+        for b, wb in enumerate(witness)
+    ):
         raise VerificationError("the images of G do not form a copy of G")
     return SpecializationRecord(
         t0, "accepted", None, q0, E, theta0, aut, witness

@@ -7,6 +7,7 @@ the first without redoing the earlier tests' work.
 """
 
 import hashlib
+import json
 import math
 import random
 import time
@@ -14,7 +15,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from autrealize.certs import certificate_to_json, dumps_canonical
+from autrealize.certs import certificate_to_json, dumps_canonical, validate_certificate
 from autrealize.cli import expand_named
 from autrealize.exact import UniPoly, _is_prime, discriminant
 from autrealize.factor import factor_over_Q, frobenius_pattern, is_irreducible_Q
@@ -25,7 +26,7 @@ from autrealize.numfield import (
     fixed_field,
     splitting_field,
 )
-from autrealize.perm import PermGroup, are_isomorphic, parse_cycles
+from autrealize.perm import AbstractGroup, PermGroup, are_isomorphic, parse_cycles
 from autrealize.pipeline import fields_distinct_exact, run as pipeline_run
 from reference import (
     aut_group_via_quotient,
@@ -75,7 +76,7 @@ def assert_complete(cert):
         for r in filter(_is_prime, range(5, p)):
             pattern = frobenius_pattern(rec.q0, r)
             assert pattern is None or pattern.count(1) != k
-        assert [list(row) for row in rec.aut.group.table] == composition_table(
+        assert [list(row) for row in rec.aut.table] == composition_table(
             rec.aut.maps
         )
 
@@ -101,7 +102,7 @@ class TestTrivialGroupRealization:
         for rec in cert.accepted:
             t0 = rec.t0
             assert rec.q0 == X**3 + X * t0 + UniPoly.constant(t0, "X")
-            assert rec.aut.order == 1
+            assert len(rec.aut.maps) == 1
         assert [(i, j) for i, j, _ in cert.distinctness] == [(0, 1), (0, 2), (1, 2)]
         assert_separated(cert)
         assert_complete(cert)
@@ -115,8 +116,8 @@ class TestC2Realization:
         c2 = PermGroup.cyclic(2).to_abstract()[0]
         for rec in cert.accepted:
             assert rec.q0.degree == 6
-            assert rec.aut.order == 2
-            ok, witness = are_isomorphic(rec.aut.group, c2)
+            assert len(rec.aut.maps) == 2
+            ok, witness = are_isomorphic(AbstractGroup(rec.aut.table), c2)
             assert ok and rec.witness is not None
         assert [(i, j) for i, j, _ in cert.distinctness] == [(0, 1)]
         assert_separated(cert)
@@ -135,9 +136,9 @@ class TestC3Realization:
         assert len(cert.accepted) == 1
         rec = cert.accepted[0]
         assert rec.q0.degree == 18
-        assert rec.aut.order == 3
+        assert len(rec.aut.maps) == 3
         c3 = PermGroup.cyclic(3).to_abstract()[0]
-        ok, _ = are_isomorphic(rec.aut.group, c3)
+        ok, _ = are_isomorphic(AbstractGroup(rec.aut.table), c3)
         assert ok
         assert rec.aut.prime == 173
         assert_complete(cert)
@@ -150,12 +151,43 @@ class TestS3Realization:
         assert len(cert.accepted) == 1
         rec = cert.accepted[0]
         assert rec.q0.degree == 18
-        assert rec.aut.order == 6
+        assert len(rec.aut.maps) == 6
         s3 = PermGroup.symmetric(3).to_abstract()[0]
-        ok, _ = are_isomorphic(rec.aut.group, s3)
+        ok, _ = are_isomorphic(AbstractGroup(rec.aut.table), s3)
         assert ok and rec.witness is not None
         assert rec.aut.prime == 167
         assert_complete(cert)
+
+
+class TestValidatorWitness:
+    """The validator accepts any isomorphism onto G as the witness, not
+    only the labelling the producer emits, and nothing else."""
+
+    def s3_spec(self):
+        data = json.loads(timed_run("S3", count=1)[2])
+        spec = next(s for s in data["specializations"] if s["status"] == "accepted")
+        return data, spec
+
+    def failed(self, tmp_path, data):
+        path = tmp_path / "s3.json"
+        path.write_text(json.dumps(data))
+        return [name for name, ok, _ in validate_certificate(path).checks if not ok]
+
+    def test_searched_isomorphism_accepted(self, tmp_path):
+        data, spec = self.s3_spec()
+        G = expand_named("S3")[0].to_abstract()[0]
+        ok, found = are_isomorphic(AbstractGroup(spec["automorphisms"]["table"]), G)
+        assert ok and list(found) != spec["witness"]
+        spec["witness"] = list(found)
+        assert self.failed(tmp_path, data) == []
+
+    def test_non_homomorphism_rejected(self, tmp_path):
+        data, spec = self.s3_spec()
+        w = spec["witness"]
+        spec["witness"] = w[1:] + w[:1]  # the identity no longer goes to 0
+        assert self.failed(tmp_path, data) == [
+            f"specialization t0={spec['t0']} witness is an isomorphism"
+        ]
 
 
 class TestFixedFieldCrossCheck:
@@ -170,7 +202,7 @@ class TestFixedFieldCrossCheck:
         ]
         for H, expected in cases:
             _, p = fixed_field(L, H)
-            field_side = automorphisms(NumberField(p.with_var("Z"), trusted=True)).order
+            field_side = len(automorphisms(NumberField(p.with_var("Z"))).maps)
             group_side = aut_group_via_quotient(s3, H)[0].order
             assert field_side == group_side == expected
 
@@ -181,8 +213,8 @@ class TestFamilyPropertySuite:
         rng = random.Random(61)
         fields = [
             NumberField.rationals(),
-            NumberField(UniPoly([F(-1), F(-1), F(1)], "Z"), trusted=True),
-            NumberField(UniPoly([F(-2), F(0), F(0), F(1)], "Z"), trusted=True),
+            NumberField(UniPoly([F(-1), F(-1), F(1)], "Z")),
+            NumberField(UniPoly([F(-2), F(0), F(0), F(1)], "Z")),
         ]
         # certify_s3 raises VerificationError when any check fails
         assert certify_s3().square_class_degree == 1
@@ -222,8 +254,8 @@ class TestFactorizationOracles:
             assert sorted(got) == sorted(p.coeffs for p in parts)
 
         nf_fields = [
-            NumberField(UniPoly([F(-1), F(-1), F(1)], "Z"), trusted=True),
-            NumberField(UniPoly([F(-2), F(0), F(0), F(1)], "Z"), trusted=True),
+            NumberField(UniPoly([F(-1), F(-1), F(1)], "Z")),
+            NumberField(UniPoly([F(-2), F(0), F(0), F(1)], "Z")),
             splitting_field(UniPoly([F(-1), F(-1), F(0), F(1)], "X")).field,
         ]
         for trial in range(20):
@@ -243,16 +275,19 @@ class TestFactorizationOracles:
 
 #: sha256 of each cached certificate text, with the run parameters; a
 #: change of the certificate format, or of the factorizations that
-#: metadata.audit records, updates these on purpose.
+#: metadata.audit records, updates these on purpose.  S3 and C3 were
+#: re-pinned when the witness became G's own labelling of the
+#: automorphisms (sorted(G.elements) order) instead of the first
+#: isomorphism a search found: only their "witness" arrays changed.
 PINNED = {
     "C1": (dict(count=3, t_max=10),
            "e83f4d3322a91faae51234f7fbc070a1c5f767a5358bb1cd6729402962fea950"),
     "C2": (dict(count=2, t_max=200),
            "2b89fa1ceadd781330bc9848e1394a4efa1c798a523c6ac548cb7a7c3b466144"),
     "S3": (dict(count=1, t_max=200),
-           "7502e5f0c735bcd6c92e0712a50f540ad0aeb168358a58e9e93e2e8cea5fcb1b"),
+           "2b1d66731b0d5c5223a41cdf5e99852b962c329e195e7ef2e583dc02e28d76cb"),
     "C3": (dict(count=1, t_max=200),
-           "b173d466d1bf0bf03921d9856b6dfc5660c57b8f8722c44a8bb7c621a88006d1"),
+           "ef88f5138502fdb17846e31d906dc36096a55ecceee3aad05376abae08fd1c59"),
 }
 
 

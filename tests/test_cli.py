@@ -126,6 +126,15 @@ class TestRealizeCommand:
         assert code == EXIT_BUDGET
         assert "t0=" in capsys.readouterr().err
 
+    def test_unwritable_out(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "x.json"
+        code = main(["realize", "--named", "C1", "--count", "1", "--t-max", "5",
+                     "--out", str(out)])
+        assert code == EXIT_PARSE
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot write certificate: ")
+        assert len(err.splitlines()) == 1
+
 
 @pytest.fixture(scope="module")
 def cert_path(tmp_path_factory):
@@ -365,6 +374,41 @@ class TestValidateCommand:
         out = capsys.readouterr().out
         assert f"[FAIL] group order: n = {n} is not supported yet" in out
         assert closed == []
+
+    def test_no_accepted_specialization(self, cert_path, tmp_path, capsys):
+        data = json.loads(cert_path.read_text())
+        data.update(specializations=[], distinctness=[])
+        bad = tmp_path / "empty.json"
+        bad.write_text(json.dumps(data))
+        assert main(["validate", str(bad)]) == EXIT_PARSE
+        out = capsys.readouterr().out
+        assert out.count("[FAIL]") == 1
+        assert "[FAIL] at least one accepted specialization: 0 accepted" in out
+
+    @pytest.mark.parametrize(
+        "fixture, n",
+        [("c2_cert_path", "2"), ("c2_cert_path", 2.9), ("cert_path", True)],
+        ids=["string", "float", "bool"],
+    )
+    def test_group_n_not_an_integer(self, request, tmp_path, capsys, fixture, n):
+        data = json.loads(request.getfixturevalue(fixture).read_text())
+        data["group"]["n"] = n
+        bad = tmp_path / "n.json"
+        bad.write_text(json.dumps(data))
+        assert main(["validate", str(bad)]) == EXIT_PARSE
+        out = capsys.readouterr().out
+        assert out.count("[FAIL]") == 1
+        assert f"[FAIL] group order: group.n is not an integer: {n!r}" in out
+
+    def test_deep_pipeline_n_not_an_integer(self, c2_cert_path, tmp_path, capsys):
+        data = json.loads(c2_cert_path.read_text())
+        data["pipeline"]["n"] = "2"
+        bad = tmp_path / "pipeline_n.json"
+        bad.write_text(json.dumps(data))
+        assert main(["validate", str(bad), "--deep"]) == EXIT_PARSE
+        out = capsys.readouterr().out
+        assert out.count("[FAIL]") == 1
+        assert "[FAIL] deep: pipeline rebuild: pipeline.n is not an integer: '2'" in out
 
     def test_version_1(self, cert_path, tmp_path, capsys):
         data = json.loads(cert_path.read_text())

@@ -253,7 +253,7 @@ class TestDiscriminant:
         family = BiPoly.from_terms([(0, 3, F(1)), (1, 1, F(1)), (1, 0, F(1))])
         d = discriminant_in_X(family)
         for done in range(20):
-            K = NumberField(moduli[done % 3], trusted=True)
+            K = NumberField(moduli[done % 3])
             y = K.element([rng.randrange(-5, 6) for _ in range(K.degree)])
             one = K.one()
             s = UniPoly([-y, one], "T", K)

@@ -19,9 +19,9 @@ def Zpoly(*coeffs):
 @pytest.fixture(scope="module")
 def fields():
     return [
-        NumberField(Zpoly(-1, 1), trusted=True),
-        NumberField(Zpoly(-1, -1, 1), trusted=True),
-        NumberField(Zpoly(-2, 0, 0, 1), trusted=True),
+        NumberField(Zpoly(-1, 1)),
+        NumberField(Zpoly(-1, -1, 1)),
+        NumberField(Zpoly(-2, 0, 0, 1)),
     ]
 
 
@@ -32,7 +32,7 @@ class TestCubic:
         assert cubic(F(-1, 3)).field is None
 
     def test_number_field_coefficients(self):
-        K = NumberField(Zpoly(23, 0, 1), trusted=True)
+        K = NumberField(Zpoly(23, 0, 1))
         f = cubic(K.gen())
         assert f.field is K
         assert f.coeffs == (K.gen(), K.gen(), K.zero(), K.one())

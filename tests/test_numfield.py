@@ -87,10 +87,6 @@ class TestArithmetic:
             assert a * a.inverse() == K.one()
             done += 1
 
-    def test_reducible_modulus_rejected(self):
-        with pytest.raises(ValueError):
-            NumberField(Zpoly(-1, 0, 1))  # (Z-1)(Z+1)
-
 
 class TestIntegerKernel:
     """Elements are integer vectors over one denominator; every operation
@@ -170,7 +166,7 @@ class TestIntegerKernel:
             (field.gen() - field.gen()).inverse()
 
     def test_zero_divisor_of_reducible_modulus(self):
-        K = NumberField(Zpoly(-1, 0, 1), trusted=True)  # (Z - 1)(Z + 1)
+        K = NumberField(Zpoly(-1, 0, 1))  # (Z - 1)(Z + 1)
         with pytest.raises(VerificationError, match="not irreducible"):
             (K.gen() - 1).inverse()
         # a unit of the same ring still inverts
@@ -274,26 +270,26 @@ class TestAutomorphisms:
 
     def test_golden_order_two(self, golden):
         table = automorphisms(golden)
-        assert table.order == 2
+        assert len(table.maps) == 2
         imgs = sorted(m.coords for m in table.maps)
         assert imgs == [(F(0), F(1)), (F(1), F(-1))]
 
     def test_real_cubic_trivial(self):
         K = NumberField(Zpoly(-1, -1, 0, 1))  # Z^3 - Z - 1, one real root
-        assert automorphisms(K).order == 1
+        assert len(automorphisms(K).maps) == 1
 
     def test_z4_plus_1_is_v4(self):
         K = NumberField(Zpoly(1, 0, 0, 0, 1))
         table = automorphisms(K)
-        assert table.order == 4
+        assert len(table.maps) == 4
         v4 = PermGroup(
             [parse_cycles(s, 4) for s in ["(1 2)(3 4)", "(1 3)(2 4)"]]
         ).to_abstract()[0]
-        assert are_isomorphic(table.group, v4)[0]
+        assert are_isomorphic(AbstractGroup(table.table), v4)[0]
 
     def test_order_divides_degree(self, golden, cbrt2):
         for K in (golden, cbrt2):
-            assert K.degree % automorphisms(K).order == 0
+            assert K.degree % len(automorphisms(K).maps) == 0
 
     def test_maps_preserve_arithmetic(self, golden):
         rng = random.Random(24)
@@ -532,9 +528,9 @@ class TestFixedField:
         assert p.degree == 3
         # same field as Q(root): the original cubic has a root in
         # the field defined by p, and conversely
-        Kp = NumberField(p.with_var("Z"), trusted=True)
+        Kp = NumberField(p.with_var("Z"))
         assert roots_in_field(L.poly, Kp)
-        assert roots_in_field(p, NumberField(L.poly.with_var("Z"), trusted=True))
+        assert roots_in_field(p, NumberField(L.poly.with_var("Z")))
 
     def test_a3_gives_quadratic_resolvent(self, cubic_splitting):
         from autrealize.exact import discriminant
@@ -580,8 +576,8 @@ class TestLemmaCrossCheck:
         ]
         for H, expected in cases:
             _, p = fixed_field(L, H)
-            KH = NumberField(p.with_var("Z"), trusted=True)
-            field_side = automorphisms(KH).order
+            KH = NumberField(p.with_var("Z"))
+            field_side = len(automorphisms(KH).maps)
             group_side = aut_group_via_quotient(s3, H)[0].order
             assert field_side == group_side == expected
             assert field_side <= KH.degree

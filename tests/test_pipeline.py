@@ -3,7 +3,9 @@ from fractions import Fraction as F
 
 import pytest
 
-from autrealize import pipeline
+import sys
+
+from autrealize import perm, pipeline
 from autrealize.errors import (
     BudgetExhaustedError,
     CapExceededError,
@@ -23,7 +25,7 @@ from autrealize.pipeline import (
     specialize_and_verify,
     t0_sequence,
 )
-from autrealize.perm import PermGroup, are_isomorphic, parse_cycles
+from autrealize.perm import AbstractGroup, PermGroup, parse_cycles
 from reference import embed_generator_by_gcd
 
 
@@ -100,7 +102,7 @@ class TestSpecializeAndVerify:
         rec = specialize_and_verify(state_trivial, 1)
         assert rec.status == "accepted"
         assert rec.q0.coeffs == (F(1), F(1), F(0), F(1))  # X^3 + X + 1
-        assert rec.aut.order == 1
+        assert len(rec.aut.maps) == 1
 
     def test_bad_rational_rejected(self, state_trivial):
         rec = specialize_and_verify(state_trivial, F(-27, 4))
@@ -111,9 +113,9 @@ class TestSpecializeAndVerify:
             rec = specialize_and_verify(state_s2, t0)
             if rec.status == "accepted":
                 assert rec.q0.degree == 6
-                assert rec.aut.order == 2
-                ok, _ = are_isomorphic(rec.aut.group, state_s2.G_abstract)
-                assert ok
+                assert len(rec.aut.maps) == 2
+                # the only isomorphism onto S2 keeps the identity first
+                assert rec.witness == (0, 1)
                 break
         else:
             pytest.fail("no accepted specialization for S2 within height 5")
@@ -127,9 +129,75 @@ class TestSpecializeAndVerify:
         )
 
     def test_images_not_a_copy_of_g_raise(self, state_s2, monkeypatch):
-        monkeypatch.setattr(pipeline, "are_isomorphic", lambda a, b: (False, None))
+        # the same images under swapped labels no longer compose as G does
+        images = dict(state_s2.L.images)
+        a, b = sorted(images)
+        images[a], images[b] = images[b], images[a]
+        monkeypatch.setattr(state_s2.L, "images", images)
         with pytest.raises(VerificationError, match="do not form a copy of G"):
             specialize_and_verify(state_s2, 1)
+
+    def test_two_labels_one_image_raise(self, state_s2, monkeypatch):
+        images = dict(state_s2.L.images)
+        a, b = sorted(images)
+        images[b] = images[a]
+        monkeypatch.setattr(state_s2.L, "images", images)
+        with pytest.raises(VerificationError, match="same automorphism"):
+            specialize_and_verify(state_s2, 1)
+
+    def test_no_isomorphism_search(self, state_s2, monkeypatch):
+        """The witness is read off the labelling: no are_isomorphic call
+        and no AbstractGroup, wherever the package reaches them from."""
+        calls = []
+        search = perm.are_isomorphic
+        for module in list(sys.modules.values()):
+            if getattr(module, "are_isomorphic", None) is search:
+                monkeypatch.setattr(
+                    module,
+                    "are_isomorphic",
+                    lambda *a: calls.append("are_isomorphic") or search(*a),
+                )
+        init = AbstractGroup.__init__
+        monkeypatch.setattr(
+            AbstractGroup,
+            "__init__",
+            lambda self, table: calls.append("AbstractGroup") or init(self, table),
+        )
+        rec = specialize_and_verify(state_s2, 1)
+        assert rec.status == "accepted"
+        assert calls == []
+
+
+#: presentations of S3, C3 and C2 as (n, ';'-separated generators)
+LABELLED = {
+    **{
+        f"S3 {gens}": (3, gens)
+        for gens in ("(1 2);(1 2 3)", "(1 2);(2 3)", "(1 3);(1 2 3)", "(2 3);(1 3 2)")
+    },
+    "C3 (1 2 3)": (3, "(1 2 3)"),
+    "C3 (1 3 2)": (3, "(1 3 2)"),
+    "C2": (2, "(1 2)"),
+}
+
+
+class TestWitnessIsLabelling:
+    @pytest.mark.parametrize("name", list(LABELLED))
+    def test_witness_indexes_restriction_to_l(self, name):
+        """witness[i] is the index in sorted(G.elements) of the sigma that
+        the automorphism Z -> aut.maps[i] of E restricts to on L, read on
+        theta0, the image of L's generator in E."""
+        n, gens = LABELLED[name]
+        G = PermGroup([parse_cycles(g, n) for g in gens.split(";")], degree=n)
+        cert = run(G, n, count=1)
+        rec, L = cert.accepted[0], cert.state.L
+        elems = sorted(G.elements)
+        theta0 = rec.theta0
+        for m, w in zip(rec.aut.maps, rec.witness, strict=True):
+            moved = theta0.to_poly().eval(m)
+            sigmas = [
+                s for s, img in L.images.items() if img.to_poly().eval(theta0) == moved
+            ]
+            assert sigmas == [elems[w]]
 
 
 class TestTheta0:
@@ -208,7 +276,7 @@ class TestRun:
         cert = run(PermGroup.symmetric(2), 2, count=2, t_max=20)
         assert len(cert.accepted) == 2
         for rec in cert.accepted:
-            assert rec.aut.order == 2
+            assert len(rec.aut.maps) == 2
         assert fields_distinct_exact(*cert.accepted)
         assert any(e == "prime" for e, _ in cert.audit)
 
