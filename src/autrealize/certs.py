@@ -25,7 +25,7 @@ from .exact import (
     render_unipoly,
 )
 from .factor import EDF_SEED, frobenius_pattern, is_irreducible_Q, linear_part_mod_p
-from .numfield import NumberField, table_mod_p
+from .numfield import NumberField, evaluate, table_mod_p
 from .perm import AbstractGroup, PermGroup, parse_cycles
 from .pipeline import build_state, check_sn_cap, specialize_and_verify
 
@@ -177,7 +177,9 @@ def _json_int(value, what):
 def _pair(entry):
     """The (i, j) of a distinctness entry, or None if it has none."""
     pair = entry.get("pair") if isinstance(entry, dict) else None
-    if isinstance(pair, list) and all(isinstance(i, int) for i in pair):
+    if isinstance(pair, list) and all(
+        isinstance(i, int) and not isinstance(i, bool) for i in pair
+    ):
         return tuple(pair)
     return None
 
@@ -252,7 +254,7 @@ def validate_certificate(path, deep=False) -> ValidationReport:
         G = PermGroup(gens, degree=n)
         report.add(
             "group order",
-            G.order == data["group"]["order"],
+            G.order == _json_int(data["group"]["order"], "group.order"),
             f"closure has order {G.order}",
         )
     except Exception as exc:
@@ -290,7 +292,7 @@ def validate_certificate(path, deep=False) -> ValidationReport:
                 E.element([parse_rational(s) for s in coords])
                 for coords in spec["automorphisms"]["generator_images"]
             ]
-            roots_ok = all(not E.modulus.eval(m) for m in images)
+            roots_ok = all(not evaluate(E.modulus, m) for m in images)
             report.add(f"{label} images are roots", roots_ok)
             p = spec["completeness_prime"]
             why_not = _completes(p, q0, len(images))
@@ -300,7 +302,10 @@ def validate_certificate(path, deep=False) -> ValidationReport:
                 complete,
                 f"p = {p!r}" + ("" if complete else f": {why_not}"),
             )
-            table = spec["automorphisms"]["table"]
+            table = [
+                [_json_int(i, "table entry") for i in row]
+                for row in spec["automorphisms"]["table"]
+            ]
             # the table is read mod p only once p is proved complete
             report.add(
                 f"{label} table recomputes mod p",
@@ -312,7 +317,7 @@ def validate_certificate(path, deep=False) -> ValidationReport:
             except Exception as exc:
                 report.add(f"{label} table is a group", False, str(exc))
                 continue
-            witness = spec["witness"]
+            witness = [_json_int(i, "witness entry") for i in spec["witness"]]
             wit_ok = sorted(witness) == list(range(G.order)) and len(
                 witness
             ) == aut_group.order

@@ -10,8 +10,9 @@ runs on the chosen prime only.  The same distinct-degree factorization
 gives the Frobenius patterns that prove two fields distinct.  A field's
 automorphism count is bounded by its first step alone: the degree of
 gcd(X^p - X, f mod p) is the number of roots of f mod p
-(``completeness_prime``), and splitting that gcd gives one root
-(``root_mod_p``).
+(``completeness_prime``, which a caller can screen with a polynomial of
+smaller degree that must have a root wherever f does), and splitting
+that gcd gives one root (``root_mod_p``).
 ``yun_squarefree_decomposition`` works over any exact field and is also
 the squarefree decomposition used over number fields.
 
@@ -356,7 +357,7 @@ def usable_patterns(fs, limit):
 COMPLETENESS_PRIMES = 1000
 
 
-def completeness_prime(f: UniPoly, k):
+def completeness_prime(f: UniPoly, k, screen=None):
     """The first prime p >= 5 at which f is usable (p does not divide the
     leading coefficient of its primitive integer multiple F, and F is
     squarefree mod p) and F has exactly k roots mod p, or None once
@@ -369,8 +370,21 @@ def completeness_prime(f: UniPoly, k):
     automorphisms: each sends the generator to a root of f in E, reduction
     modulo a degree-1 prime above p sends these roots to roots of f mod p,
     and distinct roots stay distinct because f is squarefree mod p.
+
+    ``screen``, if given, is a pair (g, D) of a monic rational polynomial
+    g and an integer D such that at each usable p not dividing D, where g
+    is p-integral, a root of f mod p gives one of g mod p.  For k >= 1 a
+    usable p where g then has no root is passed over after
+    gcd(X^p - X, g mod p) alone, which is cheaper when g has the smaller
+    degree; the primes tried, and the prime found, stay the same.
     """
+    screened = screen is not None and k >= 1
+    if screened:
+        G, D = _int_form(screen[0]), screen[1]
     for p, (fp,) in islice(_good_primes([_int_form(f)]), COMPLETENESS_PRIMES):
+        if screened and D % p and G[-1] % p:
+            if not _ideg(_linear_part(_gmonic([c % p for c in G], p), p)):
+                continue  # g, hence f, has no root mod p
         if _ideg(_linear_part(fp, p)) == k:
             return p
     return None

@@ -12,15 +12,20 @@ this single flattened shape: towers are collapsed to one primitive
 element as soon as they appear.
 
 Factoring over a field uses Trager's method: shift by a multiple of the
-generator until the resultant norm is squarefree, factor the norm over Q,
-pull factors back by gcd.  Automorphisms are never searched for: their
+generator until the norm is squarefree, factor the norm over Q, pull
+factors back by gcd.  Automorphisms are never searched for: their
 images are given, and a table of them is read modulo one prime
 (:func:`table_mod_p`); the caller proves it a group law (the pipeline
 by G's labelling of the images).  Every norm -- Trager norms,
 characteristic polynomials, primitive elements of extensions, and the
-pipeline's q(T, X) -- comes from the one helper :func:`shifted_norm`, which
-evaluates element norms at the sample points 0, 1, ..., n and
-interpolates over Z, keeping all resultant work univariate.  Squarefree
+pipeline's q(T, X) -- comes from the one helper :func:`shifted_norms`,
+which computes no resultant: the power sums of a norm's roots are traces
+of the power sums of f's roots, and Newton's identities turn them into
+coefficients, over integers; the part that does not depend on the shift
+is shared by every shift tried.  A rational polynomial is evaluated at an
+element by Paterson-Stockmeyer (:func:`evaluate`, about 2 sqrt(deg)
+products), and an element is mapped through an embedding as one integer
+combination of the image's powers (:class:`Powers`).  Squarefree
 decomposition is ``factor.yun_squarefree_decomposition`` (it works over
 any field).  A splitting field is a tower that keeps what it knows: the
 image of a generator in the next field is one exact linear solve
@@ -34,16 +39,16 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import chain, permutations
-from math import gcd, lcm
+from math import gcd, isqrt, lcm
+from operator import mul as mul_int
 
 from .errors import CapExceededError, VerificationError
 from .exact import (
     UniPoly,
-    interpolate,
+    _int_clear,
     is_squarefree,
     poly_divrem,
     poly_gcd,
-    resultant_std,
 )
 from .factor import (
     Factorization,
@@ -80,15 +85,25 @@ class NumberField:
         self.modulus_coeffs = self.modulus.coeffs
         self._hash = hash(self.modulus_coeffs)
         self.degree = d = modulus.degree
-        # Z**(d+k) = rows[k] / row_den mod g, as integer rows over one
-        # common denominator (1 when g is integral)
-        rows = [[-c for c in self.modulus_coeffs[:-1]]]
+        # g = G / mu over integers; Z**(d+k) = rows[k] / mu**(k+1) mod g
+        G, mu = _int_clear(self.modulus)
+        rows = [[-c for c in G[:-1]]]
         for _ in range(d - 2):
             prev = rows[-1]
-            rows.append([prev[-1] * r + s for r, s in zip(rows[0], [0] + prev[:-1])])
-        den = lcm(*(c.denominator for row in rows for c in row))
-        self._rows = [[int(c * den) for c in row] for row in rows]
+            shifted = [0] + prev[:-1]
+            rows.append([prev[-1] * r + mu * s for r, s in zip(rows[0], shifted)])
+        # the same rows over their least common denominator (1 when g is
+        # integral)
+        dens = [mu ** (k + 1) // gcd(mu ** (k + 1), *row) for k, row in enumerate(rows)]
+        den = lcm(*dens)
+        self._rows = [
+            [c * den // mu ** (k + 1) for c in row] for k, row in enumerate(rows)
+        ]
         self._row_den = den
+        # mu^d g(X / mu), integral, and its power sums (see power_traces)
+        self._mu = mu
+        self._scaled = [c * mu ** (d - 1 - k) for k, c in enumerate(G[:-1])]
+        self._tau = [d]
 
     @classmethod
     def rationals(cls):
@@ -158,15 +173,18 @@ class NumberField:
                 out = [o + c * r for o, r in zip(out, row)]
         return out
 
-    def norm(self, e: "NfElement") -> Fraction:
-        """Product of e over all embeddings; the resultant of the modulus
-        with e's coordinate polynomial."""
-        if e.owner is not self and e.owner.modulus_coeffs != self.modulus_coeffs:
-            raise ValueError("element of a different field")
-        h = e.to_poly()
-        if h.is_zero:
-            return Fraction(0)
-        return resultant_std(self.modulus, h)
+    def power_traces(self, count):
+        """(mu, tau) with Tr(Z^i) = tau[i] / mu^i for i < count, where mu
+        is the common denominator of the modulus g, so that mu*Z is a root
+        of the monic integer polynomial mu^d g(X / mu) and each tau[i] is
+        the integer power sum of its roots (Newton's identities)."""
+        tau, h, d = self._tau, self._scaled, self.degree
+        for i in range(len(tau), count):
+            acc = i * h[d - i] if i <= d else 0
+            for j in range(1, min(i - 1, d) + 1):
+                acc += h[d - j] * tau[i - j]
+            tau.append(-acc)
+        return self._mu, tau
 
 
 class NfElement:
@@ -362,6 +380,55 @@ def _solve_fraction_free(A, b):
     return D, Y
 
 
+# -- evaluation at an element ----------------------------------------------
+
+
+class Powers:
+    """m^0, ..., m^k for an element m, as integer vectors over one common
+    denominator: a rational combination of them is one integer
+    combination and one normalisation, with no product in the field."""
+
+    def __init__(self, m: NfElement, k):
+        K = self.field = m.owner
+        powers = [K.one(), m][: k + 1]
+        while len(powers) <= k:
+            powers.append(powers[-1] * m)
+        self.top = powers[-1]
+        self._den = lcm(*(e.den for e in powers))
+        self._vectors = [[x * (self._den // e.den) for x in e.num] for e in powers]
+
+    def combine(self, nums, den=1):
+        """sum nums[i] * m^i / den, for at most k + 1 integers nums."""
+        acc = [0] * self.field.degree
+        for c, vector in zip(nums, self._vectors):
+            if c:
+                acc = [a + c * x for a, x in zip(acc, vector)]
+        return self.field._make(acc, den * self._den)
+
+    def image(self, e: NfElement):
+        """e(m): the image of e, an element of a field of degree at most
+        k + 1, under the map sending its generator to m."""
+        return self.combine(e.num, e.den)
+
+
+def evaluate(f: UniPoly, m: NfElement) -> NfElement:
+    """f(m) for a rational polynomial f, by Paterson-Stockmeyer (SIAM J.
+    Comput. 2, 1973): with k about sqrt(deg f + 1), each block of k
+    coefficients is a combination of m^0, ..., m^(k-1), and Horner runs
+    in m^k over the blocks, so about 2k products replace deg f."""
+    nums, den = _int_clear(f)
+    if not nums:
+        return m.owner.zero()
+    k = isqrt(len(nums))
+    powers = Powers(m, k)
+    blocks = [nums[i : i + k] for i in range(0, len(nums), k)]
+    acc = powers.combine(blocks[-1], den)
+    for block in reversed(blocks[:-1]):
+        # m^k first: a product skips the zero coordinates of its left side
+        acc = powers.top * acc + powers.combine(block, den)
+    return acc
+
+
 # -- minimal polynomials ----------------------------------------------------
 
 
@@ -369,7 +436,7 @@ def charpoly(a: NfElement, var="X") -> UniPoly:
     """Characteristic polynomial of a over Q: prod over embeddings of
     (X - sigma(a)), degree = field degree; the norm of X - a."""
     K = a.owner
-    return shifted_norm(UniPoly([-a, K.one()], var, K), K, 0)[1]
+    return shifted_norms(UniPoly([-a, K.one()], var, K), K)(0)
 
 
 def minpoly(a: NfElement, var="X") -> UniPoly:
@@ -386,16 +453,95 @@ def minpoly(a: NfElement, var="X") -> UniPoly:
 # -- norms and Trager factorization ----------------------------------------
 
 
-def shifted_norm(f: UniPoly, K: NumberField, s):
-    """(g, N) with g = f(X - s*theta) over K and N = Norm_{K/Q}(g) over Q.
+def shifted_norms(f: UniPoly, K: NumberField):
+    """The function s -> Norm_{K/Q}(f(X - s*theta)), a monic rational
+    polynomial of degree [K:Q] * deg f, for monic f over K or Q and any
+    integer s.
 
-    N has degree [K:Q] * deg f; it is interpolated through the element
-    norms of g at X = 0, 1, ..., deg N.
+    Its roots are sigma(b) + s*sigma(theta) over the embeddings sigma of K
+    and the roots b of f, so its k-th power sum is
+    sum_j C(k, j) s^(k-j) Tr(theta^(k-j) * p_j) with p_j the j-th power
+    sum of f's roots (Bostan-Flajolet-Salvy-Schost, J. Symbolic Comput.
+    41, 2006).  The p_j come from Newton's identities over K (over Q, with
+    no product in K, when f is rational), the traces from the field's
+    Tr(Z^m), and the coefficients from Newton's identities back; the part
+    that does not depend on s is computed once.  Everything is an integer
+    over a denominator that is a power of one integer per quantity, so
+    moduli and coefficients need not be integral.
     """
-    g = f.compose(UniPoly([K.gen() * (-s), K.one()], f.var, K)) if s else f
-    points = [Fraction(x) for x in range(K.degree * f.degree + 1)]
-    values = [K.norm(g.eval(K.from_rational(x))) for x in points]
-    return g, interpolate(points, values, f.var)
+    if not f.is_monic():
+        raise ValueError("expects a monic polynomial")
+    n, var = f.degree, f.var
+    D = n * K.degree
+    low = [
+        (c.num, c.den) if isinstance(c, NfElement) else ((c.numerator,), c.denominator)
+        for c in f.coeffs[:-1]
+    ]
+    A = lcm(*(den for _, den in low))
+    if not any(any(num[1:]) for num, _ in low):  # rational f: power sums over Q
+        width, R = 1, 1
+        mul = lambda x, y: [x[0] * y[0]]  # noqa: E731
+    else:
+        width, R = K.degree, K._row_den
+        mul = K._mul
+    a = [
+        [x * (A // den) for x in num[:width]] + [0] * (width - len(num))
+        for num, den in low
+    ]
+    AR = A * R
+    # p_k = pi[k] / AR^k, from p_k + sum_{0<i<k} a_(n-i) p_(k-i) + k a_(n-k) = 0
+    # (a_j = 0 for j < 0)
+    pi = [[n] + [0] * (width - 1)]
+    for k in range(1, D + 1):
+        if k <= n:
+            acc = [k * A ** (k - 1) * R**k * x for x in a[n - k]]
+        else:
+            acc = [0] * width
+        for i in range(1, min(k - 1, n) + 1):
+            term = mul(a[n - i], pi[k - i])
+            scale = AR ** (i - 1)
+            acc = [x + scale * y for x, y in zip(acc, term)]
+        pi.append([-x for x in acc])
+    # cols[m][l] = Tr(theta^(m+l)) * mu^(m+width-1), so that
+    # Tr(theta^m p_j) = sum_l pi[j][l] cols[m][l] / (mu^(m+width-1) AR^j)
+    #                 = nu[j][m] / (M B^(j+m)), M = mu^(width-1), B = A R mu
+    mu, tau = K.power_traces(D + width)
+    B, M = AR * mu, mu ** (width - 1)
+    cols = [
+        [tau[m + l] * mu ** (width - 1 - l) for l in range(width)]
+        for m in range(D + 1)
+    ]
+    nu = [
+        [mu**j * AR**m * sum(map(mul_int, p, cols[m])) for m in range(D + 1 - j)]
+        for j, p in enumerate(pi)
+    ]
+
+    def norm(s):
+        # power sums S_k = sigma[k] / (M^k B^k) of the norm's roots
+        sigma = [0]
+        for k in range(1, D + 1):
+            acc, binom = 0, 1
+            for j in range(k + 1):
+                acc += binom * s ** (k - j) * nu[j][k - j]
+                binom = binom * (k - j) // (j + 1)
+            sigma.append(acc * M ** (k - 1))
+        # e_k = u[k] / (k! (M B)^k), from k e_k = sum_i (-1)^(i-1) e_(k-i) S_i
+        u = [1]
+        for k in range(1, D + 1):
+            acc, falling = 0, 1  # falling = (k-1)! / (k-i)!
+            for i in range(1, k + 1):
+                term = u[k - i] * sigma[i] * falling
+                acc += -term if i % 2 == 0 else term
+                falling *= k - i
+            u.append(acc)
+        coeffs = [Fraction(0)] * (D + 1)
+        scale = 1
+        for k in range(D + 1):
+            coeffs[D - k] = Fraction(-u[k] if k % 2 else u[k], scale)
+            scale *= (k + 1) * M * B
+        return UniPoly(coeffs, var)
+
+    return norm
 
 
 def _sqf_norm(f: UniPoly, K: NumberField):
@@ -406,12 +552,14 @@ def _sqf_norm(f: UniPoly, K: NumberField):
     irrational: for rational f the norm at s = 0 is f^[K:Q], never
     squarefree when [K:Q] >= 2.
     """
+    norm = shifted_norms(f, K)
     shifts = shift_sequence()
     if not all(c.is_rational for c in f.coeffs):
         shifts = chain((0,), shifts)
     for s in shifts:
-        g, N = shifted_norm(f, K, s)
+        N = norm(s)
         if is_squarefree(N):
+            g = f.compose(UniPoly([K.gen() * (-s), K.one()], f.var, K)) if s else f
             return s, g, N
     raise VerificationError("unreachable: no squarefree-norm shift found")
 
@@ -473,8 +621,8 @@ class AutomorphismTable:
             raise VerificationError("the identity is not among the maps")
         rest = sorted((m for m in maps if m != gen), key=NfElement.sort_key)
         self.maps = (gen, *rest)
-        for m in self.maps:
-            if K.modulus.eval(m):
+        for m in rest:  # the generator is a root by definition
+            if evaluate(K.modulus, m):
                 raise VerificationError("automorphism image is not a root")
         self.table = table_mod_p(K, self.maps, prime)
         if any(None in row for row in self.table):
@@ -562,9 +710,10 @@ def embed_generator(K, h, K2, c):
         raise VerificationError("powers of the new generator are not a basis")
     det, y = solved
     theta2 = K2._make([d * v for d, v in zip(dens, y)], det)
-    if K.modulus.eval(theta2):
+    powers = Powers(theta2, K.degree)
+    if powers.combine(*_int_clear(K.modulus)):
         raise VerificationError("embedded generator is not a root of the modulus")
-    h2 = h.map_coeffs(lambda e: e.to_poly().eval(theta2), field=K2)
+    h2 = h.map_coeffs(powers.image, field=K2)
     if h2.eval(K2.gen() - theta2 * c):
         raise VerificationError("embedded root does not annihilate h")
     return theta2
@@ -632,7 +781,7 @@ def splitting_field(f: UniPoly) -> SplittingField:
                 f"exceeding the cap {SPLITTING_DEGREE_CAP}"
             )
         K2, theta2, beta, c = extend_field(K, h)
-        remap = lambda e: e.to_poly().eval(theta2)  # noqa: E731
+        remap = Powers(theta2, K.degree - 1).image
         work = work.map_coeffs(remap, field=K2)
         moved = {r: remap(r) for r in roots}  # the adjoined roots are among them
         adjoined = [moved[a] for a in adjoined] + [beta]
@@ -657,7 +806,7 @@ def splitting_field(f: UniPoly) -> SplittingField:
     for img in permutations(range(len(roots)), len(weights)):
         w = sum((roots[i] * k for i, k in zip(img, weights)), K.zero())
         injections.setdefault(w, []).append(img)
-    maps = [w for w in injections if not K.modulus.eval(w)]
+    maps = [w for w in injections if not evaluate(K.modulus, w)]
     if len(maps) != K.degree:
         raise VerificationError(
             "splitting field is not Galois: automorphism count "
@@ -706,11 +855,10 @@ def fixed_field(Lsp: SplittingField, H: PermGroup):
     d = K.degree
     target = d // H.order
     theta = K.gen()
-    maps = [Lsp.images[p] for p in sorted(H.elements)]
+    sigmas = [Powers(Lsp.images[p], d - 1) for p in sorted(H.elements)]
 
     def orbit_sum(e):
-        h = e.to_poly()
-        return sum((h.eval(m) for m in maps), K.zero())
+        return sum((sigma.image(e) for sigma in sigmas), K.zero())
 
     candidates = [theta**j for j in range(1, d + 1)]
     candidates += [theta**j + theta * j for j in range(2, d + 1)]
@@ -718,8 +866,7 @@ def fixed_field(Lsp: SplittingField, H: PermGroup):
         y = orbit_sum(cand)
         p = minpoly(y)
         if p.degree == target:
-            h = y.to_poly()
-            if any(h.eval(m) != y for m in maps):
+            if any(sigma.image(y) != y for sigma in sigmas):
                 raise VerificationError("orbit sum not fixed by H")
             return y, p
     raise VerificationError("no fixed-field generator found in the search family")

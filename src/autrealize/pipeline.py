@@ -8,8 +8,9 @@ Given G as a subgroup of S_n, the pipeline:
 3. takes the cubic X^3 + (T - y)X + (T - y) over L(T), whose group S3
    ``family.certify_s3`` proves once for X^3 + aX + a over Q(a), and
    forms the minimal polynomial q(T, X) over Q(T) of z = x + c*theta
-   (x a root of the cubic, theta the generator of L), computed as a
-   resultant norm by interpolation,
+   (x a root of the cubic, theta the generator of L): at each sample t
+   it is the norm from L of the shifted cubic, which comes from power
+   sums with no resultant, and its coefficients are interpolated in T,
 4. specializes T to rational t0, rejects t0 in the bad set (q(t0, X)
    has a multiple root, decided per t0 by ``family.bad_set``), and
    verifies, exactly, that the field Q[X]/(q(t0, X)) has automorphism
@@ -26,9 +27,17 @@ E = L(x) for a root x of the cubic, and L/Q is normal, so every
 automorphism of E restricts to one of L; each sigma in G fixes y, hence
 the cubic, and extends to E by x -> x.  A completeness prime p (at which
 q(t0, X) is squarefree with exactly |G| roots mod p) proves there are no
-others, and the composition table is read modulo p.  Nor is the
-isomorphism searched for: the witness labels each automorphism by its
-sigma, and a table that composes as G does makes that labelling one.
+others, and the composition table is read modulo p.  The search for p
+is screened through L: theta0, the image of L's generator in E, is
+embedded first, and since L's modulus m has m(theta0(Z)) = q(t0, Z) * H,
+a root r of q(t0, X) mod p gives the root theta0(r) of m mod p wherever
+theta0 and m are p-integral.  A prime at which m has no root is then
+passed over after a gcd of degree [L:Q], not one of degree [E:Q]; the
+primes tried and the prime found are the same.  Nor is the isomorphism
+searched for: the witness labels each automorphism by its sigma, and a
+table that composes as G does makes that labelling one.  Root checks
+and the labels sigma(theta0) take few products in E: the first by
+Paterson-Stockmeyer, the second as combinations of theta0's powers.
 """
 
 from __future__ import annotations
@@ -42,7 +51,7 @@ from .errors import (
     SpecParseError,
     VerificationError,
 )
-from .exact import BiPoly, UniPoly, interpolate
+from .exact import BiPoly, UniPoly, interpolate, is_squarefree
 from .factor import (
     COMPLETENESS_PRIMES,
     _record,
@@ -55,11 +64,12 @@ from .numfield import (
     AutomorphismTable,
     NfElement,
     NumberField,
+    Powers,
     SplittingField,
     embed_generator,
     fixed_field,
     shift_sequence,
-    shifted_norm,
+    shifted_norms,
     splitting_field,
 )
 from .perm import PermGroup
@@ -151,10 +161,9 @@ def build_E_minpoly(L: SplittingField, y: NfElement):
         )
     deg_t, deg_x = N, 3 * N
     t_points = [Fraction(t) for t in range(deg_t + 1)]
+    norms = [shifted_norms(cubic(K.from_rational(t) - y), K) for t in t_points]
     for c in shift_sequence():
-        rows_by_t = [
-            shifted_norm(cubic(K.from_rational(t) - y), K, c)[1] for t in t_points
-        ]
+        rows_by_t = [norm(c) for norm in norms]
         # interpolate each X-coefficient across t
         rows = []
         for j in range(deg_x + 1):
@@ -169,7 +178,10 @@ def build_E_minpoly(L: SplittingField, y: NfElement):
         if q.deg_X != deg_x or q.lc_X().degree != 0 or q.coeff(0, deg_x) != 1:
             raise VerificationError("norm is not monic of the expected degree")
         # squarefree over Q(T): some specialization has no multiple root
-        if any(not bad_set(q, t) for t in range(6 * deg_x * deg_x + 2)):
+        # (the norms at the sample points are specializations already)
+        if any(is_squarefree(row) for row in rows_by_t) or any(
+            not bad_set(q, t) for t in range(6 * deg_x * deg_x + 2)
+        ):
             _record("primitive_shift", c)
             return c, q
     raise VerificationError("unreachable: no primitive shift found")
@@ -232,18 +244,22 @@ def specialize_and_verify(state: PipelineState, t0) -> SpecializationRecord:
     q0 = state.q.specialize(t0)
     if not is_irreducible_Q(q0):
         return SpecializationRecord(t0, "rejected", "q(t0, X) reducible over Q")
-    p = completeness_prime(q0, state.G.order)
-    if p is None:
-        reason = f"no completeness prime in the first {COMPLETENESS_PRIMES} usable primes"
-        return SpecializationRecord(t0, "rejected", reason)
     E = NumberField(q0.with_var("Z"))
     L, c = state.L, state.c
     cubic0 = cubic(L.field.from_rational(t0) - state.y)
     theta0 = embed_generator(L.field, cubic0, E, c)
+    # L's modulus m has m(theta0(Z)) = q0 * H, so where theta0 and m are
+    # p-integral (H is then too), each root r of q0 mod p gives the root
+    # theta0(r) of m mod p
+    p = completeness_prime(q0, state.G.order, screen=(L.field.modulus, theta0.den))
+    if p is None:
+        reason = f"no completeness prime in the first {COMPLETENESS_PRIMES} usable primes"
+        return SpecializationRecord(t0, "rejected", reason)
     # E's generator is x + c*theta0; sigma in G sends it to x + c*sigma(theta0)
     x = E.gen() - theta0 * c
     elems = sorted(state.G.elements)  # a witness indexes G in this order
-    label = {x + L.images[g].to_poly().eval(theta0) * c: i for i, g in enumerate(elems)}
+    powers = Powers(theta0, L.degree - 1)
+    label = {x + powers.image(L.images[g]) * c: i for i, g in enumerate(elems)}
     if len(label) != len(elems):
         raise VerificationError("two elements of G give the same automorphism")
     aut = AutomorphismTable(E, list(label), prime=p)

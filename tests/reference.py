@@ -3,7 +3,8 @@
 Each is the plain textbook version of something the package computes
 another way, kept here because only tests use it: the extended Euclidean
 algorithm (and the number-field inverse it gives), the Sylvester-matrix
-resultant, Newton interpolation over Fractions, the Zassenhaus prime
+resultant, Newton interpolation over Fractions, a field norm of a
+polynomial by element resultants and interpolation, the Zassenhaus prime
 choice by complete factorization mod every candidate, the completeness
 prime and a root mod p by a complete distinct-degree factorization, a field's
 automorphisms as the roots of its modulus in it, the image of an element
@@ -20,7 +21,14 @@ from itertools import count
 
 from autrealize import factor
 from autrealize.errors import VerificationError
-from autrealize.exact import UniPoly, _is_prime, poly_divrem, poly_gcd
+from autrealize.exact import (
+    UniPoly,
+    _is_prime,
+    interpolate,
+    poly_divrem,
+    poly_gcd,
+    resultant_std,
+)
 from autrealize.factor import completeness_prime, frobenius_pattern
 from autrealize.numfield import AutomorphismTable, roots_in_field
 from autrealize.perm import AbstractGroup, PermGroup, Permutation
@@ -127,6 +135,22 @@ def newton_interpolate(points, values, var="X"):
     for i in range(n - 1, -1, -1):
         acc = acc * UniPoly([-pts[i], 1], var) + UniPoly.constant(table[i], var)
     return acc
+
+
+def shifted_norm_by_resultants(f, K, s):
+    """Norm_{K/Q}(f(X - s*theta)) for f over K or Q: the norms of
+    g = f(X - s*theta) at X = 0, 1, ..., [K:Q] deg f, each the resultant
+    of K's modulus with the coordinate polynomial of g(x), interpolated
+    over Q."""
+    if f.field is None:
+        f = f.to_field(K)
+    g = f.compose(UniPoly([K.gen() * (-s), K.one()], f.var, K)) if s else f
+    points = [Fraction(x) for x in range(K.degree * f.degree + 1)]
+    values = []
+    for x in points:
+        h = g.eval(K.from_rational(x)).to_poly()
+        values.append(Fraction(0) if h.is_zero else resultant_std(K.modulus, h))
+    return interpolate(points, values, f.var)
 
 
 def choose_prime_by_factoring(f):

@@ -400,6 +400,46 @@ class TestValidateCommand:
         assert out.count("[FAIL]") == 1
         assert f"[FAIL] group order: group.n is not an integer: {n!r}" in out
 
+    # JSON that Python compares equal to the integers a certificate means
+    # (2.0 == 2, False == 0), and the failed check each is reported as
+    NOT_INTEGERS = {
+        "order_float": (
+            "c2_cert_path",
+            lambda data, spec: data["group"].update(order=2.0),
+            "[FAIL] group order: group.order is not an integer: 2.0",
+        ),
+        "witness_bools": (
+            "c2_cert_path",
+            lambda data, spec: spec.update(witness=[False, True]),
+            "well-formed: witness entry is not an integer: False",
+        ),
+        "table_bools": (
+            "c2_cert_path",
+            lambda data, spec: spec["automorphisms"].update(
+                table=[[False, True], [True, False]]
+            ),
+            "well-formed: table entry is not an integer: False",
+        ),
+        "pair_bools": (
+            "cert_path",
+            lambda data, spec: data["distinctness"][0].update(pair=[False, True]),
+            "[FAIL] distinctness covers all pairs",
+        ),
+    }
+
+    @pytest.mark.parametrize("case", list(NOT_INTEGERS))
+    def test_not_an_integer(self, request, tmp_path, capsys, case):
+        fixture, forge, failure = self.NOT_INTEGERS[case]
+        data = json.loads(request.getfixturevalue(fixture).read_text())
+        spec = next(s for s in data["specializations"] if s["status"] == "accepted")
+        forge(data, spec)
+        bad = tmp_path / "not_an_integer.json"
+        bad.write_text(json.dumps(data))
+        assert main(["validate", str(bad)]) == EXIT_PARSE
+        out = capsys.readouterr().out
+        assert failure in out
+        assert "certificate INVALID" in out
+
     def test_deep_pipeline_n_not_an_integer(self, c2_cert_path, tmp_path, capsys):
         data = json.loads(c2_cert_path.read_text())
         data["pipeline"]["n"] = "2"

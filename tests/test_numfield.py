@@ -17,6 +17,7 @@ from autrealize.numfield import (
     fixed_field,
     minpoly,
     roots_in_field,
+    shifted_norms,
     splitting_field,
     table_mod_p,
 )
@@ -29,6 +30,7 @@ from reference import (
     composition_table,
     embed_generator_by_gcd,
     euclid_inverse,
+    shifted_norm_by_resultants,
 )
 
 X = UniPoly.gen("X")
@@ -581,3 +583,77 @@ class TestLemmaCrossCheck:
             group_side = aut_group_via_quotient(s3, H)[0].order
             assert field_side == group_side == expected
             assert field_side <= KH.degree
+
+
+#: moduli of the fields the norm tests run over, by name
+NORM_FIELDS = {
+    "degree 2": (-1, -1, 1),
+    "degree 3": (-2, 0, 0, 1),
+    "not integral": (F(-1, 3), F(-1, 2), 0, 1),  # Z^3 - Z/2 - 1/3
+}
+
+
+@cache
+def norm_field(name):
+    if name == "degree 6":
+        return splitting_field(X**3 - X - 1).field
+    return NumberField(Zpoly(*NORM_FIELDS[name]))
+
+
+@cache
+def trager_inputs():
+    """(f, K) for every norm that splitting_field(X^3 - X - 1) asks for:
+    its Trager and extension steps, over Q and over the cubic field."""
+    seen = []
+    norms = numfield.shifted_norms
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(
+            numfield, "shifted_norms", lambda f, K: seen.append((f, K)) or norms(f, K)
+        )
+        splitting_field(X**3 - X - 1)
+    return seen
+
+
+class TestShiftedNorms:
+    """Norms from power sums agree with element resultants interpolated
+    over Q, for every shift the package tries."""
+
+    SHIFTS = (0, 1, -1, 2)
+
+    @pytest.mark.parametrize("name", [*NORM_FIELDS, "degree 6"])
+    @pytest.mark.parametrize(
+        "f", [X**3 + X + 1, X**2 - F(1, 2) * X + F(3, 7)], ids=["integral", "rational"]
+    )
+    def test_rational_f(self, name, f):
+        K = norm_field(name)
+        norm = shifted_norms(f, K)
+        for s in self.SHIFTS:
+            assert norm(s) == shifted_norm_by_resultants(f, K, s)
+
+    @pytest.mark.parametrize("name", list(NORM_FIELDS))
+    def test_f_over_k(self, name):
+        K = norm_field(name)
+        z = K.gen()
+        f = UniPoly([z * F(1, 3) + 1, z * z - F(5, 2), K.one()], "X", K)
+        norm = shifted_norms(f, K)
+        for s in self.SHIFTS:
+            assert norm(s) == shifted_norm_by_resultants(f, K, s)
+
+    def test_trager_steps_of_splitting_field(self):
+        inputs = trager_inputs()
+        assert any(not all(c.is_rational for c in f.coeffs) for f, _ in inputs)
+        assert {K.degree for _, K in inputs} == {1, 3}
+        for f, K in inputs:
+            norm = shifted_norms(f, K)
+            for s in self.SHIFTS:
+                assert norm(s) == shifted_norm_by_resultants(f, K, s)
+
+    def test_charpoly_is_a_norm(self):
+        K = norm_field("not integral")
+        a = K.element([F(2, 5), -1, F(1, 4)])
+        f = UniPoly([-a, K.one()], "X", K)
+        assert charpoly(a) == shifted_norm_by_resultants(f, K, 0)
+
+    def test_not_monic_refused(self, golden):
+        with pytest.raises(ValueError, match="monic"):
+            shifted_norms(2 * X + 1, golden)

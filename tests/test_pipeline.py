@@ -1,3 +1,4 @@
+import random
 import time
 from fractions import Fraction as F
 
@@ -5,7 +6,7 @@ import pytest
 
 import sys
 
-from autrealize import perm, pipeline
+from autrealize import factor, perm, pipeline
 from autrealize.errors import (
     BudgetExhaustedError,
     CapExceededError,
@@ -13,7 +14,9 @@ from autrealize.errors import (
     VerificationError,
 )
 from autrealize.exact import UniPoly
+from autrealize.factor import completeness_prime
 from autrealize.family import cubic
+from autrealize.numfield import NumberField, Powers, embed_generator, evaluate
 from autrealize.pipeline import (
     build_E_minpoly,
     build_state,
@@ -26,7 +29,7 @@ from autrealize.pipeline import (
     t0_sequence,
 )
 from autrealize.perm import AbstractGroup, PermGroup, parse_cycles
-from reference import embed_generator_by_gcd
+from reference import embed_generator_by_gcd, shifted_norm_by_resultants
 
 
 @pytest.fixture(scope="module")
@@ -37,6 +40,24 @@ def state_trivial():
 @pytest.fixture(scope="module")
 def state_s2():
     return build_state(PermGroup.symmetric(2), 2)
+
+
+#: generators of the groups the screen and norm tests run on, by name
+GROUPS = {
+    "S3": (3, ("(1 2)", "(1 2 3)")),
+    "C3": (3, ("(1 2 3)",)),
+    "C2": (2, ("(1 2)",)),
+}
+
+
+def group(name):
+    n, gens = GROUPS[name]
+    return PermGroup([parse_cycles(g, n) for g in gens], degree=n), n
+
+
+@pytest.fixture(scope="module")
+def states():
+    return {name: build_state(*group(name)) for name in GROUPS}
 
 
 class TestRealizeSn:
@@ -93,6 +114,105 @@ class TestBuildEMinpoly:
         assert state_s2.c != 0
 
 
+class TestNormsFromPowerSums:
+    @pytest.mark.parametrize("name", ["S3", "C3"])
+    def test_q_matches_resultant_norms(self, states, monkeypatch, name):
+        """build_E_minpoly finds the same shift and q when each norm is
+        the resultant-and-interpolation one."""
+        state = states[name]
+        monkeypatch.setattr(
+            pipeline,
+            "shifted_norms",
+            lambda f, K: lambda s: shifted_norm_by_resultants(f, K, s),
+        )
+        assert build_E_minpoly(state.L, state.y) == (state.c, state.q)
+
+
+def s3_field_elements(state):
+    """Elements of the S3 field E at t0 = 1: its generator, every
+    automorphism image, theta0 and two random elements."""
+    rec = specialize_and_verify(state, 1)
+    E = rec.field
+    rand = [E.element(random_rationals(seed, E.degree, 9)) for seed in (17, 18)]
+    return rec, [E.gen(), *rec.aut.maps, rec.theta0, *rand]
+
+
+def random_rationals(seed, count, height):
+    rng = random.Random(seed)
+    return [
+        F(rng.randrange(-height, height + 1), rng.randrange(1, 7)) for _ in range(count)
+    ]
+
+
+class TestEvaluate:
+    def test_matches_horner(self, states):
+        """Paterson-Stockmeyer agrees with Horner for degrees 0 to 20 and
+        for the zero polynomial."""
+        _, elements = s3_field_elements(states["S3"])
+        polys = [UniPoly([])]
+        polys += [UniPoly(random_rationals(d, d, 20) + [1]) for d in range(21)]
+        for f in polys:
+            for m in elements:
+                assert evaluate(f, m) == f.eval(m)
+
+    def test_powers_image_matches_horner(self, states):
+        """An element of L mapped through theta0 is the same combination
+        of theta0's powers that Horner evaluates."""
+        state = states["S3"]
+        rec, _ = s3_field_elements(state)
+        powers = Powers(rec.theta0, state.L.degree - 1)
+        for e in state.L.images.values():
+            assert powers.image(e) == e.to_poly().eval(rec.theta0)
+
+
+#: (group, t0) pairs at which the screened completeness search is checked
+SCREENED = [
+    *(("S3", t0) for t0 in (F(1), F(2), F(-2), F(1, 2))),
+    ("C3", F(0)),
+    *(("C2", t0) for t0 in (F(1), F(-1), F(2), F(-2))),
+]
+
+
+class TestScreenedCompletenessPrime:
+    @pytest.mark.parametrize("name, t0", SCREENED, ids=[f"{n}:{t}" for n, t in SCREENED])
+    def test_same_prime_as_unscreened(self, states, name, t0):
+        state = states[name]
+        q0 = state.q.specialize(t0)
+        E = NumberField(q0.with_var("Z"))
+        cubic0 = cubic(state.L.field.from_rational(t0) - state.y)
+        theta0 = embed_generator(state.L.field, cubic0, E, state.c)
+        order = state.G.order
+        screen = (state.L.field.modulus, theta0.den)
+        p = completeness_prime(q0, order, screen=screen)
+        assert p is not None and p == completeness_prime(q0, order)
+
+    def test_few_full_degree_gcds(self, states, monkeypatch):
+        """For S3 at t0 = 1 the screen through L leaves at most 8 of the
+        34 usable primes below the prime found (167) to a degree-18 gcd."""
+        inside, degrees = [False], []
+        linear_part = factor._linear_part
+
+        def counting(fp, p):
+            if inside[0]:
+                degrees.append(len(fp) - 1)
+            return linear_part(fp, p)
+
+        search = pipeline.completeness_prime
+
+        def flagged(*args, **kwargs):
+            inside[0] = True
+            try:
+                return search(*args, **kwargs)
+            finally:
+                inside[0] = False
+
+        monkeypatch.setattr(factor, "_linear_part", counting)
+        monkeypatch.setattr(pipeline, "completeness_prime", flagged)
+        rec = specialize_and_verify(states["S3"], 1)
+        assert (rec.status, rec.aut.prime) == ("accepted", 167)
+        assert 1 <= degrees.count(18) <= 8
+
+
 class TestSpecializeAndVerify:
     def test_t0_zero_rejected(self, state_trivial):
         rec = specialize_and_verify(state_trivial, 0)
@@ -121,7 +241,7 @@ class TestSpecializeAndVerify:
             pytest.fail("no accepted specialization for S2 within height 5")
 
     def test_no_completeness_prime_rejected(self, state_s2, monkeypatch):
-        monkeypatch.setattr(pipeline, "completeness_prime", lambda f, k: None)
+        monkeypatch.setattr(pipeline, "completeness_prime", lambda f, k, screen: None)
         rec = specialize_and_verify(state_s2, 1)
         assert (rec.status, rec.reason) == (
             "rejected",
