@@ -96,7 +96,7 @@ def build_parser():
     p_validate = sub.add_parser("validate", help="re-check a certificate")
     p_validate.add_argument("path")
     p_validate.add_argument(
-        "--deep", action="store_true", help="re-run the full pipeline"
+        "--deep", action="store_true", help="rebuild the certificate and compare"
     )
     return parser
 

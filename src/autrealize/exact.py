@@ -19,6 +19,8 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd as _igcd
 
+from .errors import SpecParseError
+
 _QZERO = Fraction(0)
 _QONE = Fraction(1)
 
@@ -56,7 +58,15 @@ def render_rational(q: Fraction) -> str:
 
 
 def parse_rational(s: str) -> Fraction:
-    return Fraction(s)
+    """The rational s if s is its canonical text; anything else ("2/2",
+    " 1 ", a JSON number) raises SpecParseError."""
+    try:
+        q = Fraction(s) if isinstance(s, str) else None
+    except (ValueError, ZeroDivisionError):
+        q = None
+    if q is None or render_rational(q) != s:
+        raise SpecParseError(f"not a canonical rational: {s!r}")
+    return q
 
 
 class UniPoly:
@@ -458,8 +468,8 @@ def _gcd_q(f: UniPoly, g: UniPoly) -> UniPoly:
 #   resultant_std(f, g) = lc(f)^n * prod_{f(a)=0} g(a)
 #                       = (-1)^(m*n) * lc(g)^m * prod_{g(b)=0} f(b).
 #
-# In particular resultant_std(f, g) with f monic equals the product of g
-# over the roots of f, which is how field norms are computed elsewhere.
+# The package uses it for discriminants; field norms come from power sums
+# (``numfield.shifted_norms``), with no resultant.
 
 
 def _int_clear(f: UniPoly):

@@ -238,14 +238,6 @@ class PermGroup:
     def __repr__(self):
         return f"PermGroup(order={self.order}, degree={self.degree})"
 
-    def to_abstract(self):
-        """Composition-table presentation with lexicographically sorted
-        elements; index 0 is the identity."""
-        elems = sorted(self.elements)
-        idx = {g: i for i, g in enumerate(elems)}
-        table = [[idx[a * b] for b in elems] for a in elems]
-        return AbstractGroup(table), elems
-
 
 class AbstractGroup:
     """A finite group as a composition table over indices 0..n-1.

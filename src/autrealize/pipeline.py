@@ -235,6 +235,19 @@ def build_state(G: PermGroup, n: int) -> PipelineState:
     )
 
 
+def is_witness(G: PermGroup, table, witness) -> bool:
+    """True iff a -> sorted(G.elements)[witness[a]] is a bijection under
+    which table composes as G does, which makes table a copy of G."""
+    elems = sorted(G.elements)
+    if len(witness) != len(table) or sorted(witness) != list(range(len(elems))):
+        return False
+    return all(
+        elems[witness[table[a][b]]] == elems[wa] * elems[wb]
+        for a, wa in enumerate(witness)
+        for b, wb in enumerate(witness)
+    )
+
+
 def specialize_and_verify(state: PipelineState, t0) -> SpecializationRecord:
     """Verify one candidate specialization exactly; never trusts the
     existence theorem for any individual t0."""
@@ -264,11 +277,7 @@ def specialize_and_verify(state: PipelineState, t0) -> SpecializationRecord:
         raise VerificationError("two elements of G give the same automorphism")
     aut = AutomorphismTable(E, list(label), prime=p)
     witness = tuple(label[m] for m in aut.maps)
-    if any(
-        elems[witness[aut.table[a][b]]] != elems[wa] * elems[wb]
-        for a, wa in enumerate(witness)
-        for b, wb in enumerate(witness)
-    ):
+    if not is_witness(state.G, aut.table, witness):
         raise VerificationError("the images of G do not form a copy of G")
     return SpecializationRecord(
         t0, "accepted", None, q0, E, theta0, aut, witness

@@ -11,8 +11,9 @@ automorphisms as the roots of its modulus in it, the image of an element
 under one of them, their composition table by exact composition in the
 field, a generator's image in
 a larger field by a gcd over that field, the inverse of a permutation,
-normalizers, normality and quotient groups by direct scan, and the
-product of a factorization.
+normalizers, normality and quotient groups by direct scan, a
+permutation group's composition table, and the product of a
+factorization.
 """
 
 import random
@@ -261,6 +262,15 @@ def normalizer(ambient, sub):
         and all(g * h * inverse(g) in sub.elements for h in sub.elements)
     ]
     return PermGroup.from_elements(keep, ambient.degree)
+
+
+def to_abstract(group) -> AbstractGroup:
+    """The composition table of a PermGroup over its lexicographically
+    sorted elements (the order a witness indexes G in); index 0 is the
+    identity."""
+    elems = sorted(group.elements)
+    idx = {g: i for i, g in enumerate(elems)}
+    return AbstractGroup([[idx[a * b] for b in elems] for a in elems])
 
 
 def quotient(group, normal):

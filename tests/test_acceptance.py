@@ -16,7 +16,7 @@ from fractions import Fraction as F
 import pytest
 
 from autrealize.certs import certificate_to_json, dumps_canonical, validate_certificate
-from autrealize.cli import expand_named
+from autrealize.cli import EXIT_OK, EXIT_PARSE, expand_named, main
 from autrealize.exact import UniPoly, _is_prime, discriminant
 from autrealize.factor import factor_over_Q, frobenius_pattern, is_irreducible_Q
 from autrealize.family import FAMILY, certify_s3, cubic
@@ -33,6 +33,7 @@ from reference import (
     automorphisms,
     composition_table,
     expand,
+    to_abstract,
 )
 
 X = UniPoly.gen("X")
@@ -113,7 +114,7 @@ class TestC2Realization:
         cert, elapsed, _, _ = timed_run("C2", count=2)
         assert elapsed < 120
         assert len(cert.accepted) == 2
-        c2 = PermGroup.cyclic(2).to_abstract()[0]
+        c2 = to_abstract(PermGroup.cyclic(2))
         for rec in cert.accepted:
             assert rec.q0.degree == 6
             assert len(rec.aut.maps) == 2
@@ -137,7 +138,7 @@ class TestC3Realization:
         rec = cert.accepted[0]
         assert rec.q0.degree == 18
         assert len(rec.aut.maps) == 3
-        c3 = PermGroup.cyclic(3).to_abstract()[0]
+        c3 = to_abstract(PermGroup.cyclic(3))
         ok, _ = are_isomorphic(AbstractGroup(rec.aut.table), c3)
         assert ok
         assert rec.aut.prime == 173
@@ -152,11 +153,19 @@ class TestS3Realization:
         rec = cert.accepted[0]
         assert rec.q0.degree == 18
         assert len(rec.aut.maps) == 6
-        s3 = PermGroup.symmetric(3).to_abstract()[0]
+        s3 = to_abstract(PermGroup.symmetric(3))
         ok, _ = are_isomorphic(AbstractGroup(rec.aut.table), s3)
         assert ok and rec.witness is not None
         assert rec.aut.prime == 167
         assert_complete(cert)
+
+
+def forge_searched_witness(data, spec):
+    """Replace the S3 witness by the isomorphism are_isomorphic finds."""
+    table = AbstractGroup(spec["automorphisms"]["table"])
+    ok, found = are_isomorphic(table, to_abstract(expand_named("S3")[0]))
+    assert ok and list(found) != spec["witness"]
+    spec["witness"] = list(found)
 
 
 class TestValidatorWitness:
@@ -175,10 +184,7 @@ class TestValidatorWitness:
 
     def test_searched_isomorphism_accepted(self, tmp_path):
         data, spec = self.s3_spec()
-        G = expand_named("S3")[0].to_abstract()[0]
-        ok, found = are_isomorphic(AbstractGroup(spec["automorphisms"]["table"]), G)
-        assert ok and list(found) != spec["witness"]
-        spec["witness"] = list(found)
+        forge_searched_witness(data, spec)
         assert self.failed(tmp_path, data) == []
 
     def test_non_homomorphism_rejected(self, tmp_path):
@@ -188,6 +194,44 @@ class TestValidatorWitness:
         assert self.failed(tmp_path, data) == [
             f"specialization t0={spec['t0']} witness is an isomorphism"
         ]
+
+
+class TestDeepRebuild:
+    """Forgeries of the S3 certificate that every shallow check passes and
+    that --deep fails, because the certificate it rebuilds differs."""
+
+    FORGERIES = {
+        "theta_image": (
+            lambda data, spec: spec["theta_image"].__setitem__(0, "1/7"),
+            "theta_image",
+        ),
+        "galois_order": (
+            lambda data, spec: data["pipeline"].update(galois_order=5),
+            "pipeline.galois_order",
+        ),
+        "searched_witness": (forge_searched_witness, "witness"),
+    }
+
+    @pytest.mark.parametrize("forgery", list(FORGERIES))
+    def test_forgery_fails_deep(self, tmp_path, capsys, forgery):
+        data = json.loads(timed_run("S3", count=1)[2])
+        k, spec = next(
+            (k, s)
+            for k, s in enumerate(data["specializations"])
+            if s["status"] == "accepted"
+        )
+        forge, key = self.FORGERIES[forgery]
+        assert spec["theta_image"][0] != "1/7"
+        forge(data, spec)
+        path = tmp_path / "s3.json"
+        path.write_text(json.dumps(data))
+        assert main(["validate", str(path)]) == EXIT_OK
+        assert main(["validate", str(path), "--deep"]) == EXIT_PARSE
+        out = capsys.readouterr().out
+        if not key.startswith("pipeline."):
+            key = f"specializations.{k}.{key}"
+        assert out.count("[FAIL]") == 1
+        assert f"[FAIL] deep: pipeline rebuild: differs at {key}\n" in out
 
 
 class TestFixedFieldCrossCheck:

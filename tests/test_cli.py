@@ -194,7 +194,7 @@ class TestValidateCommand:
         bad.write_text(json.dumps(data))
         assert main(["validate", str(bad)]) == EXIT_PARSE
         out = capsys.readouterr().out
-        assert f"[FAIL] specialization t0={spec['t0']} table is a group" in out
+        assert f"[FAIL] specialization t0={spec['t0']} table recomputes mod p" in out
 
     def test_forged_q(self, cert_path, tmp_path, capsys):
         data = json.loads(cert_path.read_text())
@@ -509,8 +509,54 @@ class TestValidateCommand:
 
     def test_deep(self, cert_path, capsys):
         assert main(["validate", str(cert_path), "--deep"]) == EXIT_OK
+        assert "[PASS] deep: pipeline rebuild\n" in capsys.readouterr().out
+
+    # runs whose t-max --deep derives from the transcript: C1 stops at
+    # t0 = -2 within --t-max 10, C2 needs t0 = +-2, and S2 inside S3 has
+    # y != 0
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--named", "C1", "--count", "3", "--t-max", "10"],
+            ["--named", "C2", "--count", "4"],
+            ["--n", "3", "--gens", "(1 2)", "--count", "1"],
+        ],
+        ids=["C1-count-3", "C2-count-4", "S2-in-S3"],
+    )
+    def test_deep_derives_t_max(self, tmp_path, capsys, argv):
+        path = tmp_path / "cert.json"
+        assert main(["realize", *argv, "--out", str(path)]) == EXIT_OK
+        assert main(["validate", str(path), "--deep"]) == EXIT_OK
         out = capsys.readouterr().out
-        assert "deep: q matches" in out
+        assert "[PASS] deep: pipeline rebuild\n" in out and "[FAIL]" not in out
+
+    # rationals that are not the canonical text the producer writes
+    NOT_CANONICAL = {
+        "t0_bool": lambda spec: spec.update(t0=True),
+        "t0_float": lambda spec: spec.update(t0=1.0),
+        "t0_int": lambda spec: spec.update(t0=1),
+        "t0_unreduced": lambda spec: spec.update(t0="2/2"),
+        "t0_padded": lambda spec: spec.update(t0=" 1 "),
+        "coefficient_int": lambda spec: spec["defining_polynomial"].__setitem__(
+            -1, 1
+        ),
+        "coefficient_float": lambda spec: spec["defining_polynomial"].__setitem__(
+            -1, 1.0
+        ),
+    }
+
+    @pytest.mark.parametrize("case", list(NOT_CANONICAL))
+    def test_not_canonical_rational(self, c2_cert_path, tmp_path, capsys, case):
+        data = json.loads(c2_cert_path.read_text())
+        spec = next(s for s in data["specializations"] if s["status"] == "accepted")
+        assert (spec["t0"], spec["defining_polynomial"][-1]) == ("1", "1")
+        self.NOT_CANONICAL[case](spec)
+        bad = tmp_path / "not_canonical.json"
+        bad.write_text(json.dumps(data))
+        assert main(["validate", str(bad)]) == EXIT_PARSE
+        out = capsys.readouterr().out
+        assert f"[FAIL] specialization t0={spec['t0']} well-formed: " in out
+        assert "certificate INVALID" in out
 
 
 class TestCanonicalEmission:

@@ -3,6 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from autrealize.errors import SpecParseError
 from autrealize.exact import (
     BiPoly,
     UniPoly,
@@ -314,6 +315,14 @@ class TestRendering:
         assert render_rational(F(3, 4)) == "3/4"
         assert render_rational(F(-5)) == "-5"
         assert parse_rational("3/4") == F(3, 4)
+        assert parse_rational("-5") == F(-5)
+
+    @pytest.mark.parametrize(
+        "text", ["2/2", " 1 ", "-0", "+1", "1e2", "1/0", "x", 1, 1.0, True, None]
+    )
+    def test_parse_rational_is_canonical_only(self, text):
+        with pytest.raises(SpecParseError):
+            parse_rational(text)
 
     def test_unipoly_round_trip(self):
         f = X**3 + C(F(1, 2)) * X + 1

@@ -30,6 +30,10 @@ ALLOWED = {
         "takes its witness from G's labelling instead, and "
         "perfbench/spans.py traces it by name"
     ),
+    "AbstractGroup": (
+        "are_isomorphic's input type: the tables tests compare with G; the "
+        "validator and the pipeline check a witness against G itself"
+    ),
 }
 
 

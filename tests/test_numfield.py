@@ -31,6 +31,7 @@ from reference import (
     embed_generator_by_gcd,
     euclid_inverse,
     shifted_norm_by_resultants,
+    to_abstract,
 )
 
 X = UniPoly.gen("X")
@@ -284,9 +285,9 @@ class TestAutomorphisms:
         K = NumberField(Zpoly(1, 0, 0, 0, 1))
         table = automorphisms(K)
         assert len(table.maps) == 4
-        v4 = PermGroup(
-            [parse_cycles(s, 4) for s in ["(1 2)(3 4)", "(1 3)(2 4)"]]
-        ).to_abstract()[0]
+        v4 = to_abstract(
+            PermGroup([parse_cycles(s, 4) for s in ["(1 2)(3 4)", "(1 3)(2 4)"]])
+        )
         assert are_isomorphic(AbstractGroup(table.table), v4)[0]
 
     def test_order_divides_degree(self, golden, cbrt2):

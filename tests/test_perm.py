@@ -9,7 +9,7 @@ from autrealize.perm import (
     parse_cycles,
     render_cycles,
 )
-from reference import aut_group_via_quotient, normalizer, quotient
+from reference import aut_group_via_quotient, normalizer, quotient, to_abstract
 
 
 def G(*cycle_strings, n):
@@ -73,7 +73,7 @@ class TestQuotient:
         v4 = G("(1 2)(3 4)", "(1 3)(2 4)", n=4)
         q, reps = quotient(PermGroup.symmetric(4), v4)
         assert q.order == 6
-        ok, _ = are_isomorphic(q, PermGroup.symmetric(3).to_abstract()[0])
+        ok, _ = are_isomorphic(q, to_abstract(PermGroup.symmetric(3)))
         assert ok
 
     def test_not_normal_rejected(self):
@@ -103,7 +103,7 @@ class TestAutViaQuotient:
     def test_trivial_gives_whole_group(self):
         for grp in (PermGroup.symmetric(3), PermGroup.cyclic(4)):
             q, _ = aut_group_via_quotient(grp, PermGroup([], degree=grp.degree))
-            ok, _ = are_isomorphic(q, grp.to_abstract()[0])
+            ok, _ = are_isomorphic(q, to_abstract(grp))
             assert ok
 
 
@@ -124,20 +124,20 @@ class TestIsomorphism:
         ]
 
     def test_c4_vs_v4(self):
-        c4 = PermGroup.cyclic(4).to_abstract()[0]
-        v4 = G("(1 2)(3 4)", "(1 3)(2 4)", n=4).to_abstract()[0]
+        c4 = to_abstract(PermGroup.cyclic(4))
+        v4 = to_abstract(G("(1 2)(3 4)", "(1 3)(2 4)", n=4))
         ok, wit = are_isomorphic(c4, v4)
         assert not ok and wit is None
 
     def test_s3_vs_s4_mod_v4(self):
         v4 = G("(1 2)(3 4)", "(1 3)(2 4)", n=4)
         q, _ = quotient(PermGroup.symmetric(4), v4)
-        ok, wit = are_isomorphic(PermGroup.symmetric(3).to_abstract()[0], q)
+        ok, wit = are_isomorphic(to_abstract(PermGroup.symmetric(3)), q)
         assert ok and wit is not None
 
     def test_self_isomorphism(self):
         for grp in self.pool():
-            t = grp.to_abstract()[0]
+            t = to_abstract(grp)
             ok, wit = are_isomorphic(t, t)
             assert ok
             # witness verifies as a homomorphism
@@ -146,7 +146,7 @@ class TestIsomorphism:
                     assert wit[t.mul(i, j)] == t.mul(wit[i], wit[j])
 
     def test_equivalence_relation(self):
-        tables = [g.to_abstract()[0] for g in self.pool()]
+        tables = [to_abstract(g) for g in self.pool()]
         rel = {}
         for i, a in enumerate(tables):
             for j, b in enumerate(tables):
@@ -178,10 +178,10 @@ class TestAbstractGroup:
         a = AbstractGroup([[0, 1], [1, 0]])
         assert a == AbstractGroup(((0, 1), (1, 0)))
         assert hash(a) == hash(AbstractGroup(((0, 1), (1, 0))))
-        assert a != PermGroup.cyclic(3).to_abstract()[0]
+        assert a != to_abstract(PermGroup.cyclic(3))
 
     def test_element_orders(self):
-        t = PermGroup.cyclic(6).to_abstract()[0]
+        t = to_abstract(PermGroup.cyclic(6))
         assert t.order_multiset() == [1, 2, 3, 3, 6, 6]
 
 

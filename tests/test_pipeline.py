@@ -22,6 +22,7 @@ from autrealize.pipeline import (
     build_state,
     compute_y,
     fields_distinct_exact,
+    is_witness,
     realize_sn,
     SpecializationRecord,
     run,
@@ -29,7 +30,7 @@ from autrealize.pipeline import (
     t0_sequence,
 )
 from autrealize.perm import AbstractGroup, PermGroup, parse_cycles
-from reference import embed_generator_by_gcd, shifted_norm_by_resultants
+from reference import embed_generator_by_gcd, shifted_norm_by_resultants, to_abstract
 
 
 @pytest.fixture(scope="module")
@@ -318,6 +319,24 @@ class TestWitnessIsLabelling:
                 s for s, img in L.images.items() if img.to_poly().eval(theta0) == moved
             ]
             assert sigmas == [elems[w]]
+
+
+class TestIsWitness:
+    """The one labelling check the producer and the validator share."""
+
+    S3 = PermGroup.symmetric(3)
+    TABLE = to_abstract(S3).table  # rows in sorted(G.elements) order
+
+    def test_identity_labelling(self):
+        assert is_witness(self.S3, self.TABLE, list(range(6)))
+
+    @pytest.mark.parametrize(
+        "witness",
+        [[0, 1, 2, 3, 4], [0, 1, 2, 3, 4, 4], [0, 1, 2, 3, 4, 6], [1, 0, 2, 3, 4, 5]],
+        ids=["short", "not_injective", "out_of_range", "not_a_homomorphism"],
+    )
+    def test_refused(self, witness):
+        assert not is_witness(self.S3, self.TABLE, witness)
 
 
 class TestTheta0:
