@@ -173,6 +173,14 @@ def _json_int(value, what):
     return value
 
 
+def _element(E, coords):
+    """The element of E with these coordinates, which must be exactly
+    [E:Q] canonical rationals (the producer pads with "0")."""
+    if len(coords) != E.degree:
+        raise SpecParseError(f"{len(coords)} coordinates for [E:Q] = {E.degree}")
+    return E.element([parse_rational(s) for s in coords])
+
+
 def _pair(entry):
     """The (i, j) of a distinctness entry, or None if it has none."""
     pair = entry.get("pair") if isinstance(entry, dict) else None
@@ -283,7 +291,7 @@ def validate_certificate(path, deep=False) -> ValidationReport:
             report.add(f"{label} irreducible", is_irreducible_Q(q0))
             E = NumberField(q0.with_var("Z"))
             images = [
-                E.element([parse_rational(s) for s in coords])
+                _element(E, coords)
                 for coords in spec["automorphisms"]["generator_images"]
             ]
             roots_ok = all(not evaluate(E.modulus, m) for m in images)

@@ -6,13 +6,18 @@ Subcommands:
             JSON certificate
   validate  re-check a certificate file
 
+Each call is its own process, so the two subcommands are read by a
+small table-driven parser (``COMMANDS``) rather than ``argparse``, whose
+import (with ``gettext``) would be paid on every call.  Options take
+``--opt value`` or ``--opt=value``; they are not abbreviated.
+``-h``/``--help`` anywhere prints ``USAGE``.
+
 Exit codes: 0 success, 2 parse error, 3 search budget exhausted,
 4 size cap exceeded.
 """
 
 from __future__ import annotations
 
-import argparse
 import sys
 
 from .certs import dumps_canonical, certificate_to_json, emit_certificate, validate_certificate
@@ -69,75 +74,124 @@ def parse_group_spec(n, gens_text):
     return PermGroup(gens, degree=n), [render_cycles(g) for g in gens]
 
 
-def build_parser():
-    parser = argparse.ArgumentParser(
-        prog="autrealize",
-        description=(
-            "Realize a finite group as the automorphism group of explicitly "
-            "computed number fields, with machine-checkable certificates."
-        ),
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+USAGE = """\
+usage: autrealize realize [--n N] [--named NAME] [--gens GENS] [--count N]
+                          [--t-max H] [--out PATH]
+       autrealize validate PATH [--deep]
 
-    p_realize = sub.add_parser("realize", help="compute verified realizations")
-    p_realize.add_argument("--n", type=int, default=None, help="degree of S_n (n <= 3)")
-    p_realize.add_argument(
-        "--named", default=None, help="named group: S_k, C_k, A_k, V4"
-    )
-    p_realize.add_argument(
-        "--gens",
-        default=None,
-        help="generators in cycle notation, ';'-separated, e.g. '(1 2 3);(1 2)'",
-    )
-    p_realize.add_argument("--count", type=int, default=2)
-    p_realize.add_argument("--t-max", type=int, default=200)
-    p_realize.add_argument("--out", default=None, help="certificate path")
+Realize a finite group as the automorphism group of explicitly computed
+number fields, with machine-checkable certificates.
 
-    p_validate = sub.add_parser("validate", help="re-check a certificate")
-    p_validate.add_argument("path")
-    p_validate.add_argument(
-        "--deep", action="store_true", help="rebuild the certificate and compare"
-    )
-    return parser
+realize: compute verified realizations
+  --n N          degree of S_n (n <= 3)
+  --named NAME   named group: S_k, C_k, A_k, V4
+  --gens GENS    generators in cycle notation, ';'-separated,
+                 e.g. '(1 2 3);(1 2)'
+  --count N      distinct verified fields to produce (default 2)
+  --t-max H      height bound for the specialization search (default 200)
+  --out PATH     certificate path (default: standard output)
+
+validate: re-check a certificate
+  PATH           certificate file
+  --deep         rebuild the certificate and compare
+
+-h, --help prints this text.  Exit codes: 0 success, 2 parse or
+validation error, 3 search budget exhausted, 4 size cap exceeded.
+"""
+
+#: subcommand -> (positional names, {option: (keyword, type, default)});
+#: an option whose type is None is a flag and takes no value.
+COMMANDS = {
+    "realize": (
+        (),
+        {
+            "--n": ("n", int, None),
+            "--named": ("named", str, None),
+            "--gens": ("gens", str, None),
+            "--count": ("count", int, 2),
+            "--t-max": ("t_max", int, 200),
+            "--out": ("out", str, None),
+        },
+    ),
+    "validate": (("path",), {"--deep": ("deep", None, False)}),
+}
 
 
-def _cmd_realize(args):
+def parse_args(argv):
+    """(subcommand, its keyword arguments) from argv; a SpecParseError
+    names the first argument that does not fit.  An option's value is
+    the next argument or follows '='; only an argument starting with
+    '--' is taken for an option, so '--t-max -3' passes -3."""
+    if not argv or argv[0] not in COMMANDS:
+        got = repr(argv[0]) if argv else "nothing"
+        raise SpecParseError(f"expected a subcommand (realize or validate), got {got}")
+    names, options = COMMANDS[argv[0]]
+    kwargs = {key: default for key, _, default in options.values()}
+    positional = []
+    rest = iter(argv[1:])
+    for arg in rest:
+        if not arg.startswith("--"):
+            positional.append(arg)
+            continue
+        opt, eq, value = arg.partition("=")
+        if opt not in options:
+            raise SpecParseError(f"unknown option {opt} for {argv[0]}")
+        key, kind, _ = options[opt]
+        if kind is None:
+            if eq:
+                raise SpecParseError(f"{opt} takes no value")
+            kwargs[key] = True
+            continue
+        if not eq:
+            value = next(rest, None)
+            if value is None or value.startswith("--"):
+                raise SpecParseError(f"{opt} needs a value")
+        try:
+            kwargs[key] = kind(value)
+        except ValueError:
+            raise SpecParseError(f"{opt} needs an integer, got {value!r}") from None
+    if len(positional) != len(names):
+        want = " ".join(n.upper() for n in names) or "no positional argument"
+        raise SpecParseError(f"{argv[0]} takes {want}, got {positional}")
+    kwargs.update(zip(names, positional))
+    return argv[0], kwargs
+
+
+def _cmd_realize(n, named, gens, count, t_max, out):
     # the degree is checked against the cap before the group is built:
     # closing a large group costs seconds and would be refused anyway
-    if args.named is not None:
-        degree = _parse_named(args.named)[1]
-        if args.gens is not None:
-            raise SpecParseError(f"--gens conflicts with --named {args.named}")
-        if args.n is not None and args.n != degree:
+    if named is not None:
+        degree = _parse_named(named)[1]
+        if gens is not None:
+            raise SpecParseError(f"--gens conflicts with --named {named}")
+        if n is not None and n != degree:
             raise SpecParseError(
-                f"--n {args.n} conflicts with --named {args.named} (n = {degree})"
+                f"--n {n} conflicts with --named {named} (n = {degree})"
             )
         check_sn_cap(degree)
-        G, gen_strings = expand_named(args.named)
-        name = args.named
+        G, gen_strings = expand_named(named)
     else:
-        if args.n is not None:
-            check_sn_cap(args.n)
-        G, gen_strings = parse_group_spec(args.n, args.gens)
-        name = None
+        if n is not None:
+            check_sn_cap(n)
+        G, gen_strings = parse_group_spec(n, gens)
     cert = pipeline_run(
         G,
         G.degree,
-        count=args.count,
-        t_max=args.t_max,
+        count=count,
+        t_max=t_max,
         group_generators=gen_strings,
-        group_name=name,
+        group_name=named,
     )
-    if args.out:
-        emit_certificate(cert, args.out)
-        print(f"wrote {args.out}: {len(cert.accepted)} verified field(s)")
+    if out:
+        emit_certificate(cert, out)
+        print(f"wrote {out}: {len(cert.accepted)} verified field(s)")
     else:
         sys.stdout.write(dumps_canonical(certificate_to_json(cert)))
     return EXIT_OK
 
 
-def _cmd_validate(args):
-    report = validate_certificate(args.path, deep=args.deep)
+def _cmd_validate(path, deep):
+    report = validate_certificate(path, deep=deep)
     for line in report.lines():
         print(line)
     if report.ok:
@@ -148,12 +202,15 @@ def _cmd_validate(args):
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    if "-h" in argv or "--help" in argv:
+        print(USAGE, end="")
+        return EXIT_OK
     try:
-        if args.command == "realize":
-            return _cmd_realize(args)
-        return _cmd_validate(args)
+        command, kwargs = parse_args(argv)
+        if command == "realize":
+            return _cmd_realize(**kwargs)
+        return _cmd_validate(**kwargs)
     except SpecParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE

@@ -743,7 +743,12 @@ def render_bipoly(f: BiPoly):
 
 
 def parse_unipoly(arr, var="X") -> UniPoly:
-    return UniPoly([parse_rational(s) for s in arr], var)
+    """The polynomial whose canonical array (``render_unipoly``) is arr;
+    an array ending in "0" is not canonical and raises SpecParseError."""
+    f = UniPoly([parse_rational(s) for s in arr], var)
+    if len(f.coeffs) != len(arr):
+        raise SpecParseError(f"coefficient array ends in \"0\": {arr!r}")
+    return f
 
 
 def parse_bipoly(rows) -> BiPoly:

@@ -41,7 +41,7 @@ from .exact import (
     _int_clear,
     _int_content,
     _is_prime,
-    is_squarefree,
+    discriminant,
     poly_divrem,
     poly_gcd,
 )
@@ -279,34 +279,23 @@ def _reduce_mod_p(F, p):
     return fp if _gsqf_p(fp, p) else None
 
 
-#: Consecutive unusable primes after which the input is checked for a
-#: repeated factor (no prime can then ever be usable).
-BAD_PRIME_RUN = 64
-
-
 def _good_primes(Fs):
     """Yield (p, [F mod p made monic for F in Fs]) for the primes
     p = 5, 7, 11, ... at which every integer polynomial F in Fs is usable:
     p does not divide lc(F) and F stays squarefree mod p.
 
-    A squarefree F has only finitely many unusable primes; after
-    BAD_PRIME_RUN consecutive ones, each F is checked exactly and a
-    ValueError is raised if one has a repeated factor.
+    For p not dividing lc(F), F is squarefree mod p exactly when p does
+    not divide disc(F), so one discriminant per F decides every prime.  A
+    ValueError is raised at once if one F has a repeated factor
+    (disc(F) = 0).
     """
-    bad = 0
+    # lc(F) * disc(F); a constant F is squarefree modulo every p
+    Ds = [F[-1] * (int(discriminant(UniPoly(F))) if len(F) > 1 else 1) for F in Fs]
+    if 0 in Ds:
+        raise ValueError("expects a squarefree polynomial")
     for p in count(5, 2):
-        if not _is_prime(p):
-            continue
-        fps = [_reduce_mod_p(F, p) for F in Fs]
-        if None not in fps:
-            bad = 0
-            yield p, fps
-            continue
-        bad += 1
-        if bad == BAD_PRIME_RUN:
-            for F in Fs:
-                if not is_squarefree(UniPoly([Fraction(c) for c in F])):
-                    raise ValueError("expects a squarefree polynomial")
+        if _is_prime(p) and all(D % p for D in Ds):
+            yield p, [_gmonic([c % p for c in F], p) for F in Fs]
 
 
 def frobenius_pattern(f: UniPoly, p):

@@ -7,6 +7,7 @@ from autrealize.cli import (
     EXIT_CAP,
     EXIT_OK,
     EXIT_PARSE,
+    USAGE,
     expand_named,
     main,
     parse_group_spec,
@@ -59,6 +60,53 @@ class TestParseGroupSpec:
     def test_empty(self):
         with pytest.raises(SpecParseError):
             parse_group_spec(3, "")
+
+
+class TestArguments:
+    @pytest.mark.parametrize(
+        "argv", [["--help"], ["-h"], ["realize", "--help"], ["validate", "-h"]]
+    )
+    def test_help(self, capsys, argv):
+        assert main(argv) == EXIT_OK
+        out = capsys.readouterr().out
+        assert out == USAGE and out.startswith("usage: autrealize realize")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["realize", "--bogus", "1"],
+            ["realize", "--count"],
+            ["realize", "--count", "x"],
+            [],
+            ["validate"],
+            ["validate", "a", "b"],
+            # no abbreviations: --cou is not --count
+            ["realize", "--named", "C1", "--cou=1", "--t-max=5"],
+        ],
+        ids=["unknown", "missing-value", "not-an-int", "no-subcommand",
+             "no-path", "two-paths", "abbreviated"],
+    )
+    def test_bad_arguments(self, capsys, argv):
+        assert main(argv) == EXIT_PARSE
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+    def test_equals_form(self, capsys):
+        code = main(["realize", "--named=C1", "--count=1", "--t-max=5"])
+        assert code == EXIT_OK
+        data = json.loads(capsys.readouterr().out)
+        assert [s["t0"] for s in data["specializations"] if s["status"] == "accepted"] == ["1"]
+        # a value after '=' is typed as one after a space
+        assert main(["realize", "--named=C1", "--count=x"]) == EXIT_PARSE
+
+    @pytest.mark.parametrize("flag_first", [True, False])
+    def test_deep_before_or_after_path(self, cert_path, capsys, flag_first):
+        argv = ["--deep", str(cert_path)] if flag_first else [str(cert_path), "--deep"]
+        assert main(["validate", *argv]) == EXIT_OK
+        assert "[PASS] deep: pipeline rebuild\n" in capsys.readouterr().out
+        # the flag takes no value, and is not abbreviated
+        assert main(["validate", str(cert_path), "--deep=1"]) == EXIT_PARSE
+        assert main(["validate", str(cert_path), "--de"]) == EXIT_PARSE
 
 
 class TestRealizeCommand:
@@ -530,7 +578,9 @@ class TestValidateCommand:
         out = capsys.readouterr().out
         assert "[PASS] deep: pipeline rebuild\n" in out and "[FAIL]" not in out
 
-    # rationals that are not the canonical text the producer writes
+    # rationals and arrays that are not the canonical text the producer
+    # writes: a polynomial's array never ends in "0", and an element has
+    # exactly [E:Q] coordinates
     NOT_CANONICAL = {
         "t0_bool": lambda spec: spec.update(t0=True),
         "t0_float": lambda spec: spec.update(t0=1.0),
@@ -543,6 +593,10 @@ class TestValidateCommand:
         "coefficient_float": lambda spec: spec["defining_polynomial"].__setitem__(
             -1, 1.0
         ),
+        "coefficients_padded": lambda spec: spec["defining_polynomial"].append("0"),
+        "image_padded": lambda spec: spec["automorphisms"]["generator_images"][
+            1
+        ].append("0"),
     }
 
     @pytest.mark.parametrize("case", list(NOT_CANONICAL))
@@ -555,7 +609,7 @@ class TestValidateCommand:
         bad.write_text(json.dumps(data))
         assert main(["validate", str(bad)]) == EXIT_PARSE
         out = capsys.readouterr().out
-        assert f"[FAIL] specialization t0={spec['t0']} well-formed: " in out
+        assert out.count(f"[FAIL] specialization t0={spec['t0']} well-formed: ") == 1
         assert "certificate INVALID" in out
 
 

@@ -1,6 +1,7 @@
 import random
 import time
 from fractions import Fraction as F
+from itertools import islice
 
 import pytest
 
@@ -204,6 +205,30 @@ class TestCompletenessByRootCount:
         for p in primes:
             assert root_mod_p(f, p) == root_mod_p_by_ddf(f, p)
         assert root_mod_p(f, recorded) is not None
+
+
+class TestGoodPrimes:
+    """One discriminant decides which primes are usable, with no
+    squarefree gcd per prime."""
+
+    @pytest.mark.parametrize("name", ["S3", "C3"])
+    def test_same_primes_as_per_prime_definition(self, q0s, name):
+        f = factor._int_form(q0s[name][0])
+        got = list(islice(factor._good_primes([f]), 200))
+        usable = [
+            (p, [factor._reduce_mod_p(f, p)])
+            for p in range(5, got[-1][0] + 1)
+            if _is_prime(p)
+        ]
+        assert got == [(p, fps) for p, fps in usable if fps[0] is not None]
+
+    def test_no_squarefree_gcd_in_completeness_search(self, q0s, monkeypatch):
+        calls = []
+        gsqf = factor._gsqf_p
+        monkeypatch.setattr(factor, "_gsqf_p", lambda a, p: calls.append(p) or gsqf(a, p))
+        f, order, recorded = q0s["S3"]
+        assert completeness_prime(f, order) == recorded
+        assert calls == []
 
 
 class TestFactorOverQ:

@@ -6,6 +6,9 @@ records its audit trail on a contextvar and its results in plain
 classes, so it needs neither ``logging`` nor ``dataclasses`` (which
 pulls in ``inspect``, ``ast``, ``dis`` and ``tokenize``).  A future
 ``-v`` must import ``logging`` inside its own branch, not at start-up.
+The two subcommands are read by the CLI's own small parser, for
+``argparse`` and the ``gettext`` it imports cost about a quarter of the
+cold import.
 """
 
 import subprocess
@@ -15,7 +18,7 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 #: Standard modules the CLI must not load at start-up.
-UNWANTED = ("logging", "dataclasses", "inspect", "typing")
+UNWANTED = ("logging", "dataclasses", "inspect", "typing", "argparse", "gettext")
 
 PROBE = (
     "import sys; before = set(sys.modules); import autrealize.cli; "
