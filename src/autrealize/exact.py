@@ -8,8 +8,9 @@ implement the same arithmetic protocol).  Resultants, discriminants,
 interpolation and ``BiPoly`` are over Q only; interpolation takes its
 values at 0, 1, ..., n and runs over Z, dividing once at the end.
 ``BiPoly`` is bivariate in (T, X) with a coefficient matrix indexed by
-(power of T, power of X), and is only built, compared, specialized at
-rational T = t0 and rendered.
+(power of T, power of X); it holds the cubic family X^3 + TX + T for
+``discriminant_in_X`` and the family's bad set, and is only built,
+compared and specialized at rational T = t0.
 
 Everything here is immutable and pure; no floating point anywhere.
 """
@@ -737,11 +738,6 @@ def render_unipoly(f: UniPoly):
     return [render_rational(c) for c in f.coeffs]
 
 
-def render_bipoly(f: BiPoly):
-    """Array of arrays; outer index = power of T."""
-    return [[render_rational(c) for c in row] for row in f.rows]
-
-
 def parse_unipoly(arr, var="X") -> UniPoly:
     """The polynomial whose canonical array (``render_unipoly``) is arr;
     an array ending in "0" is not canonical and raises SpecParseError."""
@@ -749,7 +745,3 @@ def parse_unipoly(arr, var="X") -> UniPoly:
     if len(f.coeffs) != len(arr):
         raise SpecParseError(f"coefficient array ends in \"0\": {arr!r}")
     return f
-
-
-def parse_bipoly(rows) -> BiPoly:
-    return BiPoly([[parse_rational(s) for s in row] for row in rows])

@@ -18,7 +18,7 @@ images are given, and a table of them is read modulo one prime
 (:func:`table_mod_p`); the caller proves it a group law (the pipeline
 by G's labelling of the images).  Every norm -- Trager norms,
 characteristic polynomials, primitive elements of extensions, and the
-pipeline's q(T, X) -- comes from the one helper :func:`shifted_norms`,
+pipeline's q(t0, X) at each t0 -- comes from the one helper :func:`shifted_norms`,
 which computes no resultant: the power sums of a norm's roots are traces
 of the power sums of f's roots, and Newton's identities turn them into
 coefficients, over integers; the part that does not depend on the shift

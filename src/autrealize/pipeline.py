@@ -7,12 +7,13 @@ Given G as a subgroup of S_n, the pipeline:
    that Gal(L/Q) is all of S_n, so G is its own preimage there,
 3. takes the cubic X^3 + (T - y)X + (T - y) over L(T), whose group S3
    ``family.certify_s3`` proves once for X^3 + aX + a over Q(a), and
-   forms the minimal polynomial q(T, X) over Q(T) of z = x + c*theta
-   (x a root of the cubic, theta the generator of L): at each sample t
-   it is the norm from L of the shifted cubic, which comes from power
-   sums with no resultant, and its coefficients are interpolated in T,
-4. specializes T to rational t0, rejects t0 in the bad set (q(t0, X)
-   has a multiple root, decided per t0 by ``family.bad_set``), and
+   fixes the shift c that makes z = x + c*theta (x a root of the cubic,
+   theta the generator of L) a primitive element: its minimal polynomial
+   q(T, X) over Q(T) is the norm from L of the shifted cubic, and is
+   never built as a polynomial in T,
+4. specializes T to rational t0: q(t0, X) is the norm from L of the
+   shifted cubic(t0 - y), which comes from power sums with no resultant;
+   rejects t0 in the bad set (q(t0, X) has a multiple root), and
    verifies, exactly, that the field Q[X]/(q(t0, X)) has automorphism
    group isomorphic to G, with a completeness prime and an explicit
    isomorphism witness (G's own labelling of the automorphisms),
@@ -51,7 +52,7 @@ from .errors import (
     SpecParseError,
     VerificationError,
 )
-from .exact import BiPoly, UniPoly, interpolate, is_squarefree
+from .exact import UniPoly, is_squarefree
 from .factor import (
     COMPLETENESS_PRIMES,
     _record,
@@ -59,7 +60,7 @@ from .factor import (
     is_irreducible_Q,
     usable_patterns,
 )
-from .family import S3Certificate, bad_set, certify_s3, cubic
+from .family import FAMILY, S3Certificate, bad_set, certify_s3, cubic
 from .numfield import (
     AutomorphismTable,
     NfElement,
@@ -78,7 +79,10 @@ SN_CAP = 3
 
 
 def check_sn_cap(n: int):
-    """Refuse a degree above SN_CAP before any work is done for it."""
+    """Refuse a degree below 1 or above SN_CAP before any work is done
+    for it."""
+    if n < 1:
+        raise SpecParseError(f"n must be >= 1, got {n}")
     if n > SN_CAP:
         raise CapExceededError(
             f"n = {n} is not supported yet: the S_n route stops at n = {SN_CAP}"
@@ -91,8 +95,6 @@ def realize_sn(n: int) -> SplittingField:
     For n = 1 the polynomial degenerates, so X - 1 stands in: L = Q with
     the trivial group acting on the single root.
     """
-    if n < 1:
-        raise SpecParseError(f"n must be >= 1, got {n}")
     check_sn_cap(n)
     if n == 1:
         f = UniPoly([Fraction(-1), Fraction(1)], "X")
@@ -129,7 +131,6 @@ class PipelineState:
         y_minpoly: UniPoly,
         s3_cert: S3Certificate,
         c: int,
-        q: BiPoly,
     ):
         self.n = n
         self.G = G
@@ -138,53 +139,48 @@ class PipelineState:
         self.y_minpoly = y_minpoly
         self.s3_cert = s3_cert
         self.c = c
-        self.q = q
+
+    def cubic_at(self, t0) -> UniPoly:
+        """The cubic X^3 + (t0 - y)(X + 1) over L."""
+        return cubic(self.L.field.from_rational(t0) - self.y)
+
+    def specialize(self, t0) -> UniPoly:
+        """q(t0, X), the norm from L of the cubic at t0 shifted by c*theta.
+
+        Each X-coefficient of q(T, X) has T-degree <= [L:Q], and the norm
+        commutes with T -> t0, so this is q specialized at t0 exactly."""
+        return shifted_norms(self.cubic_at(t0), self.L.field)(self.c)
 
 
-def build_E_minpoly(L: SplittingField, y: NfElement):
-    """Minimal polynomial q(T, X) over Q(T) of z = x + c*theta.
+def build_E_minpoly(L: SplittingField, y: NfElement) -> int:
+    """The shift c making z = x + c*theta primitive, for x a root of the
+    cubic X^3 + (T - y)(X + 1) over L(T).
 
-    q is the norm from L(T) down to Q(T) of the cubic X^3 + (T-y)(X+1)
-    shifted by c*theta: for each rational t its specialization is the
-    norm of ``cubic(t - y)``, and each X-coefficient is interpolated
-    across t.  The first shift c making q squarefree as a polynomial in X
-    over Q(T) wins; squarefreeness makes q irreducible (the norm of an
-    irreducible polynomial is a power of an irreducible one).  For L = Q
-    the norm is the cubic itself, and c = 0.  Returns (c, q).
+    The minimal polynomial q(T, X) of z over Q(T) is the norm from L(T)
+    down to Q(T) of the cubic shifted by c*theta: monic of X-degree
+    d = 3N, N = [L:Q], with X-coefficients of T-degree <= N, and at each
+    rational t it is the norm of ``cubic(t - y)``.  It is never built as
+    a polynomial in T.  The first c in ``shift_sequence`` making q
+    squarefree over Q(T) wins; squarefreeness makes q irreducible (the
+    norm of an irreducible polynomial is a power of an irreducible one).
+    The X-discriminant of q is a polynomial in T of degree <= (2d - 1)N,
+    so q is squarefree over Q(T) iff q(t, X) is squarefree at some
+    t = 0, 1, ..., (2d - 1)N.  The norms at those t are taken lazily, in
+    that order, and reused across shifts.  For L = Q the norm is the
+    cubic itself, and c = 0.
     """
     K = L.field
     N = K.degree
     if N == 1:
-        y0 = y.coords[0]
-        return 0, BiPoly.from_terms(
-            [(0, 3, 1), (1, 1, 1), (0, 1, -y0), (1, 0, 1), (0, 0, -y0)]
-        )
-    deg_t, deg_x = N, 3 * N
-    t_points = [Fraction(t) for t in range(deg_t + 1)]
-    norms = [shifted_norms(cubic(K.from_rational(t) - y), K) for t in t_points]
+        return 0
+    norms = []
     for c in shift_sequence():
-        rows_by_t = [norm(c) for norm in norms]
-        # interpolate each X-coefficient across t
-        rows = []
-        for j in range(deg_x + 1):
-            vals = [p[j] for p in rows_by_t]
-            rows.append(interpolate(t_points, vals, "T"))
-        q = BiPoly(
-            [
-                [rows[j][i] for j in range(deg_x + 1)]
-                for i in range(max(p.degree for p in rows) + 1)
-            ]
-        )
-        if q.deg_X != deg_x or q.lc_X().degree != 0 or q.coeff(0, deg_x) != 1:
-            raise VerificationError("norm is not monic of the expected degree")
-        # squarefree over Q(T): some specialization has no multiple root
-        # (the norms at the sample points are specializations already)
-        if any(is_squarefree(row) for row in rows_by_t) or any(
-            not bad_set(q, t) for t in range(6 * deg_x * deg_x + 2)
-        ):
-            _record("primitive_shift", c)
-            return c, q
-    raise VerificationError("unreachable: no primitive shift found")
+        for t in range((6 * N - 1) * N + 1):
+            if t == len(norms):
+                norms.append(shifted_norms(cubic(K.from_rational(t) - y), K))
+            if is_squarefree(norms[t](c)):
+                _record("primitive_shift", c)
+                return c
 
 
 class SpecializationRecord:
@@ -220,9 +216,7 @@ def build_state(G: PermGroup, n: int) -> PipelineState:
             f"fixed-field generator degree {y_min.degree}, expected {expected}"
         )
     s3_cert = certify_s3()
-    c, q = build_E_minpoly(L, y)
-    if q.deg_X != 3 * L.degree:
-        raise VerificationError("q has the wrong X-degree")
+    c = build_E_minpoly(L, y)
     return PipelineState(
         n=n,
         G=G,
@@ -231,7 +225,6 @@ def build_state(G: PermGroup, n: int) -> PipelineState:
         y_minpoly=y_min,
         s3_cert=s3_cert,
         c=c,
-        q=q,
     )
 
 
@@ -252,15 +245,17 @@ def specialize_and_verify(state: PipelineState, t0) -> SpecializationRecord:
     """Verify one candidate specialization exactly; never trusts the
     existence theorem for any individual t0."""
     t0 = Fraction(t0)
-    if bad_set(state.q, t0):
+    # with y = 0 (G = S_n) the cubic is FAMILY at T = t0, and where it has
+    # a multiple root so has q(t0, X): its norm need not be taken
+    if (not state.y and bad_set(FAMILY, t0)) or not is_squarefree(
+        q0 := state.specialize(t0)
+    ):
         return SpecializationRecord(t0, "rejected", "bad set: multiple root")
-    q0 = state.q.specialize(t0)
     if not is_irreducible_Q(q0):
         return SpecializationRecord(t0, "rejected", "q(t0, X) reducible over Q")
     E = NumberField(q0.with_var("Z"))
     L, c = state.L, state.c
-    cubic0 = cubic(L.field.from_rational(t0) - state.y)
-    theta0 = embed_generator(L.field, cubic0, E, c)
+    theta0 = embed_generator(L.field, state.cubic_at(t0), E, c)
     # L's modulus m has m(theta0(Z)) = q0 * H, so where theta0 and m are
     # p-integral (H is then too), each root r of q0 mod p gives the root
     # theta0(r) of m mod p

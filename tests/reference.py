@@ -4,7 +4,8 @@ Each is the plain textbook version of something the package computes
 another way, kept here because only tests use it: the extended Euclidean
 algorithm (and the number-field inverse it gives), the Sylvester-matrix
 resultant, Newton interpolation over Fractions, a field norm of a
-polynomial by element resultants and interpolation, the Zassenhaus prime
+polynomial by element resultants and interpolation, the pipeline's
+q(T, X) as one polynomial in T, the Zassenhaus prime
 choice by complete factorization mod every candidate, the completeness
 prime and a root mod p by a complete distinct-degree factorization, a field's
 automorphisms as the roots of its modulus in it, the image of an element
@@ -23,6 +24,7 @@ from itertools import count
 from autrealize import factor
 from autrealize.errors import VerificationError
 from autrealize.exact import (
+    BiPoly,
     UniPoly,
     _is_prime,
     interpolate,
@@ -31,7 +33,13 @@ from autrealize.exact import (
     resultant_std,
 )
 from autrealize.factor import completeness_prime, frobenius_pattern
-from autrealize.numfield import AutomorphismTable, roots_in_field
+from autrealize.family import bad_set, cubic
+from autrealize.numfield import (
+    AutomorphismTable,
+    roots_in_field,
+    shift_sequence,
+    shifted_norms,
+)
 from autrealize.perm import AbstractGroup, PermGroup, Permutation
 
 
@@ -152,6 +160,31 @@ def shifted_norm_by_resultants(f, K, s):
         h = g.eval(K.from_rational(x)).to_poly()
         values.append(Fraction(0) if h.is_zero else resultant_std(K.modulus, h))
     return interpolate(points, values, f.var)
+
+
+def interpolated_q(L, y):
+    """(c, q) with q(T, X) the minimal polynomial over Q(T) of x + c*theta
+    for x a root of cubic(T - y) over L(T), built as one polynomial in T:
+    the norms of cubic(t - y) shifted by c*theta at t = 0, 1, ..., [L:Q]
+    interpolated coefficient by coefficient, for the first shift c at which
+    some q(t, X), t = 0, 1, ..., 6 deg_X(q)^2 + 1, is squarefree."""
+    K = L.field
+    N = K.degree
+    if N == 1:
+        y0 = y.coords[0]
+        return 0, BiPoly.from_terms(
+            [(0, 3, 1), (1, 1, 1), (0, 1, -y0), (1, 0, 1), (0, 0, -y0)]
+        )
+    points = range(N + 1)
+    norms = [shifted_norms(cubic(K.from_rational(t) - y), K) for t in points]
+    for c in shift_sequence():
+        by_t = [norm(c) for norm in norms]
+        columns = [
+            interpolate(points, [f[j] for f in by_t], "T") for j in range(3 * N + 1)
+        ]
+        q = BiPoly([[col[i] for col in columns] for i in range(N + 1)])
+        if any(not bad_set(q, t) for t in range(6 * (3 * N) ** 2 + 2)):
+            return c, q
 
 
 def choose_prime_by_factoring(f):

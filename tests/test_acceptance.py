@@ -17,7 +17,7 @@ import pytest
 
 from autrealize.certs import certificate_to_json, dumps_canonical, validate_certificate
 from autrealize.cli import EXIT_OK, EXIT_PARSE, expand_named, main
-from autrealize.exact import UniPoly, _is_prime, discriminant
+from autrealize.exact import UniPoly, _is_prime, discriminant, render_rational
 from autrealize.factor import factor_over_Q, frobenius_pattern, is_irreducible_Q
 from autrealize.family import FAMILY, certify_s3, cubic
 from autrealize.numfield import (
@@ -33,6 +33,7 @@ from reference import (
     automorphisms,
     composition_table,
     expand,
+    interpolated_q,
     to_abstract,
 )
 
@@ -201,10 +202,6 @@ class TestDeepRebuild:
     that --deep fails, because the certificate it rebuilds differs."""
 
     FORGERIES = {
-        "theta_image": (
-            lambda data, spec: spec["theta_image"].__setitem__(0, "1/7"),
-            "theta_image",
-        ),
         "galois_order": (
             lambda data, spec: data["pipeline"].update(galois_order=5),
             "pipeline.galois_order",
@@ -221,7 +218,6 @@ class TestDeepRebuild:
             if s["status"] == "accepted"
         )
         forge, key = self.FORGERIES[forgery]
-        assert spec["theta_image"][0] != "1/7"
         forge(data, spec)
         path = tmp_path / "s3.json"
         path.write_text(json.dumps(data))
@@ -319,20 +315,33 @@ class TestFactorizationOracles:
 
 #: sha256 of each cached certificate text, with the run parameters; a
 #: change of the certificate format, or of the factorizations that
-#: metadata.audit records, updates these on purpose.  S3 and C3 were
-#: re-pinned when the witness became G's own labelling of the
-#: automorphisms (sorted(G.elements) order) instead of the first
-#: isomorphism a search found: only their "witness" arrays changed.
+#: metadata.audit records, updates these on purpose.  All four were
+#: re-pinned for format version 4, which drops "pipeline.q" and each
+#: "theta_image"; test_version_3_restored shows that nothing else moved.
 PINNED = {
     "C1": (dict(count=3, t_max=10),
-           "e83f4d3322a91faae51234f7fbc070a1c5f767a5358bb1cd6729402962fea950"),
+           "ba0deb36bef2d06eb9753d015053d789a5040bdaf8bda54154a20aed1612168f"),
     "C2": (dict(count=2, t_max=200),
-           "2b89fa1ceadd781330bc9848e1394a4efa1c798a523c6ac548cb7a7c3b466144"),
+           "daecd0991ec599e86ee407afdb6c6c55a64da1252d0c257469265a8a98de0e68"),
     "S3": (dict(count=1, t_max=200),
-           "2b1d66731b0d5c5223a41cdf5e99852b962c329e195e7ef2e583dc02e28d76cb"),
+           "e796941afe4f2e53d0ddbd41ceef06e4eb75c209f991c0a4ecb32fe503eff471"),
     "C3": (dict(count=1, t_max=200),
-           "ef88f5138502fdb17846e31d906dc36096a55ecceee3aad05376abae08fd1c59"),
+           "35a8fd335714a41532596cc2d5662dee727733eeb5a67198891de81189c68500"),
 }
+
+#: The same certificates at format version 3, which also carried the
+#: interpolated q(T, X) as "pipeline.q" and each accepted field's
+#: theta0 as "theta_image".
+PINNED_V3 = {
+    "C1": "e83f4d3322a91faae51234f7fbc070a1c5f767a5358bb1cd6729402962fea950",
+    "C2": "2b89fa1ceadd781330bc9848e1394a4efa1c798a523c6ac548cb7a7c3b466144",
+    "S3": "2b1d66731b0d5c5223a41cdf5e99852b962c329e195e7ef2e583dc02e28d76cb",
+    "C3": "ef88f5138502fdb17846e31d906dc36096a55ecceee3aad05376abae08fd1c59",
+}
+
+
+def _render(values):
+    return [render_rational(v) for v in values]
 
 
 class TestPinnedCertificates:
@@ -342,6 +351,23 @@ class TestPinnedCertificates:
         _, _, text, kw = timed_run(key, **params)
         assert kw == params
         assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("key", sorted(PINNED))
+    def test_version_3_restored(self, key):
+        """Putting back the version, q(T, X) built as one polynomial in T
+        and each theta_image gives the version-3 certificate byte for byte."""
+        cert, _, text, _ = timed_run(key, **PINNED[key][0])
+        data = json.loads(text)
+        c, q = interpolated_q(cert.state.L, cert.state.y)
+        assert c == cert.state.c
+        data["version"] = 3
+        data["pipeline"]["q"] = [_render(row) for row in q.rows]
+        theta0 = {render_rational(rec.t0): rec.theta0 for rec in cert.accepted}
+        for spec in data["specializations"]:
+            if spec["status"] == "accepted":
+                spec["theta_image"] = _render(theta0[spec["t0"]].coords)
+        v3 = dumps_canonical(data)
+        assert hashlib.sha256(v3.encode()).hexdigest() == PINNED_V3[key]
 
 
 class TestDeterminism:

@@ -244,25 +244,6 @@ class TestValidateCommand:
         out = capsys.readouterr().out
         assert f"[FAIL] specialization t0={spec['t0']} table recomputes mod p" in out
 
-    def test_forged_q(self, cert_path, tmp_path, capsys):
-        data = json.loads(cert_path.read_text())
-        # q = X^3 + TX + T; make its T coefficient 2, so q(t0, X) no longer
-        # equals any accepted defining polynomial
-        assert data["pipeline"]["q"][1][0] == "1"
-        data["pipeline"]["q"][1][0] = "2"
-        bad = tmp_path / "forged_q.json"
-        bad.write_text(json.dumps(data))
-        assert main(["validate", str(bad)]) == EXIT_PARSE
-        assert "[FAIL] specialization t0=1 is q(t0, X)" in capsys.readouterr().out
-
-    def test_malformed_q(self, cert_path, tmp_path, capsys):
-        data = json.loads(cert_path.read_text())
-        data["pipeline"]["q"][0][0] = "1/0"
-        bad = tmp_path / "malformed_q.json"
-        bad.write_text(json.dumps(data))
-        assert main(["validate", str(bad)]) == EXIT_PARSE
-        assert "[FAIL] pipeline q well-formed" in capsys.readouterr().out
-
     # each malformed accepted specialization, and the check that fails on it
     MALFORMED_SPECS = {
         "t0": "well-formed",
@@ -448,6 +429,17 @@ class TestValidateCommand:
         assert out.count("[FAIL]") == 1
         assert f"[FAIL] group order: group.n is not an integer: {n!r}" in out
 
+    @pytest.mark.parametrize("n", [0, -2])
+    def test_group_n_below_one(self, cert_path, tmp_path, capsys, n):
+        data = json.loads(cert_path.read_text())
+        data["group"]["n"] = n
+        bad = tmp_path / "n.json"
+        bad.write_text(json.dumps(data))
+        assert main(["validate", str(bad)]) == EXIT_PARSE
+        out = capsys.readouterr().out
+        assert out.count("[FAIL]") == 1
+        assert f"[FAIL] group order: n must be >= 1, got {n}\n" in out
+
     # JSON that Python compares equal to the integers a certificate means
     # (2.0 == 2, False == 0), and the failed check each is reported as
     NOT_INTEGERS = {
@@ -505,6 +497,17 @@ class TestValidateCommand:
         old.write_text(json.dumps(data))
         assert main(["validate", str(old)]) == EXIT_PARSE
         assert "[FAIL] schema" in capsys.readouterr().out
+
+    def test_version_3(self, cert_path, tmp_path, capsys):
+        """A certificate of the previous format names its version."""
+        data = json.loads(cert_path.read_text())
+        data["version"] = 3
+        old = tmp_path / "version_3.json"
+        old.write_text(json.dumps(data))
+        assert main(["validate", str(old)]) == EXIT_PARSE
+        out = capsys.readouterr().out
+        assert out.count("[FAIL]") == 1
+        assert "[FAIL] schema: version 3, expected 4\n" in out
 
     @pytest.mark.parametrize("key", ["prime", "pair", "not_an_object"])
     def test_distinctness_entry_missing_key(self, cert_path, tmp_path, capsys, key):

@@ -13,12 +13,10 @@ from autrealize.exact import (
     discriminant_in_X,
     interpolate,
     is_squarefree,
-    parse_bipoly,
     parse_rational,
     parse_unipoly,
     poly_divrem,
     poly_gcd,
-    render_bipoly,
     render_rational,
     render_unipoly,
     resultant_std,
@@ -327,11 +325,3 @@ class TestRendering:
     def test_unipoly_round_trip(self):
         f = X**3 + C(F(1, 2)) * X + 1
         assert parse_unipoly(render_unipoly(f), "X") == f
-
-    def test_bipoly_round_trip(self):
-        f = BiPoly.from_terms([(0, 3, F(1)), (1, 1, F(1, 3)), (1, 0, F(-2))])
-        assert parse_bipoly(render_bipoly(f)) == f
-
-    def test_outer_index_is_t_power(self):
-        f = BiPoly.from_terms([(1, 0, F(7))])
-        assert render_bipoly(f) == [["0"], ["7"]]

@@ -134,7 +134,7 @@ def q0s():
         ("C3", ("(1 2 3)",), 0, 173),
     ]:
         G = PermGroup([parse_cycles(g, 3) for g in gens], degree=3)
-        out[name] = (build_state(G, 3).q.specialize(t0), G.order, p)
+        out[name] = (build_state(G, 3).specialize(t0), G.order, p)
     return out
 
 

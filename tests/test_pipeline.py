@@ -30,7 +30,12 @@ from autrealize.pipeline import (
     t0_sequence,
 )
 from autrealize.perm import AbstractGroup, PermGroup, parse_cycles
-from reference import embed_generator_by_gcd, shifted_norm_by_resultants, to_abstract
+from reference import (
+    embed_generator_by_gcd,
+    interpolated_q,
+    shifted_norm_by_resultants,
+    to_abstract,
+)
 
 
 @pytest.fixture(scope="module")
@@ -48,6 +53,8 @@ GROUPS = {
     "S3": (3, ("(1 2)", "(1 2 3)")),
     "C3": (3, ("(1 2 3)",)),
     "C2": (2, ("(1 2)",)),
+    "C1": (1, ("()",)),
+    "S2 in S3": (3, ("(1 2)",)),  # a proper subgroup: y != 0
 }
 
 
@@ -102,31 +109,44 @@ class TestComputeY:
 
 
 class TestBuildEMinpoly:
-    def test_n1_degree_3(self):
-        L = realize_sn(1)
-        c, q = build_E_minpoly(L, L.field.zero())
-        assert c == 0 and q.deg_X == 3
+    def test_n1_degree_3(self, state_trivial):
+        assert build_E_minpoly(state_trivial.L, state_trivial.y) == 0
         # q = X^3 + T X + T
-        q0 = q.specialize(F(1))
-        assert q0.coeffs == (F(1), F(1), F(0), F(1))
+        assert state_trivial.specialize(F(1)).coeffs == (F(1), F(1), F(0), F(1))
 
     def test_n2_degree_6(self, state_s2):
-        assert state_s2.q.deg_X == 6
+        assert state_s2.specialize(F(1)).degree == 6
         assert state_s2.c != 0
+
+
+def assert_specializes_interpolated_q(state):
+    """The shift is the one q(T, X) built as a polynomial in T gives, and
+    the norm taken at each t0 of t0_sequence(4) is q(t0, X)."""
+    c, q = interpolated_q(state.L, state.y)
+    assert state.c == c
+    for t0 in t0_sequence(4):
+        assert state.specialize(t0) == q.specialize(t0), t0
+
+
+class TestSpecialize:
+    @pytest.mark.parametrize("name", list(GROUPS))
+    def test_matches_interpolated_q(self, states, name):
+        assert_specializes_interpolated_q(states[name])
 
 
 class TestNormsFromPowerSums:
     @pytest.mark.parametrize("name", ["S3", "C3"])
     def test_q_matches_resultant_norms(self, states, monkeypatch, name):
-        """build_E_minpoly finds the same shift and q when each norm is
-        the resultant-and-interpolation one."""
+        """build_E_minpoly finds the same shift, and each q(t0, X) is the
+        same, when every norm is the resultant-and-interpolation one."""
         state = states[name]
         monkeypatch.setattr(
             pipeline,
             "shifted_norms",
             lambda f, K: lambda s: shifted_norm_by_resultants(f, K, s),
         )
-        assert build_E_minpoly(state.L, state.y) == (state.c, state.q)
+        assert build_E_minpoly(state.L, state.y) == state.c
+        assert_specializes_interpolated_q(state)
 
 
 def s3_field_elements(state):
@@ -178,10 +198,9 @@ class TestScreenedCompletenessPrime:
     @pytest.mark.parametrize("name, t0", SCREENED, ids=[f"{n}:{t}" for n, t in SCREENED])
     def test_same_prime_as_unscreened(self, states, name, t0):
         state = states[name]
-        q0 = state.q.specialize(t0)
+        q0 = state.specialize(t0)
         E = NumberField(q0.with_var("Z"))
-        cubic0 = cubic(state.L.field.from_rational(t0) - state.y)
-        theta0 = embed_generator(state.L.field, cubic0, E, state.c)
+        theta0 = embed_generator(state.L.field, state.cubic_at(t0), E, state.c)
         order = state.G.order
         screen = (state.L.field.modulus, theta0.den)
         p = completeness_prime(q0, order, screen=screen)
