@@ -3,9 +3,12 @@
 The schema is text-first so certificates can be read, diffed, and
 re-checked by other tools: rationals are "p/q" strings, polynomials are
 ascending coefficient arrays, field elements are coordinate arrays,
-permutations are cycle strings.  Format version 4 carries no q(T, X)
-and no image of L's generator: each defining polynomial is checked on
-its own, and ``deep`` rebuilds the run that produced it.  Emission is
+permutations are cycle strings.  Format version 5 carries only what
+the validator checks: the group, each specialization with its proof, and
+the distinctness primes.  Nothing about L, y, the shift c or the cubic
+family is written, for they only explain how the search found each t0;
+each defining polynomial is checked on its own, and ``deep`` rebuilds
+the run that produced it.  Emission is
 canonical (sorted keys, fixed indentation), so equal runs produce
 byte-identical files.  The validator calls the producer's own checks,
 not copies: ``pipeline.is_witness``, and ``pipeline.run`` for ``deep``.
@@ -32,7 +35,7 @@ from .perm import PermGroup, parse_cycles
 from .pipeline import check_sn_cap, is_witness, run
 
 FORMAT_NAME = "autrealize-certificate"
-FORMAT_VERSION = 4
+FORMAT_VERSION = 5
 
 
 def _render_coords(e):
@@ -41,7 +44,6 @@ def _render_coords(e):
 
 def certificate_to_json(cert) -> dict:
     """Build the JSON object for a RealizationCertificate."""
-    state = cert.state
     audit = {}
     for event, value in cert.audit:
         audit.setdefault(event, []).append(value)
@@ -81,22 +83,6 @@ def certificate_to_json(cert) -> dict:
             "generators": list(cert.group_generators),
             "name": cert.group_name,
             "order": cert.group_order,
-        },
-        "pipeline": {
-            "n": state.n,
-            "splitting_polynomial": render_unipoly(state.L.poly),
-            "field_modulus": render_unipoly(state.L.field.modulus),
-            "galois_order": state.L.galois.order,
-            "g_prime_order": state.G.order,
-            "y": _render_coords(state.y),
-            "y_minpoly": render_unipoly(state.y_minpoly),
-            "primitive_shift": state.c,
-            "family": {
-                "square_class_degree": state.s3_cert.square_class_degree,
-                "irreducibility_transcript": [
-                    list(line) for line in state.s3_cert.irreducibility
-                ],
-            },
         },
         "specializations": specs,
         "distinctness": [
@@ -223,8 +209,9 @@ def validate_certificate(path, deep=False) -> ValidationReport:
     """Re-check a certificate file.
 
     Shallow checks: schema, the group's degree an integer from 1 to the
-    S_n cap (before any permutation is built), group closure, at least
-    one accepted specialization, each defining polynomial is irreducible,
+    S_n cap (before any permutation is built), group closure, each t0
+    canonical, each rejected entry with a non-empty reason, at least one
+    accepted specialization, each defining polynomial is irreducible,
     automorphism images are roots, the completeness prime p is prime and
     the defining polynomial is squarefree mod p with exactly as many roots
     mod p as there are images (so the images are all the automorphisms:
@@ -242,7 +229,7 @@ def validate_certificate(path, deep=False) -> ValidationReport:
         isinstance(data, dict)
         and data.get("format") == FORMAT_NAME
         and version == FORMAT_VERSION
-        and all(k in data for k in ("group", "pipeline"))
+        and "group" in data
         and isinstance(data.get("specializations"), list)
         and isinstance(data.get("distinctness"), list)
     )
@@ -271,11 +258,14 @@ def validate_certificate(path, deep=False) -> ValidationReport:
             report.add("specialization entry is an object", False, repr(spec))
             continue
         label = f"specialization t0={spec.get('t0')}"
-        if spec.get("status") != "accepted":
-            report.add(f"{label} rejected entry", "reason" in spec)
-            continue
         try:
             parse_rational(spec["t0"])  # no check reads t0, but it must be canonical
+            if spec.get("status") != "accepted":
+                reason = spec["reason"]
+                if not (isinstance(reason, str) and reason):
+                    raise SpecParseError(f"reason is not a non-empty string: {reason!r}")
+                report.add(f"{label} rejected entry", True)
+                continue
             q0 = parse_unipoly(spec["defining_polynomial"], "X")
             report.add(f"{label} irreducible", is_irreducible_Q(q0))
             E = NumberField(q0.with_var("Z"))
@@ -365,7 +355,7 @@ def _deep_validate(data, G, report):
     try:
         rebuilt = run(
             G,
-            _json_int(data["pipeline"]["n"], "pipeline.n"),
+            G.degree,
             count=sum(spec.get("status") == "accepted" for spec in specs),
             t_max=t_max,
             group_generators=data["group"]["generators"],

@@ -9,8 +9,8 @@ interpolation and ``BiPoly`` are over Q only; interpolation takes its
 values at 0, 1, ..., n and runs over Z, dividing once at the end.
 ``BiPoly`` is bivariate in (T, X) with a coefficient matrix indexed by
 (power of T, power of X); it holds the cubic family X^3 + TX + T for
-``discriminant_in_X`` and the family's bad set, and is only built,
-compared and specialized at rational T = t0.
+the family's bad set, and is only built, compared and specialized at
+rational T = t0.
 
 Everything here is immutable and pure; no floating point anywhere.
 """
@@ -654,10 +654,6 @@ class BiPoly:
         return cls(rows)
 
     @property
-    def deg_T(self):
-        return len(self.rows) - 1
-
-    @property
     def deg_X(self):
         if not self.rows:
             return -1
@@ -703,32 +699,6 @@ class BiPoly:
                 acc = acc * t0 + c
             out.append(acc)
         return UniPoly(out, "X")
-
-    def coeff_X(self, j):
-        """Coefficient of X^j as a UniPoly in T."""
-        return UniPoly([self.coeff(i, j) for i in range(len(self.rows))], "T")
-
-    def lc_X(self):
-        return self.coeff_X(self.deg_X)
-
-
-def discriminant_in_X(f: BiPoly) -> UniPoly:
-    """Discriminant of f with respect to X, as a UniPoly in T.
-
-    f must have a constant X-leading coefficient, so every specialization
-    keeps its X-degree: the discriminant is evaluated at T = 0, 1, ...
-    and interpolated.
-    """
-    d = f.deg_X
-    if d < 1:
-        raise ValueError("discriminant needs X-degree >= 1")
-    if f.lc_X().degree != 0:
-        raise ValueError("discriminant_in_X expects a constant X-leading coefficient")
-    if d == 1:
-        return UniPoly.one("T")
-    points = range((2 * d - 1) * max(f.deg_T, 0) + 1)
-    values = [discriminant(f.specialize(t)) for t in points]
-    return interpolate(points, values, "T")
 
 
 def render_unipoly(f: UniPoly):

@@ -60,7 +60,7 @@ from .factor import (
     is_irreducible_Q,
     usable_patterns,
 )
-from .family import FAMILY, S3Certificate, bad_set, certify_s3, cubic
+from .family import FAMILY, bad_set, certify_s3, cubic
 from .numfield import (
     AutomorphismTable,
     NfElement,
@@ -122,22 +122,10 @@ def compute_y(L: SplittingField, G: PermGroup):
 
 
 class PipelineState:
-    def __init__(
-        self,
-        n: int,
-        G: PermGroup,
-        L: SplittingField,
-        y: NfElement,
-        y_minpoly: UniPoly,
-        s3_cert: S3Certificate,
-        c: int,
-    ):
-        self.n = n
+    def __init__(self, G: PermGroup, L: SplittingField, y: NfElement, c: int):
         self.G = G
         self.L = L
         self.y = y
-        self.y_minpoly = y_minpoly
-        self.s3_cert = s3_cert
         self.c = c
 
     def cubic_at(self, t0) -> UniPoly:
@@ -215,17 +203,8 @@ def build_state(G: PermGroup, n: int) -> PipelineState:
         raise VerificationError(
             f"fixed-field generator degree {y_min.degree}, expected {expected}"
         )
-    s3_cert = certify_s3()
-    c = build_E_minpoly(L, y)
-    return PipelineState(
-        n=n,
-        G=G,
-        L=L,
-        y=y,
-        y_minpoly=y_min,
-        s3_cert=s3_cert,
-        c=c,
-    )
+    certify_s3()
+    return PipelineState(G=G, L=L, y=y, c=build_E_minpoly(L, y))
 
 
 def is_witness(G: PermGroup, table, witness) -> bool:

@@ -5,7 +5,9 @@ another way, kept here because only tests use it: the extended Euclidean
 algorithm (and the number-field inverse it gives), the Sylvester-matrix
 resultant, Newton interpolation over Fractions, a field norm of a
 polynomial by element resultants and interpolation, the pipeline's
-q(T, X) as one polynomial in T, the Zassenhaus prime
+q(T, X) as one polynomial in T, the X-discriminant of a bivariate
+polynomial by interpolation, the "pipeline" block that format 4 wrote,
+the Zassenhaus prime
 choice by complete factorization mod every candidate, the completeness
 prime and a root mod p by a complete distinct-degree factorization, a field's
 automorphisms as the roots of its modulus in it, the image of an element
@@ -27,15 +29,19 @@ from autrealize.exact import (
     BiPoly,
     UniPoly,
     _is_prime,
+    discriminant,
     interpolate,
     poly_divrem,
     poly_gcd,
+    render_rational,
+    render_unipoly,
     resultant_std,
 )
 from autrealize.factor import completeness_prime, frobenius_pattern
 from autrealize.family import bad_set, cubic
 from autrealize.numfield import (
     AutomorphismTable,
+    minpoly,
     roots_in_field,
     shift_sequence,
     shifted_norms,
@@ -185,6 +191,55 @@ def interpolated_q(L, y):
         q = BiPoly([[col[i] for col in columns] for i in range(N + 1)])
         if any(not bad_set(q, t) for t in range(6 * (3 * N) ** 2 + 2)):
             return c, q
+
+
+def discriminant_in_X(f: BiPoly) -> UniPoly:
+    """The X-discriminant of f as a polynomial in T, for f with a constant
+    X-leading coefficient (so no specialization drops its X-degree): the
+    discriminants of f(t, X) at t = 0, 1, ..., (2d - 1) deg_T(f),
+    interpolated, for each of the 2d - 1 rows of the Sylvester matrix of
+    f and its X-derivative has T-degree <= deg_T(f)."""
+    d = f.deg_X
+    if d < 1:
+        raise ValueError("discriminant needs X-degree >= 1")
+    if any(f.coeff(i, d) for i in range(1, len(f.rows))):
+        raise ValueError("discriminant_in_X expects a constant X-leading coefficient")
+    if d == 1:
+        return UniPoly.one("T")
+    points = range((2 * d - 1) * (len(f.rows) - 1) + 1)
+    return interpolate(points, [discriminant(f.specialize(t)) for t in points], "T")
+
+
+def v4_pipeline(state):
+    """The "pipeline" block that format 4 wrote for a PipelineState: how
+    the search found its t0, which no validator check read, with the
+    family's irreducibility transcript as format 4 spelled it."""
+    return {
+        "n": state.G.degree,
+        "splitting_polynomial": render_unipoly(state.L.poly),
+        "field_modulus": render_unipoly(state.L.field.modulus),
+        "galois_order": state.L.galois.order,
+        "g_prime_order": state.G.order,
+        "y": [render_rational(c) for c in state.y.coords],
+        "y_minpoly": render_unipoly(minpoly(state.y)),
+        "primitive_shift": state.c,
+        "family": {
+            "square_class_degree": 1,
+            "irreducibility_transcript": [
+                [
+                    "constant-root",
+                    "c^3 + (T-y)(c+1) = 0 needs c+1 = 0 and c^3 = 0; "
+                    "c = -1 and c = 0 are contradictory",
+                ],
+                [
+                    "linear-root",
+                    "c^3(T-y)^3 has T-degree 3 but (T-y)(c(T-y)+1) has "
+                    "T-degree 2; leading coefficients cannot cancel for "
+                    "c != 0, and c = 0 reduces to the constant case",
+                ],
+            ],
+        },
+    }
 
 
 def choose_prime_by_factoring(f):

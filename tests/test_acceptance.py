@@ -24,6 +24,7 @@ from autrealize.numfield import (
     NumberField,
     factor_over_nf,
     fixed_field,
+    minpoly,
     splitting_field,
 )
 from autrealize.perm import AbstractGroup, PermGroup, are_isomorphic, parse_cycles
@@ -35,6 +36,7 @@ from reference import (
     expand,
     interpolated_q,
     to_abstract,
+    v4_pipeline,
 )
 
 X = UniPoly.gen("X")
@@ -132,8 +134,9 @@ class TestC3Realization:
         cert, elapsed, _, _ = timed_run("C3", count=1)
         assert elapsed < 60
         # y generates the quadratic resolvent field: disc in -23 * (Q*)^2
-        assert cert.state.y_minpoly.degree == 2
-        d = discriminant(cert.state.y_minpoly)
+        y_minpoly = minpoly(cert.state.y)
+        assert y_minpoly.degree == 2
+        d = discriminant(y_minpoly)
         assert is_rational_square(d / F(-23))
         assert len(cert.accepted) == 1
         rec = cert.accepted[0]
@@ -202,9 +205,9 @@ class TestDeepRebuild:
     that --deep fails, because the certificate it rebuilds differs."""
 
     FORGERIES = {
-        "galois_order": (
-            lambda data, spec: data["pipeline"].update(galois_order=5),
-            "pipeline.galois_order",
+        "rejected_reason": (
+            lambda data, spec: data["specializations"][0].update(reason="forged"),
+            "specializations.0.reason",
         ),
         "searched_witness": (forge_searched_witness, "witness"),
     }
@@ -224,7 +227,7 @@ class TestDeepRebuild:
         assert main(["validate", str(path)]) == EXIT_OK
         assert main(["validate", str(path), "--deep"]) == EXIT_PARSE
         out = capsys.readouterr().out
-        if not key.startswith("pipeline."):
+        if not key.startswith("specializations."):
             key = f"specializations.{k}.{key}"
         assert out.count("[FAIL]") == 1
         assert f"[FAIL] deep: pipeline rebuild: differs at {key}\n" in out
@@ -256,14 +259,16 @@ class TestFamilyPropertySuite:
             NumberField(UniPoly([F(-1), F(-1), F(1)], "Z")),
             NumberField(UniPoly([F(-2), F(0), F(0), F(1)], "Z")),
         ]
-        # certify_s3 raises VerificationError when any check fails
-        assert certify_s3().square_class_degree == 1
+        certify_s3()  # raises VerificationError when any check fails
         for trial in range(20):
             K = fields[trial % len(fields)]
             y = K.element([rng.randrange(-6, 7) for _ in range(K.degree)])
             a = K.from_rational(F(rng.randrange(-20, 21))) - y
             # the cubic the pipeline uses is FAMILY at T = a
-            image = [FAMILY.coeff_X(j).eval(a) for j in range(FAMILY.deg_X + 1)]
+            image = [
+                sum((row[j] * a**i for i, row in enumerate(FAMILY.rows)), K.zero())
+                for j in range(FAMILY.deg_X + 1)
+            ]
             assert cubic(a) == UniPoly(image, "X", K)
         assert time.monotonic() - start < 60
 
@@ -316,17 +321,26 @@ class TestFactorizationOracles:
 #: sha256 of each cached certificate text, with the run parameters; a
 #: change of the certificate format, or of the factorizations that
 #: metadata.audit records, updates these on purpose.  All four were
-#: re-pinned for format version 4, which drops "pipeline.q" and each
-#: "theta_image"; test_version_3_restored shows that nothing else moved.
+#: re-pinned for format version 5, which drops the "pipeline" block;
+#: test_version_3_restored shows that nothing else moved.
 PINNED = {
     "C1": (dict(count=3, t_max=10),
-           "ba0deb36bef2d06eb9753d015053d789a5040bdaf8bda54154a20aed1612168f"),
+           "e54b5e72d8763c174fe12538483381c379f5cf3282c2ec0f074f978c5b2e13d4"),
     "C2": (dict(count=2, t_max=200),
-           "daecd0991ec599e86ee407afdb6c6c55a64da1252d0c257469265a8a98de0e68"),
+           "b158011a92a14f06569bcadede3486a1b42da06e1c1edbce30d8de206795683b"),
     "S3": (dict(count=1, t_max=200),
-           "e796941afe4f2e53d0ddbd41ceef06e4eb75c209f991c0a4ecb32fe503eff471"),
+           "a805f387c9dc7b5b4326c7d5db9fc877cf19962408358b4e5d9ce370aff34e18"),
     "C3": (dict(count=1, t_max=200),
-           "35a8fd335714a41532596cc2d5662dee727733eeb5a67198891de81189c68500"),
+           "db79454bce1022e8610ba1c608c19f6790a47979a14e153788bfa5b6232a9113"),
+}
+
+#: The same certificates at format version 4, which also carried the
+#: "pipeline" block (L, y, the shift c and the cubic family's S3 check).
+PINNED_V4 = {
+    "C1": "ba0deb36bef2d06eb9753d015053d789a5040bdaf8bda54154a20aed1612168f",
+    "C2": "daecd0991ec599e86ee407afdb6c6c55a64da1252d0c257469265a8a98de0e68",
+    "S3": "e796941afe4f2e53d0ddbd41ceef06e4eb75c209f991c0a4ecb32fe503eff471",
+    "C3": "35a8fd335714a41532596cc2d5662dee727733eeb5a67198891de81189c68500",
 }
 
 #: The same certificates at format version 3, which also carried the
@@ -344,6 +358,10 @@ def _render(values):
     return [render_rational(v) for v in values]
 
 
+def _sha256(data):
+    return hashlib.sha256(dumps_canonical(data).encode()).hexdigest()
+
+
 class TestPinnedCertificates:
     @pytest.mark.parametrize("key", sorted(PINNED))
     def test_sha256(self, key):
@@ -354,10 +372,15 @@ class TestPinnedCertificates:
 
     @pytest.mark.parametrize("key", sorted(PINNED))
     def test_version_3_restored(self, key):
-        """Putting back the version, q(T, X) built as one polynomial in T
-        and each theta_image gives the version-3 certificate byte for byte."""
+        """Putting back the version and the pipeline block gives the
+        version-4 certificate byte for byte; adding q(T, X) built as one
+        polynomial in T and each theta_image on top gives the version-3
+        one."""
         cert, _, text, _ = timed_run(key, **PINNED[key][0])
         data = json.loads(text)
+        data["version"] = 4
+        data["pipeline"] = v4_pipeline(cert.state)
+        assert _sha256(data) == PINNED_V4[key]
         c, q = interpolated_q(cert.state.L, cert.state.y)
         assert c == cert.state.c
         data["version"] = 3
@@ -366,8 +389,7 @@ class TestPinnedCertificates:
         for spec in data["specializations"]:
             if spec["status"] == "accepted":
                 spec["theta_image"] = _render(theta0[spec["t0"]].coords)
-        v3 = dumps_canonical(data)
-        assert hashlib.sha256(v3.encode()).hexdigest() == PINNED_V3[key]
+        assert _sha256(data) == PINNED_V3[key]
 
 
 class TestDeterminism:

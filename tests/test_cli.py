@@ -15,6 +15,7 @@ from autrealize.cli import (
 from autrealize import pipeline
 from autrealize.errors import SpecParseError
 from autrealize.perm import PermGroup, parse_cycles
+from reference import v4_pipeline
 
 
 def named(name):
@@ -480,15 +481,37 @@ class TestValidateCommand:
         assert failure in out
         assert "certificate INVALID" in out
 
-    def test_deep_pipeline_n_not_an_integer(self, c2_cert_path, tmp_path, capsys):
+    # a rejected entry is read too: its t0 must be canonical and its
+    # reason a non-empty string
+    MALFORMED_REJECTED = {
+        "t0_padded": (
+            lambda spec: spec.update(t0=" 0 "),
+            "t0= 0  well-formed: ",
+        ),
+        "reason_null": (
+            lambda spec: spec.update(reason=None),
+            "t0=0 well-formed: reason is not a non-empty string: None",
+        ),
+        "reason_int": (
+            lambda spec: spec.update(reason=5),
+            "t0=0 well-formed: reason is not a non-empty string: 5",
+        ),
+    }
+
+    @pytest.mark.parametrize("case", list(MALFORMED_REJECTED))
+    def test_malformed_rejected_entry(self, c2_cert_path, tmp_path, capsys, case):
+        forge, failure = self.MALFORMED_REJECTED[case]
         data = json.loads(c2_cert_path.read_text())
-        data["pipeline"]["n"] = "2"
-        bad = tmp_path / "pipeline_n.json"
+        spec = data["specializations"][0]
+        assert (spec["t0"], spec["status"]) == ("0", "rejected")
+        forge(spec)
+        bad = tmp_path / "rejected.json"
         bad.write_text(json.dumps(data))
-        assert main(["validate", str(bad), "--deep"]) == EXIT_PARSE
+        assert main(["validate", str(bad)]) == EXIT_PARSE
         out = capsys.readouterr().out
         assert out.count("[FAIL]") == 1
-        assert "[FAIL] deep: pipeline rebuild: pipeline.n is not an integer: '2'" in out
+        assert f"[FAIL] specialization {failure}" in out
+        assert "certificate INVALID" in out
 
     def test_version_1(self, cert_path, tmp_path, capsys):
         data = json.loads(cert_path.read_text())
@@ -499,15 +522,16 @@ class TestValidateCommand:
         assert "[FAIL] schema" in capsys.readouterr().out
 
     def test_version_3(self, cert_path, tmp_path, capsys):
-        """A certificate of the previous format names its version."""
-        data = json.loads(cert_path.read_text())
-        data["version"] = 3
-        old = tmp_path / "version_3.json"
-        old.write_text(json.dumps(data))
-        assert main(["validate", str(old)]) == EXIT_PARSE
-        out = capsys.readouterr().out
-        assert out.count("[FAIL]") == 1
-        assert "[FAIL] schema: version 3, expected 4\n" in out
+        """A certificate of an earlier format names its version."""
+        for version in (3, 4):
+            data = json.loads(cert_path.read_text())
+            data["version"] = version
+            old = tmp_path / f"version_{version}.json"
+            old.write_text(json.dumps(data))
+            assert main(["validate", str(old)]) == EXIT_PARSE
+            out = capsys.readouterr().out
+            assert out.count("[FAIL]") == 1
+            assert f"[FAIL] schema: version {version}, expected 5\n" in out
 
     @pytest.mark.parametrize("key", ["prime", "pair", "not_an_object"])
     def test_distinctness_entry_missing_key(self, cert_path, tmp_path, capsys, key):
@@ -536,7 +560,10 @@ class TestValidateCommand:
         assert f"[FAIL] deep: t0={t0} well-formed" in capsys.readouterr().out
 
     def test_legacy_bad_set_key(self, cert_path, tmp_path, capsys):
+        """Keys the validator does not read, such as a version-4 pipeline
+        block with an older bad_set_rational in it, are ignored."""
         data = json.loads(cert_path.read_text())
+        data["pipeline"] = v4_pipeline(pipeline.build_state(PermGroup([], degree=1), 1))
         data["pipeline"]["bad_set_rational"] = ["-27/4", "0"]
         legacy = tmp_path / "legacy.json"
         legacy.write_text(json.dumps(data))

@@ -10,7 +10,6 @@ from autrealize.exact import (
     _gcd_primes,
     _ggcd,
     discriminant,
-    discriminant_in_X,
     interpolate,
     is_squarefree,
     parse_rational,
@@ -22,7 +21,12 @@ from autrealize.exact import (
     resultant_std,
 )
 from autrealize.numfield import NumberField
-from reference import newton_interpolate, poly_gcdex, sylvester_resultant
+from reference import (
+    discriminant_in_X,
+    newton_interpolate,
+    poly_gcdex,
+    sylvester_resultant,
+)
 
 X = UniPoly.gen("X")
 ONE = UniPoly.one("X")

@@ -3,10 +3,12 @@ from fractions import Fraction as F
 
 import pytest
 
-from autrealize.exact import BiPoly, UniPoly, discriminant_in_X
+from autrealize import family
+from autrealize.errors import VerificationError
+from autrealize.exact import BiPoly, UniPoly
 from autrealize.family import FAMILY, bad_set, certify_s3, cubic
 from autrealize.numfield import NumberField
-from reference import sylvester_resultant
+from reference import discriminant_in_X, sylvester_resultant
 
 X = UniPoly.gen("X")
 T = UniPoly.gen("T")
@@ -60,13 +62,18 @@ class TestBuildMember:
 class TestCertifyS3:
     def test_y_zero(self):
         # at y = 0 the pipeline's cubic over K(T) is FAMILY itself
-        cert = certify_s3()
+        assert certify_s3() is None
         assert discriminant_in_X(FAMILY) == -(T * T) * (T * 4 + 27)
-        assert cert.square_class_degree == 1
-        assert [label for label, _ in cert.irreducibility] == [
-            "constant-root",
-            "linear-root",
-        ]
+
+    def test_wrong_discriminant_raises(self, monkeypatch):
+        # one value off at T = 5, the last of the six points that prove
+        # the identity
+        real = family.discriminant
+        monkeypatch.setattr(
+            family, "discriminant", lambda f: real(f) + (f[0] == 5)
+        )
+        with pytest.raises(VerificationError, match="discriminant identity"):
+            certify_s3()
 
     def test_y_one(self):
         # the substitution a -> T - 1 carries the certified discriminant

@@ -34,6 +34,15 @@ ALLOWED = {
         "are_isomorphic's input type: the tables tests compare with G; the "
         "validator and the pipeline check a witness against G itself"
     ),
+    "interpolate": (
+        "tests/reference.py builds q(T, X) and the family's X-discriminant "
+        "with it; certify_s3 checks the discriminant at six points instead, "
+        "and perfbench/spans.py traces it by name"
+    ),
+    "BiPoly.deg_X": (
+        "tests/reference.py reads the X-degree of a bivariate polynomial, "
+        "and perfbench/spans.py sizes family.bad_set's argument with it"
+    ),
 }
 
 
