@@ -11,7 +11,8 @@ each defining polynomial is checked on its own, and ``deep`` rebuilds
 the run that produced it.  Emission is
 canonical (sorted keys, fixed indentation), so equal runs produce
 byte-identical files.  The validator calls the producer's own checks,
-not copies: ``pipeline.is_witness``, and ``pipeline.run`` for ``deep``.
+not copies: ``factor.Reductions`` (one per accepted field),
+``pipeline.is_witness``, and ``pipeline.run`` for ``deep``.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from .exact import (
     render_rational,
     render_unipoly,
 )
-from .factor import EDF_SEED, frobenius_pattern, is_irreducible_Q, linear_part_mod_p
+from .factor import EDF_SEED, Reductions, is_irreducible_Q
 from .numfield import NumberField, evaluate, table_mod_p
 from .perm import PermGroup, parse_cycles
 from .pipeline import check_sn_cap, is_witness, run
@@ -184,24 +185,23 @@ def _proved_prime(p):
 
 
 def _separates(p, f, g):
-    """True iff p is a proved prime at which the Frobenius patterns of f
-    and g both exist and differ."""
+    """True iff p is a proved prime at which the Frobenius patterns of the
+    records f and g both exist and differ."""
     if not _proved_prime(p):
         return False
-    a, b = frobenius_pattern(f, p), frobenius_pattern(g, p)
+    a, b = f.pattern(p), g.pattern(p)
     return a is not None and b is not None and a != b
 
 
 def _completes(p, f, k):
-    """None if p is a proved prime at which f is squarefree with exactly k
-    roots mod p, so Q[X]/(f) has at most k automorphisms; otherwise why
-    it is not."""
+    """None if p is a proved prime at which the record f is squarefree
+    with exactly k roots mod p, so Q[X]/(f) has at most k automorphisms;
+    otherwise why it is not."""
     if not _proved_prime(p):
         return "not an integer prime with 5 <= p < 2**64"
-    linear = linear_part_mod_p(f, p)
-    if linear is None:
+    if not f.usable(p):
         return "p divides the leading coefficient or q0 is not squarefree mod p"
-    roots = _ideg(linear)
+    roots = _ideg(f.roots(p))
     return None if roots == k else f"{roots} roots mod p for {k} images"
 
 
@@ -210,16 +210,18 @@ def validate_certificate(path, deep=False) -> ValidationReport:
 
     Shallow checks: schema, the group's degree an integer from 1 to the
     S_n cap (before any permutation is built), group closure, each t0
-    canonical, each rejected entry with a non-empty reason, at least one
-    accepted specialization, each defining polynomial is irreducible,
-    automorphism images are roots, the completeness prime p is prime and
-    the defining polynomial is squarefree mod p with exactly as many roots
-    mod p as there are images (so the images are all the automorphisms:
-    reduction modulo a degree-1 prime above p keeps distinct roots
-    distinct), the table recomputes modulo p from the images and the
-    witness labels it as G, and each pair of accepted fields has exactly
-    one distinctness entry whose prime separates their Frobenius patterns.
-    With ``deep``, the certificate is rebuilt and must equal the file.
+    canonical, each status "accepted" or "rejected", each rejected entry
+    with a non-empty reason, at least one accepted specialization, each
+    defining polynomial is irreducible, automorphism images are roots,
+    the completeness prime p is prime and the defining polynomial is
+    squarefree mod p with exactly as many roots mod p as there are images
+    (so the images are all the automorphisms: reduction modulo a degree-1
+    prime above p keeps distinct roots distinct), the table recomputes
+    modulo p from the images and the witness labels it as G, and each
+    pair of accepted fields has exactly one distinctness entry whose
+    prime separates their Frobenius patterns.
+    With ``deep``, the certificate is rebuilt up to the largest |t0| the
+    shallow checks parsed, and must equal the file.
     """
     report = ValidationReport()
     data = _load(path)
@@ -253,21 +255,26 @@ def validate_certificate(path, deep=False) -> ValidationReport:
         return report
 
     accepted = []
+    t0s = []  # each well-formed t0, from which --deep takes its height
     for spec in data["specializations"]:
         if not isinstance(spec, dict):
             report.add("specialization entry is an object", False, repr(spec))
             continue
         label = f"specialization t0={spec.get('t0')}"
         try:
-            parse_rational(spec["t0"])  # no check reads t0, but it must be canonical
-            if spec.get("status") != "accepted":
+            t0s.append(parse_rational(spec["t0"]))  # must be canonical
+            status = spec.get("status")
+            if status not in ("accepted", "rejected"):
+                raise SpecParseError(f"status is neither accepted nor rejected: {status!r}")
+            if status == "rejected":
                 reason = spec["reason"]
                 if not (isinstance(reason, str) and reason):
                     raise SpecParseError(f"reason is not a non-empty string: {reason!r}")
                 report.add(f"{label} rejected entry", True)
                 continue
             q0 = parse_unipoly(spec["defining_polynomial"], "X")
-            report.add(f"{label} irreducible", is_irreducible_Q(q0))
+            red = Reductions(q0)
+            report.add(f"{label} irreducible", is_irreducible_Q(q0, reductions=red))
             E = NumberField(q0.with_var("Z"))
             images = [
                 _element(E, coords)
@@ -276,7 +283,7 @@ def validate_certificate(path, deep=False) -> ValidationReport:
             roots_ok = all(not evaluate(E.modulus, m) for m in images)
             report.add(f"{label} images are roots", roots_ok)
             p = spec["completeness_prime"]
-            why_not = _completes(p, q0, len(images))
+            why_not = _completes(p, red, len(images))
             complete = why_not is None
             report.add(
                 f"{label} completeness prime",
@@ -288,7 +295,7 @@ def validate_certificate(path, deep=False) -> ValidationReport:
                 for row in spec["automorphisms"]["table"]
             ]
             # the table is read mod p only once p is proved complete
-            recomputes = complete and table_mod_p(E, images, p) == table
+            recomputes = complete and table_mod_p(red, images, p) == table
             report.add(f"{label} table recomputes mod p", recomputes)
             if not recomputes:
                 continue
@@ -296,7 +303,7 @@ def validate_certificate(path, deep=False) -> ValidationReport:
             report.add(
                 f"{label} witness is an isomorphism", is_witness(G, table, witness)
             )
-            accepted.append(q0)
+            accepted.append(red)
         except _MALFORMED as exc:
             report.add(f"{label} well-formed", False, str(exc))
 
@@ -323,7 +330,7 @@ def validate_certificate(path, deep=False) -> ValidationReport:
             )
 
     if deep:
-        _deep_validate(data, G, report)
+        _deep_validate(data, G, max((ceil(abs(t0)) for t0 in t0s), default=0), report)
     return report
 
 
@@ -341,17 +348,11 @@ def _differing_keys(a, b, path=""):
     ]
 
 
-def _deep_validate(data, G, report):
-    """Re-run the pipeline on the certificate's inputs; a run stops at its
-    count, so its transcript is a prefix of t0_sequence(max ceil |t0|)."""
+def _deep_validate(data, G, t_max, report):
+    """Re-run the pipeline on the certificate's inputs up to t_max, the
+    largest ceil |t0| among its well-formed t0; a run stops at its count,
+    so its transcript is a prefix of t0_sequence(t_max)."""
     specs = [spec for spec in data["specializations"] if isinstance(spec, dict)]
-    t_max = 0
-    for spec in specs:
-        try:
-            t_max = max(t_max, ceil(abs(parse_rational(spec["t0"]))))
-        except _MALFORMED as exc:
-            report.add(f"deep: t0={spec.get('t0')} well-formed", False, str(exc))
-            return
     try:
         rebuilt = run(
             G,

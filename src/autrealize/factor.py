@@ -6,13 +6,13 @@ a fixed-seed PRNG), multifactor Hensel lifting to a Mignotte-style bound,
 and subset recombination with trial division.  The prime is chosen by the
 factor degrees that the distinct-degree factorization gives (von zur
 Gathen-Gerhard, Modern Computer Algebra, ch. 14); equal-degree splitting
-runs on the chosen prime only.  The same distinct-degree factorization
-gives the Frobenius patterns that prove two fields distinct.  A field's
-automorphism count is bounded by its first step alone: the degree of
-gcd(X^p - X, f mod p) is the number of roots of f mod p
-(``completeness_prime``, which a caller can screen with a polynomial of
-smaller degree that must have a root wherever f does), and splitting
-that gcd gives one root (``root_mod_p``).
+runs on the chosen prime only.  A polynomial is read modulo primes
+through one record, ``Reductions``, which derives lc(F) * disc(F) once
+and keeps, per prime, the distinct-degree factorization that gives the
+Zassenhaus prime and the Frobenius patterns proving two fields distinct,
+and the root product gcd(X^p - X, F mod p), whose degree bounds a
+field's automorphism count (``completeness_prime``) and which splits
+into one root (``Reductions.root``).
 ``yun_squarefree_decomposition`` works over any exact field and is also
 the squarefree decomposition used over number fields.
 
@@ -26,6 +26,7 @@ from __future__ import annotations
 import contextvars
 import random
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations, count, islice
 from math import ceil, isqrt, log
 
@@ -193,10 +194,6 @@ def _ggcdex(a, b, p):
     )
 
 
-def _gderiv(a, p):
-    return _gtrim([(i * c) % p for i, c in enumerate(a)][1:])
-
-
 def _gpow_mod(a, e, f, p):
     """a**e mod (f, p), left to right, so that a = X costs one shift and
     one reduction step per set bit of e."""
@@ -207,10 +204,6 @@ def _gpow_mod(a, e, f, p):
         if bit == "1":
             result = _gdivrem(_gmul(result, base, p), f, p)[1]
     return result
-
-
-def _gsqf_p(a, p):
-    return _ideg(_ggcd(a, _gderiv(a, p), p)) == 0
 
 
 def _gddf(f, p):
@@ -252,90 +245,81 @@ def _gedf(f, k, p, rng):
             return _gedf(g, k, p, rng) + _gedf(_gdivrem(f, g, p)[0], k, p, rng)
 
 
-def _ddf_degrees(ddf):
-    """Sorted degrees of the irreducible factors that a distinct-degree
-    factorization describes: each (g, k) holds deg(g)/k factors of degree k."""
-    return tuple(sorted(k for g, k in ddf for _ in range(_ideg(g) // k)))
+class Reductions:
+    """A polynomial read modulo primes, each reading taken at most once.
 
-
-def _linear_part(fp, p):
-    """gcd(X^p - X, fp): the product of the distinct linear factors of the
-    monic fp mod p, whose degree is the number of roots of fp mod p.  This
-    is the k = 1 step of ``_gddf``, without the steps after it."""
-    return _ggcd(_gsub(_gpow_mod([0, 1], p, fp, p), [0, 1], p), fp, p)
-
-
-def _int_form(f: UniPoly):
-    """F, the primitive integer multiple of the rational polynomial f."""
-    return _iprimitive(_int_clear(f)[0])[1]
-
-
-def _reduce_mod_p(F, p):
-    """F mod p made monic, or None when p divides lc(F) or F is not
-    squarefree mod p."""
-    if F[-1] % p == 0:
-        return None
-    fp = _gmonic([c % p for c in F], p)
-    return fp if _gsqf_p(fp, p) else None
-
-
-def _good_primes(Fs):
-    """Yield (p, [F mod p made monic for F in Fs]) for the primes
-    p = 5, 7, 11, ... at which every integer polynomial F in Fs is usable:
-    p does not divide lc(F) and F stays squarefree mod p.
-
-    For p not dividing lc(F), F is squarefree mod p exactly when p does
-    not divide disc(F), so one discriminant per F decides every prime.  A
-    ValueError is raised at once if one F has a repeated factor
-    (disc(F) = 0).
+    F is the primitive integer multiple of the rational f, with lc(F) > 0.
+    The usable primes are the p >= 5 not dividing ``lc_disc`` =
+    lc(F) * disc(F), for F is squarefree mod p exactly when p does not
+    divide disc(F).  Per prime the record keeps F mod p made monic, its
+    root product and its distinct-degree factorization.  It lives on the
+    object that owns the polynomial; no module-level cache keeps it.
     """
-    # lc(F) * disc(F); a constant F is squarefree modulo every p
-    Ds = [F[-1] * (int(discriminant(UniPoly(F))) if len(F) > 1 else 1) for F in Fs]
-    if 0 in Ds:
-        raise ValueError("expects a squarefree polynomial")
-    for p in count(5, 2):
-        if _is_prime(p) and all(D % p for D in Ds):
-            yield p, [_gmonic([c % p for c in F], p) for F in Fs]
 
+    def __init__(self, f: UniPoly):
+        if f.is_zero:
+            raise ValueError("the zero polynomial has no reductions")
+        F = _iprimitive(_int_clear(f)[0])[1]
+        self.F = F if F[-1] > 0 else [-c for c in F]
+        self._mod, self._roots, self._ddf = {}, {}, {}
 
-def frobenius_pattern(f: UniPoly, p):
-    """Sorted degrees of the irreducible factors of F mod p, with F the
-    primitive integer multiple of the rational polynomial f, or None when
-    p divides lc(F) or F is not squarefree mod p.
+    @cached_property
+    def lc_disc(self):
+        F = self.F
+        return F[-1] * (int(discriminant(UniPoly(F))) if len(F) > 1 else 1)
 
-    For irreducible f and a prime p where the pattern exists, these are
-    the residue degrees of the primes above p in Q[X]/(F) (Dedekind-Kummer),
-    so two fields whose patterns differ at one p are not isomorphic.
-    """
-    fp = _reduce_mod_p(_int_form(f), p)
-    return None if fp is None else _ddf_degrees(_gddf(fp, p))
+    def usable(self, p):
+        """True iff the prime p >= 5 does not divide lc(F) * disc(F)."""
+        return self.lc_disc % p != 0
 
+    def primes(self, *others):
+        """The primes p = 5, 7, 11, ... usable for this record and for
+        each of ``others``, in increasing order; a ValueError at once if
+        one of their polynomials has a repeated factor (lc_disc = 0)."""
+        Ds = [r.lc_disc for r in (self, *others)]
+        if 0 in Ds:
+            raise ValueError("expects a squarefree polynomial")
+        return (p for p in count(5, 2) if _is_prime(p) and all(D % p for D in Ds))
 
-def linear_part_mod_p(f: UniPoly, p):
-    """gcd(X^p - X, F mod p), the monic product of the distinct linear
-    factors of F mod p, or None when p divides lc(F) or F is not
-    squarefree mod p (F as in ``frobenius_pattern``).  Its degree is the
-    number of ones in the Frobenius pattern of f at p."""
-    fp = _reduce_mod_p(_int_form(f), p)
-    return None if fp is None else _linear_part(fp, p)
+    def mod(self, p):
+        """F mod p made monic, for a prime p not dividing lc(F)."""
+        if p not in self._mod:
+            self._mod[p] = _gmonic([c % p for c in self.F], p)
+        return self._mod[p]
 
+    def roots(self, p):
+        """gcd(X^p - X, F mod p), for a prime p not dividing lc(F): the
+        monic product of the distinct linear factors of F mod p, whose
+        degree is the number of roots of F mod p.  This is the k = 1 step
+        of ``_gddf``, without the steps after it."""
+        if p not in self._roots:
+            fp = self.mod(p)
+            xp = _gpow_mod([0, 1], p, fp, p)
+            self._roots[p] = _ggcd(_gsub(xp, [0, 1], p), fp, p)
+        return self._roots[p]
 
-def root_mod_p(f: UniPoly, p):
-    """One root mod p of f, for an odd prime p at which the Frobenius
-    pattern of f exists, or None when f has no root mod p: a linear
-    factor split (with the fixed seed) from ``linear_part_mod_p(f, p)``."""
-    linear = linear_part_mod_p(f, p)
-    if linear is None or _ideg(linear) == 0:
-        return None
-    return -_gedf(linear, 1, p, random.Random(EDF_SEED))[0][0] % p
+    def root(self, p):
+        """One root of F mod p, split with the fixed seed from
+        ``roots(p)``, or None when p divides lc(F) or F has no root mod p."""
+        if self.F[-1] % p == 0 or not _ideg(linear := self.roots(p)):
+            return None
+        return -_gedf(linear, 1, p, random.Random(EDF_SEED))[0][0] % p
 
+    def ddf(self, p):
+        """The distinct-degree factorization of F mod p (see ``_gddf``),
+        for a usable prime p."""
+        if p not in self._ddf:
+            self._ddf[p] = _gddf(self.mod(p), p)
+        return self._ddf[p]
 
-def usable_patterns(fs, limit):
-    """(p, the Frobenius patterns of the polynomials fs at p) for the
-    first ``limit`` primes p >= 5 at which all of those patterns exist;
-    a ValueError if one of fs has a repeated factor."""
-    for p, fps in islice(_good_primes([_int_form(f) for f in fs]), limit):
-        yield p, [_ddf_degrees(_gddf(fp, p)) for fp in fps]
+    def pattern(self, p):
+        """Sorted degrees of the irreducible factors of F mod p, or None
+        when p is not usable.  For irreducible f these are the residue
+        degrees of the primes above p in Q[X]/(F) (Dedekind-Kummer), so
+        two fields whose patterns differ at one p are not isomorphic."""
+        if not self.usable(p):
+            return None
+        return tuple(sorted(k for g, k in self.ddf(p) for _ in range(_ideg(g) // k)))
 
 
 #: Usable primes tried before a field is given up as having no
@@ -346,35 +330,33 @@ def usable_patterns(fs, limit):
 COMPLETENESS_PRIMES = 1000
 
 
-def completeness_prime(f: UniPoly, k, screen=None):
-    """The first prime p >= 5 at which f is usable (p does not divide the
-    leading coefficient of its primitive integer multiple F, and F is
-    squarefree mod p) and F has exactly k roots mod p, or None once
-    COMPLETENESS_PRIMES usable primes have failed.  The roots are counted
-    as deg gcd(X^p - X, F mod p), the number of ones in the Frobenius
-    pattern, without factoring further; a ValueError if f has a repeated
-    factor.
+def completeness_prime(f: Reductions, k, screen=None):
+    """The first usable prime p of the record f at which F has exactly k
+    roots mod p, or None once COMPLETENESS_PRIMES usable primes have
+    failed.  The roots are counted as deg gcd(X^p - X, F mod p), the
+    number of ones in the Frobenius pattern, without factoring further;
+    a ValueError if F has a repeated factor.
 
-    Such a p proves that E = Q[X]/(f), f irreducible, has at most k
-    automorphisms: each sends the generator to a root of f in E, reduction
-    modulo a degree-1 prime above p sends these roots to roots of f mod p,
-    and distinct roots stay distinct because f is squarefree mod p.
+    Such a p proves that E = Q[X]/(F), F irreducible, has at most k
+    automorphisms: each sends the generator to a root of F in E, reduction
+    modulo a degree-1 prime above p sends these roots to roots of F mod p,
+    and distinct roots stay distinct because F is squarefree mod p.
 
-    ``screen``, if given, is a pair (g, D) of a monic rational polynomial
-    g and an integer D such that at each usable p not dividing D, where g
-    is p-integral, a root of f mod p gives one of g mod p.  For k >= 1 a
-    usable p where g then has no root is passed over after
-    gcd(X^p - X, g mod p) alone, which is cheaper when g has the smaller
-    degree; the primes tried, and the prime found, stay the same.
+    ``screen``, if given, is a pair (g, D) of the record g of a monic
+    rational polynomial and an integer D such that at each usable p not
+    dividing D, where g is p-integral, a root of F mod p gives one of g
+    mod p.  For k >= 1 a usable p where g then has no root is passed over
+    after g's root product alone (cheaper when g has the smaller degree,
+    and kept by g for every search it screens); the primes tried, and the
+    prime found, stay the same.
     """
     screened = screen is not None and k >= 1
     if screened:
-        G, D = _int_form(screen[0]), screen[1]
-    for p, (fp,) in islice(_good_primes([_int_form(f)]), COMPLETENESS_PRIMES):
-        if screened and D % p and G[-1] % p:
-            if not _ideg(_linear_part(_gmonic([c % p for c in G], p), p)):
-                continue  # g, hence f, has no root mod p
-        if _ideg(_linear_part(fp, p)) == k:
+        g, D = screen
+    for p in islice(f.primes(), COMPLETENESS_PRIMES):
+        if screened and D % p and g.F[-1] % p and not _ideg(g.roots(p)):
+            continue  # g, hence F, has no root mod p
+        if _ideg(f.roots(p)) == k:
             return p
     return None
 
@@ -459,27 +441,25 @@ def _mignotte_bound(f):
     return (isqrt(n + 1) + 1) * 2**n * a * b
 
 
-def _choose_prime(f):
-    """Pick a usable prime p (see _good_primes) for f and factor f mod p.
+def _choose_prime(f: Reductions):
+    """Pick a usable prime p of the record f and factor F mod p.
 
     Among the first few usable primes, the one with the fewest modular
     factors is chosen (ties broken towards smaller p); at desk scale this
     keeps subset recombination tractable.  The search stops after
     ZASSENHAUS_PRIMES primes or at the first with at most 6 factors.
-    Candidates are ranked by their distinct-degree factorization alone,
-    which gives the factor degrees; only the chosen prime is split into
-    irreducibles.  Returns (p, the monic factors of f mod p).
+    Candidates are ranked by their Frobenius patterns alone, which give
+    the factor degrees; only the chosen prime is split into irreducibles.
+    Returns (p, the monic factors of F mod p).
     """
     candidates = []
-    for p, (fp,) in _good_primes([f]):
-        ddf = _gddf(fp, p)
-        degrees = _ddf_degrees(ddf)
-        candidates.append((len(degrees), p, ddf))
-        if len(degrees) <= 6 or len(candidates) >= ZASSENHAUS_PRIMES:
+    for p in f.primes():
+        candidates.append((len(f.pattern(p)), p))
+        if candidates[-1][0] <= 6 or len(candidates) >= ZASSENHAUS_PRIMES:
             break
-    _, p, ddf = min(candidates, key=lambda c: c[:2])
+    _, p = min(candidates)
     _record("prime", p)
-    return p, _gfactor_sqf(ddf, p)
+    return p, _gfactor_sqf(f.ddf(p), p)
 
 
 def _trial_divide(f, lifted, combo, pl):
@@ -508,8 +488,9 @@ def _trial_divide(f, lifted, combo, pl):
     return G, quot
 
 
-def _zassenhaus(f):
-    """Factor a primitive squarefree integer polynomial with lc > 0."""
+def _zassenhaus(red: Reductions):
+    """Factor the squarefree F of a record (primitive, lc > 0)."""
+    f = red.F
     n = _ideg(f)
     if n <= 0:
         return []
@@ -519,7 +500,7 @@ def _zassenhaus(f):
         raise CapExceededError(
             f"degree {n} exceeds the factorization cap {DEGREE_CAP}"
         )
-    p, modular = _choose_prime(f)
+    p, modular = _choose_prime(red)
     l = int(ceil(log(2 * _mignotte_bound(f) + 1, p)))
     _record("lift_exponent", l)
     lifted, pl = _hensel_lift(p, f, modular, l), p**l
@@ -603,20 +584,21 @@ def factor_over_Q(f: UniPoly) -> Factorization:
         return Factorization(unit, ())
     pairs = []
     for g, mult in yun_squarefree_decomposition(f):
-        fi = _int_form(g)
-        if fi[-1] < 0:
-            fi = [-c for c in fi]
-        for part in _zassenhaus(fi):
+        for part in _zassenhaus(Reductions(g)):
             mono = UniPoly([Fraction(c) for c in part], f.var).monic()
             pairs.append((mono, mult))
     pairs.sort(key=lambda p: (p[0].degree, p[0].coeffs))
     return Factorization(unit, tuple(pairs))
 
 
-def is_irreducible_Q(f: UniPoly) -> bool:
-    """True iff f is irreducible over Q (degree >= 1 required)."""
+def is_irreducible_Q(f: UniPoly, *, reductions: Reductions | None = None) -> bool:
+    """True iff f is irreducible over Q (degree >= 1 required).  Given f's
+    record ``reductions`` with lc(F) * disc(F) != 0, f is squarefree, so
+    Zassenhaus runs on the record with no squarefree decomposition."""
     if f.degree < 1:
         raise ValueError("irreducibility is undefined for constants")
+    if reductions is not None and reductions.lc_disc:
+        return len(_zassenhaus(reductions)) == 1
     return factor_over_Q(f).is_irreducible
 
 

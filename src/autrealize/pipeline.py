@@ -13,15 +13,16 @@ Given G as a subgroup of S_n, the pipeline:
    never built as a polynomial in T,
 4. specializes T to rational t0: q(t0, X) is the norm from L of the
    shifted cubic(t0 - y), which comes from power sums with no resultant;
-   rejects t0 in the bad set (q(t0, X) has a multiple root), and
-   verifies, exactly, that the field Q[X]/(q(t0, X)) has automorphism
-   group isomorphic to G, with a completeness prime and an explicit
-   isomorphism witness (G's own labelling of the automorphisms),
+   reads q(t0, X) modulo primes through one ``factor.Reductions`` record,
+   whose one discriminant rejects t0 in the bad set (q(t0, X) has a
+   multiple root), and verifies, exactly, that the field Q[X]/(q(t0, X))
+   has automorphism group isomorphic to G, with a completeness prime and
+   an explicit isomorphism witness (G's labelling of the automorphisms),
 5. repeats until the requested number of verified fields is collected,
    keeping a field only if, against each field kept before it, some prime
    p >= 5 has different Frobenius patterns in the two (which proves them
-   non-isomorphic), and assembles a certificate recording one such prime
-   per pair.
+   non-isomorphic; each field's record keeps its patterns for every
+   pair), and assembles a certificate recording one such prime per pair.
 
 Verification at each t0 searches for no automorphism: they come from G.
 E = L(x) for a root x of the cubic, and L/Q is normal, so every
@@ -33,8 +34,9 @@ is screened through L: theta0, the image of L's generator in E, is
 embedded first, and since L's modulus m has m(theta0(Z)) = q(t0, Z) * H,
 a root r of q(t0, X) mod p gives the root theta0(r) of m mod p wherever
 theta0 and m are p-integral.  A prime at which m has no root is then
-passed over after a gcd of degree [L:Q], not one of degree [E:Q]; the
-primes tried and the prime found are the same.  Nor is the isomorphism
+passed over after a gcd of degree [L:Q], kept for every t0 on the
+state's record of m, not one of degree [E:Q]; the primes tried and the
+prime found are the same.  Nor is the isomorphism
 searched for: the witness labels each automorphism by its sigma, and a
 table that composes as G does makes that labelling one.  Root checks
 and the labels sigma(theta0) take few products in E: the first by
@@ -44,6 +46,7 @@ Paterson-Stockmeyer, the second as combinations of theta0's powers.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import islice
 from math import factorial
 
 from .errors import (
@@ -55,10 +58,10 @@ from .errors import (
 from .exact import UniPoly, is_squarefree
 from .factor import (
     COMPLETENESS_PRIMES,
+    Reductions,
     _record,
     completeness_prime,
     is_irreducible_Q,
-    usable_patterns,
 )
 from .family import FAMILY, bad_set, certify_s3, cubic
 from .numfield import (
@@ -127,6 +130,8 @@ class PipelineState:
         self.L = L
         self.y = y
         self.c = c
+        # every t0's completeness search is screened through L's modulus
+        self.L_reductions = Reductions(L.field.modulus)
 
     def cubic_at(self, t0) -> UniPoly:
         """The cubic X^3 + (t0 - y)(X + 1) over L."""
@@ -182,6 +187,7 @@ class SpecializationRecord:
         theta0: NfElement | None = None,
         aut: AutomorphismTable | None = None,
         witness: tuple | None = None,
+        reductions: Reductions | None = None,  # of q0
     ):
         self.t0 = t0
         self.status = status
@@ -191,6 +197,7 @@ class SpecializationRecord:
         self.theta0 = theta0
         self.aut = aut
         self.witness = witness
+        self.reductions = reductions
 
 
 def build_state(G: PermGroup, n: int) -> PipelineState:
@@ -226,11 +233,11 @@ def specialize_and_verify(state: PipelineState, t0) -> SpecializationRecord:
     t0 = Fraction(t0)
     # with y = 0 (G = S_n) the cubic is FAMILY at T = t0, and where it has
     # a multiple root so has q(t0, X): its norm need not be taken
-    if (not state.y and bad_set(FAMILY, t0)) or not is_squarefree(
-        q0 := state.specialize(t0)
-    ):
+    if (not state.y and bad_set(FAMILY, t0)) or not (
+        red := Reductions(q0 := state.specialize(t0))
+    ).lc_disc:
         return SpecializationRecord(t0, "rejected", "bad set: multiple root")
-    if not is_irreducible_Q(q0):
+    if not is_irreducible_Q(q0, reductions=red):
         return SpecializationRecord(t0, "rejected", "q(t0, X) reducible over Q")
     E = NumberField(q0.with_var("Z"))
     L, c = state.L, state.c
@@ -238,7 +245,7 @@ def specialize_and_verify(state: PipelineState, t0) -> SpecializationRecord:
     # L's modulus m has m(theta0(Z)) = q0 * H, so where theta0 and m are
     # p-integral (H is then too), each root r of q0 mod p gives the root
     # theta0(r) of m mod p
-    p = completeness_prime(q0, state.G.order, screen=(L.field.modulus, theta0.den))
+    p = completeness_prime(red, state.G.order, screen=(state.L_reductions, theta0.den))
     if p is None:
         reason = f"no completeness prime in the first {COMPLETENESS_PRIMES} usable primes"
         return SpecializationRecord(t0, "rejected", reason)
@@ -249,12 +256,12 @@ def specialize_and_verify(state: PipelineState, t0) -> SpecializationRecord:
     label = {x + powers.image(L.images[g]) * c: i for i, g in enumerate(elems)}
     if len(label) != len(elems):
         raise VerificationError("two elements of G give the same automorphism")
-    aut = AutomorphismTable(E, list(label), prime=p)
+    aut = AutomorphismTable(E, list(label), prime=p, reductions=red)
     witness = tuple(label[m] for m in aut.maps)
     if not is_witness(state.G, aut.table, witness):
         raise VerificationError("the images of G do not form a copy of G")
     return SpecializationRecord(
-        t0, "accepted", None, q0, E, theta0, aut, witness
+        t0, "accepted", None, q0, E, theta0, aut, witness, red
     )
 
 
@@ -269,9 +276,11 @@ DISTINCTNESS_PRIMES = 100
 def fields_distinct_exact(a: SpecializationRecord, b: SpecializationRecord):
     """A prime p >= 5 at which the Frobenius patterns of a.q0 and b.q0
     exist and differ, proving the two fields non-isomorphic; None once
-    DISTINCTNESS_PRIMES primes usable for both have failed."""
-    for p, (pa, pb) in usable_patterns([a.q0, b.q0], DISTINCTNESS_PRIMES):
-        if pa != pb:
+    DISTINCTNESS_PRIMES primes usable for both have failed.  The records
+    the two carry keep each pattern for the field's other pairs."""
+    A, B = a.reductions, b.reductions
+    for p in islice(A.primes(B), DISTINCTNESS_PRIMES):
+        if A.pattern(p) != B.pattern(p):
             return p
     return None
 

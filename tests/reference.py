@@ -7,13 +7,14 @@ resultant, Newton interpolation over Fractions, a field norm of a
 polynomial by element resultants and interpolation, the pipeline's
 q(T, X) as one polynomial in T, the X-discriminant of a bivariate
 polynomial by interpolation, the "pipeline" block that format 4 wrote,
-the Zassenhaus prime
-choice by complete factorization mod every candidate, the completeness
-prime and a root mod p by a complete distinct-degree factorization, a field's
-automorphisms as the roots of its modulus in it, the image of an element
-under one of them, their composition table by exact composition in the
-field, a generator's image in
-a larger field by a gcd over that field, the inverse of a permutation,
+the per-prime definition of a usable prime (a squarefree gcd mod p),
+with the Frobenius patterns and root products it gives, the Zassenhaus
+prime choice by complete factorization mod every candidate, the
+completeness prime and a root mod p by a complete distinct-degree
+factorization, a field's automorphisms as the roots of its modulus in
+it, the image of an element under one of them, their composition table
+by exact composition in the field, a generator's image in a larger
+field by a gcd over that field, the inverse of a permutation,
 normalizers, normality and quotient groups by direct scan, a
 permutation group's composition table, and the product of a
 factorization.
@@ -22,12 +23,18 @@ factorization.
 import random
 from fractions import Fraction
 from itertools import count
+from math import gcd
 
 from autrealize import factor
 from autrealize.errors import VerificationError
 from autrealize.exact import (
     BiPoly,
     UniPoly,
+    _ggcd,
+    _gmonic,
+    _gtrim,
+    _ideg,
+    _int_clear,
     _is_prime,
     discriminant,
     interpolate,
@@ -37,7 +44,7 @@ from autrealize.exact import (
     render_unipoly,
     resultant_std,
 )
-from autrealize.factor import completeness_prime, frobenius_pattern
+from autrealize.factor import Reductions, completeness_prime
 from autrealize.family import bad_set, cubic
 from autrealize.numfield import (
     AutomorphismTable,
@@ -242,14 +249,60 @@ def v4_pipeline(state):
     }
 
 
+def reduce_mod_p(f, p):
+    """F mod p made monic, with F the primitive integer multiple of the
+    rational polynomial f, or None when p divides lc(F) or F is not
+    squarefree mod p, which one gcd of F mod p with its derivative
+    decides: the per-prime definition of a usable prime."""
+    num = _int_clear(f)[0]
+    content = gcd(*num)
+    F = [c // content for c in num]
+    if F[-1] % p == 0:
+        return None
+    fp = _gmonic([c % p for c in F], p)
+    deriv = _gtrim([(i * c) % p for i, c in enumerate(fp)][1:])
+    return fp if _ideg(_ggcd(fp, deriv, p)) == 0 else None
+
+
+def usable_primes(f):
+    """The primes p >= 5 at which ``reduce_mod_p(f, p)`` exists, in order."""
+    return (p for p in count(5, 2) if _is_prime(p) and reduce_mod_p(f, p))
+
+
+def ddf_by_gcd(f, p):
+    """The distinct-degree factorization of ``reduce_mod_p(f, p)``, or
+    None where that does not exist."""
+    fp = reduce_mod_p(f, p)
+    return None if fp is None else factor._gddf(fp, p)
+
+
+def ddf_degrees(ddf):
+    """Sorted degrees of the irreducible factors that a distinct-degree
+    factorization describes: each (g, k) holds deg(g)/k factors of degree k."""
+    return tuple(sorted(k for g, k in ddf for _ in range((len(g) - 1) // k)))
+
+
+def pattern_by_gcd(f, p):
+    """The Frobenius pattern of f at p from ``reduce_mod_p``: the sorted
+    factor degrees of a distinct-degree factorization, or None."""
+    ddf = ddf_by_gcd(f, p)
+    return None if ddf is None else ddf_degrees(ddf)
+
+
+def root_product_by_ddf(ddf):
+    """gcd(X^p - X, F mod p) read off a distinct-degree factorization of
+    F mod p: its degree-1 part, or 1."""
+    return next((g for g, k in ddf if k == 1), [1])
+
+
 def choose_prime_by_factoring(f):
-    """The Zassenhaus prime choice with every candidate prime factored
-    completely: the fewest modular factors win, ties towards smaller p,
-    with the same stopping rule and audit events as
-    ``factor._choose_prime``."""
+    """The Zassenhaus prime choice for a squarefree rational f with every
+    candidate prime factored completely: the fewest modular factors win,
+    ties towards smaller p, with the same stopping rule and audit events
+    as ``factor._choose_prime``."""
     candidates = []
-    for p, (fp,) in factor._good_primes([f]):
-        factors = factor._gfactor_sqf(factor._gddf(fp, p), p)
+    for p in usable_primes(f):
+        factors = factor._gfactor_sqf(factor._gddf(reduce_mod_p(f, p), p), p)
         candidates.append((len(factors), p, factors))
         if len(factors) <= 6 or len(candidates) >= factor.ZASSENHAUS_PRIMES:
             break
@@ -264,24 +317,19 @@ def completeness_prime_by_pattern(f, k):
     exactly k ones, or None once ``factor.COMPLETENESS_PRIMES`` primes with
     a pattern have failed: the completeness search by a complete
     distinct-degree factorization at every prime."""
-    usable = 0
-    for p in count(5, 2):
-        if usable == factor.COMPLETENESS_PRIMES:
+    for i, p in enumerate(usable_primes(f)):
+        if i == factor.COMPLETENESS_PRIMES:
             return None
-        if _is_prime(p):
-            pattern = frobenius_pattern(f, p)
-            if pattern is not None:
-                usable += 1
-                if pattern.count(1) == k:
-                    return p
+        if pattern_by_gcd(f, p).count(1) == k:
+            return p
 
 
 def root_mod_p_by_ddf(f, p):
-    """``factor.root_mod_p`` with the linear part taken from a complete
+    """``Reductions.root`` with the linear part taken from a complete
     distinct-degree factorization of F mod p."""
-    fp = factor._reduce_mod_p(factor._int_form(f), p)
-    linear = next((g for g, k in factor._gddf(fp, p) if k == 1), None) if fp else None
-    if linear is None:
+    ddf = ddf_by_gcd(f, p)
+    linear = [1] if ddf is None else root_product_by_ddf(ddf)
+    if len(linear) == 1:
         return None
     return -factor._gedf(linear, 1, p, random.Random(factor.EDF_SEED))[0][0] % p
 
@@ -291,7 +339,9 @@ def automorphisms(K) -> AutomorphismTable:
     found by a Trager factorization over K itself, with the table read at
     the first prime where the modulus has as many roots as K has maps."""
     maps = roots_in_field(K.modulus, K)
-    return AutomorphismTable(K, maps, prime=completeness_prime(K.modulus, len(maps)))
+    red = Reductions(K.modulus)
+    p = completeness_prime(red, len(maps))
+    return AutomorphismTable(K, maps, prime=p, reductions=red)
 
 
 def apply(m, e):

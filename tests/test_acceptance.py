@@ -18,7 +18,7 @@ import pytest
 from autrealize.certs import certificate_to_json, dumps_canonical, validate_certificate
 from autrealize.cli import EXIT_OK, EXIT_PARSE, expand_named, main
 from autrealize.exact import UniPoly, _is_prime, discriminant, render_rational
-from autrealize.factor import factor_over_Q, frobenius_pattern, is_irreducible_Q
+from autrealize.factor import factor_over_Q, is_irreducible_Q
 from autrealize.family import FAMILY, certify_s3, cubic
 from autrealize.numfield import (
     NumberField,
@@ -28,14 +28,16 @@ from autrealize.numfield import (
     splitting_field,
 )
 from autrealize.perm import AbstractGroup, PermGroup, are_isomorphic, parse_cycles
-from autrealize.pipeline import fields_distinct_exact, run as pipeline_run
+from autrealize.pipeline import run as pipeline_run
 from reference import (
     aut_group_via_quotient,
     automorphisms,
     composition_table,
     expand,
     interpolated_q,
+    pattern_by_gcd,
     to_abstract,
+    usable_primes,
     v4_pipeline,
 )
 
@@ -64,9 +66,12 @@ def timed_run(key, *, count, t_max=200):
 
 
 def assert_separated(cert):
-    """Each distinctness prime is the first one separating its pair."""
+    """Each distinctness prime is the first one at which the per-prime
+    gcd definition gives both fields a pattern, and different ones."""
     for i, j, p in cert.distinctness:
-        assert p == fields_distinct_exact(cert.accepted[i], cert.accepted[j])
+        a, b = cert.accepted[i].q0, cert.accepted[j].q0
+        patterns = ((r, pattern_by_gcd(a, r), pattern_by_gcd(b, r)) for r in usable_primes(a))
+        assert p == next(r for r, pa, pb in patterns if pb is not None and pa != pb)
 
 
 def assert_complete(cert):
@@ -76,9 +81,9 @@ def assert_complete(cert):
     k = cert.group_order
     for rec in cert.accepted:
         p = rec.aut.prime
-        assert frobenius_pattern(rec.q0, p).count(1) == k
+        assert pattern_by_gcd(rec.q0, p).count(1) == k
         for r in filter(_is_prime, range(5, p)):
-            pattern = frobenius_pattern(rec.q0, r)
+            pattern = pattern_by_gcd(rec.q0, r)
             assert pattern is None or pattern.count(1) != k
         assert [list(row) for row in rec.aut.table] == composition_table(
             rec.aut.maps
@@ -334,6 +339,14 @@ PINNED = {
            "db79454bce1022e8610ba1c608c19f6790a47979a14e153788bfa5b6232a9113"),
 }
 
+#: sha256 of certificates with three fields, so that each pins three
+#: degree-18 distinctness pairs: S3 accepts t0 = 1, 2, -2, separated by
+#: the primes 13, 17 and 13.
+PINNED_COUNT_3 = {
+    "S3": "7a81d89e23690db301bcf7da26cf2e795c3513d75b02523e26982b7aafcb4073",
+    "C3": "60fb427e36e0fc9be704aa336fc76cd63832c16e2b94099075546f6bfc25cebf",
+}
+
 #: The same certificates at format version 4, which also carried the
 #: "pipeline" block (L, y, the shift c and the cubic family's S3 check).
 PINNED_V4 = {
@@ -369,6 +382,15 @@ class TestPinnedCertificates:
         _, _, text, kw = timed_run(key, **params)
         assert kw == params
         assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("key", sorted(PINNED_COUNT_3))
+    def test_sha256_count_3(self, key):
+        G, gen_strings = expand_named(key)
+        cert = pipeline_run(
+            G, G.degree, count=3, group_generators=gen_strings, group_name=key
+        )
+        text = dumps_canonical(certificate_to_json(cert))
+        assert hashlib.sha256(text.encode()).hexdigest() == PINNED_COUNT_3[key]
 
     @pytest.mark.parametrize("key", sorted(PINNED))
     def test_version_3_restored(self, key):

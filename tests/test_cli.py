@@ -249,6 +249,7 @@ class TestValidateCommand:
     MALFORMED_SPECS = {
         "t0": "well-formed",
         "defining_polynomial": "well-formed",
+        "defining_polynomial_empty": "well-formed",  # the zero polynomial
         "table_row_removed": "table recomputes",
         "table_short_row": "table recomputes",
         "extra_generator_image": "table recomputes",
@@ -269,6 +270,8 @@ class TestValidateCommand:
             spec["t0"] = "1/0"
         elif field == "defining_polynomial":
             spec["defining_polynomial"][0] = "1/0"
+        elif field == "defining_polynomial_empty":
+            spec["defining_polynomial"] = []
         elif field == "table_row_removed":
             autos["table"].pop()
         elif field == "table_short_row":
@@ -547,6 +550,9 @@ class TestValidateCommand:
 
     @pytest.mark.parametrize("t0", ["1/0", None])
     def test_deep_malformed_t0(self, cert_path, tmp_path, capsys, t0):
+        """A malformed t0 fails once, in the shallow checks; --deep takes
+        its height from the t0 values those parsed and adds no line of
+        its own for it."""
         data = json.loads(cert_path.read_text())
         spec = data["specializations"][0]
         assert spec["status"] == "rejected"  # shallow checks only its reason
@@ -557,7 +563,32 @@ class TestValidateCommand:
         bad = tmp_path / "deep_t0.json"
         bad.write_text(json.dumps(data))
         assert main(["validate", str(bad), "--deep"]) == EXIT_PARSE
-        assert f"[FAIL] deep: t0={t0} well-formed" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        entry = [line for line in out.splitlines() if f"t0={t0} " in line]
+        assert len(entry) == 1
+        assert entry[0].startswith(f"[FAIL] specialization t0={t0} well-formed: ")
+        assert "deep: t0=" not in out
+        assert "[FAIL] deep: pipeline rebuild: differs at specializations.0.t0" in out
+
+    @pytest.mark.parametrize("status", ["bogus", "missing", None])
+    def test_status_neither_accepted_nor_rejected(self, cert_path, tmp_path, capsys, status):
+        data = json.loads(cert_path.read_text())
+        spec = data["specializations"][0]
+        assert spec["status"] == "rejected"
+        if status == "missing":
+            del spec["status"]
+        else:
+            spec["status"] = status
+        bad = tmp_path / "status.json"
+        bad.write_text(json.dumps(data))
+        assert main(["validate", str(bad)]) == EXIT_PARSE
+        out = capsys.readouterr().out
+        shown = None if status == "missing" else status
+        assert out.count("[FAIL]") == 1
+        assert (
+            f"[FAIL] specialization t0=0 well-formed: status is neither accepted "
+            f"nor rejected: {shown!r}\n" in out
+        )
 
     def test_legacy_bad_set_key(self, cert_path, tmp_path, capsys):
         """Keys the validator does not read, such as a version-4 pipeline

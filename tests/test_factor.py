@@ -1,7 +1,7 @@
 import random
 import time
 from fractions import Fraction as F
-from itertools import islice
+from itertools import islice, takewhile
 
 import pytest
 
@@ -9,6 +9,7 @@ from autrealize import factor
 from autrealize.errors import CapExceededError, VerificationError
 from autrealize.exact import UniPoly, _is_prime, discriminant, is_squarefree, poly_gcd
 from autrealize.factor import (
+    Reductions,
     _choose_prime,
     _gddf,
     _gfactor_sqf,
@@ -16,20 +17,20 @@ from autrealize.factor import (
     audit_trail,
     completeness_prime,
     factor_over_Q,
-    frobenius_pattern,
-    linear_part_mod_p,
-    root_mod_p,
     is_irreducible_Q,
     squarefree_part,
-    usable_patterns,
 )
 from autrealize.perm import PermGroup, parse_cycles
 from autrealize.pipeline import build_state
 from reference import (
     choose_prime_by_factoring,
     completeness_prime_by_pattern,
+    ddf_by_gcd,
+    ddf_degrees,
     expand,
     root_mod_p_by_ddf,
+    root_product_by_ddf,
+    usable_primes,
 )
 
 X = UniPoly.gen("X")
@@ -49,18 +50,22 @@ def rand_irreducible(rng, max_deg=4, bound=9):
             return f
 
 
+def pattern(f, p):
+    return Reductions(f).pattern(p)
+
+
 class TestFrobeniusPattern:
     def test_gaussian_integers(self):
-        assert frobenius_pattern(X**2 + 1, 5) == (1, 1)
-        assert frobenius_pattern(X**2 + 1, 7) == (2,)
+        assert pattern(X**2 + 1, 5) == (1, 1)
+        assert pattern(X**2 + 1, 7) == (2,)
 
     def test_unusable_primes(self):
         # F = 5X^3 + X + 1: p = 5 divides its leading coefficient
         f = X**3 + X * F(1, 5) + C(F(1, 5))
-        assert frobenius_pattern(f, 5) is None
-        assert frobenius_pattern(f, 7) is not None
+        assert pattern(f, 5) is None
+        assert pattern(f, 7) is not None
         # disc(X^3 + X + 1) = -31: a repeated factor mod 31
-        assert frobenius_pattern(X**3 + X + 1, 31) is None
+        assert pattern(X**3 + X + 1, 31) is None
 
     def test_matches_complete_factorization_mod_p(self):
         rng = random.Random(83)
@@ -68,7 +73,7 @@ class TestFrobeniusPattern:
             f = rand_irreducible(rng, max_deg=8)
             fi = [int(c) for c in f.coeffs]
             for p in (5, 7, 11, 13, 101):
-                got = frobenius_pattern(f, p)
+                got = pattern(f, p)
                 fp = factor._gmonic([c % p for c in fi], p)
                 if not discriminant(f) % p:
                     assert got is None
@@ -77,37 +82,49 @@ class TestFrobeniusPattern:
                     assert got == tuple(sorted(len(g) - 1 for g in split))
 
 
+def complete(f, k, screen=None):
+    """completeness_prime on a fresh record of f."""
+    return completeness_prime(Reductions(f), k, screen)
+
+
 class TestCompletenessPrime:
     def test_first_prime_with_k_roots(self):
         # X^2 + 1 splits mod p = 1 (mod 4) and is irreducible mod 3 (mod 4)
-        assert completeness_prime(X**2 + 1, 2) == 5
-        assert completeness_prime(X**2 + 1, 0) == 7
+        assert complete(X**2 + 1, 2) == 5
+        assert complete(X**2 + 1, 0) == 7
         # a cube map is a bijection mod p = 2 (mod 3)
-        assert completeness_prime(X**3 - 2, 1) == 5
+        assert complete(X**3 - 2, 1) == 5
 
     def test_none_once_the_primes_run_out(self, monkeypatch):
         # Q(i) has two automorphisms, so X^2 + 1 never has one root mod p
         monkeypatch.setattr(factor, "COMPLETENESS_PRIMES", 200)
-        assert completeness_prime(X**2 + 1, 1) is None
+        assert complete(X**2 + 1, 1) is None
 
     def test_root_mod_p(self):
-        f = X**2 + C(F(1, 3))  # F = 3X^2 + 1
+        red = Reductions(X**2 + C(F(1, 3)))  # F = 3X^2 + 1
         for p in (7, 13, 19):
-            r = root_mod_p(f, p)
+            r = red.root(p)
             assert (3 * r * r + 1) % p == 0
-        assert root_mod_p(X**2 + 1, 7) is None
-        assert root_mod_p(X**2 + 1, 5) in (2, 3)
-
+        assert red.root(3) is None  # 3 divides lc(F)
+        assert Reductions(X**2 + 1).root(7) is None
+        assert Reductions(X**2 + 1).root(5) in (2, 3)
 
     def test_repeated_factor_raises(self):
         """No prime is usable for a polynomial with a repeated factor; the
         search says so instead of looping."""
         start = time.perf_counter()
         with pytest.raises(ValueError, match="squarefree"):
-            completeness_prime((X**2 + 1) ** 2, 2)
+            complete((X**2 + 1) ** 2, 2)
         with pytest.raises(ValueError, match="squarefree"):
-            next(usable_patterns([X**2 + 1, (X - 1) ** 2 * (X + 1)], 5))
+            Reductions(X**2 + 1).primes(Reductions((X - 1) ** 2 * (X + 1)))
+        with pytest.raises(ValueError, match="zero polynomial"):
+            Reductions(UniPoly.zero("X"))
         assert time.perf_counter() - start < 1
+
+
+def as_poly(f):
+    """The rational polynomial with integer coefficients f."""
+    return UniPoly([F(c) for c in f])
 
 
 def rand_squarefree_int(rng, degree):
@@ -120,7 +137,7 @@ def rand_squarefree_int(rng, degree):
             g = [rng.randrange(-9, 10) for _ in range(d)] + [rng.randrange(1, 4)]
             f = factor._imul(f, g)
         _, f = factor._iprimitive(f)
-        if is_squarefree(UniPoly([F(c) for c in f])):
+        if is_squarefree(as_poly(f)):
             return f
 
 
@@ -141,8 +158,9 @@ def q0s():
 def assert_root_counts(f, primes=200):
     """deg gcd(X^p - X, F mod p) is the number of ones in the Frobenius
     pattern at each of the first ``primes`` usable primes."""
-    for p, (pattern,) in usable_patterns([f], primes):
-        assert len(linear_part_mod_p(f, p)) - 1 == pattern.count(1)
+    red = Reductions(f)
+    for p in islice(red.primes(), primes):
+        assert len(red.roots(p)) - 1 == red.pattern(p).count(1)
 
 
 class TestCompletenessByRootCount:
@@ -152,20 +170,19 @@ class TestCompletenessByRootCount:
     @pytest.mark.parametrize("name", ["S3", "C3"])
     def test_same_prime_as_pattern_definition(self, q0s, monkeypatch, name):
         f, order, recorded = q0s[name]
-        assert completeness_prime(f, order) == recorded
+        assert complete(f, order) == recorded
         assert completeness_prime_by_pattern(f, order) == recorded
         monkeypatch.setattr(factor, "COMPLETENESS_PRIMES", 40)
         for k in (0, 1, 2):
-            assert completeness_prime(f, k) == completeness_prime_by_pattern(f, k)
-        assert_root_counts(f)
+            assert complete(f, k) == completeness_prime_by_pattern(f, k)
 
     def test_random_squarefree(self, monkeypatch):
         monkeypatch.setattr(factor, "COMPLETENESS_PRIMES", 40)
         rng = random.Random(37)
         for _ in range(6):
-            f = UniPoly([F(c) for c in rand_squarefree_int(rng, rng.randrange(1, 17))])
+            f = as_poly(rand_squarefree_int(rng, rng.randrange(1, 17)))
             for k in range(4):
-                assert completeness_prime(f, k) == completeness_prime_by_pattern(f, k)
+                assert complete(f, k) == completeness_prime_by_pattern(f, k)
             assert_root_counts(f)
 
     @pytest.fixture
@@ -185,50 +202,54 @@ class TestCompletenessByRootCount:
     @pytest.mark.parametrize("name", ["S3", "C3"])
     def test_one_power_per_usable_prime_and_no_ddf(self, q0s, monkeypatch, calls, name):
         f, order, recorded = q0s[name]
-        usable = [
-            p
-            for p in range(5, recorded + 1)
-            if _is_prime(p) and frobenius_pattern(f, p) is not None
-        ]
+        usable = list(takewhile(lambda p: p <= recorded, usable_primes(f)))
         calls.update(_gddf=0, _gpow_mod=0)
-        assert completeness_prime(f, order) == recorded
+        assert complete(f, order) == recorded
         assert calls == {"_gddf": 0, "_gpow_mod": len(usable)}
         monkeypatch.setattr(factor, "COMPLETENESS_PRIMES", 30)
         calls.update(_gddf=0, _gpow_mod=0)
-        assert completeness_prime(f, order + 1) is None
+        assert complete(f, order + 1) is None
         assert calls == {"_gddf": 0, "_gpow_mod": 30}
 
     @pytest.mark.parametrize("name", ["S3", "C3"])
     def test_root_mod_p_matches_ddf_reference(self, q0s, name):
         f, _, recorded = q0s[name]
-        primes = [p for p, _ in usable_patterns([f], 30)] + [recorded]
+        red = Reductions(f)
+        primes = list(islice(red.primes(), 30)) + [recorded]
         for p in primes:
-            assert root_mod_p(f, p) == root_mod_p_by_ddf(f, p)
-        assert root_mod_p(f, recorded) is not None
+            assert red.root(p) == root_mod_p_by_ddf(f, p)
+        assert red.root(recorded) is not None
 
 
 class TestGoodPrimes:
-    """One discriminant decides which primes are usable, with no
-    squarefree gcd per prime."""
+    """One discriminant decides which primes are usable: the record's
+    primes, root products and patterns are those of the per-prime
+    squarefree-gcd definition."""
 
     @pytest.mark.parametrize("name", ["S3", "C3"])
     def test_same_primes_as_per_prime_definition(self, q0s, name):
-        f = factor._int_form(q0s[name][0])
-        got = list(islice(factor._good_primes([f]), 200))
-        usable = [
-            (p, [factor._reduce_mod_p(f, p)])
-            for p in range(5, got[-1][0] + 1)
-            if _is_prime(p)
-        ]
-        assert got == [(p, fps) for p, fps in usable if fps[0] is not None]
+        f = q0s[name][0]
+        red = Reductions(f)
+        primes = list(islice(red.primes(), 200))
+        assert primes == list(islice(usable_primes(f), 200))
+        for p in primes:
+            ddf = ddf_by_gcd(f, p)
+            assert red.roots(p) == root_product_by_ddf(ddf)
+            assert red.pattern(p) == ddf_degrees(ddf)
+        # a prime the record passes over has no pattern there either
+        skipped = [p for p in range(5, primes[-1]) if _is_prime(p) and p not in primes]
+        assert skipped and all(red.pattern(p) is None for p in skipped)
 
     def test_no_squarefree_gcd_in_completeness_search(self, q0s, monkeypatch):
-        calls = []
-        gsqf = factor._gsqf_p
-        monkeypatch.setattr(factor, "_gsqf_p", lambda a, p: calls.append(p) or gsqf(a, p))
+        """The search takes one gcd mod p per usable prime, the root
+        product's; none decides whether F is squarefree mod p."""
         f, order, recorded = q0s["S3"]
-        assert completeness_prime(f, order) == recorded
-        assert calls == []
+        usable = list(takewhile(lambda p: p <= recorded, usable_primes(f)))
+        calls = []
+        ggcd = factor._ggcd
+        monkeypatch.setattr(factor, "_ggcd", lambda a, b, p: calls.append(p) or ggcd(a, b, p))
+        assert complete(f, order) == recorded
+        assert calls == usable
 
 
 class TestFactorOverQ:
@@ -379,9 +400,9 @@ class TestPrimeChoice:
         rng = random.Random(29)
         cases = [rand_squarefree_int(rng, d) for d in (3, 54)]
         cases += [rand_squarefree_int(rng, rng.randrange(4, 54)) for _ in range(8)]
-        for f in cases:
+        for f in map(as_poly, cases):
             primes_split.clear()
-            got, events = self.choose(_choose_prime, f)
+            got, events = self.choose(lambda f: _choose_prime(Reductions(f)), f)
             # equal-degree splitting runs on the chosen prime only
             assert primes_split == [got[0]]
             assert (got, events) == self.choose(choose_prime_by_factoring, f)
@@ -392,7 +413,7 @@ class TestPrimeChoice:
         rng = random.Random(31)
         for f in [rand_squarefree_int(rng, rng.randrange(4, 40)) for _ in range(6)]:
             primes_ddf.clear()
-            p, _ = _choose_prime(f)
+            p, _ = _choose_prime(Reductions(as_poly(f)))
             assert p in primes_ddf
             assert len(primes_ddf) == len(set(primes_ddf))
 

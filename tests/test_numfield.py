@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction as F
 from functools import cache
+from itertools import islice
 from math import gcd
 
 import pytest
@@ -8,7 +9,7 @@ import pytest
 from autrealize.errors import CapExceededError, VerificationError
 from autrealize.exact import UniPoly, poly_divrem
 from autrealize import factor, numfield
-from autrealize.factor import completeness_prime, linear_part_mod_p, usable_patterns
+from autrealize.factor import Reductions, completeness_prime
 from autrealize.numfield import (
     NumberField,
     charpoly,
@@ -28,8 +29,11 @@ from reference import (
     automorphisms,
     completeness_prime_by_pattern,
     composition_table,
+    ddf_by_gcd,
+    ddf_degrees,
     embed_generator_by_gcd,
     euclid_inverse,
+    root_product_by_ddf,
     shifted_norm_by_resultants,
     to_abstract,
 )
@@ -307,7 +311,8 @@ class TestAutomorphisms:
 
     def test_table_mod_p_refusals(self, golden):
         maps = automorphisms(golden).maps
-        assert table_mod_p(golden, maps, 11) == composition_table(maps)
+        modulus = Reductions(golden.modulus)
+        assert table_mod_p(modulus, maps, 11) == composition_table(maps)
         bad = {
             "no usable root": (maps, 7),  # Z^2 - Z - 1 is irreducible mod 7
             "divides the denominator": ((maps[0], golden.element([F(1, 11), 1])), 11),
@@ -315,7 +320,7 @@ class TestAutomorphisms:
         }
         for message, (images, p) in bad.items():
             with pytest.raises(VerificationError, match=message):
-                table_mod_p(golden, images, p)
+                table_mod_p(modulus, images, p)
 
 
 class TestEmbedGenerator:
@@ -424,15 +429,18 @@ class TestSplittingField:
     def test_completeness_prime_matches_pattern_definition(self, name):
         """The completeness prime of the field's modulus, found by counting
         roots, is the first prime whose Frobenius pattern has [L:Q] ones,
-        and the root count is the number of ones at each of the first 200
-        usable primes."""
+        and at each of the first 200 usable primes the record's root
+        product and pattern are those of the per-prime gcd definition."""
         L = splitting(name)
         f = L.field.modulus
-        assert completeness_prime(f, L.degree) == completeness_prime_by_pattern(
+        red = Reductions(f)
+        assert completeness_prime(red, L.degree) == completeness_prime_by_pattern(
             f, L.degree
         )
-        for p, (pattern,) in usable_patterns([f], 200):
-            assert len(linear_part_mod_p(f, p)) - 1 == pattern.count(1)
+        for p in islice(red.primes(), 200):
+            ddf = ddf_by_gcd(f, p)
+            assert red.roots(p) == root_product_by_ddf(ddf)
+            assert red.pattern(p) == ddf_degrees(ddf)
 
     @pytest.mark.parametrize("f, calls", [(X**2 - X - 1, 1), (X**3 - X - 1, 2)])
     def test_last_root_from_the_trace(self, monkeypatch, f, calls):

@@ -1,5 +1,6 @@
 import random
 import time
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
@@ -14,7 +15,7 @@ from autrealize.errors import (
     VerificationError,
 )
 from autrealize.exact import UniPoly
-from autrealize.factor import completeness_prime
+from autrealize.factor import Reductions, completeness_prime
 from autrealize.family import cubic
 from autrealize.numfield import NumberField, Powers, embed_generator, evaluate
 from autrealize.pipeline import (
@@ -202,20 +203,21 @@ class TestScreenedCompletenessPrime:
         E = NumberField(q0.with_var("Z"))
         theta0 = embed_generator(state.L.field, state.cubic_at(t0), E, state.c)
         order = state.G.order
-        screen = (state.L.field.modulus, theta0.den)
-        p = completeness_prime(q0, order, screen=screen)
-        assert p is not None and p == completeness_prime(q0, order)
+        screen = (Reductions(state.L.field.modulus), theta0.den)
+        p = completeness_prime(Reductions(q0), order, screen=screen)
+        assert p is not None and p == completeness_prime(Reductions(q0), order)
 
     def test_few_full_degree_gcds(self, states, monkeypatch):
         """For S3 at t0 = 1 the screen through L leaves at most 8 of the
-        34 usable primes below the prime found (167) to a degree-18 gcd."""
+        34 usable primes below the prime found (167) to a degree-18 root
+        product, each an X^p taken modulo q0 mod p."""
         inside, degrees = [False], []
-        linear_part = factor._linear_part
+        power = factor._gpow_mod
 
-        def counting(fp, p):
+        def counting(a, e, f, p):
             if inside[0]:
-                degrees.append(len(fp) - 1)
-            return linear_part(fp, p)
+                degrees.append(len(f) - 1)
+            return power(a, e, f, p)
 
         search = pipeline.completeness_prime
 
@@ -226,7 +228,7 @@ class TestScreenedCompletenessPrime:
             finally:
                 inside[0] = False
 
-        monkeypatch.setattr(factor, "_linear_part", counting)
+        monkeypatch.setattr(factor, "_gpow_mod", counting)
         monkeypatch.setattr(pipeline, "completeness_prime", flagged)
         rec = specialize_and_verify(states["S3"], 1)
         assert (rec.status, rec.aut.prime) == ("accepted", 167)
@@ -411,8 +413,11 @@ class TestRun:
         """No prime is usable for a q0 with a repeated factor: the search
         raises instead of looping."""
         X = UniPoly.gen("X")
-        a = SpecializationRecord(F(0), "accepted", q0=X**3 - X - 1)
-        b = SpecializationRecord(F(1), "accepted", q0=(X**2 + 1) ** 2)
+        q0s = [X**3 - X - 1, (X**2 + 1) ** 2]
+        a, b = (
+            SpecializationRecord(F(t0), "accepted", q0=q0, reductions=Reductions(q0))
+            for t0, q0 in enumerate(q0s)
+        )
         start = time.perf_counter()
         with pytest.raises(ValueError, match="squarefree"):
             fields_distinct_exact(a, b)
@@ -437,6 +442,42 @@ class TestRun:
             assert len(rec.aut.maps) == 2
         assert fields_distinct_exact(*cert.accepted)
         assert any(e == "prime" for e, _ in cert.audit)
+
+
+class TestDistinctnessReadsRecords:
+    def test_each_pattern_once_per_field_and_prime(self, monkeypatch):
+        """Over one S3 count-4 run, fields_distinct_exact factors each
+        field mod each prime at most once and computes no discriminant:
+        the records the fields carry keep both."""
+        inside, ddfs, discriminants = [False], Counter(), []
+        ddf, discriminant = factor._gddf, factor.discriminant
+
+        def counting_ddf(fp, p):
+            if inside[0]:
+                ddfs[tuple(fp), p] += 1  # fp is the field's F mod p
+            return ddf(fp, p)
+
+        def counting_discriminant(f):
+            if inside[0]:
+                discriminants.append(f.degree)
+            return discriminant(f)
+
+        distinct = pipeline.fields_distinct_exact
+
+        def flagged(a, b):
+            inside[0] = True
+            try:
+                return distinct(a, b)
+            finally:
+                inside[0] = False
+
+        monkeypatch.setattr(factor, "_gddf", counting_ddf)
+        monkeypatch.setattr(factor, "discriminant", counting_discriminant)
+        monkeypatch.setattr(pipeline, "fields_distinct_exact", flagged)
+        cert = run(PermGroup.symmetric(3), 3, count=4)
+        assert len(cert.distinctness) == 6
+        assert ddfs and max(ddfs.values()) == 1
+        assert discriminants == []
 
 
 class TestT0Sequence:
