@@ -23,7 +23,6 @@ from math import ceil
 
 from .errors import SpecParseError, VerificationError
 from .exact import (
-    _ideg,
     _is_prime,
     parse_rational,
     parse_unipoly,
@@ -201,7 +200,7 @@ def _completes(p, f, k):
         return "not an integer prime with 5 <= p < 2**64"
     if not f.usable(p):
         return "p divides the leading coefficient or q0 is not squarefree mod p"
-    roots = _ideg(f.roots(p))
+    roots = f.nroots(p)
     return None if roots == k else f"{roots} roots mod p for {k} images"
 
 
@@ -295,7 +294,7 @@ def validate_certificate(path, deep=False) -> ValidationReport:
                 for row in spec["automorphisms"]["table"]
             ]
             # the table is read mod p only once p is proved complete
-            recomputes = complete and table_mod_p(red, images, p) == table
+            recomputes = complete and table_mod_p(E, images, p) == table
             report.add(f"{label} table recomputes mod p", recomputes)
             if not recomputes:
                 continue

@@ -10,9 +10,9 @@ runs on the chosen prime only.  A polynomial is read modulo primes
 through one record, ``Reductions``, which derives lc(F) * disc(F) once
 and keeps, per prime, the distinct-degree factorization that gives the
 Zassenhaus prime and the Frobenius patterns proving two fields distinct,
-and the root product gcd(X^p - X, F mod p), whose degree bounds a
-field's automorphism count (``completeness_prime``) and which splits
-into one root (``Reductions.root``).
+and the number of roots, the degree of gcd(X^p - X, F mod p), which
+bounds a field's automorphism count (``completeness_prime``); that root
+product splits into one root (``Reductions.root``).
 ``yun_squarefree_decomposition`` works over any exact field and is also
 the squarefree decomposition used over number fields.
 
@@ -50,7 +50,7 @@ from .exact import (
 #: Fixed seed for equal-degree splitting; runs must be reproducible.
 EDF_SEED = 0x5EED_CAFE
 
-#: Largest integer-polynomial degree the recombination stage accepts.
+#: Largest integer-polynomial degree a ``Reductions`` record accepts.
 DEGREE_CAP = 400
 
 #: Usable primes the Zassenhaus prime choice ranks, at most.
@@ -246,26 +246,36 @@ def _gedf(f, k, p, rng):
 
 
 class Reductions:
-    """A polynomial read modulo primes, each reading taken at most once.
+    """A polynomial read modulo primes, what is read again derived once.
 
     F is the primitive integer multiple of the rational f, with lc(F) > 0.
     The usable primes are the p >= 5 not dividing ``lc_disc`` =
     lc(F) * disc(F), for F is squarefree mod p exactly when p does not
-    divide disc(F).  Per prime the record keeps F mod p made monic, its
-    root product and its distinct-degree factorization.  It lives on the
-    object that owns the polynomial; no module-level cache keeps it.
+    divide disc(F).  Per prime the record keeps what later readers ask for
+    again: the number of roots of F mod p, which screens every t0's
+    completeness search, and the distinct-degree factorization, which
+    gives the Frobenius pattern of every distinctness pair.  It lives on
+    the object that owns the polynomial; no module-level cache keeps it.
     """
 
     def __init__(self, f: UniPoly):
+        if f.field is not None:
+            raise ValueError("expects rational coefficients")
         if f.is_zero:
             raise ValueError("the zero polynomial has no reductions")
         F = _iprimitive(_int_clear(f)[0])[1]
         self.F = F if F[-1] > 0 else [-c for c in F]
-        self._mod, self._roots, self._ddf = {}, {}, {}
+        self._nroots, self._ddf = {}, {}
 
     @cached_property
     def lc_disc(self):
+        """lc(F) * disc(F); past DEGREE_CAP a CapExceededError instead,
+        before any resultant is taken."""
         F = self.F
+        if _ideg(F) > DEGREE_CAP:
+            raise CapExceededError(
+                f"degree {_ideg(F)} exceeds the factorization cap {DEGREE_CAP}"
+            )
         return F[-1] * (int(discriminant(UniPoly(F))) if len(F) > 1 else 1)
 
     def usable(self, p):
@@ -281,22 +291,19 @@ class Reductions:
             raise ValueError("expects a squarefree polynomial")
         return (p for p in count(5, 2) if _is_prime(p) and all(D % p for D in Ds))
 
-    def mod(self, p):
-        """F mod p made monic, for a prime p not dividing lc(F)."""
-        if p not in self._mod:
-            self._mod[p] = _gmonic([c % p for c in self.F], p)
-        return self._mod[p]
-
     def roots(self, p):
         """gcd(X^p - X, F mod p), for a prime p not dividing lc(F): the
         monic product of the distinct linear factors of F mod p, whose
         degree is the number of roots of F mod p.  This is the k = 1 step
         of ``_gddf``, without the steps after it."""
-        if p not in self._roots:
-            fp = self.mod(p)
-            xp = _gpow_mod([0, 1], p, fp, p)
-            self._roots[p] = _ggcd(_gsub(xp, [0, 1], p), fp, p)
-        return self._roots[p]
+        fp = _gmonic([c % p for c in self.F], p)
+        return _ggcd(_gsub(_gpow_mod([0, 1], p, fp, p), [0, 1], p), fp, p)
+
+    def nroots(self, p):
+        """The number of roots of F mod p, deg ``roots(p)``, kept per prime."""
+        if p not in self._nroots:
+            self._nroots[p] = _ideg(self.roots(p))
+        return self._nroots[p]
 
     def root(self, p):
         """One root of F mod p, split with the fixed seed from
@@ -309,7 +316,7 @@ class Reductions:
         """The distinct-degree factorization of F mod p (see ``_gddf``),
         for a usable prime p."""
         if p not in self._ddf:
-            self._ddf[p] = _gddf(self.mod(p), p)
+            self._ddf[p] = _gddf(_gmonic([c % p for c in self.F], p), p)
         return self._ddf[p]
 
     def pattern(self, p):
@@ -346,7 +353,7 @@ def completeness_prime(f: Reductions, k, screen=None):
     rational polynomial and an integer D such that at each usable p not
     dividing D, where g is p-integral, a root of F mod p gives one of g
     mod p.  For k >= 1 a usable p where g then has no root is passed over
-    after g's root product alone (cheaper when g has the smaller degree,
+    after g's root count alone (cheaper when g has the smaller degree,
     and kept by g for every search it screens); the primes tried, and the
     prime found, stay the same.
     """
@@ -354,9 +361,9 @@ def completeness_prime(f: Reductions, k, screen=None):
     if screened:
         g, D = screen
     for p in islice(f.primes(), COMPLETENESS_PRIMES):
-        if screened and D % p and g.F[-1] % p and not _ideg(g.roots(p)):
+        if screened and D % p and g.F[-1] % p and not g.nroots(p):
             continue  # g, hence F, has no root mod p
-        if _ideg(f.roots(p)) == k:
+        if f.nroots(p) == k:
             return p
     return None
 
@@ -496,10 +503,6 @@ def _zassenhaus(red: Reductions):
         return []
     if n == 1:
         return [list(f)]
-    if n > DEGREE_CAP:
-        raise CapExceededError(
-            f"degree {n} exceeds the factorization cap {DEGREE_CAP}"
-        )
     p, modular = _choose_prime(red)
     l = int(ceil(log(2 * _mignotte_bound(f) + 1, p)))
     _record("lift_exponent", l)
@@ -539,14 +542,6 @@ class Factorization:
 
     def __hash__(self):
         return hash((self.unit, self.factors))
-
-    @property
-    def is_irreducible(self):
-        return (
-            len(self.factors) == 1
-            and self.factors[0][1] == 1
-            and self.factors[0][0].degree >= 1
-        )
 
 
 def yun_squarefree_decomposition(f: UniPoly):
@@ -592,14 +587,13 @@ def factor_over_Q(f: UniPoly) -> Factorization:
 
 
 def is_irreducible_Q(f: UniPoly, *, reductions: Reductions | None = None) -> bool:
-    """True iff f is irreducible over Q (degree >= 1 required).  Given f's
-    record ``reductions`` with lc(F) * disc(F) != 0, f is squarefree, so
-    Zassenhaus runs on the record with no squarefree decomposition."""
+    """True iff f is irreducible over Q (degree >= 1 required): f is
+    squarefree (lc(F) * disc(F) != 0 on its record, ``reductions`` if
+    given) and Zassenhaus finds one factor of F."""
     if f.degree < 1:
         raise ValueError("irreducibility is undefined for constants")
-    if reductions is not None and reductions.lc_disc:
-        return len(_zassenhaus(reductions)) == 1
-    return factor_over_Q(f).is_irreducible
+    red = reductions or Reductions(f)
+    return bool(red.lc_disc) and len(_zassenhaus(red)) == 1
 
 
 def squarefree_part(f: UniPoly) -> UniPoly:

@@ -52,6 +52,7 @@ from .exact import (
 )
 from .factor import (
     Factorization,
+    Reductions,
     factor_over_Q,
     squarefree_part,
     yun_squarefree_decomposition,
@@ -609,11 +610,10 @@ class AutomorphismTable:
 
     maps[0] is the identity (generator fixed); table[a][b], the index of
     sigma_a . sigma_b in maps, is read by :func:`table_mod_p` at ``prime``,
-    a prime at which K's modulus has exactly len(maps) roots, from
-    ``reductions``, the ``factor.Reductions`` record of K's modulus.
+    a prime at which K's modulus has exactly len(maps) roots.
     """
 
-    def __init__(self, K: NumberField, maps, *, prime, reductions):
+    def __init__(self, K: NumberField, maps, *, prime):
         self.field = K
         self.prime = prime
         gen = K.gen()
@@ -624,7 +624,7 @@ class AutomorphismTable:
         for m in rest:  # the generator is a root by definition
             if evaluate(K.modulus, m):
                 raise VerificationError("automorphism image is not a root")
-        self.table = table_mod_p(reductions, self.maps, prime)
+        self.table = table_mod_p(K, self.maps, prime)
         if any(None in row for row in self.table):
             raise VerificationError("composite of two automorphisms is not listed")
 
@@ -639,17 +639,15 @@ def _residue(e: NfElement, r, p):
     return acc * pow(e.den, -1, p) % p
 
 
-def table_mod_p(modulus, maps, p):
+def table_mod_p(K: NumberField, maps, p):
     """table[a][b] = index in maps of the composite sigma_a . sigma_b, or
     None where it is not listed; maps are all the automorphisms, as
-    generator images, of the field whose modulus has the record
-    ``modulus`` (a ``factor.Reductions``), and p a prime at which the
-    modulus has len(maps) roots.  (sigma_a . sigma_b)(Z) = m_b(m_a(Z))
-    reduces to m_b(m_a(r)) modulo the degree-1 prime (p, Z - r) at a root
-    r of the modulus mod p, taken from the record's root product, where
-    the residues of the maps must be distinct and p-integral.
+    generator images, and p a prime at which the modulus has len(maps)
+    roots.  (sigma_a . sigma_b)(Z) = m_b(m_a(Z)) reduces to m_b(m_a(r))
+    modulo the degree-1 prime (p, Z - r) at a root r of the modulus mod p,
+    where the residues of the maps must be distinct and p-integral.
     """
-    r = modulus.root(p)
+    r = Reductions(K.modulus).root(p)
     if r is None:
         raise VerificationError(f"the modulus has no usable root mod {p}")
     residues = [_residue(m, r, p) for m in maps]

@@ -256,7 +256,7 @@ def specialize_and_verify(state: PipelineState, t0) -> SpecializationRecord:
     label = {x + powers.image(L.images[g]) * c: i for i, g in enumerate(elems)}
     if len(label) != len(elems):
         raise VerificationError("two elements of G give the same automorphism")
-    aut = AutomorphismTable(E, list(label), prime=p, reductions=red)
+    aut = AutomorphismTable(E, list(label), prime=p)
     witness = tuple(label[m] for m in aut.maps)
     if not is_witness(state.G, aut.table, witness):
         raise VerificationError("the images of G do not form a copy of G")

@@ -339,9 +339,8 @@ def automorphisms(K) -> AutomorphismTable:
     found by a Trager factorization over K itself, with the table read at
     the first prime where the modulus has as many roots as K has maps."""
     maps = roots_in_field(K.modulus, K)
-    red = Reductions(K.modulus)
-    p = completeness_prime(red, len(maps))
-    return AutomorphismTable(K, maps, prime=p, reductions=red)
+    p = completeness_prime(Reductions(K.modulus), len(maps))
+    return AutomorphismTable(K, maps, prime=p)
 
 
 def apply(m, e):

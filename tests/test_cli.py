@@ -1,4 +1,5 @@
 import json
+import random
 
 import pytest
 
@@ -12,7 +13,7 @@ from autrealize.cli import (
     main,
     parse_group_spec,
 )
-from autrealize import pipeline
+from autrealize import factor, pipeline
 from autrealize.errors import SpecParseError
 from autrealize.perm import PermGroup, parse_cycles
 from reference import v4_pipeline
@@ -407,6 +408,27 @@ class TestValidateCommand:
         out = capsys.readouterr().out
         assert f"[FAIL] group order: n = {n} is not supported yet" in out
         assert closed == []
+
+    def test_defining_polynomial_over_degree_cap(
+        self, cert_path, tmp_path, capsys, monkeypatch
+    ):
+        """A defining polynomial of degree 401 is refused by the
+        factorization cap before any discriminant is taken, for a
+        discriminant costs cubic time in the degree."""
+
+        def refuse(*_):
+            raise AssertionError("discriminant taken before the degree cap check")
+
+        monkeypatch.setattr(factor, "discriminant", refuse)
+        data = json.loads(cert_path.read_text())
+        spec = next(s for s in data["specializations"] if s["status"] == "accepted")
+        rng = random.Random(1)
+        spec["defining_polynomial"] = [str(rng.randint(-3, 3)) for _ in range(401)] + ["1"]
+        bad = tmp_path / "over_cap.json"
+        bad.write_text(json.dumps(data))
+        assert main(["validate", str(bad)]) == EXIT_CAP
+        err = capsys.readouterr().err
+        assert "degree 401 exceeds the factorization cap 400" in err
 
     def test_no_accepted_specialization(self, cert_path, tmp_path, capsys):
         data = json.loads(cert_path.read_text())

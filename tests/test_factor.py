@@ -262,11 +262,10 @@ class TestFactorOverQ:
         ]
 
     def test_cubic_irreducible(self):
-        fac = factor_over_Q(X**3 + X + 1)
-        assert fac.is_irreducible
+        assert factor_over_Q(X**3 + X + 1).factors == ((X**3 + X + 1, 1),)
 
     def test_x4_plus_1_irreducible(self):
-        assert factor_over_Q(X**4 + 1).is_irreducible
+        assert factor_over_Q(X**4 + 1).factors == ((X**4 + 1, 1),)
 
     def test_zero_rejected(self):
         with pytest.raises(ValueError):
@@ -347,6 +346,16 @@ class TestDegreeCap:
         f = X**401 + X + 1
         with pytest.raises(CapExceededError):
             factor_over_Q(f)
+
+    def test_cap_before_discriminant(self, monkeypatch):
+        def refuse(*_):
+            raise AssertionError("discriminant taken before the degree cap check")
+
+        monkeypatch.setattr(factor, "discriminant", refuse)
+        f = X**401 + X + 1
+        for red in (None, Reductions(f)):
+            with pytest.raises(CapExceededError, match="degree 401"):
+                is_irreducible_Q(f, reductions=red)
 
 
 class TestTargetedSearch:

@@ -311,8 +311,7 @@ class TestAutomorphisms:
 
     def test_table_mod_p_refusals(self, golden):
         maps = automorphisms(golden).maps
-        modulus = Reductions(golden.modulus)
-        assert table_mod_p(modulus, maps, 11) == composition_table(maps)
+        assert table_mod_p(golden, maps, 11) == composition_table(maps)
         bad = {
             "no usable root": (maps, 7),  # Z^2 - Z - 1 is irreducible mod 7
             "divides the denominator": ((maps[0], golden.element([F(1, 11), 1])), 11),
@@ -320,7 +319,7 @@ class TestAutomorphisms:
         }
         for message, (images, p) in bad.items():
             with pytest.raises(VerificationError, match=message):
-                table_mod_p(modulus, images, p)
+                table_mod_p(golden, images, p)
 
 
 class TestEmbedGenerator:
