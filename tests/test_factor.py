@@ -342,17 +342,17 @@ class TestSquarefreePart:
 
 
 class TestDegreeCap:
-    def test_cap_error(self):
-        f = X**401 + X + 1
-        with pytest.raises(CapExceededError):
-            factor_over_Q(f)
+    def test_cap_error(self, monkeypatch):
+        """Past the cap no discriminant is taken, for it costs cubic time
+        in the degree."""
 
-    def test_cap_before_discriminant(self, monkeypatch):
         def refuse(*_):
             raise AssertionError("discriminant taken before the degree cap check")
 
         monkeypatch.setattr(factor, "discriminant", refuse)
         f = X**401 + X + 1
+        with pytest.raises(CapExceededError, match="degree 401"):
+            factor_over_Q(f)
         for red in (None, Reductions(f)):
             with pytest.raises(CapExceededError, match="degree 401"):
                 is_irreducible_Q(f, reductions=red)
