@@ -431,9 +431,7 @@ def _gcd_q(f: UniPoly, g: UniPoly) -> UniPoly:
     A, B = _int_clear(f)[0], _int_clear(g)[0]
     if len(A) == 1 or len(B) == 1:
         return UniPoly.one(f.var)
-    ca, cb = _int_content(A), _int_content(B)
-    A = [c // ca for c in A]
-    B = [c // cb for c in B]
+    A, B = _iprimitive(A)[1], _iprimitive(B)[1]
     la, lb = A[-1], B[-1]
     gamma = _igcd(la, lb)
     size = min(len(A), len(B)) + 1  # coefficient count of the kept images
@@ -454,9 +452,7 @@ def _gcd_q(f: UniPoly, g: UniPoly) -> UniPoly:
             H = [h + m * ((c - h) * inv % p) for h, c in zip(H, gp)]
             m *= p
         half = m // 2
-        C = [h - m if h > half else h for h in H]
-        cc = _int_content(C)
-        C = [c // cc for c in C]
+        C = _iprimitive([h - m if h > half else h for h in H])[1]
         if _idivides(C, B) is not None and _idivides(C, A) is not None:
             lc = C[-1]
             return UniPoly([Fraction(c, lc) for c in C], f.var)
@@ -485,11 +481,10 @@ def _ideg(a):
     return len(a) - 1
 
 
-def _int_content(a):
-    g = 0
-    for c in a:
-        g = _igcd(g, abs(c))
-    return g
+def _iprimitive(a):
+    """(content, primitive part) of an integer polynomial; (0, []) for 0."""
+    c = _igcd(*a)
+    return (c, [x // c for x in a]) if c else (0, [])
 
 
 def _int_prem(A, B):
@@ -499,8 +494,7 @@ def _int_prem(A, B):
     R = list(A)
     steps = da - db + 1
     while len(R) - 1 >= db and any(R):
-        while R and R[-1] == 0:
-            R.pop()
+        _gtrim(R)
         if len(R) - 1 < db:
             break
         d = len(R) - 1
@@ -509,8 +503,7 @@ def _int_prem(A, B):
         for j in range(db + 1):
             R[d - db + j] -= lr * B[j]
         R.pop()
-        while R and R[-1] == 0:
-            R.pop()
+        _gtrim(R)
         steps -= 1
     if steps > 0:
         m = lb**steps
@@ -521,12 +514,7 @@ def _int_prem(A, B):
 def _int_res_std(A, B):
     """Standard resultant of nonzero integer polys (ascending lists):
     lc(A)^deg(B) * prod_{A(a)=0} B(a).  Subresultant PRS (Cohen 3.3.7)."""
-    A = list(A)
-    B = list(B)
-    while A and A[-1] == 0:
-        A.pop()
-    while B and B[-1] == 0:
-        B.pop()
+    A, B = _gtrim(list(A)), _gtrim(list(B))
     if not A or not B:
         raise ValueError("resultant of the zero polynomial")
     s = 1
@@ -536,9 +524,7 @@ def _int_res_std(A, B):
         A, B = B, A
     if _ideg(B) == 0:
         return s * B[0] ** _ideg(A)
-    ca, cb = _int_content(A), _int_content(B)
-    A = [c // ca for c in A]
-    B = [c // cb for c in B]
+    (ca, A), (cb, B) = _iprimitive(A), _iprimitive(B)
     t = ca ** _ideg(B) * cb ** _ideg(A)
     g = h = 1
     while True:

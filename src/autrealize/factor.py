@@ -16,7 +16,13 @@ product splits into one root (``Reductions.root``).
 ``yun_squarefree_decomposition`` works over any exact field and is also
 the squarefree decomposition used over number fields.
 
-All integer polynomials below are dense ascending coefficient lists.
+Polynomials below are dense ascending lists of integers.  Hensel
+lifting and recombination compute mod p^k with the modular helpers
+``_gmul``, ``_gsub`` and ``_gdivrem``, which take any modulus (every
+divisor there is monic); a symmetric lift (``_itrunc``) returns each
+lifted factor and each candidate factor to Z.  The lift exponent is
+the least l with p^l > 2B, for B the coefficient bound, found in
+integers with no floating point.
 Chosen primes and lift exponents are recorded in the audit trail for
 certificate metadata.
 """
@@ -28,7 +34,7 @@ import random
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations, count, islice
-from math import ceil, isqrt, log
+from math import isqrt
 
 from .errors import CapExceededError, VerificationError
 from .exact import (
@@ -40,7 +46,7 @@ from .exact import (
     _ideg,
     _idivides,
     _int_clear,
-    _int_content,
+    _iprimitive,
     _is_prime,
     discriminant,
     poly_divrem,
@@ -81,31 +87,6 @@ def _record(event, value):
 # -- integer polynomial helpers (ascending lists) --------------------------
 
 
-def _imul(a, b):
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return out
-
-
-def _iadd(a, b):
-    n = max(len(a), len(b))
-    return _gtrim(
-        [(a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0) for i in range(n)]
-    )
-
-
-def _isub(a, b):
-    n = max(len(a), len(b))
-    return _gtrim(
-        [(a[i] if i < len(a) else 0) - (b[i] if i < len(b) else 0) for i in range(n)]
-    )
-
-
 def _itrunc(a, m):
     """Coefficients reduced into the symmetric range (-m/2, m/2]."""
     half = m // 2
@@ -116,33 +97,6 @@ def _itrunc(a, m):
             c -= m
         out.append(c)
     return _gtrim(out)
-
-
-def _iprimitive(a):
-    c = _int_content(a)
-    if c == 0:
-        return 0, []
-    return c, [x // c for x in a]
-
-
-def _imax_norm(a):
-    return max((abs(c) for c in a), default=0)
-
-
-def _idivrem_monic(a, b):
-    """Division by a monic divisor, exact over Z."""
-    a = list(a)
-    db = _ideg(b)
-    if db < 0:
-        raise ZeroDivisionError
-    q = [0] * max(len(a) - db, 0)
-    for k in range(len(a) - db - 1, -1, -1):
-        c = a[k + db]
-        if c:
-            q[k] = c
-            for j in range(db + 1):
-                a[k + j] -= c * b[j]
-    return _gtrim(q), _gtrim(a[: db])
 
 
 # -- GF(p) polynomial helpers (ascending lists of ints in [0, p)) -----------
@@ -169,11 +123,6 @@ def _gmul(a, b, p):
     return _gtrim([c % p for c in out])
 
 
-def _gmul_ground(a, c, p):
-    c %= p
-    return _gtrim([(x * c) % p for x in a])
-
-
 def _ggcdex(a, b, p):
     """Extended gcd mod p: (s, t, h) with s*a + t*b = h, h monic."""
     r0, r1 = [c % p for c in a], [c % p for c in b]
@@ -187,11 +136,7 @@ def _ggcdex(a, b, p):
     if not r0:
         raise ValueError("extended gcd of zero polynomials")
     inv = pow(r0[-1], -1, p)
-    return (
-        _gmul_ground(s0, inv, p),
-        _gmul_ground(t0, inv, p),
-        _gmul_ground(r0, inv, p),
-    )
+    return [c * inv % p for c in s0], [c * inv % p for c in t0], _gmonic(r0, p)
 
 
 def _gpow_mod(a, e, f, p):
@@ -384,21 +329,17 @@ def _gfactor_sqf(ddf, p):
 
 
 def _hensel_step(m, f, g, h, s, t):
-    """Lift f = g*h (mod m), s*g + t*h = 1 (mod m) to modulus m**2."""
+    """Lift f = g*h (mod m), s*g + t*h = 1 (mod m), h monic, to modulus
+    M = m**2 (von zur Gathen-Gerhard, Alg. 15.10), computing mod M."""
     M = m * m
-    e = _itrunc(_isub(f, _imul(g, h)), M)
-    q, r = _idivrem_monic(_imul(s, e), h)
-    q, r = _itrunc(q, M), _itrunc(r, M)
-    u = _iadd(_imul(t, e), _imul(q, g))
-    G = _itrunc(_iadd(g, u), M)
-    H = _itrunc(_iadd(h, r), M)
-    u = _iadd(_imul(s, G), _imul(t, H))
-    b = _itrunc(_isub(u, [1]), M)
-    c, d = _idivrem_monic(_imul(s, b), H)
-    c, d = _itrunc(c, M), _itrunc(d, M)
-    u = _iadd(_imul(t, b), _imul(c, G))
-    S = _itrunc(_isub(s, d), M)
-    T = _itrunc(_isub(t, u), M)
+    e = _gsub(_gmul(g, h, M), f, M)  # the error g*h - f, negated
+    q, r = _gdivrem(_gmul(s, e, M), h, M)
+    G = _gsub(_gsub(g, _gmul(t, e, M), M), _gmul(q, g, M), M)
+    H = _gsub(h, r, M)
+    b = _gsub(_gmul(s, G, M), _gsub([1], _gmul(t, H, M), M), M)
+    c, d = _gdivrem(_gmul(s, b, M), H, M)
+    S = _gsub(s, d, M)
+    T = _gsub(_gsub(t, _gmul(t, b, M), M), _gmul(c, G, M), M)
     return G, H, S, T
 
 
@@ -406,33 +347,25 @@ def _hensel_lift(p, f, factors, l):
     """Lift monic pairwise-coprime factors of f mod p to mod p**l.
 
     f = lc(f) * prod(factors) (mod p); the returned factors are monic and
-    satisfy the same identity mod p**l.
+    satisfy the same identity mod p**l.  They are unique, so any correct
+    lifting gives the same ones.
     """
-    r = len(factors)
     lc = f[-1]
-    if r == 1:
-        inv = pow(lc, -1, p**l)
-        return [_itrunc([c * inv for c in f], p**l)]
-    m = p
-    k = r // 2
-    d = int(ceil(log(l, 2))) if l > 1 else 1
-
-    g = [lc % p]
+    if len(factors) == 1:
+        pl = p**l
+        inv = pow(lc, -1, pl)
+        return [_itrunc([c * inv for c in f], pl)]
+    k = len(factors) // 2
+    g, h = [lc % p], [1]
     for fi in factors[:k]:
-        g = _gmul(g, [c % p for c in fi], p)
-    h = [c % p for c in factors[k]]
-    for fi in factors[k + 1 :]:
-        h = _gmul(h, [c % p for c in fi], p)
-
+        g = _gmul(g, fi, p)
+    for fi in factors[k:]:
+        h = _gmul(h, fi, p)
     s, t, one = _ggcdex(g, h, p)
     if one != [1]:
         raise VerificationError(f"modular factors are not coprime mod {p}")
-
-    g = _itrunc(g, p)
-    h = _itrunc(h, p)
-    s = _itrunc(s, p)
-    t = _itrunc(t, p)
-    for _ in range(d):
+    m = p
+    for _ in range(max(1, (l - 1).bit_length())):  # until m = p**(2**d) >= p**l
         g, h, s, t = _hensel_step(m, f, g, h, s, t)
         m = m * m
     return _hensel_lift(p, g, factors[:k], l) + _hensel_lift(p, h, factors[k:], l)
@@ -443,9 +376,7 @@ def _hensel_lift(p, f, factors, l):
 
 def _mignotte_bound(f):
     n = _ideg(f)
-    a = _imax_norm(f)
-    b = abs(f[-1])
-    return (isqrt(n + 1) + 1) * 2**n * a * b
+    return (isqrt(n + 1) + 1) * 2**n * max(map(abs, f)) * abs(f[-1])
 
 
 def _choose_prime(f: Reductions):
@@ -484,9 +415,8 @@ def _trial_divide(f, lifted, combo, pl):
         return None
     G = [b]
     for i in combo:
-        G = _imul(G, lifted[i])
-    G = _itrunc(G, pl)
-    _, G = _iprimitive(G)
+        G = _gmul(G, lifted[i], pl)
+    _, G = _iprimitive(_itrunc(G, pl))
     if not G:
         return None
     quot = _idivides(G, f)
@@ -504,9 +434,12 @@ def _zassenhaus(red: Reductions):
     if n == 1:
         return [list(f)]
     p, modular = _choose_prime(red)
-    l = int(ceil(log(2 * _mignotte_bound(f) + 1, p)))
+    bound = _mignotte_bound(f)
+    l, pl = 1, p
+    while pl <= 2 * bound:  # the least l with p**l > 2B, in integers
+        l, pl = l + 1, pl * p
     _record("lift_exponent", l)
-    lifted, pl = _hensel_lift(p, f, modular, l), p**l
+    lifted = _hensel_lift(p, f, modular, l)
 
     remaining = list(range(len(lifted)))
     factors = []

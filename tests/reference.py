@@ -11,7 +11,8 @@ the per-prime definition of a usable prime (a squarefree gcd mod p),
 with the Frobenius patterns and root products it gives, the Zassenhaus
 prime choice by complete factorization mod every candidate, the
 completeness prime and a root mod p by a complete distinct-degree
-factorization, a field's automorphisms as the roots of its modulus in
+factorization, Hensel lifting with its products and sums taken over Z
+and reduced afterwards, a field's automorphisms as the roots of its modulus in
 it, the image of an element under one of them, their composition table
 by exact composition in the field, a generator's image in a larger
 field by a gcd over that field, the inverse of a permutation,
@@ -332,6 +333,86 @@ def root_mod_p_by_ddf(f, p):
     if len(linear) == 1:
         return None
     return -factor._gedf(linear, 1, p, random.Random(factor.EDF_SEED))[0][0] % p
+
+
+def _imul(a, b):
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def _iadd(a, b):
+    n = max(len(a), len(b))
+    return _gtrim(
+        [(a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0) for i in range(n)]
+    )
+
+
+def _isub(a, b):
+    return _iadd(a, [-c for c in b])
+
+
+def _idivrem_monic(a, b):
+    """Division by a monic divisor, exact over Z."""
+    a = list(a)
+    db = _ideg(b)
+    q = [0] * max(len(a) - db, 0)
+    for k in range(len(a) - db - 1, -1, -1):
+        c = a[k + db]
+        if c:
+            q[k] = c
+            for j in range(db + 1):
+                a[k + j] -= c * b[j]
+    return _gtrim(q), _gtrim(a[:db])
+
+
+def hensel_step_over_Z(m, f, g, h, s, t):
+    """``factor._hensel_step`` over Z: each product and sum is taken over
+    Z, and the result reduced into the symmetric range mod m**2."""
+    M = m * m
+    trunc = factor._itrunc
+    e = trunc(_isub(f, _imul(g, h)), M)
+    q, r = _idivrem_monic(_imul(s, e), h)
+    q, r = trunc(q, M), trunc(r, M)
+    G = trunc(_iadd(g, _iadd(_imul(t, e), _imul(q, g))), M)
+    H = trunc(_iadd(h, r), M)
+    b = trunc(_isub(_iadd(_imul(s, G), _imul(t, H)), [1]), M)
+    c, d = _idivrem_monic(_imul(s, b), H)
+    c, d = trunc(c, M), trunc(d, M)
+    S = trunc(_isub(s, d), M)
+    T = trunc(_isub(t, _iadd(_imul(t, b), _imul(c, G))), M)
+    return G, H, S, T
+
+
+def hensel_lift_over_Z(p, f, factors, l):
+    """``factor._hensel_lift`` with the steps of ``hensel_step_over_Z``:
+    the monic lifts mod p**l of the monic factors mod p of f."""
+    lc = f[-1]
+    if len(factors) == 1:
+        inv = pow(lc, -1, p**l)
+        return [factor._itrunc([c * inv for c in f], p**l)]
+    k = len(factors) // 2
+    g = [lc % p]
+    for fi in factors[:k]:
+        g = factor._gmul(g, fi, p)
+    h = [1]
+    for fi in factors[k:]:
+        h = factor._gmul(h, fi, p)
+    s, t, one = factor._ggcdex(g, h, p)
+    if one != [1]:
+        raise VerificationError(f"modular factors are not coprime mod {p}")
+    g, h, s, t = (factor._itrunc(a, p) for a in (g, h, s, t))
+    m = p
+    for _ in range(max(1, (l - 1).bit_length())):
+        g, h, s, t = hensel_step_over_Z(m, f, g, h, s, t)
+        m = m * m
+    return hensel_lift_over_Z(p, g, factors[:k], l) + hensel_lift_over_Z(
+        p, h, factors[k:], l
+    )
 
 
 def automorphisms(K) -> AutomorphismTable:

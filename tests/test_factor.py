@@ -7,7 +7,14 @@ import pytest
 
 from autrealize import factor
 from autrealize.errors import CapExceededError, VerificationError
-from autrealize.exact import UniPoly, _is_prime, discriminant, is_squarefree, poly_gcd
+from autrealize.exact import (
+    UniPoly,
+    _iprimitive,
+    _is_prime,
+    discriminant,
+    is_squarefree,
+    poly_gcd,
+)
 from autrealize.factor import (
     Reductions,
     _choose_prime,
@@ -28,6 +35,7 @@ from reference import (
     ddf_by_gcd,
     ddf_degrees,
     expand,
+    hensel_lift_over_Z,
     root_mod_p_by_ddf,
     root_product_by_ddf,
     usable_primes,
@@ -131,12 +139,12 @@ def rand_squarefree_int(rng, degree):
     """A primitive squarefree integer polynomial of the given degree, the
     product of random factors of degree <= 12."""
     while True:
-        f = [1]
-        while len(f) - 1 < degree:
-            d = min(rng.randrange(1, 13), degree - (len(f) - 1))
+        f = ONE
+        while f.degree < degree:
+            d = min(rng.randrange(1, 13), degree - f.degree)
             g = [rng.randrange(-9, 10) for _ in range(d)] + [rng.randrange(1, 4)]
-            f = factor._imul(f, g)
-        _, f = factor._iprimitive(f)
+            f *= as_poly(g)
+        _, f = _iprimitive([int(c) for c in f.coeffs])
         if is_squarefree(as_poly(f)):
             return f
 
@@ -432,3 +440,42 @@ class TestHenselLift:
         # X^2 = X * X mod 5: the two modular factors share the root 0
         with pytest.raises(VerificationError):
             _hensel_lift(5, [0, 0, 1], [[0, 1], [0, 1]], 2)
+
+    @staticmethod
+    def assert_lifts_as_over_Z(f, ls):
+        """Lifting mod p**k gives the factors that lifting over Z gives,
+        at the Zassenhaus prime of the primitive integer polynomial f."""
+        p, modular = _choose_prime(Reductions(as_poly(f)))
+        for l in ls:
+            assert _hensel_lift(p, f, modular, l) == hensel_lift_over_Z(
+                p, f, modular, l
+            )
+
+    def test_random_squarefree(self):
+        rng = random.Random(43)
+        for _ in range(12):
+            f = rand_squarefree_int(rng, rng.randrange(2, 31))
+            self.assert_lifts_as_over_Z(f, (1, 2, 3, 5, 8, 17))
+
+    @pytest.mark.parametrize("name", ["S3", "C3"])
+    def test_defining_polynomials(self, q0s, name):
+        red = Reductions(q0s[name][0])
+        with audit_trail() as events:
+            assert is_irreducible_Q(q0s[name][0], reductions=red)
+        (l,) = [v for e, v in events if e == "lift_exponent"]
+        self.assert_lifts_as_over_Z(red.F, (1, l))
+
+
+class TestLiftExponent:
+    def test_exceeds_twice_the_bound_just_past_a_power(self, monkeypatch):
+        """With 2B + 1 = p^40 + 2 the lift goes to p^41, the least power
+        above 2B; a floating-point log of 2B + 1 rounds to 40."""
+        f = X**4 - C(5) * X**2 + 6
+        p, _ = _choose_prime(Reductions(f))
+        bound = (p**40 + 1) // 2
+        monkeypatch.setattr(factor, "_mignotte_bound", lambda F: bound)
+        with audit_trail() as events:
+            fac = factor_over_Q(f)
+        (l,) = [v for e, v in events if e == "lift_exponent"]
+        assert p**l > 2 * bound
+        assert [g for g, _ in fac.factors] == [X**2 - 3, X**2 - 2]

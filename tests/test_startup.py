@@ -8,9 +8,10 @@ pulls in ``inspect``, ``ast``, ``dis`` and ``tokenize``).  A future
 ``-v`` must import ``logging`` inside its own branch, not at start-up.
 The two subcommands are read by the CLI's own small parser, for
 ``argparse`` and the ``gettext`` it imports cost about a quarter of the
-cold import.
+cold import.  The package imports nothing outside the standard library.
 """
 
+import ast
 import subprocess
 import sys
 from pathlib import Path
@@ -53,3 +54,21 @@ def test_cli_import_loads_every_package_module():
         if path.stem != "__init__"
     }
     assert package <= loaded_by_cli_import()
+
+
+def test_package_imports_only_the_standard_library():
+    foreign = []
+    for path in sorted((SRC / "autrealize").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            foreign += [
+                f"{path.name}: {name}"
+                for name in names
+                if name.partition(".")[0] not in sys.stdlib_module_names
+            ]
+    assert foreign == []
