@@ -3,16 +3,18 @@
 The schema is text-first so certificates can be read, diffed, and
 re-checked by other tools: rationals are "p/q" strings, polynomials are
 ascending coefficient arrays, field elements are coordinate arrays,
-permutations are cycle strings.  Format version 5 carries only what
+permutations are cycle strings.  Format version 6 carries only what
 the validator checks: the group, each specialization with its proof, and
 the distinctness primes.  Nothing about L, y, the shift c or the cubic
 family is written, for they only explain how the search found each t0;
 each defining polynomial is checked on its own, and ``deep`` rebuilds
-the run that produced it.  Emission is
+the run that produced it.  An accepted entry lists its automorphisms in
+the order of G's sorted elements, so the i-th image extends the i-th
+element and no separate labelling is written.  Emission is
 canonical (sorted keys, fixed indentation), so equal runs produce
 byte-identical files.  The validator calls the producer's own checks,
 not copies: ``factor.Reductions`` (one per accepted field),
-``pipeline.is_witness``, and ``pipeline.run`` for ``deep``.
+``pipeline.group_table``, and ``pipeline.run`` for ``deep``.
 """
 
 from __future__ import annotations
@@ -29,13 +31,13 @@ from .exact import (
     render_rational,
     render_unipoly,
 )
-from .factor import EDF_SEED, Reductions, is_irreducible_Q
+from .factor import Reductions, is_irreducible_Q
 from .numfield import NumberField, evaluate, table_mod_p
 from .perm import PermGroup, parse_cycles
-from .pipeline import check_sn_cap, is_witness, run
+from .pipeline import check_sn_cap, group_table, run
 
 FORMAT_NAME = "autrealize-certificate"
-FORMAT_VERSION = 5
+FORMAT_VERSION = 6
 
 
 def _render_coords(e):
@@ -64,7 +66,6 @@ def certificate_to_json(cert) -> dict:
                         "table": [list(row) for row in rec.aut.table],
                     },
                     "completeness_prime": rec.aut.prime,
-                    "witness": list(rec.witness),
                 }
             )
         else:
@@ -88,10 +89,7 @@ def certificate_to_json(cert) -> dict:
         "distinctness": [
             {"pair": [i, j], "prime": p} for i, j, p in cert.distinctness
         ],
-        "metadata": {
-            "audit": audit,
-            "edf_seed": hex(EDF_SEED),
-        },
+        "metadata": {"audit": audit},
     }
 
 
@@ -216,7 +214,8 @@ def validate_certificate(path, deep=False) -> ValidationReport:
     squarefree mod p with exactly as many roots mod p as there are images
     (so the images are all the automorphisms: reduction modulo a degree-1
     prime above p keeps distinct roots distinct), the table recomputes
-    modulo p from the images and the witness labels it as G, and each
+    modulo p from the images and is G's own table over its sorted
+    elements (so the i-th image extends the i-th element), and each
     pair of accepted fields has exactly one distinctness entry whose
     prime separates their Frobenius patterns.
     With ``deep``, the certificate is rebuilt up to the largest |t0| the
@@ -279,7 +278,8 @@ def validate_certificate(path, deep=False) -> ValidationReport:
                 _element(E, coords)
                 for coords in spec["automorphisms"]["generator_images"]
             ]
-            roots_ok = all(not evaluate(E.modulus, m) for m in images)
+            gen = E.gen()  # a root by definition
+            roots_ok = all(m == gen or not evaluate(E.modulus, m) for m in images)
             report.add(f"{label} images are roots", roots_ok)
             p = spec["completeness_prime"]
             why_not = _completes(p, red, len(images))
@@ -298,10 +298,7 @@ def validate_certificate(path, deep=False) -> ValidationReport:
             report.add(f"{label} table recomputes mod p", recomputes)
             if not recomputes:
                 continue
-            witness = [_json_int(i, "witness entry") for i in spec["witness"]]
-            report.add(
-                f"{label} witness is an isomorphism", is_witness(G, table, witness)
-            )
+            report.add(f"{label} table is G's", table == group_table(G))
             accepted.append(red)
         except _MALFORMED as exc:
             report.add(f"{label} well-formed", False, str(exc))

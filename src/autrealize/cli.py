@@ -61,11 +61,10 @@ def expand_named(name: str):
 
 
 def parse_group_spec(n, gens_text):
-    """Parse ';'-separated cycle-notation generators on {1..n}."""
+    """Parse ';'-separated cycle-notation generators on {1..n}; the
+    caller checks n itself (``check_sn_cap``)."""
     if n is None:
         raise SpecParseError("--n is required when --gens is used")
-    if n < 1:
-        raise SpecParseError(f"n must be >= 1, got {n}")
     if gens_text is None or not gens_text.strip():
         raise SpecParseError("empty group specification")
     gens = []

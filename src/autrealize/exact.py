@@ -183,9 +183,6 @@ class UniPoly:
             )
         return self + (-other)
 
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __mul__(self, other):
         if not isinstance(other, UniPoly):
             c = _coerce(self.field, other)
@@ -660,9 +657,6 @@ class BiPoly:
         if not isinstance(other, BiPoly):
             return NotImplemented
         return self.rows == other.rows
-
-    def __hash__(self):
-        return hash(self.rows)
 
     def __repr__(self):
         terms = []

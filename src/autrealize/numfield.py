@@ -16,9 +16,10 @@ generator until the norm is squarefree, factor the norm over Q, pull
 factors back by gcd.  Automorphisms are never searched for: their
 images are given, and a table of them is read modulo one prime
 (:func:`table_mod_p`); the caller proves it a group law (the pipeline
-by G's labelling of the images).  Every norm -- Trager norms,
-characteristic polynomials, primitive elements of extensions, and the
-pipeline's q(t0, X) at each t0 -- comes from the one helper :func:`shifted_norms`,
+lists the images in G's order and compares the table with G's own).
+Every norm -- Trager norms, characteristic polynomials, primitive
+elements of extensions, and the pipeline's q(t0, X) at each t0 -- comes
+from the one helper :func:`shifted_norms`,
 which computes no resultant: the power sums of a norm's roots are traces
 of the power sums of f's roots, and Newton's identities turn them into
 coefficients, over integers; the part that does not depend on the shift
@@ -118,9 +119,6 @@ class NumberField:
             isinstance(other, NumberField)
             and self.modulus_coeffs == other.modulus_coeffs
         )
-
-    def __hash__(self):
-        return self._hash
 
     # -- element constructors -------------------------------------------
 
@@ -278,9 +276,6 @@ class NfElement:
             return NotImplemented
         return self + (-other)
 
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             other = Fraction(other)
@@ -326,9 +321,6 @@ class NfElement:
         if other is None:
             return NotImplemented
         return self * other.inverse()
-
-    def __rtruediv__(self, other):
-        return self._lift(other) * self.inverse()
 
     def __pow__(self, k):
         if k < 0:
@@ -608,20 +600,19 @@ def roots_in_field(f: UniPoly, K: NumberField):
 class AutomorphismTable:
     """All automorphisms of K/Q: generator images plus a composition table.
 
-    maps[0] is the identity (generator fixed); table[a][b], the index of
-    sigma_a . sigma_b in maps, is read by :func:`table_mod_p` at ``prime``,
-    a prime at which K's modulus has exactly len(maps) roots.
+    maps are kept in the order given, and maps[0] must be K's generator
+    (the identity); table[a][b], the index of sigma_a . sigma_b in maps,
+    is read by :func:`table_mod_p` at ``prime``, a prime at which K's
+    modulus has exactly len(maps) roots.
     """
 
     def __init__(self, K: NumberField, maps, *, prime):
         self.field = K
         self.prime = prime
-        gen = K.gen()
-        if gen not in maps:
-            raise VerificationError("the identity is not among the maps")
-        rest = sorted((m for m in maps if m != gen), key=NfElement.sort_key)
-        self.maps = (gen, *rest)
-        for m in rest:  # the generator is a root by definition
+        self.maps = tuple(maps)
+        if not self.maps or self.maps[0] != K.gen():
+            raise VerificationError("the first map is not the identity")
+        for m in self.maps[1:]:  # the generator is a root by definition
             if evaluate(K.modulus, m):
                 raise VerificationError("automorphism image is not a root")
         self.table = table_mod_p(K, self.maps, prime)

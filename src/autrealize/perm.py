@@ -93,9 +93,6 @@ class Permutation:
     def __repr__(self):
         return f"Permutation({self.images})"
 
-    def __str__(self):
-        return render_cycles(self)
-
 
 def render_cycles(perm):
     cycs = perm.cycles()
@@ -219,9 +216,6 @@ class PermGroup:
     def order(self):
         return len(self.elements)
 
-    def __contains__(self, perm):
-        return perm in self.elements
-
     def __iter__(self):
         return iter(sorted(self.elements))
 
@@ -231,9 +225,6 @@ class PermGroup:
             and self.degree == other.degree
             and self.elements == other.elements
         )
-
-    def __hash__(self):
-        return hash((self.degree, self.elements))
 
     def __repr__(self):
         return f"PermGroup(order={self.order}, degree={self.degree})"

@@ -17,7 +17,7 @@ Given G as a subgroup of S_n, the pipeline:
    whose one discriminant rejects t0 in the bad set (q(t0, X) has a
    multiple root), and verifies, exactly, that the field Q[X]/(q(t0, X))
    has automorphism group isomorphic to G, with a completeness prime and
-   an explicit isomorphism witness (G's labelling of the automorphisms),
+   the automorphisms listed in G's order, so that their table is G's,
 5. repeats until the requested number of verified fields is collected,
    keeping a field only if, against each field kept before it, some prime
    p >= 5 has different Frobenius patterns in the two (which proves them
@@ -37,9 +37,10 @@ theta0 and m are p-integral.  A prime at which m has no root is then
 passed over after a gcd of degree [L:Q], kept for every t0 on the
 state's record of m, not one of degree [E:Q]; the primes tried and the
 prime found are the same.  Nor is the isomorphism
-searched for: the witness labels each automorphism by its sigma, and a
-table that composes as G does makes that labelling one.  Root checks
-and the labels sigma(theta0) take few products in E: the first by
+searched for: the automorphisms are listed in the order of
+sorted(G.elements), the i-th extending the i-th sigma, and a table equal
+to G's own (:func:`group_table`) makes that labelling one.  Root checks
+and the images sigma(theta0) take few products in E: the first by
 Paterson-Stockmeyer, the second as combinations of theta0's powers.
 """
 
@@ -186,7 +187,6 @@ class SpecializationRecord:
         field: NumberField | None = None,
         theta0: NfElement | None = None,
         aut: AutomorphismTable | None = None,
-        witness: tuple | None = None,
         reductions: Reductions | None = None,  # of q0
     ):
         self.t0 = t0
@@ -196,7 +196,6 @@ class SpecializationRecord:
         self.field = field
         self.theta0 = theta0
         self.aut = aut
-        self.witness = witness
         self.reductions = reductions
 
 
@@ -214,17 +213,14 @@ def build_state(G: PermGroup, n: int) -> PipelineState:
     return PipelineState(G=G, L=L, y=y, c=build_E_minpoly(L, y))
 
 
-def is_witness(G: PermGroup, table, witness) -> bool:
-    """True iff a -> sorted(G.elements)[witness[a]] is a bijection under
-    which table composes as G does, which makes table a copy of G."""
+def group_table(G: PermGroup):
+    """G's own table over sorted(G.elements): entry [a][b] is the index of
+    the a-th element times the b-th.  An automorphism table equal to it
+    is a copy of G in which the i-th automorphism extends the i-th
+    element, so the position of each image labels it."""
     elems = sorted(G.elements)
-    if len(witness) != len(table) or sorted(witness) != list(range(len(elems))):
-        return False
-    return all(
-        elems[witness[table[a][b]]] == elems[wa] * elems[wb]
-        for a, wa in enumerate(witness)
-        for b, wb in enumerate(witness)
-    )
+    index = {g: i for i, g in enumerate(elems)}
+    return [[index[a * b] for b in elems] for a in elems]
 
 
 def specialize_and_verify(state: PipelineState, t0) -> SpecializationRecord:
@@ -249,20 +245,15 @@ def specialize_and_verify(state: PipelineState, t0) -> SpecializationRecord:
     if p is None:
         reason = f"no completeness prime in the first {COMPLETENESS_PRIMES} usable primes"
         return SpecializationRecord(t0, "rejected", reason)
-    # E's generator is x + c*theta0; sigma in G sends it to x + c*sigma(theta0)
+    # E's generator is x + c*theta0; sigma in G sends it to x + c*sigma(theta0),
+    # listed in G's order, so the identity's image, first, is E's generator
     x = E.gen() - theta0 * c
-    elems = sorted(state.G.elements)  # a witness indexes G in this order
     powers = Powers(theta0, L.degree - 1)
-    label = {x + powers.image(L.images[g]) * c: i for i, g in enumerate(elems)}
-    if len(label) != len(elems):
-        raise VerificationError("two elements of G give the same automorphism")
-    aut = AutomorphismTable(E, list(label), prime=p)
-    witness = tuple(label[m] for m in aut.maps)
-    if not is_witness(state.G, aut.table, witness):
+    images = [x + powers.image(L.images[g]) * c for g in sorted(state.G.elements)]
+    aut = AutomorphismTable(E, images, prime=p)
+    if aut.table != group_table(state.G):
         raise VerificationError("the images of G do not form a copy of G")
-    return SpecializationRecord(
-        t0, "accepted", None, q0, E, theta0, aut, witness, red
-    )
+    return SpecializationRecord(t0, "accepted", None, q0, E, theta0, aut, red)
 
 
 # -- field distinctness -----------------------------------------------------

@@ -417,9 +417,11 @@ def hensel_lift_over_Z(p, f, factors, l):
 
 def automorphisms(K) -> AutomorphismTable:
     """Automorphism table of K/Q; one map per root of the modulus in K,
-    found by a Trager factorization over K itself, with the table read at
-    the first prime where the modulus has as many roots as K has maps."""
-    maps = roots_in_field(K.modulus, K)
+    found by a Trager factorization over K itself, the identity first,
+    with the table read at the first prime where the modulus has as many
+    roots as K has maps."""
+    gen = K.gen()
+    maps = [gen, *(m for m in roots_in_field(K.modulus, K) if m != gen)]
     p = completeness_prime(Reductions(K.modulus), len(maps))
     return AutomorphismTable(K, maps, prime=p)
 
@@ -484,8 +486,8 @@ def normalizer(ambient, sub):
 
 def to_abstract(group) -> AbstractGroup:
     """The composition table of a PermGroup over its lexicographically
-    sorted elements (the order a witness indexes G in); index 0 is the
-    identity."""
+    sorted elements (the order a certificate lists Aut(E) in); index 0 is
+    the identity."""
     elems = sorted(group.elements)
     idx = {g: i for i, g in enumerate(elems)}
     return AbstractGroup([[idx[a * b] for b in elems] for a in elems])

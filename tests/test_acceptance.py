@@ -12,13 +12,20 @@ import math
 import random
 import time
 from fractions import Fraction as F
+from itertools import islice, permutations
 
 import pytest
 
 from autrealize.certs import certificate_to_json, dumps_canonical, validate_certificate
 from autrealize.cli import EXIT_OK, EXIT_PARSE, expand_named, main
-from autrealize.exact import UniPoly, _is_prime, discriminant, render_rational
-from autrealize.factor import factor_over_Q, is_irreducible_Q
+from autrealize.exact import (
+    UniPoly,
+    _is_prime,
+    discriminant,
+    parse_rational,
+    render_rational,
+)
+from autrealize.factor import EDF_SEED, factor_over_Q, is_irreducible_Q
 from autrealize.family import FAMILY, certify_s3, cubic
 from autrealize.numfield import (
     NumberField,
@@ -27,7 +34,7 @@ from autrealize.numfield import (
     minpoly,
     splitting_field,
 )
-from autrealize.perm import AbstractGroup, PermGroup, are_isomorphic, parse_cycles
+from autrealize.perm import AbstractGroup, PermGroup, parse_cycles
 from autrealize.pipeline import run as pipeline_run
 from reference import (
     aut_group_via_quotient,
@@ -126,8 +133,7 @@ class TestC2Realization:
         for rec in cert.accepted:
             assert rec.q0.degree == 6
             assert len(rec.aut.maps) == 2
-            ok, witness = are_isomorphic(AbstractGroup(rec.aut.table), c2)
-            assert ok and rec.witness is not None
+            assert AbstractGroup(rec.aut.table) == c2  # listed in G's order
         assert [(i, j) for i, j, _ in cert.distinctness] == [(0, 1)]
         assert_separated(cert)
         assert [rec.aut.prime for rec in cert.accepted] == [11, 11]
@@ -147,9 +153,7 @@ class TestC3Realization:
         rec = cert.accepted[0]
         assert rec.q0.degree == 18
         assert len(rec.aut.maps) == 3
-        c3 = to_abstract(PermGroup.cyclic(3))
-        ok, _ = are_isomorphic(AbstractGroup(rec.aut.table), c3)
-        assert ok
+        assert AbstractGroup(rec.aut.table) == to_abstract(PermGroup.cyclic(3))
         assert rec.aut.prime == 173
         assert_complete(cert)
 
@@ -162,24 +166,48 @@ class TestS3Realization:
         rec = cert.accepted[0]
         assert rec.q0.degree == 18
         assert len(rec.aut.maps) == 6
-        s3 = to_abstract(PermGroup.symmetric(3))
-        ok, _ = are_isomorphic(AbstractGroup(rec.aut.table), s3)
-        assert ok and rec.witness is not None
+        assert AbstractGroup(rec.aut.table) == to_abstract(PermGroup.symmetric(3))
         assert rec.aut.prime == 167
         assert_complete(cert)
 
 
+def relabelled(table, order):
+    """The composition table of the same maps listed in a new order, map k
+    being the old map order[k]."""
+    new = {old: k for k, old in enumerate(order)}
+    return [[new[table[a][b]] for b in order] for a in order]
+
+
+def reorder(spec, order, recompute_table=True):
+    """List an accepted entry's images in a new order, image k being the
+    old image order[k]; its table is recomputed for that order unless
+    recompute_table is false."""
+    autos = spec["automorphisms"]
+    autos["generator_images"] = [autos["generator_images"][i] for i in order]
+    if recompute_table:
+        autos["table"] = relabelled(autos["table"], order)
+
+
 def forge_searched_witness(data, spec):
-    """Replace the S3 witness by the isomorphism are_isomorphic finds."""
-    table = AbstractGroup(spec["automorphisms"]["table"])
-    ok, found = are_isomorphic(table, to_abstract(expand_named("S3")[0]))
-    assert ok and list(found) != spec["witness"]
-    spec["witness"] = list(found)
+    """List the S3 images in another order in which the table is still
+    G's: the first one a search over all orders finds.  An automorphism
+    of G gives it, so the images stay a copy of G."""
+    table = spec["automorphisms"]["table"]
+    order = next(
+        o for o in islice(permutations(range(len(table))), 1, None)
+        if relabelled(table, o) == table
+    )
+    reorder(spec, order)
+
+
+#: positions in sorted(S3.elements) of a transposition and a 3-cycle
+TRANSPOSITION, THREE_CYCLE = 1, 3
 
 
 class TestValidatorWitness:
-    """The validator accepts any isomorphism onto G as the witness, not
-    only the labelling the producer emits, and nothing else."""
+    """The labelling is the order of the images: the validator accepts
+    any order that an automorphism of G gives, in which the table is
+    still G's, and no other."""
 
     def s3_spec(self):
         data = json.loads(timed_run("S3", count=1)[2])
@@ -198,11 +226,33 @@ class TestValidatorWitness:
 
     def test_non_homomorphism_rejected(self, tmp_path):
         data, spec = self.s3_spec()
-        w = spec["witness"]
-        spec["witness"] = w[1:] + w[:1]  # the identity no longer goes to 0
+        reorder(spec, [1, 2, 3, 4, 5, 0])  # the identity is no longer first
         assert self.failed(tmp_path, data) == [
-            f"specialization t0={spec['t0']} witness is an isomorphism"
+            f"specialization t0={spec['t0']} table is G's"
         ]
+
+    @pytest.mark.parametrize(
+        "recompute_table, check",
+        [(False, "table recomputes mod p"), (True, "table is G's")],
+        ids=["table_kept", "table_recomputed"],
+    )
+    def test_swapped_order_rejected(self, tmp_path, capsys, recompute_table, check):
+        """A transposition's image swapped with a 3-cycle's fails the
+        shallow checks and --deep."""
+        elems = sorted(expand_named("S3")[0].elements)
+        a, b = elems[TRANSPOSITION], elems[THREE_CYCLE]
+        assert (a * a).is_identity and not (b * b).is_identity
+        data, spec = self.s3_spec()
+        order = list(range(6))
+        order[TRANSPOSITION], order[THREE_CYCLE] = THREE_CYCLE, TRANSPOSITION
+        reorder(spec, order, recompute_table)
+        path = tmp_path / "swapped.json"
+        path.write_text(json.dumps(data))
+        assert main(["validate", str(path)]) == EXIT_PARSE
+        assert main(["validate", str(path), "--deep"]) == EXIT_PARSE
+        out = capsys.readouterr().out
+        assert f"[FAIL] specialization t0={spec['t0']} {check}\n" in out
+        assert "[FAIL] deep: pipeline rebuild: differs at " in out
 
 
 class TestDeepRebuild:
@@ -214,7 +264,7 @@ class TestDeepRebuild:
             lambda data, spec: data["specializations"][0].update(reason="forged"),
             "specializations.0.reason",
         ),
-        "searched_witness": (forge_searched_witness, "witness"),
+        "searched_witness": (forge_searched_witness, "automorphisms.generator_images"),
     }
 
     @pytest.mark.parametrize("forgery", list(FORGERIES))
@@ -326,23 +376,40 @@ class TestFactorizationOracles:
 #: sha256 of each cached certificate text, with the run parameters; a
 #: change of the certificate format, or of the factorizations that
 #: metadata.audit records, updates these on purpose.  All four were
-#: re-pinned for format version 5, which drops the "pipeline" block;
-#: test_version_3_restored shows that nothing else moved.
+#: re-pinned for format version 6, which lists the images in G's order
+#: and drops the witness and metadata.edf_seed; test_version_3_restored
+#: shows that nothing else moved.
 PINNED = {
     "C1": (dict(count=3, t_max=10),
-           "e54b5e72d8763c174fe12538483381c379f5cf3282c2ec0f074f978c5b2e13d4"),
+           "5062f4a566bd844cc030d3ac8b52d1a96e5de84212040c69858a0b8ba9d0e629"),
     "C2": (dict(count=2, t_max=200),
-           "b158011a92a14f06569bcadede3486a1b42da06e1c1edbce30d8de206795683b"),
+           "f9398824042dfc7874ac7d3f0795887fcf459e89126647c2c9036bdde5b0cfca"),
     "S3": (dict(count=1, t_max=200),
-           "a805f387c9dc7b5b4326c7d5db9fc877cf19962408358b4e5d9ce370aff34e18"),
+           "b6062f5903a49801fdef5e8348d1a74b8614fb521bfe455f61c56aadc5787c94"),
     "C3": (dict(count=1, t_max=200),
-           "db79454bce1022e8610ba1c608c19f6790a47979a14e153788bfa5b6232a9113"),
+           "a2d847839533f03b920b497b8a345812781578fd7fa7c95f05f8a1ceb2505727"),
 }
 
 #: sha256 of certificates with three fields, so that each pins three
 #: degree-18 distinctness pairs: S3 accepts t0 = 1, 2, -2, separated by
 #: the primes 13, 17 and 13.
 PINNED_COUNT_3 = {
+    "S3": "177ebf16f95da410954b4f60c579d345198031cffb4e67b1c3cb96c8fd7df740",
+    "C3": "d83e68eca184dec6608b70e0d8d75c8a082f6793c8d3a0537196e7f261c17dd2",
+}
+
+#: The same certificates at format version 5, which listed E's generator
+#: first and the other images in coordinate order, with a "witness" (the
+#: position in sorted(G.elements) of each image's element) and
+#: "metadata.edf_seed".
+PINNED_V5 = {
+    "C1": "e54b5e72d8763c174fe12538483381c379f5cf3282c2ec0f074f978c5b2e13d4",
+    "C2": "b158011a92a14f06569bcadede3486a1b42da06e1c1edbce30d8de206795683b",
+    "S3": "a805f387c9dc7b5b4326c7d5db9fc877cf19962408358b4e5d9ce370aff34e18",
+    "C3": "db79454bce1022e8610ba1c608c19f6790a47979a14e153788bfa5b6232a9113",
+}
+
+PINNED_COUNT_3_V5 = {
     "S3": "7a81d89e23690db301bcf7da26cf2e795c3513d75b02523e26982b7aafcb4073",
     "C3": "60fb427e36e0fc9be704aa336fc76cd63832c16e2b94099075546f6bfc25cebf",
 }
@@ -375,6 +442,23 @@ def _sha256(data):
     return hashlib.sha256(dumps_canonical(data).encode()).hexdigest()
 
 
+def to_version_5(data):
+    """Map a version-6 certificate back to version 5 in place: each
+    accepted entry lists E's generator (image 0) first and the other
+    images in coordinate order, relabels its table to match, and names
+    each image's position in G's order as its witness; metadata names
+    the EDF seed again."""
+    for spec in data["specializations"]:
+        if spec["status"] == "accepted":
+            images = spec["automorphisms"]["generator_images"]
+            coords = [[parse_rational(c) for c in m] for m in images]
+            order = [0, *sorted(range(1, len(images)), key=coords.__getitem__)]
+            reorder(spec, order)
+            spec["witness"] = order
+    data["metadata"]["edf_seed"] = hex(EDF_SEED)
+    data["version"] = 5
+
+
 class TestPinnedCertificates:
     @pytest.mark.parametrize("key", sorted(PINNED))
     def test_sha256(self, key):
@@ -391,15 +475,20 @@ class TestPinnedCertificates:
         )
         text = dumps_canonical(certificate_to_json(cert))
         assert hashlib.sha256(text.encode()).hexdigest() == PINNED_COUNT_3[key]
+        data = json.loads(text)
+        to_version_5(data)
+        assert _sha256(data) == PINNED_COUNT_3_V5[key]
 
     @pytest.mark.parametrize("key", sorted(PINNED))
     def test_version_3_restored(self, key):
-        """Putting back the version and the pipeline block gives the
-        version-4 certificate byte for byte; adding q(T, X) built as one
-        polynomial in T and each theta_image on top gives the version-3
-        one."""
+        """Putting back the version-5 order, witness and EDF seed gives the
+        version-5 certificate byte for byte; the version and the pipeline
+        block on top give the version-4 one; adding q(T, X) built as one
+        polynomial in T and each theta_image gives the version-3 one."""
         cert, _, text, _ = timed_run(key, **PINNED[key][0])
         data = json.loads(text)
+        to_version_5(data)
+        assert _sha256(data) == PINNED_V5[key]
         data["version"] = 4
         data["pipeline"] = v4_pipeline(cert.state)
         assert _sha256(data) == PINNED_V4[key]

@@ -138,6 +138,11 @@ class TestRealizeCommand:
     def test_bad_gens(self, capsys):
         assert main(["realize", "--n", "3", "--gens", "(1 9)"]) == EXIT_PARSE
 
+    def test_n_zero_refused(self, capsys):
+        # the cap check refuses it before parse_group_spec reads the gens
+        assert main(["realize", "--n", "0", "--gens", "()"]) == EXIT_PARSE
+        assert capsys.readouterr().err == "error: n must be >= 1, got 0\n"
+
     def test_cap(self, capsys):
         assert main(["realize", "--named", "S5"]) == EXIT_CAP
 
@@ -204,12 +209,11 @@ def c2_cert_path(tmp_path_factory):
 
 
 def forge_trivial_group(data, spec):
-    """Claim the trivial group: one image, table [[0]], witness [0].  This
+    """Claim the trivial group: one image and the table [[0]].  This
     passes every check but completeness, for Aut(E) has order 2."""
     data["group"].update(generators=["()"], order=1)
     autos = spec["automorphisms"]
     autos.update(generator_images=autos["generator_images"][:1], table=[[0]])
-    spec["witness"] = [0]
 
 
 def forge_prime(p):
@@ -254,7 +258,6 @@ class TestValidateCommand:
         "table_row_removed": "table recomputes",
         "table_short_row": "table recomputes",
         "extra_generator_image": "table recomputes",
-        "witness_not_a_list": "well-formed",
         "t0_not_a_string": "well-formed",
         "not_an_object": "specialization entry is an object",
     }
@@ -279,8 +282,6 @@ class TestValidateCommand:
             autos["table"][-1].pop()
         elif field == "extra_generator_image":
             autos["generator_images"].append(autos["generator_images"][0])
-        elif field == "witness_not_a_list":
-            spec["witness"] = 5
         elif field == "t0_not_a_string":
             spec["t0"] = [1]
         else:
@@ -474,11 +475,6 @@ class TestValidateCommand:
             lambda data, spec: data["group"].update(order=2.0),
             "[FAIL] group order: group.order is not an integer: 2.0",
         ),
-        "witness_bools": (
-            "c2_cert_path",
-            lambda data, spec: spec.update(witness=[False, True]),
-            "well-formed: witness entry is not an integer: False",
-        ),
         "table_bools": (
             "c2_cert_path",
             lambda data, spec: spec["automorphisms"].update(
@@ -548,7 +544,7 @@ class TestValidateCommand:
 
     def test_version_3(self, cert_path, tmp_path, capsys):
         """A certificate of an earlier format names its version."""
-        for version in (3, 4):
+        for version in (3, 4, 5):
             data = json.loads(cert_path.read_text())
             data["version"] = version
             old = tmp_path / f"version_{version}.json"
@@ -556,7 +552,7 @@ class TestValidateCommand:
             assert main(["validate", str(old)]) == EXIT_PARSE
             out = capsys.readouterr().out
             assert out.count("[FAIL]") == 1
-            assert f"[FAIL] schema: version {version}, expected 5\n" in out
+            assert f"[FAIL] schema: version {version}, expected 6\n" in out
 
     @pytest.mark.parametrize("key", ["prime", "pair", "not_an_object"])
     def test_distinctness_entry_missing_key(self, cert_path, tmp_path, capsys, key):

@@ -26,13 +26,14 @@ ALLOWED = {
         "perfbench/spans.py traces it by name"
     ),
     "are_isomorphic": (
-        "public API that tests use to compare tables with G; the pipeline "
-        "takes its witness from G's labelling instead, and "
-        "perfbench/spans.py traces it by name"
+        "public API that tests use to compare tables of groups; the pipeline "
+        "lists Aut(E) in G's order instead, and perfbench/spans.py traces it "
+        "by name"
     ),
     "AbstractGroup": (
-        "are_isomorphic's input type: the tables tests compare with G; the "
-        "validator and the pipeline check a witness against G itself"
+        "are_isomorphic's input type, and the tables tests compare with G; "
+        "the validator and the pipeline compare a table with "
+        "pipeline.group_table(G)"
     ),
     "interpolate": (
         "tests/reference.py builds q(T, X) and the family's X-discriminant "

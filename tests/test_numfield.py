@@ -11,6 +11,7 @@ from autrealize.exact import UniPoly, poly_divrem
 from autrealize import factor, numfield
 from autrealize.factor import Reductions, completeness_prime
 from autrealize.numfield import (
+    AutomorphismTable,
     NumberField,
     charpoly,
     extend_field,
@@ -308,6 +309,15 @@ class TestAutomorphisms:
                 assert apply(m, a + b) == apply(m, a) + apply(m, b)
                 assert apply(m, a * b) == apply(m, a) * apply(m, b)
                 assert apply(m, golden.from_rational(7)) == 7
+
+    def test_order_kept_identity_first(self, golden):
+        """The maps keep the order they are given in, and the first must
+        be the generator."""
+        maps = automorphisms(golden).maps
+        assert maps[0] == golden.gen()
+        assert AutomorphismTable(golden, maps, prime=11).maps == maps
+        with pytest.raises(VerificationError, match="first map is not the identity"):
+            AutomorphismTable(golden, maps[::-1], prime=11)
 
     def test_table_mod_p_refusals(self, golden):
         maps = automorphisms(golden).maps

@@ -23,7 +23,7 @@ from autrealize.pipeline import (
     build_state,
     compute_y,
     fields_distinct_exact,
-    is_witness,
+    group_table,
     realize_sn,
     SpecializationRecord,
     run,
@@ -256,8 +256,9 @@ class TestSpecializeAndVerify:
             if rec.status == "accepted":
                 assert rec.q0.degree == 6
                 assert len(rec.aut.maps) == 2
-                # the only isomorphism onto S2 keeps the identity first
-                assert rec.witness == (0, 1)
+                # listed in S2's order: the identity (E's generator), then (1 2)
+                assert rec.aut.maps[0] == rec.field.gen()
+                assert rec.aut.table == [[0, 1], [1, 0]]
                 break
         else:
             pytest.fail("no accepted specialization for S2 within height 5")
@@ -270,13 +271,25 @@ class TestSpecializeAndVerify:
             "no completeness prime in the first 1000 usable primes",
         )
 
-    def test_images_not_a_copy_of_g_raise(self, state_s2, monkeypatch):
-        # the same images under swapped labels no longer compose as G does
+    def test_images_not_a_copy_of_g_raise(self, states, monkeypatch):
+        # a transposition's image swapped with a 3-cycle's: the images,
+        # listed in G's order, no longer compose as G does
+        state = states["S3"]
+        images = dict(state.L.images)
+        elems = sorted(images)
+        a, b = elems[1], elems[3]
+        assert (a * a).is_identity and not (b * b).is_identity
+        images[a], images[b] = images[b], images[a]
+        monkeypatch.setattr(state.L, "images", images)
+        with pytest.raises(VerificationError, match="do not form a copy of G"):
+            specialize_and_verify(state, 1)
+
+    def test_identity_not_first_raise(self, state_s2, monkeypatch):
         images = dict(state_s2.L.images)
         a, b = sorted(images)
         images[a], images[b] = images[b], images[a]
         monkeypatch.setattr(state_s2.L, "images", images)
-        with pytest.raises(VerificationError, match="do not form a copy of G"):
+        with pytest.raises(VerificationError, match="first map is not the identity"):
             specialize_and_verify(state_s2, 1)
 
     def test_two_labels_one_image_raise(self, state_s2, monkeypatch):
@@ -284,12 +297,13 @@ class TestSpecializeAndVerify:
         a, b = sorted(images)
         images[b] = images[a]
         monkeypatch.setattr(state_s2.L, "images", images)
-        with pytest.raises(VerificationError, match="same automorphism"):
+        with pytest.raises(VerificationError, match="two images agree mod"):
             specialize_and_verify(state_s2, 1)
 
     def test_no_isomorphism_search(self, state_s2, monkeypatch):
-        """The witness is read off the labelling: no are_isomorphic call
-        and no AbstractGroup, wherever the package reaches them from."""
+        """The labelling is the order of the images: no are_isomorphic
+        call and no AbstractGroup, wherever the package reaches them
+        from."""
         calls = []
         search = perm.are_isomorphic
         for module in list(sys.modules.values()):
@@ -325,39 +339,45 @@ LABELLED = {
 class TestWitnessIsLabelling:
     @pytest.mark.parametrize("name", list(LABELLED))
     def test_witness_indexes_restriction_to_l(self, name):
-        """witness[i] is the index in sorted(G.elements) of the sigma that
-        the automorphism Z -> aut.maps[i] of E restricts to on L, read on
-        theta0, the image of L's generator in E."""
+        """The witness is positional: the automorphism Z -> aut.maps[i] of
+        E restricts on L to sorted(G.elements)[i], read on theta0, the
+        image of L's generator in E."""
         n, gens = LABELLED[name]
         G = PermGroup([parse_cycles(g, n) for g in gens.split(";")], degree=n)
         cert = run(G, n, count=1)
         rec, L = cert.accepted[0], cert.state.L
         elems = sorted(G.elements)
         theta0 = rec.theta0
-        for m, w in zip(rec.aut.maps, rec.witness, strict=True):
+        for m, g in zip(rec.aut.maps, elems, strict=True):
             moved = theta0.to_poly().eval(m)
             sigmas = [
                 s for s, img in L.images.items() if img.to_poly().eval(theta0) == moved
             ]
-            assert sigmas == [elems[w]]
+            assert sigmas == [g]
 
 
 class TestIsWitness:
-    """The one labelling check the producer and the validator share."""
+    """The one labelling check the producer and the validator share: a
+    table is labelled as G, image i extending sorted(G.elements)[i], iff
+    it equals group_table(G).  The refused tables are the ones a short,
+    non-injective, out-of-range or non-homomorphic labelling gives."""
 
     S3 = PermGroup.symmetric(3)
-    TABLE = to_abstract(S3).table  # rows in sorted(G.elements) order
+    TABLE = [list(row) for row in to_abstract(S3).table]  # in sorted(G.elements) order
 
     def test_identity_labelling(self):
-        assert is_witness(self.S3, self.TABLE, list(range(6)))
+        assert group_table(self.S3) == self.TABLE
 
     @pytest.mark.parametrize(
-        "witness",
+        "relabel",
         [[0, 1, 2, 3, 4], [0, 1, 2, 3, 4, 4], [0, 1, 2, 3, 4, 6], [1, 0, 2, 3, 4, 5]],
         ids=["short", "not_injective", "out_of_range", "not_a_homomorphism"],
     )
-    def test_refused(self, witness):
-        assert not is_witness(self.S3, self.TABLE, witness)
+    def test_refused(self, relabel):
+        # entry x of the table read as relabel[x], over the rows relabel covers
+        n = len(relabel)
+        table = [[relabel[x] for x in row if x < n] for row in self.TABLE[:n]]
+        assert table != group_table(self.S3)
 
 
 class TestTheta0:
