@@ -13,8 +13,11 @@ the order of G's sorted elements, so the i-th image extends the i-th
 element and no separate labelling is written.  Emission is
 canonical (sorted keys, fixed indentation), so equal runs produce
 byte-identical files.  The validator calls the producer's own checks,
-not copies: ``factor.Reductions`` (one per accepted field),
-``pipeline.group_table``, and ``pipeline.run`` for ``deep``.
+not copies: ``factor.is_irreducible_Q`` over the record each field E
+carries (``NumberField.reductions``, which distinctness reads too),
+``numfield.AutomorphismTable`` (images are roots, the completeness
+prime, and only then the table mod p), ``pipeline.group_table``, and
+``pipeline.run`` for ``deep``.
 """
 
 from __future__ import annotations
@@ -25,14 +28,13 @@ from math import ceil
 
 from .errors import SpecParseError, VerificationError
 from .exact import (
-    _is_prime,
     parse_rational,
     parse_unipoly,
     render_rational,
     render_unipoly,
 )
-from .factor import Reductions, is_irreducible_Q
-from .numfield import NumberField, evaluate, table_mod_p
+from .factor import _proved_prime, is_irreducible_Q
+from .numfield import AutomorphismTable, NumberField
 from .perm import PermGroup, parse_cycles
 from .pipeline import check_sn_cap, group_table, run
 
@@ -172,15 +174,6 @@ def _pair(entry):
     return None
 
 
-#: The fixed Miller-Rabin bases of ``_is_prime`` prove primality below this.
-_PRIME_PROOF_BOUND = 2**64
-
-
-def _proved_prime(p):
-    """True iff p is an integer prime with 5 <= p < _PRIME_PROOF_BOUND."""
-    return isinstance(p, int) and 5 <= p < _PRIME_PROOF_BOUND and _is_prime(p)
-
-
 def _separates(p, f, g):
     """True iff p is a proved prime at which the Frobenius patterns of the
     records f and g both exist and differ."""
@@ -190,18 +183,6 @@ def _separates(p, f, g):
     return a is not None and b is not None and a != b
 
 
-def _completes(p, f, k):
-    """None if p is a proved prime at which the record f is squarefree
-    with exactly k roots mod p, so Q[X]/(f) has at most k automorphisms;
-    otherwise why it is not."""
-    if not _proved_prime(p):
-        return "not an integer prime with 5 <= p < 2**64"
-    if not f.usable(p):
-        return "p divides the leading coefficient or q0 is not squarefree mod p"
-    roots = f.nroots(p)
-    return None if roots == k else f"{roots} roots mod p for {k} images"
-
-
 def validate_certificate(path, deep=False) -> ValidationReport:
     """Re-check a certificate file.
 
@@ -209,15 +190,17 @@ def validate_certificate(path, deep=False) -> ValidationReport:
     S_n cap (before any permutation is built), group closure, each t0
     canonical, each status "accepted" or "rejected", each rejected entry
     with a non-empty reason, at least one accepted specialization, each
-    defining polynomial is irreducible, automorphism images are roots,
-    the completeness prime p is prime and the defining polynomial is
-    squarefree mod p with exactly as many roots mod p as there are images
-    (so the images are all the automorphisms: reduction modulo a degree-1
-    prime above p keeps distinct roots distinct), the table recomputes
-    modulo p from the images and is G's own table over its sorted
-    elements (so the i-th image extends the i-th element), and each
-    pair of accepted fields has exactly one distinctness entry whose
-    prime separates their Frobenius patterns.
+    defining polynomial is monic (it defines the field E) and
+    irreducible, the steps of ``AutomorphismTable`` as it reports them
+    (automorphism images are roots; the completeness prime p is prime and
+    the defining polynomial is squarefree mod p with exactly as many
+    roots mod p as there are images, so the images are all the
+    automorphisms: reduction modulo a degree-1 prime above p keeps
+    distinct roots distinct), the table recomputes modulo p from the
+    images, which it does only when both steps pass, and is G's own
+    table over its sorted elements (so the i-th image extends the i-th
+    element), and each pair of accepted fields has exactly one
+    distinctness entry whose prime separates their Frobenius patterns.
     With ``deep``, the certificate is rebuilt up to the largest |t0| the
     shallow checks parsed, and must equal the file.
     """
@@ -271,35 +254,27 @@ def validate_certificate(path, deep=False) -> ValidationReport:
                 report.add(f"{label} rejected entry", True)
                 continue
             q0 = parse_unipoly(spec["defining_polynomial"], "X")
-            red = Reductions(q0)
-            report.add(f"{label} irreducible", is_irreducible_Q(q0, reductions=red))
             E = NumberField(q0.with_var("Z"))
+            report.add(
+                f"{label} irreducible", is_irreducible_Q(q0, reductions=E.reductions)
+            )
             images = [
                 _element(E, coords)
                 for coords in spec["automorphisms"]["generator_images"]
             ]
-            gen = E.gen()  # a root by definition
-            roots_ok = all(m == gen or not evaluate(E.modulus, m) for m in images)
-            report.add(f"{label} images are roots", roots_ok)
-            p = spec["completeness_prime"]
-            why_not = _completes(p, red, len(images))
-            complete = why_not is None
-            report.add(
-                f"{label} completeness prime",
-                complete,
-                f"p = {p!r}" + ("" if complete else f": {why_not}"),
-            )
+            aut = AutomorphismTable(E, images, prime=spec["completeness_prime"])
+            for name, ok, detail in aut.checks:
+                report.add(f"{label} {name}", ok, detail)
             table = [
                 [_json_int(i, "table entry") for i in row]
                 for row in spec["automorphisms"]["table"]
             ]
-            # the table is read mod p only once p is proved complete
-            recomputes = complete and table_mod_p(E, images, p) == table
+            recomputes = aut.table == table  # None unless every step passed
             report.add(f"{label} table recomputes mod p", recomputes)
             if not recomputes:
                 continue
             report.add(f"{label} table is G's", table == group_table(G))
-            accepted.append(red)
+            accepted.append(E.reductions)
         except _MALFORMED as exc:
             report.add(f"{label} well-formed", False, str(exc))
 

@@ -10,9 +10,9 @@ runs on the chosen prime only.  A polynomial is read modulo primes
 through one record, ``Reductions``, which derives lc(F) * disc(F) once
 and keeps, per prime, the distinct-degree factorization that gives the
 Zassenhaus prime and the Frobenius patterns proving two fields distinct,
-and the number of roots, the degree of gcd(X^p - X, F mod p), which
-bounds a field's automorphism count (``completeness_prime``); that root
-product splits into one root (``Reductions.root``).
+and the root product gcd(X^p - X, F mod p), whose degree bounds a
+field's automorphism count (``completeness_prime``) and from which one
+root is split (``Reductions.root``), computed once per prime.
 ``yun_squarefree_decomposition`` works over any exact field and is also
 the squarefree decomposition used over number fields.
 
@@ -22,7 +22,8 @@ lifting and recombination compute mod p^k with the modular helpers
 divisor there is monic); a symmetric lift (``_itrunc``) returns each
 lifted factor and each candidate factor to Z.  The lift exponent is
 the least l with p^l > 2B, for B the coefficient bound, found in
-integers with no floating point.
+integers with no floating point; each quadratic step goes from p^a to
+p^min(2a, l), so none computes modulo more than p^l.
 Chosen primes and lift exponents are recorded in the audit trail for
 certificate metadata.
 """
@@ -197,10 +198,13 @@ class Reductions:
     The usable primes are the p >= 5 not dividing ``lc_disc`` =
     lc(F) * disc(F), for F is squarefree mod p exactly when p does not
     divide disc(F).  Per prime the record keeps what later readers ask for
-    again: the number of roots of F mod p, which screens every t0's
-    completeness search, and the distinct-degree factorization, which
-    gives the Frobenius pattern of every distinctness pair.  It lives on
-    the object that owns the polynomial; no module-level cache keeps it.
+    again: the product of the roots of F mod p, which gives the root
+    counts of every t0's completeness search and screen and the root the
+    automorphism table is read at, and the distinct-degree factorization,
+    which gives the Frobenius pattern of every distinctness pair.  It
+    lives on the object that owns the polynomial (a number field keeps
+    its modulus's as ``NumberField.reductions``); no module-level cache
+    keeps it.
     """
 
     def __init__(self, f: UniPoly):
@@ -210,7 +214,7 @@ class Reductions:
             raise ValueError("the zero polynomial has no reductions")
         F = _iprimitive(_int_clear(f)[0])[1]
         self.F = F if F[-1] > 0 else [-c for c in F]
-        self._nroots, self._ddf = {}, {}
+        self._roots, self._ddf = {}, {}
 
     @cached_property
     def lc_disc(self):
@@ -239,19 +243,20 @@ class Reductions:
     def roots(self, p):
         """gcd(X^p - X, F mod p), for a prime p not dividing lc(F): the
         monic product of the distinct linear factors of F mod p, whose
-        degree is the number of roots of F mod p.  This is the k = 1 step
-        of ``_gddf``, without the steps after it."""
-        fp = _gmonic([c % p for c in self.F], p)
-        return _ggcd(_gsub(_gpow_mod([0, 1], p, fp, p), [0, 1], p), fp, p)
+        degree is the number of roots of F mod p, kept per prime.  This is
+        the k = 1 step of ``_gddf``, without the steps after it."""
+        if p not in self._roots:
+            fp = _gmonic([c % p for c in self.F], p)
+            xp = _gpow_mod([0, 1], p, fp, p)
+            self._roots[p] = _ggcd(_gsub(xp, [0, 1], p), fp, p)
+        return self._roots[p]
 
     def nroots(self, p):
-        """The number of roots of F mod p, deg ``roots(p)``, kept per prime."""
-        if p not in self._nroots:
-            self._nroots[p] = _ideg(self.roots(p))
-        return self._nroots[p]
+        """The number of roots of F mod p, deg ``roots(p)``."""
+        return _ideg(self.roots(p))
 
     def root(self, p):
-        """One root of F mod p, split with the fixed seed from
+        """One root of F mod p, split with the fixed seed from the kept
         ``roots(p)``, or None when p divides lc(F) or F has no root mod p."""
         if self.F[-1] % p == 0 or not _ideg(linear := self.roots(p)):
             return None
@@ -280,6 +285,15 @@ class Reductions:
 #: all 1,000 miss with probability (35/36)^1000 < 1e-12.  Each try costs
 #: one X^p mod F and one gcd, not a factorization.
 COMPLETENESS_PRIMES = 1000
+
+
+#: The fixed Miller-Rabin bases of ``_is_prime`` prove primality below this.
+_PRIME_PROOF_BOUND = 2**64
+
+
+def _proved_prime(p):
+    """True iff p is an integer prime with 5 <= p < _PRIME_PROOF_BOUND."""
+    return isinstance(p, int) and 5 <= p < _PRIME_PROOF_BOUND and _is_prime(p)
 
 
 def completeness_prime(f: Reductions, k, screen=None):
@@ -328,10 +342,10 @@ def _gfactor_sqf(ddf, p):
 # -- Hensel lifting ---------------------------------------------------------
 
 
-def _hensel_step(m, f, g, h, s, t):
+def _hensel_step(M, f, g, h, s, t):
     """Lift f = g*h (mod m), s*g + t*h = 1 (mod m), h monic, to modulus
-    M = m**2 (von zur Gathen-Gerhard, Alg. 15.10), computing mod M."""
-    M = m * m
+    M, a divisor of m**2 (von zur Gathen-Gerhard, Alg. 15.10), computing
+    mod M."""
     e = _gsub(_gmul(g, h, M), f, M)  # the error g*h - f, negated
     q, r = _gdivrem(_gmul(s, e, M), h, M)
     G = _gsub(_gsub(g, _gmul(t, e, M), M), _gmul(q, g, M), M)
@@ -364,10 +378,10 @@ def _hensel_lift(p, f, factors, l):
     s, t, one = _ggcdex(g, h, p)
     if one != [1]:
         raise VerificationError(f"modular factors are not coprime mod {p}")
-    m = p
-    for _ in range(max(1, (l - 1).bit_length())):  # until m = p**(2**d) >= p**l
-        g, h, s, t = _hensel_step(m, f, g, h, s, t)
-        m = m * m
+    a = 1
+    while a < l:  # p**a to p**min(2a, l): no step works mod more than p**l
+        a = min(2 * a, l)
+        g, h, s, t = _hensel_step(p**a, f, g, h, s, t)
     return _hensel_lift(p, g, factors[:k], l) + _hensel_lift(p, h, factors[k:], l)
 
 

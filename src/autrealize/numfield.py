@@ -4,19 +4,24 @@ A field is Q[Z]/(g) for a monic irreducible g with rational
 coefficients; an element is a residue polynomial stored as an integer
 coordinate vector over one positive denominator, in lowest terms.  The
 field keeps the reductions of Z^d, ..., Z^(2d-2) mod g as integer rows
-over one common denominator, so a product is an integer convolution, a
-row reduction and one gcd normalisation.  An inverse solves the integer
-linear system of multiplication by the element fraction-free (Bareiss)
-and is checked by one exact product.  Everything downstream needs only
-this single flattened shape: towers are collapsed to one primitive
-element as soon as they appear.
+over one common denominator, built at its first product, so a product
+is an integer convolution, a row reduction and one gcd normalisation.
+An inverse solves the integer linear system of multiplication by the
+element fraction-free (Bareiss) and is checked by one exact product.
+Everything downstream needs only this single flattened shape: towers
+are collapsed to one primitive element as soon as they appear.
 
-Factoring over a field uses Trager's method: shift by a multiple of the
-generator until the norm is squarefree, factor the norm over Q, pull
-factors back by gcd.  Automorphisms are never searched for: their
-images are given, and a table of them is read modulo one prime
-(:func:`table_mod_p`); the caller proves it a group law (the pipeline
-lists the images in G's order and compares the table with G's own).
+A field reads its modulus modulo primes through one record,
+``NumberField.reductions`` (a ``factor.Reductions``), which every
+reader shares.  Factoring over a field uses Trager's method: shift by a
+multiple of the generator until the norm is squarefree, factor the norm
+over Q, pull factors back by gcd.  Automorphisms are never searched
+for: their images are given, and :class:`AutomorphismTable` is the one
+proof, for pipeline and validator alike, that they are all of them
+(each image a root, and a completeness prime) before their table is
+read modulo that prime (:func:`table_mod_p`); the caller proves it a
+group law (the images are listed in G's order, and the table must be
+G's own).
 Every norm -- Trager norms, characteristic polynomials, primitive
 elements of extensions, and the pipeline's q(t0, X) at each t0 -- comes
 from the one helper :func:`shifted_norms`,
@@ -39,6 +44,7 @@ each permutation keeps its generator image and L needs no table.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cached_property
 from itertools import chain, permutations
 from math import gcd, isqrt, lcm
 from operator import mul as mul_int
@@ -54,6 +60,7 @@ from .exact import (
 from .factor import (
     Factorization,
     Reductions,
+    _proved_prime,
     factor_over_Q,
     squarefree_part,
     yun_squarefree_decomposition,
@@ -85,26 +92,45 @@ class NumberField:
         self.modulus = modulus.with_var("Z")
         self.modulus_coeffs = self.modulus.coeffs
         self._hash = hash(self.modulus_coeffs)
-        self.degree = d = modulus.degree
+        self.degree = modulus.degree
+        self._tau = [self.degree]  # power sums of mu^d g(X / mu), see power_traces
+
+    # Everything below that costs more than O(d) is built at its first
+    # use, so a field that is only read modulo primes (one past the
+    # factorization cap, say) is built in linear time.
+
+    @cached_property
+    def _scaled(self):
+        """(mu, h): g = G / mu over the integers, and h the coefficients
+        below the leading one of mu^d g(X / mu), integral: d powers of mu,
+        O(d^2 log mu) bits."""
+        G, mu = _int_clear(self.modulus)
+        return mu, [c * mu ** (self.degree - 1 - k) for k, c in enumerate(G[:-1])]
+
+    @cached_property
+    def _reduction(self):
+        """(rows, den) with Z**(d+k) = rows[k] / den mod g: integer rows
+        over their least common denominator (1 when g is integral), d^2
+        entries built at the first product."""
         # g = G / mu over integers; Z**(d+k) = rows[k] / mu**(k+1) mod g
         G, mu = _int_clear(self.modulus)
         rows = [[-c for c in G[:-1]]]
-        for _ in range(d - 2):
+        for _ in range(self.degree - 2):
             prev = rows[-1]
             shifted = [0] + prev[:-1]
             rows.append([prev[-1] * r + mu * s for r, s in zip(rows[0], shifted)])
-        # the same rows over their least common denominator (1 when g is
-        # integral)
         dens = [mu ** (k + 1) // gcd(mu ** (k + 1), *row) for k, row in enumerate(rows)]
         den = lcm(*dens)
-        self._rows = [
+        return [
             [c * den // mu ** (k + 1) for c in row] for k, row in enumerate(rows)
-        ]
-        self._row_den = den
-        # mu^d g(X / mu), integral, and its power sums (see power_traces)
-        self._mu = mu
-        self._scaled = [c * mu ** (d - 1 - k) for k, c in enumerate(G[:-1])]
-        self._tau = [d]
+        ], den
+
+    @cached_property
+    def reductions(self):
+        """The modulus read modulo primes (``factor.Reductions``): every
+        reader of the field's primes -- irreducibility, the completeness
+        search and check, the table's root, distinctness -- shares it."""
+        return Reductions(self.modulus)
 
     @classmethod
     def rationals(cls):
@@ -155,18 +181,19 @@ class NumberField:
         return NfElement(self, tuple(num), den)
 
     def _mul(self, a, b):
-        """Integer vector p with a * b = p / row_den, for integer
-        coordinate vectors a and b: schoolbook product, then each Z**(d+k)
-        replaced by its reduction row."""
+        """Integer vector p with a * b = p / den, for integer
+        coordinate vectors a and b and the reduction rows' den: schoolbook
+        product, then each Z**(d+k) replaced by its reduction row."""
         d = self.degree
         prod = [0] * (2 * d - 1)
         for i, x in enumerate(a):
             if x:
                 prod[i : i + d] = [p + x * y for p, y in zip(prod[i : i + d], b)]
         out = prod[:d]
-        if self._row_den != 1:
-            out = [self._row_den * c for c in out]
-        for c, row in zip(prod[d:], self._rows):
+        rows, den = self._reduction
+        if den != 1:
+            out = [den * c for c in out]
+        for c, row in zip(prod[d:], rows):
             if c:
                 out = [o + c * r for o, r in zip(out, row)]
         return out
@@ -176,13 +203,13 @@ class NumberField:
         is the common denominator of the modulus g, so that mu*Z is a root
         of the monic integer polynomial mu^d g(X / mu) and each tau[i] is
         the integer power sum of its roots (Newton's identities)."""
-        tau, h, d = self._tau, self._scaled, self.degree
+        (mu, h), tau, d = self._scaled, self._tau, self.degree
         for i in range(len(tau), count):
             acc = i * h[d - i] if i <= d else 0
             for j in range(1, min(i - 1, d) + 1):
                 acc += h[d - j] * tau[i - j]
             tau.append(-acc)
-        return self._mu, tau
+        return mu, tau
 
 
 class NfElement:
@@ -287,14 +314,15 @@ class NfElement:
         if other is None:
             return NotImplemented
         K = self.owner
-        den = self.den * other.den * K._row_den
+        den = self.den * other.den * K._reduction[1]
         return K._make(K._mul(self.num, other.num), den)
 
     __rmul__ = __mul__
 
     def inverse(self):
         """1 / self: x with M x = e_0, where column j of the integer
-        matrix M is num * Z^j times row_den^j, solved fraction-free;
+        matrix M is num * Z^j times den^j, for the reduction rows' den,
+        solved fraction-free;
         raises VerificationError when M is singular (a zero divisor, so
         the modulus is reducible) or the exact check fails."""
         if not self:
@@ -310,7 +338,7 @@ class NfElement:
         if solved is None:
             raise VerificationError("modulus is not irreducible")
         det, y = solved
-        q = K._row_den
+        q = K._reduction[1]
         inv = K._make([self.den * q**j * c for j, c in enumerate(y)], det)
         if self * inv != K.one():
             raise VerificationError("inverse fails its exact check")
@@ -474,7 +502,7 @@ def shifted_norms(f: UniPoly, K: NumberField):
         width, R = 1, 1
         mul = lambda x, y: [x[0] * y[0]]  # noqa: E731
     else:
-        width, R = K.degree, K._row_den
+        width, R = K.degree, K._reduction[1]
         mul = K._mul
     a = [
         [x * (A // den) for x in num[:width]] + [0] * (width - len(num))
@@ -598,26 +626,41 @@ def roots_in_field(f: UniPoly, K: NumberField):
 
 
 class AutomorphismTable:
-    """All automorphisms of K/Q: generator images plus a composition table.
+    """The proof that generator images are all the automorphisms of K/Q,
+    and their composition table.
 
-    maps are kept in the order given, and maps[0] must be K's generator
-    (the identity); table[a][b], the index of sigma_a . sigma_b in maps,
-    is read by :func:`table_mod_p` at ``prime``, a prime at which K's
-    modulus has exactly len(maps) roots.
+    Each step is kept in ``checks`` as (name, ok, detail), which the
+    validator reports as they are and the pipeline raises on: every image
+    other than K's generator (a root by definition) is a root of K's
+    modulus, and ``prime`` is a completeness prime, a proved prime at
+    which K's record is usable with exactly len(maps) roots, so K has at
+    most len(maps) automorphisms (see ``factor.completeness_prime``).
+    Only then is ``table`` read by :func:`table_mod_p` at ``prime``, and
+    None otherwise: table[a][b] is the index in maps of sigma_a . sigma_b.
+    maps keep the order given; that the table is a group's, with the
+    identity first, is the caller's check (``pipeline.group_table``).
     """
 
     def __init__(self, K: NumberField, maps, *, prime):
         self.field = K
         self.prime = prime
         self.maps = tuple(maps)
-        if not self.maps or self.maps[0] != K.gen():
-            raise VerificationError("the first map is not the identity")
-        for m in self.maps[1:]:  # the generator is a root by definition
-            if evaluate(K.modulus, m):
-                raise VerificationError("automorphism image is not a root")
-        self.table = table_mod_p(K, self.maps, prime)
-        if any(None in row for row in self.table):
-            raise VerificationError("composite of two automorphisms is not listed")
+        gen, red, k = K.gen(), K.reductions, len(self.maps)
+        roots = all(m == gen or not evaluate(K.modulus, m) for m in self.maps)
+        if not _proved_prime(prime):
+            why_not = "not an integer prime with 5 <= p < 2**64"
+        elif not red.usable(prime):
+            why_not = "p divides the leading coefficient or q0 is not squarefree mod p"
+        elif (n := red.nroots(prime)) != k:
+            why_not = f"{n} roots mod p for {k} images"
+        else:
+            why_not = None
+        detail = f"p = {prime!r}" + (f": {why_not}" if why_not else "")
+        self.checks = [
+            ("images are roots", roots, ""),
+            ("completeness prime", why_not is None, detail),
+        ]
+        self.table = table_mod_p(K, self.maps, prime) if roots and not why_not else None
 
 
 def _residue(e: NfElement, r, p):
@@ -638,7 +681,7 @@ def table_mod_p(K: NumberField, maps, p):
     modulo the degree-1 prime (p, Z - r) at a root r of the modulus mod p,
     where the residues of the maps must be distinct and p-integral.
     """
-    r = Reductions(K.modulus).root(p)
+    r = K.reductions.root(p)
     if r is None:
         raise VerificationError(f"the modulus has no usable root mod {p}")
     residues = [_residue(m, r, p) for m in maps]

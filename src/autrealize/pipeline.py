@@ -13,11 +13,13 @@ Given G as a subgroup of S_n, the pipeline:
    never built as a polynomial in T,
 4. specializes T to rational t0: q(t0, X) is the norm from L of the
    shifted cubic(t0 - y), which comes from power sums with no resultant;
-   reads q(t0, X) modulo primes through one ``factor.Reductions`` record,
-   whose one discriminant rejects t0 in the bad set (q(t0, X) has a
-   multiple root), and verifies, exactly, that the field Q[X]/(q(t0, X))
-   has automorphism group isomorphic to G, with a completeness prime and
-   the automorphisms listed in G's order, so that their table is G's,
+   reads q(t0, X) modulo primes through the one record its field
+   E = Q[X]/(q(t0, X)) carries (``NumberField.reductions``), whose one
+   discriminant rejects t0 in the bad set (q(t0, X) has a multiple
+   root), and verifies, exactly, that E has automorphism group
+   isomorphic to G: ``numfield.AutomorphismTable``, the validator's
+   proof too, checks the images are roots and a completeness prime, and
+   the automorphisms are listed in G's order, so that their table is G's,
 5. repeats until the requested number of verified fields is collected,
    keeping a field only if, against each field kept before it, some prime
    p >= 5 has different Frobenius patterns in the two (which proves them
@@ -35,8 +37,8 @@ embedded first, and since L's modulus m has m(theta0(Z)) = q(t0, Z) * H,
 a root r of q(t0, X) mod p gives the root theta0(r) of m mod p wherever
 theta0 and m are p-integral.  A prime at which m has no root is then
 passed over after a gcd of degree [L:Q], kept for every t0 on the
-state's record of m, not one of degree [E:Q]; the primes tried and the
-prime found are the same.  Nor is the isomorphism
+record L's field carries, not one of degree [E:Q]; the primes tried and
+the prime found are the same.  Nor is the isomorphism
 searched for: the automorphisms are listed in the order of
 sorted(G.elements), the i-th extending the i-th sigma, and a table equal
 to G's own (:func:`group_table`) makes that labelling one.  Root checks
@@ -59,7 +61,6 @@ from .errors import (
 from .exact import UniPoly, is_squarefree
 from .factor import (
     COMPLETENESS_PRIMES,
-    Reductions,
     _record,
     completeness_prime,
     is_irreducible_Q,
@@ -131,8 +132,6 @@ class PipelineState:
         self.L = L
         self.y = y
         self.c = c
-        # every t0's completeness search is screened through L's modulus
-        self.L_reductions = Reductions(L.field.modulus)
 
     def cubic_at(self, t0) -> UniPoly:
         """The cubic X^3 + (t0 - y)(X + 1) over L."""
@@ -187,7 +186,6 @@ class SpecializationRecord:
         field: NumberField | None = None,
         theta0: NfElement | None = None,
         aut: AutomorphismTable | None = None,
-        reductions: Reductions | None = None,  # of q0
     ):
         self.t0 = t0
         self.status = status
@@ -196,7 +194,6 @@ class SpecializationRecord:
         self.field = field
         self.theta0 = theta0
         self.aut = aut
-        self.reductions = reductions
 
 
 def build_state(G: PermGroup, n: int) -> PipelineState:
@@ -230,18 +227,17 @@ def specialize_and_verify(state: PipelineState, t0) -> SpecializationRecord:
     # with y = 0 (G = S_n) the cubic is FAMILY at T = t0, and where it has
     # a multiple root so has q(t0, X): its norm need not be taken
     if (not state.y and bad_set(FAMILY, t0)) or not (
-        red := Reductions(q0 := state.specialize(t0))
+        red := (E := NumberField(q0 := state.specialize(t0))).reductions
     ).lc_disc:
         return SpecializationRecord(t0, "rejected", "bad set: multiple root")
     if not is_irreducible_Q(q0, reductions=red):
         return SpecializationRecord(t0, "rejected", "q(t0, X) reducible over Q")
-    E = NumberField(q0.with_var("Z"))
     L, c = state.L, state.c
     theta0 = embed_generator(L.field, state.cubic_at(t0), E, c)
     # L's modulus m has m(theta0(Z)) = q0 * H, so where theta0 and m are
     # p-integral (H is then too), each root r of q0 mod p gives the root
     # theta0(r) of m mod p
-    p = completeness_prime(red, state.G.order, screen=(state.L_reductions, theta0.den))
+    p = completeness_prime(red, state.G.order, screen=(L.field.reductions, theta0.den))
     if p is None:
         reason = f"no completeness prime in the first {COMPLETENESS_PRIMES} usable primes"
         return SpecializationRecord(t0, "rejected", reason)
@@ -251,9 +247,9 @@ def specialize_and_verify(state: PipelineState, t0) -> SpecializationRecord:
     powers = Powers(theta0, L.degree - 1)
     images = [x + powers.image(L.images[g]) * c for g in sorted(state.G.elements)]
     aut = AutomorphismTable(E, images, prime=p)
-    if aut.table != group_table(state.G):
-        raise VerificationError("the images of G do not form a copy of G")
-    return SpecializationRecord(t0, "accepted", None, q0, E, theta0, aut, red)
+    if aut.table != group_table(state.G):  # None unless every check passed
+        raise VerificationError(f"the images of G do not form a copy of G: {aut.checks}")
+    return SpecializationRecord(t0, "accepted", None, q0, E, theta0, aut)
 
 
 # -- field distinctness -----------------------------------------------------
@@ -269,7 +265,7 @@ def fields_distinct_exact(a: SpecializationRecord, b: SpecializationRecord):
     exist and differ, proving the two fields non-isomorphic; None once
     DISTINCTNESS_PRIMES primes usable for both have failed.  The records
     the two carry keep each pattern for the field's other pairs."""
-    A, B = a.reductions, b.reductions
+    A, B = a.field.reductions, b.field.reductions
     for p in islice(A.primes(B), DISTINCTNESS_PRIMES):
         if A.pattern(p) != B.pattern(p):
             return p

@@ -10,12 +10,15 @@ import hashlib
 import json
 import math
 import random
+import sys
 import time
 from fractions import Fraction as F
 from itertools import islice, permutations
+from pathlib import Path
 
 import pytest
 
+import autrealize
 from autrealize.certs import certificate_to_json, dumps_canonical, validate_certificate
 from autrealize.cli import EXIT_OK, EXIT_PARSE, expand_named, main
 from autrealize.exact import (
@@ -23,9 +26,10 @@ from autrealize.exact import (
     _is_prime,
     discriminant,
     parse_rational,
+    parse_unipoly,
     render_rational,
 )
-from autrealize.factor import EDF_SEED, factor_over_Q, is_irreducible_Q
+from autrealize.factor import EDF_SEED, Reductions, factor_over_Q, is_irreducible_Q
 from autrealize.family import FAMILY, certify_s3, cubic
 from autrealize.numfield import (
     NumberField,
@@ -254,6 +258,20 @@ class TestValidatorWitness:
         assert f"[FAIL] specialization t0={spec['t0']} {check}\n" in out
         assert "[FAIL] deep: pipeline rebuild: differs at " in out
 
+    @pytest.mark.parametrize(
+        "recompute_table, check",
+        [(False, "table recomputes mod p"), (True, "table is G's")],
+        ids=["table_kept", "table_recomputed"],
+    )
+    def test_identity_swapped_rejected(self, tmp_path, recompute_table, check):
+        """Images 0 and 1 swapped, so that E's generator is not first: no
+        check refuses that by itself, for the table then either does not
+        recompute or, recomputed, is not G's (whose row 0 is the
+        identity's)."""
+        data, spec = self.s3_spec()
+        reorder(spec, [1, 0, 2, 3, 4, 5], recompute_table)
+        assert f"specialization t0={spec['t0']} {check}" in self.failed(tmp_path, data)
+
 
 class TestDeepRebuild:
     """Forgeries of the S3 certificate that every shallow check passes and
@@ -286,6 +304,110 @@ class TestDeepRebuild:
             key = f"specializations.{k}.{key}"
         assert out.count("[FAIL]") == 1
         assert f"[FAIL] deep: pipeline rebuild: differs at {key}\n" in out
+
+
+@pytest.fixture(scope="module")
+def s3_count_3(tmp_path_factory):
+    """An S3 certificate with three fields, written by the CLI while the
+    records that read each polynomial modulo primes are watched."""
+    path = tmp_path_factory.mktemp("certs") / "s3x3.json"
+    with pytest.MonkeyPatch.context() as mp:
+        watched = watch_records(mp)
+        assert main(["realize", "--named", "S3", "--count", "3", "--out", str(path)]) == EXIT_OK
+    return path, watched
+
+
+def watch_records(mp):
+    """(records, computed): per integer polynomial F, the Reductions
+    records whose root products or patterns were read, and per (F, p) how
+    often its root product gcd(X^p - X, F mod p) was computed."""
+    records, computed = {}, {}
+    for name in ("roots", "pattern"):
+        method = getattr(Reductions, name)
+
+        def watching(self, p, method=method, name=name):
+            F = tuple(self.F)
+            records.setdefault(F, {})[id(self)] = self
+            if name == "roots" and p not in getattr(self, "_roots", {}):
+                computed[F, p] = computed.get((F, p), 0) + 1
+            return method(self, p)
+
+        mp.setattr(Reductions, name, watching)
+    return records, computed
+
+
+def accepted_polynomials(path):
+    """The integer polynomial F of each accepted field of a certificate."""
+    data = json.loads(path.read_text())
+    return [
+        tuple(Reductions(parse_unipoly(spec["defining_polynomial"], "X")).F)
+        for spec in data["specializations"]
+        if spec["status"] == "accepted"
+    ]
+
+
+class TestOneRecordPerField:
+    """Each accepted field is read modulo primes through the one record
+    its NumberField carries: irreducibility, the completeness search and
+    check, the table's root and distinctness share it, and it computes
+    each root product gcd(X^p - X, F mod p), one X^p mod F, once."""
+
+    def assert_one_record(self, path, watched):
+        records, computed = watched
+        fields = accepted_polynomials(path)
+        assert len(fields) == 3
+        assert [len(records[F]) for F in fields] == [1, 1, 1]
+        assert [key for key, n in computed.items() if n > 1] == []
+
+    def test_realize(self, s3_count_3):
+        self.assert_one_record(*s3_count_3)
+
+    def test_shallow_validate(self, s3_count_3, monkeypatch):
+        path, _ = s3_count_3
+        watched = watch_records(monkeypatch)
+        assert validate_certificate(path).ok
+        self.assert_one_record(path, watched)
+
+
+#: The producer's search code, which shallow validation must not enter:
+#: (module, function) pairs, and every function of ``family``.
+SEARCH_CODE = {
+    ("pipeline", "run"),
+    ("pipeline", "build_state"),
+    ("pipeline", "specialize_and_verify"),
+    ("factor", "completeness_prime"),
+    ("numfield", "splitting_field"),
+    ("numfield", "embed_generator"),
+    ("numfield", "factor_over_nf"),
+    ("numfield", "shifted_norms"),
+}
+
+
+class TestValidatorTrust:
+    def test_shallow_validate_enters_no_search_code(self, s3_count_3):
+        """What README's "What the validator trusts" lists: shallow
+        validation of an S3 certificate with three fields calls no part of
+        the producer's search."""
+        path, _ = s3_count_3
+        package = Path(autrealize.__file__).parent
+        entered = set()
+
+        def tracer(frame, event, arg):
+            code = frame.f_code
+            where = Path(code.co_filename)
+            if where.parent == package:
+                entered.add((where.stem, code.co_name))
+
+        before = sys.gettrace()
+        sys.settrace(tracer)
+        try:
+            report = validate_certificate(path)
+        finally:
+            sys.settrace(before)
+        assert report.ok
+        assert {("numfield", "table_mod_p"), ("pipeline", "group_table")} <= entered
+        assert entered & SEARCH_CODE == set()
+        assert [name for module, name in entered if module == "family"] == []
 
 
 class TestFixedFieldCrossCheck:

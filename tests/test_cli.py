@@ -15,6 +15,8 @@ from autrealize.cli import (
 )
 from autrealize import factor, pipeline
 from autrealize.errors import SpecParseError
+from autrealize.exact import parse_rational, render_rational
+from autrealize.numfield import NumberField
 from autrealize.perm import PermGroup, parse_cycles
 from reference import v4_pipeline
 
@@ -238,7 +240,15 @@ class TestValidateCommand:
         bad.write_text(json.dumps(data))
         assert main(["validate", str(bad)]) == EXIT_PARSE
         out = capsys.readouterr().out
-        assert "certificate INVALID" in out and "[FAIL]" in out
+        assert "certificate INVALID" in out
+        # the table is read only once every step of the proof passed, so
+        # no entry whose images are not all roots counts as accepted
+        for spec in data["specializations"]:
+            if spec["status"] == "accepted":
+                label = f"[FAIL] specialization t0={spec['t0']}"
+                assert f"{label} images are roots" in out
+                assert f"{label} table recomputes mod p" in out
+        assert "[FAIL] at least one accepted specialization: 0 accepted" in out
 
     def test_empty_table(self, cert_path, tmp_path, capsys):
         data = json.loads(cert_path.read_text())
@@ -292,6 +302,22 @@ class TestValidateCommand:
         out = capsys.readouterr().out
         assert self.MALFORMED_SPECS[field] in out
         assert "certificate INVALID" in out
+
+    def test_non_monic_polynomial(self, cert_path, tmp_path, capsys):
+        """A defining polynomial that is not monic defines no field E: it
+        fails before irreducibility is asked of it."""
+        data = json.loads(cert_path.read_text())
+        spec = next(s for s in data["specializations"] if s["status"] == "accepted")
+        spec["defining_polynomial"] = [
+            render_rational(2 * parse_rational(c)) for c in spec["defining_polynomial"]
+        ]
+        bad = tmp_path / "non_monic.json"
+        bad.write_text(json.dumps(data))
+        assert main(["validate", str(bad)]) == EXIT_PARSE
+        out = capsys.readouterr().out
+        label = f"specialization t0={spec['t0']}"
+        assert f"[FAIL] {label} well-formed: modulus must be monic\n" in out
+        assert f"{label} irreducible" not in out
 
     # forged primes for the fields at t0 = 1 and -1, X^3 + X + 1 and
     # X^3 - X - 1, whose Frobenius patterns differ at p = 5
@@ -415,16 +441,29 @@ class TestValidateCommand:
     ):
         """A defining polynomial of degree 401 is refused by the
         factorization cap before any discriminant is taken, for a
-        discriminant costs cubic time in the degree."""
+        discriminant costs cubic time in the degree, and before the
+        field E it defines builds anything of more than linear size: its
+        d^2 reduction rows, or the d powers of the denominator 2 that
+        scale its modulus to an integral one."""
 
         def refuse(*_):
             raise AssertionError("discriminant taken before the degree cap check")
 
+        def refuse_built(name):
+            def build(_):
+                raise AssertionError(f"{name} built before the degree cap check")
+
+            return property(build)
+
         monkeypatch.setattr(factor, "discriminant", refuse)
+        for name in ("_reduction", "_scaled"):
+            monkeypatch.setattr(NumberField, name, refuse_built(name))
         data = json.loads(cert_path.read_text())
         spec = next(s for s in data["specializations"] if s["status"] == "accepted")
         rng = random.Random(1)
-        spec["defining_polynomial"] = [str(rng.randint(-3, 3)) for _ in range(401)] + ["1"]
+        coeffs = [str(rng.randint(-3, 3)) for _ in range(401)] + ["1"]
+        coeffs[0] = "1/2"
+        spec["defining_polynomial"] = coeffs
         bad = tmp_path / "over_cap.json"
         bad.write_text(json.dumps(data))
         assert main(["validate", str(bad)]) == EXIT_CAP

@@ -457,6 +457,26 @@ class TestHenselLift:
             f = rand_squarefree_int(rng, rng.randrange(2, 31))
             self.assert_lifts_as_over_Z(f, (1, 2, 3, 5, 8, 17))
 
+    def test_no_step_past_p_to_the_l(self, monkeypatch):
+        """Each step lifts mod p**a to mod p**min(2a, l), so no step
+        computes modulo more than p**l (l = 17 once reached p**32)."""
+        f = [1]
+        for k in range(1, 9):  # times X - k
+            f = [a - k * b for a, b in zip([0, *f], [*f, 0])]
+        p, modular = _choose_prime(Reductions(as_poly(f)))
+        assert len(modular) == 8
+        moduli = []
+        gmul = factor._gmul
+        monkeypatch.setattr(
+            factor, "_gmul", lambda a, b, m: moduli.append(m) or gmul(a, b, m)
+        )
+        for l in (2, 5, 17):
+            moduli.clear()
+            assert _hensel_lift(p, f, modular, l) == hensel_lift_over_Z(
+                p, f, modular, l
+            )
+            assert max(moduli) == p**l
+
     @pytest.mark.parametrize("name", ["S3", "C3"])
     def test_defining_polynomials(self, q0s, name):
         red = Reductions(q0s[name][0])

@@ -310,14 +310,30 @@ class TestAutomorphisms:
                 assert apply(m, a * b) == apply(m, a) * apply(m, b)
                 assert apply(m, golden.from_rational(7)) == 7
 
-    def test_order_kept_identity_first(self, golden):
-        """The maps keep the order they are given in, and the first must
-        be the generator."""
+    def test_order_kept_and_steps_checked(self, golden):
+        """The maps keep the order they are given in, the identity first
+        or not; each step of the proof is kept as a check, and the table
+        is read only when every step passes."""
         maps = automorphisms(golden).maps
-        assert maps[0] == golden.gen()
-        assert AutomorphismTable(golden, maps, prime=11).maps == maps
-        with pytest.raises(VerificationError, match="first map is not the identity"):
-            AutomorphismTable(golden, maps[::-1], prime=11)
+        aut = AutomorphismTable(golden, maps[::-1], prime=11)
+        assert aut.maps == maps[::-1]
+        assert aut.table == composition_table(maps[::-1])
+        assert aut.checks == [
+            ("images are roots", True, ""),
+            ("completeness prime", True, "p = 11"),
+        ]
+        not_a_root = (maps[0], golden.element([1, 1]))
+        not_prime = "p = 9: not an integer prime with 5 <= p < 2**64"
+        for images, p, failed, detail in [
+            (not_a_root, 11, "images are roots", ""),
+            (maps, 7, "completeness prime", "p = 7: 0 roots mod p for 2 images"),
+            (maps, 9, "completeness prime", not_prime),
+        ]:
+            aut = AutomorphismTable(golden, images, prime=p)
+            assert [check for check in aut.checks if not check[1]] == [
+                (failed, False, detail)
+            ]
+            assert aut.table is None
 
     def test_table_mod_p_refusals(self, golden):
         maps = automorphisms(golden).maps

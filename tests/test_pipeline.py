@@ -289,7 +289,14 @@ class TestSpecializeAndVerify:
         a, b = sorted(images)
         images[a], images[b] = images[b], images[a]
         monkeypatch.setattr(state_s2.L, "images", images)
-        with pytest.raises(VerificationError, match="first map is not the identity"):
+        with pytest.raises(VerificationError, match="do not form a copy of G"):
+            specialize_and_verify(state_s2, 1)
+
+    def test_failed_check_raises(self, state_s2, monkeypatch):
+        """A prime the search did not return fails the table's own
+        completeness check, and the table is not read at it."""
+        monkeypatch.setattr(pipeline, "completeness_prime", lambda f, k, screen: 4)
+        with pytest.raises(VerificationError, match="not an integer prime"):
             specialize_and_verify(state_s2, 1)
 
     def test_two_labels_one_image_raise(self, state_s2, monkeypatch):
@@ -435,7 +442,7 @@ class TestRun:
         X = UniPoly.gen("X")
         q0s = [X**3 - X - 1, (X**2 + 1) ** 2]
         a, b = (
-            SpecializationRecord(F(t0), "accepted", q0=q0, reductions=Reductions(q0))
+            SpecializationRecord(F(t0), "accepted", q0=q0, field=NumberField(q0))
             for t0, q0 in enumerate(q0s)
         )
         start = time.perf_counter()
