@@ -9,7 +9,7 @@ from .errors import (
     VerificationError,
 )
 from .exact import BiPoly, UniPoly
-from .factor import Factorization, factor_over_Q, is_irreducible_Q, squarefree_part
+from .factor import factor_over_Q, is_irreducible_Q, squarefree_part
 from .family import FAMILY, bad_set, certify_s3, cubic
 from .numfield import (
     NfElement,

@@ -1,20 +1,21 @@
 """Factorization and irreducibility over Q.
 
-The engine is classical Zassenhaus: squarefree decomposition (Yun),
-factorization modulo a prime (distinct-degree + equal-degree splitting with
-a fixed-seed PRNG), multifactor Hensel lifting to a Mignotte-style bound,
-and subset recombination with trial division.  The prime is chosen by the
-factor degrees that the distinct-degree factorization gives (von zur
-Gathen-Gerhard, Modern Computer Algebra, ch. 14); equal-degree splitting
-runs on the chosen prime only.  A polynomial is read modulo primes
-through one record, ``Reductions``, which derives lc(F) * disc(F) once
-and keeps, per prime, the distinct-degree factorization that gives the
-Zassenhaus prime and the Frobenius patterns proving two fields distinct,
-and the root product gcd(X^p - X, F mod p), whose degree bounds a
-field's automorphism count (``completeness_prime``) and from which one
-root is split (``Reductions.root``), computed once per prime.
-``yun_squarefree_decomposition`` works over any exact field and is also
-the squarefree decomposition used over number fields.
+The engine is classical Zassenhaus on a squarefree input: factorization
+modulo a prime (distinct-degree + equal-degree splitting with a
+fixed-seed PRNG), multifactor Hensel lifting to a Mignotte-style bound,
+and subset recombination with trial division.  Every polynomial the
+tool factors is squarefree, so none is decomposed first: a repeated
+factor makes lc(F) * disc(F) zero, and the record refuses it.  The
+prime is chosen by the factor degrees that the distinct-degree
+factorization gives (von zur Gathen-Gerhard, Modern Computer Algebra,
+ch. 14); equal-degree splitting runs on the chosen prime only.  A
+polynomial is read modulo primes through one record, ``Reductions``,
+which derives lc(F) * disc(F) once and keeps, per prime, the
+distinct-degree factorization that gives the Zassenhaus prime and the
+Frobenius patterns proving two fields distinct, and the root product
+gcd(X^p - X, F mod p), whose degree bounds a field's automorphism count
+(``completeness_prime``) and from which one root is split
+(``Reductions.root``), computed once per prime.
 
 Polynomials below are dense ascending lists of integers.  Hensel
 lifting and recombination compute mod p^k with the modular helpers
@@ -32,7 +33,6 @@ from __future__ import annotations
 
 import contextvars
 import random
-from fractions import Fraction
 from functools import cached_property
 from itertools import combinations, count, islice
 from math import isqrt
@@ -475,62 +475,12 @@ def _zassenhaus(red: Reductions):
 # -- public API over Q ------------------------------------------------------
 
 
-class Factorization:
-    """unit * prod(factor_i ** mult_i) == input, factors monic irreducible."""
-
-    def __init__(self, unit: Fraction, factors: tuple):
-        self.unit = unit
-        self.factors = factors  # of (UniPoly, int)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.unit, self.factors) == (other.unit, other.factors)
-
-    def __hash__(self):
-        return hash((self.unit, self.factors))
-
-
-def yun_squarefree_decomposition(f: UniPoly):
-    """Yun's algorithm over any exact field of characteristic 0 (Q or a
-    number field): returns list of (monic squarefree g_i, multiplicity i)."""
-    f = f.monic()
-    out = []
-    d = f.derivative()
-    a = poly_gcd(f, d)
-    b = poly_divrem(f, a)[0]
-    c = poly_divrem(d, a)[0]
-    i = 1
-    while b.degree >= 1:
-        z = c - b.derivative()
-        if z.is_zero:
-            out.append((b.monic(), i))
-            break
-        g = poly_gcd(b, z)
-        if g.degree >= 1:
-            out.append((g, i))
-        b = poly_divrem(b, g)[0]
-        c = poly_divrem(z, g)[0]
-        i += 1
-    return out
-
-
-def factor_over_Q(f: UniPoly) -> Factorization:
-    """Complete factorization of a nonzero rational polynomial."""
-    if f.field is not None:
-        raise ValueError("factor_over_Q expects rational coefficients")
-    if f.is_zero:
-        raise ValueError("cannot factor the zero polynomial")
-    unit = f.lc()
-    if f.degree == 0:
-        return Factorization(unit, ())
-    pairs = []
-    for g, mult in yun_squarefree_decomposition(f):
-        for part in _zassenhaus(Reductions(g)):
-            mono = UniPoly([Fraction(c) for c in part], f.var).monic()
-            pairs.append((mono, mult))
-    pairs.sort(key=lambda p: (p[0].degree, p[0].coeffs))
-    return Factorization(unit, tuple(pairs))
+def factor_over_Q(f: UniPoly) -> tuple:
+    """The monic irreducible factors of a nonzero squarefree rational
+    polynomial, sorted by (degree, coefficients); a ValueError if f has a
+    repeated factor, from its record (lc(F) * disc(F) = 0)."""
+    factors = (UniPoly(g, f.var).monic() for g in _zassenhaus(Reductions(f)))
+    return tuple(sorted(factors, key=lambda g: (g.degree, g.coeffs)))
 
 
 def is_irreducible_Q(f: UniPoly, *, reductions: Reductions | None = None) -> bool:

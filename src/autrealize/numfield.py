@@ -13,15 +13,17 @@ are collapsed to one primitive element as soon as they appear.
 
 A field reads its modulus modulo primes through one record,
 ``NumberField.reductions`` (a ``factor.Reductions``), which every
-reader shares.  Factoring over a field uses Trager's method: shift by a
-multiple of the generator until the norm is squarefree, factor the norm
-over Q, pull factors back by gcd.  Automorphisms are never searched
-for: their images are given, and :class:`AutomorphismTable` is the one
-proof, for pipeline and validator alike, that they are all of them
-(each image a root, and a completeness prime) before their table is
-read modulo that prime (:func:`table_mod_p`); the caller proves it a
-group law (the images are listed in G's order, and the table must be
-G's own).
+reader shares.  Factoring a squarefree polynomial over a field uses
+Trager's method: shift by a multiple of the generator until the norm is
+squarefree, factor the norm over Q, pull factors back by gcd.  Trager's
+bound on the shifts that fail makes the search finite, and a search
+that runs past it proves a repeated factor, which is refused.
+Automorphisms are never searched for: their images are given, and
+:class:`AutomorphismTable` is the one proof, for pipeline and validator
+alike, that they are all of them (each image a root, and a completeness
+prime) before their table is read modulo that prime
+(:func:`table_mod_p`); the caller proves it a group law (the images are
+listed in G's order, and the table must be G's own).
 Every norm -- Trager norms, characteristic polynomials, primitive
 elements of extensions, and the pipeline's q(t0, X) at each t0 -- comes
 from the one helper :func:`shifted_norms`,
@@ -31,21 +33,21 @@ coefficients, over integers; the part that does not depend on the shift
 is shared by every shift tried.  A rational polynomial is evaluated at an
 element by Paterson-Stockmeyer (:func:`evaluate`, about 2 sqrt(deg)
 products), and an element is mapped through an embedding as one integer
-combination of the image's powers (:class:`Powers`).  Squarefree
-decomposition is ``factor.yun_squarefree_decomposition`` (it works over
-any field).  A splitting field is a tower that keeps what it knows: the
-image of a generator in the next field is one exact linear solve
-(:func:`embed_generator`), and its automorphisms are its root
-permutations: permuting the roots in the generator, an integer
-combination of them, gives [L:Q] roots of its modulus, all of Aut(L), so
-each permutation keeps its generator image and L needs no table.
+combination of the image's powers (:class:`Powers`).  A splitting field
+is a tower that keeps what it knows: the image of a generator in the
+next field is one exact linear solve (:func:`embed_generator`, which
+returns the image's powers, the map of the old field into the new), and
+its automorphisms are its root permutations: permuting the roots in the
+generator, an integer combination of them, gives [L:Q] roots of its
+modulus, all of Aut(L), so each permutation keeps its generator image
+and L needs no table.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain, permutations
+from itertools import chain, islice, permutations
 from math import gcd, isqrt, lcm
 from operator import mul as mul_int
 
@@ -57,14 +59,7 @@ from .exact import (
     poly_divrem,
     poly_gcd,
 )
-from .factor import (
-    Factorization,
-    Reductions,
-    _proved_prime,
-    factor_over_Q,
-    squarefree_part,
-    yun_squarefree_decomposition,
-)
+from .factor import Reductions, _proved_prime, factor_over_Q, squarefree_part
 from .perm import PermGroup, Permutation
 
 SPLITTING_DEGREE_CAP = 24
@@ -404,11 +399,12 @@ def _solve_fraction_free(A, b):
 
 
 class Powers:
-    """m^0, ..., m^k for an element m, as integer vectors over one common
-    denominator: a rational combination of them is one integer
+    """m^0, ..., m^k for an element m (``base``), as integer vectors over
+    one common denominator: a rational combination of them is one integer
     combination and one normalisation, with no product in the field."""
 
     def __init__(self, m: NfElement, k):
+        self.base = m
         K = self.field = m.owner
         powers = [K.one(), m][: k + 1]
         while len(powers) <= k:
@@ -567,57 +563,61 @@ def shifted_norms(f: UniPoly, K: NumberField):
 def _sqf_norm(f: UniPoly, K: NumberField):
     """Find shift s with N(X) = Norm(f(X - s*theta)) squarefree.
 
-    Returns (s, shifted f over K, N over Q).  f must be monic squarefree
-    over K.  s = 0 is tried first only when some coefficient of f is
+    Returns (s, shifted f over K, N over Q) for monic f over K.  The roots
+    of N are b + s*sigma(theta) for the embeddings sigma of K and the roots
+    b of sigma(f); for squarefree f two of them meet only across two
+    embeddings, each such pair at one s at most, so at most
+    m^2 d(d-1)/2 shifts fail, m = deg f and d = [K:Q] (Trager, SYMSAC
+    '76).  The search tries one more shift than that and then refuses f
+    with a ValueError: every shift fails exactly when f has a repeated
+    factor.  s = 0 is tried first only when some coefficient of f is
     irrational: for rational f the norm at s = 0 is f^[K:Q], never
     squarefree when [K:Q] >= 2.
     """
     norm = shifted_norms(f, K)
+    m, d = f.degree, K.degree
     shifts = shift_sequence()
     if not all(c.is_rational for c in f.coeffs):
         shifts = chain((0,), shifts)
-    for s in shifts:
+    for s in islice(shifts, m * m * d * (d - 1) // 2 + 1):
         N = norm(s)
         if is_squarefree(N):
             g = f.compose(UniPoly([K.gen() * (-s), K.one()], f.var, K)) if s else f
             return s, g, N
-    raise VerificationError("unreachable: no squarefree-norm shift found")
+    raise ValueError("expects a squarefree polynomial")
 
 
-def factor_over_nf(f: UniPoly, K: NumberField) -> Factorization:
-    """Complete factorization over K into monic irreducibles (Trager):
-    each rational factor N_i of the squarefree norm N of g(X - s*theta)
-    gives the factor gcd(g(X - s*theta), N_i) shifted back by s*theta."""
+def factor_over_nf(f: UniPoly, K: NumberField) -> tuple:
+    """The monic irreducible factors over K of a nonzero squarefree f, over
+    K or Q, sorted by (degree, coordinates) (Trager): each rational factor
+    N_i of the squarefree norm N of f(X - s*theta) gives the factor
+    gcd(f(X - s*theta), N_i) shifted back by s*theta.  A ValueError if f
+    has a repeated factor (see :func:`_sqf_norm`)."""
     if f.is_zero:
         raise ValueError("cannot factor the zero polynomial")
     if f.field is None:
         f = f.map_coeffs(K.from_rational, field=K)
-    unit = f.lc()
-    if f.degree == 0:
-        return Factorization(unit, ())
-    pairs = []
-    for g, mult in yun_squarefree_decomposition(f):
-        if g.degree == 1:
-            pairs.append((g, mult))
-            continue
-        s, shifted, N = _sqf_norm(g, K)
-        back = UniPoly([K.gen() * s, K.one()], g.var, K)
-        found = []
-        for Ni, _ in factor_over_Q(N).factors:
-            Gi = poly_gcd(shifted, Ni.to_field(K).with_var(g.var))
-            found.append(Gi.compose(back) if s else Gi)
-        if sum(G.degree for G in found) != g.degree:
-            raise VerificationError("Trager pullback did not exhaust the input")
-        pairs += [(G, mult) for G in found]
-    pairs.sort(key=lambda p: (p[0].degree, tuple(c.sort_key() for c in p[0].coeffs)))
-    return Factorization(unit, tuple(pairs))
+    f = f.monic()
+    if f.degree <= 1:
+        return (f,) if f.degree else ()
+    s, shifted, N = _sqf_norm(f, K)
+    back = UniPoly([K.gen() * s, K.one()], f.var, K)
+    found = []
+    for Ni in factor_over_Q(N):
+        Gi = poly_gcd(shifted, Ni.to_field(K).with_var(f.var))
+        found.append(Gi.compose(back) if s else Gi)
+    if sum(G.degree for G in found) != f.degree:
+        raise VerificationError("Trager pullback did not exhaust the input")
+    return tuple(
+        sorted(found, key=lambda G: (G.degree, tuple(c.sort_key() for c in G.coeffs)))
+    )
 
 
 def roots_in_field(f: UniPoly, K: NumberField):
-    """All roots of f lying in K, sorted by coordinates: the linear
-    factors of its factorization over K."""
+    """All roots of a squarefree f lying in K, sorted by coordinates: the
+    linear factors of its factorization over K."""
     return sorted(
-        (-g.coeffs[0] for g, _ in factor_over_nf(f, K).factors if g.degree == 1),
+        (-g.coeffs[0] for g in factor_over_nf(f, K) if g.degree == 1),
         key=NfElement.sort_key,
     )
 
@@ -633,8 +633,10 @@ class AutomorphismTable:
     validator reports as they are and the pipeline raises on: every image
     other than K's generator (a root by definition) is a root of K's
     modulus, and ``prime`` is a completeness prime, a proved prime at
-    which K's record is usable with exactly len(maps) roots, so K has at
-    most len(maps) automorphisms (see ``factor.completeness_prime``).
+    which K's record is usable with exactly len(maps) >= 1 roots, so K
+    has at most len(maps) automorphisms (see ``factor.completeness_prime``;
+    the bound reduces modulo a degree-1 prime above p, which needs a root
+    mod p, so an empty list of images proves nothing).
     Only then is ``table`` read by :func:`table_mod_p` at ``prime``, and
     None otherwise: table[a][b] is the index in maps of sigma_a . sigma_b.
     maps keep the order given; that the table is a group's, with the
@@ -651,6 +653,8 @@ class AutomorphismTable:
             why_not = "not an integer prime with 5 <= p < 2**64"
         elif not red.usable(prime):
             why_not = "p divides the leading coefficient or q0 is not squarefree mod p"
+        elif not k:
+            why_not = "no images, and the bound needs a root mod p"
         elif (n := red.nroots(prime)) != k:
             why_not = f"{n} roots mod p for {k} images"
         else:
@@ -698,10 +702,10 @@ def extend_field(K: NumberField, h: UniPoly):
     """Adjoin a root of h (monic irreducible of degree >= 2 over K);
     flatten to one primitive element.
 
-    Returns (K2, theta_image, beta, c): K2's generator is beta + c*theta
-    for the shift c that :func:`_sqf_norm` finds, theta_image is the image
-    of K's generator theta in K2, and beta is a root of (the
-    coefficient-mapped) h in K2.
+    Returns (K2, powers, beta, c): K2's generator is beta + c*theta for
+    the shift c that :func:`_sqf_norm` finds, powers are those of the
+    image of K's generator theta in K2 (see :func:`embed_generator`), and
+    beta is a root of (the coefficient-mapped) h in K2.
     """
     if h.field is None:
         h = h.map_coeffs(K.from_rational, field=K)
@@ -710,13 +714,15 @@ def extend_field(K: NumberField, h: UniPoly):
     # of an irreducible)
     c, _, N = _sqf_norm(h, K)
     K2 = NumberField(N.with_var("Z"))
-    theta2 = embed_generator(K, h, K2, c)
-    return K2, theta2, K2.gen() - theta2 * c, c
+    powers = embed_generator(K, h, K2, c)
+    return K2, powers, K2.gen() - powers.base * c, c
 
 
 def embed_generator(K, h, K2, c):
-    """Image theta2 in K2 of K's generator theta, where K2's generator z
-    is beta + c*theta for a root beta of h (monic over K).
+    """The powers theta2^0, ..., theta2^[K:Q] (a :class:`Powers`, whose
+    ``image`` maps K into K2) of the image theta2 in K2 of K's generator
+    theta, where K2's generator z is beta + c*theta for a root beta of h
+    (monic over K).
 
     In the tower K(beta), with basis theta^i beta^j, the powers z^0, ...,
     z^(D-1) are a basis too, so theta = sum a_k z^k for one rational
@@ -750,7 +756,7 @@ def embed_generator(K, h, K2, c):
     h2 = h.map_coeffs(powers.image, field=K2)
     if h2.eval(K2.gen() - theta2 * c):
         raise VerificationError("embedded root does not annihilate h")
-    return theta2
+    return powers
 
 
 # -- splitting fields -------------------------------------------------------
@@ -789,20 +795,19 @@ def splitting_field(f: UniPoly) -> SplittingField:
     says where its automorphism sends the adjoined roots.  Once all roots
     but one are known, the last is minus the X^(n-1) coefficient minus
     their sum, so the largest field is never factored over.  A degree
-    above SPLITTING_DEGREE_CAP is refused before it is built.
+    above SPLITTING_DEGREE_CAP is refused before it is built, and f with
+    a repeated factor by the first factorization (a ValueError).
     """
     if f.field is not None:
         raise ValueError("expects a rational polynomial")
     if f.degree < 1:
         raise ValueError("needs degree >= 1")
-    if not is_squarefree(f):
-        raise ValueError("expects a squarefree polynomial")
     K = NumberField.rationals()
     work = f.monic().map_coeffs(K.from_rational, field=K)
     weights = []  # the generator is sum weights[i] * adjoined[i]
     adjoined = []
     while True:
-        factors = [g for g, _ in factor_over_nf(work, K).factors]
+        factors = factor_over_nf(work, K)
         roots = [-g.coeffs[0] for g in factors if g.degree == 1]
         nonlinear = [g for g in factors if g.degree > 1]
         if not nonlinear:
@@ -814,8 +819,8 @@ def splitting_field(f: UniPoly) -> SplittingField:
                 f"splitting field degree would reach {new_deg}, "
                 f"exceeding the cap {SPLITTING_DEGREE_CAP}"
             )
-        K2, theta2, beta, c = extend_field(K, h)
-        remap = Powers(theta2, K.degree - 1).image
+        K2, powers, beta, c = extend_field(K, h)
+        remap = powers.image
         work = work.map_coeffs(remap, field=K2)
         moved = {r: remap(r) for r in roots}  # the adjoined roots are among them
         adjoined = [moved[a] for a in adjoined] + [beta]

@@ -43,7 +43,8 @@ searched for: the automorphisms are listed in the order of
 sorted(G.elements), the i-th extending the i-th sigma, and a table equal
 to G's own (:func:`group_table`) makes that labelling one.  Root checks
 and the images sigma(theta0) take few products in E: the first by
-Paterson-Stockmeyer, the second as combinations of theta0's powers.
+Paterson-Stockmeyer, the second as combinations of the powers of
+theta0 that its embedding built for its own check.
 """
 
 from __future__ import annotations
@@ -70,7 +71,6 @@ from .numfield import (
     AutomorphismTable,
     NfElement,
     NumberField,
-    Powers,
     SplittingField,
     embed_generator,
     fixed_field,
@@ -233,7 +233,8 @@ def specialize_and_verify(state: PipelineState, t0) -> SpecializationRecord:
     if not is_irreducible_Q(q0, reductions=red):
         return SpecializationRecord(t0, "rejected", "q(t0, X) reducible over Q")
     L, c = state.L, state.c
-    theta0 = embed_generator(L.field, state.cubic_at(t0), E, c)
+    powers = embed_generator(L.field, state.cubic_at(t0), E, c)
+    theta0 = powers.base
     # L's modulus m has m(theta0(Z)) = q0 * H, so where theta0 and m are
     # p-integral (H is then too), each root r of q0 mod p gives the root
     # theta0(r) of m mod p
@@ -244,7 +245,6 @@ def specialize_and_verify(state: PipelineState, t0) -> SpecializationRecord:
     # E's generator is x + c*theta0; sigma in G sends it to x + c*sigma(theta0),
     # listed in G's order, so the identity's image, first, is E's generator
     x = E.gen() - theta0 * c
-    powers = Powers(theta0, L.degree - 1)
     images = [x + powers.image(L.images[g]) * c for g in sorted(state.G.elements)]
     aut = AutomorphismTable(E, images, prime=p)
     if aut.table != group_table(state.G):  # None unless every check passed

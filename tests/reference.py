@@ -17,8 +17,9 @@ it, the image of an element under one of them, their composition table
 by exact composition in the field, a generator's image in a larger
 field by a gcd over that field, the inverse of a permutation,
 normalizers, normality and quotient groups by direct scan, a
-permutation group's composition table, and the product of a
-factorization.
+permutation group's composition table, the product of a factorization,
+and a squarefree product of distinct random parts, the input factoring
+takes.
 """
 
 import random
@@ -39,6 +40,7 @@ from autrealize.exact import (
     _is_prime,
     discriminant,
     interpolate,
+    is_squarefree,
     poly_divrem,
     poly_gcd,
     render_rational,
@@ -526,9 +528,23 @@ def aut_group_via_quotient(ambient, sub):
     return quotient(normalizer(ambient, sub), sub)
 
 
-def expand(fac) -> UniPoly:
-    """unit * prod(factor ** mult) of a Factorization."""
-    acc = UniPoly.constant(fac.unit)
-    for g, k in fac.factors:
-        acc = acc * g**k
+def expand(factors) -> UniPoly:
+    """The product of a nonempty tuple of factors."""
+    acc = factors[0]
+    for g in factors[1:]:
+        acc = acc * g
     return acc
+
+
+def distinct_parts(draw, count):
+    """(parts, product): count parts from ``draw()``, skipping each draw
+    that would make the product not squarefree (one equal to, or sharing
+    a factor with, a part already drawn)."""
+    parts, prod = [], None
+    while len(parts) < count:
+        g = draw()
+        candidate = g if prod is None else prod * g
+        if is_squarefree(candidate):
+            parts.append(g)
+            prod = candidate
+    return parts, prod

@@ -27,6 +27,7 @@ from autrealize.exact import (
     discriminant,
     parse_rational,
     parse_unipoly,
+    poly_divrem,
     render_rational,
 )
 from autrealize.factor import EDF_SEED, Reductions, factor_over_Q, is_irreducible_Q
@@ -44,6 +45,7 @@ from reference import (
     aut_group_via_quotient,
     automorphisms,
     composition_table,
+    distinct_parts,
     expand,
     interpolated_q,
     pattern_by_gcd,
@@ -464,16 +466,11 @@ class TestFactorizationOracles:
                     return f
 
         for _ in range(200):
-            parts = [rand_irreducible() for _ in range(rng.randrange(1, 4))]
-            prod = UniPoly.constant(F(rng.choice([1, -1, 2, -3])), "X")
-            for p in parts:
-                prod = prod * p
+            parts, prod = distinct_parts(rand_irreducible, rng.randrange(1, 4))
+            prod = prod * F(rng.choice([1, -1, 2, -3]))
             fac = factor_over_Q(prod)
-            assert expand(fac) == prod
-            got = []
-            for g, m in fac.factors:
-                got.extend([g.coeffs] * m)
-            assert sorted(got) == sorted(p.coeffs for p in parts)
+            assert expand(fac) == prod.monic()
+            assert sorted(g.coeffs for g in fac) == sorted(p.coeffs for p in parts)
 
         nf_fields = [
             NumberField(UniPoly([F(-1), F(-1), F(1)], "Z")),
@@ -482,16 +479,18 @@ class TestFactorizationOracles:
         ]
         for trial in range(20):
             K = nf_fields[trial % len(nf_fields)]
-            coeffs = [
-                K.element([rng.randrange(-3, 4) for _ in range(K.degree)])
-                for _ in range(rng.randrange(2, 4))
-            ]
-            f = UniPoly(coeffs + [K.one()], "X", K)
+
+            def rand_part():
+                coeffs = [
+                    K.element([rng.randrange(-3, 4) for _ in range(K.degree)])
+                    for _ in range(rng.randrange(1, 3))
+                ]
+                return UniPoly(coeffs + [K.one()], "X", K)
+
+            parts, f = distinct_parts(rand_part, rng.randrange(1, 3))
             fac = factor_over_nf(f, K)
-            acc = UniPoly.constant(fac.unit, "X", K)
-            for g, m in fac.factors:
-                acc = acc * g**m
-            assert acc == f
+            assert expand(fac) == f
+            assert all(any(poly_divrem(p, g)[1].is_zero for p in parts) for g in fac)
         assert time.monotonic() - start < 120
 
 

@@ -250,6 +250,26 @@ class TestValidateCommand:
                 assert f"{label} table recomputes mod p" in out
         assert "[FAIL] at least one accepted specialization: 0 accepted" in out
 
+    def test_empty_images(self, tmp_path, capsys):
+        """No images and a prime at which q0 has no root: 0 roots for 0
+        images proves nothing, for the bound needs a root mod p, and the
+        completeness step says so by name."""
+        path = tmp_path / "c1x8.json"
+        assert main(["realize", "--named", "C1", "--count", "8", "--t-max", "10",
+                     "--out", str(path)]) == EXIT_OK
+        data = json.loads(path.read_text())
+        spec = next(s for s in data["specializations"] if s["t0"] == "1")
+        assert spec["status"] == "accepted"
+        spec["automorphisms"].update(generator_images=[], table=[])
+        spec["completeness_prime"] = 5
+        path.write_text(json.dumps(data))
+        capsys.readouterr()
+        assert main(["validate", str(path)]) == EXIT_PARSE
+        out = capsys.readouterr().out
+        assert "[FAIL] specialization t0=1 completeness prime: p = 5: " in out
+        assert "[FAIL] specialization t0=1 table recomputes mod p" in out
+        assert "t0=1 well-formed" not in out
+
     def test_empty_table(self, cert_path, tmp_path, capsys):
         data = json.loads(cert_path.read_text())
         spec = next(s for s in data["specializations"] if s["status"] == "accepted")

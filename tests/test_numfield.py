@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction as F
 from functools import cache
 from itertools import islice
@@ -32,8 +33,10 @@ from reference import (
     composition_table,
     ddf_by_gcd,
     ddf_degrees,
+    distinct_parts,
     embed_generator_by_gcd,
     euclid_inverse,
+    expand,
     root_product_by_ddf,
     shifted_norm_by_resultants,
     to_abstract,
@@ -220,40 +223,56 @@ class TestFactorOverNf:
     def test_golden_splits(self, golden):
         z = golden.gen()
         fac = factor_over_nf(X**2 - X - 1, golden)
-        roots = sorted((-g.coeffs[0]).coords for g, _ in fac.factors)
+        roots = sorted((-g.coeffs[0]).coords for g in fac)
         assert roots == sorted([z.coords, (golden.one() - z).coords])
 
     def test_cbrt2_partial_split(self, cbrt2):
         f = UniPoly([F(-2), F(0), F(0), F(1)], "X")
         fac = factor_over_nf(f, cbrt2)
-        assert sorted(g.degree for g, _ in fac.factors) == [1, 2]
-        acc = UniPoly.one("X", cbrt2)
-        for g, m in fac.factors:
-            acc = acc * g**m
-        assert acc == f.to_field(cbrt2)
+        assert [g.degree for g in fac] == [1, 2]
+        assert expand(fac) == f.to_field(cbrt2)
 
     def test_irreducible_stays(self):
         K = NumberField(Zpoly(-2, 0, 1))
         fac = factor_over_nf(X**2 + 1, K)
-        assert len(fac.factors) == 1 and fac.factors[0][0].degree == 2
+        assert len(fac) == 1 and fac[0].degree == 2
 
     def test_random_reassembly(self, golden, cbrt2):
         rng = random.Random(23)
         for trial in range(20):
             K = (golden, cbrt2)[trial % 2]
-            coeffs = [
-                K.element([rng.randrange(-4, 5) for _ in range(K.degree)])
-                for _ in range(rng.randrange(2, 5))
-            ]
-            f = UniPoly(coeffs + [K.one()], "X", K)
+
+            def rand_part():
+                coeffs = [
+                    K.element([rng.randrange(-4, 5) for _ in range(K.degree)])
+                    for _ in range(rng.randrange(1, 3))
+                ]
+                return UniPoly(coeffs + [K.one()], "X", K)
+
+            _, f = distinct_parts(rand_part, rng.randrange(1, 3))
             fac = factor_over_nf(f, K)
-            acc = UniPoly.constant(fac.unit, "X", K)
-            for g, m in fac.factors:
-                acc = acc * g**m
-            assert acc == f
-            for g, _ in fac.factors:
-                refac = factor_over_nf(g, K)
-                assert len(refac.factors) == 1 and refac.factors[0][1] == 1
+            assert expand(fac) == f
+            for g in fac:
+                assert factor_over_nf(g, K) == (g,)
+
+    @pytest.mark.parametrize(
+        "field, f",
+        [("golden", (X**2 + 1) ** 2), ("cbrt2", (X**2 + 1) ** 2 * (X - 1))],
+    )
+    def test_repeated_factor_refused(self, request, monkeypatch, field, f):
+        """Over K = Q(theta) of degree d, at most m^2 d(d-1)/2 shifts s
+        leave the norm of a squarefree f(X - s*theta) of degree m with a
+        repeated root; past one more shift than that, f is refused."""
+        K = request.getfixturevalue(field)
+        shifts = []  # one squarefreeness test per norm
+        sqf = numfield.is_squarefree
+        monkeypatch.setattr(numfield, "is_squarefree", lambda N: shifts.append(N) or sqf(N))
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="squarefree"):
+            factor_over_nf(f, K)
+        assert time.perf_counter() - start < 1
+        m, d = f.degree, K.degree
+        assert len(shifts) == m * m * d * (d - 1) // 2 + 1
 
 
 class TestRootsInField:
@@ -324,10 +343,12 @@ class TestAutomorphisms:
         ]
         not_a_root = (maps[0], golden.element([1, 1]))
         not_prime = "p = 9: not an integer prime with 5 <= p < 2**64"
+        no_images = "p = 7: no images, and the bound needs a root mod p"
         for images, p, failed, detail in [
             (not_a_root, 11, "images are roots", ""),
             (maps, 7, "completeness prime", "p = 7: 0 roots mod p for 2 images"),
             (maps, 9, "completeness prime", not_prime),
+            ((), 7, "completeness prime", no_images),  # 0 roots mod 7 too
         ]:
             aut = AutomorphismTable(golden, images, prime=p)
             assert [check for check in aut.checks if not check[1]] == [
@@ -355,7 +376,8 @@ class TestEmbedGenerator:
     def test_sqrt2_then_sqrt3(self):
         K = NumberField(Zpoly(-2, 0, 1))
         h = (X**2 - 3).to_field(K)
-        K2, theta2, beta, c = extend_field(K, h)
+        K2, powers, beta, c = extend_field(K, h)
+        theta2 = powers.base
         assert theta2 == embed_generator_by_gcd(K, h, K2, c)
         assert theta2 * theta2 == 2 and beta * beta == 3
 
@@ -364,11 +386,12 @@ class TestEmbedGenerator:
         work = cubic_splitting.poly.to_field(K)
         steps = 0
         while True:
-            factors = [g for g, _ in factor_over_nf(work, K).factors]
+            factors = factor_over_nf(work, K)
             nonlinear = [g for g in factors if g.degree > 1]
             if not nonlinear:
                 break
-            K2, theta2, _, c = extend_field(K, nonlinear[0])
+            K2, powers, _, c = extend_field(K, nonlinear[0])
+            theta2 = powers.base
             assert theta2 == embed_generator_by_gcd(K, nonlinear[0], K2, c)
             work = work.map_coeffs(lambda e: e.to_poly().eval(theta2), field=K2)
             K, steps = K2, steps + 1
@@ -536,6 +559,26 @@ class TestSplittingField:
     def test_already_split(self):
         L = splitting_field((X - 1) * (X - 2))
         assert L.degree == 1 and L.galois.order == 1
+
+    def test_repeated_factor_refused(self):
+        """The first factorization, over Q, refuses a repeated factor."""
+        with pytest.raises(ValueError, match="squarefree"):
+            splitting_field((X**2 - 2) ** 2 * (X - 1))
+
+    def test_generator_powers_built_once(self, monkeypatch):
+        """Each step maps the old field into the new through the powers
+        that the embedding built for its own check; no element's powers
+        are built twice."""
+        bases = []
+        powers = numfield.Powers
+
+        def watched(m, k):
+            bases.append(m)
+            return powers(m, k)
+
+        monkeypatch.setattr(numfield, "Powers", watched)
+        splitting_field(X**3 - X - 1)
+        assert len(bases) == len(set(bases))
 
     def test_root_product_reconstructs(self, cubic_splitting):
         L = cubic_splitting

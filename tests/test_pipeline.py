@@ -7,7 +7,7 @@ import pytest
 
 import sys
 
-from autrealize import factor, perm, pipeline
+from autrealize import factor, numfield, perm, pipeline
 from autrealize.errors import (
     BudgetExhaustedError,
     CapExceededError,
@@ -201,7 +201,7 @@ class TestScreenedCompletenessPrime:
         state = states[name]
         q0 = state.specialize(t0)
         E = NumberField(q0.with_var("Z"))
-        theta0 = embed_generator(state.L.field, state.cubic_at(t0), E, state.c)
+        theta0 = embed_generator(state.L.field, state.cubic_at(t0), E, state.c).base
         order = state.G.order
         screen = (Reductions(state.L.field.modulus), theta0.den)
         p = completeness_prime(Reductions(q0), order, screen=screen)
@@ -401,6 +401,22 @@ class TestTheta0:
         cubic0 = cubic(state.L.field.from_rational(t0) - state.y)
         expected = embed_generator_by_gcd(state.L.field, cubic0, rec.field, state.c)
         assert rec.theta0 == expected
+
+    def test_powers_built_once(self, states, monkeypatch):
+        """The powers of theta0 that the embedding built for its own check
+        map L's automorphisms into E; none are built again."""
+        bases = []
+        powers = numfield.Powers
+
+        def watched(m, k):
+            bases.append(m)
+            return powers(m, k)
+
+        monkeypatch.setattr(numfield, "Powers", watched)
+        monkeypatch.setattr(pipeline, "Powers", watched, raising=False)
+        rec = specialize_and_verify(states["S3"], 1)
+        assert rec.status == "accepted"
+        assert bases.count(rec.theta0) == 1
 
 
 class TestRun:
