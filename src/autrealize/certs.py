@@ -16,8 +16,9 @@ byte-identical files.  The validator calls the producer's own checks,
 not copies: ``factor.is_irreducible_Q`` over the record each field E
 carries (``NumberField.reductions``, which distinctness reads too),
 ``numfield.AutomorphismTable`` (images are roots, the completeness
-prime, and only then the table mod p), ``pipeline.group_table``, and
-``pipeline.run`` for ``deep``.
+prime, and only then the table mod p), ``pipeline.group_table``,
+``Reductions.separates`` for distinctness, and ``pipeline.run`` for
+``deep``.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from .exact import (
     render_rational,
     render_unipoly,
 )
-from .factor import _proved_prime, is_irreducible_Q
+from .factor import is_irreducible_Q
 from .numfield import AutomorphismTable, NumberField
 from .perm import PermGroup, parse_cycles
 from .pipeline import check_sn_cap, group_table, run
@@ -54,7 +55,7 @@ def certificate_to_json(cert) -> dict:
     specs = []
     accepted_by_t0 = {rec.t0: rec for rec in cert.accepted}
     for t0, status, reason in cert.transcript:
-        if status == "accepted" and t0 in accepted_by_t0:
+        if status == "accepted":
             rec = accepted_by_t0[t0]
             specs.append(
                 {
@@ -82,10 +83,10 @@ def certificate_to_json(cert) -> dict:
         "format": FORMAT_NAME,
         "version": FORMAT_VERSION,
         "group": {
-            "n": cert.group_n,
+            "n": cert.state.G.degree,
             "generators": list(cert.group_generators),
             "name": cert.group_name,
-            "order": cert.group_order,
+            "order": cert.state.G.order,
         },
         "specializations": specs,
         "distinctness": [
@@ -174,15 +175,6 @@ def _pair(entry):
     return None
 
 
-def _separates(p, f, g):
-    """True iff p is a proved prime at which the Frobenius patterns of the
-    records f and g both exist and differ."""
-    if not _proved_prime(p):
-        return False
-    a, b = f.pattern(p), g.pattern(p)
-    return a is not None and b is not None and a != b
-
-
 def validate_certificate(path, deep=False) -> ValidationReport:
     """Re-check a certificate file.
 
@@ -192,15 +184,15 @@ def validate_certificate(path, deep=False) -> ValidationReport:
     with a non-empty reason, at least one accepted specialization, each
     defining polynomial is monic (it defines the field E) and
     irreducible, the steps of ``AutomorphismTable`` as it reports them
-    (automorphism images are roots; the completeness prime p is prime and
-    the defining polynomial is squarefree mod p with exactly as many
-    roots mod p as there are images, so the images are all the
-    automorphisms: reduction modulo a degree-1 prime above p keeps
-    distinct roots distinct), the table recomputes modulo p from the
+    (automorphism images are roots; ``Reductions.completeness_failure``
+    passes p: it is prime and the defining polynomial is squarefree mod p
+    with exactly as many roots mod p as there are images, so the images
+    are all the automorphisms), the table recomputes modulo p from the
     images, which it does only when both steps pass, and is G's own
     table over its sorted elements (so the i-th image extends the i-th
     element), and each pair of accepted fields has exactly one
-    distinctness entry whose prime separates their Frobenius patterns.
+    distinctness entry whose prime separates their Frobenius patterns
+    (``Reductions.separates``).
     With ``deep``, the certificate is rebuilt up to the largest |t0| the
     shallow checks parsed, and must equal the file.
     """
@@ -296,7 +288,7 @@ def validate_certificate(path, deep=False) -> ValidationReport:
             i, j = pair
             report.add(
                 f"distinctness {list(pair)} separated",
-                _separates(p, accepted[i], accepted[j]),
+                accepted[i].separates(accepted[j], p),
                 f"p = {p!r}",
             )
 
@@ -327,7 +319,6 @@ def _deep_validate(data, G, t_max, report):
     try:
         rebuilt = run(
             G,
-            G.degree,
             count=sum(spec.get("status") == "accepted" for spec in specs),
             t_max=t_max,
             group_generators=data["group"]["generators"],

@@ -175,7 +175,6 @@ def _cmd_realize(n, named, gens, count, t_max, out):
         G, gen_strings = parse_group_spec(n, gens)
     cert = pipeline_run(
         G,
-        G.degree,
         count=count,
         t_max=t_max,
         group_generators=gen_strings,

@@ -14,8 +14,11 @@ which derives lc(F) * disc(F) once and keeps, per prime, the
 distinct-degree factorization that gives the Zassenhaus prime and the
 Frobenius patterns proving two fields distinct, and the root product
 gcd(X^p - X, F mod p), whose degree bounds a field's automorphism count
-(``completeness_prime``) and from which one root is split
-(``Reductions.root``), computed once per prime.
+and from which one root is split (``Reductions.root``), computed once
+per prime.  The record holds the one criterion for a completeness prime
+(``Reductions.completeness_failure``, which ``completeness_prime``
+searches with) and for a separating prime (``Reductions.separates``);
+the validator calls the same two.
 
 Polynomials below are dense ascending lists of integers.  Hensel
 lifting and recombination compute mod p^k with the modular helpers
@@ -191,6 +194,15 @@ def _gedf(f, k, p, rng):
             return _gedf(g, k, p, rng) + _gedf(_gdivrem(f, g, p)[0], k, p, rng)
 
 
+#: The fixed Miller-Rabin bases of ``_is_prime`` prove primality below this.
+_PRIME_PROOF_BOUND = 2**64
+
+
+def _proved_prime(p):
+    """True iff p is an integer prime with 5 <= p < _PRIME_PROOF_BOUND."""
+    return isinstance(p, int) and 5 <= p < _PRIME_PROOF_BOUND and _is_prime(p)
+
+
 class Reductions:
     """A polynomial read modulo primes, what is read again derived once.
 
@@ -202,9 +214,12 @@ class Reductions:
     counts of every t0's completeness search and screen and the root the
     automorphism table is read at, and the distinct-degree factorization,
     which gives the Frobenius pattern of every distinctness pair.  It
-    lives on the object that owns the polynomial (a number field keeps
-    its modulus's as ``NumberField.reductions``); no module-level cache
-    keeps it.
+    also states the one criterion for each claim a certificate makes at
+    a prime, which the producer's search and the validator both call:
+    ``completeness_failure`` (the listed automorphisms are all of them)
+    and ``separates`` (two fields are not isomorphic).  It lives on the
+    object that owns the polynomial (a number field keeps its modulus's
+    as ``NumberField.reductions``); no module-level cache keeps it.
     """
 
     def __init__(self, f: UniPoly):
@@ -278,6 +293,31 @@ class Reductions:
             return None
         return tuple(sorted(k for g, k in self.ddf(p) for _ in range(_ideg(g) // k)))
 
+    def completeness_failure(self, p, k):
+        """None when p is a completeness prime for k automorphisms of
+        Q[X]/(F), else why it is not: p must be a proved prime, usable,
+        and F must have exactly k >= 1 roots mod p (see
+        ``completeness_prime``; the bound reduces modulo a degree-1 prime
+        above p, which needs a root mod p, so k = 0 proves nothing)."""
+        if not _proved_prime(p):
+            return "not an integer prime with 5 <= p < 2**64"
+        if not self.usable(p):
+            return "p divides the leading coefficient or q0 is not squarefree mod p"
+        if not k:
+            return "no images, and the bound needs a root mod p"
+        if (n := self.nroots(p)) != k:
+            return f"{n} roots mod p for {k} images"
+        return None
+
+    def separates(self, other, p):
+        """True iff p is a proved prime at which the Frobenius patterns of
+        this record and the record ``other`` both exist and differ, which
+        proves their fields non-isomorphic."""
+        if not _proved_prime(p):
+            return False
+        a, b = self.pattern(p), other.pattern(p)
+        return a is not None and b is not None and a != b
+
 
 #: Usable primes tried before a field is given up as having no
 #: completeness prime.  By Chebotarev the primes with exactly |G| roots
@@ -287,21 +327,14 @@ class Reductions:
 COMPLETENESS_PRIMES = 1000
 
 
-#: The fixed Miller-Rabin bases of ``_is_prime`` prove primality below this.
-_PRIME_PROOF_BOUND = 2**64
-
-
-def _proved_prime(p):
-    """True iff p is an integer prime with 5 <= p < _PRIME_PROOF_BOUND."""
-    return isinstance(p, int) and 5 <= p < _PRIME_PROOF_BOUND and _is_prime(p)
-
-
 def completeness_prime(f: Reductions, k, screen=None):
-    """The first usable prime p of the record f at which F has exactly k
-    roots mod p, or None once COMPLETENESS_PRIMES usable primes have
-    failed.  The roots are counted as deg gcd(X^p - X, F mod p), the
-    number of ones in the Frobenius pattern, without factoring further;
-    a ValueError if F has a repeated factor.
+    """The first usable prime p of the record f that passes
+    ``f.completeness_failure(p, k)``, the validator's criterion: F has
+    exactly k >= 1 roots mod p.  None once COMPLETENESS_PRIMES usable
+    primes have failed, and so always for k = 0.  The roots are counted
+    as deg gcd(X^p - X, F mod p), the number of ones in the Frobenius
+    pattern, without factoring further; a ValueError if F has a repeated
+    factor.
 
     Such a p proves that E = Q[X]/(F), F irreducible, has at most k
     automorphisms: each sends the generator to a root of F in E, reduction
@@ -311,18 +344,17 @@ def completeness_prime(f: Reductions, k, screen=None):
     ``screen``, if given, is a pair (g, D) of the record g of a monic
     rational polynomial and an integer D such that at each usable p not
     dividing D, where g is p-integral, a root of F mod p gives one of g
-    mod p.  For k >= 1 a usable p where g then has no root is passed over
-    after g's root count alone (cheaper when g has the smaller degree,
-    and kept by g for every search it screens); the primes tried, and the
-    prime found, stay the same.
+    mod p.  A usable p where g then has no root is passed over after g's
+    root count alone (cheaper when g has the smaller degree, and kept by
+    g for every search it screens); the primes tried, and the prime
+    found, stay the same.
     """
-    screened = screen is not None and k >= 1
-    if screened:
+    if screen is not None:
         g, D = screen
     for p in islice(f.primes(), COMPLETENESS_PRIMES):
-        if screened and D % p and g.F[-1] % p and not g.nroots(p):
+        if screen is not None and D % p and g.F[-1] % p and not g.nroots(p):
             continue  # g, hence F, has no root mod p
-        if f.nroots(p) == k:
+        if f.completeness_failure(p, k) is None:
             return p
     return None
 

@@ -59,7 +59,7 @@ from .exact import (
     poly_divrem,
     poly_gcd,
 )
-from .factor import Reductions, _proved_prime, factor_over_Q, squarefree_part
+from .factor import Reductions, factor_over_Q, squarefree_part
 from .perm import PermGroup, Permutation
 
 SPLITTING_DEGREE_CAP = 24
@@ -632,11 +632,10 @@ class AutomorphismTable:
     Each step is kept in ``checks`` as (name, ok, detail), which the
     validator reports as they are and the pipeline raises on: every image
     other than K's generator (a root by definition) is a root of K's
-    modulus, and ``prime`` is a completeness prime, a proved prime at
-    which K's record is usable with exactly len(maps) >= 1 roots, so K
-    has at most len(maps) automorphisms (see ``factor.completeness_prime``;
-    the bound reduces modulo a degree-1 prime above p, which needs a root
-    mod p, so an empty list of images proves nothing).
+    modulus, and ``prime`` is a completeness prime for len(maps), as K's
+    record judges it (``Reductions.completeness_failure``, the criterion
+    ``factor.completeness_prime`` searches with), so K has at most
+    len(maps) automorphisms.
     Only then is ``table`` read by :func:`table_mod_p` at ``prime``, and
     None otherwise: table[a][b] is the index in maps of sigma_a . sigma_b.
     maps keep the order given; that the table is a group's, with the
@@ -647,18 +646,9 @@ class AutomorphismTable:
         self.field = K
         self.prime = prime
         self.maps = tuple(maps)
-        gen, red, k = K.gen(), K.reductions, len(self.maps)
+        gen = K.gen()
         roots = all(m == gen or not evaluate(K.modulus, m) for m in self.maps)
-        if not _proved_prime(prime):
-            why_not = "not an integer prime with 5 <= p < 2**64"
-        elif not red.usable(prime):
-            why_not = "p divides the leading coefficient or q0 is not squarefree mod p"
-        elif not k:
-            why_not = "no images, and the bound needs a root mod p"
-        elif (n := red.nroots(prime)) != k:
-            why_not = f"{n} roots mod p for {k} images"
-        else:
-            why_not = None
+        why_not = K.reductions.completeness_failure(prime, len(self.maps))
         detail = f"p = {prime!r}" + (f": {why_not}" if why_not else "")
         self.checks = [
             ("images are roots", roots, ""),
@@ -767,8 +757,8 @@ class SplittingField:
 
     ``roots`` are sorted by coordinates; ``images`` maps each permutation
     of the 1-based root indices to the generator's image under the
-    automorphism that moves the roots so, and ``galois`` is the group of
-    those permutations.
+    automorphism that moves the roots so, and ``galois`` is the group
+    those permutations generate, closed like any other.
     """
 
     def __init__(self, field, poly, roots, images):
@@ -776,7 +766,7 @@ class SplittingField:
         self.poly = poly
         self.roots = tuple(roots)
         self.images = images
-        self.galois = PermGroup.from_elements(images, len(roots))
+        self.galois = PermGroup(images, len(roots))
 
     @property
     def degree(self):

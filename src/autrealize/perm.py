@@ -177,18 +177,6 @@ class PermGroup:
         return frozenset(elements)
 
     @classmethod
-    def from_elements(cls, elements, degree):
-        group = cls.__new__(cls)
-        group.degree = degree
-        group.elements = frozenset(elements)
-        group.generators = tuple(sorted(group.elements))
-        # the elements are trusted to be a group; only one element's degree is checked
-        sample = next(iter(group.elements))
-        if sample.degree != degree:
-            raise ValueError("element degree mismatch")
-        return group
-
-    @classmethod
     def symmetric(cls, n):
         if n <= 1:
             return cls([], degree=max(n, 1))

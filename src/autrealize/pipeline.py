@@ -1,6 +1,6 @@
 """End-to-end realization of a finite group as an automorphism group.
 
-Given G as a subgroup of S_n, the pipeline:
+Given G as a subgroup of S_n, n its degree, the pipeline:
 
 1. builds the splitting field L of X^n - X - 1 (Galois group S_n),
 2. computes a generator y of the fixed field of G: ``realize_sn`` proves
@@ -23,8 +23,9 @@ Given G as a subgroup of S_n, the pipeline:
 5. repeats until the requested number of verified fields is collected,
    keeping a field only if, against each field kept before it, some prime
    p >= 5 has different Frobenius patterns in the two (which proves them
-   non-isomorphic; each field's record keeps its patterns for every
-   pair), and assembles a certificate recording one such prime per pair.
+   non-isomorphic: ``Reductions.separates``, the validator's check too;
+   each field's record keeps its patterns for every pair), and assembles
+   a certificate recording one such prime per pair.
 
 Verification at each t0 searches for no automorphism: they come from G.
 E = L(x) for a root x of the cubic, and L/Q is normal, so every
@@ -115,15 +116,16 @@ def realize_sn(n: int) -> SplittingField:
     return L
 
 
-def compute_y(L: SplittingField, G: PermGroup):
-    """Generator y of the fixed field of G and its minimal polynomial.
+def compute_y(L: SplittingField, G: PermGroup) -> NfElement:
+    """Generator y of the fixed field of G, of degree [L:Q] / |G| (which
+    ``fixed_field`` checks).
 
     When G is the full Galois group the fixed field is Q and y = 0 is
     the canonical choice (smallest certificate).
     """
     if G.order == L.galois.order:
-        return L.field.zero(), UniPoly.gen("X")
-    return fixed_field(L, G)
+        return L.field.zero()
+    return fixed_field(L, G)[0]
 
 
 class PipelineState:
@@ -196,16 +198,11 @@ class SpecializationRecord:
         self.aut = aut
 
 
-def build_state(G: PermGroup, n: int) -> PipelineState:
-    if G.degree != n:
-        raise SpecParseError(f"group degree {G.degree} does not match the {n} roots")
-    L = realize_sn(n)
-    y, y_min = compute_y(L, G)
-    expected = L.degree // G.order
-    if y_min.degree != expected:
-        raise VerificationError(
-            f"fixed-field generator degree {y_min.degree}, expected {expected}"
-        )
+def build_state(G: PermGroup) -> PipelineState:
+    """The search state for G: the splitting field of X^n - X - 1 for n
+    the degree of G, y and the shift c."""
+    L = realize_sn(G.degree)
+    y = compute_y(L, G)
     certify_s3()
     return PipelineState(G=G, L=L, y=y, c=build_E_minpoly(L, y))
 
@@ -267,7 +264,7 @@ def fields_distinct_exact(a: SpecializationRecord, b: SpecializationRecord):
     the two carry keep each pattern for the field's other pairs."""
     A, B = a.field.reductions, b.field.reductions
     for p in islice(A.primes(B), DISTINCTNESS_PRIMES):
-        if A.pattern(p) != B.pattern(p):
+        if A.separates(B, p):
             return p
     return None
 
@@ -275,20 +272,16 @@ def fields_distinct_exact(a: SpecializationRecord, b: SpecializationRecord):
 class RealizationCertificate:
     def __init__(
         self,
-        group_n: int,
         group_generators: tuple,  # cycle-notation strings
         group_name: str | None,
-        group_order: int,
         state: PipelineState,
         accepted: tuple,  # of SpecializationRecord
         transcript: tuple,  # of (t0, status, reason)
         distinctness: tuple,  # of (i, j, separating prime)
         audit: tuple,  # of (event, value)
     ):
-        self.group_n = group_n
         self.group_generators = group_generators
         self.group_name = group_name
-        self.group_order = group_order
         self.state = state
         self.accepted = accepted
         self.transcript = transcript
@@ -311,7 +304,6 @@ def t0_sequence(t_max: int):
 
 def run(
     G: PermGroup,
-    n: int,
     count: int = 2,
     t_max: int = 200,
     group_generators=(),
@@ -324,7 +316,7 @@ def run(
     from .factor import audit_trail
 
     with audit_trail() as audit:
-        state = build_state(G, n)
+        state = build_state(G)
         accepted = []
         transcript = []
         distinctness = []
@@ -357,10 +349,8 @@ def run(
                 transcript=transcript,
             )
     return RealizationCertificate(
-        group_n=n,
         group_generators=tuple(group_generators),
         group_name=group_name,
-        group_order=G.order,
         state=state,
         accepted=tuple(accepted),
         transcript=tuple(transcript),

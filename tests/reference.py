@@ -483,7 +483,7 @@ def normalizer(ambient, sub):
         )
         and all(g * h * inverse(g) in sub.elements for h in sub.elements)
     ]
-    return PermGroup.from_elements(keep, ambient.degree)
+    return PermGroup(keep, degree=ambient.degree)
 
 
 def to_abstract(group) -> AbstractGroup:

@@ -66,7 +66,6 @@ def timed_run(key, *, count, t_max=200):
         start = time.monotonic()
         cert = pipeline_run(
             G,
-            G.degree,
             count=count,
             t_max=t_max,
             group_generators=gen_strings,
@@ -91,7 +90,7 @@ def assert_complete(cert):
     """Each completeness prime is the first prime p >= 5 at which the
     Frobenius pattern of q0 exists with exactly |G| ones, and the table
     read modulo it is the one exact composition in E gives."""
-    k = cert.group_order
+    k = cert.state.G.order
     for rec in cert.accepted:
         p = rec.aut.prime
         assert pattern_by_gcd(rec.q0, p).count(1) == k
@@ -407,7 +406,12 @@ class TestValidatorTrust:
         finally:
             sys.settrace(before)
         assert report.ok
-        assert {("numfield", "table_mod_p"), ("pipeline", "group_table")} <= entered
+        assert {
+            ("numfield", "table_mod_p"),
+            ("pipeline", "group_table"),
+            ("factor", "completeness_failure"),
+            ("factor", "separates"),
+        } <= entered
         assert entered & SEARCH_CODE == set()
         assert [name for module, name in entered if module == "family"] == []
 
@@ -592,7 +596,7 @@ class TestPinnedCertificates:
     def test_sha256_count_3(self, key):
         G, gen_strings = expand_named(key)
         cert = pipeline_run(
-            G, G.degree, count=3, group_generators=gen_strings, group_name=key
+            G, count=3, group_generators=gen_strings, group_name=key
         )
         text = dumps_canonical(certificate_to_json(cert))
         assert hashlib.sha256(text.encode()).hexdigest() == PINNED_COUNT_3[key]
@@ -631,7 +635,6 @@ class TestDeterminism:
             G, gen_strings = expand_named(key)
             cert2 = pipeline_run(
                 G,
-                G.degree,
                 count=kw["count"],
                 t_max=kw["t_max"],
                 group_generators=gen_strings,

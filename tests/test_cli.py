@@ -671,7 +671,7 @@ class TestValidateCommand:
         """Keys the validator does not read, such as a version-4 pipeline
         block with an older bad_set_rational in it, are ignored."""
         data = json.loads(cert_path.read_text())
-        data["pipeline"] = v4_pipeline(pipeline.build_state(PermGroup([], degree=1), 1))
+        data["pipeline"] = v4_pipeline(pipeline.build_state(PermGroup([], degree=1)))
         data["pipeline"]["bad_set_rational"] = ["-27/4", "0"]
         legacy = tmp_path / "legacy.json"
         legacy.write_text(json.dumps(data))

@@ -100,7 +100,9 @@ class TestCompletenessPrime:
     def test_first_prime_with_k_roots(self):
         # X^2 + 1 splits mod p = 1 (mod 4) and is irreducible mod 3 (mod 4)
         assert complete(X**2 + 1, 2) == 5
-        assert complete(X**2 + 1, 0) == 7
+        # 7 leaves X^2 + 1 without a root, but the bound reduces modulo a
+        # degree-1 prime above p, so no prime serves k = 0
+        assert complete(X**2 + 1, 0) is None
         # a cube map is a bijection mod p = 2 (mod 3)
         assert complete(X**3 - 2, 1) == 5
 
@@ -160,7 +162,7 @@ def q0s():
         ("C3", ("(1 2 3)",), 0, 173),
     ]:
         G = PermGroup([parse_cycles(g, 3) for g in gens], degree=3)
-        out[name] = (build_state(G, 3).specialize(t0), G.order, p)
+        out[name] = (build_state(G).specialize(t0), G.order, p)
     return out
 
 
@@ -182,7 +184,8 @@ class TestCompletenessByRootCount:
         assert complete(f, order) == recorded
         assert completeness_prime_by_pattern(f, order) == recorded
         monkeypatch.setattr(factor, "COMPLETENESS_PRIMES", 40)
-        for k in (0, 1, 2):
+        assert complete(f, 0) is None
+        for k in (1, 2):
             assert complete(f, k) == completeness_prime_by_pattern(f, k)
 
     def test_random_squarefree(self, monkeypatch):
@@ -190,7 +193,8 @@ class TestCompletenessByRootCount:
         rng = random.Random(37)
         for _ in range(6):
             f = as_poly(rand_squarefree_int(rng, rng.randrange(1, 17)))
-            for k in range(4):
+            assert complete(f, 0) is None
+            for k in range(1, 4):
                 assert complete(f, k) == completeness_prime_by_pattern(f, k)
             assert_root_counts(f)
 

@@ -473,6 +473,18 @@ class TestSplittingField:
             assert perm.images == tuple(moved)
         assert_homomorphism(L)
 
+    @pytest.mark.parametrize(
+        "f", [X**3 - X - 1, X**2 - X - 1, X - 1], ids=["X^3-X-1", "X^2-X-1", "X-1"]
+    )
+    def test_galois_is_the_closure_of_its_images(self, f):
+        """Gal(L) is closed from the root permutations, not trusted to be
+        a group: they compose within themselves, and there are [L:Q]."""
+        L = splitting_field(f)
+        images = set(L.images)
+        assert L.galois.elements == images
+        assert {a * b for a in images for b in images} == images
+        assert L.galois.order == L.degree
+
     @pytest.mark.parametrize("name", list(SPLITTING_CASES))
     def test_completeness_prime_matches_pattern_definition(self, name):
         """The completeness prime of the field's modulus, found by counting
@@ -600,7 +612,7 @@ class TestSplittingField:
 class TestFixedField:
     def test_stabilizer_gives_cubic_subfield(self, cubic_splitting):
         L = cubic_splitting
-        stab = PermGroup.from_elements(
+        stab = PermGroup(
             [p for p in L.galois.elements if p(3) == 3], L.galois.degree
         )
         y, p = fixed_field(L, stab)

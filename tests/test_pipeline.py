@@ -17,7 +17,7 @@ from autrealize.errors import (
 from autrealize.exact import UniPoly
 from autrealize.factor import Reductions, completeness_prime
 from autrealize.family import cubic
-from autrealize.numfield import NumberField, Powers, embed_generator, evaluate
+from autrealize.numfield import NumberField, Powers, embed_generator, evaluate, minpoly
 from autrealize.pipeline import (
     build_E_minpoly,
     build_state,
@@ -32,6 +32,7 @@ from autrealize.pipeline import (
 )
 from autrealize.perm import AbstractGroup, PermGroup, parse_cycles
 from reference import (
+    completeness_prime_by_pattern,
     embed_generator_by_gcd,
     interpolated_q,
     shifted_norm_by_resultants,
@@ -41,12 +42,12 @@ from reference import (
 
 @pytest.fixture(scope="module")
 def state_trivial():
-    return build_state(PermGroup([], degree=1), 1)
+    return build_state(PermGroup([], degree=1))
 
 
 @pytest.fixture(scope="module")
 def state_s2():
-    return build_state(PermGroup.symmetric(2), 2)
+    return build_state(PermGroup.symmetric(2))
 
 
 #: generators of the groups the screen and norm tests run on, by name
@@ -59,14 +60,17 @@ GROUPS = {
 }
 
 
+X = UniPoly.gen("X")
+
+
 def group(name):
     n, gens = GROUPS[name]
-    return PermGroup([parse_cycles(g, n) for g in gens], degree=n), n
+    return PermGroup([parse_cycles(g, n) for g in gens], degree=n)
 
 
 @pytest.fixture(scope="module")
 def states():
-    return {name: build_state(*group(name)) for name in GROUPS}
+    return {name: build_state(group(name)) for name in GROUPS}
 
 
 class TestRealizeSn:
@@ -90,23 +94,15 @@ class TestRealizeSn:
                 realize_sn(n)
 
 
-class TestBuildState:
-    def test_degree_mismatch(self):
-        with pytest.raises(SpecParseError):
-            build_state(PermGroup.symmetric(3), 2)
-
-
 class TestComputeY:
     def test_full_group_gives_zero(self):
         L = realize_sn(2)
-        y, p = compute_y(L, PermGroup.symmetric(2))
-        assert not y and p.degree == 1
+        assert not compute_y(L, PermGroup.symmetric(2))
 
     def test_proper_subgroup(self):
         L = realize_sn(2)
-        y, p = compute_y(L, PermGroup([], degree=2))
-        assert p.degree == 2
-        assert not p.eval(y)
+        y = compute_y(L, PermGroup([], degree=2))
+        assert minpoly(y).degree == 2
 
 
 class TestBuildEMinpoly:
@@ -351,7 +347,7 @@ class TestWitnessIsLabelling:
         image of L's generator in E."""
         n, gens = LABELLED[name]
         G = PermGroup([parse_cycles(g, n) for g in gens.split(";")], degree=n)
-        cert = run(G, n, count=1)
+        cert = run(G, count=1)
         rec, L = cert.accepted[0], cert.state.L
         elems = sorted(G.elements)
         theta0 = rec.theta0
@@ -395,7 +391,7 @@ class TestTheta0:
         """theta's image in the accepted E, from one linear solve, is the
         one the gcd over E gives."""
         G = PermGroup([parse_cycles(g, 3) for g in gens], degree=3)
-        state = build_state(G, 3)
+        state = build_state(G)
         rec = specialize_and_verify(state, t0)
         assert rec.status == "accepted"
         cubic0 = cubic(state.L.field.from_rational(t0) - state.y)
@@ -419,9 +415,61 @@ class TestTheta0:
         assert bases.count(rec.theta0) == 1
 
 
+@pytest.fixture(scope="module")
+def count_3():
+    """Certificates with three fields each, for S3 and for C3."""
+    return {name: run(group(name), count=3) for name in ("S3", "C3")}
+
+
+class TestSharedCriteria:
+    """The search and the validator judge each prime by the same record
+    method: the prime a run records is the first that method accepts."""
+
+    @pytest.mark.parametrize("name", ["S3", "C3"])
+    def test_completeness_prime_is_the_first_passing(self, count_3, name):
+        cert = count_3[name]
+        k = cert.state.G.order
+        for rec in cert.accepted:
+            red = rec.field.reductions
+            first = next(p for p in red.primes() if red.completeness_failure(p, k) is None)
+            assert rec.aut.prime == first == completeness_prime_by_pattern(rec.q0, k)
+
+    @pytest.mark.parametrize("name", ["S3", "C3"])
+    def test_distinctness_prime_is_the_first_separating(self, count_3, name):
+        cert = count_3[name]
+        assert len(cert.distinctness) == 3
+        for i, j, p in cert.distinctness:
+            A, B = (cert.accepted[k].field.reductions for k in (i, j))
+            assert p == next(q for q in A.primes(B) if A.separates(B, q))
+            for q in (2, 3, 9, 25, 2**64 + 13):
+                assert not A.separates(B, q)
+
+    def test_separates_needs_both_patterns(self):
+        A, B = Reductions(X**2 + 1), Reductions(X**2 - 5)
+        # X^2 + 1 has no root mod 11, and 5 is a square mod 11
+        assert A.separates(B, 11) and B.separates(A, 11)
+        # 5 divides disc(X^2 - 5) = 20, so its pattern at 5 is None
+        assert A.pattern(5) == (1, 1) and B.pattern(5) is None
+        assert not A.separates(B, 5) and not B.separates(A, 5)
+
+    def test_completeness_failure_reasons(self):
+        red = Reductions(X**2 + 1)
+        assert red.completeness_failure(5, 2) is None
+        for p in (4, 2**64 + 13, "5", True, 5.0):
+            assert red.completeness_failure(p, 2) == "not an integer prime with 5 <= p < 2**64"
+        # 5 divides disc(X^2 - 5), and lc(F) for F = 5X^2 + 1
+        for f in (X**2 - 5, UniPoly([F(1, 5), F(0), F(1)], "X")):
+            assert Reductions(f).completeness_failure(5, 2) == (
+                "p divides the leading coefficient or q0 is not squarefree mod p"
+            )
+        assert red.completeness_failure(5, 0) == "no images, and the bound needs a root mod p"
+        assert red.completeness_failure(7, 2) == "0 roots mod p for 2 images"
+        assert red.completeness_failure(5, 1) == "2 roots mod p for 1 images"
+
+
 class TestRun:
     def test_trivial_two_fields(self):
-        cert = run(PermGroup([], degree=1), 1, count=2, t_max=10)
+        cert = run(PermGroup([], degree=1), count=2, t_max=10)
         assert len(cert.accepted) == 2
         assert cert.accepted[0].t0 != cert.accepted[1].t0
         # X^3 + X + 1 is irreducible mod 5, X^3 - X - 1 has a root there
@@ -432,12 +480,12 @@ class TestRun:
 
     def test_budget_exhausted(self):
         with pytest.raises(BudgetExhaustedError) as ei:
-            run(PermGroup([], degree=1), 1, count=50, t_max=2)
+            run(PermGroup([], degree=1), count=50, t_max=2)
         assert ei.value.transcript
 
     def test_count_validation(self):
         with pytest.raises(SpecParseError):
-            run(PermGroup([], degree=1), 1, count=0)
+            run(PermGroup([], degree=1), count=0)
 
     def test_negative_t_max_refused_before_build(self, monkeypatch):
         def refuse(*_):
@@ -445,7 +493,7 @@ class TestRun:
 
         monkeypatch.setattr(pipeline, "build_state", refuse)
         with pytest.raises(SpecParseError, match="t-max must be >= 0"):
-            run(PermGroup.symmetric(2), 2, count=1, t_max=-3)
+            run(PermGroup.symmetric(2), count=1, t_max=-3)
 
     def test_field_never_separated_from_itself(self, state_trivial):
         rec = specialize_and_verify(state_trivial, 1)
@@ -455,7 +503,6 @@ class TestRun:
     def test_repeated_factor_raises(self):
         """No prime is usable for a q0 with a repeated factor: the search
         raises instead of looping."""
-        X = UniPoly.gen("X")
         q0s = [X**3 - X - 1, (X**2 + 1) ** 2]
         a, b = (
             SpecializationRecord(F(t0), "accepted", q0=q0, field=NumberField(q0))
@@ -469,17 +516,17 @@ class TestRun:
     def test_no_separating_prime_rejects(self, monkeypatch):
         monkeypatch.setattr(pipeline, "DISTINCTNESS_PRIMES", 0)
         with pytest.raises(BudgetExhaustedError) as ei:
-            run(PermGroup([], degree=1), 1, count=2, t_max=1)
+            run(PermGroup([], degree=1), count=2, t_max=1)
         assert ei.value.transcript[2] == (
             F(-1), "rejected", "no prime separates it from the field at t0 = 1"
         )
 
     def test_c2_completeness_primes(self):
-        cert = run(PermGroup.cyclic(2), 2, count=4)
+        cert = run(PermGroup.cyclic(2), count=4)
         assert [rec.aut.prime for rec in cert.accepted] == [11, 11, 19, 29]
 
     def test_s2_run(self):
-        cert = run(PermGroup.symmetric(2), 2, count=2, t_max=20)
+        cert = run(PermGroup.symmetric(2), count=2, t_max=20)
         assert len(cert.accepted) == 2
         for rec in cert.accepted:
             assert len(rec.aut.maps) == 2
@@ -517,7 +564,7 @@ class TestDistinctnessReadsRecords:
         monkeypatch.setattr(factor, "_gddf", counting_ddf)
         monkeypatch.setattr(factor, "discriminant", counting_discriminant)
         monkeypatch.setattr(pipeline, "fields_distinct_exact", flagged)
-        cert = run(PermGroup.symmetric(3), 3, count=4)
+        cert = run(PermGroup.symmetric(3), count=4)
         assert len(cert.distinctness) == 6
         assert ddfs and max(ddfs.values()) == 1
         assert discriminants == []
