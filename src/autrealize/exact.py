@@ -4,9 +4,10 @@ Polynomials are dense.  ``UniPoly`` is univariate with an ascending
 coefficient list and carries the ring arithmetic; its coefficients live
 in an exact field: the rationals (represented by ``fractions.Fraction``)
 or a number field (``autrealize.numfield.NumberField``, whose elements
-implement the same arithmetic protocol).  Resultants, discriminants,
-interpolation and ``BiPoly`` are over Q only; interpolation takes its
-values at 0, 1, ..., n and runs over Z, dividing once at the end.
+implement the same arithmetic protocol).  The gcd is Euclid's over
+either.  Resultants, discriminants, interpolation and ``BiPoly`` are
+over Q only; interpolation takes its values at 0, 1, ..., n and runs
+over Z, dividing once at the end.
 ``BiPoly`` is bivariate in (T, X) with a coefficient matrix indexed by
 (power of T, power of X); it holds the cubic family X^3 + TX + T for
 the family's bad set, and is only built, compared and specialized at
@@ -295,164 +296,17 @@ def poly_divrem(f: UniPoly, g: UniPoly):
 
 
 def poly_gcd(f: UniPoly, g: UniPoly) -> UniPoly:
-    """Monic gcd: Brown's modular algorithm over Q (see ``_gcd_q``), the
-    Euclidean algorithm over a number field.  Euclid makes each remainder
-    monic, so no leading coefficient is inverted twice."""
+    """Monic gcd by the Euclidean algorithm, over Q or a number field.
+    Each remainder is made monic, so no leading coefficient is inverted
+    twice."""
     if f.is_zero and g.is_zero:
         raise ValueError("gcd of two zero polynomials")
     f._check_compat(g)
-    if f.field is None and not f.is_zero and not g.is_zero:
-        return _gcd_q(f, g)
     a, b = f, g
     while not b.is_zero:
         b = b.monic()
         a, b = b, poly_divrem(a, b)[1]
     return a.monic()
-
-
-def is_squarefree(f: UniPoly) -> bool:
-    """True iff the nonzero polynomial f has no repeated factor."""
-    return poly_gcd(f, f.derivative()).degree == 0
-
-
-# -- GF(p) polynomial helpers (ascending lists of ints in [0, p)) -----------
-
-
-def _gtrim(a):
-    """Drop trailing zeros in place; also used on integer polynomials."""
-    while a and a[-1] == 0:
-        a.pop()
-    return a
-
-
-def _gdivrem(a, b, p):
-    if not b:
-        raise ZeroDivisionError
-    a = [c % p for c in a]
-    db = len(b) - 1
-    inv = pow(b[-1], -1, p)
-    q = [0] * max(len(a) - db, 0)
-    for k in range(len(a) - db - 1, -1, -1):
-        c = a[k + db] % p
-        if c:
-            qc = (c * inv) % p
-            q[k] = qc
-            for j in range(db + 1):
-                a[k + j] = (a[k + j] - qc * b[j]) % p
-    return _gtrim(q), _gtrim(a[: db])
-
-
-def _gmonic(a, p):
-    if not a:
-        return []
-    inv = pow(a[-1], -1, p)
-    return [(c * inv) % p for c in a]
-
-
-def _ggcd(a, b, p):
-    while b:
-        a, b = b, _gdivrem(a, b, p)[1]
-    return _gmonic(a, p)
-
-
-def _is_prime(n):
-    if n < 2:
-        return False
-    for q in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        if n % q == 0:
-            return n == q
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
-
-
-# -- gcd over Q by Brown's dense modular algorithm ---------------------------
-
-
-def _idivides(b, a):
-    """Quotient a / b of integer polynomials (ascending lists) when b
-    divides a over Z, else None.  For primitive b this is divisibility
-    over Q (Gauss's lemma)."""
-    db = len(b) - 1
-    lb = b[-1]
-    r = list(a)
-    q = [0] * max(len(r) - db, 0)
-    for k in range(len(r) - db - 1, -1, -1):
-        c = r[k + db]
-        if c:
-            qc, rem = divmod(c, lb)
-            if rem:
-                return None
-            q[k] = qc
-            for j in range(db + 1):
-                r[k + j] -= qc * b[j]
-    if any(r[:db]):
-        return None
-    return q
-
-
-def _gcd_primes():
-    """The fixed sequence of primes below 2**30, largest first."""
-    p = (1 << 30) - 1
-    while True:
-        if _is_prime(p):
-            yield p
-        p -= 2
-
-
-def _gcd_q(f: UniPoly, g: UniPoly) -> UniPoly:
-    """Monic gcd of two nonzero rational polynomials (Brown, J. ACM 18,
-    1971).
-
-    With A, B the primitive integer multiples of f, g and
-    gamma = gcd(lc A, lc B), every prime p not dividing lc(A) * lc(B) gives
-    gcd(A mod p, B mod p) of degree at least deg gcd(A, B); images of
-    larger than the least degree seen are dropped, the rest are scaled to
-    leading coefficient gamma and combined by CRT.  The primitive part C
-    of the symmetric lift is accepted once it divides both A and B over Z:
-    then C divides gcd(A, B) and has at least its degree, so the two agree
-    up to a unit.
-    """
-    A, B = _int_clear(f)[0], _int_clear(g)[0]
-    if len(A) == 1 or len(B) == 1:
-        return UniPoly.one(f.var)
-    A, B = _iprimitive(A)[1], _iprimitive(B)[1]
-    la, lb = A[-1], B[-1]
-    gamma = _igcd(la, lb)
-    size = min(len(A), len(B)) + 1  # coefficient count of the kept images
-    H, m = None, 1
-    for p in _gcd_primes():
-        if la % p == 0 or lb % p == 0:
-            continue
-        gp = _ggcd([c % p for c in A], [c % p for c in B], p)
-        if len(gp) == 1:
-            return UniPoly.one(f.var)
-        if len(gp) > size:
-            continue
-        gp = [c * gamma % p for c in gp]
-        if len(gp) < size:
-            size, H, m = len(gp), gp, p
-        else:
-            inv = pow(m, -1, p)
-            H = [h + m * ((c - h) * inv % p) for h, c in zip(H, gp)]
-            m *= p
-        half = m // 2
-        C = _iprimitive([h - m if h > half else h for h in H])[1]
-        if _idivides(C, B) is not None and _idivides(C, A) is not None:
-            lc = C[-1]
-            return UniPoly([Fraction(c, lc) for c in C], f.var)
 
 
 # -- resultants -----------------------------------------------------------
@@ -476,6 +330,13 @@ def _int_clear(f: UniPoly):
 
 def _ideg(a):
     return len(a) - 1
+
+
+def _gtrim(a):
+    """Drop trailing zeros of an integer polynomial in place."""
+    while a and a[-1] == 0:
+        a.pop()
+    return a
 
 
 def _iprimitive(a):

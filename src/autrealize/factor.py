@@ -5,8 +5,10 @@ modulo a prime (distinct-degree + equal-degree splitting with a
 fixed-seed PRNG), multifactor Hensel lifting to a Mignotte-style bound,
 and subset recombination with trial division.  Every polynomial the
 tool factors is squarefree, so none is decomposed first: a repeated
-factor makes lc(F) * disc(F) zero, and the record refuses it.  The
-prime is chosen by the factor degrees that the distinct-degree
+factor makes lc(F) * disc(F) zero, and the record refuses it.  That
+is the package's one squarefree test: every caller that decides
+squarefreeness reads ``Reductions.lc_disc``.  The prime is chosen by
+the factor degrees that the distinct-degree
 factorization gives (von zur Gathen-Gerhard, Modern Computer Algebra,
 ch. 14); equal-degree splitting runs on the chosen prime only.  A
 polynomial is read modulo primes through one record, ``Reductions``,
@@ -20,7 +22,8 @@ per prime.  The record holds the one criterion for a completeness prime
 searches with) and for a separating prime (``Reductions.separates``);
 the validator calls the same two.
 
-Polynomials below are dense ascending lists of integers.  Hensel
+Polynomials below are dense ascending lists of integers; the GF(p)
+helpers here are the package's only polynomial arithmetic mod p.  Hensel
 lifting and recombination compute mod p^k with the modular helpers
 ``_gmul``, ``_gsub`` and ``_gdivrem``, which take any modulus (every
 divisor there is monic); a symmetric lift (``_itrunc``) returns each
@@ -43,15 +46,10 @@ from math import isqrt
 from .errors import CapExceededError, VerificationError
 from .exact import (
     UniPoly,
-    _gdivrem,
-    _ggcd,
-    _gmonic,
     _gtrim,
     _ideg,
-    _idivides,
     _int_clear,
     _iprimitive,
-    _is_prime,
     discriminant,
     poly_divrem,
     poly_gcd,
@@ -103,7 +101,59 @@ def _itrunc(a, m):
     return _gtrim(out)
 
 
+def _idivides(b, a):
+    """Quotient a / b of integer polynomials (ascending lists) when b
+    divides a over Z, else None.  For primitive b this is divisibility
+    over Q (Gauss's lemma)."""
+    db = len(b) - 1
+    lb = b[-1]
+    r = list(a)
+    q = [0] * max(len(r) - db, 0)
+    for k in range(len(r) - db - 1, -1, -1):
+        c = r[k + db]
+        if c:
+            qc, rem = divmod(c, lb)
+            if rem:
+                return None
+            q[k] = qc
+            for j in range(db + 1):
+                r[k + j] -= qc * b[j]
+    if any(r[:db]):
+        return None
+    return q
+
+
 # -- GF(p) polynomial helpers (ascending lists of ints in [0, p)) -----------
+
+
+def _gdivrem(a, b, p):
+    if not b:
+        raise ZeroDivisionError
+    a = [c % p for c in a]
+    db = len(b) - 1
+    inv = pow(b[-1], -1, p)
+    q = [0] * max(len(a) - db, 0)
+    for k in range(len(a) - db - 1, -1, -1):
+        c = a[k + db] % p
+        if c:
+            qc = (c * inv) % p
+            q[k] = qc
+            for j in range(db + 1):
+                a[k + j] = (a[k + j] - qc * b[j]) % p
+    return _gtrim(q), _gtrim(a[: db])
+
+
+def _gmonic(a, p):
+    if not a:
+        return []
+    inv = pow(a[-1], -1, p)
+    return [(c * inv) % p for c in a]
+
+
+def _ggcd(a, b, p):
+    while b:
+        a, b = b, _gdivrem(a, b, p)[1]
+    return _gmonic(a, p)
 
 
 def _gsub(a, b, p):
@@ -192,6 +242,29 @@ def _gedf(f, k, p, rng):
         g = _ggcd(_gsub(b, [1], p), f, p)
         if 0 < _ideg(g) < n:
             return _gedf(g, k, p, rng) + _gedf(_gdivrem(f, g, p)[0], k, p, rng)
+
+
+def _is_prime(n):
+    if n < 2:
+        return False
+    for q in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+        if n % q == 0:
+            return n == q
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
 
 
 #: The fixed Miller-Rabin bases of ``_is_prime`` prove primality below this.
@@ -507,11 +580,13 @@ def _zassenhaus(red: Reductions):
 # -- public API over Q ------------------------------------------------------
 
 
-def factor_over_Q(f: UniPoly) -> tuple:
+def factor_over_Q(f: UniPoly, *, reductions: Reductions | None = None) -> tuple:
     """The monic irreducible factors of a nonzero squarefree rational
     polynomial, sorted by (degree, coefficients); a ValueError if f has a
-    repeated factor, from its record (lc(F) * disc(F) = 0)."""
-    factors = (UniPoly(g, f.var).monic() for g in _zassenhaus(Reductions(f)))
+    repeated factor, from its record (``reductions`` if given), where
+    lc(F) * disc(F) = 0."""
+    red = reductions or Reductions(f)
+    factors = (UniPoly(g, f.var).monic() for g in _zassenhaus(red))
     return tuple(sorted(factors, key=lambda g: (g.degree, g.coeffs)))
 
 

@@ -18,7 +18,8 @@ q(t0, X) picks up a multiple root) is decided exactly, one t0 at a time.
 from __future__ import annotations
 
 from .errors import VerificationError
-from .exact import BiPoly, UniPoly, discriminant, is_squarefree
+from .exact import BiPoly, UniPoly, discriminant
+from .factor import Reductions
 
 
 def cubic(a) -> UniPoly:
@@ -67,6 +68,6 @@ def bad_set(q: BiPoly, t0) -> bool:
 
     q must be monic in X, so that q(t0, X) keeps its X-degree; over Q
     the answer is the same as whether the X-discriminant of q vanishes
-    at t0.
+    at t0, and it is read as lc * disc = 0 on the record of q(t0, X).
     """
-    return not is_squarefree(q.specialize(t0))
+    return not Reductions(q.specialize(t0)).lc_disc

@@ -15,9 +15,10 @@ A field reads its modulus modulo primes through one record,
 ``NumberField.reductions`` (a ``factor.Reductions``), which every
 reader shares.  Factoring a squarefree polynomial over a field uses
 Trager's method: shift by a multiple of the generator until the norm is
-squarefree, factor the norm over Q, pull factors back by gcd.  Trager's
-bound on the shifts that fail makes the search finite, and a search
-that runs past it proves a repeated factor, which is refused.
+squarefree (lc * disc != 0 on the norm's ``Reductions`` record), factor
+the norm over Q through that same record, pull factors back by gcd.
+Trager's bound on the shifts that fail makes the search finite, and a
+search that runs past it proves a repeated factor, which is refused.
 Automorphisms are never searched for: their images are given, and
 :class:`AutomorphismTable` is the one proof, for pipeline and validator
 alike, that they are all of them (each image a root, and a completeness
@@ -52,13 +53,7 @@ from math import gcd, isqrt, lcm
 from operator import mul as mul_int
 
 from .errors import CapExceededError, VerificationError
-from .exact import (
-    UniPoly,
-    _int_clear,
-    is_squarefree,
-    poly_divrem,
-    poly_gcd,
-)
+from .exact import UniPoly, _int_clear, poly_divrem, poly_gcd
 from .factor import Reductions, factor_over_Q, squarefree_part
 from .perm import PermGroup, Permutation
 
@@ -563,9 +558,11 @@ def shifted_norms(f: UniPoly, K: NumberField):
 def _sqf_norm(f: UniPoly, K: NumberField):
     """Find shift s with N(X) = Norm(f(X - s*theta)) squarefree.
 
-    Returns (s, shifted f over K, N over Q) for monic f over K.  The roots
-    of N are b + s*sigma(theta) for the embeddings sigma of K and the roots
-    b of sigma(f); for squarefree f two of them meet only across two
+    Returns (s, shifted f over K, N over Q, N's ``Reductions`` record) for
+    monic f over K; N is squarefree iff lc(N) * disc(N) != 0 on its
+    record, which the factorization of N then reads.  The roots of N are
+    b + s*sigma(theta) for the embeddings sigma of K and the roots b of
+    sigma(f); for squarefree f two of them meet only across two
     embeddings, each such pair at one s at most, so at most
     m^2 d(d-1)/2 shifts fail, m = deg f and d = [K:Q] (Trager, SYMSAC
     '76).  The search tries one more shift than that and then refuses f
@@ -581,9 +578,9 @@ def _sqf_norm(f: UniPoly, K: NumberField):
         shifts = chain((0,), shifts)
     for s in islice(shifts, m * m * d * (d - 1) // 2 + 1):
         N = norm(s)
-        if is_squarefree(N):
+        if (red := Reductions(N)).lc_disc:
             g = f.compose(UniPoly([K.gen() * (-s), K.one()], f.var, K)) if s else f
-            return s, g, N
+            return s, g, N, red
     raise ValueError("expects a squarefree polynomial")
 
 
@@ -600,10 +597,10 @@ def factor_over_nf(f: UniPoly, K: NumberField) -> tuple:
     f = f.monic()
     if f.degree <= 1:
         return (f,) if f.degree else ()
-    s, shifted, N = _sqf_norm(f, K)
+    s, shifted, N, red = _sqf_norm(f, K)
     back = UniPoly([K.gen() * s, K.one()], f.var, K)
     found = []
-    for Ni in factor_over_Q(N):
+    for Ni in factor_over_Q(N, reductions=red):
         Gi = poly_gcd(shifted, Ni.to_field(K).with_var(f.var))
         found.append(Gi.compose(back) if s else Gi)
     if sum(G.degree for G in found) != f.degree:
@@ -702,7 +699,7 @@ def extend_field(K: NumberField, h: UniPoly):
     # z = beta + c*theta; minimal polynomial = Norm(h(X - c*theta)),
     # irreducible whenever squarefree (norm of an irreducible is a power
     # of an irreducible)
-    c, _, N = _sqf_norm(h, K)
+    c, _, N, _ = _sqf_norm(h, K)
     K2 = NumberField(N.with_var("Z"))
     powers = embed_generator(K, h, K2, c)
     return K2, powers, K2.gen() - powers.base * c, c

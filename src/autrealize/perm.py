@@ -102,7 +102,9 @@ def render_cycles(perm):
 
 
 def parse_cycles(text, n):
-    """Parse cycle notation like "(1 2 3)(4 5)" or "()" on n points."""
+    """Parse cycle notation like "(1 2 3)(4 5)" or "()" on n points; every
+    point of every cycle, a 1-cycle's too, must lie in 1..n and appear
+    once."""
     text = text.strip()
     if text in ("()", "e", "id", ""):
         return Permutation.identity(n)
@@ -126,8 +128,7 @@ def parse_cycles(text, n):
                 cyc = tuple(int(p) for p in parts)
             except ValueError:
                 raise SpecParseError(f"bad cycle {buf!r} in {text!r}") from None
-            if len(cyc) >= 2:
-                cycles.append(cyc)
+            cycles.append(cyc)
         elif depth:
             buf += ch
         elif not ch.isspace():

@@ -60,9 +60,10 @@ from .errors import (
     SpecParseError,
     VerificationError,
 )
-from .exact import UniPoly, is_squarefree
+from .exact import UniPoly
 from .factor import (
     COMPLETENESS_PRIMES,
+    Reductions,
     _record,
     completeness_prime,
     is_irreducible_Q,
@@ -159,10 +160,10 @@ def build_E_minpoly(L: SplittingField, y: NfElement) -> int:
     squarefree over Q(T) wins; squarefreeness makes q irreducible (the
     norm of an irreducible polynomial is a power of an irreducible one).
     The X-discriminant of q is a polynomial in T of degree <= (2d - 1)N,
-    so q is squarefree over Q(T) iff q(t, X) is squarefree at some
-    t = 0, 1, ..., (2d - 1)N.  The norms at those t are taken lazily, in
-    that order, and reused across shifts.  For L = Q the norm is the
-    cubic itself, and c = 0.
+    so q is squarefree over Q(T) iff q(t, X) is squarefree (lc * disc
+    != 0 on its record) at some t = 0, 1, ..., (2d - 1)N.  The norms at
+    those t are taken lazily, in that order, and reused across shifts.
+    For L = Q the norm is the cubic itself, and c = 0.
     """
     K = L.field
     N = K.degree
@@ -173,7 +174,7 @@ def build_E_minpoly(L: SplittingField, y: NfElement) -> int:
         for t in range((6 * N - 1) * N + 1):
             if t == len(norms):
                 norms.append(shifted_norms(cubic(K.from_rational(t) - y), K))
-            if is_squarefree(norms[t](c)):
+            if Reductions(norms[t](c)).lc_disc:
                 _record("primitive_shift", c)
                 return c
 

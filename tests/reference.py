@@ -2,7 +2,8 @@
 
 Each is the plain textbook version of something the package computes
 another way, kept here because only tests use it: the extended Euclidean
-algorithm (and the number-field inverse it gives), the Sylvester-matrix
+algorithm (with the number-field inverse and the squarefreeness test,
+gcd(f, f') = 1, that it gives), the Sylvester-matrix
 resultant, Newton interpolation over Fractions, a field norm of a
 polynomial by element resultants and interpolation, the pipeline's
 q(T, X) as one polynomial in T, the X-discriminant of a bivariate
@@ -32,22 +33,18 @@ from autrealize.errors import VerificationError
 from autrealize.exact import (
     BiPoly,
     UniPoly,
-    _ggcd,
-    _gmonic,
     _gtrim,
     _ideg,
     _int_clear,
-    _is_prime,
     discriminant,
     interpolate,
-    is_squarefree,
     poly_divrem,
     poly_gcd,
     render_rational,
     render_unipoly,
     resultant_std,
 )
-from autrealize.factor import Reductions, completeness_prime
+from autrealize.factor import Reductions, _ggcd, _gmonic, _is_prime, completeness_prime
 from autrealize.family import bad_set, cubic
 from autrealize.numfield import (
     AutomorphismTable,
@@ -88,6 +85,12 @@ def poly_gcdex(f: UniPoly, g: UniPoly):
         ta, tb = tb, ta - q * tb
     inv = _inv(a.lc(), field)
     return sa * inv, ta * inv, a * inv
+
+
+def squarefree_by_euclid(f: UniPoly) -> bool:
+    """True iff the nonzero f, over Q or a number field, is coprime to its
+    derivative: the gcd of the extended Euclidean algorithm is 1."""
+    return poly_gcdex(f, f.derivative())[2].degree == 0
 
 
 def euclid_inverse(a):
@@ -544,7 +547,7 @@ def distinct_parts(draw, count):
     while len(parts) < count:
         g = draw()
         candidate = g if prod is None else prod * g
-        if is_squarefree(candidate):
+        if squarefree_by_euclid(candidate):
             parts.append(g)
             prod = candidate
     return parts, prod

@@ -23,14 +23,19 @@ from autrealize.certs import certificate_to_json, dumps_canonical, validate_cert
 from autrealize.cli import EXIT_OK, EXIT_PARSE, expand_named, main
 from autrealize.exact import (
     UniPoly,
-    _is_prime,
     discriminant,
     parse_rational,
     parse_unipoly,
     poly_divrem,
     render_rational,
 )
-from autrealize.factor import EDF_SEED, Reductions, factor_over_Q, is_irreducible_Q
+from autrealize.factor import (
+    EDF_SEED,
+    Reductions,
+    _is_prime,
+    factor_over_Q,
+    is_irreducible_Q,
+)
 from autrealize.family import FAMILY, certify_s3, cubic
 from autrealize.numfield import (
     NumberField,

@@ -139,6 +139,8 @@ class TestRealizeCommand:
 
     def test_bad_gens(self, capsys):
         assert main(["realize", "--n", "3", "--gens", "(1 9)"]) == EXIT_PARSE
+        # a 1-cycle outside 1..n is refused, not read as the identity
+        assert main(["realize", "--n", "2", "--gens", "(1 2)(7)", "--count", "1"]) == EXIT_PARSE
 
     def test_n_zero_refused(self, capsys):
         # the cap check refuses it before parse_group_spec reads the gens
@@ -514,6 +516,16 @@ class TestValidateCommand:
         out = capsys.readouterr().out
         assert out.count("[FAIL]") == 1
         assert f"[FAIL] group order: group.n is not an integer: {n!r}" in out
+
+    def test_generator_point_outside_n(self, c2_cert_path, tmp_path, capsys):
+        data = json.loads(c2_cert_path.read_text())
+        data["group"]["generators"] = ["(1 2)(9)"]
+        bad = tmp_path / "gens.json"
+        bad.write_text(json.dumps(data))
+        assert main(["validate", str(bad)]) == EXIT_PARSE
+        out = capsys.readouterr().out
+        assert out.count("[FAIL]") == 1
+        assert "[FAIL] group order: point 9 outside 1..2\n" in out
 
     @pytest.mark.parametrize("n", [0, -2])
     def test_group_n_below_one(self, cert_path, tmp_path, capsys, n):

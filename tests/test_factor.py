@@ -7,20 +7,14 @@ import pytest
 
 from autrealize import factor
 from autrealize.errors import CapExceededError, VerificationError
-from autrealize.exact import (
-    UniPoly,
-    _iprimitive,
-    _is_prime,
-    discriminant,
-    is_squarefree,
-    poly_gcd,
-)
+from autrealize.exact import UniPoly, _iprimitive, discriminant, poly_gcd
 from autrealize.factor import (
     Reductions,
     _choose_prime,
     _gddf,
     _gfactor_sqf,
     _hensel_lift,
+    _is_prime,
     audit_trail,
     completeness_prime,
     factor_over_Q,
@@ -39,6 +33,7 @@ from reference import (
     hensel_lift_over_Z,
     root_mod_p_by_ddf,
     root_product_by_ddf,
+    squarefree_by_euclid,
     usable_primes,
 )
 
@@ -148,7 +143,7 @@ def rand_squarefree_int(rng, degree):
             g = [rng.randrange(-9, 10) for _ in range(d)] + [rng.randrange(1, 4)]
             f *= as_poly(g)
         _, f = _iprimitive([int(c) for c in f.coeffs])
-        if is_squarefree(as_poly(f)):
+        if Reductions(as_poly(f)).lc_disc:
             return f
 
 
@@ -315,6 +310,34 @@ class TestIsIrreducible:
     def test_constant_rejected(self):
         with pytest.raises(ValueError):
             is_irreducible_Q(C(5))
+
+
+class TestSquarefreeCriterion:
+    """A polynomial is squarefree iff lc(F) * disc(F) != 0 on its record,
+    the one test every squarefree decision reads."""
+
+    def test_is_squarefree(self):
+        assert Reductions(X**3 + X + C(1)).lc_disc
+        assert Reductions(C(7)).lc_disc
+        assert not Reductions((X - C(1)) ** 2 * (X + C(2))).lc_disc
+
+    def test_random_agrees_with_euclid(self):
+        """Products of distinct non-monic parts, every other one times a
+        part again, scaled by a rational content: the record's test
+        agrees with gcd(f, f') = 1 by the textbook Euclid."""
+        rng = random.Random(31)
+
+        def part():
+            coeffs = [F(rng.randrange(-5, 6)) for _ in range(rng.randrange(1, 4))]
+            return UniPoly(coeffs + [F(rng.randrange(1, 4))])
+
+        for i in range(60):
+            parts, f = distinct_parts(part, rng.randrange(1, 4))
+            if i % 2:
+                f = f * rng.choice(parts)
+            f = f * C(F(rng.choice([-1, 1]) * rng.randrange(1, 30), rng.randrange(1, 30)))
+            assert squarefree_by_euclid(f) == (i % 2 == 0)
+            assert bool(Reductions(f).lc_disc) == squarefree_by_euclid(f)
 
 
 class TestSquarefreePart:

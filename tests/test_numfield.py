@@ -232,6 +232,18 @@ class TestFactorOverNf:
         assert [g.degree for g in fac] == [1, 2]
         assert expand(fac) == f.to_field(cbrt2)
 
+    def test_one_discriminant_per_norm(self, cbrt2, monkeypatch):
+        """Each norm the shift search tries takes one discriminant, on
+        its record; the accepted norm is factored through that record."""
+        records, discs = [], []
+        record, disc = numfield.Reductions, factor.discriminant
+        monkeypatch.setattr(numfield, "Reductions", lambda N: records.append(N) or record(N))
+        monkeypatch.setattr(factor, "discriminant", lambda F: discs.append(F) or disc(F))
+        f = UniPoly([F(-2), F(0), F(0), F(1)], "X")
+        assert [g.degree for g in factor_over_nf(f, cbrt2)] == [1, 2]
+        assert len(records) == 3  # at s = 1 and s = -1 the norm has a repeated root
+        assert len(discs) == len(records)
+
     def test_irreducible_stays(self):
         K = NumberField(Zpoly(-2, 0, 1))
         fac = factor_over_nf(X**2 + 1, K)
@@ -264,9 +276,9 @@ class TestFactorOverNf:
         leave the norm of a squarefree f(X - s*theta) of degree m with a
         repeated root; past one more shift than that, f is refused."""
         K = request.getfixturevalue(field)
-        shifts = []  # one squarefreeness test per norm
-        sqf = numfield.is_squarefree
-        monkeypatch.setattr(numfield, "is_squarefree", lambda N: shifts.append(N) or sqf(N))
+        shifts = []  # one record, hence one squarefreeness test, per norm
+        record = numfield.Reductions
+        monkeypatch.setattr(numfield, "Reductions", lambda N: shifts.append(N) or record(N))
         start = time.perf_counter()
         with pytest.raises(ValueError, match="squarefree"):
             factor_over_nf(f, K)

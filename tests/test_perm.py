@@ -201,3 +201,7 @@ class TestCycleNotation:
             parse_cycles("(1 2)(2 3)", 3)
         with pytest.raises(SpecParseError):
             parse_cycles("(1 5)", 3)
+        # a 1-cycle's point is checked like any other, then dropped
+        for text in ("(9)", "(0)", "(-1)", "(1)(1 2)"):
+            with pytest.raises(SpecParseError):
+                parse_cycles(text, 3)
