@@ -9,7 +9,7 @@ from .errors import (
     VerificationError,
 )
 from .exact import BiPoly, UniPoly
-from .factor import factor_over_Q, is_irreducible_Q, squarefree_part
+from .factor import factor_over_Q, is_irreducible_Q
 from .family import FAMILY, bad_set, certify_s3, cubic
 from .numfield import (
     NfElement,
@@ -17,7 +17,6 @@ from .numfield import (
     SplittingField,
     factor_over_nf,
     fixed_field,
-    minpoly,
     roots_in_field,
     splitting_field,
 )

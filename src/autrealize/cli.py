@@ -32,11 +32,13 @@ EXIT_CAP = 4
 
 
 def _parse_named(name: str):
-    """(constructor, degree) of S_k, C_k, A_k or V4, read from the name
-    alone; the constructor takes the degree."""
+    """(constructor, degree, canonical name) of S_k, C_k, A_k or V4, read
+    from the name alone; the constructor takes the degree, and the
+    canonical name is the upper-case letter and k in decimal (" s03" is
+    S3), so that every spelling gives one certificate."""
     name = name.strip()
     if name.upper() == "V4":
-        return lambda n: parse_group_spec(n, "(1 2)(3 4);(1 3)(2 4)")[0], 4
+        return lambda n: parse_group_spec(n, "(1 2)(3 4);(1 3)(2 4)")[0], 4, "V4"
     build = {
         "S": PermGroup.symmetric,
         "C": PermGroup.cyclic,
@@ -50,12 +52,12 @@ def _parse_named(name: str):
         raise SpecParseError(f"unknown named group {name!r}") from None
     if k < 1:
         raise SpecParseError(f"named group index must be >= 1: {name!r}")
-    return build, k
+    return build, k, f"{name[0].upper()}{k}"
 
 
 def expand_named(name: str):
     """(group, canonical generator strings) for S_k, C_k, A_k, V4."""
-    build, k = _parse_named(name)
+    build, k, _ = _parse_named(name)
     G = build(k)
     return G, [render_cycles(g) for g in G.generators] or ["()"]
 
@@ -160,7 +162,7 @@ def _cmd_realize(n, named, gens, count, t_max, out):
     # the degree is checked against the cap before the group is built:
     # closing a large group costs seconds and would be refused anyway
     if named is not None:
-        degree = _parse_named(named)[1]
+        _, degree, named = _parse_named(named)
         if gens is not None:
             raise SpecParseError(f"--gens conflicts with --named {named}")
         if n is not None and n != degree:
@@ -172,6 +174,10 @@ def _cmd_realize(n, named, gens, count, t_max, out):
     else:
         if n is not None:
             check_sn_cap(n)
+        if gens is None:
+            raise SpecParseError(
+                "no group given: use --named NAME, or --n N with --gens GENS"
+            )
         G, gen_strings = parse_group_spec(n, gens)
     cert = pipeline_run(
         G,

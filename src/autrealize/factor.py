@@ -51,8 +51,6 @@ from .exact import (
     _int_clear,
     _iprimitive,
     discriminant,
-    poly_divrem,
-    poly_gcd,
 )
 
 #: Fixed seed for equal-degree splitting; runs must be reproducible.
@@ -598,13 +596,3 @@ def is_irreducible_Q(f: UniPoly, *, reductions: Reductions | None = None) -> boo
         raise ValueError("irreducibility is undefined for constants")
     red = reductions or Reductions(f)
     return bool(red.lc_disc) and len(_zassenhaus(red)) == 1
-
-
-def squarefree_part(f: UniPoly) -> UniPoly:
-    """Monic product of the distinct irreducible factors of f."""
-    if f.is_zero:
-        raise ValueError("squarefree part of the zero polynomial")
-    if f.degree == 0:
-        return UniPoly.one(f.var, f.field)
-    g = poly_gcd(f, f.derivative())
-    return poly_divrem(f, g)[0].monic()

@@ -25,9 +25,9 @@ alike, that they are all of them (each image a root, and a completeness
 prime) before their table is read modulo that prime
 (:func:`table_mod_p`); the caller proves it a group law (the images are
 listed in G's order, and the table must be G's own).
-Every norm -- Trager norms, characteristic polynomials, primitive
-elements of extensions, and the pipeline's q(t0, X) at each t0 -- comes
-from the one helper :func:`shifted_norms`,
+Every norm -- Trager norms, primitive elements of extensions, and the
+pipeline's q(t0, X) at each t0 -- comes from the one helper
+:func:`shifted_norms`,
 which computes no resultant: the power sums of a norm's roots are traces
 of the power sums of f's roots, and Newton's identities turn them into
 coefficients, over integers; the part that does not depend on the shift
@@ -41,7 +41,10 @@ returns the image's powers, the map of the old field into the new), and
 its automorphisms are its root permutations: permuting the roots in the
 generator, an integer combination of them, gives [L:Q] roots of its
 modulus, all of Aut(L), so each permutation keeps its generator image
-and L needs no table.
+and L needs no table.  Since L is normal, the degree of an element over
+Q is the number of its distinct images under those automorphisms, which
+is how :func:`fixed_field` measures its generator: no minimal or
+characteristic polynomial is built.
 """
 
 from __future__ import annotations
@@ -54,7 +57,7 @@ from operator import mul as mul_int
 
 from .errors import CapExceededError, VerificationError
 from .exact import UniPoly, _int_clear, poly_divrem, poly_gcd
-from .factor import Reductions, factor_over_Q, squarefree_part
+from .factor import Reductions, factor_over_Q
 from .perm import PermGroup, Permutation
 
 SPLITTING_DEGREE_CAP = 24
@@ -438,27 +441,6 @@ def evaluate(f: UniPoly, m: NfElement) -> NfElement:
         # m^k first: a product skips the zero coordinates of its left side
         acc = powers.top * acc + powers.combine(block, den)
     return acc
-
-
-# -- minimal polynomials ----------------------------------------------------
-
-
-def charpoly(a: NfElement, var="X") -> UniPoly:
-    """Characteristic polynomial of a over Q: prod over embeddings of
-    (X - sigma(a)), degree = field degree; the norm of X - a."""
-    K = a.owner
-    return shifted_norms(UniPoly([-a, K.one()], var, K), K)(0)
-
-
-def minpoly(a: NfElement, var="X") -> UniPoly:
-    """Monic minimal polynomial of a over Q.
-
-    The characteristic polynomial is a power of it, so its squarefree
-    part is exactly the minimal polynomial.
-    """
-    if a.is_rational:
-        return UniPoly([-a.coords[0], 1], var)
-    return squarefree_part(charpoly(a, var)).with_var(var)
 
 
 # -- norms and Trager factorization ----------------------------------------
@@ -868,12 +850,14 @@ def _root_permutation(m, roots, at, injections):
 # -- fixed fields -----------------------------------------------------------
 
 
-def fixed_field(Lsp: SplittingField, H: PermGroup):
-    """A generator y of the subfield of L fixed by H, with its minimal
-    polynomial over Q.
+def fixed_field(Lsp: SplittingField, H: PermGroup) -> NfElement:
+    """A generator y of the subfield of L fixed by H.
 
     Deterministic search: orbit sums of theta^j for j = 1, 2, ...; if
     none reaches the target degree, orbit sums of theta^j + j*theta.
+    L is normal and ``images`` lists all of Gal(L), so the degree of an
+    orbit sum y over Q is the number of its distinct conjugates y(m), m
+    in ``images``; the first with [L:Q] / |H| of them is y.
     """
     if not H.elements <= Lsp.galois.elements:
         raise ValueError("H must be a subgroup of the Galois group")
@@ -890,9 +874,9 @@ def fixed_field(Lsp: SplittingField, H: PermGroup):
     candidates += [theta**j + theta * j for j in range(2, d + 1)]
     for cand in candidates:
         y = orbit_sum(cand)
-        p = minpoly(y)
-        if p.degree == target:
+        f = y.to_poly()
+        if len({evaluate(f, m) for m in Lsp.images.values()}) == target:
             if any(sigma.image(y) != y for sigma in sigmas):
                 raise VerificationError("orbit sum not fixed by H")
-            return y, p
+            return y
     raise VerificationError("no fixed-field generator found in the search family")

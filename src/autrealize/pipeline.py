@@ -3,8 +3,9 @@
 Given G as a subgroup of S_n, n its degree, the pipeline:
 
 1. builds the splitting field L of X^n - X - 1 (Galois group S_n),
-2. computes a generator y of the fixed field of G: ``realize_sn`` proves
-   that Gal(L/Q) is all of S_n, so G is its own preimage there,
+2. computes a generator y of the fixed field of G, an orbit sum with
+   [L:Q] / |G| distinct conjugates: ``realize_sn`` proves that Gal(L/Q)
+   is all of S_n, so G is its own preimage there,
 3. takes the cubic X^3 + (T - y)X + (T - y) over L(T), whose group S3
    ``family.certify_s3`` proves once for X^3 + aX + a over Q(a), and
    fixes the shift c that makes z = x + c*theta (x a root of the cubic,
@@ -118,15 +119,16 @@ def realize_sn(n: int) -> SplittingField:
 
 
 def compute_y(L: SplittingField, G: PermGroup) -> NfElement:
-    """Generator y of the fixed field of G, of degree [L:Q] / |G| (which
-    ``fixed_field`` checks).
+    """Generator y of the fixed field of G, of degree [L:Q] / |G|, which
+    ``fixed_field`` checks by counting y's distinct conjugates under
+    Gal(L).
 
     When G is the full Galois group the fixed field is Q and y = 0 is
     the canonical choice (smallest certificate).
     """
     if G.order == L.galois.order:
         return L.field.zero()
-    return fixed_field(L, G)[0]
+    return fixed_field(L, G)
 
 
 class PipelineState:

@@ -5,7 +5,8 @@ another way, kept here because only tests use it: the extended Euclidean
 algorithm (with the number-field inverse and the squarefreeness test,
 gcd(f, f') = 1, that it gives), the Sylvester-matrix
 resultant, Newton interpolation over Fractions, a field norm of a
-polynomial by element resultants and interpolation, the pipeline's
+polynomial by element resultants and interpolation (with an element's
+minimal polynomial as the squarefree part of one), the pipeline's
 q(T, X) as one polynomial in T, the X-discriminant of a bivariate
 polynomial by interpolation, the "pipeline" block that format 4 wrote,
 the per-prime definition of a usable prime (a squarefree gcd mod p),
@@ -48,7 +49,6 @@ from autrealize.factor import Reductions, _ggcd, _gmonic, _is_prime, completenes
 from autrealize.family import bad_set, cubic
 from autrealize.numfield import (
     AutomorphismTable,
-    minpoly,
     roots_in_field,
     shift_sequence,
     shifted_norms,
@@ -179,6 +179,16 @@ def shifted_norm_by_resultants(f, K, s):
         h = g.eval(K.from_rational(x)).to_poly()
         values.append(Fraction(0) if h.is_zero else resultant_std(K.modulus, h))
     return interpolate(points, values, f.var)
+
+
+def minpoly(a) -> UniPoly:
+    """Monic minimal polynomial over Q of an element a of a number field
+    K: its characteristic polynomial Norm_{K/Q}(X - a), by element
+    resultants, is a power of it, so the squarefree part f / gcd(f, f')
+    is exactly the minimal polynomial."""
+    K = a.owner
+    f = shifted_norm_by_resultants(UniPoly([-a, K.one()], "X", K), K, 0)
+    return poly_divrem(f, poly_gcd(f, f.derivative()))[0].monic()
 
 
 def interpolated_q(L, y):

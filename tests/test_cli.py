@@ -126,6 +126,25 @@ class TestRealizeCommand:
         assert accepted[0]["t0"] == "1"
         assert accepted[0]["defining_polynomial"] == ["1", "1", "0", "1"]
 
+    @pytest.mark.parametrize("argv", [["--count", "1"], ["--n", "3"]], ids=["none", "n-only"])
+    def test_no_group(self, capsys, argv):
+        """Neither --named nor --gens: the error names what is missing."""
+        assert main(["realize", *argv]) == EXIT_PARSE
+        assert capsys.readouterr().err == (
+            "error: no group given: use --named NAME, or --n N with --gens GENS\n"
+        )
+
+    def test_named_spellings_give_one_certificate(self, tmp_path, capsys):
+        """The certificate names the group canonically, not as spelled."""
+        texts = set()
+        for i, spelling in enumerate(["S3", "s3", " S3", "S03"]):
+            out = tmp_path / f"{i}.json"
+            argv = ["realize", "--named", spelling, "--count", "1", "--out", str(out)]
+            assert main(argv) == EXIT_OK
+            texts.add(out.read_bytes())
+        (text,) = texts
+        assert json.loads(text)["group"]["name"] == "S3"
+
     def test_named_conflict(self, capsys):
         assert main(["realize", "--named", "S2", "--n", "3"]) == EXIT_PARSE
 

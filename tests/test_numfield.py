@@ -14,11 +14,9 @@ from autrealize.factor import Reductions, completeness_prime
 from autrealize.numfield import (
     AutomorphismTable,
     NumberField,
-    charpoly,
     extend_field,
     factor_over_nf,
     fixed_field,
-    minpoly,
     roots_in_field,
     shifted_norms,
     splitting_field,
@@ -37,6 +35,7 @@ from reference import (
     embed_generator_by_gcd,
     euclid_inverse,
     expand,
+    minpoly,
     root_product_by_ddf,
     shifted_norm_by_resultants,
     to_abstract,
@@ -182,41 +181,6 @@ class TestIntegerKernel:
             (K.gen() - 1).inverse()
         # a unit of the same ring still inverts
         assert K.gen().inverse() == K.gen()
-
-
-class TestMinpoly:
-    def test_generator(self, golden):
-        assert minpoly(golden.gen()) == Zpoly(-1, -1, 1).with_var("X")
-
-    def test_rational_element(self, golden):
-        assert minpoly(golden.from_rational(F(2, 3))) == UniPoly([F(-2, 3), F(1)], "X")
-
-    def test_sqrt2_plus_sqrt3(self):
-        K2 = NumberField(Zpoly(-2, 0, 1))
-        K, _, beta, _ = extend_field(K2, UniPoly([F(-3), F(0), F(1)], "X"))
-        assert K.degree == 4
-        z = K.gen()
-        assert minpoly(z) == UniPoly([F(1), F(0), F(-10), F(0), F(1)], "X")
-
-    def test_properties(self, cbrt2, golden):
-        rng = random.Random(22)
-        for K in (cbrt2, golden):
-            for _ in range(10):
-                a = K.element([rng.randrange(-5, 6) for _ in range(K.degree)])
-                p = minpoly(a)
-                assert p.is_monic()
-                assert not p.eval(a)
-                assert K.degree % p.degree == 0
-                assert charpoly(a).degree == K.degree
-        # known answer in Q(sqrt 2): a = 3 - 2 sqrt 2 and its conjugate
-        # a' = 3 + 2 sqrt 2 give (X - a)(X - a') = X^2 - 6X + 1
-        K = NumberField(Zpoly(-2, 0, 1))
-        a = K.element([3, -2])
-        conj = K.element([3, 2])
-        by_hand = UniPoly([-a, K.one()], "X", K) * UniPoly([-conj, K.one()], "X", K)
-        assert all(c.is_rational for c in by_hand.coeffs)
-        assert charpoly(a) == UniPoly([c.coords[0] for c in by_hand.coeffs], "X")
-        assert charpoly(a) == X**2 - 6 * X + 1
 
 
 class TestFactorOverNf:
@@ -392,6 +356,10 @@ class TestEmbedGenerator:
         theta2 = powers.base
         assert theta2 == embed_generator_by_gcd(K, h, K2, c)
         assert theta2 * theta2 == 2 and beta * beta == 3
+        # K2 = Q(sqrt 2 + sqrt 3), whatever the sign of c, and h over Q
+        # gives the same field
+        assert K2.modulus == Zpoly(1, 0, -10, 0, 1)
+        assert extend_field(K, X**2 - 3)[0] == K2
 
     def test_every_step_of_the_s3_tower(self, cubic_splitting):
         K = NumberField.rationals()
@@ -621,13 +589,27 @@ class TestSplittingField:
             splitting_field(UniPoly([F(-1), F(-1), F(0), F(1)], "X"))
 
 
+def first_orbit_sum(L, H):
+    """The first orbit sum over H, in fixed_field's search order, whose
+    minimal polynomial by resultants has degree [L:Q] / |H|."""
+    theta, d = L.field.gen(), L.degree
+    candidates = [theta**j for j in range(1, d + 1)]
+    candidates += [theta**j + theta * j for j in range(2, d + 1)]
+    for cand in candidates:
+        y = sum((apply(L.images[p], cand) for p in H.elements), L.field.zero())
+        if minpoly(y).degree * H.order == d:
+            return y
+    return None
+
+
 class TestFixedField:
     def test_stabilizer_gives_cubic_subfield(self, cubic_splitting):
         L = cubic_splitting
         stab = PermGroup(
             [p for p in L.galois.elements if p(3) == 3], L.galois.degree
         )
-        y, p = fixed_field(L, stab)
+        y = fixed_field(L, stab)
+        p = minpoly(y)
         assert p.degree == 3
         # same field as Q(root): the original cubic has a root in
         # the field defined by p, and conversely
@@ -638,7 +620,7 @@ class TestFixedField:
     def test_a3_gives_quadratic_resolvent(self, cubic_splitting):
         from autrealize.exact import discriminant
 
-        y, p = fixed_field(cubic_splitting, PermGroup.alternating(3))
+        p = minpoly(fixed_field(cubic_splitting, PermGroup.alternating(3)))
         assert p.degree == 2
         d = discriminant(p)
         # disc lies in -23 * (Q*)^2
@@ -650,8 +632,8 @@ class TestFixedField:
         assert math.isqrt(num) ** 2 == num and math.isqrt(den) ** 2 == den
 
     def test_full_group_gives_q(self, cubic_splitting):
-        y, p = fixed_field(cubic_splitting, cubic_splitting.galois)
-        assert p.degree == 1 and y.is_rational
+        y = fixed_field(cubic_splitting, cubic_splitting.galois)
+        assert y.is_rational
 
     def test_degree_formula_and_fixedness(self, cubic_splitting):
         L = cubic_splitting
@@ -661,10 +643,29 @@ class TestFixedField:
             PermGroup.alternating(3),
             L.galois,
         ):
-            y, p = fixed_field(L, H)
-            assert p.degree * H.order == L.degree
+            y = fixed_field(L, H)
+            assert minpoly(y).degree * H.order == L.degree
             for perm in H.elements:
                 assert apply(L.images[perm], y) == y
+
+    @pytest.mark.parametrize(
+        "gens", ["", "(1 2)", "(1 3)", "(2 3)", "(1 2 3)", "(1 2 3);(1 2)"]
+    )
+    def test_first_orbit_sum_of_target_degree(self, cubic_splitting, gens):
+        """Over S3, every subgroup gets the first orbit sum whose minimal
+        polynomial, by resultants, has degree [L:Q] / |H|."""
+        H = PermGroup([parse_cycles(g, 3) for g in gens.split(";") if g], degree=3)
+        assert fixed_field(cubic_splitting, H) == first_orbit_sum(cubic_splitting, H)
+
+    @pytest.mark.parametrize(
+        "gens", ["(1 2)(3 4);(1 3)(2 4)", "(1 2)"], ids=["V4", "(1 2)"]
+    )
+    def test_first_orbit_sum_of_target_degree_s4(self, s4_base, gens):
+        """The same over the degree-24 S4 base, for V4 (normal) and for
+        a transposition (not normal)."""
+        L = s4_base[0]
+        H = PermGroup([parse_cycles(g, 4) for g in gens.split(";")], degree=4)
+        assert fixed_field(L, H) == first_orbit_sum(L, H)
 
 
 class TestLemmaCrossCheck:
@@ -678,8 +679,7 @@ class TestLemmaCrossCheck:
             (s3, 1),
         ]
         for H, expected in cases:
-            _, p = fixed_field(L, H)
-            KH = NumberField(p.with_var("Z"))
+            KH = NumberField(minpoly(fixed_field(L, H)).with_var("Z"))
             field_side = len(automorphisms(KH).maps)
             group_side = aut_group_via_quotient(s3, H)[0].order
             assert field_side == group_side == expected
@@ -749,11 +749,17 @@ class TestShiftedNorms:
             for s in self.SHIFTS:
                 assert norm(s) == shifted_norm_by_resultants(f, K, s)
 
-    def test_charpoly_is_a_norm(self):
+    def test_linear_f_over_k(self):
+        """Norm(X - a) at s = 0, the characteristic polynomial of a."""
         K = norm_field("not integral")
         a = K.element([F(2, 5), -1, F(1, 4)])
         f = UniPoly([-a, K.one()], "X", K)
-        assert charpoly(a) == shifted_norm_by_resultants(f, K, 0)
+        assert shifted_norms(f, K)(0) == shifted_norm_by_resultants(f, K, 0)
+        # in Q(sqrt 2), a = 3 - 2 sqrt 2 and its conjugate a' = 3 + 2 sqrt 2
+        # give (X - a)(X - a') = X^2 - 6X + 1
+        K = NumberField(Zpoly(-2, 0, 1))
+        f = UniPoly([-K.element([3, -2]), K.one()], "X", K)
+        assert shifted_norms(f, K)(0) == X**2 - 6 * X + 1
 
     def test_not_monic_refused(self, golden):
         with pytest.raises(ValueError, match="monic"):

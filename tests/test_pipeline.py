@@ -17,7 +17,7 @@ from autrealize.errors import (
 from autrealize.exact import UniPoly
 from autrealize.factor import Reductions, completeness_prime
 from autrealize.family import cubic
-from autrealize.numfield import NumberField, Powers, embed_generator, evaluate, minpoly
+from autrealize.numfield import NumberField, Powers, embed_generator, evaluate
 from autrealize.pipeline import (
     build_E_minpoly,
     build_state,
@@ -35,6 +35,7 @@ from reference import (
     completeness_prime_by_pattern,
     embed_generator_by_gcd,
     interpolated_q,
+    minpoly,
     shifted_norm_by_resultants,
     to_abstract,
 )
