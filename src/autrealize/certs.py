@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import json
 from itertools import combinations
-from math import ceil
 
 from .errors import SpecParseError, VerificationError
 from .exact import (
@@ -44,7 +43,7 @@ FORMAT_VERSION = 6
 
 
 def _render_coords(e):
-    return [render_rational(c) for c in e.coords]
+    return [render_rational(c) for c in e.qcoords]
 
 
 def certificate_to_json(cert) -> dict:
@@ -293,7 +292,8 @@ def validate_certificate(path, deep=False) -> ValidationReport:
             )
 
     if deep:
-        _deep_validate(data, G, max((ceil(abs(t0)) for t0 in t0s), default=0), report)
+        height = max((-(-abs(t0.num[0]) // t0.den) for t0 in t0s), default=0)
+        _deep_validate(data, G, height, report)  # the largest ceil |t0|
     return report
 
 

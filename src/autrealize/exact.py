@@ -1,13 +1,35 @@
-"""Exact rational and polynomial arithmetic.
+"""Exact arithmetic: number fields, with Q as the degree-1 one, and
+polynomials over them.
+
+A field is Q[Z]/(g) for a monic irreducible g with rational
+coefficients; an element is a residue polynomial stored as an integer
+coordinate vector over one positive denominator, in lowest terms.  Q
+itself is ``QQ`` = Q[Z]/(Z), and every rational the package computes
+with is an element of it: one integer over one positive denominator,
+compared, hashed and normalised like any other element.  Rationals from
+outside (ints, and values with integer ``numerator`` and
+``denominator``, such as those of the standard ``fractions`` module) are
+accepted wherever an element is, and read by those two attributes; the
+package never imports ``fractions``.  A rational multiplies an element
+coordinate by coordinate; other products are an integer convolution, a
+row reduction and one gcd normalisation, for the field keeps the
+reductions of Z^d, ..., Z^(2d-2) mod g as integer rows over one common
+denominator, built at its first product.  An inverse solves the integer
+linear system of multiplication by the element fraction-free (Bareiss)
+and is checked by one exact product.  Everything downstream needs only
+this single flattened shape: towers are collapsed to one primitive
+element as soon as they appear (``numfield``).  A field reads its
+modulus modulo primes through one record, ``NumberField.reductions`` (a
+``factor.Reductions``), which every reader shares.
 
 Polynomials are dense.  ``UniPoly`` is univariate with an ascending
-coefficient list and carries the ring arithmetic; its coefficients live
-in an exact field: the rationals (represented by ``fractions.Fraction``)
-or a number field (``autrealize.numfield.NumberField``, whose elements
-implement the same arithmetic protocol).  The gcd is Euclid's over
-either.  Resultants, discriminants, interpolation and ``BiPoly`` are
-over Q only; interpolation takes its values at 0, 1, ..., n and runs
-over Z, dividing once at the end.
+coefficient list and carries the ring arithmetic; its coefficients are
+elements of one field: QQ, spelled ``field=None``, or a number field.
+The gcd is Euclid's over either.  Resultants, discriminants,
+interpolation and ``BiPoly`` are over Q only; each reads a rational
+polynomial as integers over one denominator (``_int_clear``), and
+interpolation takes its values at 0, 1, ..., n and runs over Z,
+dividing once at the end.
 ``BiPoly`` is bivariate in (T, X) with a coefficient matrix indexed by
 (power of T, power of X); it holds the cubic family X^3 + TX + T for
 the family's bad set, and is only built, compared and specialized at
@@ -18,55 +40,414 @@ Everything here is immutable and pure; no floating point anywhere.
 
 from __future__ import annotations
 
-from fractions import Fraction
-from math import gcd as _igcd
+from functools import cached_property
+from math import gcd, lcm
 
-from .errors import SpecParseError
-
-_QZERO = Fraction(0)
-_QONE = Fraction(1)
+from .errors import SpecParseError, VerificationError
 
 
-def _fzero(field):
-    return _QZERO if field is None else field.zero()
-
-
-def _fone(field):
-    return _QONE if field is None else field.one()
-
-
-def _coerce(field, c):
-    """Coerce ``c`` into the coefficient field."""
-    if field is None:
-        if isinstance(c, Fraction):
-            return c
-        if isinstance(c, int):
-            return Fraction(c)
-        raise TypeError(f"cannot coerce {c!r} into Q")
-    if isinstance(c, (int, Fraction)):
-        return field.from_rational(c)
-    if getattr(c, "owner", None) is not None:
-        if c.owner is field or c.owner.modulus_coeffs == field.modulus_coeffs:
-            return c
-        raise ValueError("coefficient belongs to a different number field")
-    raise TypeError(f"cannot coerce {c!r} into {field!r}")
-
-
-def render_rational(q: Fraction) -> str:
-    """Canonical text form "p/q", with "/q" omitted when q == 1."""
-    if q.denominator == 1:
-        return str(q.numerator)
-    return f"{q.numerator}/{q.denominator}"
-
-
-def parse_rational(s: str) -> Fraction:
-    """The rational s if s is its canonical text; anything else ("2/2",
-    " 1 ", a JSON number) raises SpecParseError."""
+def _ratio(c):
+    """(numerator, denominator) of a rational: an element of a degree-1
+    field, or an int or foreign rational, read by its ``numerator`` and
+    ``denominator``; None for anything else."""
+    if isinstance(c, NfElement):
+        return (c.num[0], c.den) if c.owner.degree == 1 else None
     try:
-        q = Fraction(s) if isinstance(s, str) else None
-    except (ValueError, ZeroDivisionError):
-        q = None
-    if q is None or render_rational(q) != s:
+        return c.numerator, c.denominator
+    except AttributeError:
+        return None
+
+
+class NumberField:
+    """Q[Z]/(g) for monic g that the caller has proved irreducible (by a
+    squarefree norm or ``is_irreducible_Q``); degree 1 models Q itself,
+    and ``QQ`` is the one field the package uses for it."""
+
+    def __init__(self, modulus: UniPoly):
+        if modulus.field is not None:
+            raise ValueError("modulus must have rational coefficients")
+        if not modulus.is_monic():
+            raise ValueError("modulus must be monic")
+        if modulus.degree < 1:
+            raise ValueError("modulus must have degree >= 1")
+        self.modulus = modulus.with_var("Z")
+        self.modulus_coeffs = self.modulus.coeffs
+        self.degree = modulus.degree
+        self._hash = hash(tuple(_int_clear(self.modulus)[0]))
+        self._tau = [self.degree]  # power sums of mu^d g(X / mu), see power_traces
+
+    # Everything below that costs more than O(d) is built at its first
+    # use, so a field that is only read modulo primes (one past the
+    # factorization cap, say) is built in linear time.
+
+    @cached_property
+    def _scaled(self):
+        """(mu, h): g = G / mu over the integers, and h the coefficients
+        below the leading one of mu^d g(X / mu), integral: d powers of mu,
+        O(d^2 log mu) bits."""
+        G, mu = _int_clear(self.modulus)
+        return mu, [c * mu ** (self.degree - 1 - k) for k, c in enumerate(G[:-1])]
+
+    @cached_property
+    def _reduction(self):
+        """(rows, den) with Z**(d+k) = rows[k] / den mod g: integer rows
+        over their least common denominator (1 when g is integral), d^2
+        entries built at the first product."""
+        # g = G / mu over integers; Z**(d+k) = rows[k] / mu**(k+1) mod g
+        G, mu = _int_clear(self.modulus)
+        rows = [[-c for c in G[:-1]]]
+        for _ in range(self.degree - 2):
+            prev = rows[-1]
+            shifted = [0] + prev[:-1]
+            rows.append([prev[-1] * r + mu * s for r, s in zip(rows[0], shifted)])
+        dens = [mu ** (k + 1) // gcd(mu ** (k + 1), *row) for k, row in enumerate(rows)]
+        den = lcm(*dens)
+        return [
+            [c * den // mu ** (k + 1) for c in row] for k, row in enumerate(rows)
+        ], den
+
+    @cached_property
+    def reductions(self):
+        """The modulus read modulo primes (``factor.Reductions``): every
+        reader of the field's primes -- irreducibility, the completeness
+        search and check, the table's root, distinctness -- shares it."""
+        from .factor import Reductions  # factor computes with this module
+
+        return Reductions(self.modulus)
+
+    @classmethod
+    def rationals(cls):
+        """QQ, the degree-1 field Q[Z]/(Z) with generator 0."""
+        return QQ
+
+    def __repr__(self):
+        return f"NumberField({self.modulus!r})"
+
+    def __eq__(self, other):
+        return (
+            isinstance(other, NumberField)
+            and self.modulus_coeffs == other.modulus_coeffs
+        )
+
+    # -- element constructors -------------------------------------------
+
+    def element(self, coords):
+        """The element with these rational coordinates, reduced modulo g
+        when there are more than [K:Q] of them."""
+        f = UniPoly(coords, "Z")
+        if f.degree >= self.degree:
+            f = poly_divrem(f, self.modulus)[1]
+        num, den = _int_clear(f)
+        return self._make(num + [0] * (self.degree - len(num)), den)
+
+    def zero(self):
+        return NfElement(self, (0,) * self.degree, 1)
+
+    def one(self):
+        return self.from_rational(1)
+
+    def gen(self):
+        return self.element((0, 1))
+
+    def from_rational(self, c):
+        """The rational c (see ``_ratio``) as an element; a TypeError for
+        anything else."""
+        r = _ratio(c)
+        if r is None:
+            raise TypeError(f"cannot coerce {c!r} into {self!r}")
+        return NfElement(self, (r[0],) + (0,) * (self.degree - 1), r[1])
+
+    def coerce(self, c):
+        """c itself if it is an element of this field, else the rational c
+        as one; a ValueError for an element of another field of degree
+        above 1."""
+        if isinstance(c, NfElement):
+            if c.owner is self or c.owner.modulus_coeffs == self.modulus_coeffs:
+                return c
+            if c.owner.degree > 1:
+                raise ValueError("coefficient belongs to a different number field")
+        return self.from_rational(c)
+
+    def _make(self, num, den):
+        """The element num/den in lowest terms (den > 0 on input)."""
+        g = gcd(den, *num)
+        if g != 1:
+            num = [c // g for c in num]
+            den //= g
+        return NfElement(self, tuple(num), den)
+
+    def _mul(self, a, b):
+        """Integer vector p with a * b = p / den, for integer
+        coordinate vectors a and b and the reduction rows' den: schoolbook
+        product, then each Z**(d+k) replaced by its reduction row."""
+        d = self.degree
+        prod = [0] * (2 * d - 1)
+        for i, x in enumerate(a):
+            if x:
+                prod[i : i + d] = [p + x * y for p, y in zip(prod[i : i + d], b)]
+        out = prod[:d]
+        rows, den = self._reduction
+        if den != 1:
+            out = [den * c for c in out]
+        for c, row in zip(prod[d:], rows):
+            if c:
+                out = [o + c * r for o, r in zip(out, row)]
+        return out
+
+    def power_traces(self, count):
+        """(mu, tau) with Tr(Z^i) = tau[i] / mu^i for i < count, where mu
+        is the common denominator of the modulus g, so that mu*Z is a root
+        of the monic integer polynomial mu^d g(X / mu) and each tau[i] is
+        the integer power sum of its roots (Newton's identities)."""
+        (mu, h), tau, d = self._scaled, self._tau, self.degree
+        for i in range(len(tau), count):
+            acc = i * h[d - i] if i <= d else 0
+            for j in range(1, min(i - 1, d) + 1):
+                acc += h[d - j] * tau[i - j]
+            tau.append(-acc)
+        return mu, tau
+
+
+class NfElement:
+    """An element num/den of a NumberField, in the basis 1, Z, Z^2, ...
+
+    ``num`` is a tuple of integers and ``den`` a positive integer sharing
+    no factor with all of them, so each element has one representation
+    (zero has den 1) and ``==``/``hash`` compare it directly.  A rational
+    (an element of QQ, an int or a foreign rational) is lifted into the
+    field wherever it meets an element, and elements of degree-1 fields
+    are ordered as rationals.  ``qcoords`` gives the coordinates as
+    elements of QQ; ``coords`` gives them as values of the standard
+    ``fractions`` module, for callers outside the package.  Arithmetic
+    is on integers with one gcd normalisation per result; the inverse
+    solves the integer linear system of multiplication by the element
+    fraction-free (Bareiss) and is checked by one exact product.
+    """
+
+    __slots__ = ("owner", "num", "den")
+
+    def __init__(self, owner, num, den):
+        self.owner = owner
+        self.num = num
+        self.den = den
+
+    @property
+    def coords(self):
+        """The coordinates as ``fractions.Fraction``s, for callers outside
+        the package: no package code path reads them, so none loads
+        ``fractions``."""
+        from fractions import Fraction
+
+        return tuple(Fraction(c, self.den) for c in self.num)
+
+    @property
+    def qcoords(self):
+        """The coordinates as elements of QQ."""
+        return tuple(_rational(c, self.den) for c in self.num)
+
+    def to_poly(self) -> UniPoly:
+        return UniPoly(self.qcoords, "Z")
+
+    @property
+    def is_rational(self):
+        return not any(self.num[1:])
+
+    def __bool__(self):
+        return any(self.num)
+
+    def _same_field(self, other):
+        return isinstance(other, NfElement) and (
+            other.owner is self.owner
+            or other.owner.modulus_coeffs == self.owner.modulus_coeffs
+        )
+
+    def __eq__(self, other):
+        if self._same_field(other):
+            return self.num == other.num and self.den == other.den
+        r = _ratio(other)
+        if r is None:
+            return NotImplemented
+        return self.is_rational and self.num[0] * r[1] == r[0] * self.den
+
+    def __hash__(self):
+        return hash((self.owner._hash, self.num, self.den))
+
+    def __lt__(self, other):
+        """The order of Q, between rationals (``>`` is this, reflected)."""
+        a, b = _ratio(self), _ratio(other)
+        if a is None or b is None:
+            return NotImplemented
+        return a[0] * b[1] < b[0] * a[1]
+
+    def sort_key(self):
+        """The coordinates as rationals: elements sort as the tuples of
+        their ``coords`` would."""
+        return self.qcoords
+
+    def __str__(self):
+        return render_rational(self) if self.owner.degree == 1 else repr(self)
+
+    def __repr__(self):
+        return f"NfElement({self.to_poly()!r})"
+
+    def _pair(self, other):
+        """(self, other) as elements of one field, a rational lifted into
+        the other's field; None (the operation is not ours) for anything
+        that is neither an element nor a rational."""
+        if self._same_field(other):
+            return self, other
+        if _ratio(other) is not None:
+            return self, self.owner.from_rational(other)
+        if not isinstance(other, NfElement):
+            return None
+        if self.owner.degree > 1:
+            raise ValueError("elements of different fields")
+        return other.owner.from_rational(self), other
+
+    def __add__(self, other):
+        if (pair := self._pair(other)) is None:
+            return NotImplemented
+        a, b = pair
+        da, db = a.den, b.den
+        if da == db:
+            num = [x + y for x, y in zip(a.num, b.num)]
+        else:
+            num = [x * db + y * da for x, y in zip(a.num, b.num)]
+            da *= db
+        return a.owner._make(num, da)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return NfElement(self.owner, tuple(-x for x in self.num), self.den)
+
+    def __sub__(self, other):
+        if (pair := self._pair(other)) is None:
+            return NotImplemented
+        return pair[0] + (-pair[1])
+
+    def __rsub__(self, other):
+        return -self + other
+
+    def __mul__(self, other):
+        if (pair := self._pair(other)) is None:
+            return NotImplemented
+        a, b = pair
+        if not any(a.num[1:]):
+            a, b = b, a  # the rational, if either is one, second
+        K = a.owner
+        if not any(b.num[1:]):  # a rational scales the coordinates
+            c = b.num[0]
+            return K._make([x * c for x in a.num], a.den * b.den)
+        den = a.den * b.den * K._reduction[1]
+        return K._make(K._mul(a.num, b.num), den)
+
+    __rmul__ = __mul__
+
+    def inverse(self):
+        """1 / self: x with M x = e_0, where column j of the integer
+        matrix M is num * Z^j times den^j, for the reduction rows' den,
+        solved fraction-free;
+        raises VerificationError when M is singular (a zero divisor, so
+        the modulus is reducible) or the exact check fails."""
+        if not self:
+            raise ZeroDivisionError("inverse of zero")
+        K = self.owner
+        d = K.degree
+        cols = [list(self.num)]
+        for _ in range(d - 1):
+            cols.append(K._mul((0, 1), cols[-1]))  # times Z
+        solved = _solve_fraction_free(
+            [list(row) for row in zip(*cols)], [1] + [0] * (d - 1)
+        )
+        if solved is None:
+            raise VerificationError("modulus is not irreducible")
+        det, y = solved
+        q = K._reduction[1]
+        inv = K._make([self.den * q**j * c for j, c in enumerate(y)], det)
+        if self * inv != K.one():
+            raise VerificationError("inverse fails its exact check")
+        return inv
+
+    def __truediv__(self, other):
+        if (pair := self._pair(other)) is None:
+            return NotImplemented
+        return pair[0] * pair[1].inverse()
+
+    def __rtruediv__(self, other):
+        return self.inverse() * other
+
+    def __pow__(self, k):
+        if k < 0:
+            return self.inverse() ** (-k)
+        result = self.owner.one()
+        base = self
+        while k:
+            if k & 1:
+                result = result * base
+            base = base * base if k > 1 else base
+            k >>= 1
+        return result
+
+
+def _solve_fraction_free(A, b):
+    """(D, Y) with A (Y / D) = b for a nonsingular square integer matrix
+    A, or None when A is singular.
+
+    Bareiss elimination (Math. Comp. 22, 1968) keeps every entry an
+    integer minor, so each division is exact; D = |det A|, and Y = D * x
+    is integral by Cramer's rule, so back substitution divides exactly too.
+    """
+    n = len(A)
+    M = [row + [c] for row, c in zip(A, b)]
+    prev = 1
+    for k in range(n):
+        if not M[k][k]:
+            swap = next((r for r in range(k + 1, n) if M[r][k]), None)
+            if swap is None:
+                return None
+            M[k], M[swap] = M[swap], M[k]
+        rowk = M[k]
+        pk = rowk[k]
+        for i in range(k + 1, n):
+            rowi = M[i]
+            f = rowi[k]
+            M[i] = [0] * (k + 1) + [
+                (pk * rowi[j] - f * rowk[j]) // prev for j in range(k + 1, n + 1)
+            ]
+        prev = pk
+    D = prev
+    Y = [0] * n
+    for i in range(n - 1, -1, -1):
+        row = M[i]
+        acc = D * row[n] - sum(row[j] * Y[j] for j in range(i + 1, n))
+        Y[i] = acc // row[i]
+    if D < 0:
+        D, Y = -D, [-y for y in Y]
+    return D, Y
+
+
+def _rational(n, d=1):
+    """The rational n / d, for integers n and d > 0, as an element of QQ."""
+    return QQ._make((n,), d)
+
+
+def render_rational(q) -> str:
+    """Canonical text form "p/q" of a rational, with "/q" omitted when
+    q == 1."""
+    n, d = _ratio(q)
+    return str(n) if d == 1 else f"{n}/{d}"
+
+
+def parse_rational(s: str) -> NfElement:
+    """The rational s, an element of QQ, if s is its canonical text;
+    anything else ("2/2", " 1 ", a JSON number) raises SpecParseError."""
+    num, _, den = s.partition("/") if isinstance(s, str) else ("", "", "")
+    try:
+        n, d = int(num), int(den or "1")
+    except ValueError:
+        d = 0
+    if d <= 0 or render_rational(q := _rational(n, d)) != s:
         raise SpecParseError(f"not a canonical rational: {s!r}")
     return q
 
@@ -76,13 +457,17 @@ class UniPoly:
 
     ``coeffs`` is ascending: coeffs[i] is the coefficient of var**i.
     The leading coefficient is nonzero unless the polynomial is zero
-    (empty coefficient list).  ``field`` is None for Q, or a NumberField.
+    (empty coefficient list).  ``field`` is None for Q (given as QQ too),
+    or a NumberField; the coefficients are elements of ``field or QQ``.
     """
 
     __slots__ = ("coeffs", "var", "field")
 
     def __init__(self, coeffs, var="X", field=None):
-        cs = [_coerce(field, c) for c in coeffs]
+        if field is QQ:
+            field = None
+        K = field or QQ
+        cs = [K.coerce(c) for c in coeffs]
         while cs and not cs[-1]:
             cs.pop()
         self.coeffs = tuple(cs)
@@ -97,7 +482,7 @@ class UniPoly:
 
     @classmethod
     def one(cls, var="X", field=None):
-        return cls((_fone(field),), var, field)
+        return cls((1,), var, field)
 
     @classmethod
     def constant(cls, c, var="X", field=None):
@@ -125,10 +510,10 @@ class UniPoly:
     def __getitem__(self, i):
         if 0 <= i < len(self.coeffs):
             return self.coeffs[i]
-        return _fzero(self.field)
+        return (self.field or QQ).zero()
 
     def is_monic(self):
-        return bool(self.coeffs) and self.coeffs[-1] == _fone(self.field)
+        return bool(self.coeffs) and self.coeffs[-1] == 1
 
     def __eq__(self, other):
         if not isinstance(other, UniPoly):
@@ -163,9 +548,7 @@ class UniPoly:
 
     def __add__(self, other):
         if not isinstance(other, UniPoly):
-            other = UniPoly.constant(
-                _coerce(self.field, other), self.var, self.field
-            )
+            other = UniPoly.constant(other, self.var, self.field)
         self._check_compat(other)
         n = max(len(self.coeffs), len(other.coeffs))
         return UniPoly(
@@ -179,19 +562,17 @@ class UniPoly:
 
     def __sub__(self, other):
         if not isinstance(other, UniPoly):
-            other = UniPoly.constant(
-                _coerce(self.field, other), self.var, self.field
-            )
+            other = UniPoly.constant(other, self.var, self.field)
         return self + (-other)
 
     def __mul__(self, other):
         if not isinstance(other, UniPoly):
-            c = _coerce(self.field, other)
+            c = (self.field or QQ).coerce(other)
             return UniPoly([a * c for a in self.coeffs], self.var, self.field)
         self._check_compat(other)
         if self.is_zero or other.is_zero:
             return UniPoly.zero(self.var, self.field)
-        zero = _fzero(self.field)
+        zero = (self.field or QQ).zero()
         out = [zero] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
             if not a:
@@ -218,13 +599,9 @@ class UniPoly:
         if self.is_zero:
             raise ValueError("cannot normalize the zero polynomial")
         lc = self.lc()
-        if lc == _fone(self.field):
+        if lc == 1:
             return self
-        if self.field is None:
-            inv = 1 / lc
-        else:
-            inv = lc.inverse()
-        return self * inv
+        return self * lc.inverse()
 
     def derivative(self):
         return UniPoly(
@@ -273,13 +650,10 @@ def poly_divrem(f: UniPoly, g: UniPoly):
     field = f.field
     if f.degree < g.degree:
         return UniPoly.zero(f.var, field), f
-    if field is None:
-        lc_inv = 1 / g.lc()
-    else:
-        lc_inv = g.lc().inverse()
+    lc_inv = g.lc().inverse()
     rem = list(f.coeffs)
     dg = g.degree
-    quot = [_fzero(field)] * (len(rem) - dg)
+    quot = [(field or QQ).zero()] * (len(rem) - dg)
     gcs = g.coeffs
     for k in range(len(rem) - dg - 1, -1, -1):
         c = rem[k + dg]
@@ -321,11 +695,9 @@ def poly_gcd(f: UniPoly, g: UniPoly) -> UniPoly:
 
 
 def _int_clear(f: UniPoly):
-    """Write a rational poly as (int coeff list, denominator)."""
-    den = 1
-    for c in f.coeffs:
-        den = den * c.denominator // _igcd(den, c.denominator)
-    return [int(c * den) for c in f.coeffs], den
+    """Write a rational poly as (int coeff list, least common denominator)."""
+    den = lcm(*(c.den for c in f.coeffs))
+    return [c.num[0] * (den // c.den) for c in f.coeffs], den
 
 
 def _ideg(a):
@@ -341,7 +713,7 @@ def _gtrim(a):
 
 def _iprimitive(a):
     """(content, primitive part) of an integer polynomial; (0, []) for 0."""
-    c = _igcd(*a)
+    c = gcd(*a)
     return (c, [x // c for x in a]) if c else (0, [])
 
 
@@ -404,14 +776,14 @@ def _int_res_std(A, B):
     return s * t * res
 
 
-def _res_std_q(f: UniPoly, g: UniPoly) -> Fraction:
+def _res_std_q(f: UniPoly, g: UniPoly) -> NfElement:
     A, da = _int_clear(f)
     B, db = _int_clear(g)
     r = _int_res_std(A, B)
-    return Fraction(r, da**g.degree * db**f.degree)
+    return _rational(r, da**g.degree * db**f.degree)
 
 
-def resultant_std(f: UniPoly, g: UniPoly) -> Fraction:
+def resultant_std(f: UniPoly, g: UniPoly) -> NfElement:
     """lc(f)^deg(g) * prod of g over the roots of f, for rational f, g."""
     if f.is_zero or g.is_zero:
         raise ValueError("resultant of the zero polynomial")
@@ -421,7 +793,7 @@ def resultant_std(f: UniPoly, g: UniPoly) -> Fraction:
     return _res_std_q(f, g)
 
 
-def discriminant(f: UniPoly) -> Fraction:
+def discriminant(f: UniPoly) -> NfElement:
     """disc(f) = (-1)^(d(d-1)/2) * Res(f, f') / lc(f) for rational f."""
     d = f.degree
     if d < 1:
@@ -445,11 +817,9 @@ def interpolate(points, values, var="X"):
         raise ValueError("points/values length mismatch")
     if list(points) != list(range(n + 1)):
         raise ValueError("interpolation points must be 0, 1, ..., n")
-    values = [_coerce(None, v) for v in values]
-    den = 1
-    for v in values:
-        den = den * v.denominator // _igcd(den, v.denominator)
-    diffs = [v.numerator * (den // v.denominator) for v in values]
+    values = [QQ.coerce(v) for v in values]
+    den = lcm(*(v.den for v in values))
+    diffs = [v.num[0] * (den // v.den) for v in values]
     for k in range(1, n + 1):  # diffs[k] becomes Delta^k(0)
         for i in range(n, k - 1, -1):
             diffs[i] -= diffs[i - 1]
@@ -461,7 +831,7 @@ def interpolate(points, values, var="X"):
             acc[i] -= k * acc[i + 1]
         acc[0] += scale * diffs[k]
         scale *= max(k, 1)
-    return UniPoly([Fraction(c, scale * den) for c in acc], var)
+    return UniPoly([_rational(c, scale * den) for c in acc], var)
 
 
 class BiPoly:
@@ -471,7 +841,7 @@ class BiPoly:
     __slots__ = ("rows",)
 
     def __init__(self, rows):
-        mat = [[_coerce(None, c) for c in row] for row in rows]
+        mat = [[QQ.coerce(c) for c in row] for row in rows]
         # trim trailing zero columns, then trailing zero rows
         width = 0
         for row in mat:
@@ -479,7 +849,7 @@ class BiPoly:
             while w and not row[w - 1]:
                 w -= 1
             width = max(width, w)
-        mat = [row[:width] + [_QZERO] * (width - len(row[:width])) for row in mat]
+        mat = [row[:width] + [QQ.zero()] * (width - len(row[:width])) for row in mat]
         while mat and all(not c for c in mat[-1]):
             mat.pop()
         self.rows = tuple(tuple(r) for r in mat)
@@ -492,9 +862,9 @@ class BiPoly:
             return cls(())
         nr = max(t[0] for t in terms) + 1
         nc = max(t[1] for t in terms) + 1
-        rows = [[_QZERO] * nc for _ in range(nr)]
+        rows = [[QQ.zero()] * nc for _ in range(nr)]
         for i, j, c in terms:
-            rows[i][j] = rows[i][j] + _coerce(None, c)
+            rows[i][j] = rows[i][j] + QQ.coerce(c)
         return cls(rows)
 
     @property
@@ -512,7 +882,7 @@ class BiPoly:
     def coeff(self, i, j):
         if 0 <= i < len(self.rows) and 0 <= j < len(self.rows[i]):
             return self.rows[i][j]
-        return _QZERO
+        return QQ.zero()
 
     def __eq__(self, other):
         if not isinstance(other, BiPoly):
@@ -530,7 +900,7 @@ class BiPoly:
     def specialize(self, t0):
         """Substitute T -> t0 (rational); returns a UniPoly in X."""
         nc = max((len(r) for r in self.rows), default=0)
-        t0 = Fraction(t0)
+        t0 = QQ.coerce(t0)
         out = []
         for j in range(nc):
             col = [self.coeff(i, j) for i in range(len(self.rows))]
@@ -556,3 +926,11 @@ def parse_unipoly(arr, var="X") -> UniPoly:
     if len(f.coeffs) != len(arr):
         raise SpecParseError(f"coefficient array ends in \"0\": {arr!r}")
     return f
+
+
+#: Q as the degree-1 field Q[Z]/(Z).  Its modulus Z is a polynomial over
+#: it, so it is built in two steps: the degree first, which is all that
+#: the coefficients 0 and 1 of Z need, then the field.
+QQ = NumberField.__new__(NumberField)
+QQ.degree = 1
+QQ.__init__(UniPoly.gen("Z"))

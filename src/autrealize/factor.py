@@ -311,7 +311,8 @@ class Reductions:
             raise CapExceededError(
                 f"degree {_ideg(F)} exceeds the factorization cap {DEGREE_CAP}"
             )
-        return F[-1] * (int(discriminant(UniPoly(F))) if len(F) > 1 else 1)
+        # F is integral, so disc(F) is an integer (den 1)
+        return F[-1] * (discriminant(UniPoly(F)).num[0] if len(F) > 1 else 1)
 
     def usable(self, p):
         """True iff the prime p >= 5 does not divide lc(F) * disc(F)."""

@@ -1,19 +1,13 @@
-"""Number fields as explicit Q-algebras.
+"""Norms, factoring, automorphisms, splitting and fixed fields over
+number fields.
 
-A field is Q[Z]/(g) for a monic irreducible g with rational
-coefficients; an element is a residue polynomial stored as an integer
-coordinate vector over one positive denominator, in lowest terms.  The
-field keeps the reductions of Z^d, ..., Z^(2d-2) mod g as integer rows
-over one common denominator, built at its first product, so a product
-is an integer convolution, a row reduction and one gcd normalisation.
-An inverse solves the integer linear system of multiplication by the
-element fraction-free (Bareiss) and is checked by one exact product.
-Everything downstream needs only this single flattened shape: towers
-are collapsed to one primitive element as soon as they appear.
+``NumberField`` and ``NfElement`` live in ``exact``, beside the
+polynomials whose coefficients they are (Q itself is the degree-1 field
+``exact.QQ``), and are re-exported here.  Everything here needs only
+their single flattened shape: towers are collapsed to one primitive
+element as soon as they appear.
 
-A field reads its modulus modulo primes through one record,
-``NumberField.reductions`` (a ``factor.Reductions``), which every
-reader shares.  Factoring a squarefree polynomial over a field uses
+Factoring a squarefree polynomial over a field uses
 Trager's method: shift by a multiple of the generator until the norm is
 squarefree (lc * disc != 0 on the norm's ``Reductions`` record), factor
 the norm over Q through that same record, pull factors back by gcd.
@@ -49,14 +43,20 @@ characteristic polynomial is built.
 
 from __future__ import annotations
 
-from fractions import Fraction
-from functools import cached_property
 from itertools import chain, islice, permutations
-from math import gcd, isqrt, lcm
+from math import isqrt, lcm
 from operator import mul as mul_int
 
 from .errors import CapExceededError, VerificationError
-from .exact import UniPoly, _int_clear, poly_divrem, poly_gcd
+from .exact import (
+    NfElement,
+    NumberField,
+    UniPoly,
+    _int_clear,
+    _rational,
+    _solve_fraction_free,
+    poly_gcd,
+)
 from .factor import Reductions, factor_over_Q
 from .perm import PermGroup, Permutation
 
@@ -69,328 +69,6 @@ def shift_sequence():
         yield k
         yield -k
         k += 1
-
-
-class NumberField:
-    """Q[Z]/(g) for monic g that the caller has proved irreducible (by a
-    squarefree norm or ``is_irreducible_Q``); degree 1 models Q itself."""
-
-    def __init__(self, modulus: UniPoly):
-        if modulus.field is not None:
-            raise ValueError("modulus must have rational coefficients")
-        if not modulus.is_monic():
-            raise ValueError("modulus must be monic")
-        if modulus.degree < 1:
-            raise ValueError("modulus must have degree >= 1")
-        self.modulus = modulus.with_var("Z")
-        self.modulus_coeffs = self.modulus.coeffs
-        self._hash = hash(self.modulus_coeffs)
-        self.degree = modulus.degree
-        self._tau = [self.degree]  # power sums of mu^d g(X / mu), see power_traces
-
-    # Everything below that costs more than O(d) is built at its first
-    # use, so a field that is only read modulo primes (one past the
-    # factorization cap, say) is built in linear time.
-
-    @cached_property
-    def _scaled(self):
-        """(mu, h): g = G / mu over the integers, and h the coefficients
-        below the leading one of mu^d g(X / mu), integral: d powers of mu,
-        O(d^2 log mu) bits."""
-        G, mu = _int_clear(self.modulus)
-        return mu, [c * mu ** (self.degree - 1 - k) for k, c in enumerate(G[:-1])]
-
-    @cached_property
-    def _reduction(self):
-        """(rows, den) with Z**(d+k) = rows[k] / den mod g: integer rows
-        over their least common denominator (1 when g is integral), d^2
-        entries built at the first product."""
-        # g = G / mu over integers; Z**(d+k) = rows[k] / mu**(k+1) mod g
-        G, mu = _int_clear(self.modulus)
-        rows = [[-c for c in G[:-1]]]
-        for _ in range(self.degree - 2):
-            prev = rows[-1]
-            shifted = [0] + prev[:-1]
-            rows.append([prev[-1] * r + mu * s for r, s in zip(rows[0], shifted)])
-        dens = [mu ** (k + 1) // gcd(mu ** (k + 1), *row) for k, row in enumerate(rows)]
-        den = lcm(*dens)
-        return [
-            [c * den // mu ** (k + 1) for c in row] for k, row in enumerate(rows)
-        ], den
-
-    @cached_property
-    def reductions(self):
-        """The modulus read modulo primes (``factor.Reductions``): every
-        reader of the field's primes -- irreducibility, the completeness
-        search and check, the table's root, distinctness -- shares it."""
-        return Reductions(self.modulus)
-
-    @classmethod
-    def rationals(cls):
-        """Degree-1 field Q[Z]/(Z), generator 0; stands in for Q."""
-        return cls(UniPoly.gen("Z"))
-
-    def __repr__(self):
-        return f"NumberField({self.modulus!r})"
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, NumberField)
-            and self.modulus_coeffs == other.modulus_coeffs
-        )
-
-    # -- element constructors -------------------------------------------
-
-    def element(self, coords):
-        coords = [Fraction(c) for c in coords]
-        if len(coords) > self.degree:
-            rem = poly_divrem(UniPoly(coords, "Z"), self.modulus)[1]
-            coords = list(rem.coeffs)
-        den = lcm(*(c.denominator for c in coords))
-        num = [c.numerator * (den // c.denominator) for c in coords]
-        return self._make(num + [0] * (self.degree - len(num)), den)
-
-    def zero(self):
-        return NfElement(self, (0,) * self.degree, 1)
-
-    def one(self):
-        return self.from_rational(1)
-
-    def gen(self):
-        return self.element((0, 1))
-
-    def from_rational(self, c):
-        c = Fraction(c)
-        return NfElement(
-            self, (c.numerator,) + (0,) * (self.degree - 1), c.denominator
-        )
-
-    def _make(self, num, den):
-        """The element num/den in lowest terms (den > 0 on input)."""
-        g = gcd(den, *num)
-        if g != 1:
-            num = [c // g for c in num]
-            den //= g
-        return NfElement(self, tuple(num), den)
-
-    def _mul(self, a, b):
-        """Integer vector p with a * b = p / den, for integer
-        coordinate vectors a and b and the reduction rows' den: schoolbook
-        product, then each Z**(d+k) replaced by its reduction row."""
-        d = self.degree
-        prod = [0] * (2 * d - 1)
-        for i, x in enumerate(a):
-            if x:
-                prod[i : i + d] = [p + x * y for p, y in zip(prod[i : i + d], b)]
-        out = prod[:d]
-        rows, den = self._reduction
-        if den != 1:
-            out = [den * c for c in out]
-        for c, row in zip(prod[d:], rows):
-            if c:
-                out = [o + c * r for o, r in zip(out, row)]
-        return out
-
-    def power_traces(self, count):
-        """(mu, tau) with Tr(Z^i) = tau[i] / mu^i for i < count, where mu
-        is the common denominator of the modulus g, so that mu*Z is a root
-        of the monic integer polynomial mu^d g(X / mu) and each tau[i] is
-        the integer power sum of its roots (Newton's identities)."""
-        (mu, h), tau, d = self._scaled, self._tau, self.degree
-        for i in range(len(tau), count):
-            acc = i * h[d - i] if i <= d else 0
-            for j in range(1, min(i - 1, d) + 1):
-                acc += h[d - j] * tau[i - j]
-            tau.append(-acc)
-        return mu, tau
-
-
-class NfElement:
-    """An element num/den of a NumberField, in the basis 1, Z, Z^2, ...
-
-    ``num`` is a tuple of integers and ``den`` a positive integer sharing
-    no factor with all of them, so each element has one representation
-    (zero has den 1) and ``==``/``hash`` compare it directly.  ``coords``
-    gives the same element as a tuple of Fractions.  Arithmetic is on
-    integers with one gcd normalisation per result; the inverse solves
-    the integer linear system of multiplication by the element
-    fraction-free (Bareiss) and is checked by one exact product.
-    """
-
-    __slots__ = ("owner", "num", "den")
-
-    def __init__(self, owner, num, den):
-        self.owner = owner
-        self.num = num
-        self.den = den
-
-    @property
-    def coords(self):
-        return tuple(Fraction(c, self.den) for c in self.num)
-
-    def to_poly(self) -> UniPoly:
-        return UniPoly(self.coords, "Z")
-
-    @property
-    def is_rational(self):
-        return not any(self.num[1:])
-
-    def __bool__(self):
-        return any(self.num)
-
-    def __eq__(self, other):
-        if isinstance(other, NfElement):
-            return (
-                self.num == other.num
-                and self.den == other.den
-                and (
-                    self.owner is other.owner
-                    or self.owner.modulus_coeffs == other.owner.modulus_coeffs
-                )
-            )
-        if isinstance(other, (int, Fraction)):
-            return self.is_rational and Fraction(self.num[0], self.den) == other
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.owner._hash, self.num, self.den))
-
-    def sort_key(self):
-        return self.coords
-
-    def __repr__(self):
-        return f"NfElement({self.to_poly()!r})"
-
-    def _lift(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.owner.from_rational(other)
-        if isinstance(other, NfElement):
-            if (
-                other.owner is not self.owner
-                and other.owner.modulus_coeffs != self.owner.modulus_coeffs
-            ):
-                raise ValueError("elements of different fields")
-            return other
-        return None
-
-    def __add__(self, other):
-        other = self._lift(other)
-        if other is None:
-            return NotImplemented
-        da, db = self.den, other.den
-        if da == db:
-            num = [x + y for x, y in zip(self.num, other.num)]
-        else:
-            num = [x * db + y * da for x, y in zip(self.num, other.num)]
-            da *= db
-        return self.owner._make(num, da)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return NfElement(self.owner, tuple(-x for x in self.num), self.den)
-
-    def __sub__(self, other):
-        other = self._lift(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = Fraction(other)
-            return self.owner._make(
-                [x * other.numerator for x in self.num],
-                self.den * other.denominator,
-            )
-        other = self._lift(other)
-        if other is None:
-            return NotImplemented
-        K = self.owner
-        den = self.den * other.den * K._reduction[1]
-        return K._make(K._mul(self.num, other.num), den)
-
-    __rmul__ = __mul__
-
-    def inverse(self):
-        """1 / self: x with M x = e_0, where column j of the integer
-        matrix M is num * Z^j times den^j, for the reduction rows' den,
-        solved fraction-free;
-        raises VerificationError when M is singular (a zero divisor, so
-        the modulus is reducible) or the exact check fails."""
-        if not self:
-            raise ZeroDivisionError("inverse of zero")
-        K = self.owner
-        d = K.degree
-        cols = [list(self.num)]
-        for _ in range(d - 1):
-            cols.append(K._mul((0, 1), cols[-1]))  # times Z
-        solved = _solve_fraction_free(
-            [list(row) for row in zip(*cols)], [1] + [0] * (d - 1)
-        )
-        if solved is None:
-            raise VerificationError("modulus is not irreducible")
-        det, y = solved
-        q = K._reduction[1]
-        inv = K._make([self.den * q**j * c for j, c in enumerate(y)], det)
-        if self * inv != K.one():
-            raise VerificationError("inverse fails its exact check")
-        return inv
-
-    def __truediv__(self, other):
-        other = self._lift(other)
-        if other is None:
-            return NotImplemented
-        return self * other.inverse()
-
-    def __pow__(self, k):
-        if k < 0:
-            return self.inverse() ** (-k)
-        result = self.owner.one()
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base if k > 1 else base
-            k >>= 1
-        return result
-
-
-def _solve_fraction_free(A, b):
-    """(D, Y) with A (Y / D) = b for a nonsingular square integer matrix
-    A, or None when A is singular.
-
-    Bareiss elimination (Math. Comp. 22, 1968) keeps every entry an
-    integer minor, so each division is exact; D = |det A|, and Y = D * x
-    is integral by Cramer's rule, so back substitution divides exactly too.
-    """
-    n = len(A)
-    M = [row + [c] for row, c in zip(A, b)]
-    prev = 1
-    for k in range(n):
-        if not M[k][k]:
-            swap = next((r for r in range(k + 1, n) if M[r][k]), None)
-            if swap is None:
-                return None
-            M[k], M[swap] = M[swap], M[k]
-        rowk = M[k]
-        pk = rowk[k]
-        for i in range(k + 1, n):
-            rowi = M[i]
-            f = rowi[k]
-            M[i] = [0] * (k + 1) + [
-                (pk * rowi[j] - f * rowk[j]) // prev for j in range(k + 1, n + 1)
-            ]
-        prev = pk
-    D = prev
-    Y = [0] * n
-    for i in range(n - 1, -1, -1):
-        row = M[i]
-        acc = D * row[n] - sum(row[j] * Y[j] for j in range(i + 1, n))
-        Y[i] = acc // row[i]
-    if D < 0:
-        D, Y = -D, [-y for y in Y]
-    return D, Y
 
 
 # -- evaluation at an element ----------------------------------------------
@@ -466,10 +144,7 @@ def shifted_norms(f: UniPoly, K: NumberField):
         raise ValueError("expects a monic polynomial")
     n, var = f.degree, f.var
     D = n * K.degree
-    low = [
-        (c.num, c.den) if isinstance(c, NfElement) else ((c.numerator,), c.denominator)
-        for c in f.coeffs[:-1]
-    ]
+    low = [(c.num, c.den) for c in f.coeffs[:-1]]
     A = lcm(*(den for _, den in low))
     if not any(any(num[1:]) for num, _ in low):  # rational f: power sums over Q
         width, R = 1, 1
@@ -527,10 +202,10 @@ def shifted_norms(f: UniPoly, K: NumberField):
                 acc += -term if i % 2 == 0 else term
                 falling *= k - i
             u.append(acc)
-        coeffs = [Fraction(0)] * (D + 1)
+        coeffs = [0] * (D + 1)
         scale = 1
         for k in range(D + 1):
-            coeffs[D - k] = Fraction(-u[k] if k % 2 else u[k], scale)
+            coeffs[D - k] = _rational(-u[k] if k % 2 else u[k], scale)
             scale *= (k + 1) * M * B
         return UniPoly(coeffs, var)
 
@@ -674,14 +349,18 @@ def extend_field(K: NumberField, h: UniPoly):
     Returns (K2, powers, beta, c): K2's generator is beta + c*theta for
     the shift c that :func:`_sqf_norm` finds, powers are those of the
     image of K's generator theta in K2 (see :func:`embed_generator`), and
-    beta is a root of (the coefficient-mapped) h in K2.
+    beta is a root of (the coefficient-mapped) h in K2.  Over K = Q,
+    where theta = 0, h is its own norm and c = 0: no shift is searched.
     """
     if h.field is None:
         h = h.map_coeffs(K.from_rational, field=K)
     # z = beta + c*theta; minimal polynomial = Norm(h(X - c*theta)),
     # irreducible whenever squarefree (norm of an irreducible is a power
     # of an irreducible)
-    c, _, N, _ = _sqf_norm(h, K)
+    if K.degree == 1:  # theta = 0, so h is its own norm
+        c, N = 0, h
+    else:
+        c, _, N, _ = _sqf_norm(h, K)
     K2 = NumberField(N.with_var("Z"))
     powers = embed_generator(K, h, K2, c)
     return K2, powers, K2.gen() - powers.base * c, c
@@ -772,7 +451,7 @@ def splitting_field(f: UniPoly) -> SplittingField:
     if f.degree < 1:
         raise ValueError("needs degree >= 1")
     K = NumberField.rationals()
-    work = f.monic().map_coeffs(K.from_rational, field=K)
+    work = f.monic()
     weights = []  # the generator is sum weights[i] * adjoined[i]
     adjoined = []
     while True:

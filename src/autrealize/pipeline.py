@@ -51,7 +51,6 @@ theta0 that its embedding built for its own check.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import islice
 from math import factorial
 
@@ -61,10 +60,9 @@ from .errors import (
     SpecParseError,
     VerificationError,
 )
-from .exact import UniPoly
+from .exact import QQ, UniPoly, _rational
 from .factor import (
     COMPLETENESS_PRIMES,
-    Reductions,
     _record,
     completeness_prime,
     is_irreducible_Q,
@@ -105,10 +103,9 @@ def realize_sn(n: int) -> SplittingField:
     """
     check_sn_cap(n)
     if n == 1:
-        f = UniPoly([Fraction(-1), Fraction(1)], "X")
+        f = UniPoly([-1, 1], "X")
     else:
-        coeffs = [Fraction(-1), Fraction(-1)] + [Fraction(0)] * (n - 2) + [Fraction(1)]
-        f = UniPoly(coeffs, "X")
+        f = UniPoly([-1, -1] + [0] * (n - 2) + [1], "X")
     L = splitting_field(f)
     if L.galois.order != factorial(n):
         raise VerificationError(
@@ -132,11 +129,22 @@ def compute_y(L: SplittingField, G: PermGroup) -> NfElement:
 
 
 class PipelineState:
-    def __init__(self, G: PermGroup, L: SplittingField, y: NfElement, c: int):
+    """The search state: G, L, y, the shift c, and ``accepted``, the pair
+    (t, E) of ``build_E_minpoly``'s accepted norm as a field."""
+
+    def __init__(
+        self,
+        G: PermGroup,
+        L: SplittingField,
+        y: NfElement,
+        c: int,
+        accepted: tuple,
+    ):
         self.G = G
         self.L = L
         self.y = y
         self.c = c
+        self.accepted = accepted
 
     def cubic_at(self, t0) -> UniPoly:
         """The cubic X^3 + (t0 - y)(X + 1) over L."""
@@ -149,10 +157,19 @@ class PipelineState:
         commutes with T -> t0, so this is q specialized at t0 exactly."""
         return shifted_norms(self.cubic_at(t0), self.L.field)(self.c)
 
+    def field_at(self, t0) -> NumberField:
+        """E = Q[X]/(q(t0, X)).  At the t whose norm ``build_E_minpoly``
+        accepted c on, that norm's field, whose record has its
+        discriminant already."""
+        t, E = self.accepted
+        return E if t0 == t else NumberField(self.specialize(t0))
 
-def build_E_minpoly(L: SplittingField, y: NfElement) -> int:
-    """The shift c making z = x + c*theta primitive, for x a root of the
-    cubic X^3 + (T - y)(X + 1) over L(T).
+
+def build_E_minpoly(L: SplittingField, y: NfElement) -> tuple:
+    """(c, t, E): the shift c making z = x + c*theta primitive, for x a
+    root of the cubic X^3 + (T - y)(X + 1) over L(T), and the field E of
+    the norm q(t, X) that c was accepted on, whose record
+    (``NumberField.reductions``) keeps that norm's discriminant.
 
     The minimal polynomial q(T, X) of z over Q(T) is the norm from L(T)
     down to Q(T) of the cubic shifted by c*theta: monic of X-degree
@@ -165,26 +182,27 @@ def build_E_minpoly(L: SplittingField, y: NfElement) -> int:
     so q is squarefree over Q(T) iff q(t, X) is squarefree (lc * disc
     != 0 on its record) at some t = 0, 1, ..., (2d - 1)N.  The norms at
     those t are taken lazily, in that order, and reused across shifts.
-    For L = Q the norm is the cubic itself, and c = 0.
+    For L = Q the norm is the cubic itself, and (0, None, None) is
+    returned.
     """
     K = L.field
     N = K.degree
     if N == 1:
-        return 0
+        return 0, None, None
     norms = []
     for c in shift_sequence():
         for t in range((6 * N - 1) * N + 1):
             if t == len(norms):
                 norms.append(shifted_norms(cubic(K.from_rational(t) - y), K))
-            if Reductions(norms[t](c)).lc_disc:
+            if (E := NumberField(norms[t](c))).reductions.lc_disc:
                 _record("primitive_shift", c)
-                return c
+                return c, t, E
 
 
 class SpecializationRecord:
     def __init__(
         self,
-        t0: Fraction,
+        t0: NfElement,
         status: str,  # "accepted" or "rejected"
         reason: str | None = None,
         q0: UniPoly | None = None,
@@ -203,11 +221,12 @@ class SpecializationRecord:
 
 def build_state(G: PermGroup) -> PipelineState:
     """The search state for G: the splitting field of X^n - X - 1 for n
-    the degree of G, y and the shift c."""
+    the degree of G, y, the shift c and the norm it was accepted on."""
     L = realize_sn(G.degree)
     y = compute_y(L, G)
     certify_s3()
-    return PipelineState(G=G, L=L, y=y, c=build_E_minpoly(L, y))
+    c, t, E = build_E_minpoly(L, y)
+    return PipelineState(G=G, L=L, y=y, c=c, accepted=(t, E))
 
 
 def group_table(G: PermGroup):
@@ -223,13 +242,14 @@ def group_table(G: PermGroup):
 def specialize_and_verify(state: PipelineState, t0) -> SpecializationRecord:
     """Verify one candidate specialization exactly; never trusts the
     existence theorem for any individual t0."""
-    t0 = Fraction(t0)
+    t0 = QQ.coerce(t0)
     # with y = 0 (G = S_n) the cubic is FAMILY at T = t0, and where it has
     # a multiple root so has q(t0, X): its norm need not be taken
     if (not state.y and bad_set(FAMILY, t0)) or not (
-        red := (E := NumberField(q0 := state.specialize(t0))).reductions
+        red := (E := state.field_at(t0)).reductions
     ).lc_disc:
         return SpecializationRecord(t0, "rejected", "bad set: multiple root")
+    q0 = E.modulus.with_var("X")
     if not is_irreducible_Q(q0, reductions=red):
         return SpecializationRecord(t0, "rejected", "q(t0, X) reducible over Q")
     L, c = state.L, state.c
@@ -294,14 +314,14 @@ class RealizationCertificate:
 
 def t0_sequence(t_max: int):
     """0, 1, -1, 2, -2, ..., then half-integers, bounded by height."""
-    yield Fraction(0)
+    yield _rational(0)
     for k in range(1, t_max + 1):
-        yield Fraction(k)
-        yield Fraction(-k)
+        yield _rational(k)
+        yield _rational(-k)
     k = 1
     while k <= 2 * t_max:
-        yield Fraction(k, 2)
-        yield Fraction(-k, 2)
+        yield _rational(k, 2)
+        yield _rational(-k, 2)
         k += 2
 
 

@@ -108,7 +108,7 @@ def assert_complete(cert):
 
 
 def is_rational_square(r):
-    r = F(r)
+    (r,) = r.coords  # a rational of QQ, read as a Fraction
     if r < 0:
         return False
     return (
@@ -520,6 +520,14 @@ PINNED = {
            "a2d847839533f03b920b497b8a345812781578fd7fa7c95f05f8a1ceb2505727"),
 }
 
+#: sha256 of the certificate of ``realize --named C2 --count 3 --t-max 1``,
+#: the one pinned certificate with non-integral rationals: it accepts
+#: t0 = 1, -1, 1/2, and the last q0 is X^6 - 3X^5 + X^4 + 4X^3 + X^2/4 +
+#: 5X/4 - 19/4.  Pinned from the tool that still computed with
+#: fractions.Fraction, so it shows that rationals as elements of the
+#: degree-1 field write the same bytes.
+PINNED_NON_INTEGRAL = "e655ee1e8912b265d39dab599e48e756a7020b0a770c94b7a304c88632569b6b"
+
 #: sha256 of certificates with three fields, so that each pins three
 #: degree-18 distinctness pairs: S3 accepts t0 = 1, 2, -2, separated by
 #: the primes 13, 17 and 13.
@@ -596,6 +604,17 @@ class TestPinnedCertificates:
         _, _, text, kw = timed_run(key, **params)
         assert kw == params
         assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+    def test_sha256_non_integral(self, tmp_path):
+        path = tmp_path / "c2.json"
+        args = ["--named", "C2", "--count", "3", "--t-max", "1", "--out", str(path)]
+        assert main(["realize", *args]) == EXIT_OK
+        text = path.read_text()
+        assert hashlib.sha256(text.encode()).hexdigest() == PINNED_NON_INTEGRAL
+        specs = json.loads(text)["specializations"]
+        accepted = [spec for spec in specs if spec["status"] == "accepted"]
+        assert [spec["t0"] for spec in accepted] == ["1", "-1", "1/2"]
+        assert accepted[-1]["defining_polynomial"] == ["-19/4", "5/4", "1/4", "4", "1", "-3", "1"]
 
     @pytest.mark.parametrize("key", sorted(PINNED_COUNT_3))
     def test_sha256_count_3(self, key):

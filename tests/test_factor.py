@@ -74,11 +74,11 @@ class TestFrobeniusPattern:
         rng = random.Random(83)
         for _ in range(30):
             f = rand_irreducible(rng, max_deg=8)
-            fi = [int(c) for c in f.coeffs]
+            fi = [c.num[0] for c in f.coeffs]  # integral: each den is 1
             for p in (5, 7, 11, 13, 101):
                 got = pattern(f, p)
                 fp = factor._gmonic([c % p for c in fi], p)
-                if not discriminant(f) % p:
+                if not discriminant(f).num[0] % p:  # an integer: f is monic, integral
                     assert got is None
                 else:
                     split = _gfactor_sqf(_gddf(fp, p), p)
@@ -141,7 +141,7 @@ def rand_squarefree_int(rng, degree):
             d = min(rng.randrange(1, 13), degree - f.degree)
             g = [rng.randrange(-9, 10) for _ in range(d)] + [rng.randrange(1, 4)]
             f *= as_poly(g)
-        _, f = _iprimitive([int(c) for c in f.coeffs])
+        _, f = _iprimitive([c.num[0] for c in f.coeffs])  # integral
         if Reductions(as_poly(f)).lc_disc:
             return f
 

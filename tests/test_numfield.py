@@ -624,7 +624,7 @@ class TestFixedField:
         assert p.degree == 2
         d = discriminant(p)
         # disc lies in -23 * (Q*)^2
-        ratio = d / F(-23)
+        (ratio,) = (d / F(-23)).coords  # a rational of QQ, read as a Fraction
         assert ratio > 0
         num, den = ratio.numerator, ratio.denominator
         import math

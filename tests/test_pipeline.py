@@ -108,7 +108,7 @@ class TestComputeY:
 
 class TestBuildEMinpoly:
     def test_n1_degree_3(self, state_trivial):
-        assert build_E_minpoly(state_trivial.L, state_trivial.y) == 0
+        assert build_E_minpoly(state_trivial.L, state_trivial.y) == (0, None, None)
         # q = X^3 + T X + T
         assert state_trivial.specialize(F(1)).coeffs == (F(1), F(1), F(0), F(1))
 
@@ -143,7 +143,7 @@ class TestNormsFromPowerSums:
             "shifted_norms",
             lambda f, K: lambda s: shifted_norm_by_resultants(f, K, s),
         )
-        assert build_E_minpoly(state.L, state.y) == state.c
+        assert build_E_minpoly(state.L, state.y)[0] == state.c
         assert_specializes_interpolated_q(state)
 
 
@@ -204,10 +204,14 @@ class TestScreenedCompletenessPrime:
         p = completeness_prime(Reductions(q0), order, screen=screen)
         assert p is not None and p == completeness_prime(Reductions(q0), order)
 
-    def test_few_full_degree_gcds(self, states, monkeypatch):
+    def test_few_full_degree_gcds(self, monkeypatch):
         """For S3 at t0 = 1 the screen through L leaves at most 8 of the
         34 usable primes below the prime found (167) to a degree-18 root
-        product, each an X^p taken modulo q0 mod p."""
+        product, each an X^p taken modulo q0 mod p.  The state is the
+        test's own: its field at t0 = 1 is the one build_E_minpoly
+        accepted the shift on, whose record keeps the root products that
+        earlier calls computed."""
+        state = build_state(group("S3"))
         inside, degrees = [False], []
         power = factor._gpow_mod
 
@@ -227,7 +231,7 @@ class TestScreenedCompletenessPrime:
 
         monkeypatch.setattr(factor, "_gpow_mod", counting)
         monkeypatch.setattr(pipeline, "completeness_prime", flagged)
-        rec = specialize_and_verify(states["S3"], 1)
+        rec = specialize_and_verify(state, 1)
         assert (rec.status, rec.aut.prime) == ("accepted", 167)
         assert 1 <= degrees.count(18) <= 8
 
@@ -495,6 +499,20 @@ class TestRun:
         monkeypatch.setattr(pipeline, "build_state", refuse)
         with pytest.raises(SpecParseError, match="t-max must be >= 0"):
             run(PermGroup.symmetric(2), count=1, t_max=-3)
+
+    @pytest.mark.parametrize("name, discriminants", [("S3", 11), ("C3", 8)])
+    def test_one_discriminant_per_polynomial(self, monkeypatch, name, discriminants):
+        """A realize takes no polynomial's discriminant twice: E at the t0
+        = t whose norm build_E_minpoly accepted the shift on (S3 t0 = 1,
+        C3 t0 = 0) is that norm's field, with its record, and the
+        splitting field's first extension, over Q, takes no norm of its
+        own (the parent took 13 discriminants of 11 polynomials for S3
+        and 10 of 8 for C3)."""
+        taken, disc = [], factor.discriminant
+        monkeypatch.setattr(factor, "discriminant", lambda F: taken.append(F) or disc(F))
+        cert = run(group(name), count=1)
+        assert len(taken) == len(set(taken)) == discriminants
+        assert cert.state.accepted[1] is cert.accepted[0].field
 
     def test_field_never_separated_from_itself(self, state_trivial):
         rec = specialize_and_verify(state_trivial, 1)

@@ -8,7 +8,11 @@ pulls in ``inspect``, ``ast``, ``dis`` and ``tokenize``).  A future
 ``-v`` must import ``logging`` inside its own branch, not at start-up.
 The two subcommands are read by the CLI's own small parser, for
 ``argparse`` and the ``gettext`` it imports cost about a quarter of the
-cold import.  The package imports nothing outside the standard library.
+cold import.  Every rational is an element of the degree-1 field
+``exact.QQ``, so neither the import nor a ``realize`` or ``validate``
+loads ``fractions``, or the ``decimal`` and ``numbers`` modules it
+imports, which cost about a third of the cold import.  The package
+imports nothing outside the standard library.
 """
 
 import ast
@@ -19,7 +23,20 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 #: Standard modules the CLI must not load at start-up.
-UNWANTED = ("logging", "dataclasses", "inspect", "typing", "argparse", "gettext")
+UNWANTED = (
+    "logging",
+    "dataclasses",
+    "inspect",
+    "typing",
+    "argparse",
+    "gettext",
+    "fractions",
+    "decimal",
+    "numbers",
+)
+
+#: Rational arithmetic the commands must not load at run time either.
+RATIONALS = ("fractions", "decimal", "numbers")
 
 PROBE = (
     "import sys; before = set(sys.modules); import autrealize.cli; "
@@ -43,6 +60,26 @@ def loaded_by_cli_import():
 def test_cli_import_loads_no_unwanted_module():
     loaded = loaded_by_cli_import()
     assert [m for m in UNWANTED if m in loaded] == []
+
+
+def test_commands_load_no_rational_module(tmp_path):
+    # a realize and a shallow validate of its certificate in one process:
+    # the modules stay out, not only out of the import
+    cert = str(tmp_path / "s3.json")
+    realize = ["realize", "--named", "S3", "--count", "1", "--out", cert]
+    run = (
+        "import sys; from autrealize.cli import main; "
+        f"codes = main({realize!r}), main({['validate', cert]!r}); "
+        f"print(*codes, *[m for m in {RATIONALS!r} if m in sys.modules])"
+    )
+    out = subprocess.run(
+        [sys.executable, "-S", "-c", run],
+        env={"PYTHONPATH": str(SRC)},
+        capture_output=True,
+        text=True,
+        check=True,
+    ).stdout
+    assert out.splitlines()[-1] == "0 0"
 
 
 def test_cli_import_loads_every_package_module():
