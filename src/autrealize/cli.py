@@ -14,10 +14,22 @@ import (with ``gettext``) would be paid on every call.  Options take
 
 Exit codes: 0 success, 2 parse error, 3 search budget exhausted,
 4 size cap exceeded.
+
+A process enters through :func:`run`, the ``autrealize`` console script
+and ``python -m autrealize.cli`` alike.  It flushes the standard streams
+after :func:`main` returns and ends the process there, skipping the
+interpreter's finalization (module teardown and a last garbage
+collection), which costs more than the work of a small call.  So
+anything a command writes must be closed or flushed before ``main()``
+returns: the certificate is written inside a ``with`` block, the package
+registers no ``atexit`` handler, and a future ``--stats FILE`` must close
+its file the same way.  ``main()`` itself returns its exit code and
+leaves the process running, for callers in the same process.
 """
 
 from __future__ import annotations
 
+import os
 import sys
 
 from .certs import dumps_canonical, certificate_to_json, emit_certificate, validate_certificate
@@ -228,5 +240,17 @@ def main(argv=None):
         return EXIT_CAP
 
 
+def run():
+    """Process entry: main()'s exit code, after flushing what it wrote,
+    without interpreter finalization.  An exception from main() or from
+    a flush propagates, so the process ends the normal way, with a
+    traceback and a nonzero exit code (1 for one from main())."""
+    code = main()
+    for stream in (sys.stdout, sys.stderr):
+        if stream is not None:
+            stream.flush()
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -245,8 +245,10 @@ def factor_over_nf(f: UniPoly, K: NumberField) -> tuple:
     """The monic irreducible factors over K of a nonzero squarefree f, over
     K or Q, sorted by (degree, coordinates) (Trager): each rational factor
     N_i of the squarefree norm N of f(X - s*theta) gives the factor
-    gcd(f(X - s*theta), N_i) shifted back by s*theta.  A ValueError if f
-    has a repeated factor (see :func:`_sqf_norm`)."""
+    gcd(f(X - s*theta), N_i) shifted back by s*theta.  Over Q itself
+    (degree 1) that norm is f and each gcd is N_i, so f is factored
+    directly.  A ValueError if f has a repeated factor (see
+    :func:`_sqf_norm` and :func:`factor.factor_over_Q`)."""
     if f.is_zero:
         raise ValueError("cannot factor the zero polynomial")
     if f.field is None:
@@ -254,12 +256,15 @@ def factor_over_nf(f: UniPoly, K: NumberField) -> tuple:
     f = f.monic()
     if f.degree <= 1:
         return (f,) if f.degree else ()
-    s, shifted, N, red = _sqf_norm(f, K)
-    back = UniPoly([K.gen() * s, K.one()], f.var, K)
-    found = []
-    for Ni in factor_over_Q(N, reductions=red):
-        Gi = poly_gcd(shifted, Ni.to_field(K).with_var(f.var))
-        found.append(Gi.compose(back) if s else Gi)
+    if f.field is None:  # K is Q
+        found = factor_over_Q(f)
+    else:
+        s, shifted, N, red = _sqf_norm(f, K)
+        back = UniPoly([K.gen() * s, K.one()], f.var, K)
+        found = []
+        for Ni in factor_over_Q(N, reductions=red):
+            Gi = poly_gcd(shifted, Ni.to_field(K).with_var(f.var))
+            found.append(Gi.compose(back) if s else Gi)
     if sum(G.degree for G in found) != f.degree:
         raise VerificationError("Trager pullback did not exhaust the input")
     return tuple(
@@ -536,7 +541,10 @@ def fixed_field(Lsp: SplittingField, H: PermGroup) -> NfElement:
     none reaches the target degree, orbit sums of theta^j + j*theta.
     L is normal and ``images`` lists all of Gal(L), so the degree of an
     orbit sum y over Q is the number of its distinct conjugates y(m), m
-    in ``images``; the first with [L:Q] / |H| of them is y.
+    in ``images``; the first with [L:Q] / |H| of them is y.  y is fixed
+    by H and sigma_{gh} = sigma_g o sigma_h (permutations compose right
+    to left), so y has one conjugate per left coset gH, and only the
+    image of the least g in each coset is evaluated.
     """
     if not H.elements <= Lsp.galois.elements:
         raise ValueError("H must be a subgroup of the Galois group")
@@ -545,6 +553,12 @@ def fixed_field(Lsp: SplittingField, H: PermGroup) -> NfElement:
     target = d // H.order
     theta = K.gen()
     sigmas = [Powers(Lsp.images[p], d - 1) for p in sorted(H.elements)]
+    coset_images = []
+    covered = set()
+    for g in sorted(Lsp.images):
+        if g not in covered:
+            covered.update(g * h for h in H.elements)
+            coset_images.append(Lsp.images[g])
 
     def orbit_sum(e):
         return sum((sigma.image(e) for sigma in sigmas), K.zero())
@@ -554,7 +568,7 @@ def fixed_field(Lsp: SplittingField, H: PermGroup) -> NfElement:
     for cand in candidates:
         y = orbit_sum(cand)
         f = y.to_poly()
-        if len({evaluate(f, m) for m in Lsp.images.values()}) == target:
+        if len({evaluate(f, m) for m in coset_images}) == target:
             if any(sigma.image(y) != y for sigma in sigmas):
                 raise VerificationError("orbit sum not fixed by H")
             return y

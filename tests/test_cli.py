@@ -1,5 +1,9 @@
 import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -796,3 +800,96 @@ class TestCanonicalEmission:
             assert main(["realize", "--named", "C1", "--count", "1",
                          "--t-max", "5", "--out", str(path)]) == EXIT_OK
         assert a.read_bytes() == b.read_bytes()
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def cli_process(args, *, script=None, stdout=subprocess.PIPE):
+    """``python -m autrealize.cli ARGS`` (or ``python -c SCRIPT``) in a
+    fresh process with ``PYTHONPATH=src`` and no other ``PYTHON*``
+    setting: ``PYTHONUNBUFFERED`` would send each write to the pipe at
+    once, and a lost flush would not show."""
+    env = {k: v for k, v in os.environ.items() if not k.startswith("PYTHON")}
+    env["PYTHONPATH"] = str(SRC)
+    command = ["-c", script] if script else ["-m", "autrealize.cli"]
+    return subprocess.run(
+        [sys.executable, *command, *args],
+        env=env,
+        stdout=stdout,
+        stderr=subprocess.PIPE,
+        timeout=120,
+    )
+
+
+class TestProcessEntry:
+    """The process entry ``cli.run``: each stream is flushed before the
+    process ends without finalization.  Standard output through a pipe
+    is block-buffered, so a lost flush loses it; standard error is
+    line-buffered, so the error cases check the exit code and message
+    that reach it through the entry."""
+
+    def test_stdout_certificate_is_the_out_file(self, tmp_path, capsys):
+        argv = ["realize", "--named", "C2", "--count", "2"]
+        piped = cli_process(argv)
+        assert piped.returncode == EXIT_OK and piped.stderr == b""
+        out = tmp_path / "c2.json"
+        written = cli_process([*argv, "--out", str(out)])
+        assert written.returncode == EXIT_OK
+        assert written.stdout == f"wrote {out}: 2 verified field(s)\n".encode()
+        assert main(argv) == EXIT_OK
+        assert piped.stdout == out.read_bytes() == capsys.readouterr().out.encode()
+
+    def test_validate_through_pipe(self, c2_cert_path):
+        proc = cli_process(["validate", str(c2_cert_path)])
+        assert proc.returncode == EXIT_OK and proc.stderr == b""
+        assert proc.stdout.decode().splitlines()[-1] == "certificate valid"
+
+    def test_help_through_pipe(self):
+        proc = cli_process(["--help"])
+        assert (proc.returncode, proc.stdout.decode()) == (EXIT_OK, USAGE)
+
+    @pytest.mark.parametrize(
+        "argv, code, err",
+        [
+            (["realize", "--count", "abc"], EXIT_PARSE,
+             "error: --count needs an integer, got 'abc'\n"),
+            (["realize", "--n", "3", "--gens", "(1 2 3)", "--count", "5",
+              "--t-max", "0"], EXIT_BUDGET,
+             "error: only 1 of 5 fields found within height 0\n  t0=0: accepted\n"),
+            (["realize", "--named", "A4"], EXIT_CAP,
+             "error: n = 4 is not supported yet: the S_n route stops at n = 3\n"),
+        ],
+        ids=["parse", "budget", "cap"],
+    )
+    def test_error_exit(self, capsys, argv, code, err):
+        proc = cli_process(argv)
+        assert (proc.returncode, proc.stdout, proc.stderr.decode()) == (code, b"", err)
+        assert main(argv) == code and capsys.readouterr().err == err
+
+    def test_escaping_exception_finalizes_with_code_1(self):
+        # an exception out of main() must not reach the fast exit: the
+        # traceback is printed and the atexit callback runs
+        script = (
+            "import atexit, sys\n"
+            "from autrealize import cli\n"
+            "def forged(**kwargs):\n"
+            "    raise RuntimeError('forged failure')\n"
+            "cli._cmd_validate = forged\n"
+            "atexit.register(print, 'finalized')\n"
+            "cli.run()\n"
+        )
+        proc = cli_process(["validate", "x.json"], script=script)
+        err = proc.stderr.decode()
+        assert proc.returncode == 1
+        assert err.startswith("Traceback") and "RuntimeError: forged failure" in err
+        assert proc.stdout == b"finalized\n"
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    def test_failed_flush_fails_the_process(self, c2_cert_path):
+        # the report fits the stdout buffer, so the entry's flush is the
+        # first write to fail; it must not be swallowed into exit code 0
+        with open("/dev/full", "wb") as full:
+            proc = cli_process(["validate", str(c2_cert_path)], stdout=full)
+        assert proc.returncode != EXIT_OK
+        assert "No space left on device" in proc.stderr.decode()

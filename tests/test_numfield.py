@@ -651,11 +651,24 @@ class TestFixedField:
     @pytest.mark.parametrize(
         "gens", ["", "(1 2)", "(1 3)", "(2 3)", "(1 2 3)", "(1 2 3);(1 2)"]
     )
-    def test_first_orbit_sum_of_target_degree(self, cubic_splitting, gens):
+    def test_first_orbit_sum_of_target_degree(self, cubic_splitting, monkeypatch, gens):
         """Over S3, every subgroup gets the first orbit sum whose minimal
-        polynomial, by resultants, has degree [L:Q] / |H|."""
+        polynomial, by resultants, has degree [L:Q] / |H|, and candidates
+        are evaluated at [L:Q] / |H| images, one for each left coset gH,
+        not at all of Gal(L)."""
+        L = cubic_splitting
         H = PermGroup([parse_cycles(g, 3) for g in gens.split(";") if g], degree=3)
-        assert fixed_field(cubic_splitting, H) == first_orbit_sum(cubic_splitting, H)
+        evaluated = set()
+        evaluate = numfield.evaluate
+        monkeypatch.setattr(
+            numfield, "evaluate", lambda f, m: evaluated.add(m) or evaluate(f, m)
+        )
+        y = fixed_field(L, H)
+        cosets = {frozenset(g * h for h in H.elements) for g in L.images}
+        reps = [g for g in L.images if L.images[g] in evaluated]
+        assert len(reps) == L.degree // H.order == len(cosets)
+        assert {c for c in cosets for g in reps if g in c} == cosets
+        assert y == first_orbit_sum(L, H)
 
     @pytest.mark.parametrize(
         "gens", ["(1 2)(3 4);(1 3)(2 4)", "(1 2)"], ids=["V4", "(1 2)"]
@@ -704,7 +717,8 @@ def norm_field(name):
 @cache
 def trager_inputs():
     """(f, K) for every norm that splitting_field(X^3 - X - 1) asks for:
-    its Trager and extension steps, over Q and over the cubic field."""
+    its Trager and extension steps over the cubic field (over Q itself f
+    is factored with no norm)."""
     seen = []
     norms = numfield.shifted_norms
     with pytest.MonkeyPatch.context() as mp:
@@ -743,7 +757,7 @@ class TestShiftedNorms:
     def test_trager_steps_of_splitting_field(self):
         inputs = trager_inputs()
         assert any(not all(c.is_rational for c in f.coeffs) for f, _ in inputs)
-        assert {K.degree for _, K in inputs} == {1, 3}
+        assert {K.degree for _, K in inputs} == {3}
         for f, K in inputs:
             norm = shifted_norms(f, K)
             for s in self.SHIFTS:

@@ -12,7 +12,10 @@ cold import.  Every rational is an element of the degree-1 field
 ``exact.QQ``, so neither the import nor a ``realize`` or ``validate``
 loads ``fractions``, or the ``decimal`` and ``numbers`` modules it
 imports, which cost about a third of the cold import.  The package
-imports nothing outside the standard library.
+imports nothing outside the standard library.  A call ends with
+``os._exit`` once its streams are flushed, skipping finalization, so
+the commands must leave no exit-time work (``atexit`` callbacks) that
+the fast exit would skip.
 """
 
 import ast
@@ -80,6 +83,26 @@ def test_commands_load_no_rational_module(tmp_path):
         check=True,
     ).stdout
     assert out.splitlines()[-1] == "0 0"
+
+
+def test_commands_register_no_exit_handler(tmp_path):
+    # cli.run ends the process with os._exit, which runs no atexit
+    # callback; a realize and a validate must not have registered one
+    cert = str(tmp_path / "s3.json")
+    realize = ["realize", "--named", "S3", "--count", "1", "--out", cert]
+    run = (
+        "import atexit; from autrealize.cli import main; "
+        f"codes = main({realize!r}), main({['validate', cert]!r}); "
+        "print(*codes, atexit._ncallbacks())"
+    )
+    out = subprocess.run(
+        [sys.executable, "-S", "-c", run],
+        env={"PYTHONPATH": str(SRC)},
+        capture_output=True,
+        text=True,
+        check=True,
+    ).stdout
+    assert out.splitlines()[-1] == "0 0 0"
 
 
 def test_cli_import_loads_every_package_module():
