@@ -133,7 +133,10 @@ def _load(path):
     try:
         with open(path, encoding="utf-8") as fh:
             return json.load(fh)
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+    # UnicodeDecodeError and json.JSONDecodeError are ValueErrors, as is
+    # an integer past the interpreter's digit limit; deep nesting raises
+    # RecursionError
+    except (OSError, ValueError, RecursionError) as exc:
         raise SpecParseError(f"cannot read certificate: {exc}") from exc
 
 
@@ -244,8 +247,8 @@ def validate_certificate(path, deep=False) -> ValidationReport:
                     raise SpecParseError(f"reason is not a non-empty string: {reason!r}")
                 report.add(f"{label} rejected entry", True)
                 continue
-            q0 = parse_unipoly(spec["defining_polynomial"], "X")
-            E = NumberField(q0.with_var("Z"))
+            q0 = parse_unipoly(spec["defining_polynomial"])
+            E = NumberField(q0)
             report.add(
                 f"{label} irreducible", is_irreducible_Q(q0, reductions=E.reductions)
             )

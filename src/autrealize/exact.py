@@ -23,8 +23,8 @@ modulus modulo primes through one record, ``NumberField.reductions`` (a
 ``factor.Reductions``), which every reader shares.
 
 Polynomials are dense.  ``UniPoly`` is univariate with an ascending
-coefficient list and carries the ring arithmetic; its coefficients are
-elements of one field: QQ, spelled ``field=None``, or a number field.
+coefficient list and carries the ring arithmetic; it is its coefficients,
+elements of one field (QQ or a number field), and names no variable.
 The gcd is Euclid's over either.  Resultants, discriminants,
 interpolation and ``BiPoly`` are over Q only; each reads a rational
 polynomial as integers over one denominator (``_int_clear``), and
@@ -64,14 +64,14 @@ class NumberField:
     and ``QQ`` is the one field the package uses for it."""
 
     def __init__(self, modulus: UniPoly):
-        if modulus.field is not None:
+        if modulus.field is not QQ:
             raise ValueError("modulus must have rational coefficients")
         if not modulus.is_monic():
             raise ValueError("modulus must be monic")
         if modulus.degree < 1:
             raise ValueError("modulus must have degree >= 1")
-        self.modulus = modulus.with_var("Z")
-        self.modulus_coeffs = self.modulus.coeffs
+        self.modulus = modulus
+        self.modulus_coeffs = modulus.coeffs
         self.degree = modulus.degree
         self._hash = hash(tuple(_int_clear(self.modulus)[0]))
         self._tau = [self.degree]  # power sums of mu^d g(X / mu), see power_traces
@@ -115,11 +115,6 @@ class NumberField:
 
         return Reductions(self.modulus)
 
-    @classmethod
-    def rationals(cls):
-        """QQ, the degree-1 field Q[Z]/(Z) with generator 0."""
-        return QQ
-
     def __repr__(self):
         return f"NumberField({self.modulus!r})"
 
@@ -134,7 +129,7 @@ class NumberField:
     def element(self, coords):
         """The element with these rational coordinates, reduced modulo g
         when there are more than [K:Q] of them."""
-        f = UniPoly(coords, "Z")
+        f = UniPoly(coords)
         if f.degree >= self.degree:
             f = poly_divrem(f, self.modulus)[1]
         num, den = _int_clear(f)
@@ -246,7 +241,7 @@ class NfElement:
         return tuple(_rational(c, self.den) for c in self.num)
 
     def to_poly(self) -> UniPoly:
-        return UniPoly(self.qcoords, "Z")
+        return UniPoly(self.qcoords)
 
     @property
     def is_rational(self):
@@ -455,42 +450,40 @@ def parse_rational(s: str) -> NfElement:
 class UniPoly:
     """Dense univariate polynomial over an exact field.
 
-    ``coeffs`` is ascending: coeffs[i] is the coefficient of var**i.
+    ``coeffs`` is ascending: coeffs[i] is the coefficient of X**i.
     The leading coefficient is nonzero unless the polynomial is zero
-    (empty coefficient list).  ``field`` is None for Q (given as QQ too),
-    or a NumberField; the coefficients are elements of ``field or QQ``.
+    (empty coefficient list).  ``field`` is the NumberField the
+    coefficients are elements of; the default None means QQ.  No
+    variable is named: a polynomial is its coefficients, and it is
+    printed in X.
     """
 
-    __slots__ = ("coeffs", "var", "field")
+    __slots__ = ("coeffs", "field")
 
-    def __init__(self, coeffs, var="X", field=None):
-        if field is QQ:
-            field = None
-        K = field or QQ
+    def __init__(self, coeffs, field=None):
+        K = self.field = field or QQ
         cs = [K.coerce(c) for c in coeffs]
         while cs and not cs[-1]:
             cs.pop()
         self.coeffs = tuple(cs)
-        self.var = var
-        self.field = field
 
     # -- constructors ---------------------------------------------------
 
     @classmethod
-    def zero(cls, var="X", field=None):
-        return cls((), var, field)
+    def zero(cls, field=None):
+        return cls((), field)
 
     @classmethod
-    def one(cls, var="X", field=None):
-        return cls((1,), var, field)
+    def one(cls, field=None):
+        return cls((1,), field)
 
     @classmethod
-    def constant(cls, c, var="X", field=None):
-        return cls((c,), var, field)
+    def constant(cls, c, field=None):
+        return cls((c,), field)
 
     @classmethod
-    def gen(cls, var="X", field=None):
-        return cls((0, 1), var, field)
+    def gen(cls, field=None):
+        return cls((0, 1), field)
 
     # -- basic queries ---------------------------------------------------
 
@@ -510,7 +503,7 @@ class UniPoly:
     def __getitem__(self, i):
         if 0 <= i < len(self.coeffs):
             return self.coeffs[i]
-        return (self.field or QQ).zero()
+        return self.field.zero()
 
     def is_monic(self):
         return bool(self.coeffs) and self.coeffs[-1] == 1
@@ -518,10 +511,10 @@ class UniPoly:
     def __eq__(self, other):
         if not isinstance(other, UniPoly):
             return NotImplemented
-        return self.var == other.var and self.coeffs == other.coeffs
+        return self.coeffs == other.coeffs
 
     def __hash__(self):
-        return hash((self.var, self.coeffs))
+        return hash(self.coeffs)
 
     def __repr__(self):
         if self.is_zero:
@@ -533,60 +526,56 @@ class UniPoly:
             if i == 0:
                 parts.append(f"{c}")
             elif i == 1:
-                parts.append(f"({c})*{self.var}")
+                parts.append(f"({c})*X")
             else:
-                parts.append(f"({c})*{self.var}^{i}")
+                parts.append(f"({c})*X^{i}")
         return " + ".join(parts)
 
     def _check_compat(self, other):
-        if self.var != other.var:
-            raise ValueError(f"variable mismatch: {self.var} vs {other.var}")
-        if (self.field is None) != (other.field is None):
+        if (self.field is QQ) != (other.field is QQ):
             raise ValueError("coefficient field mismatch")
 
     # -- arithmetic -------------------------------------------------------
 
     def __add__(self, other):
         if not isinstance(other, UniPoly):
-            other = UniPoly.constant(other, self.var, self.field)
+            other = UniPoly.constant(other, self.field)
         self._check_compat(other)
         n = max(len(self.coeffs), len(other.coeffs))
-        return UniPoly(
-            [self[i] + other[i] for i in range(n)], self.var, self.field
-        )
+        return UniPoly([self[i] + other[i] for i in range(n)], self.field)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return UniPoly([-c for c in self.coeffs], self.var, self.field)
+        return UniPoly([-c for c in self.coeffs], self.field)
 
     def __sub__(self, other):
         if not isinstance(other, UniPoly):
-            other = UniPoly.constant(other, self.var, self.field)
+            other = UniPoly.constant(other, self.field)
         return self + (-other)
 
     def __mul__(self, other):
         if not isinstance(other, UniPoly):
-            c = (self.field or QQ).coerce(other)
-            return UniPoly([a * c for a in self.coeffs], self.var, self.field)
+            c = self.field.coerce(other)
+            return UniPoly([a * c for a in self.coeffs], self.field)
         self._check_compat(other)
         if self.is_zero or other.is_zero:
-            return UniPoly.zero(self.var, self.field)
-        zero = (self.field or QQ).zero()
+            return UniPoly.zero(self.field)
+        zero = self.field.zero()
         out = [zero] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
             if not a:
                 continue
             for j, b in enumerate(other.coeffs):
                 out[i + j] = out[i + j] + a * b
-        return UniPoly(out, self.var, self.field)
+        return UniPoly(out, self.field)
 
     __rmul__ = __mul__
 
     def __pow__(self, k):
         if k < 0:
             raise ValueError("negative power of a polynomial")
-        result = UniPoly.one(self.var, self.field)
+        result = UniPoly.one(self.field)
         base = self
         while k:
             if k & 1:
@@ -604,9 +593,7 @@ class UniPoly:
         return self * lc.inverse()
 
     def derivative(self):
-        return UniPoly(
-            [i * c for i, c in enumerate(self.coeffs)][1:], self.var, self.field
-        )
+        return UniPoly([i * c for i, c in enumerate(self.coeffs)][1:], self.field)
 
     def eval(self, x):
         """Evaluate by Horner; ``x`` may live in an extension of the
@@ -619,27 +606,14 @@ class UniPoly:
         return acc
 
     def compose(self, inner: "UniPoly") -> "UniPoly":
-        """Substitute ``inner`` for the variable (result in inner's variable)."""
-        acc = UniPoly.zero(inner.var, inner.field)
+        """Substitute ``inner`` for the variable (result over inner's field)."""
+        acc = UniPoly.zero(inner.field)
         for c in reversed(self.coeffs):
-            acc = acc * inner + UniPoly.constant(c, inner.var, inner.field)
+            acc = acc * inner + UniPoly.constant(c, inner.field)
         return acc
 
-    def with_var(self, var):
-        return UniPoly(self.coeffs, var, self.field)
-
-    def to_field(self, field):
-        """Coerce a rational polynomial into K[var]."""
-        if self.field is not None:
-            raise ValueError("already over a number field")
-        return UniPoly(self.coeffs, self.var, field)
-
-    def map_coeffs(self, fn, field=None, var=None):
-        return UniPoly(
-            [fn(c) for c in self.coeffs],
-            self.var if var is None else var,
-            field,
-        )
+    def map_coeffs(self, fn, field=None):
+        return UniPoly([fn(c) for c in self.coeffs], field)
 
 
 def poly_divrem(f: UniPoly, g: UniPoly):
@@ -649,11 +623,11 @@ def poly_divrem(f: UniPoly, g: UniPoly):
     f._check_compat(g)
     field = f.field
     if f.degree < g.degree:
-        return UniPoly.zero(f.var, field), f
+        return UniPoly.zero(field), f
     lc_inv = g.lc().inverse()
     rem = list(f.coeffs)
     dg = g.degree
-    quot = [(field or QQ).zero()] * (len(rem) - dg)
+    quot = [field.zero()] * (len(rem) - dg)
     gcs = g.coeffs
     for k in range(len(rem) - dg - 1, -1, -1):
         c = rem[k + dg]
@@ -663,10 +637,7 @@ def poly_divrem(f: UniPoly, g: UniPoly):
         quot[k] = q
         for j in range(dg + 1):
             rem[k + j] = rem[k + j] - q * gcs[j]
-    return (
-        UniPoly(quot, f.var, field),
-        UniPoly(rem[:dg], f.var, field),
-    )
+    return UniPoly(quot, field), UniPoly(rem[:dg], field)
 
 
 def poly_gcd(f: UniPoly, g: UniPoly) -> UniPoly:
@@ -788,7 +759,7 @@ def resultant_std(f: UniPoly, g: UniPoly) -> NfElement:
     if f.is_zero or g.is_zero:
         raise ValueError("resultant of the zero polynomial")
     f._check_compat(g)
-    if f.field is not None:
+    if f.field is not QQ:
         raise ValueError("resultants are defined over Q")
     return _res_std_q(f, g)
 
@@ -802,7 +773,7 @@ def discriminant(f: UniPoly) -> NfElement:
     return -val if (d * (d - 1) // 2) % 2 == 1 else val
 
 
-def interpolate(points, values, var="X"):
+def interpolate(points, values):
     """The polynomial of degree <= n over Q through (i, values[i]) for the
     points i = 0, 1, ..., n, which must be given in that order.
 
@@ -831,7 +802,7 @@ def interpolate(points, values, var="X"):
             acc[i] -= k * acc[i + 1]
         acc[0] += scale * diffs[k]
         scale *= max(k, 1)
-    return UniPoly([_rational(c, scale * den) for c in acc], var)
+    return UniPoly([_rational(c, scale * den) for c in acc])
 
 
 class BiPoly:
@@ -909,20 +880,20 @@ class BiPoly:
             for c in reversed(col[:-1]):
                 acc = acc * t0 + c
             out.append(acc)
-        return UniPoly(out, "X")
+        return UniPoly(out)
 
 
 def render_unipoly(f: UniPoly):
     """Ascending coefficient array of "p/q" strings (rational coeffs only)."""
-    if f.field is not None:
+    if f.field is not QQ:
         raise ValueError("text rendering is defined over Q")
     return [render_rational(c) for c in f.coeffs]
 
 
-def parse_unipoly(arr, var="X") -> UniPoly:
+def parse_unipoly(arr) -> UniPoly:
     """The polynomial whose canonical array (``render_unipoly``) is arr;
     an array ending in "0" is not canonical and raises SpecParseError."""
-    f = UniPoly([parse_rational(s) for s in arr], var)
+    f = UniPoly([parse_rational(s) for s in arr])
     if len(f.coeffs) != len(arr):
         raise SpecParseError(f"coefficient array ends in \"0\": {arr!r}")
     return f
@@ -933,4 +904,4 @@ def parse_unipoly(arr, var="X") -> UniPoly:
 #: the coefficients 0 and 1 of Z need, then the field.
 QQ = NumberField.__new__(NumberField)
 QQ.degree = 1
-QQ.__init__(UniPoly.gen("Z"))
+QQ.__init__(UniPoly.gen())

@@ -45,6 +45,7 @@ from math import isqrt
 
 from .errors import CapExceededError, VerificationError
 from .exact import (
+    QQ,
     UniPoly,
     _gtrim,
     _ideg,
@@ -294,7 +295,7 @@ class Reductions:
     """
 
     def __init__(self, f: UniPoly):
-        if f.field is not None:
+        if f.field is not QQ:
             raise ValueError("expects rational coefficients")
         if f.is_zero:
             raise ValueError("the zero polynomial has no reductions")
@@ -585,7 +586,7 @@ def factor_over_Q(f: UniPoly, *, reductions: Reductions | None = None) -> tuple:
     repeated factor, from its record (``reductions`` if given), where
     lc(F) * disc(F) = 0."""
     red = reductions or Reductions(f)
-    factors = (UniPoly(g, f.var).monic() for g in _zassenhaus(red))
+    factors = (UniPoly(g).monic() for g in _zassenhaus(red))
     return tuple(sorted(factors, key=lambda g: (g.degree, g.coeffs)))
 
 

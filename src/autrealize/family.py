@@ -24,7 +24,7 @@ from .factor import Reductions
 
 def cubic(a) -> UniPoly:
     """X^3 + aX + a over a's field (Q for a rational a)."""
-    return UniPoly([a, a, 0, 1], "X", getattr(a, "owner", None))
+    return UniPoly([a, a, 0, 1], getattr(a, "owner", None))
 
 
 #: X^3 + TX + T over Q: the family with the parameter a written as T.

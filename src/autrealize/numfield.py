@@ -49,6 +49,7 @@ from operator import mul as mul_int
 
 from .errors import CapExceededError, VerificationError
 from .exact import (
+    QQ,
     NfElement,
     NumberField,
     UniPoly,
@@ -142,7 +143,7 @@ def shifted_norms(f: UniPoly, K: NumberField):
     """
     if not f.is_monic():
         raise ValueError("expects a monic polynomial")
-    n, var = f.degree, f.var
+    n = f.degree
     D = n * K.degree
     low = [(c.num, c.den) for c in f.coeffs[:-1]]
     A = lcm(*(den for _, den in low))
@@ -207,7 +208,7 @@ def shifted_norms(f: UniPoly, K: NumberField):
         for k in range(D + 1):
             coeffs[D - k] = _rational(-u[k] if k % 2 else u[k], scale)
             scale *= (k + 1) * M * B
-        return UniPoly(coeffs, var)
+        return UniPoly(coeffs)
 
     return norm
 
@@ -236,7 +237,7 @@ def _sqf_norm(f: UniPoly, K: NumberField):
     for s in islice(shifts, m * m * d * (d - 1) // 2 + 1):
         N = norm(s)
         if (red := Reductions(N)).lc_disc:
-            g = f.compose(UniPoly([K.gen() * (-s), K.one()], f.var, K)) if s else f
+            g = f.compose(UniPoly([K.gen() * (-s), K.one()], K)) if s else f
             return s, g, N, red
     raise ValueError("expects a squarefree polynomial")
 
@@ -251,19 +252,17 @@ def factor_over_nf(f: UniPoly, K: NumberField) -> tuple:
     :func:`_sqf_norm` and :func:`factor.factor_over_Q`)."""
     if f.is_zero:
         raise ValueError("cannot factor the zero polynomial")
-    if f.field is None:
-        f = f.map_coeffs(K.from_rational, field=K)
-    f = f.monic()
+    f = UniPoly(f.coeffs, K).monic()
     if f.degree <= 1:
         return (f,) if f.degree else ()
-    if f.field is None:  # K is Q
+    if K is QQ:
         found = factor_over_Q(f)
     else:
         s, shifted, N, red = _sqf_norm(f, K)
-        back = UniPoly([K.gen() * s, K.one()], f.var, K)
+        back = UniPoly([K.gen() * s, K.one()], K)
         found = []
         for Ni in factor_over_Q(N, reductions=red):
-            Gi = poly_gcd(shifted, Ni.to_field(K).with_var(f.var))
+            Gi = poly_gcd(shifted, UniPoly(Ni.coeffs, K))
             found.append(Gi.compose(back) if s else Gi)
     if sum(G.degree for G in found) != f.degree:
         raise VerificationError("Trager pullback did not exhaust the input")
@@ -357,8 +356,7 @@ def extend_field(K: NumberField, h: UniPoly):
     beta is a root of (the coefficient-mapped) h in K2.  Over K = Q,
     where theta = 0, h is its own norm and c = 0: no shift is searched.
     """
-    if h.field is None:
-        h = h.map_coeffs(K.from_rational, field=K)
+    h = UniPoly(h.coeffs, K)
     # z = beta + c*theta; minimal polynomial = Norm(h(X - c*theta)),
     # irreducible whenever squarefree (norm of an irreducible is a power
     # of an irreducible)
@@ -366,7 +364,7 @@ def extend_field(K: NumberField, h: UniPoly):
         c, N = 0, h
     else:
         c, _, N, _ = _sqf_norm(h, K)
-    K2 = NumberField(N.with_var("Z"))
+    K2 = NumberField(N)
     powers = embed_generator(K, h, K2, c)
     return K2, powers, K2.gen() - powers.base * c, c
 
@@ -451,11 +449,11 @@ def splitting_field(f: UniPoly) -> SplittingField:
     above SPLITTING_DEGREE_CAP is refused before it is built, and f with
     a repeated factor by the first factorization (a ValueError).
     """
-    if f.field is not None:
+    if f.field is not QQ:
         raise ValueError("expects a rational polynomial")
     if f.degree < 1:
         raise ValueError("needs degree >= 1")
-    K = NumberField.rationals()
+    K = QQ
     work = f.monic()
     weights = []  # the generator is sum weights[i] * adjoined[i]
     adjoined = []
@@ -485,10 +483,10 @@ def splitting_field(f: UniPoly) -> SplittingField:
             break
     roots.sort(key=NfElement.sort_key)
     # reconstruct f from the roots as a sanity check
-    acc = UniPoly.one(f.var, K)
+    acc = UniPoly.one(K)
     for r in roots:
-        acc = acc * UniPoly([-r, K.one()], f.var, K)
-    target = f.monic().map_coeffs(K.from_rational, field=K)
+        acc = acc * UniPoly([-r, K.one()], K)
+    target = UniPoly(f.monic().coeffs, K)
     if acc != target:
         raise VerificationError("root product does not reconstruct the input")
     # each value at which the modulus vanishes is a conjugate of the

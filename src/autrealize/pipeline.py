@@ -64,6 +64,7 @@ from .exact import QQ, UniPoly, _rational
 from .factor import (
     COMPLETENESS_PRIMES,
     _record,
+    audit_trail,
     completeness_prime,
     is_irreducible_Q,
 )
@@ -103,9 +104,9 @@ def realize_sn(n: int) -> SplittingField:
     """
     check_sn_cap(n)
     if n == 1:
-        f = UniPoly([-1, 1], "X")
+        f = UniPoly([-1, 1])
     else:
-        f = UniPoly([-1, -1] + [0] * (n - 2) + [1], "X")
+        f = UniPoly([-1, -1] + [0] * (n - 2) + [1])
     L = splitting_field(f)
     if L.galois.order != factorial(n):
         raise VerificationError(
@@ -249,7 +250,7 @@ def specialize_and_verify(state: PipelineState, t0) -> SpecializationRecord:
         red := (E := state.field_at(t0)).reductions
     ).lc_disc:
         return SpecializationRecord(t0, "rejected", "bad set: multiple root")
-    q0 = E.modulus.with_var("X")
+    q0 = E.modulus
     if not is_irreducible_Q(q0, reductions=red):
         return SpecializationRecord(t0, "rejected", "q(t0, X) reducible over Q")
     L, c = state.L, state.c
@@ -336,8 +337,6 @@ def run(
         raise SpecParseError(f"count must be >= 1, got {count}")
     if t_max < 0:
         raise SpecParseError(f"t-max must be >= 0, got {t_max}")
-    from .factor import audit_trail
-
     with audit_trail() as audit:
         state = build_state(G)
         accepted = []

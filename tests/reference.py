@@ -56,25 +56,13 @@ from autrealize.numfield import (
 from autrealize.perm import AbstractGroup, PermGroup, Permutation
 
 
-def _zero(field):
-    return Fraction(0) if field is None else field.zero()
-
-
-def _one(field):
-    return Fraction(1) if field is None else field.one()
-
-
-def _inv(c, field):
-    return (1 / c) if field is None else c.inverse()
-
-
 def poly_gcdex(f: UniPoly, g: UniPoly):
     """Extended gcd: returns (s, t, h) with s*f + t*g = h, h monic gcd."""
     if f.is_zero and g.is_zero:
         raise ValueError("gcd of two zero polynomials")
-    var, field = f.var, f.field
-    one = UniPoly.one(var, field)
-    zero = UniPoly.zero(var, field)
+    field = f.field
+    one = UniPoly.one(field)
+    zero = UniPoly.zero(field)
     a, b = f, g
     sa, sb = one, zero
     ta, tb = zero, one
@@ -83,7 +71,7 @@ def poly_gcdex(f: UniPoly, g: UniPoly):
         a, b = b, r
         sa, sb = sb, sa - q * sb
         ta, tb = tb, ta - q * tb
-    inv = _inv(a.lc(), field)
+    inv = a.lc().inverse()
     return sa * inv, ta * inv, a * inv
 
 
@@ -120,29 +108,29 @@ def sylvester_resultant(f: UniPoly, g: UniPoly):
     ga = list(reversed(g.coeffs))
     rows = []
     for i in range(m):
-        row = [_zero(field)] * size
+        row = [field.zero()] * size
         for j, c in enumerate(ga):
             row[i + j] = c
         rows.append(row)
     for i in range(n):
-        row = [_zero(field)] * size
+        row = [field.zero()] * size
         for j, c in enumerate(fa):
             row[i + j] = c
         rows.append(row)
     # Gaussian elimination; the determinant of the Sylvester matrix of
     # (g, f) is resultant_std(g, f)
-    det = _one(field)
+    det = field.one()
     sign = 1
     for col in range(size):
         piv = next((r for r in range(col, size) if rows[r][col]), None)
         if piv is None:
-            return _zero(field)
+            return field.zero()
         if piv != col:
             rows[col], rows[piv] = rows[piv], rows[col]
             sign = -sign
         pv = rows[col][col]
         det = det * pv
-        inv = _inv(pv, field)
+        inv = pv.inverse()
         for r in range(col + 1, size):
             if rows[r][col]:
                 factor = rows[r][col] * inv
@@ -150,7 +138,7 @@ def sylvester_resultant(f: UniPoly, g: UniPoly):
     return det if sign == 1 else -det
 
 
-def newton_interpolate(points, values, var="X"):
+def newton_interpolate(points, values):
     """Newton's divided differences over Fractions through
     (points[i], values[i]), for any distinct rational points."""
     n = len(points)
@@ -159,9 +147,9 @@ def newton_interpolate(points, values, var="X"):
     for j in range(1, n):
         for i in range(n - 1, j - 1, -1):
             table[i] = (table[i] - table[i - 1]) / (pts[i] - pts[i - j])
-    acc = UniPoly.zero(var)
+    acc = UniPoly.zero()
     for i in range(n - 1, -1, -1):
-        acc = acc * UniPoly([-pts[i], 1], var) + UniPoly.constant(table[i], var)
+        acc = acc * UniPoly([-pts[i], 1]) + UniPoly.constant(table[i])
     return acc
 
 
@@ -170,15 +158,14 @@ def shifted_norm_by_resultants(f, K, s):
     g = f(X - s*theta) at X = 0, 1, ..., [K:Q] deg f, each the resultant
     of K's modulus with the coordinate polynomial of g(x), interpolated
     over Q."""
-    if f.field is None:
-        f = f.to_field(K)
-    g = f.compose(UniPoly([K.gen() * (-s), K.one()], f.var, K)) if s else f
+    f = UniPoly(f.coeffs, K)
+    g = f.compose(UniPoly([K.gen() * (-s), K.one()], K)) if s else f
     points = [Fraction(x) for x in range(K.degree * f.degree + 1)]
     values = []
     for x in points:
         h = g.eval(K.from_rational(x)).to_poly()
         values.append(Fraction(0) if h.is_zero else resultant_std(K.modulus, h))
-    return interpolate(points, values, f.var)
+    return interpolate(points, values)
 
 
 def minpoly(a) -> UniPoly:
@@ -187,7 +174,7 @@ def minpoly(a) -> UniPoly:
     resultants, is a power of it, so the squarefree part f / gcd(f, f')
     is exactly the minimal polynomial."""
     K = a.owner
-    f = shifted_norm_by_resultants(UniPoly([-a, K.one()], "X", K), K, 0)
+    f = shifted_norm_by_resultants(UniPoly([-a, K.one()], K), K, 0)
     return poly_divrem(f, poly_gcd(f, f.derivative()))[0].monic()
 
 
@@ -209,7 +196,7 @@ def interpolated_q(L, y):
     for c in shift_sequence():
         by_t = [norm(c) for norm in norms]
         columns = [
-            interpolate(points, [f[j] for f in by_t], "T") for j in range(3 * N + 1)
+            interpolate(points, [f[j] for f in by_t]) for j in range(3 * N + 1)
         ]
         q = BiPoly([[col[i] for col in columns] for i in range(N + 1)])
         if any(not bad_set(q, t) for t in range(6 * (3 * N) ** 2 + 2)):
@@ -228,9 +215,9 @@ def discriminant_in_X(f: BiPoly) -> UniPoly:
     if any(f.coeff(i, d) for i in range(1, len(f.rows))):
         raise ValueError("discriminant_in_X expects a constant X-leading coefficient")
     if d == 1:
-        return UniPoly.one("T")
+        return UniPoly.one()
     points = range((2 * d - 1) * (len(f.rows) - 1) + 1)
-    return interpolate(points, [discriminant(f.specialize(t)) for t in points], "T")
+    return interpolate(points, [discriminant(f.specialize(t)) for t in points])
 
 
 def v4_pipeline(state):
@@ -462,12 +449,12 @@ def embed_generator_by_gcd(K, h, K2, c):
     beta + c*theta for a root beta of h (a polynomial over K): the unique
     common root in K2 of K's modulus and of
     H(W) = sum_i coords(h_i)(W) * (z - c*W)^i, read off their linear gcd."""
-    gK2 = K.modulus.with_var("W").to_field(K2)
-    acc = UniPoly.zero("W", K2)
-    lin = UniPoly([K2.gen(), K2.from_rational(-c)], "W", K2)  # z - c*W
-    power = UniPoly.one("W", K2)
+    gK2 = UniPoly(K.modulus.coeffs, K2)
+    acc = UniPoly.zero(K2)
+    lin = UniPoly([K2.gen(), K2.from_rational(-c)], K2)  # z - c*W
+    power = UniPoly.one(K2)
     for hi in h.coeffs:
-        acc = acc + hi.to_poly().with_var("W").to_field(K2) * power
+        acc = acc + UniPoly(hi.qcoords, K2) * power
         power = power * lin
     g = poly_gcd(gK2, acc)
     if g.degree != 1:

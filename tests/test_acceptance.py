@@ -22,6 +22,7 @@ import autrealize
 from autrealize.certs import certificate_to_json, dumps_canonical, validate_certificate
 from autrealize.cli import EXIT_OK, EXIT_PARSE, expand_named, main
 from autrealize.exact import (
+    QQ,
     UniPoly,
     discriminant,
     parse_rational,
@@ -59,7 +60,7 @@ from reference import (
     v4_pipeline,
 )
 
-X = UniPoly.gen("X")
+X = UniPoly.gen()
 
 _runs = {}
 
@@ -127,7 +128,7 @@ class TestTrivialGroupRealization:
         assert [rec.t0 for rec in cert.accepted] == [F(1), F(-1), F(2)]
         for rec in cert.accepted:
             t0 = rec.t0
-            assert rec.q0 == X**3 + X * t0 + UniPoly.constant(t0, "X")
+            assert rec.q0 == X**3 + X * t0 + UniPoly.constant(t0)
             assert len(rec.aut.maps) == 1
         assert [(i, j) for i, j, _ in cert.distinctness] == [(0, 1), (0, 2), (1, 2)]
         assert_separated(cert)
@@ -346,7 +347,7 @@ def accepted_polynomials(path):
     """The integer polynomial F of each accepted field of a certificate."""
     data = json.loads(path.read_text())
     return [
-        tuple(Reductions(parse_unipoly(spec["defining_polynomial"], "X")).F)
+        tuple(Reductions(parse_unipoly(spec["defining_polynomial"])).F)
         for spec in data["specializations"]
         if spec["status"] == "accepted"
     ]
@@ -423,7 +424,7 @@ class TestValidatorTrust:
 
 class TestFixedFieldCrossCheck:
     def test_aut_orders_match_normalizer_quotients(self):
-        L = splitting_field(UniPoly([F(-1), F(-1), F(0), F(1)], "X"))
+        L = splitting_field(UniPoly([F(-1), F(-1), F(0), F(1)]))
         s3 = PermGroup.symmetric(3)
         cases = [
             (PermGroup([], degree=3), 6),
@@ -433,7 +434,7 @@ class TestFixedFieldCrossCheck:
         ]
         for H, expected in cases:
             p = minpoly(fixed_field(L, H))
-            field_side = len(automorphisms(NumberField(p.with_var("Z"))).maps)
+            field_side = len(automorphisms(NumberField(p)).maps)
             group_side = aut_group_via_quotient(s3, H)[0].order
             assert field_side == group_side == expected
 
@@ -443,9 +444,9 @@ class TestFamilyPropertySuite:
         start = time.monotonic()
         rng = random.Random(61)
         fields = [
-            NumberField.rationals(),
-            NumberField(UniPoly([F(-1), F(-1), F(1)], "Z")),
-            NumberField(UniPoly([F(-2), F(0), F(0), F(1)], "Z")),
+            QQ,
+            NumberField(UniPoly([F(-1), F(-1), F(1)])),
+            NumberField(UniPoly([F(-2), F(0), F(0), F(1)])),
         ]
         certify_s3()  # raises VerificationError when any check fails
         for trial in range(20):
@@ -457,7 +458,7 @@ class TestFamilyPropertySuite:
                 sum((row[j] * a**i for i, row in enumerate(FAMILY.rows)), K.zero())
                 for j in range(FAMILY.deg_X + 1)
             ]
-            assert cubic(a) == UniPoly(image, "X", K)
+            assert cubic(a) == UniPoly(image, K)
         assert time.monotonic() - start < 60
 
 
@@ -470,7 +471,7 @@ class TestFactorizationOracles:
             while True:
                 deg = rng.randrange(1, 5)
                 coeffs = [F(rng.randrange(-9, 10)) for _ in range(deg)] + [F(1)]
-                f = UniPoly(coeffs, "X")
+                f = UniPoly(coeffs)
                 if is_irreducible_Q(f):
                     return f
 
@@ -482,9 +483,9 @@ class TestFactorizationOracles:
             assert sorted(g.coeffs for g in fac) == sorted(p.coeffs for p in parts)
 
         nf_fields = [
-            NumberField(UniPoly([F(-1), F(-1), F(1)], "Z")),
-            NumberField(UniPoly([F(-2), F(0), F(0), F(1)], "Z")),
-            splitting_field(UniPoly([F(-1), F(-1), F(0), F(1)], "X")).field,
+            NumberField(UniPoly([F(-1), F(-1), F(1)])),
+            NumberField(UniPoly([F(-2), F(0), F(0), F(1)])),
+            splitting_field(UniPoly([F(-1), F(-1), F(0), F(1)])).field,
         ]
         for trial in range(20):
             K = nf_fields[trial % len(nf_fields)]
@@ -494,7 +495,7 @@ class TestFactorizationOracles:
                     K.element([rng.randrange(-3, 4) for _ in range(K.degree)])
                     for _ in range(rng.randrange(1, 3))
                 ]
-                return UniPoly(coeffs + [K.one()], "X", K)
+                return UniPoly(coeffs + [K.one()], K)
 
             parts, f = distinct_parts(rand_part, rng.randrange(1, 3))
             fac = factor_over_nf(f, K)

@@ -720,11 +720,23 @@ class TestValidateCommand:
     def test_unreadable(self, tmp_path, capsys):
         assert main(["validate", str(tmp_path / "missing.json")]) == EXIT_PARSE
 
-    def test_not_utf8(self, cert_path, tmp_path, capsys):
-        # UTF-16 text starts with the byte-order mark ff fe
-        bad = tmp_path / "utf16.json"
-        bad.write_bytes(cert_path.read_text().encode("utf-16"))
-        assert bad.read_bytes()[:2] == b"\xff\xfe"
+    # files the JSON decoder refuses: UTF-16 text (it starts with the
+    # byte-order mark ff fe), nesting past the recursion limit, and an
+    # integer past the interpreter's 4,300-digit limit for int(str)
+    @pytest.mark.parametrize(
+        "corrupt",
+        [
+            lambda text: text.encode("utf-16"),
+            lambda text: b"[" * 100_000 + b"]" * 100_000,
+            lambda text: text.replace(
+                '"completeness_prime": ', '"completeness_prime": ' + "1" * 5000, 1
+            ).encode(),
+        ],
+        ids=["utf16", "nested", "long_int"],
+    )
+    def test_undecodable(self, cert_path, tmp_path, capsys, corrupt):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(corrupt(cert_path.read_text()))
         assert main(["validate", str(bad)]) == EXIT_PARSE
         assert "cannot read certificate" in capsys.readouterr().err
 

@@ -36,19 +36,19 @@ from reference import (
     usable_primes,
 )
 
-X = UniPoly.gen("X")
-ONE = UniPoly.one("X")
+X = UniPoly.gen()
+ONE = UniPoly.one()
 
 
 def C(v):
-    return UniPoly.constant(F(v), "X")
+    return UniPoly.constant(F(v))
 
 
 def rand_irreducible(rng, max_deg=4, bound=9):
     while True:
         deg = rng.randrange(1, max_deg + 1)
         coeffs = [F(rng.randrange(-bound, bound + 1)) for _ in range(deg)] + [F(1)]
-        f = UniPoly(coeffs, "X")
+        f = UniPoly(coeffs)
         if is_irreducible_Q(f):
             return f
 
@@ -123,7 +123,7 @@ class TestCompletenessPrime:
         with pytest.raises(ValueError, match="squarefree"):
             Reductions(X**2 + 1).primes(Reductions((X - 1) ** 2 * (X + 1)))
         with pytest.raises(ValueError, match="zero polynomial"):
-            Reductions(UniPoly.zero("X"))
+            Reductions(UniPoly.zero())
         assert time.perf_counter() - start < 1
 
 
@@ -272,7 +272,7 @@ class TestFactorOverQ:
 
     def test_zero_rejected(self):
         with pytest.raises(ValueError):
-            factor_over_Q(UniPoly.zero("X"))
+            factor_over_Q(UniPoly.zero())
 
     def test_repeated_factor_refused(self):
         """The input must be squarefree; a repeated factor is refused by
@@ -348,7 +348,7 @@ class TestSquarefreePart:
         for _ in range(40):
             coeffs = [F(rng.randrange(-6, 7)) for _ in range(rng.randrange(2, 6))]
             coeffs.append(F(1))
-            f = UniPoly(coeffs, "X")
+            f = UniPoly(coeffs)
             sqf = poly_gcd(f, f.derivative()).degree == 0
             assert (discriminant(f) != 0) == sqf
 

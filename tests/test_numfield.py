@@ -8,7 +8,7 @@ from math import gcd
 import pytest
 
 from autrealize.errors import CapExceededError, VerificationError
-from autrealize.exact import UniPoly, poly_divrem
+from autrealize.exact import QQ, UniPoly, poly_divrem
 from autrealize import factor, numfield
 from autrealize.factor import Reductions, completeness_prime
 from autrealize.numfield import (
@@ -41,11 +41,11 @@ from reference import (
     to_abstract,
 )
 
-X = UniPoly.gen("X")
+X = UniPoly.gen()
 
 
 def Zpoly(*coeffs):
-    return UniPoly([F(c) for c in coeffs], "Z")
+    return UniPoly([F(c) for c in coeffs])
 
 
 @pytest.fixture(scope="module")
@@ -61,7 +61,7 @@ def cbrt2():
 @pytest.fixture(scope="module")
 def cubic_splitting():
     # splitting field of X^3 - X - 1, degree 6, group S3
-    return splitting_field(UniPoly([F(-1), F(-1), F(0), F(1)], "X"))
+    return splitting_field(UniPoly([F(-1), F(-1), F(0), F(1)]))
 
 
 class TestArithmetic:
@@ -191,10 +191,10 @@ class TestFactorOverNf:
         assert roots == sorted([z.coords, (golden.one() - z).coords])
 
     def test_cbrt2_partial_split(self, cbrt2):
-        f = UniPoly([F(-2), F(0), F(0), F(1)], "X")
+        f = UniPoly([F(-2), F(0), F(0), F(1)])
         fac = factor_over_nf(f, cbrt2)
         assert [g.degree for g in fac] == [1, 2]
-        assert expand(fac) == f.to_field(cbrt2)
+        assert expand(fac) == UniPoly(f.coeffs, cbrt2)
 
     def test_one_discriminant_per_norm(self, cbrt2, monkeypatch):
         """Each norm the shift search tries takes one discriminant, on
@@ -203,7 +203,7 @@ class TestFactorOverNf:
         record, disc = numfield.Reductions, factor.discriminant
         monkeypatch.setattr(numfield, "Reductions", lambda N: records.append(N) or record(N))
         monkeypatch.setattr(factor, "discriminant", lambda F: discs.append(F) or disc(F))
-        f = UniPoly([F(-2), F(0), F(0), F(1)], "X")
+        f = UniPoly([F(-2), F(0), F(0), F(1)])
         assert [g.degree for g in factor_over_nf(f, cbrt2)] == [1, 2]
         assert len(records) == 3  # at s = 1 and s = -1 the norm has a repeated root
         assert len(discs) == len(records)
@@ -223,7 +223,7 @@ class TestFactorOverNf:
                     K.element([rng.randrange(-4, 5) for _ in range(K.degree)])
                     for _ in range(rng.randrange(1, 3))
                 ]
-                return UniPoly(coeffs + [K.one()], "X", K)
+                return UniPoly(coeffs + [K.one()], K)
 
             _, f = distinct_parts(rand_part, rng.randrange(1, 3))
             fac = factor_over_nf(f, K)
@@ -260,11 +260,10 @@ class TestRootsInField:
         ]
 
     def test_no_rational_roots(self):
-        Q = NumberField.rationals()
-        assert roots_in_field(X**3 + X + 1, Q) == []
+        assert roots_in_field(X**3 + X + 1, QQ) == []
 
     def test_generator_is_root(self, cbrt2):
-        roots = roots_in_field(cbrt2.modulus.with_var("X"), cbrt2)
+        roots = roots_in_field(cbrt2.modulus, cbrt2)
         assert cbrt2.gen() in roots
 
 
@@ -351,7 +350,7 @@ class TestEmbedGenerator:
 
     def test_sqrt2_then_sqrt3(self):
         K = NumberField(Zpoly(-2, 0, 1))
-        h = (X**2 - 3).to_field(K)
+        h = UniPoly((X**2 - 3).coeffs, K)
         K2, powers, beta, c = extend_field(K, h)
         theta2 = powers.base
         assert theta2 == embed_generator_by_gcd(K, h, K2, c)
@@ -362,8 +361,7 @@ class TestEmbedGenerator:
         assert extend_field(K, X**2 - 3)[0] == K2
 
     def test_every_step_of_the_s3_tower(self, cubic_splitting):
-        K = NumberField.rationals()
-        work = cubic_splitting.poly.to_field(K)
+        K, work = QQ, cubic_splitting.poly
         steps = 0
         while True:
             factors = factor_over_nf(work, K)
@@ -537,7 +535,7 @@ class TestSplittingField:
         assert_homomorphism(s4_base[0], PermGroup.symmetric(4).generators)
 
     def test_quadratic(self):
-        L = splitting_field(UniPoly([F(-1), F(-1), F(1)], "X"))
+        L = splitting_field(UniPoly([F(-1), F(-1), F(1)]))
         assert L.degree == 2 and L.galois.order == 2
 
     def test_cubic(self, cubic_splitting):
@@ -574,19 +572,19 @@ class TestSplittingField:
 
     def test_root_product_reconstructs(self, cubic_splitting):
         L = cubic_splitting
-        acc = UniPoly.one("X", L.field)
+        acc = UniPoly.one(L.field)
         for r in L.roots:
-            acc = acc * UniPoly([-r, L.field.one()], "X", L.field)
-        assert acc == L.poly.to_field(L.field)
+            acc = acc * UniPoly([-r, L.field.one()], L.field)
+        assert acc == UniPoly(L.poly.coeffs, L.field)
 
     def test_degree_cap(self, monkeypatch):
         monkeypatch.setattr(numfield, "SPLITTING_DEGREE_CAP", 2)
         with pytest.raises(CapExceededError):
-            splitting_field(UniPoly([F(-2), F(0), F(0), F(1)], "X"))
+            splitting_field(UniPoly([F(-2), F(0), F(0), F(1)]))
         monkeypatch.setattr(numfield, "SPLITTING_DEGREE_CAP", 3)
         with pytest.raises(CapExceededError):
             # X^3 - X - 1 needs degree 6; the quadratic step exceeds 3
-            splitting_field(UniPoly([F(-1), F(-1), F(0), F(1)], "X"))
+            splitting_field(UniPoly([F(-1), F(-1), F(0), F(1)]))
 
 
 def first_orbit_sum(L, H):
@@ -613,9 +611,9 @@ class TestFixedField:
         assert p.degree == 3
         # same field as Q(root): the original cubic has a root in
         # the field defined by p, and conversely
-        Kp = NumberField(p.with_var("Z"))
+        Kp = NumberField(p)
         assert roots_in_field(L.poly, Kp)
-        assert roots_in_field(p, NumberField(L.poly.with_var("Z")))
+        assert roots_in_field(p, NumberField(L.poly))
 
     def test_a3_gives_quadratic_resolvent(self, cubic_splitting):
         from autrealize.exact import discriminant
@@ -692,7 +690,7 @@ class TestLemmaCrossCheck:
             (s3, 1),
         ]
         for H, expected in cases:
-            KH = NumberField(minpoly(fixed_field(L, H)).with_var("Z"))
+            KH = NumberField(minpoly(fixed_field(L, H)))
             field_side = len(automorphisms(KH).maps)
             group_side = aut_group_via_quotient(s3, H)[0].order
             assert field_side == group_side == expected
@@ -749,7 +747,7 @@ class TestShiftedNorms:
     def test_f_over_k(self, name):
         K = norm_field(name)
         z = K.gen()
-        f = UniPoly([z * F(1, 3) + 1, z * z - F(5, 2), K.one()], "X", K)
+        f = UniPoly([z * F(1, 3) + 1, z * z - F(5, 2), K.one()], K)
         norm = shifted_norms(f, K)
         for s in self.SHIFTS:
             assert norm(s) == shifted_norm_by_resultants(f, K, s)
@@ -767,12 +765,12 @@ class TestShiftedNorms:
         """Norm(X - a) at s = 0, the characteristic polynomial of a."""
         K = norm_field("not integral")
         a = K.element([F(2, 5), -1, F(1, 4)])
-        f = UniPoly([-a, K.one()], "X", K)
+        f = UniPoly([-a, K.one()], K)
         assert shifted_norms(f, K)(0) == shifted_norm_by_resultants(f, K, 0)
         # in Q(sqrt 2), a = 3 - 2 sqrt 2 and its conjugate a' = 3 + 2 sqrt 2
         # give (X - a)(X - a') = X^2 - 6X + 1
         K = NumberField(Zpoly(-2, 0, 1))
-        f = UniPoly([-K.element([3, -2]), K.one()], "X", K)
+        f = UniPoly([-K.element([3, -2]), K.one()], K)
         assert shifted_norms(f, K)(0) == X**2 - 6 * X + 1
 
     def test_not_monic_refused(self, golden):

@@ -61,7 +61,7 @@ GROUPS = {
 }
 
 
-X = UniPoly.gen("X")
+X = UniPoly.gen()
 
 
 def group(name):
@@ -197,7 +197,7 @@ class TestScreenedCompletenessPrime:
     def test_same_prime_as_unscreened(self, states, name, t0):
         state = states[name]
         q0 = state.specialize(t0)
-        E = NumberField(q0.with_var("Z"))
+        E = NumberField(q0)
         theta0 = embed_generator(state.L.field, state.cubic_at(t0), E, state.c).base
         order = state.G.order
         screen = (Reductions(state.L.field.modulus), theta0.den)
@@ -463,7 +463,7 @@ class TestSharedCriteria:
         for p in (4, 2**64 + 13, "5", True, 5.0):
             assert red.completeness_failure(p, 2) == "not an integer prime with 5 <= p < 2**64"
         # 5 divides disc(X^2 - 5), and lc(F) for F = 5X^2 + 1
-        for f in (X**2 - 5, UniPoly([F(1, 5), F(0), F(1)], "X")):
+        for f in (X**2 - 5, UniPoly([F(1, 5), F(0), F(1)])):
             assert Reductions(f).completeness_failure(5, 2) == (
                 "p divides the leading coefficient or q0 is not squarefree mod p"
             )
