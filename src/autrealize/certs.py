@@ -35,7 +35,7 @@ from .exact import (
 )
 from .factor import is_irreducible_Q
 from .numfield import AutomorphismTable, NumberField
-from .perm import PermGroup, parse_cycles
+from .perm import PermGroup, named_group, parse_cycles, render_cycles
 from .pipeline import check_sn_cap, group_table, run
 
 FORMAT_NAME = "autrealize-certificate"
@@ -180,12 +180,16 @@ def _pair(entry):
 def validate_certificate(path, deep=False) -> ValidationReport:
     """Re-check a certificate file.
 
-    Shallow checks: schema, the group's degree an integer from 1 to the
-    S_n cap (before any permutation is built), group closure, each t0
-    canonical, each status "accepted" or "rejected", each rejected entry
-    with a non-empty reason, at least one accepted specialization, each
-    defining polynomial is monic (it defines the field E) and
-    irreducible, the steps of ``AutomorphismTable`` as it reports them
+    Shallow checks: schema (the version a JSON integer), the group's
+    degree an integer from 1 to the S_n cap (before any permutation is
+    built), its generators in the canonical cycle notation realize
+    writes, group closure, its name null or the canonical name of a
+    named group (``perm.named_group``) of that degree with those
+    generators, each t0 canonical, each status "accepted" or
+    "rejected", each rejected entry with a non-empty reason, at least
+    one accepted specialization, each defining polynomial is monic (it
+    defines the field E) and irreducible, the steps of
+    ``AutomorphismTable`` as it reports them
     (automorphism images are roots; ``Reductions.completeness_failure``
     passes p: it is prime and the defining polynomial is squarefree mod p
     with exactly as many roots mod p as there are images, so the images
@@ -196,38 +200,60 @@ def validate_certificate(path, deep=False) -> ValidationReport:
     distinctness entry whose prime separates their Frobenius patterns
     (``Reductions.separates``).
     With ``deep``, the certificate is rebuilt up to the largest |t0| the
-    shallow checks parsed, and must equal the file.
+    shallow checks parsed, and must equal the file; it is not rebuilt
+    once a shallow check failed.
     """
     report = ValidationReport()
     data = _load(path)
+    read = _check_shallow(data, report)
+    if deep and report.ok:
+        _deep_validate(data, *read, report)
+    elif deep:
+        report.add("deep: pipeline rebuild", False, "not run: a shallow check failed")
+    return report
 
+
+def _check_shallow(data, report):
+    """Add the shallow checks of ``data`` to ``report``; (G, the largest
+    ceil |t0| among the well-formed t0) once the group is read, None if
+    the schema or the group fails."""
     version = data.get("version") if isinstance(data, dict) else None
+    version_ok = type(version) is int and version == FORMAT_VERSION  # not 6.0
     schema_ok = (
         isinstance(data, dict)
         and data.get("format") == FORMAT_NAME
-        and version == FORMAT_VERSION
+        and version_ok
         and "group" in data
         and isinstance(data.get("specializations"), list)
         and isinstance(data.get("distinctness"), list)
     )
     wrong_version = f"version {version!r}, expected {FORMAT_VERSION}"
-    report.add("schema", schema_ok, "" if version == FORMAT_VERSION else wrong_version)
+    report.add("schema", schema_ok, "" if version_ok else wrong_version)
     if not schema_ok:
-        return report
+        return None
 
+    group = data["group"]
     try:
-        n = _json_int(data["group"]["n"], "group.n")
+        n = _json_int(group["n"], "group.n")
         check_sn_cap(n)  # 1 <= n <= SN_CAP, before any permutation is built
-        gens = [parse_cycles(s, n) for s in data["group"]["generators"]]
+        texts = group["generators"]
+        gens = [parse_cycles(s, n) for s in texts]
+        if not texts or [render_cycles(g) for g in gens] != texts:
+            raise SpecParseError(f"generators are not in canonical cycle notation: {texts!r}")
         G = PermGroup(gens, degree=n)
         report.add(
             "group order",
-            G.order == _json_int(data["group"]["order"], "group.order"),
+            G.order == _json_int(group["order"], "group.order"),
             f"closure has order {G.order}",
         )
     except Exception as exc:
         report.add("group order", False, str(exc))
-        return report
+        return None
+    try:
+        _check_group_name(group["name"], n, texts)
+        report.add("group name", True)
+    except _MALFORMED as exc:
+        report.add("group name", False, str(exc))
 
     accepted = []
     t0s = []  # each well-formed t0, from which --deep takes its height
@@ -294,10 +320,26 @@ def validate_certificate(path, deep=False) -> ValidationReport:
                 f"p = {p!r}",
             )
 
-    if deep:
-        height = max((-(-abs(t0.num[0]) // t0.den) for t0 in t0s), default=0)
-        _deep_validate(data, G, height, report)  # the largest ceil |t0|
-    return report
+    return G, max((-(-abs(t0.num[0]) // t0.den) for t0 in t0s), default=0)
+
+
+def _check_group_name(name, n, generators):
+    """Raise unless the group's name is one realize writes: null (for
+    ``--gens``), or a named group's canonical spelling whose degree is n
+    and whose generators, as ``realize --named`` lists them, are these.
+    The degree is compared before the named group is built."""
+    if name is None:
+        return
+    if not isinstance(name, str):
+        raise SpecParseError(f"not a string: {name!r}")
+    canonical, degree, expand = named_group(name)
+    if name != canonical:
+        raise SpecParseError(f"{name!r} is not canonical; realize writes {canonical!r}")
+    if degree != n:
+        raise SpecParseError(f"{name} has degree {degree}, group.n is {n}")
+    named = expand()[1]
+    if named != generators:
+        raise SpecParseError(f"generators are not {name}'s: {named!r}")
 
 
 def _differing_keys(a, b, path=""):

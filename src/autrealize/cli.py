@@ -34,7 +34,7 @@ import sys
 
 from .certs import dumps_canonical, certificate_to_json, emit_certificate, validate_certificate
 from .errors import BudgetExhaustedError, CapExceededError, SpecParseError
-from .perm import PermGroup, parse_cycles, render_cycles
+from .perm import PermGroup, named_group, parse_cycles, render_cycles
 from .pipeline import check_sn_cap, run as pipeline_run
 
 EXIT_OK = 0
@@ -43,46 +43,19 @@ EXIT_BUDGET = 3
 EXIT_CAP = 4
 
 
-def _parse_named(name: str):
-    """(constructor, degree, canonical name) of S_k, C_k, A_k or V4, read
-    from the name alone; the constructor takes the degree, and the
-    canonical name is the upper-case letter and k in decimal (" s03" is
-    S3), so that every spelling gives one certificate."""
-    name = name.strip()
-    if name.upper() == "V4":
-        return lambda n: parse_group_spec(n, "(1 2)(3 4);(1 3)(2 4)")[0], 4, "V4"
-    build = {
-        "S": PermGroup.symmetric,
-        "C": PermGroup.cyclic,
-        "A": PermGroup.alternating,
-    }.get(name[:1].upper())
-    if build is None:
-        raise SpecParseError(f"unknown named group {name!r}")
-    try:
-        k = int(name[1:])
-    except ValueError:
-        raise SpecParseError(f"unknown named group {name!r}") from None
-    if k < 1:
-        raise SpecParseError(f"named group index must be >= 1: {name!r}")
-    return build, k, f"{name[0].upper()}{k}"
-
-
-def expand_named(name: str):
-    """(group, canonical generator strings) for S_k, C_k, A_k, V4."""
-    build, k, _ = _parse_named(name)
-    G = build(k)
-    return G, [render_cycles(g) for g in G.generators] or ["()"]
-
-
 def parse_group_spec(n, gens_text):
     """Parse ';'-separated cycle-notation generators on {1..n}; the
-    caller checks n itself (``check_sn_cap``)."""
+    caller checks n itself (``check_sn_cap``).  Every part must name a
+    generator, so a stray ';' is refused rather than read as a second
+    generator ``()``."""
     if n is None:
         raise SpecParseError("--n is required when --gens is used")
-    if gens_text is None or not gens_text.strip():
-        raise SpecParseError("empty group specification")
     gens = []
     for part in gens_text.split(";"):
+        if not part.strip():
+            raise SpecParseError(
+                f"empty generator in {gens_text!r}; the identity is ()"
+            )
         gens.append(parse_cycles(part, n))
     return PermGroup(gens, degree=n), [render_cycles(g) for g in gens]
 
@@ -174,7 +147,7 @@ def _cmd_realize(n, named, gens, count, t_max, out):
     # the degree is checked against the cap before the group is built:
     # closing a large group costs seconds and would be refused anyway
     if named is not None:
-        _, degree, named = _parse_named(named)
+        named, degree, expand = named_group(named)
         if gens is not None:
             raise SpecParseError(f"--gens conflicts with --named {named}")
         if n is not None and n != degree:
@@ -182,7 +155,7 @@ def _cmd_realize(n, named, gens, count, t_max, out):
                 f"--n {n} conflicts with --named {named} (n = {degree})"
             )
         check_sn_cap(degree)
-        G, gen_strings = expand_named(named)
+        G, gen_strings = expand()
     else:
         if n is not None:
             check_sn_cap(n)

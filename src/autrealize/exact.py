@@ -25,11 +25,11 @@ modulus modulo primes through one record, ``NumberField.reductions`` (a
 Polynomials are dense.  ``UniPoly`` is univariate with an ascending
 coefficient list and carries the ring arithmetic; it is its coefficients,
 elements of one field (QQ or a number field), and names no variable.
-The gcd is Euclid's over either.  Resultants, discriminants,
-interpolation and ``BiPoly`` are over Q only; each reads a rational
-polynomial as integers over one denominator (``_int_clear``), and
-interpolation takes its values at 0, 1, ..., n and runs over Z,
-dividing once at the end.
+The gcd is Euclid's over either.  Discriminants, interpolation and
+``BiPoly`` are over Q only.  A discriminant reads its polynomial as
+integers over one denominator (``_int_clear``) and is one subresultant
+over Z; resultants are not public.  Interpolation takes its values at
+0, 1, ..., n and runs over Z, dividing once at the end.
 ``BiPoly`` is bivariate in (T, X) with a coefficient matrix indexed by
 (power of T, power of X); it holds the cubic family X^3 + TX + T for
 the family's bad set, and is only built, compared and specialized at
@@ -592,9 +592,6 @@ class UniPoly:
             return self
         return self * lc.inverse()
 
-    def derivative(self):
-        return UniPoly([i * c for i, c in enumerate(self.coeffs)][1:], self.field)
-
     def eval(self, x):
         """Evaluate by Horner; ``x`` may live in an extension of the
         coefficient field (e.g. a rational polynomial at an NfElement)."""
@@ -654,15 +651,17 @@ def poly_gcd(f: UniPoly, g: UniPoly) -> UniPoly:
     return a.monic()
 
 
-# -- resultants -----------------------------------------------------------
+# -- discriminants --------------------------------------------------------
 #
-# One convention, over Q only: for nonzero f, g of degrees m, n,
+# Over Q only, on integers: a rational f of degree d is den * f = F with
+# integer coefficients (``_int_clear``), and
 #
-#   resultant_std(f, g) = lc(f)^n * prod_{f(a)=0} g(a)
-#                       = (-1)^(m*n) * lc(g)^m * prod_{g(b)=0} f(b).
+#   disc(f) = (-1)^(d(d-1)/2) * Res(F, F') / lc(F) / den^(2d-2),
 #
-# The package uses it for discriminants; field norms come from power sums
-# (``numfield.shifted_norms``), with no resultant.
+# with Res(F, F') = lc(F)^(d-1) * prod_{F(a)=0} F'(a) taken by the
+# subresultant PRS over Z (``_int_res_std``), which lc(F) divides.  Field
+# norms come from power sums (``numfield.shifted_norms``), with no
+# resultant.
 
 
 def _int_clear(f: UniPoly):
@@ -747,30 +746,17 @@ def _int_res_std(A, B):
     return s * t * res
 
 
-def _res_std_q(f: UniPoly, g: UniPoly) -> NfElement:
-    A, da = _int_clear(f)
-    B, db = _int_clear(g)
-    r = _int_res_std(A, B)
-    return _rational(r, da**g.degree * db**f.degree)
-
-
-def resultant_std(f: UniPoly, g: UniPoly) -> NfElement:
-    """lc(f)^deg(g) * prod of g over the roots of f, for rational f, g."""
-    if f.is_zero or g.is_zero:
-        raise ValueError("resultant of the zero polynomial")
-    f._check_compat(g)
-    if f.field is not QQ:
-        raise ValueError("resultants are defined over Q")
-    return _res_std_q(f, g)
-
-
 def discriminant(f: UniPoly) -> NfElement:
-    """disc(f) = (-1)^(d(d-1)/2) * Res(f, f') / lc(f) for rational f."""
+    """The discriminant of a rational f of degree >= 1, as one integer
+    subresultant (see above)."""
     d = f.degree
     if d < 1:
         raise ValueError("discriminant needs degree >= 1")
-    val = resultant_std(f, f.derivative()) / f.lc()
-    return -val if (d * (d - 1) // 2) % 2 == 1 else val
+    if f.field is not QQ:
+        raise ValueError("discriminants are defined over Q")
+    F, den = _int_clear(f)
+    disc = _int_res_std(F, [i * c for i, c in enumerate(F)][1:]) // F[-1]
+    return _rational(-disc if d * (d - 1) // 2 % 2 else disc, den ** (2 * d - 2))
 
 
 def interpolate(points, values):

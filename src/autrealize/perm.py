@@ -1,4 +1,5 @@
-"""Finite permutation groups and abstract groups given by tables.
+"""Finite permutation groups, the named groups S_k, C_k, A_k and V4, and
+abstract groups given by tables.
 
 Permutations act on {1, ..., n}.  Groups are stored as explicit element
 sets (closure by breadth-first multiplication), which is fine at the
@@ -217,6 +218,43 @@ class PermGroup:
 
     def __repr__(self):
         return f"PermGroup(order={self.order}, degree={self.degree})"
+
+
+def named_group(name):
+    """(canonical name, degree, expand) of S_k, C_k, A_k or V4, read from
+    the name alone.  The canonical name is the upper-case letter and k in
+    decimal (" s03" is S3), so that every spelling gives one certificate.
+    ``expand()`` builds (the group, its generators in canonical cycle
+    notation, ``["()"]`` for a trivial group); a caller checks the degree
+    before it calls ``expand``, for closing a large group costs seconds."""
+    name = name.strip()
+    if name.upper() == "V4":
+        canonical, k = "V4", 4
+
+        def build(n):
+            return PermGroup([parse_cycles(s, n) for s in ("(1 2)(3 4)", "(1 3)(2 4)")], degree=n)
+
+    else:
+        build = {
+            "S": PermGroup.symmetric,
+            "C": PermGroup.cyclic,
+            "A": PermGroup.alternating,
+        }.get(name[:1].upper())
+        if build is None:
+            raise SpecParseError(f"unknown named group {name!r}")
+        try:
+            k = int(name[1:])
+        except ValueError:
+            raise SpecParseError(f"unknown named group {name!r}") from None
+        if k < 1:
+            raise SpecParseError(f"named group index must be >= 1: {name!r}")
+        canonical = f"{name[0].upper()}{k}"
+
+    def expand():
+        G = build(k)
+        return G, [render_cycles(g) for g in G.generators] or ["()"]
+
+    return canonical, k, expand
 
 
 class AbstractGroup:

@@ -3,7 +3,8 @@
 Each is the plain textbook version of something the package computes
 another way, kept here because only tests use it: the extended Euclidean
 algorithm (with the number-field inverse and the squarefreeness test,
-gcd(f, f') = 1, that it gives), the Sylvester-matrix
+gcd(f, f') = 1, that it gives), the derivative, the rational resultant
+over the package's integer subresultant and the Sylvester-matrix
 resultant, Newton interpolation over Fractions, a field norm of a
 polynomial by element resultants and interpolation (with an element's
 minimal polynomial as the squarefree part of one), the pipeline's
@@ -36,14 +37,16 @@ from autrealize.exact import (
     UniPoly,
     _gtrim,
     _ideg,
+    QQ,
     _int_clear,
+    _int_res_std,
+    _rational,
     discriminant,
     interpolate,
     poly_divrem,
     poly_gcd,
     render_rational,
     render_unipoly,
-    resultant_std,
 )
 from autrealize.factor import Reductions, _ggcd, _gmonic, _is_prime, completeness_prime
 from autrealize.family import bad_set, cubic
@@ -54,6 +57,23 @@ from autrealize.numfield import (
     shifted_norms,
 )
 from autrealize.perm import AbstractGroup, PermGroup, Permutation
+
+
+def derivative(f: UniPoly) -> UniPoly:
+    """f' over f's field."""
+    return UniPoly([i * c for i, c in enumerate(f.coeffs)][1:], f.field)
+
+
+def resultant_std(f: UniPoly, g: UniPoly):
+    """lc(f)^deg(g) * prod of g over the roots of f, for rational f, g:
+    ``exact._int_res_std`` of their integer multiples, scaled back."""
+    if f.is_zero or g.is_zero:
+        raise ValueError("resultant of the zero polynomial")
+    f._check_compat(g)
+    if f.field is not QQ:
+        raise ValueError("resultants are defined over Q")
+    (A, da), (B, db) = _int_clear(f), _int_clear(g)
+    return _rational(_int_res_std(A, B), da**g.degree * db**f.degree)
 
 
 def poly_gcdex(f: UniPoly, g: UniPoly):
@@ -78,7 +98,7 @@ def poly_gcdex(f: UniPoly, g: UniPoly):
 def squarefree_by_euclid(f: UniPoly) -> bool:
     """True iff the nonzero f, over Q or a number field, is coprime to its
     derivative: the gcd of the extended Euclidean algorithm is 1."""
-    return poly_gcdex(f, f.derivative())[2].degree == 0
+    return poly_gcdex(f, derivative(f))[2].degree == 0
 
 
 def euclid_inverse(a):
@@ -93,7 +113,7 @@ def euclid_inverse(a):
 
 def sylvester_resultant(f: UniPoly, g: UniPoly):
     """Sylvester-determinant resultant lc(g)^deg f * prod of f over the
-    roots of g, i.e. ``exact.resultant_std(g, f)``; works over any field."""
+    roots of g, i.e. ``resultant_std(g, f)``; works over any field."""
     if f.is_zero or g.is_zero:
         raise ValueError("resultant of the zero polynomial")
     f._check_compat(g)
@@ -175,7 +195,7 @@ def minpoly(a) -> UniPoly:
     is exactly the minimal polynomial."""
     K = a.owner
     f = shifted_norm_by_resultants(UniPoly([-a, K.one()], K), K, 0)
-    return poly_divrem(f, poly_gcd(f, f.derivative()))[0].monic()
+    return poly_divrem(f, poly_gcd(f, derivative(f)))[0].monic()
 
 
 def interpolated_q(L, y):

@@ -20,7 +20,7 @@ import pytest
 
 import autrealize
 from autrealize.certs import certificate_to_json, dumps_canonical, validate_certificate
-from autrealize.cli import EXIT_OK, EXIT_PARSE, expand_named, main
+from autrealize.cli import EXIT_OK, EXIT_PARSE, main
 from autrealize.exact import (
     QQ,
     UniPoly,
@@ -44,7 +44,7 @@ from autrealize.numfield import (
     fixed_field,
     splitting_field,
 )
-from autrealize.perm import AbstractGroup, PermGroup, parse_cycles
+from autrealize.perm import AbstractGroup, PermGroup, named_group, parse_cycles
 from autrealize.pipeline import run as pipeline_run
 from reference import (
     aut_group_via_quotient,
@@ -68,7 +68,7 @@ _runs = {}
 def timed_run(key, *, count, t_max=200):
     """First pipeline run for a named group, cached with its timing."""
     if key not in _runs:
-        G, gen_strings = expand_named(key)
+        G, gen_strings = named_group(key)[2]()
         start = time.monotonic()
         cert = pipeline_run(
             G,
@@ -249,8 +249,8 @@ class TestValidatorWitness:
     )
     def test_swapped_order_rejected(self, tmp_path, capsys, recompute_table, check):
         """A transposition's image swapped with a 3-cycle's fails the
-        shallow checks and --deep."""
-        elems = sorted(expand_named("S3")[0].elements)
+        shallow checks, so --deep fails without a rebuild."""
+        elems = sorted(named_group("S3")[2]()[0].elements)
         a, b = elems[TRANSPOSITION], elems[THREE_CYCLE]
         assert (a * a).is_identity and not (b * b).is_identity
         data, spec = self.s3_spec()
@@ -263,7 +263,7 @@ class TestValidatorWitness:
         assert main(["validate", str(path), "--deep"]) == EXIT_PARSE
         out = capsys.readouterr().out
         assert f"[FAIL] specialization t0={spec['t0']} {check}\n" in out
-        assert "[FAIL] deep: pipeline rebuild: differs at " in out
+        assert "[FAIL] deep: pipeline rebuild: not run: a shallow check failed\n" in out
 
     @pytest.mark.parametrize(
         "recompute_table, check",
@@ -619,7 +619,7 @@ class TestPinnedCertificates:
 
     @pytest.mark.parametrize("key", sorted(PINNED_COUNT_3))
     def test_sha256_count_3(self, key):
-        G, gen_strings = expand_named(key)
+        G, gen_strings = named_group(key)[2]()
         cert = pipeline_run(
             G, count=3, group_generators=gen_strings, group_name=key
         )
@@ -657,7 +657,7 @@ class TestDeterminism:
     def test_reruns_byte_identical(self):
         for key in ("C1", "C2", "C3", "S3"):
             cert1, _, text1, kw = timed_run(key, count=1)  # cached params win
-            G, gen_strings = expand_named(key)
+            G, gen_strings = named_group(key)[2]()
             cert2 = pipeline_run(
                 G,
                 count=kw["count"],

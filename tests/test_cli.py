@@ -13,24 +13,24 @@ from autrealize.cli import (
     EXIT_OK,
     EXIT_PARSE,
     USAGE,
-    expand_named,
     main,
     parse_group_spec,
 )
-from autrealize import factor, pipeline
+from autrealize import certs, factor, pipeline
 from autrealize.errors import SpecParseError
 from autrealize.exact import parse_rational, render_rational
 from autrealize.numfield import NumberField
-from autrealize.perm import PermGroup, parse_cycles
+from autrealize.perm import PermGroup, named_group, parse_cycles
 from reference import v4_pipeline
 
 
 def named(name):
     """(degree, generator strings) of a named group; the strings must
     generate it."""
-    G, gens = expand_named(name)
-    assert PermGroup([parse_cycles(g, G.degree) for g in gens], degree=G.degree) == G
-    return G.degree, gens
+    _, degree, expand = named_group(name)
+    G, gens = expand()
+    assert PermGroup([parse_cycles(g, degree) for g in gens], degree=degree) == G
+    return degree, gens
 
 
 class TestExpandNamed:
@@ -53,7 +53,7 @@ class TestExpandNamed:
     def test_unknown(self):
         for bad in ("D4", "S", "Sx", "S0"):
             with pytest.raises(SpecParseError):
-                expand_named(bad)
+                named_group(bad)
 
 
 class TestParseGroupSpec:
@@ -160,6 +160,14 @@ class TestRealizeCommand:
         assert main(["realize", "--named", "C2", "--gens", "()"]) == EXIT_PARSE
         assert "--gens conflicts with --named C2" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("gens", ["(1 2);", ";(1 2)", "(1 2);;()", " ; "])
+    def test_empty_generator_refused(self, capsys, gens):
+        """A stray ';' is refused, not read as a second generator "()",
+        so one group has one spelling; "()" itself is the identity."""
+        assert main(["realize", "--n", "2", "--gens", gens, "--count", "1"]) == EXIT_PARSE
+        assert capsys.readouterr().err.startswith("error: empty generator in ")
+        assert parse_group_spec(2, "(1 2);()")[1] == ["(1 2)", "()"]
+
     def test_bad_gens(self, capsys):
         assert main(["realize", "--n", "3", "--gens", "(1 9)"]) == EXIT_PARSE
         # a 1-cycle outside 1..n is refused, not read as the identity
@@ -233,6 +241,24 @@ def c2_cert_path(tmp_path_factory):
     code = main(["realize", "--named", "C2", "--count", "1", "--out", str(path)])
     assert code == EXIT_OK
     return path
+
+
+@pytest.fixture(scope="module")
+def s3_cert_path(tmp_path_factory):
+    path = tmp_path_factory.mktemp("certs") / "s3.json"
+    code = main(["realize", "--named", "S3", "--count", "1", "--out", str(path)])
+    assert code == EXIT_OK
+    return path
+
+
+def forge_generators(*texts):
+    return lambda data: data["group"].update(generators=list(texts))
+
+
+def forge_entries(data):
+    """40 accepted entries with nothing but a t0: each fails the shallow
+    checks, and a rebuild would have to find 41 fields."""
+    data["specializations"] += [{"t0": "200", "status": "accepted"}] * 40
 
 
 def forge_trivial_group(data, spec):
@@ -628,6 +654,80 @@ class TestValidateCommand:
         assert f"[FAIL] specialization {failure}" in out
         assert "certificate INVALID" in out
 
+    NOT_CANONICAL_GENERATORS = "[FAIL] group order: generators are not in canonical cycle notation: "
+
+    # text that realize never writes, the certificate it is forged in,
+    # and the failed check each is reported as
+    NOT_WRITTEN = {
+        "name_A4": (
+            "c2_cert_path",
+            lambda data: data["group"].update(name="A4"),
+            "[FAIL] group name: A4 has degree 4, group.n is 2\n",
+        ),
+        "name_lower_case": (
+            "c2_cert_path",
+            lambda data: data["group"].update(name="c2"),
+            "[FAIL] group name: 'c2' is not canonical; realize writes 'C2'\n",
+        ),
+        "name_unknown": (
+            "c2_cert_path",
+            lambda data: data["group"].update(name="X2"),
+            "[FAIL] group name: unknown named group 'X2'\n",
+        ),
+        "name_not_a_string": (
+            "c2_cert_path",
+            lambda data: data["group"].update(name=2),
+            "[FAIL] group name: not a string: 2\n",
+        ),
+        # canonical and of order 2, but not the generators C2 lists
+        "generators_not_the_named": (
+            "c2_cert_path",
+            forge_generators("(1 2)", "(1 2)"),
+            "[FAIL] group name: generators are not C2's: ['(1 2)']\n",
+        ),
+        "comma": ("c2_cert_path", forge_generators("(1,2)"), NOT_CANONICAL_GENERATORS),
+        "plus": ("c2_cert_path", forge_generators("(+1 2)"), NOT_CANONICAL_GENERATORS),
+        # int() reads any Unicode decimal digit
+        "arabic_indic_digit": (
+            "c2_cert_path",
+            forge_generators("(\u0661 2)"),
+            NOT_CANONICAL_GENERATORS,
+        ),
+        "extra_empty": (
+            "c2_cert_path",
+            forge_generators("(1 2)", ""),
+            NOT_CANONICAL_GENERATORS,
+        ),
+        "version_float": (
+            "c2_cert_path",
+            lambda data: data.update(version=6.0),
+            "[FAIL] schema: version 6.0, expected 6\n",
+        ),
+        "accepted_entries": (
+            "s3_cert_path",
+            forge_entries,
+            "[FAIL] specialization t0=200 well-formed: 'defining_polynomial'\n",
+        ),
+    }
+
+    @pytest.mark.parametrize("case", list(NOT_WRITTEN))
+    def test_not_written_by_realize(self, request, tmp_path, capsys, monkeypatch, case):
+        """Each forgery fails its check, shallow and with --deep, and
+        --deep rebuilds nothing once a shallow check failed."""
+        fixture, forge, failure = self.NOT_WRITTEN[case]
+        data = json.loads(request.getfixturevalue(fixture).read_text())
+        forge(data)
+        bad = tmp_path / "not_written.json"
+        bad.write_text(json.dumps(data))
+        rebuilt = []
+        monkeypatch.setattr(certs, "run", lambda *a, **k: rebuilt.append(a))
+        for deep in ([], ["--deep"]):
+            assert main(["validate", str(bad), *deep]) == EXIT_PARSE
+            out = capsys.readouterr().out
+            assert failure in out and out.endswith("certificate INVALID\n")
+        assert rebuilt == []
+        assert "[FAIL] deep: pipeline rebuild: not run: a shallow check failed\n" in out
+
     def test_version_1(self, cert_path, tmp_path, capsys):
         data = json.loads(cert_path.read_text())
         data["version"] = 1
@@ -662,9 +762,8 @@ class TestValidateCommand:
 
     @pytest.mark.parametrize("t0", ["1/0", None])
     def test_deep_malformed_t0(self, cert_path, tmp_path, capsys, t0):
-        """A malformed t0 fails once, in the shallow checks; --deep takes
-        its height from the t0 values those parsed and adds no line of
-        its own for it."""
+        """A malformed t0 fails once, in the shallow checks; --deep then
+        rebuilds nothing and adds no line of its own for it."""
         data = json.loads(cert_path.read_text())
         spec = data["specializations"][0]
         assert spec["status"] == "rejected"  # shallow checks only its reason
@@ -680,7 +779,7 @@ class TestValidateCommand:
         assert len(entry) == 1
         assert entry[0].startswith(f"[FAIL] specialization t0={t0} well-formed: ")
         assert "deep: t0=" not in out
-        assert "[FAIL] deep: pipeline rebuild: differs at specializations.0.t0" in out
+        assert "[FAIL] deep: pipeline rebuild: not run: a shallow check failed\n" in out
 
     @pytest.mark.parametrize("status", ["bogus", "missing", None])
     def test_status_neither_accepted_nor_rejected(self, cert_path, tmp_path, capsys, status):
