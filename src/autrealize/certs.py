@@ -16,9 +16,11 @@ byte-identical files.  The validator calls the producer's own checks,
 not copies: ``factor.is_irreducible_Q`` over the record each field E
 carries (``NumberField.reductions``, which distinctness reads too),
 ``numfield.AutomorphismTable`` (images are roots, the completeness
-prime, and only then the table mod p), ``pipeline.group_table``,
-``Reductions.separates`` for distinctness, and ``pipeline.run`` for
-``deep``.
+prime, and only then the table mod p), ``perm.check_sn_cap`` and
+``perm.group_table``, ``Reductions.separates`` for distinctness, and
+``pipeline.run`` for ``deep``, the one use of a producer module, which
+is imported only there: shallow validation loads neither ``pipeline``
+nor ``family``.
 """
 
 from __future__ import annotations
@@ -35,8 +37,7 @@ from .exact import (
 )
 from .factor import is_irreducible_Q
 from .numfield import AutomorphismTable, NumberField
-from .perm import PermGroup, named_group, parse_cycles, render_cycles
-from .pipeline import check_sn_cap, group_table, run
+from .perm import PermGroup, check_sn_cap, group_table, named_group, parse_cycles, render_cycles
 
 FORMAT_NAME = "autrealize-certificate"
 FORMAT_VERSION = 6
@@ -52,32 +53,18 @@ def certificate_to_json(cert) -> dict:
     for event, value in cert.audit:
         audit.setdefault(event, []).append(value)
     specs = []
-    accepted_by_t0 = {rec.t0: rec for rec in cert.accepted}
-    for t0, status, reason in cert.transcript:
-        if status == "accepted":
-            rec = accepted_by_t0[t0]
-            specs.append(
-                {
-                    "t0": render_rational(t0),
-                    "status": "accepted",
-                    "defining_polynomial": render_unipoly(rec.q0),
-                    "automorphisms": {
-                        "generator_images": [
-                            _render_coords(m) for m in rec.aut.maps
-                        ],
-                        "table": [list(row) for row in rec.aut.table],
-                    },
-                    "completeness_prime": rec.aut.prime,
-                }
-            )
+    for rec in cert.transcript:
+        spec = {"t0": render_rational(rec.t0), "status": rec.status}
+        if rec.status == "accepted":
+            spec["defining_polynomial"] = render_unipoly(rec.field.modulus)
+            spec["automorphisms"] = {
+                "generator_images": [_render_coords(m) for m in rec.aut.maps],
+                "table": [list(row) for row in rec.aut.table],
+            }
+            spec["completeness_prime"] = rec.aut.prime
         else:
-            specs.append(
-                {
-                    "t0": render_rational(t0),
-                    "status": "rejected",
-                    "reason": reason,
-                }
-            )
+            spec["reason"] = rec.reason
+        specs.append(spec)
     return {
         "format": FORMAT_NAME,
         "version": FORMAT_VERSION,
@@ -360,6 +347,8 @@ def _deep_validate(data, G, t_max, report):
     """Re-run the pipeline on the certificate's inputs up to t_max, the
     largest ceil |t0| among its well-formed t0; a run stops at its count,
     so its transcript is a prefix of t0_sequence(t_max)."""
+    from .pipeline import run  # shallow validation loads no producer module
+
     specs = [spec for spec in data["specializations"] if isinstance(spec, dict)]
     try:
         rebuilt = run(

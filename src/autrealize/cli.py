@@ -34,8 +34,8 @@ import sys
 
 from .certs import dumps_canonical, certificate_to_json, emit_certificate, validate_certificate
 from .errors import BudgetExhaustedError, CapExceededError, SpecParseError
-from .perm import PermGroup, named_group, parse_cycles, render_cycles
-from .pipeline import check_sn_cap, run as pipeline_run
+from .perm import PermGroup, check_sn_cap, named_group, parse_cycles, render_cycles
+from .pipeline import run as pipeline_run
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -107,7 +107,8 @@ def parse_args(argv):
     """(subcommand, its keyword arguments) from argv; a SpecParseError
     names the first argument that does not fit.  An option's value is
     the next argument or follows '='; only an argument starting with
-    '--' is taken for an option, so '--t-max -3' passes -3."""
+    '--' is taken for an option, so '--t-max -3' passes -3.  An empty
+    value ('--out=' or '--out ""') is refused like a missing one."""
     if not argv or argv[0] not in COMMANDS:
         got = repr(argv[0]) if argv else "nothing"
         raise SpecParseError(f"expected a subcommand (realize or validate), got {got}")
@@ -129,9 +130,11 @@ def parse_args(argv):
             kwargs[key] = True
             continue
         if not eq:
-            value = next(rest, None)
-            if value is None or value.startswith("--"):
-                raise SpecParseError(f"{opt} needs a value")
+            value = next(rest, "")
+            if value.startswith("--"):  # the next option, not a value
+                value = ""
+        if not value:
+            raise SpecParseError(f"{opt} needs a value")
         try:
             kwargs[key] = kind(value)
         except ValueError:
@@ -171,11 +174,11 @@ def _cmd_realize(n, named, gens, count, t_max, out):
         group_generators=gen_strings,
         group_name=named,
     )
-    if out:
+    if out is None:
+        sys.stdout.write(dumps_canonical(certificate_to_json(cert)))
+    else:
         emit_certificate(cert, out)
         print(f"wrote {out}: {len(cert.accepted)} verified field(s)")
-    else:
-        sys.stdout.write(dumps_canonical(certificate_to_json(cert)))
     return EXIT_OK
 
 
@@ -205,8 +208,8 @@ def main(argv=None):
         return EXIT_PARSE
     except BudgetExhaustedError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        for t0, status, reason in exc.transcript:
-            print(f"  t0={t0}: {status}" + (f" ({reason})" if reason else ""), file=sys.stderr)
+        for rec in exc.transcript:
+            print(f"  t0={rec.t0}: {rec.status}" + (f" ({rec.reason})" if rec.reason else ""), file=sys.stderr)
         return EXIT_BUDGET
     except CapExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)

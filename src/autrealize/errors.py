@@ -18,7 +18,7 @@ class BudgetExhaustedError(AutRealizeError):
 
     def __init__(self, message, transcript=None):
         super().__init__(message)
-        self.transcript = transcript or []
+        self.transcript = transcript or []  # the search's records, in order
 
 
 class CapExceededError(AutRealizeError):

@@ -297,7 +297,7 @@ class AutomorphismTable:
     Only then is ``table`` read by :func:`table_mod_p` at ``prime``, and
     None otherwise: table[a][b] is the index in maps of sigma_a . sigma_b.
     maps keep the order given; that the table is a group's, with the
-    identity first, is the caller's check (``pipeline.group_table``).
+    identity first, is the caller's check (``perm.group_table``).
     """
 
     def __init__(self, K: NumberField, maps, *, prime):

@@ -4,6 +4,9 @@ abstract groups given by tables.
 Permutations act on {1, ..., n}.  Groups are stored as explicit element
 sets (closure by breadth-first multiplication), which is fine at the
 scales this package targets: degree at most 12, order at most 10**6.
+The facts about G that realization and validation both read live here
+too: the degree cap of the S_n route (``check_sn_cap``) and G's table
+over its sorted elements (``group_table``).
 """
 
 from __future__ import annotations
@@ -13,6 +16,7 @@ from .errors import CapExceededError, SpecParseError, VerificationError
 MAX_DEGREE = 12
 MAX_ORDER = 10**6
 ISO_BACKTRACK_CAP = 10**4
+SN_CAP = 3
 
 
 class Permutation:
@@ -218,6 +222,27 @@ class PermGroup:
 
     def __repr__(self):
         return f"PermGroup(order={self.order}, degree={self.degree})"
+
+
+def check_sn_cap(n: int):
+    """Refuse a degree below 1 or above SN_CAP before any work is done
+    for it."""
+    if n < 1:
+        raise SpecParseError(f"n must be >= 1, got {n}")
+    if n > SN_CAP:
+        raise CapExceededError(
+            f"n = {n} is not supported yet: the S_n route stops at n = {SN_CAP}"
+        )
+
+
+def group_table(G: PermGroup):
+    """G's own table over sorted(G.elements): entry [a][b] is the index of
+    the a-th element times the b-th.  An automorphism table equal to it
+    is a copy of G in which the i-th automorphism extends the i-th
+    element, so the position of each image labels it."""
+    elems = sorted(G.elements)
+    index = {g: i for i, g in enumerate(elems)}
+    return [[index[a * b] for b in elems] for a in elems]
 
 
 def named_group(name):

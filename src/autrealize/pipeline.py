@@ -43,7 +43,7 @@ record L's field carries, not one of degree [E:Q]; the primes tried and
 the prime found are the same.  Nor is the isomorphism
 searched for: the automorphisms are listed in the order of
 sorted(G.elements), the i-th extending the i-th sigma, and a table equal
-to G's own (:func:`group_table`) makes that labelling one.  Root checks
+to G's own (``perm.group_table``) makes that labelling one.  Root checks
 and the images sigma(theta0) take few products in E: the first by
 Paterson-Stockmeyer, the second as combinations of the powers of
 theta0 that its embedding built for its own check.
@@ -54,12 +54,7 @@ from __future__ import annotations
 from itertools import islice
 from math import factorial
 
-from .errors import (
-    BudgetExhaustedError,
-    CapExceededError,
-    SpecParseError,
-    VerificationError,
-)
+from .errors import BudgetExhaustedError, SpecParseError, VerificationError
 from .exact import QQ, UniPoly, _rational
 from .factor import (
     COMPLETENESS_PRIMES,
@@ -80,20 +75,7 @@ from .numfield import (
     shifted_norms,
     splitting_field,
 )
-from .perm import PermGroup
-
-SN_CAP = 3
-
-
-def check_sn_cap(n: int):
-    """Refuse a degree below 1 or above SN_CAP before any work is done
-    for it."""
-    if n < 1:
-        raise SpecParseError(f"n must be >= 1, got {n}")
-    if n > SN_CAP:
-        raise CapExceededError(
-            f"n = {n} is not supported yet: the S_n route stops at n = {SN_CAP}"
-        )
+from .perm import PermGroup, check_sn_cap, group_table
 
 
 def realize_sn(n: int) -> SplittingField:
@@ -201,12 +183,14 @@ def build_E_minpoly(L: SplittingField, y: NfElement) -> tuple:
 
 
 class SpecializationRecord:
+    """One t0 of the search: accepted with its field E (whose modulus is
+    q(t0, X)), theta0 and automorphism table, or rejected with a reason."""
+
     def __init__(
         self,
         t0: NfElement,
         status: str,  # "accepted" or "rejected"
         reason: str | None = None,
-        q0: UniPoly | None = None,
         field: NumberField | None = None,
         theta0: NfElement | None = None,
         aut: AutomorphismTable | None = None,
@@ -214,7 +198,6 @@ class SpecializationRecord:
         self.t0 = t0
         self.status = status
         self.reason = reason
-        self.q0 = q0
         self.field = field
         self.theta0 = theta0
         self.aut = aut
@@ -228,16 +211,6 @@ def build_state(G: PermGroup) -> PipelineState:
     certify_s3()
     c, t, E = build_E_minpoly(L, y)
     return PipelineState(G=G, L=L, y=y, c=c, accepted=(t, E))
-
-
-def group_table(G: PermGroup):
-    """G's own table over sorted(G.elements): entry [a][b] is the index of
-    the a-th element times the b-th.  An automorphism table equal to it
-    is a copy of G in which the i-th automorphism extends the i-th
-    element, so the position of each image labels it."""
-    elems = sorted(G.elements)
-    index = {g: i for i, g in enumerate(elems)}
-    return [[index[a * b] for b in elems] for a in elems]
 
 
 def specialize_and_verify(state: PipelineState, t0) -> SpecializationRecord:
@@ -270,7 +243,7 @@ def specialize_and_verify(state: PipelineState, t0) -> SpecializationRecord:
     aut = AutomorphismTable(E, images, prime=p)
     if aut.table != group_table(state.G):  # None unless every check passed
         raise VerificationError(f"the images of G do not form a copy of G: {aut.checks}")
-    return SpecializationRecord(t0, "accepted", None, q0, E, theta0, aut)
+    return SpecializationRecord(t0, "accepted", None, E, theta0, aut)
 
 
 # -- field distinctness -----------------------------------------------------
@@ -282,8 +255,8 @@ DISTINCTNESS_PRIMES = 100
 
 
 def fields_distinct_exact(a: SpecializationRecord, b: SpecializationRecord):
-    """A prime p >= 5 at which the Frobenius patterns of a.q0 and b.q0
-    exist and differ, proving the two fields non-isomorphic; None once
+    """A prime p >= 5 at which the Frobenius patterns of the two fields'
+    moduli exist and differ, proving the two fields non-isomorphic; None once
     DISTINCTNESS_PRIMES primes usable for both have failed.  The records
     the two carry keep each pattern for the field's other pairs."""
     A, B = a.field.reductions, b.field.reductions
@@ -300,7 +273,7 @@ class RealizationCertificate:
         group_name: str | None,
         state: PipelineState,
         accepted: tuple,  # of SpecializationRecord
-        transcript: tuple,  # of (t0, status, reason)
+        transcript: tuple,  # of SpecializationRecord, in search order
         distinctness: tuple,  # of (i, j, separating prime)
         audit: tuple,  # of (event, value)
     ):
@@ -359,7 +332,7 @@ def run(
                 else:
                     j = len(accepted)
                     distinctness += [(i, j, p) for i, p in enumerate(primes)]
-            transcript.append((rec.t0, rec.status, rec.reason))
+            transcript.append(rec)
             if rec.status == "accepted":
                 accepted.append(rec)
                 if len(accepted) == count:

@@ -87,7 +87,7 @@ def assert_separated(cert):
     """Each distinctness prime is the first one at which the per-prime
     gcd definition gives both fields a pattern, and different ones."""
     for i, j, p in cert.distinctness:
-        a, b = cert.accepted[i].q0, cert.accepted[j].q0
+        a, b = cert.accepted[i].field.modulus, cert.accepted[j].field.modulus
         patterns = ((r, pattern_by_gcd(a, r), pattern_by_gcd(b, r)) for r in usable_primes(a))
         assert p == next(r for r, pa, pb in patterns if pb is not None and pa != pb)
 
@@ -99,9 +99,9 @@ def assert_complete(cert):
     k = cert.state.G.order
     for rec in cert.accepted:
         p = rec.aut.prime
-        assert pattern_by_gcd(rec.q0, p).count(1) == k
+        assert pattern_by_gcd(rec.field.modulus, p).count(1) == k
         for r in filter(_is_prime, range(5, p)):
-            pattern = pattern_by_gcd(rec.q0, r)
+            pattern = pattern_by_gcd(rec.field.modulus, r)
             assert pattern is None or pattern.count(1) != k
         assert [list(row) for row in rec.aut.table] == composition_table(
             rec.aut.maps
@@ -124,11 +124,12 @@ class TestTrivialGroupRealization:
         assert elapsed < 10
         assert len(cert.accepted) == 3
         # t0 = 0 is in the bad set {0, -27/4}; the first good integers follow
-        assert cert.transcript[0] == (F(0), "rejected", "bad set: multiple root")
+        first = cert.transcript[0]
+        assert (first.t0, first.status, first.reason) == (F(0), "rejected", "bad set: multiple root")
         assert [rec.t0 for rec in cert.accepted] == [F(1), F(-1), F(2)]
         for rec in cert.accepted:
             t0 = rec.t0
-            assert rec.q0 == X**3 + X * t0 + UniPoly.constant(t0)
+            assert rec.field.modulus == X**3 + X * t0 + UniPoly.constant(t0)
             assert len(rec.aut.maps) == 1
         assert [(i, j) for i, j, _ in cert.distinctness] == [(0, 1), (0, 2), (1, 2)]
         assert_separated(cert)
@@ -142,7 +143,7 @@ class TestC2Realization:
         assert len(cert.accepted) == 2
         c2 = to_abstract(PermGroup.cyclic(2))
         for rec in cert.accepted:
-            assert rec.q0.degree == 6
+            assert rec.field.degree == 6
             assert len(rec.aut.maps) == 2
             assert AbstractGroup(rec.aut.table) == c2  # listed in G's order
         assert [(i, j) for i, j, _ in cert.distinctness] == [(0, 1)]
@@ -162,7 +163,7 @@ class TestC3Realization:
         assert is_rational_square(d / F(-23))
         assert len(cert.accepted) == 1
         rec = cert.accepted[0]
-        assert rec.q0.degree == 18
+        assert rec.field.degree == 18
         assert len(rec.aut.maps) == 3
         assert AbstractGroup(rec.aut.table) == to_abstract(PermGroup.cyclic(3))
         assert rec.aut.prime == 173
@@ -175,7 +176,7 @@ class TestS3Realization:
         assert elapsed < 60
         assert len(cert.accepted) == 1
         rec = cert.accepted[0]
-        assert rec.q0.degree == 18
+        assert rec.field.degree == 18
         assert len(rec.aut.maps) == 6
         assert AbstractGroup(rec.aut.table) == to_abstract(PermGroup.symmetric(3))
         assert rec.aut.prime == 167
@@ -394,7 +395,8 @@ class TestValidatorTrust:
     def test_shallow_validate_enters_no_search_code(self, s3_count_3):
         """What README's "What the validator trusts" lists: shallow
         validation of an S3 certificate with three fields calls no part of
-        the producer's search."""
+        the producer's search, and enters no frame of ``pipeline`` or
+        ``family``."""
         path, _ = s3_count_3
         package = Path(autrealize.__file__).parent
         entered = set()
@@ -414,12 +416,12 @@ class TestValidatorTrust:
         assert report.ok
         assert {
             ("numfield", "table_mod_p"),
-            ("pipeline", "group_table"),
+            ("perm", "group_table"),
             ("factor", "completeness_failure"),
             ("factor", "separates"),
         } <= entered
         assert entered & SEARCH_CODE == set()
-        assert [name for module, name in entered if module == "family"] == []
+        assert [name for module, name in entered if module in ("pipeline", "family")] == []
 
 
 class TestFixedFieldCrossCheck:

@@ -16,7 +16,7 @@ from autrealize.cli import (
     main,
     parse_group_spec,
 )
-from autrealize import certs, factor, pipeline
+from autrealize import factor, pipeline
 from autrealize.errors import SpecParseError
 from autrealize.exact import parse_rational, render_rational
 from autrealize.numfield import NumberField
@@ -209,6 +209,18 @@ class TestRealizeCommand:
         code = main(["realize", "--named", "C2", "--count", "1", "--t-max", "-3"])
         assert code == EXIT_PARSE
         assert "t-max must be >= 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("out", [["--out="], ["--out", ""]])
+    def test_empty_out_refused_up_front(self, capsys, monkeypatch, out):
+        """An empty --out is no path: it is refused before any search,
+        not read as standard output."""
+        def refuse(*_):
+            raise AssertionError("pipeline state built for an empty --out")
+
+        monkeypatch.setattr(pipeline, "build_state", refuse)
+        assert main(["realize", "--named", "C1", "--count", "1", *out]) == EXIT_PARSE
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", "error: --out needs a value\n")
 
     def test_budget(self, capsys):
         code = main(["realize", "--n", "1", "--gens", "()", "--count", "50",
@@ -720,7 +732,7 @@ class TestValidateCommand:
         bad = tmp_path / "not_written.json"
         bad.write_text(json.dumps(data))
         rebuilt = []
-        monkeypatch.setattr(certs, "run", lambda *a, **k: rebuilt.append(a))
+        monkeypatch.setattr(pipeline, "run", lambda *a, **k: rebuilt.append(a))
         for deep in ([], ["--deep"]):
             assert main(["validate", str(bad), *deep]) == EXIT_PARSE
             out = capsys.readouterr().out
@@ -970,8 +982,17 @@ class TestProcessEntry:
              "error: only 1 of 5 fields found within height 0\n  t0=0: accepted\n"),
             (["realize", "--named", "A4"], EXIT_CAP,
              "error: n = 4 is not supported yet: the S_n route stops at n = 3\n"),
+            (["realize", "--named", "C1", "--count", "1", "--t-max", "1", "--out="],
+             EXIT_PARSE, "error: --out needs a value\n"),
+            (["realize", "--named", "C1", "--count", "1", "--t-max", "1", "--out", ""],
+             EXIT_PARSE, "error: --out needs a value\n"),
+            (["realize", "--named", "C1", "--count"], EXIT_PARSE,
+             "error: --count needs a value\n"),
+            (["realize", "--bogus"], EXIT_PARSE,
+             "error: unknown option --bogus for realize\n"),
         ],
-        ids=["parse", "budget", "cap"],
+        ids=["parse", "budget", "cap", "out-equals-empty", "out-empty",
+             "trailing-count", "unknown-option"],
     )
     def test_error_exit(self, capsys, argv, code, err):
         proc = cli_process(argv)

@@ -33,7 +33,7 @@ ALLOWED = {
     "AbstractGroup": (
         "are_isomorphic's input type, and the tables tests compare with G; "
         "the validator and the pipeline compare a table with "
-        "pipeline.group_table(G)"
+        "perm.group_table(G)"
     ),
     "interpolate": (
         "tests/reference.py builds q(T, X) and the family's X-discriminant "

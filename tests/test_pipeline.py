@@ -23,14 +23,13 @@ from autrealize.pipeline import (
     build_state,
     compute_y,
     fields_distinct_exact,
-    group_table,
     realize_sn,
     SpecializationRecord,
     run,
     specialize_and_verify,
     t0_sequence,
 )
-from autrealize.perm import AbstractGroup, PermGroup, parse_cycles
+from autrealize.perm import AbstractGroup, PermGroup, group_table, parse_cycles
 from reference import (
     completeness_prime_by_pattern,
     embed_generator_by_gcd,
@@ -244,7 +243,7 @@ class TestSpecializeAndVerify:
     def test_t0_one_accepted(self, state_trivial):
         rec = specialize_and_verify(state_trivial, 1)
         assert rec.status == "accepted"
-        assert rec.q0.coeffs == (F(1), F(1), F(0), F(1))  # X^3 + X + 1
+        assert rec.field.modulus.coeffs == (F(1), F(1), F(0), F(1))  # X^3 + X + 1
         assert len(rec.aut.maps) == 1
 
     def test_bad_rational_rejected(self, state_trivial):
@@ -255,7 +254,7 @@ class TestSpecializeAndVerify:
         for t0 in t0_sequence(5):
             rec = specialize_and_verify(state_s2, t0)
             if rec.status == "accepted":
-                assert rec.q0.degree == 6
+                assert rec.field.degree == 6
                 assert len(rec.aut.maps) == 2
                 # listed in S2's order: the identity (E's generator), then (1 2)
                 assert rec.aut.maps[0] == rec.field.gen()
@@ -437,7 +436,7 @@ class TestSharedCriteria:
         for rec in cert.accepted:
             red = rec.field.reductions
             first = next(p for p in red.primes() if red.completeness_failure(p, k) is None)
-            assert rec.aut.prime == first == completeness_prime_by_pattern(rec.q0, k)
+            assert rec.aut.prime == first == completeness_prime_by_pattern(rec.field.modulus, k)
 
     @pytest.mark.parametrize("name", ["S3", "C3"])
     def test_distinctness_prime_is_the_first_separating(self, count_3, name):
@@ -481,7 +480,7 @@ class TestRun:
         assert cert.distinctness == ((0, 1, 5),)
         assert fields_distinct_exact(*cert.accepted) == 5
         # the transcript starts at t0 = 0, which is in the bad set
-        assert cert.transcript[0][0] == 0 and cert.transcript[0][1] == "rejected"
+        assert cert.transcript[0].t0 == 0 and cert.transcript[0].status == "rejected"
 
     def test_budget_exhausted(self):
         with pytest.raises(BudgetExhaustedError) as ei:
@@ -524,7 +523,7 @@ class TestRun:
         raises instead of looping."""
         q0s = [X**3 - X - 1, (X**2 + 1) ** 2]
         a, b = (
-            SpecializationRecord(F(t0), "accepted", q0=q0, field=NumberField(q0))
+            SpecializationRecord(F(t0), "accepted", field=NumberField(q0))
             for t0, q0 in enumerate(q0s)
         )
         start = time.perf_counter()
@@ -536,7 +535,8 @@ class TestRun:
         monkeypatch.setattr(pipeline, "DISTINCTNESS_PRIMES", 0)
         with pytest.raises(BudgetExhaustedError) as ei:
             run(PermGroup([], degree=1), count=2, t_max=1)
-        assert ei.value.transcript[2] == (
+        rec = ei.value.transcript[2]
+        assert (rec.t0, rec.status, rec.reason) == (
             F(-1), "rejected", "no prime separates it from the field at t0 = 1"
         )
 

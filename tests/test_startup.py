@@ -15,7 +15,9 @@ imports, which cost about a third of the cold import.  The package
 imports nothing outside the standard library.  A call ends with
 ``os._exit`` once its streams are flushed, skipping finalization, so
 the commands must leave no exit-time work (``atexit`` callbacks) that
-the fast exit would skip.
+the fast exit would skip.  The validator, imported on its own, needs no
+module of the producer's search: ``import autrealize.certs`` and a
+shallow validate leave ``pipeline`` and ``family`` unloaded.
 """
 
 import ast
@@ -103,6 +105,35 @@ def test_commands_register_no_exit_handler(tmp_path):
         check=True,
     ).stdout
     assert out.splitlines()[-1] == "0 0 0"
+
+
+def test_shallow_validate_loads_no_producer_module(tmp_path):
+    # a skeptic checks a certificate by reading the validator's code, so
+    # importing certs and validating shallow load no module of the
+    # producer's search; only --deep, which reruns it, loads them
+    cert = str(tmp_path / "s3x3.json")
+    realize = ["realize", "--named", "S3", "--count", "3", "--out", cert]
+    subprocess.run(
+        [sys.executable, "-S", "-m", "autrealize.cli", *realize],
+        env={"PYTHONPATH": str(SRC)},
+        capture_output=True,
+        check=True,
+    )
+    producer = ("autrealize.pipeline", "autrealize.family")
+    for deep, loaded in ((False, []), (True, list(producer))):
+        probe = (
+            "import sys; from autrealize.certs import validate_certificate; "
+            f"ok = validate_certificate({cert!r}, deep={deep}).ok; "
+            f"print(ok, *[m for m in {producer!r} if m in sys.modules])"
+        )
+        out = subprocess.run(
+            [sys.executable, "-S", "-c", probe],
+            env={"PYTHONPATH": str(SRC)},
+            capture_output=True,
+            text=True,
+            check=True,
+        ).stdout
+        assert out.split() == ["True", *loaded]
 
 
 def test_cli_import_loads_every_package_module():
