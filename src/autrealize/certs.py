@@ -16,8 +16,10 @@ byte-identical files.  The validator calls the producer's own checks,
 not copies: ``factor.is_irreducible_Q`` over the record each field E
 carries (``NumberField.reductions``, which distinctness reads too),
 ``numfield.AutomorphismTable`` (images are roots, the completeness
-prime, and only then the table mod p), ``perm.check_sn_cap`` and
-``perm.group_table``, ``Reductions.separates`` for distinctness, and
+prime, and only then the table mod p), ``perm.check_sn_cap``,
+``perm.parse_generators`` (the reading of ``--gens`` and ``--named``),
+``perm.named_group`` and ``perm.group_table``,
+``Reductions.separates`` for distinctness, and
 ``pipeline.run`` for ``deep``, the one use of a producer module, which
 is imported only there: shallow validation loads neither ``pipeline``
 nor ``family``.
@@ -27,6 +29,7 @@ from __future__ import annotations
 
 import json
 from itertools import combinations
+from math import factorial
 
 from .errors import SpecParseError, VerificationError
 from .exact import (
@@ -37,7 +40,7 @@ from .exact import (
 )
 from .factor import is_irreducible_Q
 from .numfield import AutomorphismTable, NumberField
-from .perm import PermGroup, check_sn_cap, group_table, named_group, parse_cycles, render_cycles
+from .perm import check_sn_cap, group_table, named_group, parse_generators
 
 FORMAT_NAME = "autrealize-certificate"
 FORMAT_VERSION = 6
@@ -146,10 +149,17 @@ def _json_int(value, what):
     return value
 
 
+def _json_list(value, what):
+    """value if it is a JSON array (a string is not one), else raise."""
+    if not isinstance(value, list):
+        raise SpecParseError(f"{what} is not an array: {value!r}")
+    return value
+
+
 def _element(E, coords):
-    """The element of E with these coordinates, which must be exactly
-    [E:Q] canonical rationals (the producer pads with "0")."""
-    if len(coords) != E.degree:
+    """The element of E with these coordinates, which must be an array of
+    exactly [E:Q] canonical rationals (the producer pads with "0")."""
+    if len(_json_list(coords, "coordinate vector")) != E.degree:
         raise SpecParseError(f"{len(coords)} coordinates for [E:Q] = {E.degree}")
     return E.element([parse_rational(s) for s in coords])
 
@@ -172,10 +182,13 @@ def validate_certificate(path, deep=False) -> ValidationReport:
     built), its generators in the canonical cycle notation realize
     writes, group closure, its name null or the canonical name of a
     named group (``perm.named_group``) of that degree with those
-    generators, each t0 canonical, each status "accepted" or
-    "rejected", each rejected entry with a non-empty reason, at least
-    one accepted specialization, each defining polynomial is monic (it
-    defines the field E) and irreducible, the steps of
+    generators (compared as text), each t0 canonical, each status
+    "accepted" or "rejected", each rejected entry with a non-empty
+    reason, at least one accepted specialization, each defining
+    polynomial, image list and coordinate vector a JSON array, each
+    defining polynomial monic (it defines the field E), of degree
+    3 * n! (before any work on E, so that no larger one reaches
+    Zassenhaus) and irreducible, the steps of
     ``AutomorphismTable`` as it reports them
     (automorphism images are roots; ``Reductions.completeness_failure``
     passes p: it is prime and the defining polynomial is squarefree mod p
@@ -224,10 +237,9 @@ def _check_shallow(data, report):
         n = _json_int(group["n"], "group.n")
         check_sn_cap(n)  # 1 <= n <= SN_CAP, before any permutation is built
         texts = group["generators"]
-        gens = [parse_cycles(s, n) for s in texts]
-        if not texts or [render_cycles(g) for g in gens] != texts:
+        G, canonical = parse_generators(texts, n)
+        if not texts or canonical != texts:
             raise SpecParseError(f"generators are not in canonical cycle notation: {texts!r}")
-        G = PermGroup(gens, degree=n)
         report.add(
             "group order",
             G.order == _json_int(group["order"], "group.order"),
@@ -260,14 +272,21 @@ def _check_shallow(data, report):
                     raise SpecParseError(f"reason is not a non-empty string: {reason!r}")
                 report.add(f"{label} rejected entry", True)
                 continue
-            q0 = parse_unipoly(spec["defining_polynomial"])
+            q0 = parse_unipoly(_json_list(spec["defining_polynomial"], "defining_polynomial"))
             E = NumberField(q0)
+            # realize writes q0 of degree 3 * n! alone; checked before any
+            # work on E, whose Zassenhaus recombination is exponential in
+            # the degree, this bounds all of it by n's cap
+            want = 3 * factorial(n)
+            report.add(f"{label} degree", E.degree == want, f"deg q0 = {E.degree}, 3 * n! = {want}")
+            if E.degree != want:
+                continue
             report.add(
                 f"{label} irreducible", is_irreducible_Q(q0, reductions=E.reductions)
             )
             images = [
                 _element(E, coords)
-                for coords in spec["automorphisms"]["generator_images"]
+                for coords in _json_list(spec["automorphisms"]["generator_images"], "generator_images")
             ]
             aut = AutomorphismTable(E, images, prime=spec["completeness_prime"])
             for name, ok, detail in aut.checks:
@@ -313,18 +332,18 @@ def _check_shallow(data, report):
 def _check_group_name(name, n, generators):
     """Raise unless the group's name is one realize writes: null (for
     ``--gens``), or a named group's canonical spelling whose degree is n
-    and whose generators, as ``realize --named`` lists them, are these.
-    The degree is compared before the named group is built."""
+    and whose generator text, as ``realize --named`` reads it, is these
+    generators.  The degree is compared before any text is written."""
     if name is None:
         return
     if not isinstance(name, str):
         raise SpecParseError(f"not a string: {name!r}")
-    canonical, degree, expand = named_group(name)
+    canonical, degree, named_gens = named_group(name)
     if name != canonical:
         raise SpecParseError(f"{name!r} is not canonical; realize writes {canonical!r}")
     if degree != n:
         raise SpecParseError(f"{name} has degree {degree}, group.n is {n}")
-    named = expand()[1]
+    named = list(named_gens)
     if named != generators:
         raise SpecParseError(f"generators are not {name}'s: {named!r}")
 

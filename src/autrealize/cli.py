@@ -34,7 +34,7 @@ import sys
 
 from .certs import dumps_canonical, certificate_to_json, emit_certificate, validate_certificate
 from .errors import BudgetExhaustedError, CapExceededError, SpecParseError
-from .perm import PermGroup, check_sn_cap, named_group, parse_cycles, render_cycles
+from .perm import check_sn_cap, named_group, parse_generators
 from .pipeline import run as pipeline_run
 
 EXIT_OK = 0
@@ -50,14 +50,10 @@ def parse_group_spec(n, gens_text):
     generator ``()``."""
     if n is None:
         raise SpecParseError("--n is required when --gens is used")
-    gens = []
-    for part in gens_text.split(";"):
-        if not part.strip():
-            raise SpecParseError(
-                f"empty generator in {gens_text!r}; the identity is ()"
-            )
-        gens.append(parse_cycles(part, n))
-    return PermGroup(gens, degree=n), [render_cycles(g) for g in gens]
+    parts = gens_text.split(";")
+    if not all(part.strip() for part in parts):
+        raise SpecParseError(f"empty generator in {gens_text!r}; the identity is ()")
+    return parse_generators(parts, n)
 
 
 USAGE = """\
@@ -147,10 +143,11 @@ def parse_args(argv):
 
 
 def _cmd_realize(n, named, gens, count, t_max, out):
-    # the degree is checked against the cap before the group is built:
-    # closing a large group costs seconds and would be refused anyway
+    # a named group is its generator text, read as --n and --gens are;
+    # the degree is checked against the cap before any text is written
+    # or group built, for either costs time in the degree
     if named is not None:
-        named, degree, expand = named_group(named)
+        named, degree, named_gens = named_group(named)
         if gens is not None:
             raise SpecParseError(f"--gens conflicts with --named {named}")
         if n is not None and n != degree:
@@ -158,15 +155,14 @@ def _cmd_realize(n, named, gens, count, t_max, out):
                 f"--n {n} conflicts with --named {named} (n = {degree})"
             )
         check_sn_cap(degree)
-        G, gen_strings = expand()
-    else:
-        if n is not None:
-            check_sn_cap(n)
-        if gens is None:
-            raise SpecParseError(
-                "no group given: use --named NAME, or --n N with --gens GENS"
-            )
-        G, gen_strings = parse_group_spec(n, gens)
+        n, gens = degree, ";".join(named_gens)
+    elif n is not None:
+        check_sn_cap(n)
+    if gens is None:
+        raise SpecParseError(
+            "no group given: use --named NAME, or --n N with --gens GENS"
+        )
+    G, gen_strings = parse_group_spec(n, gens)
     cert = pipeline_run(
         G,
         count=count,
@@ -178,7 +174,7 @@ def _cmd_realize(n, named, gens, count, t_max, out):
         sys.stdout.write(dumps_canonical(certificate_to_json(cert)))
     else:
         emit_certificate(cert, out)
-        print(f"wrote {out}: {len(cert.accepted)} verified field(s)")
+        print(f"wrote {out}: {count} verified field(s)")
     return EXIT_OK
 
 

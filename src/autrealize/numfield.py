@@ -301,7 +301,6 @@ class AutomorphismTable:
     """
 
     def __init__(self, K: NumberField, maps, *, prime):
-        self.field = K
         self.prime = prime
         self.maps = tuple(maps)
         gen = K.gen()

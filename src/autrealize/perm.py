@@ -1,5 +1,5 @@
-"""Finite permutation groups, the named groups S_k, C_k, A_k and V4, and
-abstract groups given by tables.
+"""Finite permutation groups, the generator text of the named groups S_k,
+C_k, A_k and V4, and abstract groups given by tables.
 
 Permutations act on {1, ..., n}.  Groups are stored as explicit element
 sets (closure by breadth-first multiplication), which is fine at the
@@ -182,30 +182,6 @@ class PermGroup:
             frontier = nxt
         return frozenset(elements)
 
-    @classmethod
-    def symmetric(cls, n):
-        if n <= 1:
-            return cls([], degree=max(n, 1))
-        gens = [Permutation.from_cycles([(1, 2)], n)]
-        if n >= 3:
-            gens.append(Permutation.from_cycles([tuple(range(1, n + 1))], n))
-        return cls(gens, degree=n)
-
-    @classmethod
-    def alternating(cls, n):
-        if n <= 2:
-            return cls([], degree=max(n, 1))
-        gens = [
-            Permutation.from_cycles([(i, i + 1, i + 2)], n) for i in range(1, n - 1)
-        ]
-        return cls(gens, degree=n)
-
-    @classmethod
-    def cyclic(cls, n):
-        if n <= 1:
-            return cls([], degree=max(n, 1))
-        return cls([Permutation.from_cycles([tuple(range(1, n + 1))], n)], degree=n)
-
     @property
     def order(self):
         return len(self.elements)
@@ -245,41 +221,53 @@ def group_table(G: PermGroup):
     return [[index[a * b] for b in elems] for a in elems]
 
 
+def parse_generators(texts, n):
+    """(the group on {1..n} that the cycle-notation texts generate, the
+    texts in canonical cycle notation): how ``realize`` reads ``--gens``
+    and ``--named`` alike, and how the validator reads a certificate's
+    group."""
+    gens = [parse_cycles(s, n) for s in texts]
+    return PermGroup(gens, degree=n), [render_cycles(g) for g in gens]
+
+
 def named_group(name):
-    """(canonical name, degree, expand) of S_k, C_k, A_k or V4, read from
-    the name alone.  The canonical name is the upper-case letter and k in
-    decimal (" s03" is S3), so that every spelling gives one certificate.
-    ``expand()`` builds (the group, its generators in canonical cycle
-    notation, ``["()"]`` for a trivial group); a caller checks the degree
-    before it calls ``expand``, for closing a large group costs seconds."""
+    """(canonical name, degree, generators) of S_k, C_k, A_k or V4, read
+    from the name alone.  The canonical name is the upper-case letter and
+    k in decimal (" s03" is S3), so that every spelling gives one
+    certificate.  The generators are canonical cycle text (``"()"`` for a
+    trivial group), yielded lazily: none is written until a caller reads
+    them, after it has checked the degree, for S_k's k-cycle is k numbers
+    long."""
     name = name.strip()
+    letter = name[:1].upper()
     if name.upper() == "V4":
-        canonical, k = "V4", 4
-
-        def build(n):
-            return PermGroup([parse_cycles(s, n) for s in ("(1 2)(3 4)", "(1 3)(2 4)")], degree=n)
-
+        k = 4
+    elif letter not in ("S", "C", "A"):
+        raise SpecParseError(f"unknown named group {name!r}")
     else:
-        build = {
-            "S": PermGroup.symmetric,
-            "C": PermGroup.cyclic,
-            "A": PermGroup.alternating,
-        }.get(name[:1].upper())
-        if build is None:
-            raise SpecParseError(f"unknown named group {name!r}")
         try:
             k = int(name[1:])
         except ValueError:
             raise SpecParseError(f"unknown named group {name!r}") from None
         if k < 1:
             raise SpecParseError(f"named group index must be >= 1: {name!r}")
-        canonical = f"{name[0].upper()}{k}"
+    return f"{letter}{k}", k, _named_generators(letter, k)
 
-    def expand():
-        G = build(k)
-        return G, [render_cycles(g) for g in G.generators] or ["()"]
 
-    return canonical, k, expand
+def _named_generators(letter, k):
+    """V4's two double transpositions, A_k's 3-cycles (i i+1 i+2), the
+    transposition (1 2) (S_k, k > 2) and the k-cycle (S_k and C_k, k > 1),
+    or the identity."""
+    if letter == "V":
+        yield from ("(1 2)(3 4)", "(1 3)(2 4)")
+    elif letter == "A" and k > 2:
+        yield from (f"({i} {i + 1} {i + 2})" for i in range(1, k - 1))
+    elif letter in ("S", "C") and k > 1:
+        if letter == "S" and k > 2:
+            yield "(1 2)"
+        yield "(" + " ".join(str(a) for a in range(1, k + 1)) + ")"
+    else:
+        yield "()"
 
 
 class AbstractGroup:

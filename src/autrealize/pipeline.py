@@ -184,7 +184,7 @@ def build_E_minpoly(L: SplittingField, y: NfElement) -> tuple:
 
 class SpecializationRecord:
     """One t0 of the search: accepted with its field E (whose modulus is
-    q(t0, X)), theta0 and automorphism table, or rejected with a reason."""
+    q(t0, X)) and automorphism table, or rejected with a reason."""
 
     def __init__(
         self,
@@ -192,14 +192,12 @@ class SpecializationRecord:
         status: str,  # "accepted" or "rejected"
         reason: str | None = None,
         field: NumberField | None = None,
-        theta0: NfElement | None = None,
         aut: AutomorphismTable | None = None,
     ):
         self.t0 = t0
         self.status = status
         self.reason = reason
         self.field = field
-        self.theta0 = theta0
         self.aut = aut
 
 
@@ -243,7 +241,7 @@ def specialize_and_verify(state: PipelineState, t0) -> SpecializationRecord:
     aut = AutomorphismTable(E, images, prime=p)
     if aut.table != group_table(state.G):  # None unless every check passed
         raise VerificationError(f"the images of G do not form a copy of G: {aut.checks}")
-    return SpecializationRecord(t0, "accepted", None, E, theta0, aut)
+    return SpecializationRecord(t0, "accepted", None, E, aut)
 
 
 # -- field distinctness -----------------------------------------------------
@@ -272,7 +270,6 @@ class RealizationCertificate:
         group_generators: tuple,  # cycle-notation strings
         group_name: str | None,
         state: PipelineState,
-        accepted: tuple,  # of SpecializationRecord
         transcript: tuple,  # of SpecializationRecord, in search order
         distinctness: tuple,  # of (i, j, separating prime)
         audit: tuple,  # of (event, value)
@@ -280,7 +277,6 @@ class RealizationCertificate:
         self.group_generators = group_generators
         self.group_name = group_name
         self.state = state
-        self.accepted = accepted
         self.transcript = transcript
         self.distinctness = distinctness
         self.audit = audit
@@ -347,7 +343,6 @@ def run(
         group_generators=tuple(group_generators),
         group_name=group_name,
         state=state,
-        accepted=tuple(accepted),
         transcript=tuple(transcript),
         distinctness=tuple(sorted(distinctness)),
         audit=tuple(audit),

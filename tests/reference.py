@@ -22,7 +22,9 @@ field by a gcd over that field, the inverse of a permutation,
 normalizers, normality and quotient groups by direct scan, a
 permutation group's composition table, the product of a factorization,
 and a squarefree product of distinct random parts, the input factoring
-takes.
+takes.  Beside them are the test helpers several modules share: a named
+group built from its generator text, a run's accepted records, and the
+image theta0 of L's generator in an accepted field.
 """
 
 import random
@@ -52,11 +54,18 @@ from autrealize.factor import Reductions, _ggcd, _gmonic, _is_prime, completenes
 from autrealize.family import bad_set, cubic
 from autrealize.numfield import (
     AutomorphismTable,
+    embed_generator,
     roots_in_field,
     shift_sequence,
     shifted_norms,
 )
-from autrealize.perm import AbstractGroup, PermGroup, Permutation
+from autrealize.perm import (
+    AbstractGroup,
+    PermGroup,
+    Permutation,
+    named_group,
+    parse_generators,
+)
 
 
 def derivative(f: UniPoly) -> UniPoly:
@@ -568,3 +577,21 @@ def distinct_parts(draw, count):
             parts.append(g)
             prod = candidate
     return parts, prod
+
+
+def named_perm_group(name) -> PermGroup:
+    """The group ``perm.named_group`` names, built from its generator
+    text as ``realize --named`` builds it."""
+    _, n, gens = named_group(name)
+    return parse_generators(gens, n)[0]
+
+
+def accepted_records(cert):
+    """The accepted records of a run, in search order."""
+    return [rec for rec in cert.transcript if rec.status == "accepted"]
+
+
+def theta0_image(state, rec):
+    """The image in an accepted record's field E of L's generator, as
+    ``specialize_and_verify`` embeds it."""
+    return embed_generator(state.L.field, state.cubic_at(rec.t0), rec.field, state.c).base

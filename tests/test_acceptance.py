@@ -44,9 +44,10 @@ from autrealize.numfield import (
     fixed_field,
     splitting_field,
 )
-from autrealize.perm import AbstractGroup, PermGroup, named_group, parse_cycles
+from autrealize.perm import AbstractGroup, PermGroup, named_group, parse_cycles, parse_generators
 from autrealize.pipeline import run as pipeline_run
 from reference import (
+    accepted_records,
     aut_group_via_quotient,
     automorphisms,
     composition_table,
@@ -54,7 +55,9 @@ from reference import (
     expand,
     interpolated_q,
     minpoly,
+    named_perm_group,
     pattern_by_gcd,
+    theta0_image,
     to_abstract,
     usable_primes,
     v4_pipeline,
@@ -65,18 +68,19 @@ X = UniPoly.gen()
 _runs = {}
 
 
+def run_named(key, **kw):
+    """pipeline.run on a named group, read from its generator text as
+    ``realize --named`` reads it."""
+    _, n, gens = named_group(key)
+    G, gen_strings = parse_generators(gens, n)
+    return pipeline_run(G, group_generators=gen_strings, group_name=key, **kw)
+
+
 def timed_run(key, *, count, t_max=200):
     """First pipeline run for a named group, cached with its timing."""
     if key not in _runs:
-        G, gen_strings = named_group(key)[2]()
         start = time.monotonic()
-        cert = pipeline_run(
-            G,
-            count=count,
-            t_max=t_max,
-            group_generators=gen_strings,
-            group_name=key,
-        )
+        cert = run_named(key, count=count, t_max=t_max)
         elapsed = time.monotonic() - start
         text = dumps_canonical(certificate_to_json(cert))
         _runs[key] = (cert, elapsed, text, dict(count=count, t_max=t_max))
@@ -86,8 +90,9 @@ def timed_run(key, *, count, t_max=200):
 def assert_separated(cert):
     """Each distinctness prime is the first one at which the per-prime
     gcd definition gives both fields a pattern, and different ones."""
+    accepted = accepted_records(cert)
     for i, j, p in cert.distinctness:
-        a, b = cert.accepted[i].field.modulus, cert.accepted[j].field.modulus
+        a, b = accepted[i].field.modulus, accepted[j].field.modulus
         patterns = ((r, pattern_by_gcd(a, r), pattern_by_gcd(b, r)) for r in usable_primes(a))
         assert p == next(r for r, pa, pb in patterns if pb is not None and pa != pb)
 
@@ -97,7 +102,7 @@ def assert_complete(cert):
     Frobenius pattern of q0 exists with exactly |G| ones, and the table
     read modulo it is the one exact composition in E gives."""
     k = cert.state.G.order
-    for rec in cert.accepted:
+    for rec in accepted_records(cert):
         p = rec.aut.prime
         assert pattern_by_gcd(rec.field.modulus, p).count(1) == k
         for r in filter(_is_prime, range(5, p)):
@@ -122,12 +127,13 @@ class TestTrivialGroupRealization:
     def test_three_cubic_fields(self):
         cert, elapsed, _, _ = timed_run("C1", count=3, t_max=10)
         assert elapsed < 10
-        assert len(cert.accepted) == 3
+        accepted = accepted_records(cert)
+        assert len(accepted) == 3
         # t0 = 0 is in the bad set {0, -27/4}; the first good integers follow
         first = cert.transcript[0]
         assert (first.t0, first.status, first.reason) == (F(0), "rejected", "bad set: multiple root")
-        assert [rec.t0 for rec in cert.accepted] == [F(1), F(-1), F(2)]
-        for rec in cert.accepted:
+        assert [rec.t0 for rec in accepted] == [F(1), F(-1), F(2)]
+        for rec in accepted:
             t0 = rec.t0
             assert rec.field.modulus == X**3 + X * t0 + UniPoly.constant(t0)
             assert len(rec.aut.maps) == 1
@@ -140,15 +146,16 @@ class TestC2Realization:
     def test_two_degree_6_fields(self):
         cert, elapsed, _, _ = timed_run("C2", count=2)
         assert elapsed < 120
-        assert len(cert.accepted) == 2
-        c2 = to_abstract(PermGroup.cyclic(2))
-        for rec in cert.accepted:
+        accepted = accepted_records(cert)
+        assert len(accepted) == 2
+        c2 = to_abstract(named_perm_group("C2"))
+        for rec in accepted:
             assert rec.field.degree == 6
             assert len(rec.aut.maps) == 2
             assert AbstractGroup(rec.aut.table) == c2  # listed in G's order
         assert [(i, j) for i, j, _ in cert.distinctness] == [(0, 1)]
         assert_separated(cert)
-        assert [rec.aut.prime for rec in cert.accepted] == [11, 11]
+        assert [rec.aut.prime for rec in accepted] == [11, 11]
         assert_complete(cert)
 
 
@@ -161,11 +168,10 @@ class TestC3Realization:
         assert y_minpoly.degree == 2
         d = discriminant(y_minpoly)
         assert is_rational_square(d / F(-23))
-        assert len(cert.accepted) == 1
-        rec = cert.accepted[0]
+        (rec,) = accepted_records(cert)
         assert rec.field.degree == 18
         assert len(rec.aut.maps) == 3
-        assert AbstractGroup(rec.aut.table) == to_abstract(PermGroup.cyclic(3))
+        assert AbstractGroup(rec.aut.table) == to_abstract(named_perm_group("C3"))
         assert rec.aut.prime == 173
         assert_complete(cert)
 
@@ -174,11 +180,10 @@ class TestS3Realization:
     def test_degree_18_field_with_s3(self):
         cert, elapsed, _, _ = timed_run("S3", count=1)
         assert elapsed < 60
-        assert len(cert.accepted) == 1
-        rec = cert.accepted[0]
+        (rec,) = accepted_records(cert)
         assert rec.field.degree == 18
         assert len(rec.aut.maps) == 6
-        assert AbstractGroup(rec.aut.table) == to_abstract(PermGroup.symmetric(3))
+        assert AbstractGroup(rec.aut.table) == to_abstract(named_perm_group("S3"))
         assert rec.aut.prime == 167
         assert_complete(cert)
 
@@ -251,7 +256,7 @@ class TestValidatorWitness:
     def test_swapped_order_rejected(self, tmp_path, capsys, recompute_table, check):
         """A transposition's image swapped with a 3-cycle's fails the
         shallow checks, so --deep fails without a rebuild."""
-        elems = sorted(named_group("S3")[2]()[0].elements)
+        elems = sorted(named_perm_group("S3").elements)
         a, b = elems[TRANSPOSITION], elems[THREE_CYCLE]
         assert (a * a).is_identity and not (b * b).is_identity
         data, spec = self.s3_spec()
@@ -427,11 +432,11 @@ class TestValidatorTrust:
 class TestFixedFieldCrossCheck:
     def test_aut_orders_match_normalizer_quotients(self):
         L = splitting_field(UniPoly([F(-1), F(-1), F(0), F(1)]))
-        s3 = PermGroup.symmetric(3)
+        s3 = named_perm_group("S3")
         cases = [
             (PermGroup([], degree=3), 6),
             (PermGroup([parse_cycles("(1 2)", 3)], degree=3), 1),
-            (PermGroup.alternating(3), 2),
+            (named_perm_group("A3"), 2),
             (s3, 1),
         ]
         for H, expected in cases:
@@ -621,10 +626,7 @@ class TestPinnedCertificates:
 
     @pytest.mark.parametrize("key", sorted(PINNED_COUNT_3))
     def test_sha256_count_3(self, key):
-        G, gen_strings = named_group(key)[2]()
-        cert = pipeline_run(
-            G, count=3, group_generators=gen_strings, group_name=key
-        )
+        cert = run_named(key, count=3)
         text = dumps_canonical(certificate_to_json(cert))
         assert hashlib.sha256(text.encode()).hexdigest() == PINNED_COUNT_3[key]
         data = json.loads(text)
@@ -648,10 +650,10 @@ class TestPinnedCertificates:
         assert c == cert.state.c
         data["version"] = 3
         data["pipeline"]["q"] = [_render(row) for row in q.rows]
-        theta0 = {render_rational(rec.t0): rec.theta0 for rec in cert.accepted}
+        images = {render_rational(rec.t0): theta0_image(cert.state, rec) for rec in accepted_records(cert)}
         for spec in data["specializations"]:
             if spec["status"] == "accepted":
-                spec["theta_image"] = _render(theta0[spec["t0"]].coords)
+                spec["theta_image"] = _render(images[spec["t0"]].coords)
         assert _sha256(data) == PINNED_V3[key]
 
 
@@ -659,13 +661,6 @@ class TestDeterminism:
     def test_reruns_byte_identical(self):
         for key in ("C1", "C2", "C3", "S3"):
             cert1, _, text1, kw = timed_run(key, count=1)  # cached params win
-            G, gen_strings = named_group(key)[2]()
-            cert2 = pipeline_run(
-                G,
-                count=kw["count"],
-                t_max=kw["t_max"],
-                group_generators=gen_strings,
-                group_name=key,
-            )
+            cert2 = run_named(key, count=kw["count"], t_max=kw["t_max"])
             text2 = dumps_canonical(certificate_to_json(cert2))
             assert text2 == text1, f"certificate for {key} differs between runs"

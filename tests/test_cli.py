@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import random
 import subprocess
@@ -16,20 +17,20 @@ from autrealize.cli import (
     main,
     parse_group_spec,
 )
-from autrealize import factor, pipeline
+from autrealize import certs, factor, perm, pipeline
 from autrealize.errors import SpecParseError
-from autrealize.exact import parse_rational, render_rational
+from autrealize.exact import UniPoly, parse_rational, render_rational
 from autrealize.numfield import NumberField
-from autrealize.perm import PermGroup, named_group, parse_cycles
-from reference import v4_pipeline
+from autrealize.perm import PermGroup, named_group, parse_generators
+from reference import pattern_by_gcd, v4_pipeline
 
 
 def named(name):
-    """(degree, generator strings) of a named group; the strings must
-    generate it."""
-    _, degree, expand = named_group(name)
-    G, gens = expand()
-    assert PermGroup([parse_cycles(g, degree) for g in gens], degree=degree) == G
+    """(degree, generator text) of a named group; the text must be
+    canonical."""
+    _, degree, gens = named_group(name)
+    gens = list(gens)
+    assert parse_generators(gens, degree)[1] == gens
     return degree, gens
 
 
@@ -54,6 +55,21 @@ class TestExpandNamed:
         for bad in ("D4", "S", "Sx", "S0"):
             with pytest.raises(SpecParseError):
                 named_group(bad)
+
+    def test_text_written_when_read(self, monkeypatch):
+        """No generator text is written until a caller reads it, so a
+        degree far past the cap costs nothing to name."""
+        written, generators = [], perm._named_generators
+
+        def record(letter, k):
+            written.append(k)
+            yield from generators(letter, k)
+
+        monkeypatch.setattr(perm, "_named_generators", record)
+        assert named_group("S1000000000")[:2] == ("S1000000000", 10**9)
+        assert written == []
+        assert list(named_group("S3")[2]) == ["(1 2)", "(1 2 3)"]
+        assert written == [3]
 
 
 class TestParseGroupSpec:
@@ -191,15 +207,36 @@ class TestRealizeCommand:
             ["--named", "S9"],
             ["--named", "A9"],
             ["--n", "9", "--gens", "(1 2 3 4 5 6 7 8 9);(1 2)"],
+            ["--named", "S1000000000"],
         ],
     )
     def test_large_degree_refused_before_closure(self, capsys, monkeypatch, argv):
         def refuse(self):
             raise AssertionError("group closed before the degree cap check")
 
+        def refuse_text(letter, k):
+            raise AssertionError("generator text written before the degree cap check")
+            yield
+
         monkeypatch.setattr(PermGroup, "_close", refuse)
+        monkeypatch.setattr(perm, "_named_generators", refuse_text)
         assert main(["realize", *argv]) == EXIT_CAP
-        assert "n = 9 is not supported yet" in capsys.readouterr().err
+        n = "1000000000" if "S1000000000" in argv else "9"
+        assert capsys.readouterr().err == (
+            f"error: n = {n} is not supported yet: the S_n route stops at n = 3\n"
+        )
+
+    def test_named_is_its_generator_text(self, tmp_path, capsys):
+        """--named S3 is --n 3 --gens with S3's text, apart from the name
+        the certificate records."""
+        texts = []
+        for i, argv in enumerate([["--named", "S3"], ["--n", "3", "--gens", "(1 2);(1 2 3)"]]):
+            out = tmp_path / f"{i}.json"
+            assert main(["realize", *argv, "--count", "1", "--out", str(out)]) == EXIT_OK
+            data = json.loads(out.read_text())
+            texts.append((data["group"].pop("name"), data))
+        assert [name for name, _ in texts] == ["S3", None]
+        assert texts[0][1] == texts[1][1]
 
     def test_negative_t_max_refused_up_front(self, capsys, monkeypatch):
         def refuse(*_):
@@ -263,8 +300,46 @@ def s3_cert_path(tmp_path_factory):
     return path
 
 
+def swinnerton_dyer(primes):
+    """The integer coefficients, ascending, of the monic polynomial whose
+    roots are the sums +-sqrt(p1) +- ... +- sqrt(pk): f(X) is X, then
+    f(X + s) f(X - s) = A^2 - p B^2 for each s = sqrt(p), where
+    f(X + s) = A + s B."""
+
+    def mul(a, b):
+        out = [0] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+        return out
+
+    f = [0, 1]
+    for p in primes:
+        A, B = [0] * len(f), [0] * len(f)
+        for i, c in enumerate(f):  # c (X + s)^i, term by term
+            for j in range(i + 1):
+                (A if (i - j) % 2 == 0 else B)[j] += c * math.comb(i, j) * p ** ((i - j) // 2)
+        f = [x - p * y for x, y in zip(mul(A, A), mul(B, B))]
+    return f
+
+
 def forge_generators(*texts):
     return lambda data: data["group"].update(generators=list(texts))
+
+
+def forge_accepted(forge):
+    """Apply forge to the first accepted entry."""
+    return lambda data: forge(next(s for s in data["specializations"] if s["status"] == "accepted"))
+
+
+def as_strings(spec, polynomial=True):
+    """Each coordinate array of the entry joined into one string, as
+    "1101" for ["1", "1", "0", "1"]; the defining polynomial too unless
+    polynomial is false."""
+    autos = spec["automorphisms"]
+    autos["generator_images"] = ["".join(c) for c in autos["generator_images"]]
+    if polynomial:
+        spec["defining_polynomial"] = "".join(spec["defining_polynomial"])
 
 
 def forge_entries(data):
@@ -522,12 +597,12 @@ class TestValidateCommand:
     def test_defining_polynomial_over_degree_cap(
         self, cert_path, tmp_path, capsys, monkeypatch
     ):
-        """A defining polynomial of degree 401 is refused by the
-        factorization cap before any discriminant is taken, for a
-        discriminant costs cubic time in the degree, and before the
-        field E it defines builds anything of more than linear size: its
-        d^2 reduction rows, or the d powers of the denominator 2 that
-        scale its modulus to an integral one."""
+        """A defining polynomial of degree 401 on n = 1 is refused by the
+        degree check (realize writes degree 3 * n! alone) before any
+        discriminant is taken, for a discriminant costs cubic time in
+        the degree, and before the field E it defines builds anything of
+        more than linear size: its d^2 reduction rows, or the d powers of
+        the denominator 2 that scale its modulus to an integral one."""
 
         def refuse(*_):
             raise AssertionError("discriminant taken before the degree cap check")
@@ -547,11 +622,41 @@ class TestValidateCommand:
         coeffs = [str(rng.randint(-3, 3)) for _ in range(401)] + ["1"]
         coeffs[0] = "1/2"
         spec["defining_polynomial"] = coeffs
+        data.update(specializations=[spec], distinctness=[])  # no other field's discriminant
         bad = tmp_path / "over_cap.json"
         bad.write_text(json.dumps(data))
-        assert main(["validate", str(bad)]) == EXIT_CAP
-        err = capsys.readouterr().err
-        assert "degree 401 exceeds the factorization cap 400" in err
+        assert main(["validate", str(bad)]) == EXIT_PARSE
+        out = capsys.readouterr().out
+        assert "[FAIL] specialization t0=1 degree: deg q0 = 401, 3 * n! = 3\n" in out
+
+    def test_degree_checked_before_irreducibility(self, cert_path, tmp_path, capsys, monkeypatch):
+        """The Swinnerton-Dyer polynomial of sqrt 2, 3, 5, 7, 11 and 13 is
+        irreducible of degree 64 with 32 factors mod 19, so Zassenhaus
+        would face about C(32, 16) recombinations; on n = 1 it is refused
+        by its degree before irreducibility is asked of it."""
+        asked = []
+        monkeypatch.setattr(certs, "is_irreducible_Q", lambda q0, **_: asked.append(q0.degree) or True)
+        f = swinnerton_dyer([2, 3, 5, 7, 11, 13])
+        assert len(f) == 65 and pattern_by_gcd(UniPoly(f), 19) == (2,) * 32
+        data = json.loads(cert_path.read_text())
+        spec = next(s for s in data["specializations"] if s["status"] == "accepted")
+        spec["defining_polynomial"] = [str(c) for c in f]
+        bad = tmp_path / "swinnerton_dyer.json"
+        bad.write_text(json.dumps(data))
+        assert main(["validate", str(bad)]) == EXIT_PARSE
+        out = capsys.readouterr().out
+        assert f"[FAIL] specialization t0={spec['t0']} degree: deg q0 = 64, 3 * n! = 3\n" in out
+        assert asked == [3]  # the other field's, at t0 = -1
+
+    def test_shallow_validate_closes_one_group(self, s3_cert_path, capsys, monkeypatch):
+        """The group name is compared as text: a shallow validate of a
+        named certificate builds G and no other group."""
+        built, init = [], PermGroup.__init__
+        monkeypatch.setattr(
+            PermGroup, "__init__", lambda self, *a, **k: built.append(a) or init(self, *a, **k)
+        )
+        assert main(["validate", str(s3_cert_path)]) == EXIT_OK
+        assert len(built) == 1
 
     def test_no_accepted_specialization(self, cert_path, tmp_path, capsys):
         data = json.loads(cert_path.read_text())
@@ -676,6 +781,12 @@ class TestValidateCommand:
             lambda data: data["group"].update(name="A4"),
             "[FAIL] group name: A4 has degree 4, group.n is 2\n",
         ),
+        # S13 is read from its name alone; no text is written for it
+        "name_S13": (
+            "cert_path",
+            lambda data: data["group"].update(name="S13"),
+            "[FAIL] group name: S13 has degree 13, group.n is 1\n",
+        ),
         "name_lower_case": (
             "c2_cert_path",
             lambda data: data["group"].update(name="c2"),
@@ -709,6 +820,23 @@ class TestValidateCommand:
             "c2_cert_path",
             forge_generators("(1 2)", ""),
             NOT_CANONICAL_GENERATORS,
+        ),
+        # JSON strings where realize writes arrays: the C1 field at t0 = 1
+        # as "1101" with the image "010" passed before arrays were required
+        "polynomial_string": (
+            "cert_path",
+            forge_accepted(as_strings),
+            "[FAIL] specialization t0=1 well-formed: defining_polynomial is not an array: '1101'\n",
+        ),
+        "coordinates_string": (
+            "cert_path",
+            forge_accepted(lambda spec: as_strings(spec, polynomial=False)),
+            "[FAIL] specialization t0=1 well-formed: coordinate vector is not an array: '010'\n",
+        ),
+        "images_string": (
+            "cert_path",
+            forge_accepted(lambda spec: spec["automorphisms"].update(generator_images="010")),
+            "[FAIL] specialization t0=1 well-formed: generator_images is not an array: '010'\n",
         ),
         "version_float": (
             "c2_cert_path",

@@ -36,6 +36,7 @@ from reference import (
     euclid_inverse,
     expand,
     minpoly,
+    named_perm_group,
     root_product_by_ddf,
     shifted_norm_by_resultants,
     to_abstract,
@@ -527,12 +528,12 @@ class TestSplittingField:
         p or an abstract group."""
         L, seen = s4_base
         assert L.degree == 24
-        assert L.galois.elements == PermGroup.symmetric(4).elements
+        assert L.galois.elements == named_perm_group("S4").elements
         assert seen == []
 
     def test_s4_base_homomorphism(self, s4_base):
         # a transposition and a 4-cycle generate S4
-        assert_homomorphism(s4_base[0], PermGroup.symmetric(4).generators)
+        assert_homomorphism(s4_base[0], named_perm_group("S4").generators)
 
     def test_quadratic(self):
         L = splitting_field(UniPoly([F(-1), F(-1), F(1)]))
@@ -542,7 +543,7 @@ class TestSplittingField:
         L = cubic_splitting
         assert L.degree == 6
         assert L.galois.order == 6
-        assert L.galois.elements == PermGroup.symmetric(3).elements
+        assert L.galois.elements == named_perm_group("S3").elements
         # action is faithful: distinct automorphisms give distinct perms
         assert len(L.images) == len(set(L.images.values())) == 6
 
@@ -618,7 +619,7 @@ class TestFixedField:
     def test_a3_gives_quadratic_resolvent(self, cubic_splitting):
         from autrealize.exact import discriminant
 
-        p = minpoly(fixed_field(cubic_splitting, PermGroup.alternating(3)))
+        p = minpoly(fixed_field(cubic_splitting, named_perm_group("A3")))
         assert p.degree == 2
         d = discriminant(p)
         # disc lies in -23 * (Q*)^2
@@ -638,7 +639,7 @@ class TestFixedField:
         for H in (
             PermGroup([], degree=3),
             PermGroup([parse_cycles("(1 2)", 3)], degree=3),
-            PermGroup.alternating(3),
+            named_perm_group("A3"),
             L.galois,
         ):
             y = fixed_field(L, H)
@@ -682,11 +683,11 @@ class TestFixedField:
 class TestLemmaCrossCheck:
     def test_field_side_matches_group_side(self, cubic_splitting):
         L = cubic_splitting
-        s3 = PermGroup.symmetric(3)
+        s3 = named_perm_group("S3")
         cases = [
             (PermGroup([], degree=3), 6),
             (PermGroup([parse_cycles("(1 2)", 3)], degree=3), 1),
-            (PermGroup.alternating(3), 2),
+            (named_perm_group("A3"), 2),
             (s3, 1),
         ]
         for H, expected in cases:

@@ -9,7 +9,7 @@ from autrealize.perm import (
     parse_cycles,
     render_cycles,
 )
-from reference import aut_group_via_quotient, normalizer, quotient, to_abstract
+from reference import aut_group_via_quotient, named_perm_group, normalizer, quotient, to_abstract
 
 
 def G(*cycle_strings, n):
@@ -35,33 +35,33 @@ class TestClosure:
             PermGroup([], degree=13)
 
     def test_lagrange(self):
-        s4 = PermGroup.symmetric(4)
-        for sub in (PermGroup.alternating(4), G("(1 2)(3 4)", "(1 3)(2 4)", n=4)):
+        s4 = named_perm_group("S4")
+        for sub in (named_perm_group("A4"), G("(1 2)(3 4)", "(1 3)(2 4)", n=4)):
             assert s4.order % sub.order == 0
 
 
 class TestNormalizer:
     def test_transposition_self_normalizing(self):
-        s3 = PermGroup.symmetric(3)
+        s3 = named_perm_group("S3")
         h = G("(1 2)", n=3)
         assert normalizer(s3, h).order == 2
 
     def test_normal_subgroup(self):
-        s3 = PermGroup.symmetric(3)
-        assert normalizer(s3, PermGroup.alternating(3)) == s3
+        s3 = named_perm_group("S3")
+        assert normalizer(s3, named_perm_group("A3")) == s3
 
     def test_trivial_subgroup(self):
-        s3 = PermGroup.symmetric(3)
+        s3 = named_perm_group("S3")
         assert normalizer(s3, PermGroup([], degree=3)) == s3
 
     def test_not_a_subgroup(self):
         with pytest.raises(ValueError):
-            normalizer(PermGroup.alternating(3), G("(1 2)", n=3))
+            normalizer(named_perm_group("A3"), G("(1 2)", n=3))
 
 
 class TestQuotient:
     def test_s3_mod_a3(self):
-        q, _ = quotient(PermGroup.symmetric(3), PermGroup.alternating(3))
+        q, _ = quotient(named_perm_group("S3"), named_perm_group("A3"))
         assert q.order == 2
 
     def test_self_quotient(self):
@@ -71,29 +71,29 @@ class TestQuotient:
 
     def test_s4_mod_v4_is_s3(self):
         v4 = G("(1 2)(3 4)", "(1 3)(2 4)", n=4)
-        q, reps = quotient(PermGroup.symmetric(4), v4)
+        q, reps = quotient(named_perm_group("S4"), v4)
         assert q.order == 6
-        ok, _ = are_isomorphic(q, to_abstract(PermGroup.symmetric(3)))
+        ok, _ = are_isomorphic(q, to_abstract(named_perm_group("S3")))
         assert ok
 
     def test_not_normal_rejected(self):
         with pytest.raises(VerificationError):
-            quotient(PermGroup.symmetric(3), G("(1 2)", n=3))
+            quotient(named_perm_group("S3"), G("(1 2)", n=3))
 
     def test_index_formula(self):
-        s4 = PermGroup.symmetric(4)
-        a4 = PermGroup.alternating(4)
+        s4 = named_perm_group("S4")
+        a4 = named_perm_group("A4")
         q, _ = quotient(s4, a4)
         assert q.order == s4.order // a4.order
 
 
 class TestAutViaQuotient:
     def test_s3_subgroup_values(self):
-        s3 = PermGroup.symmetric(3)
+        s3 = named_perm_group("S3")
         cases = [
             (PermGroup([], degree=3), 6),
             (G("(1 2)", n=3), 1),
-            (PermGroup.alternating(3), 2),
+            (named_perm_group("A3"), 2),
             (s3, 1),
         ]
         for h, order in cases:
@@ -101,7 +101,7 @@ class TestAutViaQuotient:
             assert q.order == order
 
     def test_trivial_gives_whole_group(self):
-        for grp in (PermGroup.symmetric(3), PermGroup.cyclic(4)):
+        for grp in (named_perm_group("S3"), named_perm_group("C4")):
             q, _ = aut_group_via_quotient(grp, PermGroup([], degree=grp.degree))
             ok, _ = are_isomorphic(q, to_abstract(grp))
             assert ok
@@ -111,28 +111,28 @@ class TestIsomorphism:
     def pool(self):
         return [
             PermGroup([], degree=1),
-            PermGroup.cyclic(2),
-            PermGroup.cyclic(3),
-            PermGroup.cyclic(4),
+            named_perm_group("C2"),
+            named_perm_group("C3"),
+            named_perm_group("C4"),
             G("(1 2)(3 4)", "(1 3)(2 4)", n=4),  # V4
-            PermGroup.cyclic(5),
-            PermGroup.cyclic(6),
-            PermGroup.symmetric(3),
-            PermGroup.symmetric(4),
-            PermGroup.alternating(4),
-            PermGroup.cyclic(8),
+            named_perm_group("C5"),
+            named_perm_group("C6"),
+            named_perm_group("S3"),
+            named_perm_group("S4"),
+            named_perm_group("A4"),
+            named_perm_group("C8"),
         ]
 
     def test_c4_vs_v4(self):
-        c4 = to_abstract(PermGroup.cyclic(4))
+        c4 = to_abstract(named_perm_group("C4"))
         v4 = to_abstract(G("(1 2)(3 4)", "(1 3)(2 4)", n=4))
         ok, wit = are_isomorphic(c4, v4)
         assert not ok and wit is None
 
     def test_s3_vs_s4_mod_v4(self):
         v4 = G("(1 2)(3 4)", "(1 3)(2 4)", n=4)
-        q, _ = quotient(PermGroup.symmetric(4), v4)
-        ok, wit = are_isomorphic(to_abstract(PermGroup.symmetric(3)), q)
+        q, _ = quotient(named_perm_group("S4"), v4)
+        ok, wit = are_isomorphic(to_abstract(named_perm_group("S3")), q)
         assert ok and wit is not None
 
     def test_self_isomorphism(self):
@@ -178,16 +178,16 @@ class TestAbstractGroup:
         a = AbstractGroup([[0, 1], [1, 0]])
         assert a == AbstractGroup(((0, 1), (1, 0)))
         assert hash(a) == hash(AbstractGroup(((0, 1), (1, 0))))
-        assert a != to_abstract(PermGroup.cyclic(3))
+        assert a != to_abstract(named_perm_group("C3"))
 
     def test_element_orders(self):
-        t = to_abstract(PermGroup.cyclic(6))
+        t = to_abstract(named_perm_group("C6"))
         assert t.order_multiset() == [1, 2, 3, 3, 6, 6]
 
 
 class TestCycleNotation:
     def test_round_trip_over_s4(self):
-        for p in PermGroup.symmetric(4):
+        for p in named_perm_group("S4"):
             assert parse_cycles(render_cycles(p), 4) == p
 
     def test_identity(self):

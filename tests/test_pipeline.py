@@ -31,11 +31,14 @@ from autrealize.pipeline import (
 )
 from autrealize.perm import AbstractGroup, PermGroup, group_table, parse_cycles
 from reference import (
+    accepted_records,
     completeness_prime_by_pattern,
     embed_generator_by_gcd,
     interpolated_q,
     minpoly,
+    named_perm_group,
     shifted_norm_by_resultants,
+    theta0_image,
     to_abstract,
 )
 
@@ -47,7 +50,7 @@ def state_trivial():
 
 @pytest.fixture(scope="module")
 def state_s2():
-    return build_state(PermGroup.symmetric(2))
+    return build_state(named_perm_group("S2"))
 
 
 #: generators of the groups the screen and norm tests run on, by name
@@ -97,7 +100,7 @@ class TestRealizeSn:
 class TestComputeY:
     def test_full_group_gives_zero(self):
         L = realize_sn(2)
-        assert not compute_y(L, PermGroup.symmetric(2))
+        assert not compute_y(L, named_perm_group("S2"))
 
     def test_proper_subgroup(self):
         L = realize_sn(2)
@@ -152,7 +155,7 @@ def s3_field_elements(state):
     rec = specialize_and_verify(state, 1)
     E = rec.field
     rand = [E.element(random_rationals(seed, E.degree, 9)) for seed in (17, 18)]
-    return rec, [E.gen(), *rec.aut.maps, rec.theta0, *rand]
+    return rec, [E.gen(), *rec.aut.maps, theta0_image(state, rec), *rand]
 
 
 def random_rationals(seed, count, height):
@@ -178,9 +181,10 @@ class TestEvaluate:
         of theta0's powers that Horner evaluates."""
         state = states["S3"]
         rec, _ = s3_field_elements(state)
-        powers = Powers(rec.theta0, state.L.degree - 1)
+        theta0 = theta0_image(state, rec)
+        powers = Powers(theta0, state.L.degree - 1)
         for e in state.L.images.values():
-            assert powers.image(e) == e.to_poly().eval(rec.theta0)
+            assert powers.image(e) == e.to_poly().eval(theta0)
 
 
 #: (group, t0) pairs at which the screened completeness search is checked
@@ -352,9 +356,9 @@ class TestWitnessIsLabelling:
         n, gens = LABELLED[name]
         G = PermGroup([parse_cycles(g, n) for g in gens.split(";")], degree=n)
         cert = run(G, count=1)
-        rec, L = cert.accepted[0], cert.state.L
+        (rec,), L = accepted_records(cert), cert.state.L
         elems = sorted(G.elements)
-        theta0 = rec.theta0
+        theta0 = theta0_image(cert.state, rec)
         for m, g in zip(rec.aut.maps, elems, strict=True):
             moved = theta0.to_poly().eval(m)
             sigmas = [
@@ -369,7 +373,7 @@ class TestIsWitness:
     it equals group_table(G).  The refused tables are the ones a short,
     non-injective, out-of-range or non-homomorphic labelling gives."""
 
-    S3 = PermGroup.symmetric(3)
+    S3 = named_perm_group("S3")
     TABLE = [list(row) for row in to_abstract(S3).table]  # in sorted(G.elements) order
 
     def test_identity_labelling(self):
@@ -400,7 +404,7 @@ class TestTheta0:
         assert rec.status == "accepted"
         cubic0 = cubic(state.L.field.from_rational(t0) - state.y)
         expected = embed_generator_by_gcd(state.L.field, cubic0, rec.field, state.c)
-        assert rec.theta0 == expected
+        assert theta0_image(state, rec) == expected
 
     def test_powers_built_once(self, states, monkeypatch):
         """The powers of theta0 that the embedding built for its own check
@@ -416,7 +420,8 @@ class TestTheta0:
         monkeypatch.setattr(pipeline, "Powers", watched, raising=False)
         rec = specialize_and_verify(states["S3"], 1)
         assert rec.status == "accepted"
-        assert bases.count(rec.theta0) == 1
+        monkeypatch.undo()  # theta0_image embeds theta again
+        assert bases.count(theta0_image(states["S3"], rec)) == 1
 
 
 @pytest.fixture(scope="module")
@@ -433,7 +438,7 @@ class TestSharedCriteria:
     def test_completeness_prime_is_the_first_passing(self, count_3, name):
         cert = count_3[name]
         k = cert.state.G.order
-        for rec in cert.accepted:
+        for rec in accepted_records(cert):
             red = rec.field.reductions
             first = next(p for p in red.primes() if red.completeness_failure(p, k) is None)
             assert rec.aut.prime == first == completeness_prime_by_pattern(rec.field.modulus, k)
@@ -441,9 +446,10 @@ class TestSharedCriteria:
     @pytest.mark.parametrize("name", ["S3", "C3"])
     def test_distinctness_prime_is_the_first_separating(self, count_3, name):
         cert = count_3[name]
+        accepted = accepted_records(cert)
         assert len(cert.distinctness) == 3
         for i, j, p in cert.distinctness:
-            A, B = (cert.accepted[k].field.reductions for k in (i, j))
+            A, B = (accepted[k].field.reductions for k in (i, j))
             assert p == next(q for q in A.primes(B) if A.separates(B, q))
             for q in (2, 3, 9, 25, 2**64 + 13):
                 assert not A.separates(B, q)
@@ -474,11 +480,11 @@ class TestSharedCriteria:
 class TestRun:
     def test_trivial_two_fields(self):
         cert = run(PermGroup([], degree=1), count=2, t_max=10)
-        assert len(cert.accepted) == 2
-        assert cert.accepted[0].t0 != cert.accepted[1].t0
+        a, b = accepted_records(cert)
+        assert a.t0 != b.t0
         # X^3 + X + 1 is irreducible mod 5, X^3 - X - 1 has a root there
         assert cert.distinctness == ((0, 1, 5),)
-        assert fields_distinct_exact(*cert.accepted) == 5
+        assert fields_distinct_exact(a, b) == 5
         # the transcript starts at t0 = 0, which is in the bad set
         assert cert.transcript[0].t0 == 0 and cert.transcript[0].status == "rejected"
 
@@ -497,7 +503,7 @@ class TestRun:
 
         monkeypatch.setattr(pipeline, "build_state", refuse)
         with pytest.raises(SpecParseError, match="t-max must be >= 0"):
-            run(PermGroup.symmetric(2), count=1, t_max=-3)
+            run(named_perm_group("S2"), count=1, t_max=-3)
 
     @pytest.mark.parametrize("name, discriminants", [("S3", 11), ("C3", 8)])
     def test_one_discriminant_per_polynomial(self, monkeypatch, name, discriminants):
@@ -511,7 +517,7 @@ class TestRun:
         monkeypatch.setattr(factor, "discriminant", lambda F: taken.append(F) or disc(F))
         cert = run(group(name), count=1)
         assert len(taken) == len(set(taken)) == discriminants
-        assert cert.state.accepted[1] is cert.accepted[0].field
+        assert cert.state.accepted[1] is accepted_records(cert)[0].field
 
     def test_field_never_separated_from_itself(self, state_trivial):
         rec = specialize_and_verify(state_trivial, 1)
@@ -541,15 +547,16 @@ class TestRun:
         )
 
     def test_c2_completeness_primes(self):
-        cert = run(PermGroup.cyclic(2), count=4)
-        assert [rec.aut.prime for rec in cert.accepted] == [11, 11, 19, 29]
+        cert = run(named_perm_group("C2"), count=4)
+        assert [rec.aut.prime for rec in accepted_records(cert)] == [11, 11, 19, 29]
 
     def test_s2_run(self):
-        cert = run(PermGroup.symmetric(2), count=2, t_max=20)
-        assert len(cert.accepted) == 2
-        for rec in cert.accepted:
+        cert = run(named_perm_group("S2"), count=2, t_max=20)
+        accepted = accepted_records(cert)
+        assert len(accepted) == 2
+        for rec in accepted:
             assert len(rec.aut.maps) == 2
-        assert fields_distinct_exact(*cert.accepted)
+        assert fields_distinct_exact(*accepted)
         assert any(e == "prime" for e, _ in cert.audit)
 
 
@@ -583,7 +590,7 @@ class TestDistinctnessReadsRecords:
         monkeypatch.setattr(factor, "_gddf", counting_ddf)
         monkeypatch.setattr(factor, "discriminant", counting_discriminant)
         monkeypatch.setattr(pipeline, "fields_distinct_exact", flagged)
-        cert = run(PermGroup.symmetric(3), count=4)
+        cert = run(named_perm_group("S3"), count=4)
         assert len(cert.distinctness) == 6
         assert ddfs and max(ddfs.values()) == 1
         assert discriminants == []
