@@ -50,8 +50,23 @@ def _render_coords(e):
     return [render_rational(c) for c in e.qcoords]
 
 
+def _height_check(q0, t0, n):
+    """(ok, detail): is every coefficient of q0 of height at most
+    n! * h(t0) + 64?  A rational's height is the bit length of the larger
+    of |numerator| and denominator; h(t0) is the bit length of |numerator|
+    plus that of the denominator.  The coefficients of q(T, X) have
+    T-degree at most n!, so q0 = q(t0, X) keeps within the bound; realize
+    checks it before it writes an entry, and the validator before any
+    exact work on E."""
+    bound = factorial(n) * (abs(t0.num[0]).bit_length() + t0.den.bit_length()) + 64
+    height = max(max(abs(c.num[0]), c.den).bit_length() for c in q0.coeffs)
+    return height <= bound, f"max height {height}, n! * h(t0) + 64 = {bound}"
+
+
 def certificate_to_json(cert) -> dict:
-    """Build the JSON object for a RealizationCertificate."""
+    """Build the JSON object for a RealizationCertificate; raise
+    VerificationError for an entry the validator's height check would
+    refuse."""
     audit = {}
     for event, value in cert.audit:
         audit.setdefault(event, []).append(value)
@@ -59,6 +74,9 @@ def certificate_to_json(cert) -> dict:
     for rec in cert.transcript:
         spec = {"t0": render_rational(rec.t0), "status": rec.status}
         if rec.status == "accepted":
+            ok, detail = _height_check(rec.field.modulus, rec.t0, cert.state.G.degree)
+            if not ok:
+                raise VerificationError(f"t0={spec['t0']} height: {detail}")
             spec["defining_polynomial"] = render_unipoly(rec.field.modulus)
             spec["automorphisms"] = {
                 "generator_images": [_render_coords(m) for m in rec.aut.maps],
@@ -188,8 +206,10 @@ def validate_certificate(path, deep=False) -> ValidationReport:
     polynomial, image list and coordinate vector a JSON array, each
     defining polynomial monic (it defines the field E), of degree
     3 * n! (before any work on E, so that no larger one reaches
-    Zassenhaus) and irreducible, the steps of
-    ``AutomorphismTable`` as it reports them
+    Zassenhaus), of coefficient heights at most n! * h(t0) + 64
+    (``_height_check``, which realize runs too, once t0 is one a prefix
+    of ``pipeline.t0_sequence`` of the entry count can hold) and
+    irreducible, the steps of ``AutomorphismTable`` as it reports them
     (automorphism images are roots; ``Reductions.completeness_failure``
     passes p: it is prime and the defining polynomial is squarefree mod p
     with exactly as many roots mod p as there are images, so the images
@@ -256,13 +276,15 @@ def _check_shallow(data, report):
 
     accepted = []
     t0s = []  # each well-formed t0, from which --deep takes its height
+    entries = len(data["specializations"])
     for spec in data["specializations"]:
         if not isinstance(spec, dict):
             report.add("specialization entry is an object", False, repr(spec))
             continue
         label = f"specialization t0={spec.get('t0')}"
         try:
-            t0s.append(parse_rational(spec["t0"]))  # must be canonical
+            t0 = parse_rational(spec["t0"])  # must be canonical
+            t0s.append(t0)
             status = spec.get("status")
             if status not in ("accepted", "rejected"):
                 raise SpecParseError(f"status is neither accepted nor rejected: {status!r}")
@@ -280,6 +302,18 @@ def _check_shallow(data, report):
             want = 3 * factorial(n)
             report.add(f"{label} degree", E.degree == want, f"deg q0 = {E.degree}, 3 * n! = {want}")
             if E.degree != want:
+                continue
+            # realize writes a prefix of pipeline.t0_sequence (k-th entry:
+            # denominator 1 or 2, |t0| < k), so no forged t0 lifts the bound
+            if t0.den > 2 or abs(t0.num[0]) > t0.den * entries:
+                raise SpecParseError(
+                    "realize writes t0 with denominator 1 or 2 and "
+                    f"|t0| at most {entries}, the number of specializations"
+                )
+            # bounds the size of every exact step on E below
+            ok, detail = _height_check(q0, t0, n)
+            report.add(f"{label} height", ok, detail)
+            if not ok:
                 continue
             report.add(
                 f"{label} irreducible", is_irreducible_Q(q0, reductions=E.reductions)
@@ -380,10 +414,7 @@ def _deep_validate(data, G, t_max, report):
     except Exception as exc:
         report.add("deep: pipeline rebuild", False, str(exc))
         return
-    text = dumps_canonical(certificate_to_json(rebuilt))
-    differ = ", ".join(_differing_keys(json.loads(text), data))
-    report.add(
-        "deep: pipeline rebuild",
-        text == dumps_canonical(data),
-        f"differs at {differ}" if differ else "",
-    )
+    obj = certificate_to_json(rebuilt)
+    same = dumps_canonical(obj) == dumps_canonical(data)
+    differ = "" if same else ", ".join(_differing_keys(obj, data))
+    report.add("deep: pipeline rebuild", same, f"differs at {differ}" if differ else "")

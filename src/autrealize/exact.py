@@ -826,15 +826,8 @@ class BiPoly:
 
     @property
     def deg_X(self):
-        if not self.rows:
-            return -1
-        d = -1
-        for row in self.rows:
-            for j in range(len(row) - 1, -1, -1):
-                if row[j]:
-                    d = max(d, j)
-                    break
-        return d
+        # every row is padded to the trimmed width
+        return len(self.rows[0]) - 1 if self.rows else -1
 
     def coeff(self, i, j):
         if 0 <= i < len(self.rows) and 0 <= j < len(self.rows[i]):

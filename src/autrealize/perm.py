@@ -1,5 +1,5 @@
-"""Finite permutation groups, the generator text of the named groups S_k,
-C_k, A_k and V4, and abstract groups given by tables.
+"""Finite permutation groups and the generator text of the named groups
+S_k, C_k, A_k and V4.
 
 Permutations act on {1, ..., n}.  Groups are stored as explicit element
 sets (closure by breadth-first multiplication), which is fine at the
@@ -11,7 +11,9 @@ over its sorted elements (``group_table``).
 
 from __future__ import annotations
 
-from .errors import CapExceededError, SpecParseError, VerificationError
+from itertools import product
+
+from .errors import CapExceededError, SpecParseError
 
 MAX_DEGREE = 12
 MAX_ORDER = 10**6
@@ -146,12 +148,8 @@ def parse_cycles(text, n):
 class PermGroup:
     """A permutation group as an explicit, closed element set."""
 
-    def __init__(self, generators, degree=None):
+    def __init__(self, generators, degree):
         generators = list(generators)
-        if degree is None:
-            if not generators:
-                raise ValueError("need a degree for the trivial group")
-            degree = generators[0].degree
         if degree > MAX_DEGREE:
             raise CapExceededError(
                 f"degree {degree} exceeds the permutation degree cap {MAX_DEGREE}"
@@ -270,171 +268,66 @@ def _named_generators(letter, k):
         yield "()"
 
 
-class AbstractGroup:
-    """A finite group as a composition table over indices 0..n-1.
+def are_isomorphic(t1, t2):
+    """Isomorphism test for two composition tables: rows over indices
+    0..n-1 with index 0 the identity, as ``group_table`` returns.
 
-    table[i][j] is the index of element_i * element_j; index 0 must be the
-    identity.  The constructor verifies the full group axioms.
+    Returns (True, mapping) with mapping a tuple sending index i of t1 to
+    an index of t2, or (False, None).  Tries every same-order image of a
+    greedy generating set of t1, largest orders first; raises
+    CapExceededError past ISO_BACKTRACK_CAP candidates.
     """
-
-    def __init__(self, table):
-        self.table = tuple(tuple(row) for row in table)
-        self._verify()
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.table == other.table
-
-    def __hash__(self):
-        return hash(self.table)
-
-    def _verify(self):
-        n = len(self.table)
-        if not n:
-            raise VerificationError("composition table is empty")
-        idx = set(range(n))
-        for row in self.table:
-            if len(row) != n or set(row) != idx:
-                raise VerificationError("composition table row is not a bijection")
-        for j in range(n):
-            if {self.table[i][j] for i in range(n)} != idx:
-                raise VerificationError("composition table column is not a bijection")
-        for i in range(n):
-            if self.table[0][i] != i or self.table[i][0] != i:
-                raise VerificationError("index 0 is not the identity")
-        for i in range(n):
-            for j in range(n):
-                for k in range(n):
-                    if (
-                        self.table[self.table[i][j]][k]
-                        != self.table[i][self.table[j][k]]
-                    ):
-                        raise VerificationError("composition table not associative")
-
-    @property
-    def order(self):
-        return len(self.table)
-
-    def mul(self, i, j):
-        return self.table[i][j]
-
-    def element_order(self, i):
-        k, acc = 1, i
-        while acc != 0:
-            acc = self.table[acc][i]
-            k += 1
-        return k
-
-    def order_multiset(self):
-        return sorted(self.element_order(i) for i in range(self.order))
-
-
-def _generating_indices(group):
-    """A small generating set of element indices, greedily extended."""
-    n = group.order
-    if n == 1:
-        return []
-    gens = []
-    closed = {0}
-    for i in sorted(range(n), key=group.element_order, reverse=True):
-        if i in closed:
-            continue
-        gens.append(i)
-        frontier = list(closed)
-        closed = set(closed)
-        new = [i]
-        while new:
-            nxt = []
-            for a in list(closed) + new:
-                for g in gens:
-                    b = group.mul(g, a)
-                    if b not in closed and b not in set(new) | set(nxt):
-                        nxt.append(b)
-            closed |= set(new)
-            new = nxt
-        if len(closed) == n:
-            break
-    return gens
-
-
-def are_isomorphic(g1, g2):
-    """Isomorphism test for AbstractGroups.
-
-    Returns (True, mapping) with mapping a tuple sending index i of g1 to
-    an index of g2, or (False, None).  Backtracks over generator images,
-    pruned by element orders; raises CapExceededError past the node cap.
-    """
-    if g1.order != g2.order:
+    orders1, orders2 = _element_orders(t1), _element_orders(t2)
+    if sorted(orders1) != sorted(orders2):
         return False, None
-    if g1.order_multiset() != g2.order_multiset():
-        return False, None
-    n = g1.order
-    if n == 1:
-        return True, (0,)
-    gens = _generating_indices(g1)
-    orders2 = {}
-    for j in range(n):
-        orders2.setdefault(g2.element_order(j), []).append(j)
-
-    nodes = 0
-
-    def close_words(gen_count):
-        """Words in the generators reaching every element of g1, as index
-        sequences; returns dict element -> word (list of generator slots)."""
-        words = {0: []}
-        frontier = [0]
-        while frontier:
-            nxt = []
-            for a in frontier:
-                for slot in range(gen_count):
-                    b = g1.mul(gens[slot], a)
-                    if b not in words:
-                        words[b] = [slot] + words[a]
-                        nxt.append(b)
-            frontier = nxt
-        return words
-
-    words = close_words(len(gens))
-    if len(words) != n:
-        raise VerificationError("generating set does not generate")
-
-    def image_of(word, images):
-        acc = 0
-        for slot in reversed(word):
-            acc = g2.mul(images[slot], acc)
-        return acc
-
-    def extend(images):
-        nonlocal nodes
-        nodes += 1
-        if nodes > ISO_BACKTRACK_CAP:
+    gens, steps = [], {0: None}
+    for i in sorted(range(len(t1)), key=orders1.__getitem__, reverse=True):
+        if i not in steps:
+            gens.append(i)
+            steps = _closure(t1, gens)
+    walk = list(steps.items())[1:]  # (b, (slot, a)) with b = gens[slot] * a
+    same_order = [[j for j, k in enumerate(orders2) if k == orders1[g]] for g in gens]
+    for tried, images in enumerate(product(*same_order)):
+        if tried == ISO_BACKTRACK_CAP:
             raise CapExceededError(
-                f"isomorphism search exceeded {ISO_BACKTRACK_CAP} nodes"
+                f"isomorphism search exceeded {ISO_BACKTRACK_CAP} candidates"
             )
-        k = len(images)
-        if k == len(gens):
-            mapping = [None] * n
-            used = set()
-            for elem, word in words.items():
-                img = image_of(word, images)
-                if img in used:
-                    return None
-                mapping[elem] = img
-                used.add(img)
-            for i in range(n):
-                for j in range(n):
-                    if mapping[g1.mul(i, j)] != g2.mul(mapping[i], mapping[j]):
-                        return None
-            return tuple(mapping)
-        want = g1.element_order(gens[k])
-        for j in orders2.get(want, []):
-            result = extend(images + [j])
-            if result is not None:
-                return result
-        return None
+        mapping = [0] * len(t1)
+        for b, (slot, a) in walk:
+            mapping[b] = t2[images[slot]][mapping[a]]
+        if len(set(mapping)) == len(t1) and all(
+            mapping[t1[i][j]] == t2[mi][mj]
+            for i, mi in enumerate(mapping)
+            for j, mj in enumerate(mapping)
+        ):
+            return True, tuple(mapping)
+    return False, None
 
-    mapping = extend([])
-    if mapping is None:
-        return False, None
-    return True, mapping
+
+def _element_orders(table):
+    """The order of each element, by repeated multiplication."""
+    orders = []
+    for i in range(len(table)):
+        k, acc = 1, i
+        while acc:
+            acc, k = table[acc][i], k + 1
+        orders.append(k)
+    return orders
+
+
+def _closure(table, gens):
+    """Breadth-first closure of gens from the identity: each element
+    reached maps to (slot, a), the word gens[slot] * a, in the order
+    reached; the identity maps to None."""
+    steps = {0: None}
+    frontier = [0]
+    while frontier:
+        nxt = []
+        for a in frontier:
+            for slot, g in enumerate(gens):
+                b = table[g][a]
+                if b not in steps:
+                    steps[b] = (slot, a)
+                    nxt.append(b)
+        frontier = nxt
+    return steps

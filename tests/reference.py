@@ -60,7 +60,6 @@ from autrealize.numfield import (
     shifted_norms,
 )
 from autrealize.perm import (
-    AbstractGroup,
     PermGroup,
     Permutation,
     named_group,
@@ -515,18 +514,19 @@ def normalizer(ambient, sub):
     return PermGroup(keep, degree=ambient.degree)
 
 
-def to_abstract(group) -> AbstractGroup:
+def to_abstract(group):
     """The composition table of a PermGroup over its lexicographically
     sorted elements (the order a certificate lists Aut(E) in); index 0 is
     the identity."""
     elems = sorted(group.elements)
     idx = {g: i for i, g in enumerate(elems)}
-    return AbstractGroup([[idx[a * b] for b in elems] for a in elems])
+    return [[idx[a * b] for b in elems] for a in elems]
 
 
 def quotient(group, normal):
-    """Quotient group as an AbstractGroup plus lex-minimal coset
-    representatives.  Raises unless ``normal`` is normal in ``group``."""
+    """Quotient group as a composition table over its lex-minimal coset
+    representatives, plus those representatives.  Raises unless
+    ``normal`` is normal in ``group``."""
     if not normal.elements <= group.elements:
         raise ValueError("normal must be contained in group")
     if not all(
@@ -547,11 +547,11 @@ def quotient(group, normal):
             rep_of[member] = rep
     idx = {rep: i for i, rep in enumerate(reps)}
     table = [[idx[rep_of[a * b]] for b in reps] for a in reps]
-    return AbstractGroup(table), reps
+    return table, reps
 
 
 def aut_group_via_quotient(ambient, sub):
-    """N_ambient(sub) / sub as an abstract group with coset reps: the
+    """N_ambient(sub) / sub as a composition table with coset reps: the
     group side of the identity Aut(E) = N(H)/H that the tests check
     against the field side."""
     return quotient(normalizer(ambient, sub), sub)

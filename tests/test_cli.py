@@ -17,8 +17,8 @@ from autrealize.cli import (
     main,
     parse_group_spec,
 )
-from autrealize import certs, factor, perm, pipeline
-from autrealize.errors import SpecParseError
+from autrealize import certs, factor, numfield, perm, pipeline
+from autrealize.errors import SpecParseError, VerificationError
 from autrealize.exact import UniPoly, parse_rational, render_rational
 from autrealize.numfield import NumberField
 from autrealize.perm import PermGroup, named_group, parse_generators
@@ -648,6 +648,48 @@ class TestValidateCommand:
         assert f"[FAIL] specialization t0={spec['t0']} degree: deg q0 = 64, 3 * n! = 3\n" in out
         assert asked == [3]  # the other field's, at t0 = -1
 
+    @pytest.mark.parametrize(
+        "t0_digits", [None, 700, 4000], ids=["t0", "tall-t0-700", "tall-t0-4000"]
+    )
+    def test_height_checked_before_exact_work(
+        self, s3_cert_path, tmp_path, capsys, monkeypatch, t0_digits
+    ):
+        """q0 = X^18 + sum 2 a_k X^k + 2 is Eisenstein at 2, so irreducible,
+        with each a_k of 4,000 digits: far taller than q(1, X), it is
+        refused by its height before irreducibility is asked of it or any
+        image is evaluated.  A t0 tall enough to lift n! * h(t0) + 64 past
+        those heights is not one realize writes, and is refused first."""
+        asked = []
+        monkeypatch.setattr(certs, "is_irreducible_Q", lambda q0, **_: asked.append(q0) or True)
+        monkeypatch.setattr(numfield, "evaluate", lambda *a: asked.append(a))
+        rng = random.Random(4000)
+        coeffs = [2] + [2 * rng.randrange(10**3999, 10**4000) for _ in range(17)] + [1]
+        data = json.loads(s3_cert_path.read_text())
+        spec = next(s for s in data["specializations"] if s["status"] == "accepted")
+        assert spec["t0"] == "1"
+        spec["defining_polynomial"] = [str(c) for c in coeffs]
+        if t0_digits:
+            spec["t0"] = str(10 ** (t0_digits - 1))
+        bad = tmp_path / "tall.json"
+        bad.write_text(json.dumps(data))
+        assert main(["validate", str(bad)]) == EXIT_PARSE
+        out = capsys.readouterr().out
+        height = max(c.bit_length() for c in coeffs)
+        assert height > 13_000
+        if t0_digits:
+            assert 6 * (10 ** (t0_digits - 1)).bit_length() + 64 > height  # lifts the bound
+            entries = len(data["specializations"])
+            line = (
+                f"[FAIL] specialization t0={spec['t0']} well-formed: realize writes t0 "
+                f"with denominator 1 or 2 and |t0| at most {entries}, the number of "
+                "specializations\n"
+            )
+            assert " height: " not in out
+        else:
+            line = f"[FAIL] specialization t0=1 height: max height {height}, n! * h(t0) + 64 = 76\n"
+        assert line in out
+        assert asked == []
+
     def test_shallow_validate_closes_one_group(self, s3_cert_path, capsys, monkeypatch):
         """The group name is compared as text: a shallow validate of a
         named certificate builds G and no other group."""
@@ -983,6 +1025,16 @@ class TestValidateCommand:
         assert main(["validate", str(cert_path), "--deep"]) == EXIT_OK
         assert "[PASS] deep: pipeline rebuild\n" in capsys.readouterr().out
 
+    def test_deep_match_builds_no_detail(self, s3_cert_path, capsys, monkeypatch):
+        """Where a mismatch is located is worked out only on a mismatch."""
+
+        def refuse(*_):
+            raise AssertionError("differing keys sought for a matching rebuild")
+
+        monkeypatch.setattr(certs, "_differing_keys", refuse)
+        assert main(["validate", str(s3_cert_path), "--deep"]) == EXIT_OK
+        assert "[PASS] deep: pipeline rebuild\n" in capsys.readouterr().out
+
     # runs whose t-max --deep derives from the transcript: C1 stops at
     # t0 = -2 within --t-max 10, C2 needs t0 = +-2, and S2 inside S3 has
     # y != 0
@@ -1043,6 +1095,17 @@ class TestCanonicalEmission:
 
         text = cert_path.read_text()
         assert dumps_canonical(json.loads(text)) == text
+
+    def test_tall_entry_not_emitted(self):
+        """realize writes no entry that the validator's height check
+        refuses."""
+        cert = pipeline.run(PermGroup([], degree=1), count=1, t_max=10)
+        rec = next(r for r in cert.transcript if r.status == "accepted")
+        rec.field = NumberField(UniPoly([2, 2**70, 0, 1]))
+        bound = rec.t0.num[0].bit_length() + rec.t0.den.bit_length() + 64  # 1! * h(t0) + 64
+        detail = rf"height: max height 71, n! \* h\(t0\) \+ 64 = {bound}$"
+        with pytest.raises(VerificationError, match=detail):
+            certs.certificate_to_json(cert)
 
     def test_repeat_run_identical(self, tmp_path):
         a = tmp_path / "a.json"

@@ -30,11 +30,6 @@ ALLOWED = {
         "lists Aut(E) in G's order instead, and perfbench/spans.py traces it "
         "by name"
     ),
-    "AbstractGroup": (
-        "are_isomorphic's input type, and the tables tests compare with G; "
-        "the validator and the pipeline compare a table with "
-        "perm.group_table(G)"
-    ),
     "interpolate": (
         "tests/reference.py builds q(T, X) and the family's X-discriminant "
         "with it; certify_s3 checks the discriminant at six points instead, "
