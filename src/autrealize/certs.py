@@ -22,7 +22,9 @@ prime, and only then the table mod p), ``perm.check_sn_cap``,
 ``Reductions.separates`` for distinctness, and
 ``pipeline.run`` for ``deep``, the one use of a producer module, which
 is imported only there: shallow validation loads neither ``pipeline``
-nor ``family``.
+nor ``family``.  The order in which realize tries t0, ``t0_sequence``,
+is defined here and imported by ``pipeline``, for the validator requires
+each certificate's entries to follow it.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ from math import factorial
 
 from .errors import SpecParseError, VerificationError
 from .exact import (
+    _rational,
     parse_rational,
     parse_unipoly,
     render_rational,
@@ -46,26 +49,45 @@ FORMAT_NAME = "autrealize-certificate"
 FORMAT_VERSION = 6
 
 
-def _render_coords(e):
-    return [render_rational(c) for c in e.qcoords]
+def t0_sequence(t_max: int):
+    """0, 1, -1, 2, -2, ..., then half-integers, bounded by height: the
+    order in which realize tries t0, and in which the validator requires
+    a certificate to list them."""
+    yield _rational(0)
+    for k in range(1, t_max + 1):
+        yield _rational(k)
+        yield _rational(-k)
+    k = 1
+    while k <= 2 * t_max:
+        yield _rational(k, 2)
+        yield _rational(-k, 2)
+        k += 2
 
 
-def _height_check(q0, t0, n):
-    """(ok, detail): is every coefficient of q0 of height at most
-    n! * h(t0) + 64?  A rational's height is the bit length of the larger
-    of |numerator| and denominator; h(t0) is the bit length of |numerator|
-    plus that of the denominator.  The coefficients of q(T, X) have
-    T-degree at most n!, so q0 = q(t0, X) keeps within the bound; realize
-    checks it before it writes an entry, and the validator before any
-    exact work on E."""
+def _height_checks(t0, n, q0, images):
+    """(name, ok, detail) for the heights of q0's coefficients, at most
+    n! * h(t0) + 64, and of the images' coordinates (each image a
+    sequence of rationals), at most deg q0 times that.  A rational's
+    height is the bit length of the larger of |numerator| and
+    denominator; h(t0) is the bit length of |numerator| plus that of the
+    denominator.  The coefficients of q(T, X) have T-degree at most n!,
+    so q0 = q(t0, X) keeps within its bound; the images' bound is a cap,
+    well above the tallest image realize has written.  realize checks
+    both before it writes an entry, and the validator before any exact
+    work on E."""
     bound = factorial(n) * (abs(t0.num[0]).bit_length() + t0.den.bit_length()) + 64
-    height = max(max(abs(c.num[0]), c.den).bit_length() for c in q0.coeffs)
-    return height <= bound, f"max height {height}, n! * h(t0) + 64 = {bound}"
+    coords = [c for image in images for c in image]
+    for name, values, cap, rule in (
+        ("height", q0.coeffs, bound, "n! * h(t0) + 64"),
+        ("image heights", coords, q0.degree * bound, "deg q0 * (n! * h(t0) + 64)"),
+    ):
+        height = max((max(abs(c.num[0]), c.den).bit_length() for c in values), default=0)
+        yield name, height <= cap, f"max height {height}, {rule} = {cap}"
 
 
 def certificate_to_json(cert) -> dict:
     """Build the JSON object for a RealizationCertificate; raise
-    VerificationError for an entry the validator's height check would
+    VerificationError for an entry the validator's height checks would
     refuse."""
     audit = {}
     for event, value in cert.audit:
@@ -74,12 +96,15 @@ def certificate_to_json(cert) -> dict:
     for rec in cert.transcript:
         spec = {"t0": render_rational(rec.t0), "status": rec.status}
         if rec.status == "accepted":
-            ok, detail = _height_check(rec.field.modulus, rec.t0, cert.state.G.degree)
-            if not ok:
-                raise VerificationError(f"t0={spec['t0']} height: {detail}")
+            images = [m.qcoords for m in rec.aut.maps]
+            for name, ok, detail in _height_checks(
+                rec.t0, cert.state.G.degree, rec.field.modulus, images
+            ):
+                if not ok:
+                    raise VerificationError(f"t0={spec['t0']} {name}: {detail}")
             spec["defining_polynomial"] = render_unipoly(rec.field.modulus)
             spec["automorphisms"] = {
-                "generator_images": [_render_coords(m) for m in rec.aut.maps],
+                "generator_images": [[render_rational(c) for c in image] for image in images],
                 "table": [list(row) for row in rec.aut.table],
             }
             spec["completeness_prime"] = rec.aut.prime
@@ -174,12 +199,12 @@ def _json_list(value, what):
     return value
 
 
-def _element(E, coords):
-    """The element of E with these coordinates, which must be an array of
+def _coords(E, coords):
+    """The rationals of a coordinate vector of E, which must be an array of
     exactly [E:Q] canonical rationals (the producer pads with "0")."""
     if len(_json_list(coords, "coordinate vector")) != E.degree:
         raise SpecParseError(f"{len(coords)} coordinates for [E:Q] = {E.degree}")
-    return E.element([parse_rational(s) for s in coords])
+    return [parse_rational(s) for s in coords]
 
 
 def _pair(entry):
@@ -200,15 +225,17 @@ def validate_certificate(path, deep=False) -> ValidationReport:
     built), its generators in the canonical cycle notation realize
     writes, group closure, its name null or the canonical name of a
     named group (``perm.named_group``) of that degree with those
-    generators (compared as text), each t0 canonical, each status
+    generators (compared as text), each t0 canonical and the next value
+    of ``t0_sequence(t_max)``, the order realize tries them in, for the
+    t_max read off the entries (``_t_max``), each status
     "accepted" or "rejected", each rejected entry with a non-empty
     reason, at least one accepted specialization, each defining
     polynomial, image list and coordinate vector a JSON array, each
     defining polynomial monic (it defines the field E), of degree
     3 * n! (before any work on E, so that no larger one reaches
-    Zassenhaus), of coefficient heights at most n! * h(t0) + 64
-    (``_height_check``, which realize runs too, once t0 is one a prefix
-    of ``pipeline.t0_sequence`` of the entry count can hold) and
+    Zassenhaus), of coefficient heights at most n! * h(t0) + 64 and
+    image coordinates of heights at most deg q0 times that
+    (``_height_checks``, which realize runs too) and
     irreducible, the steps of ``AutomorphismTable`` as it reports them
     (automorphism images are roots; ``Reductions.completeness_failure``
     passes p: it is prime and the defining polynomial is squarefree mod p
@@ -218,10 +245,10 @@ def validate_certificate(path, deep=False) -> ValidationReport:
     table over its sorted elements (so the i-th image extends the i-th
     element), and each pair of accepted fields has exactly one
     distinctness entry whose prime separates their Frobenius patterns
-    (``Reductions.separates``).
-    With ``deep``, the certificate is rebuilt up to the largest |t0| the
-    shallow checks parsed, and must equal the file; it is not rebuilt
-    once a shallow check failed.
+    (``Reductions.separates``).  That q0 is q(t0, X) is not among them:
+    only ``deep`` checks it.
+    With ``deep``, the certificate is rebuilt with the same t_max, and
+    must equal the file; it is not rebuilt once a shallow check failed.
     """
     report = ValidationReport()
     data = _load(path)
@@ -234,9 +261,9 @@ def validate_certificate(path, deep=False) -> ValidationReport:
 
 
 def _check_shallow(data, report):
-    """Add the shallow checks of ``data`` to ``report``; (G, the largest
-    ceil |t0| among the well-formed t0) once the group is read, None if
-    the schema or the group fails."""
+    """Add the shallow checks of ``data`` to ``report``; (G, the t_max its
+    entries' order was read against) once the group is read, None if the
+    schema or the group fails."""
     version = data.get("version") if isinstance(data, dict) else None
     version_ok = type(version) is int and version == FORMAT_VERSION  # not 6.0
     schema_ok = (
@@ -275,16 +302,20 @@ def _check_shallow(data, report):
         report.add("group name", False, str(exc))
 
     accepted = []
-    t0s = []  # each well-formed t0, from which --deep takes its height
-    entries = len(data["specializations"])
-    for spec in data["specializations"]:
+    specs = data["specializations"]
+    t_max = _t_max(specs)
+    order = t0_sequence(t_max)
+    for spec in specs:
+        next_t0 = next(order, None)  # the t0 realize tries at this entry
         if not isinstance(spec, dict):
             report.add("specialization entry is an object", False, repr(spec))
             continue
         label = f"specialization t0={spec.get('t0')}"
         try:
             t0 = parse_rational(spec["t0"])  # must be canonical
-            t0s.append(t0)
+            if t0 != next_t0:  # so no forged t0 lifts the height bounds
+                listed = "nothing" if next_t0 is None else render_rational(next_t0)
+                raise SpecParseError(f"out of order: t0_sequence({t_max}) lists {listed} here")
             status = spec.get("status")
             if status not in ("accepted", "rejected"):
                 raise SpecParseError(f"status is neither accepted nor rejected: {status!r}")
@@ -303,26 +334,22 @@ def _check_shallow(data, report):
             report.add(f"{label} degree", E.degree == want, f"deg q0 = {E.degree}, 3 * n! = {want}")
             if E.degree != want:
                 continue
-            # realize writes a prefix of pipeline.t0_sequence (k-th entry:
-            # denominator 1 or 2, |t0| < k), so no forged t0 lifts the bound
-            if t0.den > 2 or abs(t0.num[0]) > t0.den * entries:
-                raise SpecParseError(
-                    "realize writes t0 with denominator 1 or 2 and "
-                    f"|t0| at most {entries}, the number of specializations"
-                )
-            # bounds the size of every exact step on E below
-            ok, detail = _height_check(q0, t0, n)
-            report.add(f"{label} height", ok, detail)
-            if not ok:
+            images = [
+                _coords(E, coords)
+                for coords in _json_list(spec["automorphisms"]["generator_images"], "generator_images")
+            ]
+            # bound the size of every exact step on E below
+            heights = list(_height_checks(t0, n, q0, images))
+            for name, ok, detail in heights:
+                report.add(f"{label} {name}", ok, detail)
+            if not all(ok for _, ok, _ in heights):
                 continue
             report.add(
                 f"{label} irreducible", is_irreducible_Q(q0, reductions=E.reductions)
             )
-            images = [
-                _element(E, coords)
-                for coords in _json_list(spec["automorphisms"]["generator_images"], "generator_images")
-            ]
-            aut = AutomorphismTable(E, images, prime=spec["completeness_prime"])
+            aut = AutomorphismTable(
+                E, [E.element(c) for c in images], prime=spec["completeness_prime"]
+            )
             for name, ok, detail in aut.checks:
                 report.add(f"{label} {name}", ok, detail)
             table = [
@@ -360,7 +387,18 @@ def _check_shallow(data, report):
                 f"p = {p!r}",
             )
 
-    return G, max((-(-abs(t0.num[0]) // t0.den) for t0 in t0s), default=0)
+    return G, t_max
+
+
+def _t_max(specs):
+    """The t_max whose ``t0_sequence`` the entries are read against: half
+    the index of the first t0 that is not an integer string, or half the
+    entry count if there is none.  The sequence lists 2 * t_max + 1
+    integers before its first half-integer, so the entries realize wrote
+    for any height are a prefix of it."""
+    texts = [spec.get("t0") if isinstance(spec, dict) else None for spec in specs]
+    integers = [isinstance(t, str) and "/" not in t for t in texts]
+    return (integers + [False]).index(False) // 2
 
 
 def _check_group_name(name, n, generators):
@@ -398,8 +436,9 @@ def _differing_keys(a, b, path=""):
 
 def _deep_validate(data, G, t_max, report):
     """Re-run the pipeline on the certificate's inputs up to t_max, the
-    largest ceil |t0| among its well-formed t0; a run stops at its count,
-    so its transcript is a prefix of t0_sequence(t_max)."""
+    height the shallow checks read the entries' order against
+    (``_t_max``); a run stops at its count, so its transcript is a prefix
+    of t0_sequence(t_max)."""
     from .pipeline import run  # shallow validation loads no producer module
 
     specs = [spec for spec in data["specializations"] if isinstance(spec, dict)]

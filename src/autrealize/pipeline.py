@@ -55,7 +55,8 @@ from itertools import islice
 from math import factorial
 
 from .errors import BudgetExhaustedError, SpecParseError, VerificationError
-from .exact import QQ, UniPoly, _rational
+from .certs import t0_sequence
+from .exact import QQ, UniPoly
 from .factor import (
     COMPLETENESS_PRIMES,
     _record,
@@ -280,19 +281,6 @@ class RealizationCertificate:
         self.transcript = transcript
         self.distinctness = distinctness
         self.audit = audit
-
-
-def t0_sequence(t_max: int):
-    """0, 1, -1, 2, -2, ..., then half-integers, bounded by height."""
-    yield _rational(0)
-    for k in range(1, t_max + 1):
-        yield _rational(k)
-        yield _rational(-k)
-    k = 1
-    while k <= 2 * t_max:
-        yield _rational(k, 2)
-        yield _rational(-k, 2)
-        k += 2
 
 
 def run(

@@ -343,9 +343,12 @@ def as_strings(spec, polynomial=True):
 
 
 def forge_entries(data):
-    """40 accepted entries with nothing but a t0: each fails the shallow
-    checks, and a rebuild would have to find 41 fields."""
-    data["specializations"] += [{"t0": "200", "status": "accepted"}] * 40
+    """40 accepted entries with nothing but a t0, the next 40 realize
+    tries: each fails the shallow checks, and a rebuild would have to
+    find 41 fields."""
+    specs = data["specializations"]
+    t0s = list(certs.t0_sequence(len(specs) + 40))[len(specs) : len(specs) + 40]
+    specs += [{"t0": render_rational(t0), "status": "accepted"} for t0 in t0s]
 
 
 def forge_trivial_group(data, spec):
@@ -617,12 +620,14 @@ class TestValidateCommand:
         for name in ("_reduction", "_scaled"):
             monkeypatch.setattr(NumberField, name, refuse_built(name))
         data = json.loads(cert_path.read_text())
-        spec = next(s for s in data["specializations"] if s["status"] == "accepted")
+        rejected, spec = data["specializations"][:2]
+        assert (rejected["t0"], rejected["status"], spec["status"]) == ("0", "rejected", "accepted")
         rng = random.Random(1)
         coeffs = [str(rng.randint(-3, 3)) for _ in range(401)] + ["1"]
         coeffs[0] = "1/2"
         spec["defining_polynomial"] = coeffs
-        data.update(specializations=[spec], distinctness=[])  # no other field's discriminant
+        # the entries stay in realize's order; no other field's discriminant
+        data.update(specializations=[rejected, spec], distinctness=[])
         bad = tmp_path / "over_cap.json"
         bad.write_text(json.dumps(data))
         assert main(["validate", str(bad)]) == EXIT_PARSE
@@ -658,7 +663,8 @@ class TestValidateCommand:
         with each a_k of 4,000 digits: far taller than q(1, X), it is
         refused by its height before irreducibility is asked of it or any
         image is evaluated.  A t0 tall enough to lift n! * h(t0) + 64 past
-        those heights is not one realize writes, and is refused first."""
+        those heights is not the one realize tries there, and is refused
+        first."""
         asked = []
         monkeypatch.setattr(certs, "is_irreducible_Q", lambda q0, **_: asked.append(q0) or True)
         monkeypatch.setattr(numfield, "evaluate", lambda *a: asked.append(a))
@@ -678,17 +684,74 @@ class TestValidateCommand:
         assert height > 13_000
         if t0_digits:
             assert 6 * (10 ** (t0_digits - 1)).bit_length() + 64 > height  # lifts the bound
-            entries = len(data["specializations"])
+            # t0 = 0, 1: the two entries are read against t0_sequence(1)
             line = (
-                f"[FAIL] specialization t0={spec['t0']} well-formed: realize writes t0 "
-                f"with denominator 1 or 2 and |t0| at most {entries}, the number of "
-                "specializations\n"
+                f"[FAIL] specialization t0={spec['t0']} well-formed: out of order: "
+                "t0_sequence(1) lists 1 here\n"
             )
             assert " height: " not in out
         else:
             line = f"[FAIL] specialization t0=1 height: max height {height}, n! * h(t0) + 64 = 76\n"
         assert line in out
         assert asked == []
+
+    @pytest.mark.parametrize("part", ["numerator", "denominator"])
+    def test_image_heights_checked_before_exact_work(
+        self, s3_cert_path, tmp_path, capsys, monkeypatch, part
+    ):
+        """An image whose 18 coordinates have numerators, or denominators,
+        of 4,000 digits each, far taller than any image realize writes, is
+        refused by its height before any image is built in E or
+        evaluated."""
+        work = []
+        monkeypatch.setattr(numfield, "evaluate", lambda *a: work.append(a))
+        monkeypatch.setattr(NumberField, "element", lambda *a: work.append(a))
+        rng = random.Random(4000)
+        data = json.loads(s3_cert_path.read_text())
+        spec = next(s for s in data["specializations"] if s["status"] == "accepted")
+        assert spec["t0"] == "1"
+        images = spec["automorphisms"]["generator_images"]
+        tall = [rng.randrange(10**3999, 10**4000) | 1 for _ in images[1]]
+        images[1] = [str(c) if part == "numerator" else f"1/{c}" for c in tall]
+        bad = tmp_path / "tall_image.json"
+        bad.write_text(json.dumps(data))
+        assert main(["validate", str(bad)]) == EXIT_PARSE
+        out = capsys.readouterr().out
+        height = max(c.bit_length() for c in tall)
+        assert height > 13_000
+        line = (
+            f"[FAIL] specialization t0=1 image heights: max height {height}, "
+            "deg q0 * (n! * h(t0) + 64) = 1368\n"  # 18 * (3! * 2 + 64)
+        )
+        assert line in out
+        assert work == []
+
+    def test_half_integer_tail(self, tmp_path, capsys):
+        """C1 count 8 up to height 3 runs into the half-integers: its first,
+        at index 7, reads the entries against t0_sequence(3), and the
+        certificate validates, shallow and with --deep.  Its last t0 set
+        to 5/2, which t0_sequence(3) lists two places later, is refused
+        by the order."""
+        path = tmp_path / "c1x8.json"
+        args = ["--named", "C1", "--count", "8", "--t-max", "3", "--out", str(path)]
+        assert main(["realize", *args]) == EXIT_OK
+        data = json.loads(path.read_text())
+        assert [s["t0"] for s in data["specializations"]] == [
+            "0", "1", "-1", "2", "-2", "3", "-3", "1/2", "-1/2", "3/2"
+        ]
+        for deep in ([], ["--deep"]):
+            assert main(["validate", str(path), *deep]) == EXIT_OK
+        capsys.readouterr()
+        data["specializations"][-1]["t0"] = "5/2"
+        bad = tmp_path / "out_of_order.json"
+        bad.write_text(json.dumps(data))
+        assert main(["validate", str(bad)]) == EXIT_PARSE
+        out = capsys.readouterr().out
+        line = (
+            "[FAIL] specialization t0=5/2 well-formed: out of order: "
+            "t0_sequence(3) lists 3/2 here\n"
+        )
+        assert line in out
 
     def test_shallow_validate_closes_one_group(self, s3_cert_path, capsys, monkeypatch):
         """The group name is compared as text: a shallow validate of a
@@ -888,7 +951,7 @@ class TestValidateCommand:
         "accepted_entries": (
             "s3_cert_path",
             forge_entries,
-            "[FAIL] specialization t0=200 well-formed: 'defining_polynomial'\n",
+            "[FAIL] specialization t0=-1 well-formed: 'defining_polynomial'\n",
         ),
     }
 
@@ -1104,6 +1167,17 @@ class TestCanonicalEmission:
         rec.field = NumberField(UniPoly([2, 2**70, 0, 1]))
         bound = rec.t0.num[0].bit_length() + rec.t0.den.bit_length() + 64  # 1! * h(t0) + 64
         detail = rf"height: max height 71, n! \* h\(t0\) \+ 64 = {bound}$"
+        with pytest.raises(VerificationError, match=detail):
+            certs.certificate_to_json(cert)
+
+    def test_tall_image_not_emitted(self):
+        """Nor an entry whose images the validator's image height check
+        refuses."""
+        cert = pipeline.run(PermGroup([], degree=1), count=1, t_max=10)
+        rec = next(r for r in cert.transcript if r.status == "accepted")
+        assert render_rational(rec.t0) == "1"  # 3 * (1! * h(1) + 64) = 198
+        rec.aut.maps = (rec.field.element([2**198, 0, 0]),)
+        detail = r"t0=1 image heights: max height 199, deg q0 \* \(n! \* h\(t0\) \+ 64\) = 198$"
         with pytest.raises(VerificationError, match=detail):
             certs.certificate_to_json(cert)
 
