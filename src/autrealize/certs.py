@@ -132,16 +132,6 @@ def dumps_canonical(obj: dict) -> str:
     return json.dumps(obj, sort_keys=True, indent=2, ensure_ascii=True) + "\n"
 
 
-def emit_certificate(cert, path) -> str:
-    text = dumps_canonical(certificate_to_json(cert))
-    try:
-        with open(path, "w") as fh:
-            fh.write(text)
-    except OSError as exc:
-        raise SpecParseError(f"cannot write certificate: {exc}") from exc
-    return text
-
-
 class ValidationReport:
     """Pass/fail lines, one per check."""
 

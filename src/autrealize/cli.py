@@ -32,7 +32,7 @@ from __future__ import annotations
 import os
 import sys
 
-from .certs import dumps_canonical, certificate_to_json, emit_certificate, validate_certificate
+from .certs import dumps_canonical, certificate_to_json, validate_certificate
 from .errors import BudgetExhaustedError, CapExceededError, SpecParseError
 from .perm import check_sn_cap, named_group, parse_generators
 from .pipeline import run as pipeline_run
@@ -170,10 +170,15 @@ def _cmd_realize(n, named, gens, count, t_max, out):
         group_generators=gen_strings,
         group_name=named,
     )
+    text = dumps_canonical(certificate_to_json(cert))
     if out is None:
-        sys.stdout.write(dumps_canonical(certificate_to_json(cert)))
+        sys.stdout.write(text)
     else:
-        emit_certificate(cert, out)
+        try:
+            with open(out, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise SpecParseError(f"cannot write certificate: {exc}") from exc
         print(f"wrote {out}: {count} verified field(s)")
     return EXIT_OK
 

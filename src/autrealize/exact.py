@@ -6,21 +6,24 @@ coefficients; an element is a residue polynomial stored as an integer
 coordinate vector over one positive denominator, in lowest terms.  Q
 itself is ``QQ`` = Q[Z]/(Z), and every rational the package computes
 with is an element of it: one integer over one positive denominator,
-compared, hashed and normalised like any other element.  Rationals from
-outside (ints, and values with integer ``numerator`` and
-``denominator``, such as those of the standard ``fractions`` module) are
-accepted wherever an element is, and read by those two attributes; the
-package never imports ``fractions``.  A rational multiplies an element
-coordinate by coordinate; other products are an integer convolution, a
-row reduction and one gcd normalisation, for the field keeps the
-reductions of Z^d, ..., Z^(2d-2) mod g as integer rows over one common
-denominator, built at its first product.  An inverse solves the integer
-linear system of multiplication by the element fraction-free (Bareiss)
-and is checked by one exact product.  Everything downstream needs only
-this single flattened shape: towers are collapsed to one primitive
-element as soon as they appear (``numfield``).  A field reads its
-modulus modulo primes through one record, ``NumberField.reductions`` (a
-``factor.Reductions``), which every reader shares.
+compared, hashed and normalised like any other element.  A field is its
+object, not its modulus: the package builds each field once, and two
+field objects with one modulus are two fields whose elements do not
+mix.  Rationals from outside (ints, and values with integer
+``numerator`` and ``denominator``, such as those of the standard
+``fractions`` module) are accepted wherever an element is, and read by
+those two attributes; the package never imports ``fractions``.  A
+rational multiplies an element coordinate by coordinate; other products
+are an integer convolution, a row reduction and one gcd normalisation,
+for the field keeps the reductions of Z^d, ..., Z^(2d-2) mod g as
+integer rows over one common denominator, built at its first product.
+An inverse solves the integer linear system of multiplication by the
+element fraction-free (Bareiss) and is checked by one exact product.
+Everything downstream needs only this single flattened shape: towers
+are collapsed to one primitive element as soon as they appear
+(``numfield``).  A field reads its modulus modulo primes through one
+record, ``NumberField.reductions`` (a ``factor.Reductions``), which
+every reader shares.
 
 Polynomials are dense.  ``UniPoly`` is univariate with an ascending
 coefficient list and carries the ring arithmetic; it is its coefficients,
@@ -30,10 +33,10 @@ The gcd is Euclid's over either.  Discriminants, interpolation and
 integers over one denominator (``_int_clear``) and is one subresultant
 over Z; resultants are not public.  Interpolation takes its values at
 0, 1, ..., n and runs over Z, dividing once at the end.
-``BiPoly`` is bivariate in (T, X) with a coefficient matrix indexed by
-(power of T, power of X); it holds the cubic family X^3 + TX + T for
-the family's bad set, and is only built, compared and specialized at
-rational T = t0.
+``BiPoly`` is bivariate in (T, X), its rows of coefficients indexed by
+(power of T, power of X), all of one width; it holds the cubic family
+X^3 + TX + T for the family's bad set, and is only built and
+specialized at rational T = t0.
 
 Everything here is immutable and pure; no floating point anywhere.
 """
@@ -61,7 +64,8 @@ def _ratio(c):
 class NumberField:
     """Q[Z]/(g) for monic g that the caller has proved irreducible (by a
     squarefree norm or ``is_irreducible_Q``); degree 1 models Q itself,
-    and ``QQ`` is the one field the package uses for it."""
+    and ``QQ`` is the one field the package uses for it.  Fields compare
+    by identity: ``coerce`` takes an element of this object alone."""
 
     def __init__(self, modulus: UniPoly):
         if modulus.field is not QQ:
@@ -71,9 +75,7 @@ class NumberField:
         if modulus.degree < 1:
             raise ValueError("modulus must have degree >= 1")
         self.modulus = modulus
-        self.modulus_coeffs = modulus.coeffs
         self.degree = modulus.degree
-        self._hash = hash(tuple(_int_clear(self.modulus)[0]))
         self._tau = [self.degree]  # power sums of mu^d g(X / mu), see power_traces
 
     # Everything below that costs more than O(d) is built at its first
@@ -118,12 +120,6 @@ class NumberField:
     def __repr__(self):
         return f"NumberField({self.modulus!r})"
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, NumberField)
-            and self.modulus_coeffs == other.modulus_coeffs
-        )
-
     # -- element constructors -------------------------------------------
 
     def element(self, coords):
@@ -157,7 +153,7 @@ class NumberField:
         as one; a ValueError for an element of another field of degree
         above 1."""
         if isinstance(c, NfElement):
-            if c.owner is self or c.owner.modulus_coeffs == self.modulus_coeffs:
+            if c.owner is self:
                 return c
             if c.owner.degree > 1:
                 raise ValueError("coefficient belongs to a different number field")
@@ -208,11 +204,12 @@ class NfElement:
 
     ``num`` is a tuple of integers and ``den`` a positive integer sharing
     no factor with all of them, so each element has one representation
-    (zero has den 1) and ``==``/``hash`` compare it directly.  A rational
-    (an element of QQ, an int or a foreign rational) is lifted into the
-    field wherever it meets an element, and elements of degree-1 fields
-    are ordered as rationals.  ``qcoords`` gives the coordinates as
-    elements of QQ; ``coords`` gives them as values of the standard
+    (zero has den 1) and ``==``/``hash`` compare it directly; elements
+    of two field objects are never equal unless both are rationals.  A
+    rational (an element of QQ, an int or a foreign rational) is lifted
+    into the field wherever it meets an element, and elements of degree-1
+    fields are ordered as rationals.  ``qcoords`` gives the coordinates
+    as elements of QQ; ``coords`` gives them as values of the standard
     ``fractions`` module, for callers outside the package.  Arithmetic
     is on integers with one gcd normalisation per result; the inverse
     solves the integer linear system of multiplication by the element
@@ -251,10 +248,7 @@ class NfElement:
         return any(self.num)
 
     def _same_field(self, other):
-        return isinstance(other, NfElement) and (
-            other.owner is self.owner
-            or other.owner.modulus_coeffs == self.owner.modulus_coeffs
-        )
+        return isinstance(other, NfElement) and other.owner is self.owner
 
     def __eq__(self, other):
         if self._same_field(other):
@@ -265,7 +259,7 @@ class NfElement:
         return self.is_rational and self.num[0] * r[1] == r[0] * self.den
 
     def __hash__(self):
-        return hash((self.owner._hash, self.num, self.den))
+        return hash((self.num, self.den))
 
     def __lt__(self, other):
         """The order of Q, between rationals (``>`` is this, reflected)."""
@@ -273,11 +267,6 @@ class NfElement:
         if a is None or b is None:
             return NotImplemented
         return a[0] * b[1] < b[0] * a[1]
-
-    def sort_key(self):
-        """The coordinates as rationals: elements sort as the tuples of
-        their ``coords`` would."""
-        return self.qcoords
 
     def __str__(self):
         return render_rational(self) if self.owner.degree == 1 else repr(self)
@@ -320,9 +309,6 @@ class NfElement:
         if (pair := self._pair(other)) is None:
             return NotImplemented
         return pair[0] + (-pair[1])
-
-    def __rsub__(self, other):
-        return -self + other
 
     def __mul__(self, other):
         if (pair := self._pair(other)) is None:
@@ -792,68 +778,27 @@ def interpolate(points, values):
 
 
 class BiPoly:
-    """Dense bivariate polynomial in (T, X) over Q: rows[i][j] = coeff of
-    T^i X^j."""
+    """Dense bivariate polynomial in (T, X) over Q: rows[i][j] is the
+    coefficient of T^i X^j.  Every row has the same width, deg_X + 1;
+    zero rows and columns are kept as given, so deg_X bounds the
+    X-degree."""
 
     __slots__ = ("rows",)
 
     def __init__(self, rows):
-        mat = [[QQ.coerce(c) for c in row] for row in rows]
-        # trim trailing zero columns, then trailing zero rows
-        width = 0
-        for row in mat:
-            w = len(row)
-            while w and not row[w - 1]:
-                w -= 1
-            width = max(width, w)
-        mat = [row[:width] + [QQ.zero()] * (width - len(row[:width])) for row in mat]
-        while mat and all(not c for c in mat[-1]):
-            mat.pop()
-        self.rows = tuple(tuple(r) for r in mat)
-
-    @classmethod
-    def from_terms(cls, terms):
-        """terms: iterable of (i, j, coeff) for T^i X^j."""
-        terms = list(terms)
-        if not terms:
-            return cls(())
-        nr = max(t[0] for t in terms) + 1
-        nc = max(t[1] for t in terms) + 1
-        rows = [[QQ.zero()] * nc for _ in range(nr)]
-        for i, j, c in terms:
-            rows[i][j] = rows[i][j] + QQ.coerce(c)
-        return cls(rows)
+        self.rows = tuple(tuple(QQ.coerce(c) for c in row) for row in rows)
+        if len({len(row) for row in self.rows}) > 1:
+            raise ValueError("rows of a BiPoly must have one width")
 
     @property
     def deg_X(self):
-        # every row is padded to the trimmed width
         return len(self.rows[0]) - 1 if self.rows else -1
-
-    def coeff(self, i, j):
-        if 0 <= i < len(self.rows) and 0 <= j < len(self.rows[i]):
-            return self.rows[i][j]
-        return QQ.zero()
-
-    def __eq__(self, other):
-        if not isinstance(other, BiPoly):
-            return NotImplemented
-        return self.rows == other.rows
-
-    def __repr__(self):
-        terms = []
-        for i, row in enumerate(self.rows):
-            for j, c in enumerate(row):
-                if c:
-                    terms.append(f"({c})*T^{i}*X^{j}")
-        return " + ".join(terms) if terms else "0"
 
     def specialize(self, t0):
         """Substitute T -> t0 (rational); returns a UniPoly in X."""
-        nc = max((len(r) for r in self.rows), default=0)
         t0 = QQ.coerce(t0)
         out = []
-        for j in range(nc):
-            col = [self.coeff(i, j) for i in range(len(self.rows))]
+        for col in zip(*self.rows):
             # Horner in t0 over the column (ascending T powers)
             acc = col[-1]
             for c in reversed(col[:-1]):

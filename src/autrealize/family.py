@@ -8,11 +8,12 @@ the discriminant and its square class to every y.  Neither depends on K:
 the candidate-root refutation never uses the coefficients, and the
 discriminant -a^2 (4a + 27) has rational coefficients.  So
 ``certify_s3`` checks the family once, over Q[a] (``FAMILY``, with a
-written as T): the discriminant identity, with a candidate-root
-refutation for irreducibility and a parity argument for the group.  The
-certificate carries none of this: each specialized field is proved on
-its own.  The bad set of a specialization (parameter values t0 where
-q(t0, X) picks up a multiple root) is decided exactly, one t0 at a time.
+written as T, held as the rows of a ``BiPoly``): the discriminant
+identity, with a candidate-root refutation for irreducibility and a
+parity argument for the group.  The certificate carries none of this:
+each specialized field is proved on its own.  The bad set of a
+specialization (parameter values t0 where q(t0, X) picks up a multiple
+root) is decided exactly, one t0 at a time.
 """
 
 from __future__ import annotations
@@ -27,8 +28,9 @@ def cubic(a) -> UniPoly:
     return UniPoly([a, a, 0, 1], getattr(a, "owner", None))
 
 
-#: X^3 + TX + T over Q: the family with the parameter a written as T.
-FAMILY = BiPoly.from_terms([(0, 3, 1), (1, 1, 1), (1, 0, 1)])
+#: X^3 + TX + T over Q: the family with the parameter a written as T,
+#: as rows of coefficients (row i holds T^i; row 0 is X^3, row 1 is TX + T).
+FAMILY = BiPoly([[0, 0, 0, 1], [1, 1, 0, 0]])
 
 
 def certify_s3():
@@ -66,8 +68,9 @@ def bad_set(q: BiPoly, t0) -> bool:
     """Whether t0 lies in the bad specialization set of q, i.e. q(t0, X)
     has a multiple root.
 
-    q must be monic in X, so that q(t0, X) keeps its X-degree; over Q
-    the answer is the same as whether the X-discriminant of q vanishes
-    at t0, and it is read as lc * disc = 0 on the record of q(t0, X).
+    q must be monic in X (its last column the constant 1), so that
+    q(t0, X) keeps its X-degree; over Q the answer is the same as
+    whether the X-discriminant of q vanishes at t0, and it is read as
+    lc * disc = 0 on the record of q(t0, X).
     """
     return not Reductions(q.specialize(t0)).lc_disc

@@ -267,7 +267,7 @@ def factor_over_nf(f: UniPoly, K: NumberField) -> tuple:
     if sum(G.degree for G in found) != f.degree:
         raise VerificationError("Trager pullback did not exhaust the input")
     return tuple(
-        sorted(found, key=lambda G: (G.degree, tuple(c.sort_key() for c in G.coeffs)))
+        sorted(found, key=lambda G: (G.degree, tuple(c.qcoords for c in G.coeffs)))
     )
 
 
@@ -276,7 +276,7 @@ def roots_in_field(f: UniPoly, K: NumberField):
     linear factors of its factorization over K."""
     return sorted(
         (-g.coeffs[0] for g in factor_over_nf(f, K) if g.degree == 1),
-        key=NfElement.sort_key,
+        key=lambda r: r.qcoords,
     )
 
 
@@ -480,7 +480,7 @@ def splitting_field(f: UniPoly) -> SplittingField:
         if len(roots) == f.degree - 1:
             roots.append(-work.coeffs[-2] - sum(roots, K.zero()))
             break
-    roots.sort(key=NfElement.sort_key)
+    roots.sort(key=lambda r: r.qcoords)
     # reconstruct f from the roots as a sanity check
     acc = UniPoly.one(K)
     for r in roots:

@@ -216,9 +216,7 @@ def interpolated_q(L, y):
     N = K.degree
     if N == 1:
         y0 = y.coords[0]
-        return 0, BiPoly.from_terms(
-            [(0, 3, 1), (1, 1, 1), (0, 1, -y0), (1, 0, 1), (0, 0, -y0)]
-        )
+        return 0, BiPoly([[-y0, -y0, 0, 1], [1, 1, 0, 0]])
     points = range(N + 1)
     norms = [shifted_norms(cubic(K.from_rational(t) - y), K) for t in points]
     for c in shift_sequence():
@@ -240,7 +238,7 @@ def discriminant_in_X(f: BiPoly) -> UniPoly:
     d = f.deg_X
     if d < 1:
         raise ValueError("discriminant needs X-degree >= 1")
-    if any(f.coeff(i, d) for i in range(1, len(f.rows))):
+    if any(row[d] for row in f.rows[1:]):
         raise ValueError("discriminant_in_X expects a constant X-leading coefficient")
     if d == 1:
         return UniPoly.one()

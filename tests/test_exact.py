@@ -185,22 +185,22 @@ class TestDiscriminant:
         assert discriminant(X**3 - X - 1) == F(-23)
 
     def test_bivariate_family(self):
-        f = BiPoly.from_terms([(0, 3, F(1)), (1, 1, F(1)), (1, 0, F(1))])
+        f = BiPoly([[0, 0, 0, 1], [1, 1, 0, 0]])
         d = discriminant_in_X(f)
         T = UniPoly.gen()
         assert d == -(T**3) * 4 - (T**2) * 27
 
     def test_bivariate_constant_leading_coefficient(self):
         # 2X^2 + TX + T: T^2 - 8T
-        f = BiPoly.from_terms([(0, 2, F(2)), (1, 1, F(1)), (1, 0, F(1))])
+        f = BiPoly([[0, 0, 2], [1, 1, 0]])
         T = UniPoly.gen()
         assert discriminant_in_X(f) == T * T - T * 8
 
     def test_bivariate_not_monic_in_x_rejected(self):
-        # T X^2 + X + 1 loses its X-degree at T = 0
-        for terms in ([(1, 2, F(1)), (0, 1, F(1)), (0, 0, F(1))], [(1, 1, F(1)), (0, 0, F(1))]):
+        # T X^2 + X + 1 loses its X-degree at T = 0, and so does TX + 1
+        for rows in ([[1, 1, 0], [0, 0, 1]], [[1, 0], [0, 1]]):
             with pytest.raises(ValueError):
-                discriminant_in_X(BiPoly.from_terms(terms))
+                discriminant_in_X(BiPoly(rows))
 
     def test_degree_zero_rejected(self):
         with pytest.raises(ValueError):
@@ -242,7 +242,7 @@ class TestDiscriminant:
             UniPoly([F(-1), F(-1), F(1)]),
             UniPoly([F(-2), F(0), F(0), F(1)]),
         ]
-        family = BiPoly.from_terms([(0, 3, F(1)), (1, 1, F(1)), (1, 0, F(1))])
+        family = BiPoly([[0, 0, 0, 1], [1, 1, 0, 0]])
         d = discriminant_in_X(family)
         for done in range(20):
             K = NumberField(moduli[done % 3])
@@ -259,7 +259,7 @@ class TestDiscriminant:
 
 class TestSpecialize:
     def family(self):
-        return BiPoly.from_terms([(0, 3, F(1)), (1, 1, F(1)), (1, 0, F(1))])
+        return BiPoly([[0, 0, 0, 1], [1, 1, 0, 0]])
 
     def test_at_one(self):
         assert self.family().specialize(1) == X**3 + X + 1
@@ -268,8 +268,12 @@ class TestSpecialize:
         assert self.family().specialize(0) == X**3
 
     def test_constant_in_t(self):
-        f = BiPoly.from_terms([(0, 2, F(1)), (0, 0, F(-3))])
+        f = BiPoly([[-3, 0, 1]])
         assert f.specialize(17) == X**2 - 3
+
+    def test_ragged_rows_rejected(self):
+        with pytest.raises(ValueError, match="one width"):
+            BiPoly([[1, 0], [1]])
 
 
 class TestInterpolate:
